@@ -76,12 +76,6 @@ func TestGoldenFigScaleTable(t *testing.T) {
 	golden(t, "figscale_table", "-fig", "scale", "-scale", "0.01")
 }
 
-// TestGoldenFigScaleSharded pins the sharding acceptance at the CLI
-// level: -shards must not change a single data byte of the figure.
-func TestGoldenFigScaleSharded(t *testing.T) {
-	golden(t, "figscale_table", "-fig", "scale", "-scale", "0.01", "-shards", "8")
-}
-
 // TestGoldenFigGridd pins the wire-protocol conformance checklist: a
 // real daemon is spawned in-process and every "ok" line is a property
 // proven over the socket, so the golden is deterministic despite the

@@ -6,7 +6,7 @@
 //
 //	gridbench [-fig N|la|res|net|scale|gridd] [-seed S] [-scale F] [-format table|tsv]
 //	          [-backend sim|live|gridd] [-timescale F] [-gridd-addr URL]
-//	          [-parallel N] [-shards N] [-chaos PLAN] [-chaos-seed S] [-check]
+//	          [-parallel N] [-chaos PLAN] [-chaos-seed S] [-check]
 //	          [-trace FILE] [-trace-format jsonl|chrome] [-trace-summary]
 //	          [-trace-quantiles] [-metrics FILE] [-metrics-interval D]
 //	          [-metrics-format jsonl|csv|prom] [-obs-addr ADDR] [-progress]
@@ -34,8 +34,7 @@
 // reporting wall-clock and events/sec — the engine-throughput numbers
 // BENCH_expt.json records. It is sim-only and excluded from the
 // default all-figures run (the 1M cell is a benchmark, not a figure of
-// the paper); -shards runs its cells on the engine's sharded scheduling
-// mode (power of two; output is byte-identical at any value).
+// the paper).
 //
 // -chaos regenerates the figures under a named fault-injection plan
 // (see internal/chaos; plans: bursts, crashes, dup-storm, flap,
@@ -136,7 +135,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	griddAddr := fs.String("gridd-addr", "", "gridd backend only: base URL of a running gridd daemon (empty spawns one in-process)")
 	progress := fs.Bool("progress", false, "print one-line sweep progress to stderr about once a second")
 	parallel := fs.Int("parallel", 0, "worker count for independent simulation cells (0 = GOMAXPROCS, 1 = serial)")
-	shards := fs.Int("shards", 0, "engine scheduling shards for the scale figure (power of two; 0 or 1 = unsharded)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	if err := fs.Parse(argv); err != nil {
@@ -161,10 +159,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *parallel < 0 {
 		fmt.Fprintf(stderr, "gridbench: negative parallel %d (want 0 for GOMAXPROCS, or a worker count)\n", *parallel)
-		return 2
-	}
-	if *shards < 0 || (*shards > 1 && *shards&(*shards-1) != 0) {
-		fmt.Fprintf(stderr, "gridbench: invalid shards %d (want a power of two, or 0 for unsharded)\n", *shards)
 		return 2
 	}
 	if *fig == "scale" && *backend == expt.BackendLive {
@@ -228,7 +222,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	opt := expt.Options{Seed: *seed, Scale: *scale, Parallel: *parallel, Shards: *shards, Backend: *backend, Timescale: *timescale, GriddURL: *griddAddr}
+	opt := expt.Options{Seed: *seed, Scale: *scale, Parallel: *parallel, Backend: *backend, Timescale: *timescale, GriddURL: *griddAddr}
 	if *metricsOut != "" || *obsAddr != "" || *progress {
 		// -progress needs the recorder too: the events/sec column comes
 		// from the engine event counters it samples.

@@ -109,9 +109,13 @@ func TestLiveBackendSingleFigure(t *testing.T) {
 }
 
 func TestBadFlag(t *testing.T) {
-	code, _, _ := cli(t, "-bogus")
-	if code != 2 {
-		t.Fatalf("code = %d", code)
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"-shards", "8"}, // a knob this CLI once had: now unknown like any other
+	} {
+		if code, _, _ := cli(t, args...); code != 2 {
+			t.Errorf("%v: code = %d, want 2", args, code)
+		}
 	}
 }
 

@@ -122,6 +122,11 @@ func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 1
 	}
 	hs := &http.Server{Handler: srv.Handler()}
+	// Catch signals before announcing the listener: a SIGTERM sent the
+	// moment a supervisor reads "listening on" must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
 	fmt.Fprintf(stdout, "gridd: listening on http://%s (%d resources)\n", ln.Addr(), len(cfg.Resources))
 	if ready != nil {
 		ready <- "http://" + ln.Addr().String()
@@ -129,10 +134,6 @@ func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigc)
 
 	select {
 	case err := <-errc:

@@ -48,8 +48,11 @@ func TestSIGTERMDrainsMidFlight(t *testing.T) {
 	ready := make(chan string, 1)
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
+	// Capacity 1: the wedged holder has the only unit, so a "late"
+	// acquire that beats the signal is refused busy, never granted a
+	// second lease for the drain to revoke.
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-drain", "150ms", "-res", "fds:2:1h"}, &out, &errb, ready)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-drain", "150ms", "-res", "fds:1:1h"}, &out, &errb, ready)
 	}()
 	var url string
 	select {

@@ -23,7 +23,8 @@ import (
 // well-formedness checker (trace.Check): whatever the scheduler did,
 // each client's own timeline must follow the discipline grammar.
 //
-// `make diff-smoke` runs exactly these tests.
+// `go test ./internal/expt -run TestDiff -count=1` runs exactly these
+// tests.
 
 // diffTimescale compresses live-backend time for the harness: 1 virtual
 // second per 0.5 real milliseconds. Higher compression would shave CI

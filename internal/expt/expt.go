@@ -50,12 +50,6 @@ type Options struct {
 	// violations are reassembled in cell order, so output is
 	// byte-identical at any setting (see runner.go).
 	Parallel int
-	// Shards selects the engine's sharded scheduling mode for figures
-	// that support it (currently the scale figure): each cell's engine
-	// partitions timers and runnables across this many shards, merged
-	// deterministically so output is byte-identical at any value. Must
-	// be a power of two; 0 or 1 means unsharded.
-	Shards int
 	// Backend selects the runtime the cells execute on: BackendSim
 	// (the default) is the deterministic virtual-clock engine,
 	// BackendLive runs the same scenarios on real goroutines under

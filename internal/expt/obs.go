@@ -17,8 +17,8 @@ import (
 //
 // Every simulation cell can sample an observability registry on its
 // own backend clock: engine internals (run-queue depth, timer-heap
-// size, cumulative events, compactions), the carrier each scenario
-// contends for (occupancy, queue depth), and the lease/book ledgers
+// size, cumulative events), the carrier each scenario contends for
+// (occupancy, queue depth), and the lease/book ledgers
 // (grants, rejects, revocations, dead-window units). The sampler is a
 // read-only timer — it draws no randomness and changes no workload
 // decision — so an instrumented run produces exactly the figures an
@@ -37,10 +37,9 @@ import (
 
 // Family names sampled by the flight recorder.
 const (
-	MEngineEvents  = "grid_engine_events_total"
-	MEngineRunq    = "grid_engine_runq_depth"
-	MEngineTimers  = "grid_engine_timer_heap"
-	MEngineCompact = "grid_engine_compactions_total"
+	MEngineEvents = "grid_engine_events_total"
+	MEngineRunq   = "grid_engine_runq_depth"
+	MEngineTimers = "grid_engine_timer_heap"
 
 	MWheelCascades = "grid_engine_wheel_cascades_total"
 	MWheelMaxSlot  = "grid_engine_wheel_slot_max"
@@ -109,7 +108,6 @@ func (o Options) obsReg() *obs.Registry {
 type engineObserver interface {
 	RunQueueLen() int
 	TimerHeapLen() int
-	Compactions() int64
 }
 
 // wheelObserver is the sim engine's hierarchical-timer-wheel health
@@ -140,10 +138,8 @@ func armObs(opt Options, e core.Backend, window time.Duration, cell string, inst
 	if eo, ok := e.(engineObserver); ok {
 		sc.GaugeFunc(MEngineRunq, "Runnable processes (live-process count on the live backend).",
 			func() float64 { return float64(eo.RunQueueLen()) })
-		sc.GaugeFunc(MEngineTimers, "Timer-heap entries, including canceled entries awaiting compaction.",
+		sc.GaugeFunc(MEngineTimers, "Pending timers (canceled timers leave at once).",
 			func() float64 { return float64(eo.TimerHeapLen()) })
-		sc.GaugeFunc(MEngineCompact, "Canceled-timer heap compactions performed.",
-			func() float64 { return float64(eo.Compactions()) })
 	}
 	if wo, ok := e.(wheelObserver); ok {
 		sc.GaugeFunc(MWheelCascades, "Timer nodes re-dispersed by wheel level cascades.",

@@ -30,9 +30,9 @@ import (
 // is not a measurement, it is a denial of service) and ignores fault
 // plans: its purpose is to measure the engine, not the disciplines.
 // The deterministic columns (jobs, deferrals, attempts, events) are a
-// pure function of the seed at any -parallel or -shards setting; the
-// wall-clock and events/sec of each cell are reported separately as
-// "# timing:" comments because they are, deliberately, not.
+// pure function of the seed at any -parallel setting; the wall-clock
+// and events/sec of each cell are reported separately as "# timing:"
+// comments because they are, deliberately, not.
 
 // ScaleSweep is the client populations swept by FigScale. Options.Scale
 // shrinks them like every other sweep: -scale 0.01 turns the 1M cell
@@ -49,10 +49,10 @@ const ScaleWindow = 60 * time.Second
 // submit scenario scaled up: demand outstrips carrier capacity by
 // roughly 2x, so carrier-sense deferral and backoff do real work.
 const (
-	scaleThink      = 10 * time.Second        // mean idle time between jobs
-	scaleService    = 200 * time.Millisecond  // carrier hold per job
-	scaleBackoff0   = 250 * time.Millisecond  // initial backoff
-	scaleBackoffMax = 30 * time.Second        // backoff ceiling
+	scaleThink      = 10 * time.Second       // mean idle time between jobs
+	scaleService    = 200 * time.Millisecond // carrier hold per job
+	scaleBackoff0   = 250 * time.Millisecond // initial backoff
+	scaleBackoffMax = 30 * time.Second       // backoff ceiling
 	// scaleWatchdogAt is the deadline of each cell's runaway watchdog: a
 	// far-future timer that panics if a cell somehow fails to quiesce.
 	// It is deliberately beyond the timer wheel's in-wheel horizon so
@@ -171,9 +171,6 @@ func ScaleCell(opt Options, seed int64, n int) *ScaleCellResult {
 func scaleCellChecked(opt Options, seed int64, n int, rec *chaos.Recorder) *ScaleCellResult {
 	start := time.Now()
 	e := sim.New(seed)
-	if opt.Shards > 1 {
-		e.SetShards(opt.Shards)
-	}
 	cap := scaleCarrierCapacity(n)
 	s := &scaleCell{
 		e:         e,
@@ -182,13 +179,10 @@ func scaleCellChecked(opt Options, seed int64, n int, rec *chaos.Recorder) *Scal
 		threshold: max(1, cap/4),
 	}
 	clients := make([]scaleClient, n)
-	shards := e.Shards()
 	for i := range clients {
 		clients[i] = scaleClient{cell: s, backoff: scaleBackoff0}
-		// Desynchronized first attempts; clients partition round-robin
-		// across the engine's timer shards, and each client's timer
-		// chain stays on its shard from here on.
-		e.ScheduleArgOn(i%shards, time.Duration(e.Rand().Float64()*float64(scaleThink)), scaleAttempt, &clients[i])
+		// Desynchronized first attempts.
+		e.ScheduleArg(time.Duration(e.Rand().Float64()*float64(scaleThink)), scaleAttempt, &clients[i])
 	}
 	// Runaway watchdog, beyond the wheel horizon (exercises overflow).
 	wd := e.Schedule(scaleWatchdogAt, func() {
@@ -241,7 +235,7 @@ type ScaleResult struct {
 // of lightweight Ethernet clients, one independent cell per population.
 // Cells run on the worker pool like every other sweep and are
 // reassembled in cell order, so the table is byte-identical at any
-// Options.Parallel and any Options.Shards.
+// Options.Parallel.
 func FigScale(opt Options) *ScaleResult {
 	xs := make([]int, 0, len(ScaleSweep))
 	for _, n := range ScaleSweep {

@@ -9,22 +9,13 @@ import (
 	"repro/internal/obs"
 )
 
-// TestFigScaleDeterministicAcrossShards is the scale figure's smoke
-// acceptance: the deterministic columns must be identical run-to-run
-// and at every shard count — sharding is an engine-internal structure
-// choice, never a semantic one.
-func TestFigScaleDeterministicAcrossShards(t *testing.T) {
+// TestFigScaleDeterministic is the scale figure's smoke acceptance: the
+// deterministic columns must be identical run-to-run.
+func TestFigScaleDeterministic(t *testing.T) {
 	opt := Options{Seed: 1, Scale: 0.001} // 10/100/1000-client cells
 	base := FigScale(opt)
 	if got := FigScale(opt); !reflect.DeepEqual(base.Table, got.Table) {
 		t.Fatal("same seed produced different scale tables")
-	}
-	for _, shards := range []int{2, 8} {
-		sopt := opt
-		sopt.Shards = shards
-		if got := FigScale(sopt); !reflect.DeepEqual(base.Table, got.Table) {
-			t.Fatalf("shards=%d changed the scale table", shards)
-		}
 	}
 	// Sanity: the biggest cell did real work.
 	last := base.Cells[len(base.Cells)-1]

@@ -128,11 +128,6 @@ func (e *Engine) RunQueueLen() int { return e.liveN }
 // engine lock held).
 func (e *Engine) TimerHeapLen() int { return len(e.timers) }
 
-// Compactions is always zero: the live engine deletes canceled timers
-// eagerly from its map, so there is nothing to compact (observability
-// parity with sim.Engine).
-func (e *Engine) Compactions() int64 { return 0 }
-
 // Rand returns a uniform value in [0,1) from the engine's seeded
 // source. Must be called under the engine lock (or before Run).
 func (e *Engine) Rand() float64 { return e.rng.Float64() }

@@ -7,10 +7,9 @@ import (
 )
 
 // The nil-instrument path is the always-on cost paid by every
-// instrumented hot loop when observability is off. The obs-smoke CI
-// gate asserts it stays at 0 allocs/op (and TestNilHotPathZeroAlloc
-// enforces it as a plain test, so plain `go test` catches regressions
-// too).
+// instrumented hot loop when observability is off.
+// TestNilHotPathZeroAlloc asserts it stays at 0 allocs/op as a plain
+// test, so `go test` (and `make race`) catches regressions.
 
 func TestNilHotPathZeroAlloc(t *testing.T) {
 	var c *Counter

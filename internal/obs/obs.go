@@ -16,8 +16,8 @@
 // Like the tracer, the whole API is nil-safe: a nil *Registry yields
 // nil scopes and nil instruments, and every hot-path method (Inc, Add,
 // Set, Observe) on a nil instrument is a single pointer check with
-// zero allocations — asserted by this package's benchmarks and the
-// `make obs-smoke` CI gate. Instrumentation is therefore wired
+// zero allocations — asserted by this package's benchmarks and its
+// TestNilHotPathZeroAlloc. Instrumentation is therefore wired
 // unconditionally and costs nothing until a registry is armed.
 //
 // Concurrency: instrument writes are atomic (histograms take a small

@@ -22,10 +22,6 @@
 // generation-checked handles, processes are recycled through an arena of
 // their own, and the run queue is a power-of-two ring with mask indexing.
 // None of it allocates per operation in steady state.
-//
-// SetShards optionally partitions the timer and run structures; the
-// shard merge reconstructs the exact global order, so sharded runs are
-// byte-identical to unsharded ones (see Run).
 package sim
 
 import (
@@ -41,29 +37,19 @@ import (
 // same origin and traces are directly comparable.
 var Epoch = core.Epoch
 
-// shard is one partition of the engine's scheduling state: a timer
-// queue (wheel + near heap) and a run-queue ring. An unsharded engine
-// is simply an engine with one shard.
-type shard struct {
-	q      timerQueue
-	runq   []*Proc // power-of-two ring of runnable processes
-	rqHead int     // index of the front of the ring
-	rqLen  int     // live entries in the ring
-}
-
 // Engine is a single-threaded discrete-event simulator. Create one with
 // New, add processes with Spawn, then call Run. Engine methods must only
 // be called either before Run starts, from inside a process, or from a
 // timer callback; they are not safe for use from arbitrary goroutines.
 type Engine struct {
-	now    time.Duration // virtual time since Epoch
-	seq    int64         // global tie-breaker for timers at the same instant
-	runSeq int64         // global FIFO order of run-queue admissions
+	now time.Duration // virtual time since Epoch
+	seq int64         // tie-breaker for timers at the same instant
 
-	shards     []shard
-	schedShard int // shard context of the currently running proc/timer
-	runnable   int // total runnable processes across shards
-	live       int // processes that have not exited
+	q      timerQueue // pending timers (wheel + near heap)
+	runq   []*Proc    // power-of-two ring of runnable processes
+	rqHead int        // index of the front of the ring
+	rqLen  int        // runnable processes in the ring
+	live   int        // processes that have not exited
 
 	// Process arena: Proc records are minted in blocks (dense, indexable
 	// by id) and recycled through a free list when they exit, so churny
@@ -90,32 +76,12 @@ const defaultMaxEvents = 200_000_000
 // Identical seeds yield identical simulations.
 func New(seed int64) *Engine {
 	e := &Engine{
-		shards:  make([]shard, 1),
 		yielded: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
 	e.root = newCtx(e, nil)
 	return e
 }
-
-// SetShards partitions the engine's timers and runnables across n
-// scheduling shards (n must be a power of two; 1 restores the default).
-// It may only be called on a fresh engine, before anything is scheduled.
-// Sharding is an internal-structure option only: the merge at shard
-// boundaries reconstructs the exact global (deadline, seq) order, so a
-// sharded run is byte-identical to an unsharded one on the same seed.
-func (e *Engine) SetShards(n int) {
-	if n < 1 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("sim: SetShards(%d): shard count must be a power of two >= 1", n))
-	}
-	if e.seq != 0 || e.runSeq != 0 || e.events != 0 || e.live != 0 || e.runnable != 0 {
-		panic("sim: SetShards on a used engine")
-	}
-	e.shards = make([]shard, n)
-}
-
-// Shards reports the engine's shard count (1 unless SetShards raised it).
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Time { return Epoch.Add(e.now) }
@@ -129,64 +95,26 @@ func (e *Engine) Events() int64 { return e.events }
 
 // RunQueueLen reports the number of currently runnable processes
 // (observability; must be called under the engine token).
-func (e *Engine) RunQueueLen() int { return e.runnable }
+func (e *Engine) RunQueueLen() int { return e.rqLen }
 
-// TimerHeapLen reports the number of pending timer entries across all
-// shards — wheel, overflow, and near-heap nodes, including canceled
-// near entries not yet compacted away (observability; engine token).
-func (e *Engine) TimerHeapLen() int {
-	n := 0
-	for i := range e.shards {
-		n += e.shards[i].q.pending()
-	}
-	return n
-}
-
-// Compactions reports how many canceled-timer near-heap compactions the
-// engine has performed (observability; engine token).
-func (e *Engine) Compactions() int64 {
-	var n int64
-	for i := range e.shards {
-		n += e.shards[i].q.compactions
-	}
-	return n
-}
+// TimerHeapLen reports the number of pending timers — wheel, overflow,
+// and near-heap nodes (observability; engine token).
+func (e *Engine) TimerHeapLen() int { return e.q.pending() }
 
 // WheelCascades reports how many timer nodes level cascades have
 // re-dispersed toward shallower wheel levels (observability; engine
 // token). A zero value on a long run means every timer fit the innermost
 // level — the wheel was effectively a flat calendar.
-func (e *Engine) WheelCascades() int64 {
-	var n int64
-	for i := range e.shards {
-		n += e.shards[i].q.cascades
-	}
-	return n
-}
+func (e *Engine) WheelCascades() int64 { return e.q.cascades }
 
 // MaxSlotOccupancy reports the high-water mark of timer nodes sharing a
-// single wheel slot, across all shards (observability; engine token).
-// It bounds the worst-case burst a single slot drain hands the near heap.
-func (e *Engine) MaxSlotOccupancy() int {
-	var m int32
-	for i := range e.shards {
-		if c := e.shards[i].q.maxSlot; c > m {
-			m = c
-		}
-	}
-	return int(m)
-}
+// single wheel slot (observability; engine token). It bounds the
+// worst-case burst a single slot drain hands the near heap.
+func (e *Engine) MaxSlotOccupancy() int { return int(e.q.maxSlot) }
 
 // TimerOverflowLen reports the number of timers currently parked beyond
-// the wheel horizon (~52 virtual days), across all shards
-// (observability; engine token).
-func (e *Engine) TimerOverflowLen() int {
-	n := 0
-	for i := range e.shards {
-		n += e.shards[i].q.overflowLen
-	}
-	return n
-}
+// the wheel horizon, ~52 virtual days (observability; engine token).
+func (e *Engine) TimerOverflowLen() int { return e.q.overflowLen }
 
 // Rand returns the engine's deterministic random source. It must only be
 // used under the engine token (from processes or timer callbacks).
@@ -196,55 +124,29 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // explicitly requested, e.g. to shut down an experiment window.
 func (e *Engine) Context() *Ctx { return e.root }
 
-// pushRun appends a process to the back of its shard's run-queue ring,
-// growing the ring when full. Rings are power-of-two sized so the ring
-// walk is a mask, not a division. The global admission order is stamped
-// on the process, which is what lets a sharded engine reconstruct the
-// exact unsharded FIFO at pop time.
+// pushRun appends a process to the back of the run-queue ring, growing
+// the ring when full. The ring is power-of-two sized so the ring walk is
+// a mask, not a division.
 func (e *Engine) pushRun(p *Proc) {
-	s := &e.shards[p.shard]
-	if s.rqLen == len(s.runq) {
-		grown := make([]*Proc, max(16, 2*len(s.runq)))
-		mask := len(s.runq) - 1
-		for i := 0; i < s.rqLen; i++ {
-			grown[i] = s.runq[(s.rqHead+i)&mask]
+	if e.rqLen == len(e.runq) {
+		grown := make([]*Proc, max(16, 2*len(e.runq)))
+		mask := len(e.runq) - 1
+		for i := 0; i < e.rqLen; i++ {
+			grown[i] = e.runq[(e.rqHead+i)&mask]
 		}
-		s.runq = grown
-		s.rqHead = 0
+		e.runq = grown
+		e.rqHead = 0
 	}
-	s.runq[(s.rqHead+s.rqLen)&(len(s.runq)-1)] = p
-	s.rqLen++
-	p.runSeq = e.runSeq
-	e.runSeq++
-	e.runnable++
+	e.runq[(e.rqHead+e.rqLen)&(len(e.runq)-1)] = p
+	e.rqLen++
 }
 
-// popRun removes and returns the globally oldest runnable process: each
-// shard's ring is FIFO, so the oldest is at the head of one of the
-// rings, found by comparing head runSeq stamps.
+// popRun removes and returns the oldest runnable process.
 func (e *Engine) popRun() *Proc {
-	if len(e.shards) == 1 {
-		return e.shards[0].popRunLocal()
-	}
-	best := -1
-	var bestSeq int64
-	for i := range e.shards {
-		s := &e.shards[i]
-		if s.rqLen == 0 {
-			continue
-		}
-		if seq := s.runq[s.rqHead].runSeq; best < 0 || seq < bestSeq {
-			best, bestSeq = i, seq
-		}
-	}
-	return e.shards[best].popRunLocal()
-}
-
-func (s *shard) popRunLocal() *Proc {
-	p := s.runq[s.rqHead]
-	s.runq[s.rqHead] = nil
-	s.rqHead = (s.rqHead + 1) & (len(s.runq) - 1)
-	s.rqLen--
+	p := e.runq[e.rqHead]
+	e.runq[e.rqHead] = nil
+	e.rqHead = (e.rqHead + 1) & (len(e.runq) - 1)
+	e.rqLen--
 	return p
 }
 
@@ -297,11 +199,9 @@ func (e *Engine) recycleProc(p *Proc) {
 
 // Spawn creates a new process executing fn and schedules it to run. It
 // may be called before Run or from inside a running process or timer.
-// The process runs on the spawner's scheduling shard.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := e.allocProc()
 	p.name = name
-	p.shard = int32(e.schedShard)
 	if p.resume == nil {
 		p.resume = make(chan struct{})
 	}
@@ -318,21 +218,11 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // Schedule arranges for fn to run at virtual time now+d under the engine
 // token. It returns a handle that can cancel the callback before it
 // fires. The handle is a value: copies are equivalent, and the zero
-// Timer is valid and inert. The timer lives on the scheduler's current
-// shard, and callbacks it fires inherit that shard.
+// Timer is valid and inert.
 func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	q := &e.shards[e.schedShard].q
-	n := q.alloc()
-	n.at = e.now + d
-	n.seq = e.seq
+	n := e.q.alloc()
 	n.fn = fn
-	n.shard = int32(e.schedShard)
-	e.seq++
-	q.insert(n)
-	return Timer{eng: e, n: n, gen: n.gen, at: n.at}
+	return e.arm(n, d)
 }
 
 // ScheduleArg is Schedule for mass-client workloads: fn is a shared,
@@ -341,56 +231,23 @@ func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
 // closure allocation per event. Semantics are otherwise identical to
 // Schedule.
 func (e *Engine) ScheduleArg(d time.Duration, fn func(arg any), arg any) Timer {
-	return e.scheduleArgOn(e.schedShard, d, fn, arg)
+	n := e.q.alloc()
+	n.afn = fn
+	n.arg = arg
+	return e.arm(n, d)
 }
 
-// ScheduleArgOn is ScheduleArg pinned to a scheduling shard: the timer
-// lives in shard's structures, and callbacks it schedules inherit that
-// shard. With an unsharded engine (or shard 0) it is exactly
-// ScheduleArg. The shard index must be in [0, Shards()).
-func (e *Engine) ScheduleArgOn(shard int, d time.Duration, fn func(arg any), arg any) Timer {
-	if shard < 0 || shard >= len(e.shards) {
-		panic(fmt.Sprintf("sim: ScheduleArgOn(%d): shard out of range [0,%d)", shard, len(e.shards)))
-	}
-	return e.scheduleArgOn(shard, d, fn, arg)
-}
-
-func (e *Engine) scheduleArgOn(shard int, d time.Duration, fn func(arg any), arg any) Timer {
+// arm stamps n with its deadline and schedule-order tie-breaker, files
+// it in the timer queue, and returns the handle for its tenure.
+func (e *Engine) arm(n *timerNode, d time.Duration) Timer {
 	if d < 0 {
 		d = 0
 	}
-	q := &e.shards[shard].q
-	n := q.alloc()
 	n.at = e.now + d
 	n.seq = e.seq
-	n.afn = fn
-	n.arg = arg
-	n.shard = int32(shard)
 	e.seq++
-	q.insert(n)
+	e.q.insert(n)
 	return Timer{eng: e, n: n, gen: n.gen, at: n.at}
-}
-
-// minTimer peeks the earliest pending timer across shards. Within a
-// shard the queue yields exact (at, seq) order; across shards the
-// minimum of the heads is the global minimum, because seq is stamped
-// globally at schedule time.
-func (e *Engine) minTimer() (*timerNode, int) {
-	if len(e.shards) == 1 {
-		return e.shards[0].q.peek(), 0
-	}
-	var best *timerNode
-	bi := 0
-	for i := range e.shards {
-		n := e.shards[i].q.peek()
-		if n == nil {
-			continue
-		}
-		if best == nil || n.at < best.at || (n.at == best.at && n.seq < best.seq) {
-			best, bi = n, i
-		}
-	}
-	return best, bi
 }
 
 // Run executes the simulation until no process is runnable and no timer is
@@ -399,11 +256,10 @@ func (e *Engine) minTimer() (*timerNode, int) {
 // on a resource that is never released) do not keep Run alive; cancel
 // their contexts to unwind them.
 //
-// Determinism across shard counts: runnables drain before timers, in
-// global runSeq order; timers fire in global (at, seq) order. Both
-// orders are independent of which shard holds an entry, so the event
-// sequence — and therefore every byte of output — is identical for any
-// SetShards value on the same seed.
+// Runnables drain before timers, in admission (FIFO) order; timers fire
+// in (at, seq) order. Both orders are functions of the seed alone, so
+// the event sequence — and therefore every byte of output — is
+// reproducible.
 func (e *Engine) Run() error {
 	maxEv := e.MaxEvents
 	if maxEv <= 0 {
@@ -412,12 +268,10 @@ func (e *Engine) Run() error {
 	for {
 		e.events++
 		if e.events > maxEv {
-			return fmt.Errorf("sim: exceeded %d events at t=%v (runnable=%d timers=%d): likely livelock", maxEv, e.now, e.runnable, e.TimerHeapLen())
+			return fmt.Errorf("sim: exceeded %d events at t=%v (runnable=%d timers=%d): likely livelock", maxEv, e.now, e.rqLen, e.TimerHeapLen())
 		}
-		if e.runnable > 0 {
+		if e.rqLen > 0 {
 			p := e.popRun()
-			e.runnable--
-			e.schedShard = int(p.shard)
 			e.current = p
 			p.resume <- struct{}{}
 			<-e.yielded
@@ -427,20 +281,18 @@ func (e *Engine) Run() error {
 			}
 			continue
 		}
-		if n, sh := e.minTimer(); n != nil {
-			q := &e.shards[sh].q
-			q.pop()
+		if n := e.q.peek(); n != nil {
+			e.q.pop()
 			if n.at > e.now {
 				e.now = n.at
 			}
-			e.schedShard = sh
 			if n.afn != nil {
 				afn, arg := n.afn, n.arg
-				q.recycle(n)
+				e.q.recycle(n)
 				afn(arg)
 			} else {
 				fn := n.fn
-				q.recycle(n)
+				e.q.recycle(n)
 				fn()
 			}
 			continue
@@ -451,7 +303,7 @@ func (e *Engine) Run() error {
 
 // Quiesced reports whether the engine has neither runnable processes nor
 // pending timers.
-func (e *Engine) Quiesced() bool { return e.runnable == 0 && e.TimerHeapLen() == 0 }
+func (e *Engine) Quiesced() bool { return e.rqLen == 0 && e.TimerHeapLen() == 0 }
 
 // Live reports the number of processes that have been spawned and have
 // not yet returned.
@@ -461,10 +313,10 @@ func (e *Engine) Live() int { return e.live }
 // Engine.Schedule. It is a value: copying it is fine, and the zero
 // Timer is inert (Cancel does nothing, Scheduled reports false).
 //
-// The node behind a handle is recycled after the callback fires or the
-// cancellation is collected, so handles carry the node's generation:
-// operations on a handle whose tenure has ended are no-ops, never
-// actions on the node's next occupant.
+// The node behind a handle is recycled when the callback fires or the
+// timer is canceled, so handles carry the node's generation: operations
+// on a handle whose tenure has ended are no-ops, never actions on the
+// node's next occupant.
 type Timer struct {
 	eng *Engine
 	n   *timerNode
@@ -473,16 +325,14 @@ type Timer struct {
 }
 
 // Cancel prevents the timer from firing. Canceling an already-fired,
-// already-canceled, or zero Timer is a no-op. Wheel and overflow
-// residents are unlinked and recycled in O(1); near-heap residents are
-// marked and collected lazily.
+// already-canceled, or zero Timer is a no-op: each ended that tenure
+// and bumped the node's generation. Wheel and overflow residents are
+// unlinked in O(1); near-heap residents are removed in O(log k) of the
+// near heap's few entries.
 func (t Timer) Cancel() {
-	n := t.n
-	if n == nil || n.gen != t.gen || n.canceled {
-		return
+	if n := t.n; n != nil && n.gen == t.gen {
+		t.eng.q.cancel(n)
 	}
-	n.canceled = true
-	t.eng.shards[n.shard].q.cancel(n)
 }
 
 // When reports the virtual time at which the timer fires (fired, for
@@ -495,21 +345,19 @@ func (t Timer) When() time.Duration { return t.at }
 func (t Timer) Scheduled() bool { return t.n != nil }
 
 // timerNode is the engine-owned record behind a Timer handle. It lives
-// either in a shard's near heap (index = heap position) or on a wheel
-// slot / overflow doubly-linked list (prev/next); loc says which.
+// either in the near heap (index = heap position) or on a wheel slot /
+// overflow doubly-linked list (prev/next); loc says which.
 type timerNode struct {
-	at       time.Duration
-	seq      int64
-	fn       func()        // closure form (Schedule)
-	afn      func(arg any) // shared-function form (ScheduleArg)
-	arg      any
-	canceled bool
-	index    int // position in the near heap; -1 when not in it
+	at    time.Duration
+	seq   int64
+	fn    func()        // closure form (Schedule)
+	afn   func(arg any) // shared-function form (ScheduleArg)
+	arg   any
+	index int // position in the near heap; -1 when not in it
 
 	prev, next *timerNode // wheel slot / overflow list links
 	loc        int8       // locNear, locNone, locOverflow, or wheel level
 	slot       uint8      // slot index when loc is a wheel level
-	shard      int32      // owning shard
 	gen        uint32     // tenure counter; bumped on recycle
 }
 

@@ -53,9 +53,9 @@ func BenchmarkSchedule(b *testing.B) {
 
 // BenchmarkScheduleCancel measures the WithTimeout pattern that
 // dominates real workloads: schedule a guard timer, cancel it almost
-// immediately because the guarded work finished first. Without
-// canceled-timer compaction every op leaves a dead entry in the heap
-// until its distant deadline; without a free list every op allocates.
+// immediately because the guarded work finished first. Without eager
+// removal on Cancel every op leaves a dead entry in the queue until its
+// distant deadline; without a free list every op allocates.
 func BenchmarkScheduleCancel(b *testing.B) {
 	e := New(1)
 	fn := func() {}

@@ -555,3 +555,93 @@ func TestLargePopulationDeterminism(t *testing.T) {
 		t.Fatalf("events = %d, stress too small", ev1)
 	}
 }
+
+// TestRunQueueMaskWraparound drives pushRun/popRun directly through the
+// regime the mask indexing must survive: a head deep into the ring,
+// pushes wrapping past the end, and a growth while wrapped (the copy
+// must unroll the wrap). Pop order must stay FIFO throughout.
+func TestRunQueueMaskWraparound(t *testing.T) {
+	e := New(1)
+	var want []*Proc
+	push := func(p *Proc) {
+		e.pushRun(p)
+		want = append(want, p)
+	}
+	popCheck := func() {
+		p := e.popRun()
+		if p != want[0] {
+			t.Fatalf("pop order broken: got proc id %d, want id %d", p.id, want[0].id)
+		}
+		want = want[1:]
+	}
+	// Fill the initial 16-slot ring, drain most of it so the head sits
+	// near the end, then push across the wrap boundary.
+	for i := 0; i < 16; i++ {
+		push(e.allocProc())
+	}
+	for i := 0; i < 13; i++ {
+		popCheck()
+	}
+	for i := 0; i < 12; i++ {
+		push(e.allocProc()) // tail wraps to the ring's front
+	}
+	if head := e.rqHead; head != 13 {
+		t.Fatalf("head = %d, want 13 (setup drifted)", head)
+	}
+	// Grow while wrapped: the 16th live entry forces a 32-slot ring and
+	// the copy must stitch [head:16) + [0:tail) back together in order.
+	for i := 0; i < 20; i++ {
+		push(e.allocProc())
+	}
+	if len(e.runq) != 64 {
+		t.Fatalf("ring len = %d, want 64 after growth", len(e.runq))
+	}
+	for len(want) > 0 {
+		popCheck()
+	}
+	if e.rqLen != 0 {
+		t.Fatalf("rqLen = %d after full drain", e.rqLen)
+	}
+}
+
+// TestProcArenaRecycling pins the process arena: records of exited
+// processes are reused (with their resume channels), and the dense
+// id-indexed blocks stay addressable.
+func TestProcArenaRecycling(t *testing.T) {
+	e := New(1)
+	var firstID int32 = -1
+	e.Spawn("a", func(p *Proc) { firstID = p.id })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if firstID < 0 {
+		t.Fatal("proc did not run")
+	}
+	rec := e.procByID(firstID)
+	if rec.done || rec.name != "" {
+		t.Fatalf("record %d not reset after recycle: done=%v name=%q", firstID, rec.done, rec.name)
+	}
+	// The very next spawn must reuse the freed record, not mint block 2.
+	var secondID int32 = -2
+	e.Spawn("b", func(p *Proc) { secondID = p.id })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if secondID != firstID {
+		t.Fatalf("spawn after exit used record %d, want recycled %d", secondID, firstID)
+	}
+	if len(e.procBlocks) != 1 {
+		t.Fatalf("minted %d blocks for serial spawns, want 1", len(e.procBlocks))
+	}
+	// Churn far past one block: serial spawn/exit cycles must never
+	// mint a second block.
+	for i := 0; i < 3*procBlock; i++ {
+		e.Spawn("churn", func(p *Proc) {})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(e.procBlocks) != 1 {
+		t.Fatalf("churn minted %d blocks, want 1", len(e.procBlocks))
+	}
+}

@@ -18,8 +18,6 @@ import (
 type Proc struct {
 	eng     *Engine
 	id      int32 // arena index; see Engine.procByID
-	shard   int32 // scheduling shard this process runs on
-	runSeq  int64 // global admission stamp of the current run-queue entry
 	name    string
 	resume  chan struct{}
 	parked  bool

@@ -125,7 +125,11 @@ func (r *Resource) Release() {
 
 // grantWaiters hands free units to queued waiters in FIFO order.
 func (r *Resource) grantWaiters() {
-	r.compact()
+	// Abandoned waiters at the head go even when no unit is free, so a
+	// saturated resource does not keep them queued.
+	for len(r.waiters) > 0 && r.waiters[0].gone {
+		r.waiters = r.waiters[1:]
+	}
 	for len(r.waiters) > 0 && r.inUse < r.capacity {
 		w := r.waiters[0]
 		r.waiters = r.waiters[1:]
@@ -136,12 +140,5 @@ func (r *Resource) grantWaiters() {
 		r.inUse++
 		r.Acquires++
 		w.p.wake(nil)
-	}
-}
-
-// compact drops abandoned waiters from the head of the queue.
-func (r *Resource) compact() {
-	for len(r.waiters) > 0 && r.waiters[0].gone {
-		r.waiters = r.waiters[1:]
 	}
 }

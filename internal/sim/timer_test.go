@@ -1,32 +1,103 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
 // TestScheduleCancelHeapBounded is the regression test for the
 // canceled-timer leak: a schedule/cancel loop (the WithTimeout pattern)
-// must not grow the timer structure without bound. Wheel residents are
-// unlinked on Cancel, and the occasional near-heap resident is bounded
-// by majority-dead compaction, so the pending count stays within a
-// small constant.
+// must not grow the timer structure at all. Cancel removes the node
+// from wherever it sits, so nothing is pending after any cancel.
 func TestScheduleCancelHeapBounded(t *testing.T) {
 	e := New(1)
-	const iters = 100_000
-	maxLen := 0
-	for i := 0; i < iters; i++ {
+	for i := 0; i < 100_000; i++ {
 		tm := e.Schedule(time.Hour, func() { t.Error("canceled timer fired") })
 		tm.Cancel()
-		if l := e.TimerHeapLen(); l > maxLen {
-			maxLen = l
+		if l := e.TimerHeapLen(); l != 0 {
+			t.Fatalf("cycle %d: %d timers pending after cancel, want 0", i, l)
 		}
-	}
-	if maxLen > 2*compactThreshold {
-		t.Fatalf("timer structure grew to %d entries during %d schedule/cancel cycles; want <= %d", maxLen, iters, 2*compactThreshold)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCancelNearHeap covers Cancel on near-heap residents, which the
+// hour-away (wheel-resident) timers above never reach: removing the
+// heap's root, middle and last entries must leave nothing behind, keep
+// the survivors firing in (at, seq) order, and end the handle's tenure
+// so it stays inert once its node is reused.
+func TestCancelNearHeap(t *testing.T) {
+	e := New(1)
+	delays := []time.Duration{0, 30, 10, 0, 20, 10, 40, 0, 50, 20} // µs: all inside one tick
+	var fired, want []int
+	arm := func() []Timer {
+		tms := make([]Timer, len(delays))
+		for i, d := range delays {
+			i := i
+			tms[i] = e.Schedule(d*time.Microsecond, func() { fired = append(fired, i) })
+		}
+		return tms
+	}
+	// cancelAt cancels the timer at near-heap position pos through its
+	// handle and returns which one it was.
+	cancelAt := func(tms []Timer, pos int) int {
+		n := e.q.near[pos]
+		for i, tm := range tms {
+			if tm.n == n && tm.gen == n.gen {
+				tm.Cancel()
+				return i
+			}
+		}
+		t.Fatalf("no live handle for near[%d]", pos)
+		return -1
+	}
+	// Inside a callback the clock sits in the tick the wheel just
+	// drained, so zero and sub-tick delays file straight into the near
+	// heap.
+	e.Schedule(5*time.Millisecond, func() {
+		old := arm()
+		if len(e.q.near) != len(delays) {
+			t.Fatalf("near heap holds %d of %d timers; setup drifted", len(e.q.near), len(delays))
+		}
+		// Cancel everything, rotating root / last / middle.
+		for k := len(delays); k > 0; k-- {
+			cancelAt(old, [3]int{0, k - 1, k / 2}[k%3])
+			if got := e.TimerHeapLen(); got != k-1 {
+				t.Fatalf("%d timers pending after cancel with %d armed, want %d", got, k, k-1)
+			}
+		}
+		// A fresh batch takes over the canceled nodes; the stale
+		// handles to them must not touch it.
+		free := len(e.q.free)
+		tms := arm()
+		for _, tm := range old {
+			tm.Cancel()
+		}
+		if got := e.TimerHeapLen(); got != len(delays) || len(e.q.free) != free-len(delays) {
+			t.Fatalf("%d pending after stale cancels, want %d (free list %d -> %d)", got, len(delays), free, len(e.q.free))
+		}
+		// Cancel root, last and middle; the rest must fire by (delay,
+		// schedule order).
+		gone := map[int]bool{}
+		gone[cancelAt(tms, 0)] = true
+		gone[cancelAt(tms, len(e.q.near)-1)] = true
+		gone[cancelAt(tms, len(e.q.near)/2)] = true
+		for _, d := range []time.Duration{0, 10, 20, 30, 40, 50} {
+			for i := range delays {
+				if delays[i] == d && !gone[i] {
+					want = append(want, i)
+				}
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(delays)-3 || fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
 
@@ -72,16 +143,13 @@ func TestTimerZeroValueInert(t *testing.T) {
 
 // TestTimerSelfCancelDuringFire pins the context-deadline pattern: a
 // callback canceling its own timer (already popped from the heap) must
-// be a no-op and must not corrupt the dead-entry accounting.
+// be a no-op.
 func TestTimerSelfCancelDuringFire(t *testing.T) {
 	e := New(1)
 	var tm Timer
 	tm = e.Schedule(time.Second, func() { tm.Cancel() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if d := e.shards[0].q.dead; d != 0 {
-		t.Fatalf("dead = %d after self-cancel, want 0", d)
 	}
 	if !e.Quiesced() {
 		t.Fatal("engine not quiesced")

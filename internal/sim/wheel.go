@@ -13,11 +13,11 @@ import (
 // The paper's disciplines are backoff machines, so the engine's timer
 // workload is dominated by schedule-then-cancel: every guarded attempt
 // arms a deadline it almost always cancels. A binary heap pays O(log n)
-// to admit each of those doomed entries and leaves the canceled ones
-// inside until compaction. The wheel pays O(1) to admit and O(1) to
-// remove: a node sits in a doubly-linked slot list, so cancellation is
-// an unlink, and the 10^6-timer regime the scale figure runs stops
-// rippling a million-entry heap on every operation.
+// to admit each of those doomed entries and O(log n) again to remove
+// it. The wheel pays O(1) to admit and O(1) to remove: a node sits in a
+// doubly-linked slot list, so cancellation is an unlink, and the
+// 10^6-timer regime the scale figure runs stops rippling a
+// million-entry heap on every operation.
 //
 // Geometry: virtual time is bucketed into ticks of 2^20 ns (~1.05 ms),
 // and the wheel has 4 levels of 256 slots, level L spanning 256^(L+1)
@@ -38,9 +38,9 @@ import (
 // cur is the queue's wheel position: the last tick whose nodes have
 // been moved to the near heap. It advances lazily, skipping empty
 // regions via per-level occupancy bitmaps, and may run ahead of the
-// engine's clock when this shard's next timer is far away; inserts that
-// land at or before cur (overdue from this queue's point of view) go
-// straight to the near heap, preserving exact order.
+// engine's clock when the next timer is far away; inserts that land at
+// or before cur (overdue from the queue's point of view) go straight to
+// the near heap, preserving exact order.
 const (
 	tickShift   = 20 // one tick = 2^20 ns ≈ 1.05 ms of virtual time
 	wheelBits   = 8
@@ -61,16 +61,15 @@ const (
 // tickOf buckets a virtual timestamp into a wheel tick.
 func tickOf(at time.Duration) uint64 { return uint64(at) >> tickShift }
 
-// timerQueue is one shard's pending-timer structure.
+// timerQueue is the engine's pending-timer structure.
 type timerQueue struct {
 	near timerHeap // tick(at) <= cur, exact (at, seq) order
-	dead int       // canceled entries still sitting in near
 
-	cur    uint64                            // last tick drained into near
+	cur    uint64                              // last tick drained into near
 	slots  [wheelLevels][wheelSlots]*timerNode // doubly-linked slot lists
-	occ    [wheelLevels][wheelWords]uint64   // slot-occupancy bitmaps
-	cnt    [wheelLevels][wheelSlots]int32    // per-slot node counts
-	lvlLen [wheelLevels]int                  // nodes per level
+	occ    [wheelLevels][wheelWords]uint64     // slot-occupancy bitmaps
+	cnt    [wheelLevels][wheelSlots]int32      // per-slot node counts
+	lvlLen [wheelLevels]int                    // nodes per level
 
 	overflow    *timerNode // beyond the wheel horizon (~52 virtual days)
 	overflowLen int
@@ -79,9 +78,8 @@ type timerQueue struct {
 
 	// Health counters, surfaced via the Engine's wheel observability
 	// accessors and the internal/obs gauges.
-	cascades    int64 // nodes re-dispersed by level cascades
-	maxSlot     int32 // high-water mark of a single slot's occupancy
-	compactions int64 // near-heap dead-entry compactions
+	cascades int64 // nodes re-dispersed by level cascades
+	maxSlot  int32 // high-water mark of a single slot's occupancy
 }
 
 // timerBlock is the arena granularity for timer nodes: nodes are minted
@@ -121,7 +119,6 @@ func (q *timerQueue) recycle(n *timerNode) {
 	n.fn = nil
 	n.afn = nil
 	n.arg = nil
-	n.canceled = false
 	n.loc = locNone
 	q.free = append(q.free, n)
 }
@@ -348,24 +345,15 @@ func (q *timerQueue) rebase() {
 	}
 }
 
-// peek returns the earliest live timer without removing it, advancing
-// the wheel as needed, or nil when nothing is pending. Canceled near
-// entries surfacing at the top are collected on the way.
+// peek returns the earliest timer without removing it, advancing the
+// wheel as needed, or nil when nothing is pending.
 func (q *timerQueue) peek() *timerNode {
-	for {
-		for q.near.Len() > 0 {
-			n := q.near[0]
-			if !n.canceled {
-				return n
-			}
-			heap.Pop(&q.near)
-			q.dead--
-			q.recycle(n)
-		}
+	for q.near.Len() == 0 {
 		if !q.advanceOne() {
 			return nil
 		}
 	}
+	return q.near[0]
 }
 
 // pop removes the node a preceding peek returned.
@@ -375,57 +363,21 @@ func (q *timerQueue) pop() *timerNode {
 	return n
 }
 
-// cancel collects a node whose canceled flag the caller has just set:
-// wheel and overflow nodes unlink and recycle immediately (O(1)); near
-// nodes are left for lazy collection with majority-dead compaction, as
-// popping from mid-heap would cost O(log n) right here.
+// cancel removes a pending node and ends its tenure: an O(1) unlink from
+// a wheel slot or the overflow list, or an O(log k) removal from the
+// near heap, whose k is one tick's worth of timers. A node between pop
+// and its callback is already recycled, so its handle cannot reach here.
 func (q *timerQueue) cancel(n *timerNode) {
-	switch n.loc {
-	case locNear:
-		q.dead++
-		if q.dead*2 > q.near.Len() && q.near.Len() >= compactThreshold {
-			q.compact()
-		}
-	case locNone:
-		// Popped: the callback is firing right now and canceled itself;
-		// nothing remains in the structure to collect.
-	default:
+	if n.loc == locNear {
+		heap.Remove(&q.near, n.index)
+	} else {
 		q.unlink(n)
-		q.recycle(n)
 	}
+	q.recycle(n)
 }
 
-// compactThreshold is the near-heap size below which canceled entries
-// are left in place: tiny heaps pop dead entries soon enough anyway,
-// and skipping them avoids compaction thrash in short simulations.
-const compactThreshold = 64
-
-// compact rebuilds the near heap without its canceled entries. Called
-// when the dead outnumber the live, so total compaction work stays
-// linear in the number of timers ever canceled.
-func (q *timerQueue) compact() {
-	live := q.near[:0]
-	for _, n := range q.near {
-		if n.canceled {
-			q.recycle(n)
-		} else {
-			live = append(live, n)
-		}
-	}
-	for i := len(live); i < len(q.near); i++ {
-		q.near[i] = nil
-	}
-	q.near = live
-	for i, n := range q.near {
-		n.index = i
-	}
-	heap.Init(&q.near)
-	q.dead = 0
-	q.compactions++
-}
-
-// pending reports every entry still tracked: live wheel and overflow
-// nodes plus near entries, including canceled ones awaiting collection.
+// pending reports every timer still in the queue: near, wheel, and
+// overflow nodes.
 func (q *timerQueue) pending() int {
 	n := q.near.Len() + q.overflowLen
 	for _, l := range q.lvlLen {

@@ -57,7 +57,7 @@ type wheelSim struct {
 	seq int64
 
 	nextID int
-	ids    []int             // live ids in creation order
+	ids    []int // live ids in creation order
 	nodes  map[int]*timerNode
 	gens   map[int]uint32
 	ref    map[int]refEntry
@@ -143,7 +143,7 @@ func (w *wheelSim) cancel(pick byte) {
 		t := w.stale[int(pick)%len(w.stale)]
 		// Inline Timer.Cancel's engine-free core: a generation mismatch
 		// must stand down before touching the queue.
-		if t.n.gen == t.gen && !t.n.canceled {
+		if t.n.gen == t.gen {
 			panic("stale handle still live: tenure bookkeeping broken")
 		}
 		return
@@ -153,10 +153,9 @@ func (w *wheelSim) cancel(pick byte) {
 	}
 	id := w.ids[int(pick)%len(w.ids)]
 	n := w.nodes[id]
-	if n.gen != w.gens[id] || n.canceled {
+	if n.gen != w.gens[id] {
 		panic("live-handle table out of sync")
 	}
-	n.canceled = true
 	w.q.cancel(n)
 	w.stale = append(w.stale, Timer{n: n, gen: w.gens[id], at: n.at})
 	w.drop(id)

@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/ftsh/parser
 	$(GO) test -run FuzzInterp -fuzz FuzzInterp -fuzztime $(FUZZTIME) ./internal/ftsh/interp
 	$(GO) test -run FuzzTimerWheel -fuzz FuzzTimerWheel -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run FuzzWire -fuzz FuzzWire -fuzztime $(FUZZTIME) ./internal/gridd
 
 # Rewrite the gridbench golden files after an intentional output change.
 golden:

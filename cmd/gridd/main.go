@@ -89,6 +89,15 @@ func defaultResources() []gridd.ResourceConfig {
 	}
 }
 
+// Bounds on what a silent client can hold: a connection that never
+// finishes its request header, and a keep-alive connection nobody
+// uses. There is deliberately no ReadTimeout or WriteTimeout — a parked
+// acquire is a long poll, and those would cut it.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // run is main minus the exit call, testable in-process. When ready is
 // non-nil the daemon's base URL is sent once the listener is bound.
 func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
@@ -121,7 +130,7 @@ func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "gridd: %v\n", err)
 		return 1
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	// Catch signals before announcing the listener: a SIGTERM sent the
 	// moment a supervisor reads "listening on" must drain, not kill.
 	sigc := make(chan os.Signal, 1)

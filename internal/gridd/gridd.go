@@ -4,17 +4,23 @@
 // JSON wire protocol, so the Ethernet discipline's client code runs
 // against a real socket instead of an in-process substrate.
 //
-// The server re-hosts internal/lease.Manager's semantics on the wall
-// clock: FIFO counting semaphores granting epoch-fenced leases with a
-// server-side watchdog, an interval admission book (Reserve/Claim),
-// monotone fencing so late or duplicated operations land as
-// core.ErrStale over the wire, and an optional housekeeping loop whose
-// failure crashes the resource and revokes every grant — the broadcast
-// jam of the submit scenario. Graceful shutdown mirrors the live
-// engine's drain: new work is refused with a typed retriable error,
-// in-flight grants are waited out, and whatever remains is revoked in
-// (deadline, seq) order, exactly as live.Engine.Run fires leftover
-// watchdogs.
+// The daemon is a host of internal/lease, not a second implementation
+// of it. Every resource is a lease.Book: the book's tenure Manager is
+// the FIFO semaphore behind /acquire (epoch-fenced leases, a watchdog
+// per tenure, the per-holder starvation ledger), the book itself the
+// interval admission ledger behind /reserve and /claim, and the
+// manager's fence is what turns a late or duplicated operation into
+// core.ErrStale over the wire. What this package owns is what only a
+// daemon has: the monitor (one mutex, presented to internal/lease as
+// its clock and parker, so the state machine runs on the wall clock as
+// it runs on the simulator's), the tables from wire ids to live leases
+// and bookings, the daemon-only counters, and the two ways a resource
+// ends tenures on its own account: a housekeeping failure that crashes
+// it and revokes every grant (the broadcast jam of the submit
+// scenario), and graceful shutdown, which mirrors the live engine's
+// drain — new work is refused with a typed retriable error, in-flight
+// grants are waited out, and whatever remains is revoked in (deadline,
+// grant) order, exactly as live.Engine.Run fires leftover watchdogs.
 package gridd
 
 import (
@@ -23,7 +29,10 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/lease"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // ResourceConfig shapes one hosted resource; see CreateRequest for
@@ -46,425 +55,274 @@ type Config struct {
 	Resources []ResourceConfig
 }
 
-// Server hosts the resources. One mutex guards all state — the same
-// monitor discipline as the live engine — and every timer callback
-// takes it before touching anything.
+// Server hosts the resources. One mutex — the monitor — guards all
+// state, the same discipline as the live engine, and every timer
+// callback takes it before touching anything.
 type Server struct {
-	mu       sync.Mutex
-	start    time.Time
+	mon      monitor
 	res      map[string]*resource
-	order    []string // creation order, for deterministic iteration
-	seq      uint64   // server-wide grant sequence (drain total order)
+	order    []*resource // creation order, for deterministic iteration
 	draining bool
-	closed   bool
 
 	reg *obs.Registry
 	// scopes are sampled by /metrics; appended by registerObs, which by
-	// the lock-ordering rule documented there never runs under mu.
+	// the lock-ordering rule documented there never runs under mon.
 	scopes []*obs.Scope
 }
 
 // NewServer builds a server hosting cfg.Resources.
 func NewServer(cfg Config) *Server {
 	s := &Server{
-		start: time.Now(),
-		res:   make(map[string]*resource),
-		reg:   obs.New(),
+		mon: monitor{start: time.Now()},
+		res: make(map[string]*resource),
+		reg: obs.New(),
 	}
 	for _, rc := range cfg.Resources {
-		s.mu.Lock()
+		s.mon.Lock()
 		s.createLocked(rc)
-		s.mu.Unlock()
+		s.mon.Unlock()
 		s.registerObs(rc.Name)
 	}
 	return s
 }
 
-// nowNS is the daemon clock: real ns since construction.
-func (s *Server) nowNS() int64 { return int64(time.Since(s.start)) }
+// monitor is the daemon's one lock, presented to internal/lease as its
+// Clock: wall time since construction, timers whose callbacks take the
+// lock before they run, and plain contexts. It is to the daemon what
+// the engine token is to the simulator — everything in internal/lease
+// runs with it held, and a parked acquire gives it up (parked.Hang).
+type monitor struct {
+	sync.Mutex
+	start time.Time
+}
 
-// resource is one hosted FIFO counting semaphore with fenced leases.
+// Elapsed is the daemon clock: real time since construction.
+func (m *monitor) Elapsed() time.Duration { return time.Since(m.start) }
+
+func (m *monitor) WithCancel(parent context.Context) (context.Context, context.CancelFunc) {
+	return context.WithCancel(parent)
+}
+
+// timer is a monitor timer. Cancel runs under the lock, but by then the
+// callback may already be blocked on that same lock, where Stop cannot
+// recall it; so the callback, once it holds the lock, checks stopped.
+type timer struct {
+	t       *time.Timer
+	stopped bool
+}
+
+func (t *timer) Cancel() {
+	t.stopped = true
+	t.t.Stop()
+}
+
+// Schedule runs fn under the lock d from now unless canceled first.
+func (m *monitor) Schedule(d time.Duration, fn func()) core.Timer {
+	t := &timer{}
+	t.t = time.AfterFunc(d, func() {
+		m.Lock()
+		defer m.Unlock()
+		if !t.stopped {
+			fn()
+		}
+	})
+	return t
+}
+
+// parked is one long-polling acquire as the manager sees it (its
+// lease.Parker). The manager calls Hang only if the request has to
+// queue, so that is where it takes its FIFO position and leaves the
+// handle a crash or drain flushes it by, before it gives the lock up
+// until its wait context ends.
+type parked struct {
+	r     *resource
+	flush context.CancelCauseFunc
+	seq   uint64 // FIFO position; 0 = granted without parking
+}
+
+func (p *parked) Hang(ctx context.Context) error {
+	r := p.r
+	r.wseq++
+	p.seq = r.wseq
+	r.parked[p.seq] = p.flush
+	r.srv.mon.Unlock()
+	<-ctx.Done()
+	r.srv.mon.Lock()
+	delete(r.parked, p.seq)
+	return context.Cause(ctx)
+}
+
+func (*parked) Tracer() *trace.Client { return nil }
+
+// flushed is why the server itself failed a parked acquire; its text is
+// the wire code the waiter answers with.
+type flushed string
+
+func (f flushed) Error() string { return string(f) }
+
+// quietWire is the fault injector of a wire that is a real socket: it
+// adds nothing, the faults arrive by themselves. Installing it is how
+// the manager is told whether to fence (lease.Manager.SetWire).
+type quietWire struct{}
+
+func (quietWire) Inject(string) core.Fault { return core.Fault{} }
+
+// resource is one hosted lease.Book and the daemon's view of it.
 type resource struct {
 	srv *Server
 	cfg ResourceConfig
 
-	capacity int64
-	// inUse is the admission bookkeeping. On a fenced resource it
-	// always equals outstanding; on an unfenced one a duplicated
-	// release corrupts it low, and the gap is what phantom grants
-	// measure.
-	inUse          int64
-	outstanding    int64 // ground truth: sum of live grants' units
-	maxOutstanding int64
+	book *lease.Book    // admission ledger: /reserve, /claim, /cancel
+	mgr  *lease.Manager // book.Tenure(): the FIFO semaphore of /acquire
 
-	epoch   uint64 // next fencing epoch to mint
-	fence   uint64 // highest retired epoch
-	leaseID uint64
-
-	grants  map[uint64]*grant
-	waiters []*waiter
-	wseq    uint64
+	// The id tables, wire ids to live state-machine objects. A lease's
+	// wire id is its fencing epoch, a booking's its admission ordinal.
+	// A row leaves when its tenure or window ends: the handler drops it
+	// on a release, the hooks below when a timer gets there first.
+	leases   map[uint64]held
+	bookings map[uint64]*lease.Reservation
+	parked   map[uint64]context.CancelCauseFunc // flush handles by FIFO position
+	wseq     uint64
 
 	down        bool
 	downUntil   time.Time
-	hkTimer     *time.Timer
-	restartTime *time.Timer
+	hk, restart core.Timer
 
-	bookings map[uint64]*booking
-	bookID   uint64
-
-	st      StatsReply // counters only; gauges filled on read
-	holders map[string]*holderLedger
+	// What only the daemon counts; the rest of StatsReply is read off
+	// mgr and book. maxOutstanding is the high-water mark of
+	// mgr.Outstanding, phantoms the grants admitted while it exceeded
+	// capacity: a fenced resource can never get there, an unfenced one
+	// whose books a duplicated release corrupted low does.
+	releases, crashes, phantoms, doubleFrees, maxOutstanding int64
 }
 
-// grant is one live lease.
-type grant struct {
-	id       uint64
-	holder   string
-	units    int64
-	epoch    uint64
-	quantum  time.Duration
-	deadline time.Time // zero = unlimited tenure
-	seq      uint64    // server-wide grant order (drain tiebreak)
-	wseq     uint64    // FIFO position if the acquire parked; 0 = immediate
-	watchdog *time.Timer
-	done     bool
-}
-
-// waiter is one parked acquire (a long poll).
-type waiter struct {
-	holder   string
-	units    int64
-	quantum  time.Duration
-	seq      uint64 // FIFO position
-	ch       chan waitResult
-	canceled bool
-}
-
-type waitResult struct {
-	lease *LeaseReply
-	code  string // error code when lease == nil
-	retry time.Duration
-}
-
-// booking is one admission-book window.
-type booking struct {
-	id         uint64
-	holder     string
-	units      int64
-	start, end time.Time
-	claimed    bool
-	canceled   bool
-}
-
-// holderLedger is the per-holder fairness/starvation accounting, the
-// wire-side analogue of lease.Manager's ledger.
-type holderLedger struct {
-	grants, rejects, revokes int64
-	waiting                  bool
-	since                    time.Time
-	maxWait                  time.Duration
+// held is one live lease's row. A claim keeps the booking it came from:
+// release and renew go through the booking, so the book gets the rest
+// of the window back and a renewal stops at the window's end.
+type held struct {
+	res  *resource
+	l    *lease.Lease
+	resv *lease.Reservation
 }
 
 // createLocked creates or resizes a resource. Only capacity changes on
 // an existing resource; everything else is fixed at first creation so
 // re-creates are idempotent.
-func (s *Server) createLocked(rc ResourceConfig) *resource {
+func (s *Server) createLocked(rc ResourceConfig) {
 	if r, ok := s.res[rc.Name]; ok {
-		if rc.Capacity > 0 && rc.Capacity != r.capacity {
-			r.capacity = rc.Capacity
-			r.grantWaiters()
+		if rc.Capacity > 0 && rc.Capacity != r.mgr.Capacity() {
+			r.book.SetCapacity(rc.Capacity)
 		}
-		return r
+		return
 	}
 	r := &resource{
 		srv:      s,
 		cfg:      rc,
-		capacity: rc.Capacity,
-		grants:   make(map[uint64]*grant),
-		bookings: make(map[uint64]*booking),
-		holders:  make(map[string]*holderLedger),
+		book:     lease.NewBook(&s.mon, rc.Name, rc.Capacity),
+		leases:   make(map[uint64]held),
+		bookings: make(map[uint64]*lease.Reservation),
+		parked:   make(map[uint64]context.CancelCauseFunc),
 	}
-	r.st.Resource = rc.Name
+	r.mgr = r.book.Tenure()
+	r.mgr.SetWire(quietWire{}, rc.Name, !rc.Unfenced)
+	r.mgr.SetHooks(lease.Hooks{Revoked: func(l *lease.Lease) { delete(r.leases, l.Epoch()) }})
+	r.book.SetHooks(lease.BookHooks{Retired: func(b *lease.Reservation) { delete(r.bookings, b.ID()) }})
 	s.res[rc.Name] = r
-	s.order = append(s.order, rc.Name)
+	s.order = append(s.order, r)
 	if rc.HousekeepInterval > 0 && !s.draining {
 		r.armHousekeeping()
 	}
-	return r
 }
 
-// ledger returns (creating if needed) the holder's ledger row.
-func (r *resource) ledger(holder string) *holderLedger {
-	h := r.holders[holder]
-	if h == nil {
-		h = &holderLedger{}
-		r.holders[holder] = h
+// admit enters a fresh lease in the id table and renders it for the
+// wire. resv is the booking a claim came from (nil for an acquire),
+// wseq the FIFO position if the acquire parked.
+func (r *resource) admit(l *lease.Lease, resv *lease.Reservation, quantum time.Duration, wseq uint64) *LeaseReply {
+	r.leases[l.Epoch()] = held{res: r, l: l, resv: resv}
+	out := r.mgr.Outstanding()
+	r.maxOutstanding = max(r.maxOutstanding, out)
+	if out > r.mgr.Capacity() {
+		r.phantoms++
 	}
-	return h
-}
-
-// noteWant starts (or continues) a holder's starvation clock.
-func (h *holderLedger) noteWant(now time.Time) {
-	if !h.waiting {
-		h.waiting = true
-		h.since = now
-	}
-}
-
-// endWait stops the starvation clock and records the excursion.
-func (h *holderLedger) endWait(now time.Time) {
-	if !h.waiting {
-		return
-	}
-	h.waiting = false
-	if w := now.Sub(h.since); w > h.maxWait {
-		h.maxWait = w
+	deadline, _ := l.Deadline()
+	return &LeaseReply{
+		Resource:   r.cfg.Name,
+		LeaseID:    l.Epoch(),
+		Epoch:      l.Epoch(),
+		Units:      l.Units(),
+		QuantumNS:  int64(quantum),
+		DeadlineNS: int64(deadline),
+		WaiterSeq:  wseq,
+		GrantSeq:   uint64(l.Ordinal()),
 	}
 }
 
-// fits reports whether units can be granted right now under the
-// bookkeeping view.
-func (r *resource) fits(units int64) bool { return r.inUse+units <= r.capacity }
-
-// shortfall is how many units over capacity a request is (>= 1 when
-// not fitting).
-func (r *resource) shortfall(units int64) int64 {
-	sf := r.inUse + units - r.capacity
-	if sf < 1 {
-		sf = 1
-	}
-	return sf
-}
-
-// grantLocked admits units to holder: mints the lease, arms the
-// watchdog, and maintains the ground-truth ledger. Server lock held.
-func (r *resource) grantLocked(holder string, units int64, quantum time.Duration, wseq uint64) *LeaseReply {
-	s := r.srv
-	r.inUse += units
-	r.outstanding += units
-	if r.outstanding > r.maxOutstanding {
-		r.maxOutstanding = r.outstanding
-	}
-	if r.outstanding > r.capacity {
-		// A fenced resource can never get here: inUse == outstanding
-		// and grants are admission-checked. An unfenced one corrupted
-		// by a duplicated release just allocated units it does not
-		// have — the phantom grant the ablation counts.
-		r.st.Phantoms++
-	}
-	r.leaseID++
-	r.epoch++
-	s.seq++
-	g := &grant{
-		id:      r.leaseID,
-		holder:  holder,
-		units:   units,
-		epoch:   r.epoch,
-		quantum: quantum,
-		seq:     s.seq,
-		wseq:    wseq,
-	}
-	if quantum > 0 {
-		g.deadline = time.Now().Add(quantum)
-		id := g.id
-		g.watchdog = time.AfterFunc(quantum, func() { r.expire(id) })
-	}
-	r.grants[g.id] = g
-	r.st.Grants++
-	h := r.ledger(holder)
-	h.grants++
-	h.endWait(time.Now())
-	rep := &LeaseReply{
-		Resource:  r.cfg.Name,
-		LeaseID:   g.id,
-		Epoch:     g.epoch,
-		Units:     units,
-		QuantumNS: int64(quantum),
-		WaiterSeq: wseq,
-		GrantSeq:  g.seq,
-	}
-	if !g.deadline.IsZero() {
-		rep.DeadlineNS = int64(g.deadline.Sub(s.start))
-	}
-	return rep
-}
-
-// retireLocked removes a live grant, advancing the fence on a fenced
-// resource. Server lock held.
-func (r *resource) retireLocked(g *grant) {
-	g.done = true
-	if g.watchdog != nil {
-		g.watchdog.Stop()
-	}
-	delete(r.grants, g.id)
-	r.outstanding -= g.units
-	r.inUse -= g.units
-	if r.inUse < 0 {
-		r.inUse = 0 // unfenced corruption can undershoot
-	}
-	if !r.cfg.Unfenced && g.epoch > r.fence {
-		r.fence = g.epoch
+// flush fails every parked acquire with cause. A flushed waiter's
+// context is done, so the manager's pump skips it from here on.
+func (r *resource) flush(cause flushed) {
+	for _, cancel := range r.parked {
+		cancel(cause)
 	}
 }
 
-// grantWaiters grants parked acquires strictly in FIFO order: the head
-// must fit before anyone behind it is considered, which is what makes
-// WaiterSeq/GrantSeq a checkable FIFO proof. Server lock held.
-func (r *resource) grantWaiters() {
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		if w.canceled {
-			r.waiters = r.waiters[1:]
-			continue
-		}
-		if r.down || !r.fits(w.units) {
-			return
-		}
-		r.waiters = r.waiters[1:]
-		rep := r.grantLocked(w.holder, w.units, w.quantum, w.seq)
-		w.ch <- waitResult{lease: rep}
-	}
-}
-
-// flushWaiters fails every parked acquire with code. Server lock held.
-func (r *resource) flushWaiters(code string, retry time.Duration) {
-	for _, w := range r.waiters {
-		if !w.canceled {
-			w.canceled = true
-			w.ch <- waitResult{code: code, retry: retry}
+// drainOrder returns the live leases of rs by (deadline, grant order) —
+// unlimited tenures last — the order the live engine drains leftover
+// timers in. The sort is stable and grant order is per resource, so
+// leases of equal rank come out in the order rs names their resources.
+func drainOrder(rs ...*resource) []held {
+	var hs []held
+	for _, r := range rs {
+		for _, h := range r.leases {
+			hs = append(hs, h)
 		}
 	}
-	r.waiters = r.waiters[:0]
+	sort.SliceStable(hs, func(i, j int) bool {
+		di, iok := hs[i].l.Deadline()
+		dj, jok := hs[j].l.Deadline()
+		switch {
+		case iok != jok:
+			return iok // real deadlines before unlimited
+		case di != dj:
+			return di < dj
+		}
+		return hs[i].l.Ordinal() < hs[j].l.Ordinal()
+	})
+	return hs
 }
 
-// expire is the watchdog firing for lease id: revoke the tenure and
-// reclaim its units, exactly as lease.Manager's watchdog does.
-func (r *resource) expire(id uint64) {
-	s := r.srv
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := r.grants[id]
-	if !ok || g.done {
-		return
-	}
-	r.revokeLocked(g)
-	r.grantWaiters()
-}
-
-// revokeLocked force-retires a grant, charging the holder. Server
-// lock held.
-func (r *resource) revokeLocked(g *grant) {
-	r.retireLocked(g)
-	r.st.Revokes++
-	r.ledger(g.holder).revokes++
-}
-
-// crashLocked is the broadcast jam: the resource goes down for
-// RestartDelay, every live grant is revoked (their holders discover it
-// as ErrStale on their next renew or release), and parked acquires
-// fail fast with CodeDown. Server lock held.
-func (r *resource) crashLocked() {
+// crash is the broadcast jam: the resource goes down for RestartDelay,
+// parked acquires fail fast with CodeDown, and every live grant is
+// revoked (their holders discover it as ErrStale on their next renew
+// or release). The waiters go first: each Revoke pumps the queue, and
+// would otherwise grant into a resource that is down.
+func (r *resource) crash() {
 	if r.down {
 		return
 	}
-	r.st.Crashes++
+	r.crashes++
 	r.down = true
 	delay := r.cfg.RestartDelay
 	if delay <= 0 {
 		delay = time.Second
 	}
 	r.downUntil = time.Now().Add(delay)
-	gs := r.sortedGrants()
-	for _, g := range gs {
-		r.revokeLocked(g)
+	r.flush(flushed(CodeDown))
+	for _, h := range drainOrder(r) {
+		h.l.Revoke()
 	}
-	r.flushWaiters(CodeDown, delay)
-	r.restartTime = time.AfterFunc(delay, func() {
-		r.srv.mu.Lock()
-		defer r.srv.mu.Unlock()
-		r.down = false
-		r.restartTime = nil
-		r.grantWaiters()
-	})
-}
-
-// sortedGrants returns the live grants in (deadline, seq) order —
-// unlimited tenures (zero deadline) last, by seq — the same order the
-// live engine drains leftover timers in.
-func (r *resource) sortedGrants() []*grant {
-	gs := make([]*grant, 0, len(r.grants))
-	for _, g := range r.grants {
-		gs = append(gs, g)
-	}
-	sortGrants(gs)
-	return gs
-}
-
-func sortGrants(gs []*grant) {
-	sort.Slice(gs, func(i, j int) bool {
-		di, dj := gs[i].deadline, gs[j].deadline
-		switch {
-		case di.IsZero() != dj.IsZero():
-			return !di.IsZero() // real deadlines before unlimited
-		case !di.Equal(dj):
-			return di.Before(dj)
-		}
-		return gs[i].seq < gs[j].seq
-	})
+	r.restart = r.srv.mon.Schedule(delay, func() { r.down = false })
 }
 
 // armHousekeeping starts the periodic housekeeping loop: every
 // interval the daemon needs HousekeepUnits free units transiently;
 // not finding them is the overload signal that crashes the resource.
 func (r *resource) armHousekeeping() {
-	iv := r.cfg.HousekeepInterval
-	r.hkTimer = time.AfterFunc(iv, func() {
-		s := r.srv
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.draining || s.closed {
-			return
-		}
-		if !r.down && !r.fits(r.cfg.HousekeepUnits) {
-			r.crashLocked()
+	r.hk = r.srv.mon.Schedule(r.cfg.HousekeepInterval, func() {
+		if !r.down && r.cfg.HousekeepUnits > r.mgr.Free() {
+			r.crash()
 		}
 		r.armHousekeeping()
 	})
-}
-
-// peakLoad computes the admission book's maximum committed units over
-// [start, end): the classic boundary sweep over live bookings. Server
-// lock held.
-func (r *resource) peakLoad(start, end time.Time) int64 {
-	now := time.Now()
-	var peak int64
-	// Evaluate at each booking's start boundary plus the window start.
-	points := []time.Time{start}
-	for _, b := range r.bookings {
-		if b.canceled || !b.end.After(now) {
-			continue
-		}
-		if b.start.After(start) && b.start.Before(end) {
-			points = append(points, b.start)
-		}
-	}
-	for _, at := range points {
-		var load int64
-		for _, b := range r.bookings {
-			if b.canceled || !b.end.After(now) {
-				continue
-			}
-			if b.start.After(at) || !b.end.After(at) {
-				continue
-			}
-			load += b.units
-		}
-		if load > peak {
-			peak = load
-		}
-	}
-	return peak
 }
 
 // DrainRecord is one forced revocation during Shutdown, in firing
@@ -473,91 +331,77 @@ type DrainRecord struct {
 	Resource   string
 	LeaseID    uint64
 	Holder     string
-	DeadlineNS int64 // 0 = unlimited tenure
-	Seq        uint64
+	DeadlineNS int64  // 0 = unlimited tenure
+	Seq        uint64 // the lease's GrantSeq (per resource)
 }
 
 // Shutdown drains the server: new acquires and reservations are
 // refused with CodeDraining (a typed, retriable verdict), parked
 // acquires are flushed, housekeeping stops, and in-flight grants are
 // given until ctx expires to land their releases. Grants still live
-// at the deadline have their watchdogs fired in (deadline, seq) order
-// — matching live.Engine.Run's drain semantics — and the firing order
-// is returned so tests can assert it. Idempotent; safe to call while
-// handlers are in flight.
+// at the deadline are revoked in (deadline, grant) order — matching
+// live.Engine.Run's drain semantics — and the firing order is returned
+// so tests can assert it. Bookings still open are forfeited, so no
+// timer outlives the daemon. Idempotent (a second call finds nothing
+// left to revoke); safe to call while handlers are in flight.
 func (s *Server) Shutdown(ctx context.Context) []DrainRecord {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
+	s.mon.Lock()
 	s.draining = true
-	for _, name := range s.order {
-		r := s.res[name]
-		r.flushWaiters(CodeDraining, 0)
-		if r.hkTimer != nil {
-			r.hkTimer.Stop()
-			r.hkTimer = nil
+	for _, r := range s.order {
+		r.flush(flushed(CodeDraining))
+		for _, t := range []core.Timer{r.hk, r.restart} {
+			if t != nil {
+				t.Cancel()
+			}
 		}
-		if r.restartTime != nil {
-			r.restartTime.Stop()
-			r.restartTime = nil
-			r.down = false
-		}
+		r.down = false
 	}
-	s.mu.Unlock()
+	s.mon.Unlock()
 
 	// Wait for in-flight grants to drain (their releases and watchdogs
 	// still run), polling on the wall clock.
-	for {
-		s.mu.Lock()
-		var tot int64
-		for _, r := range s.res {
-			tot += r.outstanding
-		}
-		s.mu.Unlock()
-		if tot == 0 {
-			break
-		}
+	for s.outstanding() > 0 && ctx.Err() == nil {
 		select {
 		case <-ctx.Done():
 		case <-time.After(2 * time.Millisecond):
-			continue
 		}
-		break
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Fire what remains, in (deadline, seq) order across resources:
-	// seq is server-wide, so the order is total.
-	var all []*grant
-	where := make(map[*grant]*resource)
-	for _, name := range s.order {
-		r := s.res[name]
-		for _, g := range r.grants {
-			all = append(all, g)
-			where[g] = r
-		}
-	}
-	sortGrants(all)
+	s.mon.Lock()
+	defer s.mon.Unlock()
 	var recs []DrainRecord
-	for _, g := range all {
-		r := where[g]
-		rec := DrainRecord{Resource: r.cfg.Name, LeaseID: g.id, Holder: g.holder, Seq: g.seq}
-		if !g.deadline.IsZero() {
-			rec.DeadlineNS = int64(g.deadline.Sub(s.start))
-		}
-		recs = append(recs, rec)
-		r.revokeLocked(g)
+	for _, h := range drainOrder(s.order...) {
+		deadline, _ := h.l.Deadline()
+		recs = append(recs, DrainRecord{
+			Resource:   h.res.cfg.Name,
+			LeaseID:    h.l.Epoch(),
+			Holder:     h.l.Holder(),
+			DeadlineNS: int64(deadline),
+			Seq:        uint64(h.l.Ordinal()),
+		})
+		h.l.Revoke()
 	}
-	s.closed = true
+	for _, r := range s.order {
+		for _, b := range r.bookings {
+			b.Release()
+		}
+	}
 	return recs
+}
+
+// outstanding is the units still out across all resources.
+func (s *Server) outstanding() (tot int64) {
+	s.mon.Lock()
+	defer s.mon.Unlock()
+	for _, r := range s.order {
+		tot += r.mgr.Outstanding()
+	}
+	return tot
 }
 
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mon.Lock()
+	defer s.mon.Unlock()
 	return s.draining
 }

@@ -10,8 +10,11 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -315,7 +318,10 @@ func TestCrashHolderBroadcastJam(t *testing.T) {
 }
 
 func TestReserveClaimCancelLapse(t *testing.T) {
-	_, c := newDaemon(t, gridd.ResourceConfig{Name: "yyy", Capacity: 2})
+	_, c := newDaemon(t,
+		gridd.ResourceConfig{Name: "yyy", Capacity: 2},
+		gridd.ResourceConfig{Name: "one", Capacity: 1},
+	)
 	ctx := ctxT(t)
 
 	// Admit a window, then over-book the same window: typed rejection
@@ -349,6 +355,27 @@ func TestReserveClaimCancelLapse(t *testing.T) {
 		t.Fatalf("release claimed lease: %v", err)
 	}
 
+	// Releasing a claim hands the rest of its window back to the book:
+	// on a capacity-1 book the same hour is bookable again at once.
+	hour := gridd.ReserveRequest{Resource: "one", Holder: "a", Units: 1, TenureNS: int64(time.Hour)}
+	first, err := c.Reserve(ctx, hour)
+	if err != nil {
+		t.Fatalf("hour reserve: %v", err)
+	}
+	held, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "one", BookingID: first.BookingID})
+	if err != nil {
+		t.Fatalf("hour claim: %v", err)
+	}
+	if _, err := c.Reserve(ctx, hour); core.Rejection(err) == nil {
+		t.Fatalf("re-reserve while claimed = %v; want RejectedError", err)
+	}
+	if err := held.Release(ctx); err != nil {
+		t.Fatalf("hour release: %v", err)
+	}
+	if _, err := c.Reserve(ctx, hour); err != nil {
+		t.Fatalf("re-reserve after release = %v; want admitted", err)
+	}
+
 	// A future window cannot be claimed early...
 	fut, err := c.Reserve(ctx, gridd.ReserveRequest{
 		Resource: "yyy", Holder: "a", Units: 1,
@@ -364,10 +391,21 @@ func TestReserveClaimCancelLapse(t *testing.T) {
 	if err := c.Cancel(ctx, gridd.CancelRequest{Resource: "yyy", BookingID: fut.BookingID}); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
+	// An id the book issued and has since retired is lapsed, for cancel
+	// and claim alike; an id it never issued is unknown.
+	if err := c.Cancel(ctx, gridd.CancelRequest{Resource: "yyy", BookingID: fut.BookingID}); !errors.Is(err, griddclient.ErrLapsed) {
+		t.Fatalf("cancel of a canceled booking = %v; want ErrLapsed", err)
+	}
+	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: rr.BookingID}); !errors.Is(err, griddclient.ErrLapsed) {
+		t.Fatalf("claim of a released booking = %v; want ErrLapsed", err)
+	}
+	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: 999}); !errors.Is(err, griddclient.ErrUnknown) {
+		t.Fatalf("claim of a never-issued booking = %v; want ErrUnknown", err)
+	}
 
-	// A lapsed window is gone: claim after end is the typed lapse. The
-	// window starts after a's 50ms booking ends — a claimed booking
-	// still occupies the book until its window closes.
+	// A lapsed window is gone: claim after end is the typed lapse. (a's
+	// claimed 50ms booking was released above, so it no longer occupies
+	// the book; the 60ms start only keeps this window clear of it.)
 	short, err := c.Reserve(ctx, gridd.ReserveRequest{
 		Resource: "yyy", Holder: "a", Units: 1,
 		StartNS: int64(60 * time.Millisecond), TenureNS: int64(20 * time.Millisecond),
@@ -382,6 +420,197 @@ func TestReserveClaimCancelLapse(t *testing.T) {
 	st, _ := c.Stats(ctx, "yyy")
 	if st.Admits != 3 || st.BookRejects != 1 || st.Lapses != 1 {
 		t.Fatalf("book stats = %+v; want 3 admits, 1 reject, 1 lapse", st)
+	}
+}
+
+// A renewal of a claimed lease stops at the booked window's end, and
+// the watchdog revokes the claim there — not one renewal later.
+func TestRenewOfClaimStopsAtWindowEnd(t *testing.T) {
+	_, c := newDaemon(t, gridd.ResourceConfig{Name: "yyy", Capacity: 1})
+	ctx := ctxT(t)
+
+	rr, err := c.Reserve(ctx, gridd.ReserveRequest{
+		Resource: "yyy", Holder: "a", Units: 1, TenureNS: int64(50 * time.Millisecond),
+	})
+	if err != nil {
+		t.Fatalf("reserve: %v", err)
+	}
+	lease, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: rr.BookingID})
+	if err != nil {
+		t.Fatalf("claim: %v", err)
+	}
+	rn, err := lease.Renew(ctx, time.Second)
+	if err != nil {
+		t.Fatalf("renew: %v", err)
+	}
+	if rn.DeadlineNS == 0 || rn.DeadlineNS > rr.EndNS {
+		t.Fatalf("renewed deadline %d; want (0, window end %d]", rn.DeadlineNS, rr.EndNS)
+	}
+	// Well inside the second the renewal asked for.
+	waitFor(t, 500*time.Millisecond, "revocation at the window end", func() bool {
+		st, _ := c.Stats(ctx, "yyy")
+		return st.Revokes == 1 && st.Outstanding == 0
+	})
+}
+
+// Units come straight off the socket: a request near MaxInt64 must be
+// refused like any other that does not fit, not wrapped negative by the
+// admission sum and granted.
+func TestHugeAcquireIsBusyNotWrapped(t *testing.T) {
+	_, c := newDaemon(t, gridd.ResourceConfig{Name: "fds", Capacity: 2})
+	ctx := ctxT(t)
+
+	lease, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "a", Units: 1})
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	_, err = c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "b", Units: math.MaxInt64})
+	var be *griddclient.BusyError
+	if !errors.As(err, &be) || be.Shortfall != math.MaxInt64-1 {
+		t.Fatalf("acquire of MaxInt64 units = %v; want BusyError short by MaxInt64-1", err)
+	}
+	if err := lease.Release(ctx); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	st, _ := c.Stats(ctx, "fds")
+	if st.InUse != 0 || st.Outstanding != 0 || st.Grants != st.Releases+st.Revokes || st.Grants != 1 {
+		t.Fatalf("stats after the huge request = %+v; want one grant, returned", st)
+	}
+}
+
+// A body past the daemon's read limit is a bad request that touches
+// nothing.
+func TestOversizedBodyIsRefused(t *testing.T) {
+	srv := gridd.NewServer(gridd.Config{Resources: []gridd.ResourceConfig{{Name: "fds", Capacity: 2}}})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	c := griddclient.New(hs.URL, 1)
+	ctx := ctxT(t)
+
+	before, _ := c.Stats(ctx, "fds")
+	body := `{"resource":"fds","holder":"` + strings.Repeat("a", 1<<20) + `","units":1}`
+	resp, err := http.Post(hs.URL+"/acquire", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /acquire: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("1 MiB body answered %d; want 400", resp.StatusCode)
+	}
+	after, _ := c.Stats(ctx, "fds")
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("stats moved: %+v -> %+v", before, after)
+	}
+}
+
+// A client that goes away while parked leaves nothing behind: the
+// queue forgets it, the waiter behind it is the one the next release
+// grants, the abandonment is counted, and its handler goroutine ends.
+func TestParkedWaiterDisconnects(t *testing.T) {
+	_, c := newDaemon(t, gridd.ResourceConfig{Name: "fds", Capacity: 1})
+	// A transport of its own, so that closing its idle connections at
+	// the end leaves only what the test leaked.
+	tr := &http.Transport{}
+	c.HTTP = &http.Client{Transport: tr}
+	baseline := runtime.NumGoroutine()
+	ctx := ctxT(t)
+	queue := func(n int) func() bool {
+		return func() bool {
+			pr, _ := c.Probe(ctx, "fds")
+			return pr.Queue == n
+		}
+	}
+
+	hold, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "hold", Units: 1})
+	if err != nil {
+		t.Fatalf("seed acquire: %v", err)
+	}
+
+	park := func(ctx context.Context, holder string) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			l, err := c.Acquire(ctx, gridd.AcquireRequest{
+				Resource: "fds", Holder: holder, Units: 1, WaitNS: int64(10 * time.Second),
+			})
+			if err == nil {
+				err = l.Release(context.Background())
+			}
+			done <- err
+		}()
+		return done
+	}
+	gone, hangUp := context.WithCancel(ctx)
+	first := park(gone, "vanishes")
+	waitFor(t, 2*time.Second, "first waiter to park", queue(1))
+	second := park(ctx, "stays")
+	waitFor(t, 2*time.Second, "second waiter to park", queue(2))
+
+	hangUp()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned acquire = %v; want context.Canceled", err)
+	}
+	waitFor(t, 2*time.Second, "the queue to forget the vanished waiter", queue(1))
+
+	if err := hold.Release(ctx); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("waiter behind the vanished one: %v", err)
+	}
+	st, _ := c.Stats(ctx, "fds")
+	if st.Timeouts != 1 || st.Outstanding != 0 || st.Grants != 2 {
+		t.Fatalf("stats = %+v; want 1 timeout, 2 grants, nothing outstanding", st)
+	}
+	tr.CloseIdleConnections()
+	waitFor(t, 2*time.Second, "goroutines to return to baseline", func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
+}
+
+// One release can admit two waiters in a single pump; the two woken
+// handlers then race for the daemon's lock. GrantSeq is stamped by the
+// pump, so the FIFO proof holds whichever handler wins.
+func TestOnePumpTwoGrantsKeepFIFO(t *testing.T) {
+	_, c := newDaemon(t, gridd.ResourceConfig{Name: "fds", Capacity: 2})
+	ctx := ctxT(t)
+
+	for round := 0; round < 50; round++ {
+		hold, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "hold", Units: 2})
+		if err != nil {
+			t.Fatalf("round %d: seed acquire: %v", round, err)
+		}
+		leases := make(chan *griddclient.Lease, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				l, err := c.Acquire(ctx, gridd.AcquireRequest{
+					Resource: "fds", Holder: "w", Units: 1, WaitNS: int64(5 * time.Second),
+				})
+				if err != nil {
+					t.Errorf("round %d: parked acquire: %v", round, err)
+				}
+				leases <- l
+			}()
+			waitFor(t, 2*time.Second, "waiter to park", func() bool {
+				pr, _ := c.Probe(ctx, "fds")
+				return pr.Queue == i+1
+			})
+		}
+		if err := hold.Release(ctx); err != nil {
+			t.Fatalf("round %d: release: %v", round, err)
+		}
+		a, b := <-leases, <-leases
+		if a == nil || b == nil {
+			t.FailNow()
+		}
+		if a.GrantSeq > b.GrantSeq {
+			a, b = b, a
+		}
+		if a.WaiterSeq == 0 || a.WaiterSeq >= b.WaiterSeq {
+			t.Fatalf("round %d: grants %d,%d carry queue positions %d,%d; want ascending",
+				round, a.GrantSeq, b.GrantSeq, a.WaiterSeq, b.WaiterSeq)
+		}
+		_ = a.Release(ctx)
+		_ = b.Release(ctx)
 	}
 }
 

@@ -1,12 +1,17 @@
 package gridd
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/lease"
 	"repro/internal/obs"
 )
 
@@ -57,47 +62,58 @@ func fail(w http.ResponseWriter, er ErrorReply) {
 	_ = json.NewEncoder(w).Encode(er)
 }
 
-// decode parses the request body into v.
+// decode parses the request body into v, reading at most 64 KiB of it:
+// the largest honest body is a CreateRequest of a few hundred bytes.
 func decode(w http.ResponseWriter, req *http.Request, v any) bool {
-	if err := json.NewDecoder(req.Body).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 64<<10)).Decode(v); err != nil {
 		fail(w, ErrorReply{Code: CodeBadRequest, Message: err.Error()})
 		return false
 	}
 	return true
 }
 
-// lookupLocked resolves a resource by name. Server lock held; on miss
-// it unlocks and writes the 404 itself, reporting !ok.
-func (s *Server) lookupLocked(w http.ResponseWriter, name string) (*resource, bool) {
-	r := s.res[name]
-	if r == nil {
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeUnknown, Message: "no such resource: " + name})
-		return nil, false
+// on runs fn on the named resource with the monitor held and writes
+// its verdict after letting go: JSON is never encoded under the lock.
+// newWork requests are refused while the daemon drains.
+func (s *Server) on(w http.ResponseWriter, name string, newWork bool, fn func(r *resource) (any, *ErrorReply)) {
+	v, er := func() (any, *ErrorReply) {
+		s.mon.Lock()
+		defer s.mon.Unlock()
+		r := s.res[name]
+		switch {
+		case newWork && s.draining:
+			return nil, &ErrorReply{Code: CodeDraining, Message: "daemon draining"}
+		case r == nil:
+			return nil, &ErrorReply{Code: CodeUnknown, Message: "no such resource: " + name}
+		}
+		return fn(r)
+	}()
+	if er != nil {
+		fail(w, *er)
+		return
 	}
-	return r, true
+	reply(w, v)
 }
 
 func (s *Server) handleProbe(w http.ResponseWriter, req *http.Request) {
-	s.mu.Lock()
-	r, ok := s.lookupLocked(w, req.PathValue("name"))
-	if !ok {
-		return
-	}
-	pr := ProbeReply{
-		Resource: r.cfg.Name,
-		Capacity: r.capacity,
-		InUse:    r.inUse,
-		Free:     r.capacity - r.inUse,
-		Queue:    len(r.waiters),
-		Down:     r.down,
-		Draining: s.draining,
-	}
-	if pr.Free < 0 {
-		pr.Free = 0
-	}
-	s.mu.Unlock()
-	reply(w, pr)
+	s.on(w, req.PathValue("name"), false, func(r *resource) (any, *ErrorReply) {
+		return &ProbeReply{
+			Resource: r.cfg.Name,
+			Capacity: r.mgr.Capacity(),
+			InUse:    r.mgr.InUse(),
+			Free:     max(r.mgr.Free(), 0),
+			Queue:    r.mgr.QueueLen(),
+			Down:     r.down,
+			Draining: s.draining,
+		}, nil
+	})
+}
+
+// busy is the refusal of an acquire with how far over the free units
+// it is — at least 1: a queue that may not be jumped is busy even when
+// units are free.
+func (r *resource) busy(units int64, msg string) *ErrorReply {
+	return &ErrorReply{Code: CodeBusy, Message: msg, Shortfall: max(units-max(r.mgr.Free(), 0), 1)}
 }
 
 func (s *Server) handleAcquire(w http.ResponseWriter, req *http.Request) {
@@ -109,105 +125,64 @@ func (s *Server) handleAcquire(w http.ResponseWriter, req *http.Request) {
 		fail(w, ErrorReply{Code: CodeBadRequest, Message: "units must be positive"})
 		return
 	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeDraining, Message: "daemon draining"})
-		return
-	}
-	r, ok := s.lookupLocked(w, ar.Resource)
-	if !ok {
-		return
-	}
-	quantum := r.cfg.Quantum
-	if ar.QuantumNS > 0 {
-		quantum = time.Duration(ar.QuantumNS)
-	}
-	if r.down {
-		retry := time.Until(r.downUntil)
-		r.ledger(ar.Holder).noteWant(time.Now())
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeDown, Message: "resource down", RetryAfterNS: int64(retry)})
-		return
-	}
-	// Immediate grant when nothing is queued ahead: both the EMFILE
-	// regime and the parked regime share this fast path.
-	if len(r.waiters) == 0 && r.fits(ar.Units) {
-		rep := r.grantLocked(ar.Holder, ar.Units, quantum, 0)
-		s.mu.Unlock()
-		reply(w, *rep)
-		return
-	}
-	if ar.WaitNS <= 0 {
-		// EMFILE: an immediate verdict. The FIFO queue may not be
-		// jumped, so a non-empty queue is busy even with free units.
-		r.st.Rejects++
-		h := r.ledger(ar.Holder)
-		h.rejects++
-		h.noteWant(time.Now())
-		sf := r.shortfall(ar.Units)
-		if r.cfg.CrashHolder != "" && ar.Holder == r.cfg.CrashHolder {
-			// The schedd-side accept failure: rejecting this holder is
-			// the overload signal that crashes the resource.
-			r.crashLocked()
+	s.on(w, ar.Resource, true, func(r *resource) (any, *ErrorReply) {
+		quantum := r.cfg.Quantum
+		if ar.QuantumNS > 0 {
+			quantum = time.Duration(ar.QuantumNS)
 		}
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeBusy, Message: "no free units", Shortfall: sf})
-		return
-	}
-	// Park FIFO: the long poll.
-	r.wseq++
-	wt := &waiter{
-		holder:  ar.Holder,
-		units:   ar.Units,
-		quantum: quantum,
-		seq:     r.wseq,
-		ch:      make(chan waitResult, 1),
-	}
-	r.waiters = append(r.waiters, wt)
-	r.ledger(ar.Holder).noteWant(time.Now())
-	s.mu.Unlock()
-
-	timer := time.NewTimer(time.Duration(ar.WaitNS))
-	defer timer.Stop()
-	select {
-	case res := <-wt.ch:
-		s.writeWaitResult(w, res)
-	case <-req.Context().Done():
-		s.abandonWaiter(w, r, wt, false)
-	case <-timer.C:
-		s.abandonWaiter(w, r, wt, true)
-	}
+		if r.down {
+			r.mgr.NoteWant(ar.Holder)
+			return nil, &ErrorReply{Code: CodeDown, Message: "resource down", RetryAfterNS: int64(time.Until(r.downUntil))}
+		}
+		if ar.WaitNS <= 0 {
+			// EMFILE: an immediate verdict. The FIFO queue may not be
+			// jumped, so a non-empty queue is busy even with free units.
+			l, ok := r.mgr.TryAcquireFor(nil, context.Background(), ar.Holder, ar.Units, quantum)
+			if !ok {
+				er := r.busy(ar.Units, "no free units")
+				if r.cfg.CrashHolder != "" && ar.Holder == r.cfg.CrashHolder {
+					// The schedd-side accept failure: rejecting this holder
+					// is the overload signal that crashes the resource.
+					r.crash()
+				}
+				return nil, er
+			}
+			return r.admit(l, nil, quantum, 0), nil
+		}
+		// The long poll: granted at once if the units are free and nobody
+		// is queued, else parked FIFO until a release or revocation pumps
+		// the queue, WaitNS runs out, the client goes away, or a crash or
+		// drain flushes it.
+		ctx, flush := context.WithCancelCause(req.Context())
+		defer flush(nil)
+		ctx, cancel := context.WithTimeout(ctx, time.Duration(ar.WaitNS))
+		defer cancel()
+		p := &parked{r: r, flush: flush}
+		l, err := r.mgr.AcquireFor(p, ctx, ar.Holder, ar.Units, quantum)
+		if code, ok := context.Cause(ctx).(flushed); ok {
+			if l != nil {
+				// The pump admitted this waiter, then the crash or drain
+				// took the lock before it woke: the jam covers its grant.
+				l.Revoke()
+			}
+			er := &ErrorReply{Code: string(code), Message: "parked acquire failed"}
+			if r.down {
+				er.RetryAfterNS = int64(time.Until(r.downUntil))
+			}
+			return nil, er
+		}
+		if err != nil {
+			return nil, r.busy(ar.Units, "wait expired")
+		}
+		return r.admit(l, nil, quantum, p.seq), nil
+	})
 }
 
-// writeWaitResult renders a parked acquire's outcome.
-func (s *Server) writeWaitResult(w http.ResponseWriter, res waitResult) {
-	if res.lease != nil {
-		reply(w, *res.lease)
-		return
-	}
-	fail(w, ErrorReply{Code: res.code, Message: "parked acquire failed", RetryAfterNS: int64(res.retry)})
-}
-
-// abandonWaiter resolves the park-vs-grant race under the lock: if the
-// grant landed first it wins (exactly the live backend's semantics);
-// otherwise the waiter is withdrawn and the verdict is busy.
-func (s *Server) abandonWaiter(w http.ResponseWriter, r *resource, wt *waiter, timedOut bool) {
-	s.mu.Lock()
-	select {
-	case res := <-wt.ch:
-		s.mu.Unlock()
-		s.writeWaitResult(w, res)
-		return
-	default:
-	}
-	wt.canceled = true
-	if timedOut {
-		r.st.Timeouts++
-	}
-	sf := r.shortfall(wt.units)
-	s.mu.Unlock()
-	fail(w, ErrorReply{Code: CodeBusy, Message: "wait expired", Shortfall: sf})
+// stale is the fenced verdict on an operation whose tenure already
+// ended (or never existed): the typed error core.ErrStale crosses the
+// socket as.
+func (r *resource) stale(epoch uint64) *ErrorReply {
+	return &ErrorReply{Code: CodeStale, Message: "lease fenced", Epoch: epoch, Fence: r.mgr.Fence()}
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, req *http.Request) {
@@ -215,43 +190,27 @@ func (s *Server) handleRelease(w http.ResponseWriter, req *http.Request) {
 	if !decode(w, req, &rr) {
 		return
 	}
-	s.mu.Lock()
-	r, ok := s.lookupLocked(w, rr.Resource)
-	if !ok {
-		return
-	}
-	g, live := r.grants[rr.LeaseID]
-	if live && g.epoch == rr.Epoch {
-		r.retireLocked(g)
-		r.st.Releases++
-		r.grantWaiters()
-		s.mu.Unlock()
-		reply(w, struct{}{})
-		return
-	}
-	if r.cfg.Unfenced {
-		// The unfenced server applies whatever arrives: a duplicated
-		// or late release double-frees, corrupting inUse low. This is
-		// the ablation arm — the measured hazard, not a bug.
-		units := rr.Units
-		if units < 0 {
-			units = 0
+	s.on(w, rr.Resource, false, func(r *resource) (any, *ErrorReply) {
+		h, live := r.leases[rr.LeaseID]
+		switch {
+		case live && h.l.Epoch() == rr.Epoch:
+			delete(r.leases, rr.LeaseID)
+			if h.resv != nil {
+				h.resv.Release()
+			} else {
+				h.l.Release()
+			}
+		case r.mgr.Late(max(rr.Units, 0)):
+			return nil, r.stale(rr.Epoch)
+		default:
+			// The unfenced manager applied what arrived: a duplicated or
+			// late release double-frees, corrupting InUse low. This is the
+			// ablation arm — the measured hazard, not a bug.
+			r.doubleFrees++
 		}
-		r.inUse -= units
-		if r.inUse < 0 {
-			r.inUse = 0
-		}
-		r.st.DoubleFrees++
-		r.st.Releases++
-		r.grantWaiters()
-		s.mu.Unlock()
-		reply(w, struct{}{})
-		return
-	}
-	r.st.Stales++
-	fence := r.fence
-	s.mu.Unlock()
-	fail(w, ErrorReply{Code: CodeStale, Message: "lease fenced", Epoch: rr.Epoch, Fence: fence})
+		r.releases++
+		return struct{}{}, nil
+	})
 }
 
 func (s *Server) handleRenew(w http.ResponseWriter, req *http.Request) {
@@ -259,87 +218,79 @@ func (s *Server) handleRenew(w http.ResponseWriter, req *http.Request) {
 	if !decode(w, req, &rn) {
 		return
 	}
-	s.mu.Lock()
-	r, ok := s.lookupLocked(w, rn.Resource)
-	if !ok {
-		return
-	}
-	g, live := r.grants[rn.LeaseID]
-	if live && g.epoch == rn.Epoch {
-		var rep RenewReply
-		if !g.deadline.IsZero() {
-			d := time.Duration(rn.ForNS)
+	s.on(w, rn.Resource, false, func(r *resource) (any, *ErrorReply) {
+		h, live := r.leases[rn.LeaseID]
+		live = live && h.l.Epoch() == rn.Epoch
+		d := time.Duration(rn.ForNS)
+		switch {
+		case !live:
+		case h.resv != nil:
 			if d <= 0 {
-				d = g.quantum
+				d = math.MaxInt64 // a claim's default is the rest of its window
 			}
-			g.watchdog.Stop()
-			g.deadline = time.Now().Add(d)
-			id := g.id
-			g.watchdog = time.AfterFunc(d, func() { r.expire(id) })
-			rep.DeadlineNS = int64(g.deadline.Sub(s.start))
+			// False in the instant between the window's end and the
+			// watchdog that is about to revoke the claim.
+			live = h.resv.Renew(d)
+		case d > 0:
+			h.l.RenewFor(d)
+		default:
+			h.l.Renew()
 		}
-		s.mu.Unlock()
-		reply(w, rep)
-		return
-	}
-	if r.cfg.Unfenced {
-		// Nothing to extend and no fence to say so: the unfenced
-		// server shrugs — the delayed-renew hazard of the wire model.
-		s.mu.Unlock()
-		reply(w, RenewReply{})
-		return
-	}
-	r.st.Stales++
-	fence := r.fence
-	s.mu.Unlock()
-	fail(w, ErrorReply{Code: CodeStale, Message: "lease fenced", Epoch: rn.Epoch, Fence: fence})
+		if !live {
+			// Nothing to extend. Unfenced there is no fence to say so
+			// either: the server shrugs — the delayed-renew hazard.
+			if r.mgr.Late(0) {
+				return nil, r.stale(rn.Epoch)
+			}
+			return &RenewReply{}, nil
+		}
+		deadline, _ := h.l.Deadline()
+		return &RenewReply{DeadlineNS: int64(deadline)}, nil
+	})
 }
+
+// maxWindowNS bounds a reservation's StartNS and TenureNS. The daemon
+// clock is int64 nanoseconds; a window 73 years out is a malformed
+// request, and refusing it keeps now+start+tenure from wrapping.
+const maxWindowNS = math.MaxInt64 / 4
 
 func (s *Server) handleReserve(w http.ResponseWriter, req *http.Request) {
 	var rr ReserveRequest
 	if !decode(w, req, &rr) {
 		return
 	}
-	if rr.Units <= 0 || rr.TenureNS <= 0 {
-		fail(w, ErrorReply{Code: CodeBadRequest, Message: "units and tenure must be positive"})
+	// The book panics on a non-positive request: that would be our bug,
+	// so what a client can cause is refused here.
+	if rr.Units <= 0 || rr.TenureNS <= 0 || rr.TenureNS > maxWindowNS || rr.StartNS > maxWindowNS {
+		fail(w, ErrorReply{Code: CodeBadRequest, Message: "units and tenure must be positive, start and tenure under 73 years"})
 		return
 	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeDraining, Message: "daemon draining"})
-		return
+	s.on(w, rr.Resource, true, func(r *resource) (any, *ErrorReply) {
+		start := s.mon.Elapsed() + time.Duration(max(rr.StartNS, 0))
+		b, err := r.book.Reserve(nil, rr.Holder, start, time.Duration(rr.TenureNS), rr.Units)
+		if err != nil {
+			return nil, &ErrorReply{Code: CodeRejected, Message: "window over capacity", Shortfall: core.Rejection(err).Shortfall}
+		}
+		r.bookings[b.ID()] = b
+		start, end := b.Window()
+		return &ReserveReply{BookingID: b.ID(), StartNS: int64(start), EndNS: int64(end)}, nil
+	})
+}
+
+// booking resolves a wire booking id that can still be claimed or
+// canceled. An id the book issued but no longer holds has lapsed; one
+// it never issued is unknown.
+func (r *resource) booking(id uint64) (*lease.Reservation, *ErrorReply) {
+	b := r.bookings[id]
+	switch {
+	case b == nil && 1 <= id && id <= uint64(r.book.Reserves):
+		return nil, &ErrorReply{Code: CodeLapsed, Message: "booking retired"}
+	case b == nil:
+		return nil, &ErrorReply{Code: CodeUnknown, Message: "no such booking"}
+	case b.Lease() != nil:
+		return nil, &ErrorReply{Code: CodeBadRequest, Message: "booking already claimed"}
 	}
-	r, ok := s.lookupLocked(w, rr.Resource)
-	if !ok {
-		return
-	}
-	now := time.Now()
-	start := now
-	if rr.StartNS > 0 {
-		start = now.Add(time.Duration(rr.StartNS))
-	}
-	end := start.Add(time.Duration(rr.TenureNS))
-	if peak := r.peakLoad(start, end); peak+rr.Units > r.capacity {
-		r.st.BookRejects++
-		h := r.ledger(rr.Holder)
-		h.rejects++
-		sf := peak + rr.Units - r.capacity
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeRejected, Message: "window over capacity", Shortfall: sf})
-		return
-	}
-	r.bookID++
-	b := &booking{id: r.bookID, holder: rr.Holder, units: rr.Units, start: start, end: end}
-	r.bookings[b.id] = b
-	r.st.Admits++
-	rep := ReserveReply{
-		BookingID: b.id,
-		StartNS:   int64(start.Sub(s.start)),
-		EndNS:     int64(end.Sub(s.start)),
-	}
-	s.mu.Unlock()
-	reply(w, rep)
+	return b, nil
 }
 
 func (s *Server) handleClaim(w http.ResponseWriter, req *http.Request) {
@@ -347,45 +298,24 @@ func (s *Server) handleClaim(w http.ResponseWriter, req *http.Request) {
 	if !decode(w, req, &cr) {
 		return
 	}
-	s.mu.Lock()
-	r, ok := s.lookupLocked(w, cr.Resource)
-	if !ok {
-		return
-	}
-	b := r.bookings[cr.BookingID]
-	if b == nil || b.canceled {
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeUnknown, Message: "no such booking"})
-		return
-	}
-	if b.claimed {
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeBadRequest, Message: "booking already claimed"})
-		return
-	}
-	now := time.Now()
-	if now.Before(b.start) {
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeEarly, Message: "window not open yet"})
-		return
-	}
-	if !now.Before(b.end) {
-		r.st.Lapses++
-		delete(r.bookings, b.id)
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeLapsed, Message: "window closed"})
-		return
-	}
-	b.claimed = true
-	// The window fences the claim: the lease's deadline is the
-	// booking's end, however late inside the window the claim landed.
-	rep := r.grantLocked(b.holder, b.units, b.end.Sub(now), 0)
-	if g := r.grants[rep.LeaseID]; g != nil {
-		g.deadline = b.end // pin exactly to the window, not now+tenure
-		rep.DeadlineNS = int64(b.end.Sub(s.start))
-	}
-	s.mu.Unlock()
-	reply(w, *rep)
+	s.on(w, cr.Resource, false, func(r *resource) (any, *ErrorReply) {
+		b, er := r.booking(cr.BookingID)
+		if er != nil {
+			return nil, er
+		}
+		now := s.mon.Elapsed()
+		// The window fences the claim: the lease's deadline is the
+		// booking's end, however late inside the window the claim landed.
+		l, err := b.Claim(nil, context.Background())
+		switch {
+		case errors.Is(err, lease.ErrNotOpen):
+			return nil, &ErrorReply{Code: CodeEarly, Message: "window not open yet"}
+		case err != nil:
+			return nil, &ErrorReply{Code: CodeLapsed, Message: "window closed"}
+		}
+		_, end := b.Window()
+		return r.admit(l, b, end-now, 0), nil
+	})
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
@@ -393,26 +323,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
 	if !decode(w, req, &cr) {
 		return
 	}
-	s.mu.Lock()
-	r, ok := s.lookupLocked(w, cr.Resource)
-	if !ok {
-		return
-	}
-	b := r.bookings[cr.BookingID]
-	if b == nil || b.canceled {
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeUnknown, Message: "no such booking"})
-		return
-	}
-	if b.claimed {
-		s.mu.Unlock()
-		fail(w, ErrorReply{Code: CodeBadRequest, Message: "booking already claimed"})
-		return
-	}
-	b.canceled = true
-	delete(r.bookings, b.id)
-	s.mu.Unlock()
-	reply(w, struct{}{})
+	s.on(w, cr.Resource, false, func(r *resource) (any, *ErrorReply) {
+		b, er := r.booking(cr.BookingID)
+		if er != nil {
+			return nil, er
+		}
+		b.Cancel()
+		return struct{}{}, nil
+	})
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
@@ -424,9 +342,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		fail(w, ErrorReply{Code: CodeBadRequest, Message: "name and positive capacity required"})
 		return
 	}
-	s.mu.Lock()
+	s.mon.Lock()
 	if s.draining {
-		s.mu.Unlock()
+		s.mon.Unlock()
 		fail(w, ErrorReply{Code: CodeDraining, Message: "daemon draining"})
 		return
 	}
@@ -441,103 +359,93 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		RestartDelay:      time.Duration(cr.RestartDelayNS),
 		CrashHolder:       cr.CrashHolder,
 	})
-	s.mu.Unlock()
+	s.mon.Unlock()
 	if !existed {
-		s.registerObs(cr.Name) // obs registration never runs under s.mu
+		s.registerObs(cr.Name) // obs registration never runs under s.mon
 	}
 	reply(w, struct{}{})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
-	s.mu.Lock()
-	r, ok := s.lookupLocked(w, req.PathValue("name"))
-	if !ok {
-		return
-	}
-	st := s.statsLocked(r)
-	s.mu.Unlock()
-	reply(w, st)
+	s.on(w, req.PathValue("name"), false, func(r *resource) (any, *ErrorReply) { return r.stats(), nil })
 }
 
-// statsLocked snapshots a resource's accounting. Server lock held.
-func (s *Server) statsLocked(r *resource) StatsReply {
-	st := r.st // counters
-	st.Capacity = r.capacity
-	st.InUse = r.inUse
-	st.Outstanding = r.outstanding
-	st.MaxOutstanding = r.maxOutstanding
-	st.Down = r.down
-	st.Draining = s.draining
-	now := time.Now()
-	names := make([]string, 0, len(r.holders))
-	for name := range r.holders {
-		names = append(names, name)
+// stats snapshots a resource's accounting: the manager's and the
+// book's ledgers plus the daemon's own counters. Monitor held.
+func (r *resource) stats() *StatsReply {
+	m, now := r.mgr, r.srv.mon.Elapsed()
+	st := &StatsReply{
+		Resource:       r.cfg.Name,
+		Capacity:       m.Capacity(),
+		InUse:          m.InUse(),
+		Outstanding:    m.Outstanding(),
+		MaxOutstanding: r.maxOutstanding,
+		Phantoms:       r.phantoms,
+		DoubleFrees:    r.doubleFrees,
+		Grants:         m.Acquires,
+		Releases:       r.releases,
+		Rejects:        m.Rejects,
+		Revokes:        m.Revokes,
+		Stales:         m.Stales,
+		Timeouts:       m.Timeouts,
+		Crashes:        r.crashes,
+		Admits:         r.book.Reserves,
+		BookRejects:    r.book.Rejects,
+		Lapses:         r.book.Lapses,
+		LongestWaitNS:  int64(m.LongestWait()),
+		MaxWaitNS:      int64(m.MaxStarvation()),
+		Down:           r.down,
+		Draining:       r.srv.draining,
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := r.holders[name]
-		hs := HolderStats{
-			Holder:    name,
-			Grants:    h.grants,
-			Rejects:   h.rejects,
-			Revokes:   h.revokes,
-			MaxWaitNS: int64(h.maxWait),
-			Waiting:   h.waiting,
-		}
-		if h.waiting {
-			if cur := now.Sub(h.since); cur > time.Duration(hs.MaxWaitNS) {
-				hs.MaxWaitNS = int64(cur)
-			}
-			if cur := now.Sub(h.since); int64(cur) > st.LongestWaitNS {
-				st.LongestWaitNS = int64(cur)
-			}
-		}
-		if hs.MaxWaitNS > st.MaxWaitNS {
-			st.MaxWaitNS = hs.MaxWaitNS
+	for _, c := range m.Clients() {
+		hs := HolderStats{Holder: c.Holder, Grants: c.Grants, Rejects: c.Rejects, Revokes: c.Revokes, MaxWaitNS: int64(c.MaxWait)}
+		if since, ok := c.Waiting(); ok {
+			hs.Waiting = true
+			hs.MaxWaitNS = max(hs.MaxWaitNS, int64(now-since))
 		}
 		st.Holders = append(st.Holders, hs)
 	}
+	sort.Slice(st.Holders, func(i, j int) bool { return st.Holders[i].Holder < st.Holders[j].Holder })
 	return st
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
+	s.mon.Lock()
 	status := "ok"
 	if s.draining {
 		status = "draining"
 	}
 	n := len(s.res)
-	s.mu.Unlock()
+	s.mon.Unlock()
 	reply(w, map[string]any{
 		"status":         status,
-		"uptime_seconds": time.Since(s.start).Seconds(),
+		"uptime_seconds": s.mon.Elapsed().Seconds(),
 		"resources":      n,
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
+	s.mon.Lock()
 	scopes := append([]*obs.Scope(nil), s.scopes...)
-	s.mu.Unlock()
+	s.mon.Unlock()
 	for _, sc := range scopes {
-		sc.Sample() // takes the registry lock; gauges re-take s.mu
+		sc.Sample() // takes the registry lock; gauges re-take s.mon
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WriteProm(w)
 }
 
 // registerObs wires the named resource's gauges and counters into the
-// daemon's flight recorder. It must never run under s.mu: Scope.Sample
+// daemon's flight recorder. It must never run under s.mon: Scope.Sample
 // calls the closures below while holding the registry lock, and they
-// take s.mu — registering under s.mu would invert that order into a
+// take s.mon — registering under s.mon would invert that order into a
 // deadlock.
 func (s *Server) registerObs(name string) {
-	clock := func() time.Duration { return time.Since(s.start) }
-	sc := s.reg.NewScope(clock, "resource", name)
+	sc := s.reg.NewScope(s.mon.Elapsed, "resource", name)
 	read := func(f func(r *resource) float64) func() float64 {
 		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
+			s.mon.Lock()
+			defer s.mon.Unlock()
 			r := s.res[name]
 			if r == nil {
 				return 0
@@ -545,16 +453,16 @@ func (s *Server) registerObs(name string) {
 			return f(r)
 		}
 	}
-	sc.GaugeFunc("gridd_capacity", "resource capacity in units", read(func(r *resource) float64 { return float64(r.capacity) }))
-	sc.GaugeFunc("gridd_in_use", "units currently allocated (bookkeeping view)", read(func(r *resource) float64 { return float64(r.inUse) }))
-	sc.GaugeFunc("gridd_outstanding", "units across live grants (ground truth)", read(func(r *resource) float64 { return float64(r.outstanding) }))
-	sc.GaugeFunc("gridd_queue", "parked acquires", read(func(r *resource) float64 { return float64(len(r.waiters)) }))
-	sc.GaugeFunc("gridd_grants", "leases granted", read(func(r *resource) float64 { return float64(r.st.Grants) }))
-	sc.GaugeFunc("gridd_revokes", "tenures revoked by the watchdog or a crash", read(func(r *resource) float64 { return float64(r.st.Revokes) }))
-	sc.GaugeFunc("gridd_stales", "operations fenced as stale", read(func(r *resource) float64 { return float64(r.st.Stales) }))
-	sc.GaugeFunc("gridd_crashes", "resource crashes (broadcast jams)", read(func(r *resource) float64 { return float64(r.st.Crashes) }))
-	sc.GaugeFunc("gridd_phantoms", "grants admitted past ground-truth capacity", read(func(r *resource) float64 { return float64(r.st.Phantoms) }))
-	s.mu.Lock()
+	sc.GaugeFunc("gridd_capacity", "resource capacity in units", read(func(r *resource) float64 { return float64(r.mgr.Capacity()) }))
+	sc.GaugeFunc("gridd_in_use", "units currently allocated (bookkeeping view)", read(func(r *resource) float64 { return float64(r.mgr.InUse()) }))
+	sc.GaugeFunc("gridd_outstanding", "units across live grants (ground truth)", read(func(r *resource) float64 { return float64(r.mgr.Outstanding()) }))
+	sc.GaugeFunc("gridd_queue", "parked acquires", read(func(r *resource) float64 { return float64(r.mgr.QueueLen()) }))
+	sc.GaugeFunc("gridd_grants", "leases granted", read(func(r *resource) float64 { return float64(r.mgr.Acquires) }))
+	sc.GaugeFunc("gridd_revokes", "tenures revoked by the watchdog or a crash", read(func(r *resource) float64 { return float64(r.mgr.Revokes) }))
+	sc.GaugeFunc("gridd_stales", "operations fenced as stale", read(func(r *resource) float64 { return float64(r.mgr.Stales) }))
+	sc.GaugeFunc("gridd_crashes", "resource crashes (broadcast jams)", read(func(r *resource) float64 { return float64(r.crashes) }))
+	sc.GaugeFunc("gridd_phantoms", "grants admitted past ground-truth capacity", read(func(r *resource) float64 { return float64(r.phantoms) }))
+	s.mon.Lock()
 	s.scopes = append(s.scopes, sc)
-	s.mu.Unlock()
+	s.mon.Unlock()
 }

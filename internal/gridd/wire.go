@@ -22,6 +22,11 @@ package gridd
 //	GET  /metrics        Prometheus text (internal/obs)
 //	GET  /healthz        liveness + draining status
 //
+// Behind every endpoint is internal/lease (the daemon hosts one
+// lease.Book per resource), so the simulator is the specification of
+// the state machine and the comments below say what of it crosses the
+// wire. Request bodies are read up to 64 KiB; more is a bad request.
+//
 // Error bodies are ErrorReply; the client library rebuilds the typed
 // errors (core.StaleError, core.RejectedError, ErrUnavailable) from
 // the Code field, so errors.Is(err, core.ErrStale) holds across the
@@ -44,13 +49,15 @@ const (
 	// CodeRejected: the admission book refused the window outright;
 	// Shortfall says by how much. HTTP 409.
 	CodeRejected = "rejected"
-	// CodeLapsed: a claim arrived after its booking's window closed.
-	// HTTP 410.
+	// CodeLapsed: a claim or cancel named a booking the book issued and
+	// has since retired — its window closed, or it was canceled, or
+	// claimed and released. HTTP 410.
 	CodeLapsed = "lapsed"
 	// CodeEarly: a claim arrived before its booking's window opened.
 	// HTTP 409.
 	CodeEarly = "early"
-	// CodeUnknown: no such resource, lease, or booking. HTTP 404.
+	// CodeUnknown: no such resource, or a booking id the book never
+	// issued. HTTP 404.
 	CodeUnknown = "unknown"
 	// CodeBadRequest: malformed body or parameters. HTTP 400.
 	CodeBadRequest = "bad-request"
@@ -101,9 +108,11 @@ type ProbeReply struct {
 	Capacity int64  `json:"capacity"`
 	InUse    int64  `json:"in_use"`
 	Free     int64  `json:"free"`
-	Queue    int    `json:"queue"`
-	Down     bool   `json:"down,omitempty"`
-	Draining bool   `json:"draining,omitempty"`
+	// Queue counts the parked acquires that can still be granted: one
+	// whose client gave up or went away is gone from it at once.
+	Queue    int  `json:"queue"`
+	Down     bool `json:"down,omitempty"`
+	Draining bool `json:"draining,omitempty"`
 }
 
 // AcquireRequest leases Units of Resource for Holder. WaitNS == 0 is
@@ -132,17 +141,21 @@ type LeaseReply struct {
 	QuantumNS  int64  `json:"quantum_ns,omitempty"`
 	DeadlineNS int64  `json:"deadline_ns,omitempty"`
 	// WaiterSeq is the FIFO position assigned when the acquire parked
-	// (0 = granted immediately); GrantSeq is the monotone grant order.
-	// Together they make the daemon's FIFO discipline checkable from
-	// outside the socket: sorted by GrantSeq, parked grants' WaiterSeqs
-	// must be increasing.
+	// (0 = granted immediately); GrantSeq is the resource's grant order,
+	// stamped when the grant is admitted (1 for the resource's first
+	// grant), not when the reply is written. Together they make the
+	// daemon's FIFO discipline checkable from outside the socket: on one
+	// resource, sorted by GrantSeq, parked grants' WaiterSeqs must be
+	// increasing.
 	WaiterSeq uint64 `json:"waiter_seq,omitempty"`
 	GrantSeq  uint64 `json:"grant_seq"`
 }
 
 // ReleaseRequest returns a lease. Units rides along so an unfenced
 // daemon replaying a duplicated release has something to double-free;
-// a fenced daemon ignores it and trusts its own ledger.
+// a fenced daemon ignores it and trusts its own ledger. Releasing a
+// claimed lease also ends its booking: the rest of the window goes
+// back to the admission book at once.
 type ReleaseRequest struct {
 	Resource string `json:"resource"`
 	LeaseID  uint64 `json:"lease_id"`
@@ -151,7 +164,8 @@ type ReleaseRequest struct {
 }
 
 // RenewRequest extends a lease's tenure by ForNS (0 = one default
-// quantum) from now.
+// quantum) from now. A lease claimed from a booking is never extended
+// past the booked window's end.
 type RenewRequest struct {
 	Resource string `json:"resource"`
 	LeaseID  uint64 `json:"lease_id"`
@@ -165,7 +179,10 @@ type RenewReply struct {
 }
 
 // ReserveRequest books Units over the window [now+StartNS,
-// now+StartNS+TenureNS) against the resource's admission book.
+// now+StartNS+TenureNS) against the resource's admission book. StartNS
+// and TenureNS above a quarter of the int64 range (73 years) are a bad
+// request. A refusal starts the holder's starvation clock, like a busy
+// acquire.
 type ReserveRequest struct {
 	Resource string `json:"resource"`
 	Holder   string `json:"holder"`
@@ -183,7 +200,8 @@ type ReserveReply struct {
 
 // ClaimRequest converts a booking into a lease fenced at the window's
 // end: the returned lease's deadline is the booking's EndNS, however
-// late the claim arrives inside the window.
+// late the claim arrives inside the window. Once the window has ended
+// the booking is gone and the claim is lapsed.
 type ClaimRequest struct {
 	Resource  string `json:"resource"`
 	BookingID uint64 `json:"booking_id"`
@@ -227,8 +245,14 @@ type StatsReply struct {
 	Rejects     int64 `json:"rejects"`
 	Revokes     int64 `json:"revokes"`
 	Stales      int64 `json:"stales"`
-	Timeouts    int64 `json:"timeouts"`
-	Crashes     int64 `json:"crashes"`
+	// Timeouts counts parked acquires that left the queue ungranted,
+	// whatever the reason: WaitNS ran out, the client gave up or went
+	// away, or a crash or drain flushed them.
+	Timeouts int64 `json:"timeouts"`
+	Crashes  int64 `json:"crashes"`
+	// Admits counts bookings admitted, BookRejects bookings refused,
+	// Lapses windows that ended unclaimed (counted when the window
+	// ends, whether or not a late claim ever arrives).
 	Admits      int64 `json:"admits"`
 	BookRejects int64 `json:"book_rejects"`
 	Lapses      int64 `json:"lapses"`

@@ -32,11 +32,9 @@ import (
 // that window ends, the booked capacity is held even if the holder is
 // dead. The FigRes sweep measures exactly this trade.
 type Book struct {
-	eng      core.Backend
-	name     string
-	capacity int64
-	tenure   *Manager // mints claim leases; quantum 0 (tenure set per claim)
-	hooks    BookHooks
+	name   string
+	tenure *Manager // clock, capacity, claim leases; quantum 0 (tenure set per claim)
+	hooks  BookHooks
 
 	resv []*Reservation // live bookings in admission order
 
@@ -55,18 +53,20 @@ var ErrLapsed = errors.New("reservation lapsed: window ended unclaimed")
 var ErrNotOpen = errors.New("reservation window not open yet")
 
 // NewBook returns a book over capacity units of the named resource.
-func NewBook(e core.Backend, name string, capacity int64) *Book {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Book{eng: e, name: name, capacity: capacity, tenure: New(e, name, capacity, 0)}
+func NewBook(e Clock, name string, capacity int64) *Book {
+	return &Book{name: name, tenure: New(e, name, capacity, 0)}
 }
 
 // Name returns the resource's diagnostic name.
 func (b *Book) Name() string { return b.name }
 
 // Capacity returns the book's total units.
-func (b *Book) Capacity() int64 { return b.capacity }
+func (b *Book) Capacity() int64 { return b.tenure.capacity }
+
+// SetCapacity resizes the book, which is resizing its tenure manager
+// (see Manager.SetCapacity). Bookings already admitted stand; a
+// shrunken book refuses new windows until they drain.
+func (b *Book) SetCapacity(n int64) { b.tenure.SetCapacity(n) }
 
 // Tenure exposes the embedded tenure manager: claimed units in use,
 // watchdog revocations, and the per-holder fairness ledger.
@@ -78,12 +78,7 @@ func (b *Book) Outstanding() int { return len(b.resv) }
 // Booked returns the peak concurrently booked units over [start, end).
 func (b *Book) Booked(start, end time.Duration) int64 { return b.peakOver(start, end) }
 
-func (b *Book) now() time.Duration {
-	if b.eng == nil {
-		return 0
-	}
-	return b.eng.Elapsed()
-}
+func (b *Book) now() time.Duration { return b.tenure.now() }
 
 // peakOver computes the maximum concurrently booked units over
 // [start, end). Booked intervals are step functions that only rise at
@@ -117,7 +112,7 @@ func (b *Book) peakOver(start, end time.Duration) int64 {
 // emits a reserve trace event; when the book is full over the window
 // it returns a *core.RejectedError carrying the shortfall. The booking
 // lapses if still unclaimed when the window ends.
-func (b *Book) Reserve(p core.Proc, holder string, start, tenure time.Duration, units int64) (*Reservation, error) {
+func (b *Book) Reserve(p Parker, holder string, start, tenure time.Duration, units int64) (*Reservation, error) {
 	if units <= 0 || tenure <= 0 {
 		panic("lease: reservation with non-positive units or tenure on " + b.name)
 	}
@@ -125,26 +120,28 @@ func (b *Book) Reserve(p core.Proc, holder string, start, tenure time.Duration, 
 		start = now
 	}
 	end := start + tenure
-	if over := b.peakOver(start, end) + units - b.capacity; over > 0 {
+	// Compare without adding, as Manager.fits does: peak+units wraps for
+	// a large enough request.
+	if room := max(b.tenure.capacity-b.peakOver(start, end), 0); units > room {
 		b.Rejects++
 		b.hooks.Rejects.Inc()
 		b.tenure.stats(holder).Rejects++
 		b.tenure.NoteWant(holder)
-		return nil, core.Rejected(b.name, over)
+		return nil, core.Rejected(b.name, units-room)
 	}
-	r := &Reservation{b: b, holder: holder, units: units, start: start, end: end}
+	b.Reserves++
+	r := &Reservation{b: b, id: uint64(b.Reserves), holder: holder, units: units, start: start, end: end}
 	if p != nil {
 		r.tr = p.Tracer()
 	}
 	b.resv = append(b.resv, r)
-	b.Reserves++
 	b.hooks.Reserves.Inc()
 	r.tr.Reserve(b.name, start)
 	// The window-end timer retires the booking no matter how the holder
 	// behaves: an unclaimed window lapses, and a claimed one is already
 	// bounded by its lease's watchdog firing at the same instant.
-	if b.eng != nil {
-		r.lapse = b.eng.Schedule(end-b.now(), r.windowEnd)
+	if eng := b.tenure.eng; eng != nil {
+		r.lapse = eng.Schedule(end-b.now(), r.windowEnd)
 	}
 	return r, nil
 }
@@ -154,8 +151,11 @@ func (b *Book) remove(r *Reservation) {
 	for i, x := range b.resv {
 		if x == r {
 			b.resv = append(b.resv[:i], b.resv[i+1:]...)
-			return
+			break
 		}
+	}
+	if b.hooks.Retired != nil {
+		b.hooks.Retired(r)
 	}
 }
 
@@ -174,6 +174,7 @@ const (
 // cases are handled by the window-end timer and the lease watchdog.
 type Reservation struct {
 	b      *Book
+	id     uint64
 	holder string
 	units  int64
 	start  time.Duration
@@ -183,6 +184,10 @@ type Reservation struct {
 	state  resState
 	lease  *Lease
 }
+
+// ID returns the booking's admission ordinal: 1 for the book's first
+// admitted booking, so ids up to Book.Reserves have been issued.
+func (r *Reservation) ID() uint64 { return r.id }
 
 // Window returns the booked interval [start, end).
 func (r *Reservation) Window() (start, end time.Duration) { return r.start, r.end }
@@ -198,7 +203,7 @@ func (r *Reservation) Holder() string { return r.holder }
 // lapsed with ErrLapsed. The returned lease's watchdog fires exactly
 // at the window's end, so the units come back to the book even if the
 // holder never returns.
-func (r *Reservation) Claim(p core.Proc, ctx context.Context) (*Lease, error) {
+func (r *Reservation) Claim(p Parker, ctx context.Context) (*Lease, error) {
 	if r.state != resPending {
 		return nil, ErrLapsed
 	}
@@ -206,11 +211,17 @@ func (r *Reservation) Claim(p core.Proc, ctx context.Context) (*Lease, error) {
 	if now < r.start {
 		return nil, ErrNotOpen
 	}
+	if now >= r.end {
+		// The window-end timer is due and has not run yet, which only a
+		// wall clock allows. A tenure of zero would mean unlimited.
+		return nil, ErrLapsed
+	}
 	r.state = resClaimed
 	r.b.Admits++
 	r.b.hooks.Admits.Inc()
 	r.tr.Admit(r.b.name, r.end)
 	r.lease = r.b.tenure.GrantFor(p, ctx, r.holder, r.units, r.end-now)
+	r.lease.deadline = r.end // not a later clock reading plus the tenure
 	return r.lease, nil
 }
 
@@ -225,7 +236,11 @@ func (r *Reservation) Renew(d time.Duration) bool {
 	if remain := r.end - r.b.now(); d > remain {
 		d = remain
 	}
-	return r.lease.RenewFor(d)
+	ok := r.lease.RenewFor(d)
+	if r.lease.deadline > r.end {
+		r.lease.deadline = r.end // a wall clock moved between the two readings
+	}
+	return ok
 }
 
 // Lease returns the claim lease (nil before Claim).
@@ -262,6 +277,13 @@ func (r *Reservation) Release() {
 		}
 		r.b.remove(r)
 		r.lease.Release()
+	case resDone:
+		// Under a wall clock the window-end timer can retire the booking a
+		// moment before the claim lease's watchdog runs; a release landing
+		// in between still ends the tenure (and is a no-op otherwise).
+		if r.lease != nil {
+			r.lease.Release()
+		}
 	}
 }
 

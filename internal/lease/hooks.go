@@ -7,6 +7,11 @@ import "repro/internal/obs"
 // manager pays one pointer check per event — the same contract as the
 // tracer. Install with SetHooks before the run starts.
 type Hooks struct {
+	// Revoked is told of each tenure the watchdog (or Lease.Revoke)
+	// reclaims, so a host that keeps its own table of live leases —
+	// gridd's wire ids — can drop the entry.
+	Revoked func(*Lease)
+
 	Grants   *obs.Counter // tenures granted (leased or raw)
 	Rejects  *obs.Counter // TryAcquire/TryTake failures
 	Timeouts *obs.Counter // waiters abandoned by cancellation
@@ -30,10 +35,14 @@ func (m *Manager) SetHooks(h Hooks) { m.hooks = h }
 func (m *Manager) noteGrant()   { m.Acquires++; m.hooks.Grants.Inc() }
 func (m *Manager) noteReject()  { m.Rejects++; m.hooks.Rejects.Inc() }
 func (m *Manager) noteTimeout() { m.Timeouts++; m.hooks.Timeouts.Inc() }
-func (m *Manager) noteRevoke(units int64) {
+func (m *Manager) noteRevoke(l *Lease) {
 	m.Revokes++
 	m.hooks.Revokes.Inc()
-	m.hooks.RevokedUnits.Add(units)
+	m.hooks.RevokedUnits.Add(l.units)
+	m.stats(l.holder).Revokes++
+	if m.hooks.Revoked != nil {
+		m.hooks.Revoked(l)
+	}
 }
 func (m *Manager) noteDrop()  { m.Drops++; m.hooks.Drops.Inc() }
 func (m *Manager) noteDup()   { m.Dups++; m.hooks.Dups.Inc() }
@@ -42,6 +51,11 @@ func (m *Manager) noteStale() { m.Stales++; m.hooks.Stales.Inc() }
 // BookHooks mirrors the Book's admission ledger into observability
 // counters; same nil-safety contract as Hooks.
 type BookHooks struct {
+	// Retired is told of each booking that leaves the book — canceled,
+	// released, lapsed, or its claimed window ended — the Book's
+	// counterpart of Hooks.Revoked.
+	Retired func(*Reservation)
+
 	Reserves *obs.Counter // bookings admitted
 	Rejects  *obs.Counter // bookings refused (book full over the window)
 	Admits   *obs.Counter // booked windows claimed

@@ -32,13 +32,34 @@ import (
 // reclaimed by the expiry watchdog.
 var ErrRevoked = errors.New("lease revoked: tenure expired")
 
+// Clock is what the manager needs from its host: elapsed time, one-shot
+// timers, cancelable contexts. core.Backend (the simulator, the live
+// engine) satisfies it; so does gridd's monitor, which puts the wall
+// clock and the daemon's mutex behind the same three methods. The host
+// serialises access: every method in this package, and every callback
+// the clock fires, runs under the host's token or lock.
+type Clock interface {
+	Elapsed() time.Duration
+	Schedule(d time.Duration, fn func()) core.Timer
+	WithCancel(parent context.Context) (context.Context, context.CancelFunc)
+}
+
+// Parker is the calling process as the manager sees it: something that
+// can park until a context ends (giving up the host's token meanwhile)
+// and that may carry a trace handle. core.Proc satisfies it; a nil
+// Parker is allowed wherever nothing parks (it only loses tracing).
+type Parker interface {
+	Hang(ctx context.Context) error
+	Tracer() *trace.Client
+}
+
 // Manager is a FIFO counting semaphore whose grants are leases. All
 // methods must run under the engine token (from processes or timer
 // callbacks); with a nil engine the manager still works as a plain
 // counter (no parking, no watchdogs), which the condor FD table uses
 // in engine-free unit tests.
 type Manager struct {
-	eng      core.Backend
+	eng      Clock
 	name     string
 	quantum  time.Duration
 	capacity int64
@@ -94,6 +115,7 @@ type waiter struct {
 	cancel  context.CancelFunc
 	holder  string
 	units   int64
+	ordinal int64 // the manager's grant count when the pump admitted it
 	granted bool
 	gone    bool
 }
@@ -109,7 +131,7 @@ func (w *waiter) dead() bool {
 // New returns a manager for capacity units of the named resource with
 // the given tenure quantum. quantum <= 0 (or a nil engine) means
 // unlimited tenure: leases never expire and no watchdog is scheduled.
-func New(e core.Backend, name string, capacity int64, quantum time.Duration) *Manager {
+func New(e Clock, name string, capacity int64, quantum time.Duration) *Manager {
 	if capacity < 0 {
 		capacity = 0
 	}
@@ -198,6 +220,12 @@ func (m *Manager) NoteWant(holder string) {
 	}
 }
 
+// Waiting reports whether the client wants the resource and does not
+// hold it, and since when.
+func (st *ClientStats) Waiting() (since time.Duration, ok bool) {
+	return st.waitingSince, st.waiting
+}
+
 func (m *Manager) endWait(st *ClientStats) {
 	if st.waiting {
 		if w := m.now() - st.waitingSince; w > st.MaxWait {
@@ -244,11 +272,17 @@ func (m *Manager) MaxStarvation() time.Duration {
 	return max
 }
 
+// fits reports whether units are free on the books. It compares
+// without adding: units comes from outside (over gridd's socket), and
+// inUse+units wraps negative for a large enough request, which would
+// admit it.
+func (m *Manager) fits(units int64) bool { return units <= m.capacity-m.inUse }
+
 // TryTake takes units without waiting and without a lease, reporting
 // success. It exists for legacy callers (the condor FD table's raw
 // path) that manage tenure themselves; leased callers use TryAcquire.
 func (m *Manager) TryTake(units int64) bool {
-	if m.inUse+units <= m.capacity {
+	if m.fits(units) {
 		m.inUse += units
 		m.outstanding += units
 		m.noteGrant()
@@ -268,17 +302,19 @@ func (m *Manager) Put(units int64) {
 // TryAcquire takes units as a lease without waiting, reporting
 // success. On failure the holder is marked as wanting the resource,
 // so the starvation clock runs until a later grant.
-func (m *Manager) TryAcquire(p core.Proc, ctx context.Context, holder string, units int64) (*Lease, bool) {
-	st := m.stats(holder)
-	if m.inUse+units <= m.capacity && m.QueueLen() == 0 {
-		m.inUse += units
-		m.noteGrant()
-		st.Grants++
-		m.endWait(st)
-		return m.newLease(p, ctx, holder, units), true
+func (m *Manager) TryAcquire(p Parker, ctx context.Context, holder string, units int64) (*Lease, bool) {
+	return m.TryAcquireFor(p, ctx, holder, units, m.quantum)
+}
+
+// TryAcquireFor is TryAcquire with an explicit tenure for this lease
+// alone, as GrantFor is to Grant: gridd's acquire carries its own
+// quantum over the wire. d <= 0 means unlimited tenure.
+func (m *Manager) TryAcquireFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) (*Lease, bool) {
+	if m.fits(units) && m.QueueLen() == 0 {
+		return m.GrantFor(p, ctx, holder, units, d), true
 	}
 	m.noteReject()
-	st.Rejects++
+	m.stats(holder).Rejects++
 	m.NoteWant(holder)
 	return nil, false
 }
@@ -287,17 +323,18 @@ func (m *Manager) TryAcquire(p core.Proc, ctx context.Context, holder string, un
 // until they are free or ctx is canceled (returning the cancellation
 // cause). Waiters whose units do not fit block the queue head, which
 // keeps the discipline FIFO-fair for mixed sizes.
-func (m *Manager) Acquire(p core.Proc, ctx context.Context, holder string, units int64) (*Lease, error) {
+func (m *Manager) Acquire(p Parker, ctx context.Context, holder string, units int64) (*Lease, error) {
+	return m.AcquireFor(p, ctx, holder, units, m.quantum)
+}
+
+// AcquireFor is Acquire with an explicit tenure for this lease alone
+// (see TryAcquireFor).
+func (m *Manager) AcquireFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) (*Lease, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	st := m.stats(holder)
-	if m.inUse+units <= m.capacity && m.QueueLen() == 0 {
-		m.inUse += units
-		m.noteGrant()
-		st.Grants++
-		m.endWait(st)
-		return m.newLease(p, ctx, holder, units), nil
+	if m.fits(units) && m.QueueLen() == 0 {
+		return m.GrantFor(p, ctx, holder, units, d), nil
 	}
 	m.NoteWant(holder)
 	wctx, wcancel := m.eng.WithCancel(ctx)
@@ -312,15 +349,22 @@ func (m *Manager) Acquire(p core.Proc, ctx context.Context, holder string, units
 		}
 		return nil, herr
 	}
+	st := m.stats(holder)
 	st.Grants++
 	m.endWait(st)
-	return m.newLease(p, ctx, holder, units), nil
+	l := m.newLease(p, ctx, holder, units, d)
+	// The pump admitted this waiter before the process got to run again;
+	// under a host whose processes race for a lock (gridd) other grants
+	// may have been minted in between, so the admission ordinal is the
+	// pump's, not the current count.
+	l.ordinal = w.ordinal
+	return l, nil
 }
 
 // Grant takes units unconditionally as a lease: the caller has already
 // arbitrated admission (the fsbuffer allocator grants under its own
 // lane) and only wants the tenure discipline.
-func (m *Manager) Grant(p core.Proc, ctx context.Context, holder string, units int64) *Lease {
+func (m *Manager) Grant(p Parker, ctx context.Context, holder string, units int64) *Lease {
 	return m.GrantFor(p, ctx, holder, units, m.quantum)
 }
 
@@ -328,30 +372,25 @@ func (m *Manager) Grant(p core.Proc, ctx context.Context, holder string, units i
 // overriding the manager's quantum: the reservation book grants claim
 // leases whose watchdog fires exactly at the booked window's end, not
 // one global quantum from now. d <= 0 means unlimited tenure.
-func (m *Manager) GrantFor(p core.Proc, ctx context.Context, holder string, units int64, d time.Duration) *Lease {
+func (m *Manager) GrantFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) *Lease {
 	st := m.stats(holder)
 	m.inUse += units
 	m.noteGrant()
 	st.Grants++
 	m.endWait(st)
-	return m.newLeaseFor(p, ctx, holder, units, d)
+	return m.newLease(p, ctx, holder, units, d)
 }
 
 // release returns units and grants them to queued waiters.
 func (m *Manager) release(units int64) {
-	if units > m.inUse {
-		if m.wire != nil && !m.wire.fenced {
-			// The unfenced arm's double-frees leave the books
-			// understated, so an honest release can find less booked
-			// than it returns. Clamp and keep running: the invariant
-			// checker, not a panic, reports the corruption.
-			units = m.inUse
-		} else {
-			panic("lease: release underflow on " + m.name)
-		}
+	if units > m.inUse && (m.wire == nil || m.wire.fenced) {
+		panic("lease: release underflow on " + m.name)
 	}
-	m.inUse -= units
-	m.grantWaiters()
+	// The unfenced arm's double-frees leave the books understated, so an
+	// honest release can find less booked than it returns. Clamp and
+	// keep running: the invariant checker, not a panic, reports the
+	// corruption.
+	m.releaseLoose(units)
 }
 
 // grantWaiters hands free units to queued waiters in FIFO order. A
@@ -364,29 +403,25 @@ func (m *Manager) grantWaiters() {
 			m.waiters = m.waiters[1:]
 			continue
 		}
-		if m.inUse+w.units > m.capacity {
+		if !m.fits(w.units) {
 			return
 		}
 		m.waiters = m.waiters[1:]
 		w.granted = true
 		m.inUse += w.units
 		m.noteGrant()
+		w.ordinal = m.Acquires
 		w.cancel()
 	}
 }
 
-// newLease mints the tenure record under the manager's quantum.
-func (m *Manager) newLease(p core.Proc, ctx context.Context, holder string, units int64) *Lease {
-	return m.newLeaseFor(p, ctx, holder, units, m.quantum)
-}
-
-// newLeaseFor mints the tenure record, arming the expiry watchdog when
+// newLease mints the tenure record, arming the expiry watchdog when
 // a tenure is given. The trace acquire event is emitted last so event
 // order matches the pre-lease code paths exactly.
-func (m *Manager) newLeaseFor(p core.Proc, ctx context.Context, holder string, units int64, quantum time.Duration) *Lease {
+func (m *Manager) newLease(p Parker, ctx context.Context, holder string, units int64, quantum time.Duration) *Lease {
 	m.nextEpoch++
 	m.outstanding += units
-	l := &Lease{m: m, holder: holder, units: units, parent: ctx, quantum: quantum, epoch: m.nextEpoch}
+	l := &Lease{m: m, holder: holder, units: units, parent: ctx, quantum: quantum, epoch: m.nextEpoch, ordinal: m.Acquires}
 	if p != nil {
 		l.tr = p.Tracer()
 	}
@@ -412,6 +447,7 @@ type Lease struct {
 	units    int64
 	quantum  time.Duration // this lease's own tenure (renewal step)
 	epoch    uint64        // monotone fencing epoch minted at grant
+	ordinal  int64         // the manager's grant count at admission
 	tr       *trace.Client
 	parent   context.Context
 	ctx      context.Context
@@ -459,6 +495,22 @@ func (l *Lease) Deadline() (time.Duration, bool) {
 
 // Revoked reports whether the watchdog reclaimed this tenure.
 func (l *Lease) Revoked() bool { return l.revoked }
+
+// Ordinal returns the manager's grant count (Acquires) at the moment
+// this tenure was admitted: 1 for the first grant, in admission order
+// even when the admitted processes resume out of order.
+func (l *Lease) Ordinal() int64 { return l.ordinal }
+
+// Revoke ends the tenure now, exactly as the watchdog would at its
+// deadline: the host's own reasons to reclaim (a crashed resource, a
+// draining daemon) take the same path as an overstayed quantum. A
+// tenure that already ended is left alone.
+func (l *Lease) Revoke() {
+	if l.timer != nil {
+		l.timer.Cancel()
+	}
+	l.expire()
+}
 
 // Renew extends the tenure by one quantum from now, reporting whether
 // the lease was still live. Renewing an unlimited lease is a no-op
@@ -541,29 +593,23 @@ func (l *Lease) Release() {
 // an ordinary expiry, and the watchdog is exactly the mechanism that
 // heals the leak.
 func (l *Lease) expire() {
-	if l.done {
-		if l.lost || l.inFlight {
-			// Reclaim a tenure whose release the manager never received.
-			// A delivery still in flight now races a completed
-			// revocation: the fence decides (see wire.deliverRelease).
-			l.lost = false
-			l.revoked = true
-			l.m.noteRevoke(l.units)
-			l.m.stats(l.holder).Revokes++
-			l.tr.Revoke(l.m.name, l.units)
-			l.m.retire(l.epoch)
-			l.m.release(l.units)
-		}
+	switch {
+	case !l.done:
+		l.done = true
+		l.endOutstanding() // cancellation below forcibly stops the holder
+	case l.lost || l.inFlight:
+		// Reclaim a tenure whose release the manager never received. A
+		// delivery still in flight now races a completed revocation: the
+		// fence decides (see wire.deliverRelease).
+		l.lost = false
+	default:
 		return
 	}
-	l.done = true
 	l.revoked = true
-	l.endOutstanding() // cancellation below forcibly stops the holder
-	l.m.noteRevoke(l.units)
-	l.m.stats(l.holder).Revokes++
+	l.m.noteRevoke(l)
 	l.tr.Revoke(l.m.name, l.units)
 	if l.cancel != nil {
-		l.cancel()
+		l.cancel() // a no-op when the wire already canceled at the lost release
 	}
 	l.m.retire(l.epoch)
 	l.m.release(l.units)

@@ -2,9 +2,11 @@ package lease
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -322,4 +324,49 @@ func TestPutUnderflowPanics(t *testing.T) {
 		}
 	}()
 	New(nil, "res", 10, 0).Put(1)
+}
+
+// Admission compares without adding: a request near MaxInt64 on a
+// partly used resource must be refused, not wrapped negative and
+// admitted (gridd takes units straight off the socket).
+func TestHugeRequestsAreRefusedNotWrapped(t *testing.T) {
+	const huge = math.MaxInt64
+	e := sim.New(1)
+	m := New(e.RT(), "res", 2, 0)
+	b := NewBook(e.RT(), "book", 2)
+	e.Spawn("a", func(p *sim.Proc) {
+		ctx := e.Context()
+		if _, ok := m.TryAcquire(p, ctx, "a", 1); !ok {
+			t.Fatal("seed acquire refused")
+		}
+		if m.TryTake(huge) {
+			t.Error("TryTake(MaxInt64) admitted beside a unit in use")
+		}
+		if _, ok := m.TryAcquire(p, ctx, "b", huge); ok {
+			t.Error("TryAcquire(MaxInt64) admitted beside a unit in use")
+		}
+		wctx, cancel := e.WithTimeout(ctx, time.Second)
+		defer cancel()
+		if _, err := m.Acquire(p, wctx, "b", huge); err == nil {
+			t.Error("Acquire(MaxInt64) admitted beside a unit in use")
+		}
+		if m.InUse() != 1 || m.Outstanding() != 1 {
+			t.Errorf("books moved: inUse=%d outstanding=%d, want 1 and 1", m.InUse(), m.Outstanding())
+		}
+
+		now := p.Elapsed()
+		if _, err := b.Reserve(p, "a", now, time.Hour, 1); err != nil {
+			t.Fatalf("seed booking refused: %v", err)
+		}
+		_, err := b.Reserve(p, "b", now, time.Hour, huge)
+		if re := core.Rejection(err); re == nil || re.Shortfall != huge-1 {
+			t.Errorf("Reserve(MaxInt64) = %v; want rejected with shortfall MaxInt64-1", err)
+		}
+		if got := b.Booked(now, now+time.Hour); got != 1 || b.Outstanding() != 1 {
+			t.Errorf("book moved: booked=%d live=%d, want 1 and 1", got, b.Outstanding())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -76,6 +76,22 @@ func (m *Manager) releaseLoose(units int64) {
 	m.grantWaiters()
 }
 
+// Late is the manager's verdict on a control message for a tenure that
+// has already ended — a duplicated release, or one that arrives after
+// the watchdog revoked the tenure — claiming to return units (0 for a
+// renewal). Fenced, the retired epoch is refused and counted as a
+// stale; unfenced, the manager applies what arrived and frees units it
+// no longer holds for that tenure, which is the double-allocation
+// hazard the ablation measures.
+func (m *Manager) Late(units int64) (fenced bool) {
+	if m.Fenced() {
+		m.noteStale()
+		return true
+	}
+	m.releaseLoose(units)
+	return false
+}
+
 // Epoch returns the lease's fencing epoch.
 func (l *Lease) Epoch() uint64 { return l.epoch }
 
@@ -205,11 +221,8 @@ func (w *wire) release(l *Lease) bool {
 		l.tr.Release(m.name, l.units)
 		m.noteDup()
 		l.tr.MsgDup(m.name)
-		if w.fenced {
-			m.noteStale()
+		if m.Late(l.units) {
 			l.tr.Stale(m.name, l.units)
-		} else {
-			m.releaseLoose(l.units)
 		}
 		return true
 	}
@@ -228,11 +241,8 @@ func (w *wire) deliverRelease(l *Lease) {
 		// the units already reclaimed. Fenced, the stale epoch is
 		// rejected; unfenced, the manager frees units it no longer
 		// holds for this tenure — over-admission follows.
-		if w.fenced {
-			m.noteStale()
+		if m.Late(l.units) {
 			l.tr.Stale(m.name, l.units)
-		} else {
-			m.releaseLoose(l.units)
 		}
 		return
 	}

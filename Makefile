@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt-check vet test race short bench-smoke fuzz-smoke golden ci
+.PHONY: all build fmt-check vet test race short bench-smoke fuzz-smoke golden profile-figures ci
 
 all: build
 
@@ -49,5 +49,20 @@ fuzz-smoke:
 # Rewrite the gridbench golden files after an intentional output change.
 golden:
 	$(GO) test ./cmd/gridbench -run TestGolden -update
+
+# Where a figure's time goes: one CPU profile per member of the
+# benchmark's sim-figures bundle that runs long enough to sample (figs 6
+# and 7 finish in a few milliseconds), run exactly as the bundle runs
+# them, merged into one cumulative top-40. Writes only under the
+# git-ignored .bench_build/. Not part of ci: it measures, it gates nothing.
+PROFILE_DIR := .bench_build/profile
+
+profile-figures:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/gridbench ./cmd/gridbench
+	set -e; for member in "1 -scale 0.1" "4 -scale 0.1" "res -scale 0.1" "la -scale 0.1" "net -scale 0.1" 2 3; do \
+		$(PROFILE_DIR)/gridbench -parallel 1 -seed 1 -cpuprofile $(PROFILE_DIR)/cpu.$${member%% *}.pprof -fig $$member >/dev/null; \
+	done
+	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_DIR)/gridbench $(PROFILE_DIR)/cpu.*.pprof
 
 ci: fmt-check vet build race bench-smoke fuzz-smoke

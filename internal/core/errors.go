@@ -25,21 +25,42 @@ var ErrDeferred = errors.New("deferred: carrier busy")
 // `failure` command or a non-zero exit code.
 var ErrFailure = errors.New("failure")
 
+// refusal is what Collision and Deferred return: a resource name, the
+// kind sentinel, and an optional cause. Every refused attempt builds
+// one and almost nobody reads its text, so the text is assembled in
+// Error, not at construction.
+type refusal struct {
+	name  string
+	kind  error // ErrCollision or ErrDeferred
+	cause error // may be nil
+}
+
+// Error implements the error interface: "name: kind[: cause]".
+func (e *refusal) Error() string {
+	if e.cause == nil {
+		return e.name + ": " + e.kind.Error()
+	}
+	return e.name + ": " + e.kind.Error() + ": " + e.cause.Error()
+}
+
+// Is makes errors.Is match the kind sentinel.
+func (e *refusal) Is(target error) bool { return target == e.kind }
+
+// Unwrap keeps the cause on the errors.Is/As chain.
+func (e *refusal) Unwrap() error { return e.cause }
+
 // Collision wraps err (which may be nil) as a collision on resource name.
 // The inner error stays on the errors.Is/As chain: a caller that needs
 // to know *why* the collision happened (a typed rejection, a revoked
 // lease, an injected fault) can still see through the coarse wrapper,
 // while code that only counts collisions keeps matching ErrCollision.
 func Collision(name string, err error) error {
-	if err == nil {
-		return fmt.Errorf("%s: %w", name, ErrCollision)
-	}
-	return fmt.Errorf("%s: %w: %w", name, ErrCollision, err)
+	return &refusal{name: name, kind: ErrCollision, cause: err}
 }
 
 // Deferred wraps a carrier-sense deferral on resource name.
 func Deferred(name string) error {
-	return fmt.Errorf("%s: %w", name, ErrDeferred)
+	return &refusal{name: name, kind: ErrDeferred}
 }
 
 // IsCollision reports whether err is or wraps ErrCollision.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,51 @@ func TestErrorTextsAndUnwrapping(t *testing.T) {
 	if !strings.Contains(be.Error(), "1 of 3") || !errors.Is(be, ErrFailure) {
 		t.Fatalf("be = %v", be)
 	}
+}
+
+// TestRefusalTextAndChain pins the typed error behind Collision and
+// Deferred to the fmt.Errorf wrappers it replaced: same text, same
+// answers from errors.Is/As, and no formatting work until Error is
+// called.
+func TestRefusalTextAndChain(t *testing.T) {
+	oldCollision := func(name string, err error) error {
+		if err == nil {
+			return fmt.Errorf("%s: %w", name, ErrCollision)
+		}
+		return fmt.Errorf("%s: %w: %w", name, ErrCollision, err)
+	}
+	rejected := Rejected("fds", 3)
+	for _, tc := range []struct {
+		name      string
+		got, want error
+	}{
+		{"nil cause", Collision("fd", nil), oldCollision("fd", nil)},
+		{"sentinel cause", Collision("fd", ErrStale), oldCollision("fd", ErrStale)},
+		{"rejected cause", Collision("fd", rejected), oldCollision("fd", rejected)},
+		{"nested", Collision("outer", Collision("inner", ErrLost)), oldCollision("outer", oldCollision("inner", ErrLost))},
+		{"deferred", Deferred("fd"), fmt.Errorf("%s: %w", "fd", ErrDeferred)},
+	} {
+		if tc.got.Error() != tc.want.Error() {
+			t.Errorf("%s: text %q, want %q", tc.name, tc.got.Error(), tc.want.Error())
+		}
+		for _, target := range []error{ErrCollision, ErrDeferred, ErrStale, ErrLost, ErrFailure} {
+			if got, want := errors.Is(tc.got, target), errors.Is(tc.want, target); got != want {
+				t.Errorf("%s: errors.Is(_, %v) = %v, want %v", tc.name, target, got, want)
+			}
+		}
+		if got, want := Rejection(tc.got), Rejection(tc.want); got != want {
+			t.Errorf("%s: Rejection = %v, want %v", tc.name, got, want)
+		}
+	}
+
+	var sink error
+	if n := testing.AllocsPerRun(100, func() { sink = Collision("fd", ErrStale) }); n > 1 {
+		t.Errorf("Collision allocates %v times, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = Deferred("fd") }); n > 1 {
+		t.Errorf("Deferred allocates %v times, want <= 1", n)
+	}
+	_ = sink
 }
 
 func TestObserverFuncAdapter(t *testing.T) {

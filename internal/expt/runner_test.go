@@ -5,10 +5,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -147,6 +149,34 @@ func TestRunCellsPanicPropagates(t *testing.T) {
 	runCells(Options{Parallel: 4}, 8, func(c int, _ *trace.Tracer, _ *chaos.Recorder, _ *obs.Registry) {
 		if c == 2 || c == 5 {
 			panic("cell " + string(rune('0'+c)) + " failed")
+		}
+	})
+	t.Error("runCells did not panic")
+}
+
+// TestRunCellsProcPanicPropagates: a panic inside a *spawned process*
+// of a cell reaches runCells too. The coroutine switch re-raises it
+// from Engine.Run on the worker's goroutine, inside the per-cell
+// recover, so it surfaces in cell order like any other cell panic (on
+// a goroutine of its own it would have killed the program).
+func TestRunCellsProcPanicPropagates(t *testing.T) {
+	defer func() {
+		r := recover()
+		pp, ok := r.(*sim.ProcPanic)
+		if !ok || pp.Proc != "client" || pp.Value != "cell 2 failed" {
+			t.Errorf("recovered %v, want *sim.ProcPanic from cell 2's client", r)
+		}
+	}()
+	runCells(Options{Parallel: 4}, 8, func(c int, _ *trace.Tracer, _ *chaos.Recorder, _ *obs.Registry) {
+		eng := sim.New(int64(c))
+		eng.Spawn("client", func(p *sim.Proc) {
+			p.SleepFor(time.Second)
+			if c == 2 || c == 5 {
+				panic("cell " + string(rune('0'+c)) + " failed")
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Error(err)
 		}
 	})
 	t.Error("runCells did not panic")

@@ -1,12 +1,13 @@
 // Package sim implements a deterministic discrete-event simulation engine
-// with cooperative, goroutine-backed processes.
+// whose processes are coroutines.
 //
 // The engine advances a virtual clock and runs exactly one process at a
 // time, so simulation code needs no locking and every run with the same
 // seed is bit-for-bit reproducible. Processes are ordinary Go functions
-// that block by calling engine primitives (Sleep, Acquire, Park); while a
-// process runs, the engine is parked, and vice versa, so engine state is
-// protected by the token handoff rather than by mutexes.
+// that block by calling engine primitives (Sleep, Acquire, Park); each is
+// an iter.Pull coroutine that Run switches into directly and that
+// switches straight back when it parks or returns, so only the engine or
+// one process ever executes and engine state needs no mutex.
 //
 // The package exists so that the retry/backoff logic in internal/core can
 // be exercised over hours of virtual time in milliseconds of real time,
@@ -26,7 +27,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/core"
@@ -53,13 +56,12 @@ type Engine struct {
 
 	// Process arena: Proc records are minted in blocks (dense, indexable
 	// by id) and recycled through a free list when they exit, so churny
-	// workloads reuse records and their resume channels.
+	// workloads reuse records and their cached wakeup closures.
 	procBlocks [][]Proc
 	procFree   []*Proc
 	nextProcID int32
 
-	yielded chan struct{} // process -> engine token handoff
-	current *Proc
+	current *Proc // the process Run has switched into; nil in the engine
 
 	rng    *rand.Rand
 	events int64
@@ -75,10 +77,7 @@ const defaultMaxEvents = 200_000_000
 // New returns an engine whose random source is seeded with seed.
 // Identical seeds yield identical simulations.
 func New(seed int64) *Engine {
-	e := &Engine{
-		yielded: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+	e := &Engine{rng: rand.New(rand.NewSource(seed))}
 	e.root = newCtx(e, nil)
 	return e
 }
@@ -183,11 +182,12 @@ func (e *Engine) procByID(id int32) *Proc {
 }
 
 // recycleProc returns an exited process's record to the free list. The
-// resume channel and cached wakeup closures survive recycling; the
-// goroutine of the previous tenure has fully exited before the engine
-// regains the token, so the channel cannot receive a stale send.
+// cached wakeup closures survive recycling; the coroutine does not: it
+// ended when the process function returned, and dropping its two
+// handles here unpins that function's closure.
 func (e *Engine) recycleProc(p *Proc) {
 	p.name = ""
+	p.next, p.yield = nil, nil
 	p.parked = false
 	p.wakeErr = nil
 	p.done = false
@@ -199,21 +199,47 @@ func (e *Engine) recycleProc(p *Proc) {
 
 // Spawn creates a new process executing fn and schedules it to run. It
 // may be called before Run or from inside a running process or timer.
+//
+// The process is a coroutine that only Run resumes. A panic in fn
+// therefore surfaces from Run, on the goroutine that called it, as a
+// *ProcPanic carrying the process's name and stack; runtime.Goexit in
+// fn (a t.Fatal, say) unwinds Run's goroutine likewise. A process still
+// parked when Run reaches quiescence keeps its coroutine, and so its
+// stack and deferred calls, for as long as the engine is reachable.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := e.allocProc()
 	p.name = name
-	if p.resume == nil {
-		p.resume = make(chan struct{})
-	}
 	e.live++
-	go func() {
-		<-p.resume
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if v := recover(); v != nil {
+				panic(&ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()})
+			}
+		}()
 		fn(p)
 		p.exit()
-	}()
+	})
 	e.pushRun(p)
 	return p
 }
+
+// ProcPanic is the value Run panics with when a process panicked. The
+// coroutine switch re-raises a process's panic on Run's goroutine after
+// the process's own frames are gone, so they are captured here first.
+type ProcPanic struct {
+	Proc  string // name of the process that panicked
+	Value any    // what it panicked with
+	Stack []byte // debug.Stack() taken in the process, panicking frames included
+}
+
+// Error implements the error interface.
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", pp.Proc, pp.Value, pp.Stack)
+}
+
+// String prints the same text as Error.
+func (pp *ProcPanic) String() string { return pp.Error() }
 
 // Schedule arranges for fn to run at virtual time now+d under the engine
 // token. It returns a handle that can cancel the callback before it
@@ -273,8 +299,7 @@ func (e *Engine) Run() error {
 		if e.rqLen > 0 {
 			p := e.popRun()
 			e.current = p
-			p.resume <- struct{}{}
-			<-e.yielded
+			p.next()
 			e.current = nil
 			if p.done {
 				e.recycleProc(p)

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -605,8 +607,9 @@ func TestRunQueueMaskWraparound(t *testing.T) {
 }
 
 // TestProcArenaRecycling pins the process arena: records of exited
-// processes are reused (with their resume channels), and the dense
-// id-indexed blocks stay addressable.
+// processes are reused (with their cached wakeup closures; each tenure
+// gets a fresh coroutine), and the dense id-indexed blocks stay
+// addressable.
 func TestProcArenaRecycling(t *testing.T) {
 	e := New(1)
 	var firstID int32 = -1
@@ -643,5 +646,85 @@ func TestProcArenaRecycling(t *testing.T) {
 	}
 	if len(e.procBlocks) != 1 {
 		t.Fatalf("churn minted %d blocks, want 1", len(e.procBlocks))
+	}
+}
+
+// runPanic runs e and returns the *ProcPanic its Run panicked with.
+func runPanic(t *testing.T, e *Engine) (pp *ProcPanic) {
+	t.Helper()
+	defer func() {
+		v := recover()
+		var ok bool
+		if pp, ok = v.(*ProcPanic); !ok {
+			t.Fatalf("Run ended with %T (%v), want a *ProcPanic panic", v, v)
+		}
+	}()
+	_ = e.Run()
+	return nil
+}
+
+// explodeInProc exists so a frame with a recognisable name is on the
+// process's stack when it panics.
+func explodeInProc(m map[string]int) { m["boom"] = 1 }
+
+// TestProcPanicSurfacesFromRun pins what a panic inside a process looks
+// like to Run's caller: the coroutine switch re-raises it on this
+// goroutine with the process's frames gone, so the engine wraps it with
+// the process name and the stack taken before they went.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	e := New(1)
+	e.Spawn("bystander", func(p *Proc) { p.SleepFor(time.Hour) })
+	e.Spawn("victim", func(p *Proc) {
+		p.SleepFor(time.Second)
+		explodeInProc(nil)
+	})
+	pp := runPanic(t, e)
+	if pp.Proc != "victim" {
+		t.Errorf("Proc = %q, want victim", pp.Proc)
+	}
+	if err, ok := pp.Value.(error); !ok || !strings.Contains(err.Error(), "nil map") {
+		t.Errorf("Value = %v, want the nil-map runtime error", pp.Value)
+	}
+	if !bytes.Contains(pp.Stack, []byte("explodeInProc")) {
+		t.Errorf("Stack lacks the panicking frame:\n%s", pp.Stack)
+	}
+	for _, want := range []string{`"victim"`, "nil map", "explodeInProc"} {
+		if !strings.Contains(pp.Error(), want) {
+			t.Errorf("Error() lacks %q:\n%s", want, pp.Error())
+		}
+	}
+	if pp.String() != pp.Error() {
+		t.Errorf("String() differs from Error():\n%s", pp.String())
+	}
+
+	// The goroutine that caught the panic is intact: a new engine on it
+	// runs to completion.
+	e2 := New(1)
+	ran := false
+	e2.Spawn("after", func(p *Proc) { p.SleepFor(time.Second); ran = true })
+	if err := e2.Run(); err != nil || !ran || e2.Live() != 0 {
+		t.Fatalf("engine after a caught ProcPanic: err=%v ran=%v live=%d", err, ran, e2.Live())
+	}
+}
+
+// TestParkFromForeignProcPanics: a process that blocks on another
+// process's handle would yield the wrong coroutine; park refuses, and
+// the refusal unwinds through Run like any other process panic.
+func TestParkFromForeignProcPanics(t *testing.T) {
+	e := New(1)
+	b := e.Spawn("B", func(p *Proc) { p.SleepFor(time.Hour) })
+	e.Spawn("A", func(p *Proc) {
+		p.SleepFor(time.Second) // let B park first
+		b.SleepFor(time.Second)
+	})
+	pp := runPanic(t, e)
+	if pp.Proc != "A" {
+		t.Errorf("Proc = %q, want A (the caller)", pp.Proc)
+	}
+	if msg, _ := pp.Value.(string); msg != "sim: park of B from outside its own process" {
+		t.Errorf("Value = %v, want the park guard naming B", pp.Value)
+	}
+	if !b.parked || b.done {
+		t.Errorf("B disturbed by the refused park: parked=%v done=%v", b.parked, b.done)
 	}
 }

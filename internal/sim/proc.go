@@ -9,9 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Proc is a simulated process: a goroutine that runs only while it holds
-// the engine token. All of its methods must be called from the process's
-// own goroutine unless documented otherwise.
+// Proc is a simulated process: a coroutine that Engine.Run resumes and
+// that runs only while it holds the engine token. All of its methods
+// must be called from inside the process itself unless documented
+// otherwise; the blocking ones panic when called from anywhere else.
 //
 // Proc satisfies the core.Runtime interface, so the same fault-tolerance
 // code drives both simulated and real executions.
@@ -19,7 +20,8 @@ type Proc struct {
 	eng     *Engine
 	id      int32 // arena index; see Engine.procByID
 	name    string
-	resume  chan struct{}
+	next    func() (struct{}, bool) // engine side: switch into the process
+	yield   func(struct{}) bool     // process side: switch back to Run
 	parked  bool
 	wakeErr error
 	done    bool
@@ -81,15 +83,18 @@ func (p *Proc) Rand() float64 { return p.eng.rng.Float64() }
 func (p *Proc) exit() {
 	p.done = true
 	p.eng.live--
-	p.eng.yielded <- struct{}{}
 }
 
 // park yields the token to the engine and blocks until some other party
-// wakes the process. It returns the error supplied by the waker.
+// wakes the process. It returns the error supplied by the waker. Only
+// the running process may park itself: a yield from any other stack
+// would switch out the wrong coroutine.
 func (p *Proc) park() error {
+	if p.eng.current != p {
+		panic("sim: park of " + p.name + " from outside its own process")
+	}
 	p.parked = true
-	p.eng.yielded <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	err := p.wakeErr
 	p.wakeErr = nil
 	return err

@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt-check vet test race short bench-smoke fuzz-smoke golden profile-figures ci
+.PHONY: all build fmt-check vet test race short bench-smoke fuzz-smoke golden profile-figures profile-ftsh ci
 
 all: build
 
@@ -64,5 +64,19 @@ profile-figures:
 		$(PROFILE_DIR)/gridbench -parallel 1 -seed 1 -cpuprofile $(PROFILE_DIR)/cpu.$${member%% *}.pprof -fig $$member >/dev/null; \
 	done
 	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_DIR)/gridbench $(PROFILE_DIR)/cpu.*.pprof
+
+# Where a script's time goes: CPU and allocation profiles of the
+# interpreter's two benchmarks — the counting loop and a pass over the
+# conformance corpus, which between them are the benchmark's ftsh-corpus
+# workload — each printed as a cumulative top-40. Same rules as
+# profile-figures: writes only under .bench_build/, gates nothing.
+profile-ftsh:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -c -o $(PROFILE_DIR)/interp.test ./internal/ftsh/interp
+	cd internal/ftsh/interp && $(CURDIR)/$(PROFILE_DIR)/interp.test -test.run NONE \
+		-test.bench 'BenchmarkInterpLoop|BenchmarkConformancePass' -test.benchtime 2s \
+		-test.cpuprofile $(CURDIR)/$(PROFILE_DIR)/cpu.ftsh.pprof -test.memprofile $(CURDIR)/$(PROFILE_DIR)/mem.ftsh.pprof
+	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_DIR)/interp.test $(PROFILE_DIR)/cpu.ftsh.pprof
+	$(GO) tool pprof -sample_index=alloc_objects -top -cum -nodecount=40 $(PROFILE_DIR)/interp.test $(PROFILE_DIR)/mem.ftsh.pprof
 
 ci: fmt-check vet build race bench-smoke fuzz-smoke

@@ -19,11 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/fsbuffer"
-	"repro/internal/ftsh/interp"
-	"repro/internal/ftsh/lexer"
-	"repro/internal/ftsh/parser"
 	"repro/internal/metrics"
-	"repro/internal/proc"
 	"repro/internal/replica"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -329,43 +325,6 @@ func BenchmarkBackoffNext(b *testing.B) {
 	}
 }
 
-// BenchmarkLexer measures tokenization throughput.
-func BenchmarkLexer(b *testing.B) {
-	src := `try for 30 minutes
-  forany server in xxx yyy zzz
-    wget http://${server}/file.tar.gz ->& log
-  end
-end
-`
-	b.SetBytes(int64(len(src)))
-	for i := 0; i < b.N; i++ {
-		if _, err := lexer.All(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParse measures full parse throughput on the paper's nested
-// example.
-func BenchmarkParse(b *testing.B) {
-	src := `try for 30 minutes
-  try for 5 minutes
-    wget http://server/file.tar.gz
-  end
-  try for 1 minute or 3 times
-    gunzip file.tar.gz
-    tar xvf file.tar
-  end
-end
-`
-	b.SetBytes(int64(len(src)))
-	for i := 0; i < b.N; i++ {
-		if _, err := parser.Parse(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEngineEvents measures discrete-event scheduling throughput:
 // process wakeups per second.
 func BenchmarkEngineEvents(b *testing.B) {
@@ -381,34 +340,6 @@ func BenchmarkEngineEvents(b *testing.B) {
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// BenchmarkInterpLoop measures interpreter statement throughput on a
-// counting loop with expr and a condition per iteration.
-func BenchmarkInterpLoop(b *testing.B) {
-	src := `n=0
-while ${n} .lt. 1000
-  expr ${n} + 1 -> n
-end
-`
-	script, err := parser.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runner := proc.NewMapRunner()
-	for i := 0; i < b.N; i++ {
-		e := sim.New(1)
-		e.Spawn("s", func(p *sim.Proc) {
-			in := interp.New(interp.Config{Runner: runner, Runtime: p})
-			if err := in.Run(e.Context(), script); err != nil {
-				b.Errorf("run: %v", err)
-			}
-		})
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(1000, "stmts/op")
 }
 
 // BenchmarkTrySimulated measures a full try/backoff cycle in virtual

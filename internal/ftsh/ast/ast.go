@@ -43,6 +43,43 @@ type Word struct {
 	Segs    []token.Segment
 	Quoted  bool
 	Raw     string
+	// Kind is the shape NewWord resolved the word to, and Text the value
+	// of a WordLit.
+	Kind WordKind
+	Text string
+}
+
+// WordKind is the shape of a word, which decides how it is expanded.
+type WordKind uint8
+
+// Word shapes.
+const (
+	WordMixed WordKind = iota // several segments, a variable among them: concatenated
+	WordLit                   // literal text only: Text is the value
+	WordVar                   // one variable reference: its value, split into fields unless Quoted
+)
+
+// NewWord returns a resolved word: its shape is decided and every
+// variable segment classified (in place, in segs) here, once, so that
+// expanding the word never parses anything. The parser builds every
+// word through it and the interpreter relies on that.
+func NewWord(pos token.Pos, segs []token.Segment, quoted bool, raw string) *Word {
+	w := &Word{WordPos: pos, Segs: segs, Quoted: quoted, Raw: raw}
+	refs := 0
+	for i := range segs {
+		if seg := &segs[i]; seg.Kind == token.SegVar {
+			seg.Var, seg.Index = token.ClassifyVar(seg.Text)
+			refs++
+		}
+	}
+	switch {
+	case refs == 0:
+		w.Kind = WordLit
+		w.Text, _ = w.Lit()
+	case len(segs) == 1:
+		w.Kind = WordVar
+	}
+	return w
 }
 
 // Pos implements Node.
@@ -51,6 +88,9 @@ func (w *Word) Pos() token.Pos { return w.WordPos }
 // Lit returns the word's literal text if it is purely literal, and
 // whether it is.
 func (w *Word) Lit() (string, bool) {
+	if len(w.Segs) == 1 && w.Segs[0].Kind == token.SegLit {
+		return w.Segs[0].Text, true
+	}
 	var b strings.Builder
 	for _, s := range w.Segs {
 		if s.Kind != token.SegLit {

@@ -25,115 +25,143 @@ func (in *Interp) execCommand(ctx context.Context, st *ast.CommandStmt) error {
 		return &PosError{Pos: st.Pos(), Err: errors.New("command expanded to nothing")}
 	}
 
-	io_, finish, err := in.setupRedirs(st.Redirs)
-	if err != nil {
-		_ = finish() // release any redirection targets opened before the error
-		return &PosError{Pos: st.Pos(), Err: err}
+	io_, fins := in.stdio, []finisher(nil)
+	if len(st.Redirs) > 0 {
+		var few [2]finisher // a command with more redirections spills to the heap
+		if io_, fins, err = in.setupRedirs(st.Redirs, few[:0]); err != nil {
+			_ = in.finish(fins) // release any redirection targets opened before the error
+			return &PosError{Pos: st.Pos(), Err: err}
+		}
 	}
-
 	runErr := in.dispatch(ctx, argv, io_)
 	// Redirection targets (variables, files) are finalized regardless of
 	// the command's outcome, matching shell behaviour.
-	if ferr := finish(); ferr != nil && runErr == nil {
+	if ferr := in.finish(fins); ferr != nil && runErr == nil {
 		runErr = ferr
 	}
 	if runErr != nil && !errors.Is(runErr, errSuccess) {
-		in.logf("command %s failed: %v", argv[0], runErr)
+		if in.cfg.Log != nil {
+			in.logf("command %s failed: %v", argv[0], runErr)
+		}
 		return wrapPos(st.Pos(), runErr)
 	}
 	return runErr
 }
 
-// cmdIO is the resolved I/O plumbing for one command.
+// cmdIO is the resolved I/O plumbing for one command. It is passed by
+// value: three interface words, nothing to allocate.
 type cmdIO struct {
 	stdin          io.Reader
 	stdout, stderr io.Writer
 }
 
-// setupRedirs resolves redirections into readers/writers plus a finish
-// function that flushes variable captures and closes files.
-func (in *Interp) setupRedirs(redirs []*ast.Redir) (*cmdIO, func() error, error) {
-	io_ := &cmdIO{
-		stdin:  strings.NewReader(""),
-		stdout: in.cfg.Stdout,
-		stderr: in.cfg.Stderr,
-	}
-	if io_.stdout == nil {
-		io_.stdout = io.Discard
-	}
-	if io_.stderr == nil {
-		io_.stderr = io.Discard
-	}
-	var finishers []func() error
-	finish := func() error {
-		var first error
-		for _, f := range finishers {
-			if err := f(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
+// noInput is the stdin of a command without an input redirection:
+// always at end of file, and stateless, so every command of every
+// forall branch shares the one value.
+type noInput struct{}
 
+func (noInput) Read([]byte) (int, error) { return 0, io.EOF }
+
+// finisher is what one redirection leaves to do once its command has
+// run: close a file, or store a capture buffer into a variable.
+type finisher struct {
+	file io.Closer
+	buf  *bytes.Buffer
+	name string
+}
+
+// setupRedirs resolves redirections into readers/writers, and appends
+// to fins what finish must do afterwards (on an error too, for the
+// targets already opened): flush variable captures and close files.
+func (in *Interp) setupRedirs(redirs []*ast.Redir, fins []finisher) (cmdIO, []finisher, error) {
+	io_ := in.stdio
 	for _, r := range redirs {
 		target, err := in.expandWord(r.Target)
 		if err != nil {
-			return nil, finish, err
+			return io_, fins, err
 		}
 		switch r.Op {
 		case token.GT, token.GTGT, token.GTAMP:
 			if in.cfg.FS == nil {
-				return nil, finish, fmt.Errorf("file redirection %s unavailable (no filesystem)", r.Op)
+				return io_, fins, fmt.Errorf("file redirection %s unavailable (no filesystem)", r.Op)
 			}
 			w, err := in.cfg.FS.OpenWrite(target, r.Op == token.GTGT)
 			if err != nil {
-				return nil, finish, err
+				return io_, fins, err
 			}
-			finishers = append(finishers, w.Close)
+			fins = append(fins, finisher{file: w})
 			io_.stdout = w
 			if r.Op == token.GTAMP {
 				io_.stderr = w
 			}
 		case token.LT:
 			if in.cfg.FS == nil {
-				return nil, finish, fmt.Errorf("file redirection < unavailable (no filesystem)")
+				return io_, fins, fmt.Errorf("file redirection < unavailable (no filesystem)")
 			}
 			rd, err := in.cfg.FS.OpenRead(target)
 			if err != nil {
-				return nil, finish, err
+				return io_, fins, err
 			}
-			finishers = append(finishers, rd.Close)
+			fins = append(fins, finisher{file: rd})
 			io_.stdin = rd
 		case token.DASHGT, token.DASHGTGT, token.DASHGTAMP:
-			name := target
-			var buf bytes.Buffer
-			if r.Op == token.DASHGTGT && in.vars[name] != "" {
+			buf := in.captureBuf()
+			if r.Op == token.DASHGTGT && in.vars[target] != "" {
 				// Re-insert the newline stripped by the previous capture
 				// so appended records stay line-separated.
-				buf.WriteString(in.vars[name])
+				buf.WriteString(in.vars[target])
 				buf.WriteByte('\n')
 			}
-			io_.stdout = &buf
+			io_.stdout = buf
 			if r.Op == token.DASHGTAMP {
-				io_.stderr = &buf
+				io_.stderr = buf
 			}
-			finishers = append(finishers, func() error {
-				// ftsh strips the trailing newline when capturing into a
-				// variable, so `cut ... -> n` compares cleanly.
-				in.vars[name] = strings.TrimRight(buf.String(), "\n")
-				return nil
-			})
+			fins = append(fins, finisher{buf: buf, name: target})
 		case token.DASHLT:
 			io_.stdin = strings.NewReader(in.vars[target])
 		default:
-			return nil, finish, fmt.Errorf("unsupported redirection %v", r.Op)
+			return io_, fins, fmt.Errorf("unsupported redirection %v", r.Op)
 		}
 	}
-	return io_, finish, nil
+	return io_, fins, nil
+}
+
+// captureBuf takes an empty buffer for a variable capture. finish puts
+// it back on in.bufs, so a loop's captures share one, while captures
+// live together — several on one command, or a function body's inside
+// its call's — never do.
+func (in *Interp) captureBuf() *bytes.Buffer {
+	k := len(in.bufs)
+	if k == 0 {
+		return new(bytes.Buffer)
+	}
+	buf := in.bufs[k-1]
+	in.bufs = in.bufs[:k-1]
+	return buf
+}
+
+// finish runs a command's finishers in redirection order and returns
+// the first error.
+func (in *Interp) finish(fins []finisher) error {
+	var first error
+	for _, f := range fins {
+		if f.file != nil {
+			if err := f.file.Close(); err != nil && first == nil {
+				first = err
+			}
+			continue
+		}
+		// ftsh strips the trailing newline when capturing into a
+		// variable, so `cut ... -> n` compares cleanly.
+		in.vars[f.name] = strings.TrimRight(f.buf.String(), "\n")
+		f.buf.Reset()
+		in.bufs = append(in.bufs, f.buf)
+	}
+	return first
 }
 
 // dispatch routes argv to a shell function, a builtin, or the Runner.
-func (in *Interp) dispatch(ctx context.Context, argv []string, io_ *cmdIO) error {
+func (in *Interp) dispatch(ctx context.Context, argv []string, io_ cmdIO) error {
 	name := argv[0]
 	if fn, ok := in.fns[name]; ok {
 		return in.callFunction(ctx, fn, argv[1:])
@@ -141,7 +169,9 @@ func (in *Interp) dispatch(ctx context.Context, argv []string, io_ *cmdIO) error
 	if bi, ok := builtins[name]; ok {
 		return bi(ctx, in, argv[1:], io_)
 	}
-	in.logf("exec %s", strings.Join(argv, " "))
+	if in.cfg.Log != nil {
+		in.logf("exec %s", strings.Join(argv, " "))
+	}
 	err := in.cfg.Runner.Run(ctx, in.cfg.Runtime, &Command{
 		Name:   name,
 		Args:   argv[1:],
@@ -155,7 +185,7 @@ func (in *Interp) dispatch(ctx context.Context, argv []string, io_ *cmdIO) error
 
 // builtin is an internal command. Builtins exist for operations that
 // must interact with the interpreter state or the virtual clock.
-type builtin func(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error
+type builtin func(ctx context.Context, in *Interp, args []string, io_ cmdIO) error
 
 var builtins map[string]builtin
 
@@ -177,7 +207,7 @@ func init() {
 // are not an error — the idempotence §4 demands of repeated actions
 // ("the rm command used above is given the -f option to instruct it to
 // return success if the named file does not exist").
-func biRm(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
+func biRm(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
 	force := false
 	if len(args) > 0 && args[0] == "-f" {
 		force = true
@@ -229,22 +259,36 @@ func biRm(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
 }
 
 // biEcho writes its arguments to stdout separated by spaces.
-func biEcho(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
-	_, err := fmt.Fprintln(io_.stdout, strings.Join(args, " "))
+func biEcho(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
+	line := in.line[:0]
+	for i, a := range args {
+		if i > 0 {
+			line = append(line, ' ')
+		}
+		line = append(line, a...)
+	}
+	return in.writeLine(io_.stdout, line)
+}
+
+// writeLine writes line and a newline in one Write, and keeps the
+// grown buffer as in.line for the next builtin's output.
+func (in *Interp) writeLine(w io.Writer, line []byte) error {
+	in.line = append(line, '\n')
+	_, err := w.Write(in.line)
 	return err
 }
 
 // biTrue succeeds.
-func biTrue(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error { return nil }
+func biTrue(ctx context.Context, in *Interp, args []string, io_ cmdIO) error { return nil }
 
 // biFalse fails.
-func biFalse(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
+func biFalse(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
 	return core.ErrFailure
 }
 
 // biSleep pauses in runtime time: `sleep 5`, `sleep 0.25`, `sleep 500ms`.
 // Under the simulator this advances the virtual clock.
-func biSleep(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
+func biSleep(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
 	if len(args) != 1 {
 		return errors.New("sleep: want exactly one duration argument")
 	}
@@ -257,16 +301,16 @@ func biSleep(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
 
 // biExpr evaluates a left-to-right arithmetic expression and prints the
 // result: `expr ${n} + 1 -> n`. Supported operators: + - * / %.
-func biExpr(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
+func biExpr(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
 	if len(args) == 0 || len(args)%2 == 0 {
 		return errors.New("expr: want `value (op value)...`")
 	}
-	acc, err := strconv.ParseFloat(args[0], 64)
+	acc, err := parseNum(args[0])
 	if err != nil {
 		return fmt.Errorf("expr: bad operand %q", args[0])
 	}
 	for i := 1; i < len(args); i += 2 {
-		rhs, err := strconv.ParseFloat(args[i+1], 64)
+		rhs, err := parseNum(args[i+1])
 		if err != nil {
 			return fmt.Errorf("expr: bad operand %q", args[i+1])
 		}
@@ -292,9 +336,9 @@ func biExpr(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
 		}
 	}
 	if acc == float64(int64(acc)) {
-		fmt.Fprintln(io_.stdout, strconv.FormatInt(int64(acc), 10))
+		_ = in.writeLine(io_.stdout, strconv.AppendInt(in.line[:0], int64(acc), 10))
 	} else {
-		fmt.Fprintln(io_.stdout, strconv.FormatFloat(acc, 'g', -1, 64))
+		_ = in.writeLine(io_.stdout, strconv.AppendFloat(in.line[:0], acc, 'g', -1, 64))
 	}
 	return nil
 }
@@ -307,7 +351,7 @@ func biExpr(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
 //	cat -< tmp
 //
 // I/O-transaction idiom without an external cat.
-func biCat(ctx context.Context, in *Interp, args []string, io_ *cmdIO) error {
+func biCat(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
 	if len(args) > 0 {
 		// `cat file...` still goes through the FS abstraction.
 		if in.cfg.FS == nil {

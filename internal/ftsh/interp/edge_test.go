@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -317,5 +318,133 @@ end
 	}
 	if _, ok := w.fs.ReadFile("file.tar.gz"); ok {
 		t.Fatal("partial download not cleaned up by catch")
+	}
+}
+
+// TestVariableReferenceSemantics pins what every form of variable
+// reference expands to, in each kind of frame, quoted and unquoted. A
+// name that strconv.Atoi accepts is positional — so a sign and leading
+// zeros are, and a number below 1 is an error — and everything else,
+// an overflowing digit string included, is an ordinary named variable.
+func TestVariableReferenceSemantics(t *testing.T) {
+	named := map[string]string{
+		"x": "val", "007": "bond", "99999999999999999999": "big", "1x": "named",
+		" 1": "spacey", "+2": "plus", "-1": "minus", "0": "zero", "00": "zeros",
+	}
+	const bad = "\x00invalid"
+	cases := []struct {
+		ref, name string
+		// The value in a script frame with arguments (one, "two three"),
+		// in a function frame with (a b c d e f seven), and with no
+		// arguments at all.
+		script, function, bare string
+	}{
+		{"$1", "1", "one", "a", ""},
+		{"${1}", "1", "one", "a", ""},
+		{"${2}", "2", "two three", "b", ""},
+		{"${3}", "3", "", "c", ""},
+		{"${+2}", "+2", "two three", "b", ""},
+		{"${-1}", "-1", bad, bad, bad},
+		{"${0}", "0", bad, bad, bad},
+		{"${00}", "00", bad, bad, bad},
+		{"${-0}", "-0", bad, bad, bad},
+		{"${007}", "007", "", "seven", ""},
+		{"${99999999999999999999}", "99999999999999999999", "big", "big", "big"},
+		{"${1x}", "1x", "named", "named", "named"},
+		{"$1x", "1x", "named", "named", "named"},
+		{"${ 1}", " 1", "spacey", "spacey", "spacey"},
+		{"${1_0}", "1_0", "", "", ""},
+		{"$*", "*", "one two three", "a b c d e f seven", ""},
+		{"${*}", "*", "one two three", "a b c d e f seven", ""},
+		{"$#", "#", "2", "7", "0"},
+		{"${#}", "#", "2", "7", "0"},
+		{"${x}", "x", "val", "val", "val"},
+		{"${unset}", "unset", "", "", ""},
+	}
+	frames := []struct {
+		name string
+		args []string
+		src  string // %s is the probed word
+		want func(i int) string
+	}{
+		{"script", []string{"one", "two three"}, "probe %s\n", func(i int) string { return cases[i].script }},
+		{"function", []string{"one", "two three"}, "function f\n  probe %s\nend\nf a b c d e f seven\n", func(i int) string { return cases[i].function }},
+		{"bare", nil, "probe %s\n", func(i int) string { return cases[i].bare }},
+	}
+	for i, c := range cases {
+		for _, f := range frames {
+			for _, quoted := range []bool{false, true} {
+				word, want := c.ref, strings.Fields(f.want(i))
+				if quoted {
+					word, want = `"`+c.ref+`"`, []string{f.want(i)}
+				}
+				w := newWorld(1)
+				var got []string
+				w.runner.Register("probe", func(ctx context.Context, rt core.Runtime, cmd *interp.Command) error {
+					got = append([]string{}, cmd.Args...)
+					return nil
+				})
+				var err error
+				w.eng.Spawn("script", func(p *sim.Proc) {
+					in := interp.New(interp.Config{Runner: w.runner, Runtime: p})
+					for k, v := range named {
+						in.SetVar(k, v)
+					}
+					in.SetArgs(f.args)
+					err = in.RunSource(w.eng.Context(), fmt.Sprintf(f.src, word))
+				})
+				if runErr := w.eng.Run(); runErr != nil {
+					t.Fatal(runErr)
+				}
+				id := fmt.Sprintf("%s frame, %s", f.name, word)
+				if f.want(i) == bad {
+					if err == nil || !strings.Contains(err.Error(), "invalid positional parameter $"+c.name) {
+						t.Errorf("%s: err = %v, want invalid positional parameter $%s", id, err, c.name)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: %v", id, err)
+				} else if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+					t.Errorf("%s: args = %q, want %q", id, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNumbersBeyondPlainDigits pins what expr and the numeric
+// comparisons accept and print on either side of the plain-digits short
+// cut: everything strconv.ParseFloat reads is a number, and an integral
+// result prints as an integer whatever it was read from.
+func TestNumbersBeyondPlainDigits(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"expr 007 + 1", "8"},
+		{"expr 999999999999999 + 1", "1000000000000000"},   // 15 digits: the longest short cut
+		{"expr 9999999999999999 + 1", "10000000000000000"}, // 16: through ParseFloat, rounded there
+		{"expr 99999999999999999999 + 0", "1e+20"},         // past int64
+		{"expr 1e3 + 1", "1001"},
+		{"expr 0x1p4 * 2", "32"},
+		{"expr -3 + +5", "2"},
+		{"expr 1_0 + 1", "11"}, // ParseFloat takes Go's digit separators
+		{"expr 1.5 + 1.5", "3"},
+		{"expr 10 / 4", "2.5"},
+		{"expr 0 - 0", "0"},
+		{"if 0x1p4 .lt. 17\n echo yes\nend", "yes"},
+		{"if Inf .gt. 1e3\n echo yes\nend", "yes"},
+		{"if 007 .eq. 7.0\n echo yes\nend", "yes"},
+		{"if 000000000000000010 .eq. 10\n echo yes\nend", "yes"}, // 18 digits of zeros
+	} {
+		w := newWorld(1)
+		if err := w.run(t, c.src+"\n", nil); err != nil {
+			t.Errorf("%q: %v", c.src, err)
+		} else if got := strings.TrimSpace(w.out.String()); got != c.want {
+			t.Errorf("%q printed %q, want %q", c.src, got, c.want)
+		}
+	}
+	for _, src := range []string{"expr ١ + 1", "if 1 .lt. x1\n true\nend", "expr '' + 1"} {
+		if err := newWorld(1).run(t, src+"\n", nil); err == nil {
+			t.Errorf("%q succeeded", src)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/ftsh/ast"
 	"repro/internal/ftsh/token"
@@ -12,39 +13,47 @@ import (
 // lookupVar resolves a variable reference, including the positional
 // parameters $1..$9, $* (all args space-joined), and $# (arg count) of
 // the current function frame. Unset variables expand to the empty
-// string, as in the Bourne shell.
-func (in *Interp) lookupVar(name string) (string, error) {
-	switch name {
-	case "*":
+// string, as in the Bourne shell. Which of these a name is was decided
+// by the parser (token.ClassifyVar).
+func (in *Interp) lookupVar(seg *token.Segment) (string, error) {
+	switch seg.Var {
+	case token.VarArgs:
 		return strings.Join(in.args, " "), nil
-	case "#":
+	case token.VarCount:
 		return strconv.Itoa(len(in.args)), nil
-	}
-	if n, err := strconv.Atoi(name); err == nil {
-		if n < 1 {
-			return "", fmt.Errorf("invalid positional parameter $%s", name)
-		}
-		if n <= len(in.args) {
-			return in.args[n-1], nil
+	case token.VarPos:
+		if seg.Index <= len(in.args) {
+			return in.args[seg.Index-1], nil
 		}
 		return "", nil
+	case token.VarBadPos:
+		return "", fmt.Errorf("invalid positional parameter $%s", seg.Text)
 	}
-	return in.vars[name], nil
+	return in.vars[seg.Text], nil
 }
 
 // expandWord expands a word to a single string (no splitting). A nil
-// word expands to "".
+// word expands to "". Only a word that mixes segments builds anything:
+// a literal's text was put together by the parser, and a lone variable
+// reference expands to the variable's own string.
 func (in *Interp) expandWord(w *ast.Word) (string, error) {
 	if w == nil {
 		return "", nil
 	}
+	switch w.Kind {
+	case ast.WordLit:
+		return w.Text, nil
+	case ast.WordVar:
+		return in.lookupVar(&w.Segs[0])
+	}
 	var b strings.Builder
-	for _, seg := range w.Segs {
+	for i := range w.Segs {
+		seg := &w.Segs[i]
 		switch seg.Kind {
 		case token.SegLit:
 			b.WriteString(seg.Text)
 		case token.SegVar:
-			v, err := in.lookupVar(seg.Text)
+			v, err := in.lookupVar(seg)
 			if err != nil {
 				return "", err
 			}
@@ -54,38 +63,29 @@ func (in *Interp) expandWord(w *ast.Word) (string, error) {
 	return b.String(), nil
 }
 
-// expandFields expands a word into zero or more fields. An unquoted word
-// consisting of a single variable reference undergoes field splitting on
-// whitespace (so `forany s in ${servers}` iterates the list); all other
-// words expand to exactly one field, except that an unquoted word
-// expanding to "" produces no field.
-func (in *Interp) expandFields(w *ast.Word) ([]string, error) {
-	if !w.Quoted && len(w.Segs) == 1 && w.Segs[0].Kind == token.SegVar {
-		v, err := in.lookupVar(w.Segs[0].Text)
-		if err != nil {
-			return nil, err
-		}
-		return strings.Fields(v), nil
-	}
-	s, err := in.expandWord(w)
-	if err != nil {
-		return nil, err
-	}
-	if s == "" && !w.Quoted {
-		return nil, nil
-	}
-	return []string{s}, nil
-}
-
-// expandList expands a word list (command argv or loop alternatives).
+// expandList expands a word list (command argv or loop alternatives)
+// into one slice of fields. An unquoted word consisting of a single
+// variable reference undergoes field splitting on whitespace (so
+// `forany s in ${servers}` iterates the list); all other words expand
+// to exactly one field, except that an unquoted word expanding to ""
+// produces no field.
 func (in *Interp) expandList(words []*ast.Word) ([]string, error) {
-	var out []string
+	out := make([]string, 0, len(words))
 	for _, w := range words {
-		fs, err := in.expandFields(w)
+		s, err := in.expandWord(w)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, fs...)
+		switch {
+		case w.Quoted:
+			out = append(out, s)
+		case w.Kind == ast.WordVar && strings.IndexFunc(s, unicode.IsSpace) >= 0:
+			// The same predicate strings.Fields splits on: without a
+			// match the value is one field, or none when empty.
+			out = append(out, strings.Fields(s)...)
+		case s != "":
+			out = append(out, s)
+		}
 	}
 	return out, nil
 }

@@ -32,6 +32,22 @@ func FuzzInterp(f *testing.F) {
 		}
 		f.Add(string(src))
 	}
+	// One seed per shape the expander, the redirection plumbing and the
+	// numeric builtins take a short cut for.
+	for _, src := range []string{
+		"function f\n  echo ${+1} ${007} $# $*\nend\nf a b\n", // signed and zero-padded positionals
+		"echo ${0}\n", // invalid positional
+		"x=\"  \"\n${x} echo\necho ${x} a ${x}\n",                                                                  // whitespace-only variable in argv position
+		"x=\necho \"${x}\" ${x} \"\"\n",                                                                            // empty: quoted is a field, unquoted is none
+		"l=\"a  b\tc\"\nfor i in ${l} \"${l}\" x${l}y\n  echo ${i}\nend\n",                                         // one variable: split, quoted, mixed
+		"function g\n  echo inner -> b\nend\nfunction f\n  g -> b\n  echo ${b}\nend\nf -> a\necho [${a}] [${b}]\n", // nested captures
+		"echo one -> v\necho two ->> v\necho three ->> v -> w\necho ${v} ${w}\n",                                   // ->> after a capture; two captures on one command
+		"echo x > f -> v < f >> f\ncat f\n",                                                                        // more redirections than the fixed array holds
+		"expr 1e3 + 1 -> n\nexpr 0x1p4 * 2\nexpr 999999999999999 + 1\nexpr 9999999999999999 + 1\n",                 // beyond plain digits
+		"if 0x1p4 .lt. 17\n  echo yes\nend\nif Inf .gt. 1e3\n  echo inf\nend\nif 007 .eq. 7\n  echo seven\nend\n",
+	} {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {
 			t.Skip("oversized input")

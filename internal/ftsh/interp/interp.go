@@ -10,12 +10,12 @@
 package interp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -37,7 +37,9 @@ type Runner interface {
 	Run(ctx context.Context, rt core.Runtime, cmd *Command) error
 }
 
-// Command is a fully expanded external command invocation.
+// Command is a fully expanded external command invocation. Its streams
+// are the runner's until Run returns, and not after: the interpreter
+// reuses variable-capture buffers.
 type Command struct {
 	Name   string
 	Args   []string
@@ -96,6 +98,10 @@ type Interp struct {
 	args  []string // positional parameters of the current function frame
 	depth int      // current user-function call depth
 	stats *Stats
+
+	stdio cmdIO           // what a command without redirections reads and writes
+	bufs  []*bytes.Buffer // idle variable-capture buffers (see captureBuf)
+	line  []byte          // the last line a builtin printed, kept for its capacity
 }
 
 // maxCallDepth bounds user-function call nesting so unbounded recursion
@@ -111,11 +117,18 @@ func New(cfg Config) *Interp {
 	if cfg.Runtime == nil {
 		panic("interp: Config.Runtime is required")
 	}
+	if cfg.Stdout == nil {
+		cfg.Stdout = io.Discard
+	}
+	if cfg.Stderr == nil {
+		cfg.Stderr = io.Discard
+	}
 	return &Interp{
 		cfg:   cfg,
 		vars:  make(map[string]string),
 		fns:   make(map[string]*ast.FunctionStmt),
 		stats: newStats(),
+		stdio: cmdIO{stdin: noInput{}, stdout: cfg.Stdout, stderr: cfg.Stderr},
 	}
 }
 
@@ -173,6 +186,8 @@ func (in *Interp) RunSource(ctx context.Context, src string) error {
 }
 
 // Run executes a parsed script. It returns nil if the script succeeded.
+// The tree must be resolved, as every tree from parser.Parse is (see
+// ast.NewWord); Run only reads it, so interpreters may share one.
 func (in *Interp) Run(ctx context.Context, s *ast.Script) error {
 	err := in.execBlock(ctx, s.Body)
 	if errors.Is(err, errSuccess) {
@@ -181,12 +196,21 @@ func (in *Interp) Run(ctx context.Context, s *ast.Script) error {
 	return err
 }
 
+// logf writes one line to the log. Callers test cfg.Log for nil first,
+// so that a script run without a log does not build the arguments.
 func (in *Interp) logf(format string, args ...any) {
-	if in.cfg.Log != nil {
-		fmt.Fprintf(in.cfg.Log, "[%s] ", in.cfg.Runtime.Now().Format("15:04:05.000"))
-		fmt.Fprintf(in.cfg.Log, format, args...)
-		fmt.Fprintln(in.cfg.Log)
+	fmt.Fprintf(in.cfg.Log, "[%s] ", in.cfg.Runtime.Now().Format("15:04:05.000"))
+	fmt.Fprintf(in.cfg.Log, format, args...)
+	fmt.Fprintln(in.cfg.Log)
+}
+
+// spanName names a construct's trace span by script position, or is
+// empty — no span — when there is no tracer to record it.
+func (in *Interp) spanName(construct string, pos token.Pos) string {
+	if in.cfg.Trace == nil {
+		return ""
 	}
+	return construct + "@" + pos.String()
 }
 
 // execBlock runs a group: sequential, stopping at the first failure.
@@ -207,15 +231,19 @@ func (in *Interp) execStmt(ctx context.Context, st ast.Stmt) error {
 	case *ast.CommandStmt:
 		return in.execCommand(ctx, st)
 	case *ast.AssignStmt:
-		parts := make([]string, 0, len(st.Values))
-		for _, w := range st.Values {
-			val, err := in.expandWord(w)
+		var val string
+		for i, w := range st.Values {
+			part, err := in.expandWord(w)
 			if err != nil {
 				return &PosError{Pos: st.Pos(), Err: err}
 			}
-			parts = append(parts, val)
+			if i == 0 {
+				val = part
+			} else {
+				val += " " + part
+			}
 		}
-		in.vars[st.Name] = strings.Join(parts, " ")
+		in.vars[st.Name] = val
 		return nil
 	case *ast.TryStmt:
 		return in.execTry(ctx, st)
@@ -245,9 +273,9 @@ func (in *Interp) execStmt(ctx context.Context, st ast.Stmt) error {
 func (in *Interp) execTry(ctx context.Context, st *ast.TryStmt) error {
 	lim := core.Limit{Duration: st.Limit.Time, Attempts: st.Limit.Attempts}
 	sawSuccess := false
-	ts := in.stats.try(st.Pos().String())
+	ts := in.stats.beginTry(st.Pos())
 	obs := &tryObserver{rt: in.cfg.Runtime, inner: in.cfg.Observer, ts: ts, stats: in.stats}
-	cfg := core.TryConfig{Observer: obs, Trace: in.cfg.Trace, Span: fmt.Sprintf("try@%s", st.Pos())}
+	cfg := core.TryConfig{Observer: obs, Trace: in.cfg.Trace, Span: in.spanName("try", st.Pos())}
 	switch {
 	case st.Limit.Every > 0:
 		// `every N`: a fixed interval replaces the exponential backoff.
@@ -259,13 +287,10 @@ func (in *Interp) execTry(ctx context.Context, st *ast.TryStmt) error {
 		bo := *in.cfg.Backoff
 		cfg.Backoff = &bo
 	}
-	in.stats.mu.Lock()
-	ts.Trys++
-	in.stats.mu.Unlock()
 	attempt := 0
 	err := core.Try(ctx, in.cfg.Runtime, lim, cfg, func(ctx context.Context) error {
 		attempt++
-		if attempt > 1 {
+		if attempt > 1 && in.cfg.Log != nil {
 			in.logf("try %s: attempt %d", st.Pos(), attempt)
 		}
 		err := in.execBlock(ctx, st.Body)
@@ -273,7 +298,7 @@ func (in *Interp) execTry(ctx context.Context, st *ast.TryStmt) error {
 			sawSuccess = true
 			return nil
 		}
-		if err != nil {
+		if err != nil && in.cfg.Log != nil {
 			in.logf("try %s: attempt %d failed: %v", st.Pos(), attempt, err)
 		}
 		return err
@@ -291,7 +316,9 @@ func (in *Interp) execTry(ctx context.Context, st *ast.TryStmt) error {
 			in.stats.mu.Lock()
 			ts.CaughtBy++
 			in.stats.mu.Unlock()
-			in.logf("try %s: exhausted, running catch", st.Pos())
+			if in.cfg.Log != nil {
+				in.logf("try %s: exhausted, running catch", st.Pos())
+			}
 			cerr := in.execBlock(ctx, st.Catch)
 			if cerr != nil {
 				return cerr
@@ -357,7 +384,7 @@ func (in *Interp) execForany(ctx context.Context, st *ast.ForanyStmt) error {
 	}
 	sawSuccess := false
 	tr := in.cfg.Trace
-	span := tr.SpanBegin(fmt.Sprintf("forany@%s", st.Pos()))
+	span := tr.SpanBegin(in.spanName("forany", st.Pos()))
 	defer tr.SpanEnd(span)
 	winner, err := core.Forany(ctx, in.cfg.Runtime, items, in.cfg.ShuffleForany, func(ctx context.Context, item string) error {
 		in.vars[st.Var] = item
@@ -371,7 +398,7 @@ func (in *Interp) execForany(ctx context.Context, st *ast.ForanyStmt) error {
 	if err != nil {
 		return &PosError{Pos: st.Pos(), Err: err}
 	}
-	in.stats.recordForanyWin(st.Pos().String(), winner)
+	in.stats.recordForanyWin(st.Pos(), winner)
 	if sawSuccess {
 		return errSuccess
 	}
@@ -386,10 +413,15 @@ func (in *Interp) execForall(ctx context.Context, st *ast.ForallStmt) error {
 		return &PosError{Pos: st.Pos(), Err: err}
 	}
 	tr := in.cfg.Trace
-	span := tr.SpanBegin(fmt.Sprintf("forall@%s", st.Pos()))
+	name := in.spanName("forall", st.Pos())
+	span := tr.SpanBegin(name)
 	defer tr.SpanEnd(span)
 	err = core.ForallN(ctx, in.cfg.Runtime, in.cfg.MaxForall, items, func(ctx context.Context, rt core.Runtime, item string) error {
-		branch := in.cloneForBranch(rt, tr.Fork(fmt.Sprintf("forall@%s %s", st.Pos(), item)))
+		var thread *trace.Client
+		if tr != nil {
+			thread = tr.Fork(name + " " + item)
+		}
+		branch := in.cloneForBranch(rt, thread)
 		branch.vars[st.Var] = item
 		err := branch.execBlock(ctx, st.Body)
 		if errors.Is(err, errSuccess) {
@@ -414,7 +446,7 @@ func (in *Interp) cloneForBranch(rt core.Runtime, tc *trace.Client) *Interp {
 	for k, v := range in.vars {
 		vars[k] = v
 	}
-	return &Interp{cfg: cfg, vars: vars, fns: in.fns, args: in.args, stats: in.stats}
+	return &Interp{cfg: cfg, vars: vars, fns: in.fns, args: in.args, stats: in.stats, stdio: in.stdio}
 }
 
 // execFor runs the body once per item, sequentially, failing fast.
@@ -510,8 +542,8 @@ func (in *Interp) evalCond(c *ast.Cond) (bool, error) {
 	case ".neql.":
 		return l != r, nil
 	}
-	lf, errL := strconv.ParseFloat(l, 64)
-	rf, errR := strconv.ParseFloat(r, 64)
+	lf, errL := parseNum(l)
+	rf, errR := parseNum(r)
 	if errL != nil || errR != nil {
 		return false, &PosError{Pos: c.Pos(), Err: fmt.Errorf("numeric comparison %s on non-numeric operands %q, %q", c.Op, l, r)}
 	}
@@ -548,6 +580,24 @@ func (in *Interp) callFunction(ctx context.Context, fn *ast.FunctionStmt, args [
 		return nil
 	}
 	return err
+}
+
+// parseNum is strconv.ParseFloat(s, 64) with a short cut for what
+// scripts count with: up to 15 plain decimal digits, which a float64
+// holds exactly. A sign, 1e3, 0x1p4 or Inf goes to ParseFloat.
+func parseNum(s string) (float64, error) {
+	if s == "" || len(s) > 15 {
+		return strconv.ParseFloat(s, 64)
+	}
+	var n int64
+	for i := 0; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			return strconv.ParseFloat(s, 64)
+		}
+		n = n*10 + int64(c)
+	}
+	return float64(n), nil
 }
 
 // durationArg parses builtin sleep's argument: a float number of seconds

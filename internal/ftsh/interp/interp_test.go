@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftsh/interp"
+	"repro/internal/ftsh/token"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -29,7 +30,7 @@ func newWorld(seed int64) *world {
 }
 
 // run executes src in one simulated process and returns the script error.
-func (w *world) run(t *testing.T, src string, tweak func(cfg *interp.Config)) error {
+func (w *world) run(t testing.TB, src string, tweak func(cfg *interp.Config)) error {
 	t.Helper()
 	var scriptErr error
 	w.eng.Spawn("script", func(p *sim.Proc) {
@@ -686,7 +687,7 @@ end
 		t.Fatalf("wget stats = %+v", c)
 	}
 	// First try: 3 attempts, 2 backoffs, no exhaustion.
-	ts := st.Trys["1:1"]
+	ts := st.Trys[token.Pos{Line: 1, Col: 1}]
 	if ts == nil || ts.Trys != 1 || ts.Attempts != 3 || ts.Exhausted != 0 {
 		t.Fatalf("try@1:1 = %+v", ts)
 	}
@@ -694,12 +695,12 @@ end
 		t.Fatalf("backoff total = %v, want [3s,6s)", ts.BackoffTotal)
 	}
 	// Second try (line 7): exhausted after 2 attempts, no catch.
-	ts2 := st.Trys["7:1"]
+	ts2 := st.Trys[token.Pos{Line: 7, Col: 1}]
 	if ts2 == nil || ts2.Exhausted != 1 || ts2.Attempts != 2 || ts2.CaughtBy != 0 {
 		t.Fatalf("try@7:1 = %+v", ts2)
 	}
 	// Forany winner recorded.
-	wins := st.ForanyWins["4:1"]
+	wins := st.ForanyWins[token.Pos{Line: 4, Col: 1}]
 	if wins == nil || wins["yyy"] != 1 {
 		t.Fatalf("forany wins = %+v", wins)
 	}
@@ -713,6 +714,31 @@ end
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+
+	// The report lists constructs in source order: line 2 before line
+	// 10, though "10:1" sorts before "2:1" as text.
+	w = newWorld(1)
+	w.eng.Spawn("script", func(p *sim.Proc) {
+		in := interp.New(interp.Config{Runner: w.runner, Runtime: p, Stdout: io.Discard})
+		_ = in.RunSource(w.eng.Context(), "\ntry 1 times\n  true\nend\nforany s in a\n  true\nend\n\n\ntry 1 times\n  true\nend\nforany s in b\n  true\nend\n")
+		st = in.Stats()
+	})
+	if err := w.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sb.Reset()
+	if _, err := st.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out = sb.String()
+	order := []string{"  2:1 ", "  10:1 ", "forany winners", "  5:1 ", "  13:1 "}
+	for i, at := 0, 0; i < len(order); i++ {
+		next := strings.Index(out[at:], order[i])
+		if next < 0 {
+			t.Fatalf("report does not list %q after %q:\n%s", order[i], order[:i], out)
+		}
+		at += next
 	}
 }
 

@@ -3,10 +3,12 @@ package interp
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/ftsh/token"
 )
 
 // Stats is the post-mortem record §4 promises: "Online or post-mortem
@@ -23,11 +25,11 @@ type Stats struct {
 	// Commands maps command name to its invocation record.
 	Commands map[string]*CommandStats
 	// Trys maps a try construct's source position to its record.
-	Trys map[string]*TryStats
+	Trys map[token.Pos]*TryStats
 	// ForanyWins maps a forany's source position to how often each
 	// alternative won — the "frequency of each failure branch",
 	// inverted: which branches actually carry the load.
-	ForanyWins map[string]map[string]int64
+	ForanyWins map[token.Pos]map[string]int64
 }
 
 // CommandStats records one command name's history.
@@ -49,23 +51,14 @@ type TryStats struct {
 func newStats() *Stats {
 	return &Stats{
 		Commands:   make(map[string]*CommandStats),
-		Trys:       make(map[string]*TryStats),
-		ForanyWins: make(map[string]map[string]int64),
+		Trys:       make(map[token.Pos]*TryStats),
+		ForanyWins: make(map[token.Pos]map[string]int64),
 	}
 }
 
-func (s *Stats) command(name string) *CommandStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.Commands[name]
-	if c == nil {
-		c = &CommandStats{}
-		s.Commands[name] = c
-	}
-	return c
-}
-
-func (s *Stats) try(pos string) *TryStats {
+// beginTry counts one execution of the try at pos and returns its
+// record.
+func (s *Stats) beginTry(pos token.Pos) *TryStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.Trys[pos]
@@ -73,20 +66,25 @@ func (s *Stats) try(pos string) *TryStats {
 		t = &TryStats{}
 		s.Trys[pos] = t
 	}
+	t.Trys++
 	return t
 }
 
 func (s *Stats) recordCommand(name string, failed bool) {
-	c := s.command(name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	c := s.Commands[name]
+	if c == nil {
+		c = &CommandStats{}
+		s.Commands[name] = c
+	}
 	c.Runs++
 	if failed {
 		c.Failures++
 	}
 }
 
-func (s *Stats) recordForanyWin(pos, item string) {
+func (s *Stats) recordForanyWin(pos token.Pos, item string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.ForanyWins[pos]
@@ -103,22 +101,22 @@ func (s *Stats) WriteTo(w io.Writer) (int64, error) {
 	defer s.mu.Unlock()
 	var b strings.Builder
 	b.WriteString("commands:\n")
-	for _, name := range sortedKeys(s.Commands) {
+	for _, name := range sortedKeys(s.Commands, strings.Compare) {
 		c := s.Commands[name]
 		fmt.Fprintf(&b, "  %-20s runs=%-6d failures=%d\n", name, c.Runs, c.Failures)
 	}
 	b.WriteString("trys:\n")
-	for _, pos := range sortedKeys(s.Trys) {
+	for _, pos := range sortedKeys(s.Trys, token.Pos.Compare) {
 		t := s.Trys[pos]
 		fmt.Fprintf(&b, "  %-8s trys=%-5d attempts=%-6d exhausted=%-4d caught=%-4d backoff=%v\n",
 			pos, t.Trys, t.Attempts, t.Exhausted, t.CaughtBy, t.BackoffTotal)
 	}
 	if len(s.ForanyWins) > 0 {
 		b.WriteString("forany winners:\n")
-		for _, pos := range sortedKeys(s.ForanyWins) {
+		for _, pos := range sortedKeys(s.ForanyWins, token.Pos.Compare) {
 			wins := s.ForanyWins[pos]
 			var parts []string
-			for _, item := range sortedKeys(wins) {
+			for _, item := range sortedKeys(wins, strings.Compare) {
 				parts = append(parts, fmt.Sprintf("%s:%d", item, wins[item]))
 			}
 			fmt.Fprintf(&b, "  %-8s %s\n", pos, strings.Join(parts, " "))
@@ -128,12 +126,12 @@ func (s *Stats) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// sortedKeys returns the sorted keys of a string-keyed map.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns the keys of a map in the order of compare.
+func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.SortFunc(keys, compare)
 	return keys
 }

@@ -21,7 +21,10 @@ type Error struct {
 // Error implements the error interface.
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Parse parses an ftsh script.
+// Parse parses an ftsh script. The tree it returns is resolved — every
+// word is an ast.NewWord, its shape and variable references decided —
+// and is never written again, so one tree may be run any number of
+// times, by any number of interpreters at once.
 func Parse(src string) (*ast.Script, error) {
 	toks, err := lexer.All(src)
 	if err != nil {
@@ -198,8 +201,7 @@ func splitAssign(t token.Token) (string, *ast.Word, bool) {
 	if len(segs) == 0 {
 		return name, nil, true // `name=` clears the variable
 	}
-	val := &ast.Word{WordPos: t.Pos, Segs: segs, Quoted: t.Quoted, Raw: t.Text}
-	return name, val, true
+	return name, ast.NewWord(t.Pos, segs, t.Quoted, t.Text), true
 }
 
 // word converts the current WORD token into an ast.Word.
@@ -209,7 +211,7 @@ func (p *parser) word() (*ast.Word, error) {
 		return nil, p.errf("expected word, found %s", t.Kind)
 	}
 	p.next()
-	return &ast.Word{WordPos: t.Pos, Segs: t.Segs, Quoted: t.Quoted, Raw: t.Text}, nil
+	return ast.NewWord(t.Pos, t.Segs, t.Quoted, t.Text), nil
 }
 
 // commandStmt parses `word+ {redir}`, with redirections allowed anywhere

@@ -405,3 +405,76 @@ func TestTryEveryClause(t *testing.T) {
 		t.Error("missing interval accepted")
 	}
 }
+
+// TestWordsAreResolved checks what Parse stores on every word: its
+// shape, a literal's text, and for each variable segment what the name
+// refers to — the classification interp's TestVariableReferenceSemantics
+// pins from the outside.
+func TestWordsAreResolved(t *testing.T) {
+	type ref struct {
+		kind  token.VarKind
+		index int
+	}
+	cases := []struct {
+		src  string
+		kind ast.WordKind
+		text string // of a WordLit
+		refs []ref  // of the variable segments, in order
+	}{
+		{`plain`, ast.WordLit, "plain", nil},
+		{`a"b c"'d'`, ast.WordLit, "ab cd", nil},
+		{`""`, ast.WordLit, "", nil},
+		{`$1`, ast.WordVar, "", []ref{{token.VarPos, 1}}},
+		{`${1}`, ast.WordVar, "", []ref{{token.VarPos, 1}}},
+		{`"${3}"`, ast.WordVar, "", []ref{{token.VarPos, 3}}},
+		{`${+2}`, ast.WordVar, "", []ref{{token.VarPos, 2}}},
+		{`${007}`, ast.WordVar, "", []ref{{token.VarPos, 7}}},
+		{`${-1}`, ast.WordVar, "", []ref{{token.VarBadPos, 0}}},
+		{`${0}`, ast.WordVar, "", []ref{{token.VarBadPos, 0}}},
+		{`${00}`, ast.WordVar, "", []ref{{token.VarBadPos, 0}}},
+		{`${99999999999999999999}`, ast.WordVar, "", []ref{{token.VarNamed, 0}}},
+		{`${1x}`, ast.WordVar, "", []ref{{token.VarNamed, 0}}},
+		{`${ 1}`, ast.WordVar, "", []ref{{token.VarNamed, 0}}},
+		{`${x}`, ast.WordVar, "", []ref{{token.VarNamed, 0}}},
+		{`$*`, ast.WordVar, "", []ref{{token.VarArgs, 0}}},
+		{`${*}`, ast.WordVar, "", []ref{{token.VarArgs, 0}}},
+		{`$#`, ast.WordVar, "", []ref{{token.VarCount, 0}}},
+		{`a${x}b`, ast.WordMixed, "", []ref{{token.VarNamed, 0}}},
+		{`"${x} "`, ast.WordMixed, "", []ref{{token.VarNamed, 0}}},
+		{`$1$#${0}`, ast.WordMixed, "", []ref{{token.VarPos, 1}, {token.VarCount, 0}, {token.VarBadPos, 0}}},
+	}
+	check := func(where string, w *ast.Word, i int) {
+		c := cases[i]
+		var refs []ref
+		for _, seg := range w.Segs {
+			if seg.Kind == token.SegVar {
+				refs = append(refs, ref{seg.Var, seg.Index})
+			}
+		}
+		if w.Kind != c.kind || w.Text != c.text || len(refs) != len(c.refs) {
+			t.Errorf("%s %s: kind %d text %q refs %v, want kind %d text %q refs %v", where, c.src, w.Kind, w.Text, refs, c.kind, c.text, c.refs)
+			return
+		}
+		for j := range refs {
+			if refs[j] != c.refs[j] {
+				t.Errorf("%s %s: refs %v, want %v", where, c.src, refs, c.refs)
+			}
+		}
+	}
+	for i, c := range cases {
+		// Every place a word can stand: argv, redirection target,
+		// assignment value (first and later), loop list, condition.
+		s := parse(t, "cmd "+c.src+" > "+c.src+"\nv="+c.src+" "+c.src+"\nfor i in "+c.src+"\nend\nif "+c.src+" .eql. "+c.src+"\nend\n")
+		cmd := s.Body.Stmts[0].(*ast.CommandStmt)
+		check("argv", cmd.Words[1], i)
+		check("redirection", cmd.Redirs[0].Target, i)
+		// `v=""` has no first value: the word is all prefix.
+		for _, w := range s.Body.Stmts[1].(*ast.AssignStmt).Values {
+			check("assignment", w, i)
+		}
+		check("loop list", s.Body.Stmts[2].(*ast.ForStmt).List[0], i)
+		cond := s.Body.Stmts[3].(*ast.IfStmt).Cond
+		check("condition left", cond.Left, i)
+		check("condition right", cond.Right, i)
+	}
+}

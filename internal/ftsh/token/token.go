@@ -2,7 +2,11 @@
 // (ftsh) described in §4 of the paper and in UW-CS-TR-1476.
 package token
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"strconv"
+)
 
 // Kind identifies a token class.
 type Kind int
@@ -67,6 +71,12 @@ type Pos struct {
 // String renders line:col.
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
+// Compare orders positions as the source reads: by line, then by column
+// (as text, line 10 would sort before line 2).
+func (p Pos) Compare(q Pos) int {
+	return cmp.Or(cmp.Compare(p.Line, q.Line), cmp.Compare(p.Col, q.Col))
+}
+
 // SegKind distinguishes the parts of a WORD.
 type SegKind int
 
@@ -84,6 +94,51 @@ type Segment struct {
 	// matters for assignment and keyword recognition (`"a=b"` is a
 	// command, `a="b c"` an assignment) and for faithful printing.
 	Quoted bool
+	// Var and Index say what a SegVar's name refers to. The parser
+	// fills them in from ClassifyVar (the lexer leaves them zero), so
+	// that nothing has to read the name again when the word is expanded.
+	Var   VarKind
+	Index int // the parameter number of a VarPos
+}
+
+// VarKind is what a variable name refers to.
+type VarKind uint8
+
+// Variable reference kinds.
+const (
+	VarNamed  VarKind = iota // an ordinary shell variable
+	VarArgs                  // $*: the positional parameters, space-joined
+	VarCount                 // $#: how many positional parameters there are
+	VarPos                   // ${n}, n >= 1: positional parameter n
+	VarBadPos                // ${0}, ${-1}: a number below 1, an error when expanded
+)
+
+// ClassifyVar decides what a variable name refers to. A name is
+// positional exactly when strconv.Atoi accepts it, so ${+2} and ${007}
+// are, while ${1x}, ${ 1} and a digit string too long for an int are
+// ordinary names.
+func ClassifyVar(name string) (kind VarKind, index int) {
+	switch name {
+	case "*":
+		return VarArgs, 0
+	case "#":
+		return VarCount, 0
+	case "":
+		return VarNamed, 0
+	}
+	// Atoi builds an error value for every name it refuses, and it
+	// refuses every name that does not start with a sign or a digit.
+	if c := name[0]; c != '+' && c != '-' && (c < '0' || c > '9') {
+		return VarNamed, 0
+	}
+	n, err := strconv.Atoi(name)
+	switch {
+	case err != nil:
+		return VarNamed, 0
+	case n < 1:
+		return VarBadPos, 0
+	}
+	return VarPos, n
 }
 
 // Token is a lexical token. WORD tokens carry their segment breakdown and

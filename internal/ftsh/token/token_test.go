@@ -25,6 +25,23 @@ func TestPosString(t *testing.T) {
 	}
 }
 
+func TestPosCompare(t *testing.T) {
+	ordered := []Pos{{1, 1}, {2, 1}, {2, 10}, {10, 1}, {10, 2}}
+	for i, p := range ordered {
+		for j, q := range ordered {
+			want := 0
+			if i < j {
+				want = -1
+			} else if i > j {
+				want = 1
+			}
+			if got := p.Compare(q); got != want {
+				t.Errorf("%v.Compare(%v) = %d, want %d", p, q, got, want)
+			}
+		}
+	}
+}
+
 func TestIsBare(t *testing.T) {
 	bare := Token{Kind: WORD, Segs: []Segment{{Kind: SegLit, Text: "try"}}}
 	if !bare.IsBare("try") || bare.IsBare("end") {

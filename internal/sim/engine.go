@@ -22,7 +22,10 @@
 // insert and O(1) cancel, nodes come from a block arena with
 // generation-checked handles, processes are recycled through an arena of
 // their own, and the run queue is a power-of-two ring with mask indexing.
-// None of it allocates per operation in steady state.
+// None of it allocates per operation in steady state. The first block of
+// each arena is small (8 records, then 256), so an engine asked for one
+// process and one timer — every ftsh script, most unit tests — costs some
+// 20 KB, not 100.
 package sim
 
 import (
@@ -149,12 +152,18 @@ func (e *Engine) popRun() *Proc {
 	return p
 }
 
-// procBlock is the arena granularity for Proc records.
-const procBlock = 256
+// procBlock is the arena granularity for Proc records, sized for cells
+// of many thousands of clients. The first block is only procBlock0
+// records: most engines spawn a handful of processes, and a 256-record
+// block was half of what such an engine allocated in its whole life.
+const (
+	procBlock  = 256
+	procBlock0 = 8
+)
 
 // allocProc takes a recycled Proc from the free list, minting a fresh
-// block when it runs dry. Blocks are dense and indexable: the record
-// with id i is procBlocks[i/procBlock][i%procBlock], forever.
+// block when it runs dry. Blocks are dense and indexable, and ids are
+// handed out in ascending order whatever the block sizes: see procByID.
 func (e *Engine) allocProc() *Proc {
 	if k := len(e.procFree); k > 0 {
 		p := e.procFree[k-1]
@@ -162,23 +171,32 @@ func (e *Engine) allocProc() *Proc {
 		e.procFree = e.procFree[:k-1]
 		return p
 	}
-	blk := make([]Proc, procBlock)
+	size := procBlock
+	if len(e.procBlocks) == 0 {
+		size = procBlock0
+	}
+	blk := make([]Proc, size)
 	for i := range blk {
 		blk[i].eng = e
 		blk[i].id = e.nextProcID
 		e.nextProcID++
 	}
 	e.procBlocks = append(e.procBlocks, blk)
-	for i := procBlock - 1; i >= 1; i-- {
+	for i := size - 1; i >= 1; i-- {
 		e.procFree = append(e.procFree, &blk[i])
 	}
 	return &blk[0]
 }
 
 // procByID returns the arena record with the given id, live or free
-// (diagnostics and tests; engine token).
+// (diagnostics and tests; engine token): the first procBlock0 ids are
+// block 0, and every procBlock after them one further block, forever.
 func (e *Engine) procByID(id int32) *Proc {
-	return &e.procBlocks[id/procBlock][id%procBlock]
+	if id < procBlock0 {
+		return &e.procBlocks[0][id]
+	}
+	id -= procBlock0
+	return &e.procBlocks[1+id/procBlock][id%procBlock]
 }
 
 // recycleProc returns an exited process's record to the free list. The

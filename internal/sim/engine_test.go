@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -646,6 +647,49 @@ func TestProcArenaRecycling(t *testing.T) {
 	}
 	if len(e.procBlocks) != 1 {
 		t.Fatalf("churn minted %d blocks, want 1", len(e.procBlocks))
+	}
+	// Processes alive together spill from the small first block into
+	// full-sized ones: ids stay dense and ascending in spawn order, and
+	// procByID finds every record on either side of each boundary.
+	n := procBlock0 + procBlock + 3
+	var ids []int32
+	for i := 0; i < n; i++ {
+		e.Spawn("wide", func(p *Proc) {
+			ids = append(ids, p.id)
+			p.SleepFor(time.Second)
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.procBlocks) != 3 || len(e.procBlocks[0]) != procBlock0 || len(e.procBlocks[1]) != procBlock {
+		t.Fatalf("%d blocks (first of %d records) for %d live processes, want %d, %d, %d", len(e.procBlocks), len(e.procBlocks[0]), n, procBlock0, procBlock, procBlock)
+	}
+	for i, id := range ids {
+		if id != int32(i) {
+			t.Fatalf("process %d of the wide spawn got id %d", i, id)
+		}
+		if rec := e.procByID(id); rec.id != id {
+			t.Fatalf("procByID(%d) returned record %d", id, rec.id)
+		}
+	}
+}
+
+// TestFreshEngineFootprint bounds what an engine costs that is asked
+// for one process and one timer — what every ftsh script and most unit
+// tests build. It was 97.6 KB when the first arena blocks were sized
+// for a million-client cell.
+func TestFreshEngineFootprint(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	e := New(1)
+	e.Spawn("one", func(p *Proc) { p.SleepFor(time.Second) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 32<<10 {
+		t.Fatalf("a fresh engine, one process and one sleep allocated %d bytes: budget 32 KB", got)
 	}
 }
 

@@ -74,7 +74,8 @@ type timerQueue struct {
 	overflow    *timerNode // beyond the wheel horizon (~52 virtual days)
 	overflowLen int
 
-	free []*timerNode // recycled nodes; new ones minted in blocks
+	free   []*timerNode // recycled nodes; new ones minted in blocks
+	minted bool         // the small first block has been minted
 
 	// Health counters, surfaced via the Engine's wheel observability
 	// accessors and the internal/obs gauges.
@@ -84,8 +85,13 @@ type timerQueue struct {
 
 // timerBlock is the arena granularity for timer nodes: nodes are minted
 // in slabs so a million-timer population is a few thousand allocations
-// with dense layout, not a million scattered ones.
-const timerBlock = 256
+// with dense layout, not a million scattered ones. The first slab is
+// only timerBlock0 nodes, for the many engines that arm a timer or two
+// in their whole life (see procBlock0).
+const (
+	timerBlock  = 256
+	timerBlock0 = 8
+)
 
 // alloc takes a node from the free list, minting a fresh block when it
 // runs dry.
@@ -100,12 +106,17 @@ func (q *timerQueue) alloc() *timerNode {
 }
 
 func (q *timerQueue) allocSlow() *timerNode {
-	blk := make([]timerNode, timerBlock)
+	size := timerBlock
+	if !q.minted {
+		q.minted = true
+		size = timerBlock0
+	}
+	blk := make([]timerNode, size)
 	for i := range blk {
 		blk[i].index = -1
 		blk[i].loc = locNone
 	}
-	for i := timerBlock - 1; i >= 1; i-- {
+	for i := size - 1; i >= 1; i-- {
 		q.free = append(q.free, &blk[i])
 	}
 	return &blk[0]

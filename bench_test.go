@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/fsbuffer"
-	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -45,7 +44,7 @@ func BenchmarkFig1(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := condor.DefaultSubmitterConfig(d)
 				cfg.Threshold = int(float64(1000) * benchScale)
-				j, c := expt.SubmitCell(int64(i+1), n, window, cfg, clCfg)
+				j, c := expt.SubmitCell(expt.Options{}, int64(i+1), n, window, cfg, clCfg, nil, nil)
 				jobs += j
 				crashes += c
 			}
@@ -90,12 +89,7 @@ func BenchmarkFig3(b *testing.B) {
 func benchTimeline(b *testing.B, d core.Discipline) {
 	var jobs, crashes float64
 	for i := 0; i < b.N; i++ {
-		var tl *expt.SubmitTimeline
-		if d == core.Aloha {
-			tl = expt.Fig2(expt.Options{Seed: int64(i + 1), Scale: benchScale})
-		} else {
-			tl = expt.Fig3(expt.Options{Seed: int64(i + 1), Scale: benchScale})
-		}
+		tl := expt.RunSubmitTimeline(expt.Options{Seed: int64(i + 1), Scale: benchScale}, "bench", d)
 		jobs += tl.Jobs.Last().V
 		crashes += float64(tl.Crashes)
 	}
@@ -121,7 +115,7 @@ func benchBuffer(b *testing.B, collisions bool) {
 		b.Run(d.String(), func(b *testing.B) {
 			var consumed, collided int64
 			for i := 0; i < b.N; i++ {
-				buf := runBufferCell(int64(i+1), d, producers, window)
+				buf := expt.BufferCell(expt.Options{}, int64(i+1), producers, window, d, nil, nil)
 				consumed += buf.Consumed
 				collided += buf.Collisions
 			}
@@ -132,26 +126,6 @@ func benchBuffer(b *testing.B, collisions bool) {
 			}
 		})
 	}
-}
-
-// runBufferCell is a single (discipline, producers) buffer experiment.
-func runBufferCell(seed int64, d core.Discipline, producers int, window time.Duration) *fsbuffer.Buffer {
-	e := sim.New(seed)
-	buf := fsbuffer.New(e.RT(), fsbuffer.Config{})
-	ctx, cancel := e.WithTimeout(e.Context(), window)
-	defer cancel()
-	e.Spawn("consumer", func(p *sim.Proc) { buf.Consumer(p, ctx) })
-	for j := 0; j < producers; j++ {
-		j := j
-		e.Spawn("producer", func(p *sim.Proc) {
-			var pr fsbuffer.Producer
-			pr.Loop(p, ctx, buf, j, fsbuffer.DefaultProducerConfig(d))
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic(err)
-	}
-	return buf
 }
 
 // BenchmarkFig6 regenerates Figure 6 (Aloha file reader vs black hole).
@@ -167,12 +141,7 @@ func BenchmarkFig7(b *testing.B) {
 func benchReaders(b *testing.B, d core.Discipline) {
 	var transfers, collisions, deferrals float64
 	for i := 0; i < b.N; i++ {
-		var tl *expt.ReaderTimeline
-		if d == core.Aloha {
-			tl = expt.Fig6(expt.Options{Seed: int64(i + 1)})
-		} else {
-			tl = expt.Fig7(expt.Options{Seed: int64(i + 1)})
-		}
+		tl := expt.RunReaderTimeline(expt.Options{Seed: int64(i + 1)}, "bench", d)
 		transfers += float64(tl.TotalTransfers)
 		collisions += float64(tl.TotalCollisions)
 		deferrals += float64(tl.TotalDeferrals)
@@ -279,7 +248,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := condor.DefaultSubmitterConfig(core.Ethernet)
 				cfg.Threshold = threshold
-				j, c := expt.SubmitCell(int64(i+1), n, window, cfg, clCfg)
+				j, c := expt.SubmitCell(expt.Options{}, int64(i+1), n, window, cfg, clCfg, nil, nil)
 				jobs += j
 				crashes += c
 			}
@@ -299,7 +268,7 @@ func BenchmarkAblationProbeTimeout(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rcfg := replica.DefaultReaderConfig(core.Ethernet)
 				rcfg.ProbeTimeout = probe
-				tl := expt.ReaderCell(int64(i+1), expt.ReaderWindow, rcfg)
+				tl := expt.ReaderCell(expt.Options{}, int64(i+1), expt.ReaderWindow, rcfg, nil, nil)
 				transfers += float64(tl.TotalTransfers)
 				deferrals += float64(tl.TotalDeferrals)
 			}
@@ -322,23 +291,6 @@ func BenchmarkBackoffNext(b *testing.B) {
 			bo.Reset()
 		}
 		_ = bo.Next()
-	}
-}
-
-// BenchmarkEngineEvents measures discrete-event scheduling throughput:
-// process wakeups per second.
-func BenchmarkEngineEvents(b *testing.B) {
-	e := sim.New(1)
-	e.MaxEvents = int64(b.N)*4 + 1024
-	n := b.N
-	e.Spawn("ticker", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.SleepFor(time.Millisecond)
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -479,69 +431,6 @@ func BenchmarkBaselineReservation(b *testing.B) {
 		b.ReportMetric(consumed/float64(b.N), "consumed/op")
 		b.ReportMetric(collisions/float64(b.N), "collisions/op")
 	})
-}
-
-// ---------------------------------------------------------------------
-// Tracer overhead (PR: discipline-level event tracing).
-// ---------------------------------------------------------------------
-
-// BenchmarkTryTraceOverhead measures core.Try's attempt loop with
-// tracing disabled (nil client) against tracing enabled. "disabled"
-// must match "baseline" (no trace fields at all) in both ns/op and
-// allocs/op: a disabled tracer is one nil check per event site.
-func BenchmarkTryTraceOverhead(b *testing.B) {
-	run := func(b *testing.B, cfg core.TryConfig) {
-		rt := core.NewReal(1)
-		cfg.Backoff = &core.Backoff{Base: time.Millisecond, Cap: time.Millisecond, Factor: 1, RandMin: 1, RandMax: 1}
-		op := func(ctx context.Context) error { return nil }
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := core.Try(context.Background(), rt, core.Times(1), cfg, op); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("baseline", func(b *testing.B) {
-		run(b, core.TryConfig{NoBackoff: true})
-	})
-	b.Run("disabled", func(b *testing.B) {
-		run(b, core.TryConfig{NoBackoff: true, Trace: nil, Span: "bench", Site: "r"})
-	})
-	b.Run("enabled", func(b *testing.B) {
-		tr := trace.New()
-		var now time.Duration
-		c := tr.NewClient("bench", "t0", func() time.Duration { now += time.Microsecond; return now })
-		run(b, core.TryConfig{NoBackoff: true, Trace: c, Span: "bench", Site: "r"})
-	})
-}
-
-// BenchmarkTraceEmit measures one enabled event emission (lock, stamp,
-// append).
-func BenchmarkTraceEmit(b *testing.B) {
-	tr := trace.New()
-	var now time.Duration
-	c := tr.NewClient("bench", "t0", func() time.Duration { now += time.Microsecond; return now })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Attempt()
-	}
-}
-
-// BenchmarkSeriesAt measures the binary-search lookup timeline tables
-// perform once per rendered row and series.
-func BenchmarkSeriesAt(b *testing.B) {
-	s := metrics.NewSeries("bench")
-	const n = 10000
-	for i := 0; i < n; i++ {
-		s.Add(time.Duration(i)*time.Millisecond, float64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.At(time.Duration(i%n) * time.Millisecond)
-	}
 }
 
 // BenchmarkFig7Traced regenerates Figure 7 with a live tracer attached,

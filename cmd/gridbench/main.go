@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gridbench [-fig N|la|res|net|scale|gridd] [-seed S] [-scale F] [-format table|tsv]
+//	gridbench [-fig NAME] [-seed S] [-scale F] [-format table|tsv]
 //	          [-backend sim|live|gridd] [-timescale F] [-gridd-addr URL]
 //	          [-parallel N] [-chaos PLAN] [-chaos-seed S] [-check]
 //	          [-trace FILE] [-trace-format jsonl|chrome] [-trace-summary]
@@ -12,29 +12,16 @@
 //	          [-metrics-format jsonl|csv|prom] [-obs-addr ADDR] [-progress]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
-// Without -fig, every figure is produced in order. Output is plain
-// aligned text (or TSV for plotting): sweep tables for Figures 1, 4,
-// and 5, and time series tables for Figures 2, 3, 6, and 7. Figure
-// "la" is this repository's limited-allocation ablation: the Ethernet
-// submitter population under a stuck-holder fault plan, with and
-// without leased FD tenure (throughput, Jain's fairness index, and
-// starvation accounting; see internal/lease). Figure "res" is the
-// reservation/admission-control ablation: the fourth discipline booked
-// on an admission book, head-to-head against leased Ethernet, fault-free
-// and under the res-flap plan (see internal/lease.Book and
-// internal/expt.FigRes). Figure "net" is the unreliable-channel
-// ablation: submitter populations whose client-resource messages cross
-// a lossy, duplicating, partitioning network, with the survival
-// mechanisms (fencing epochs, idempotency keys, retry budgets) armed
-// and ablated under the dup-storm and part-flap plans (see
-// internal/lease SetWire and internal/expt.FigNet). Figure "scale" is
-// the million-client engine sweep: 10k/100k/1M lightweight Ethernet
-// clients driven entirely by engine timers (see internal/expt.FigScale),
-// whose deterministic table is followed by per-cell "# timing:" lines
+// -fig names one row of the figure table in figures.go: the paper's
+// Figures 1 to 7, this repository's ablations, the engine sweep and the
+// daemon conformance checklist (`gridbench -h` lists the names; an
+// unknown name is answered with every name and title). Without -fig,
+// the rows of the default run are produced in table order. Output is
+// plain aligned text (or TSV for plotting): sweep tables, or time
+// series tables for the timeline figures. The engine sweep's
+// deterministic table is followed by per-cell "# timing:" lines
 // reporting wall-clock and events/sec — the engine-throughput numbers
-// BENCH_expt.json records. It is sim-only and excluded from the
-// default all-figures run (the 1M cell is a benchmark, not a figure of
-// the paper).
+// BENCH_expt.json records.
 //
 // -chaos regenerates the figures under a named fault-injection plan
 // (see internal/chaos; plans: bursts, crashes, dup-storm, flap,
@@ -52,9 +39,9 @@
 // compare them to sim output with the tolerance-band methodology in
 // EXPERIMENTS.md, not byte-wise. "gridd" talks to a real networked
 // gridd daemon (see cmd/gridd) over HTTP and runs the wire-protocol
-// conformance checklist (-fig gridd, the only figure it serves; the
-// full scenario differentials against a daemon live in
-// internal/expt's TestDiffGridd* suite). By default the checklist
+// conformance checklist (the only figure it serves; the full scenario
+// differentials against a daemon live in internal/expt's
+// TestDiffGridd* suite). By default the checklist
 // spawns its own in-process daemon on a loopback listener;
 // -gridd-addr points it at an externally running one instead.
 //
@@ -72,8 +59,8 @@
 // client. -trace-summary appends a per-discipline collision/backoff
 // accounting table to the normal output, and -trace-quantiles a
 // per-discipline span-distribution table (holding, backoff, cs-wait:
-// count/min/mean/P50/P95/P99/max). Single-discipline figures
-// (2, 3, 6, 7) are additionally re-run under the remaining disciplines
+// count/min/mean/P50/P95/P99/max). Figures that plot a single
+// discipline are additionally re-run under the remaining disciplines
 // on the same seed, so the trace compares all three head-to-head;
 // tracing never changes the figures themselves.
 //
@@ -90,6 +77,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -115,7 +103,7 @@ func main() {
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gridbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "", "figure to regenerate (1-7, la, res, net, scale, or gridd); empty means all paper figures")
+	fig := fs.String("fig", "", "figure to regenerate ("+strings.Join(figureNames(func(*figure) bool { return true }), ", ")+"); empty means "+strings.Join(figureNames(func(f *figure) bool { return !f.extra }), ", "))
 	seed := fs.Int64("seed", 1, "simulation seed")
 	scale := fs.Float64("scale", 1.0, "scale factor for windows and populations (1.0 = paper)")
 	format := fs.String("format", "table", "output format: table or tsv")
@@ -161,10 +149,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gridbench: negative parallel %d (want 0 for GOMAXPROCS, or a worker count)\n", *parallel)
 		return 2
 	}
-	if *fig == "scale" && *backend == expt.BackendLive {
-		fmt.Fprintf(stderr, "gridbench: -fig scale is sim-only (a million wall-clock timers is a load test, not a measurement)\n")
-		return 2
-	}
 	if *metricsFormat != "jsonl" && *metricsFormat != "csv" && *metricsFormat != "prom" {
 		fmt.Fprintf(stderr, "gridbench: unknown metrics format %q (want jsonl, csv, or prom)\n", *metricsFormat)
 		return 2
@@ -177,16 +161,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gridbench: -obs-addr needs a wall-clock backend (the sim backend finishes in virtual time; dump it with -metrics instead)\n")
 		return 2
 	}
-	if *backend == expt.BackendGridd && *fig != "gridd" {
-		fmt.Fprintf(stderr, "gridbench: -backend=gridd serves only -fig gridd, the wire-protocol conformance checklist (the scenario differentials against a daemon run in internal/expt's TestDiffGridd* suite)\n")
-		return 2
-	}
-	if *fig == "gridd" && *backend != expt.BackendGridd {
-		fmt.Fprintf(stderr, "gridbench: -fig gridd needs -backend=gridd (it proves the wire protocol, not a simulation)\n")
-		return 2
-	}
 	if *griddAddr != "" && *backend != expt.BackendGridd {
 		fmt.Fprintf(stderr, "gridbench: -gridd-addr needs -backend=gridd\n")
+		return 2
+	}
+	figs, err := selectFigures(*fig, cmp.Or(*backend, expt.BackendSim))
+	if err != nil {
+		fmt.Fprintf(stderr, "gridbench: %v\n", err)
 		return 2
 	}
 	r := &renderer{w: stdout, stderr: stderr, tsv: *format == "tsv"}
@@ -259,17 +240,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *check {
 		opt.Check = &chaos.Recorder{}
 	}
-	figs := []string{"1", "2", "3", "4", "5", "6", "7", "la", "res", "net"}
-	if *fig != "" {
-		switch *fig {
-		case "1", "2", "3", "4", "5", "6", "7", "la", "res", "net", "scale", "gridd":
-			figs = []string{*fig}
-		default:
-			fmt.Fprintf(stderr, "gridbench: no such figure %s (the paper has Figures 1-7; \"la\" is the limited-allocation ablation, \"res\" the reservation ablation, \"net\" the unreliable-channel ablation, \"scale\" the million-client engine sweep, \"gridd\" the wire-protocol conformance checklist)\n", *fig)
-			return 2
-		}
-	}
-
 	if *traceOut != "" || *traceSummary || *traceQuantiles {
 		opt.Trace = trace.New()
 		scenario := "all"
@@ -283,91 +253,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		opt.Trace.SetMeta(m)
 	}
 
-	var bufferSweep *expt.BufferSweep // figures 4 and 5 share one run
 	for _, f := range figs {
-		start := time.Now()
-		switch f {
-		case "1":
-			r.header("1", "Scalability of Job Submission", "jobs submitted in 5 minutes vs number of submitters")
-			r.dump(expt.Fig1(opt))
-		case "2":
-			r.header("2", "Timeline of Aloha Submitter", "available FDs and cumulative jobs, 400 clients, 30 minutes")
-			tl := expt.Fig2(opt)
-			r.dump(tl.Table())
-			fmt.Fprintf(r.w, "# schedd crashes: %d\n", tl.Crashes)
-		case "3":
-			r.header("3", "Timeline of Ethernet Submitter", "available FDs and cumulative jobs, 400 clients, 30 minutes")
-			tl := expt.Fig3(opt)
-			r.dump(tl.Table())
-			fmt.Fprintf(r.w, "# schedd crashes: %d\n", tl.Crashes)
-		case "4":
-			r.header("4", "Buffer Throughput", "total files consumed vs number of producers")
-			if bufferSweep == nil {
-				bufferSweep = expt.RunBufferSweep(opt)
-			}
-			r.dump(bufferSweep.Consumed)
-		case "5":
-			r.header("5", "Buffer Collisions", "total write collisions vs number of producers")
-			if bufferSweep == nil {
-				bufferSweep = expt.RunBufferSweep(opt)
-			}
-			r.dump(bufferSweep.Collisions)
-		case "6":
-			r.header("6", "Aloha File Reader", "cumulative transfers and collisions over 900 seconds")
-			tl := expt.Fig6(opt)
-			r.dump(tl.Table())
-			fmt.Fprintf(r.w, "# totals: transfers=%d collisions=%d\n", tl.TotalTransfers, tl.TotalCollisions)
-		case "7":
-			r.header("7", "Ethernet File Reader", "cumulative transfers and deferrals over 900 seconds")
-			tl := expt.Fig7(opt)
-			r.dump(tl.Table())
-			fmt.Fprintf(r.w, "# totals: transfers=%d deferrals=%d\n", tl.TotalTransfers, tl.TotalDeferrals)
-		case "la":
-			r.header("LA", "Limited Allocation Ablation", "Ethernet submitters under stuck-holder chaos, leased vs unleased FD tenure")
-			la := expt.FigLA(opt)
-			r.dump(la.Throughput)
-			fmt.Fprintf(r.w, "# fairness: Jain's index x100, watchdog revocations, starvation excursions, longest unleased wait\n")
-			r.dump(la.Fairness)
-		case "res":
-			r.header("RES", "Reservation Ablation", "admission-booked vs leased Ethernet submitters, fault-free and under res-flap chaos")
-			ra := expt.FigRes(opt)
-			r.dump(ra.Throughput)
-			fmt.Fprintf(r.w, "# admission: book rejections (steady/flap), dead windows and lapses under flap, Ethernet flap crashes\n")
-			r.dump(ra.Admission)
-		case "net":
-			r.header("NET", "Unreliable Channel Ablation", "fenced vs unfenced submitters under dup-storm and part-flap channel chaos")
-			na := expt.FigNet(opt)
-			r.dump(na.Throughput)
-			fmt.Fprintf(r.w, "# integrity: phantom jobs and double-allocations (unfenced arms); fence rejections and deduplicated retries (fenced arms)\n")
-			r.dump(na.Integrity)
-			fmt.Fprintf(r.w, "# channel: submit-path request drops, lease-wire drops/dups, watchdog revocations (fenced arms)\n")
-			r.dump(na.Channel)
-		case "gridd":
-			r.header("GRIDD", "Wire-Protocol Conformance", "carrier sense, fenced leases, watchdog revocation, and admission booking over a real HTTP socket")
-			url, stop, err := opt.GriddDaemon()
-			if err != nil {
-				fmt.Fprintf(stderr, "gridbench: %v\n", err)
-				return 1
-			}
-			cerr := expt.GriddConformance(url, r.w)
-			stop()
-			if cerr != nil {
-				fmt.Fprintf(stderr, "gridbench: conformance: %v\n", cerr)
-				return 1
-			}
-		case "scale":
-			r.header("SCALE", "Million-Client Engine Sweep", "lightweight Ethernet clients on shared carrier, 60 virtual seconds, engine-throughput benchmark")
-			sc := expt.FigScale(opt)
-			r.dump(sc.Table)
-			for _, c := range sc.Cells {
-				fmt.Fprintf(r.w, "# timing: n=%d wall=%v events/s=%.0f\n",
-					c.Clients, c.Wall.Round(time.Millisecond), c.EventsPerSec())
-			}
+		if err := runFigure(r, f, opt); err != nil {
+			fmt.Fprintf(stderr, "gridbench: %v\n", err)
+			return 1
 		}
-		// Single-discipline figures: re-run the other disciplines into
-		// the same trace so the summary compares all three on one seed.
-		expt.TraceCompanions(opt, f)
-		fmt.Fprintf(r.w, "# generated in %v\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if opt.Check != nil {
 		if opt.Check.Ok() {
@@ -494,6 +384,15 @@ type renderer struct {
 	tsv    bool
 	chaos  string // banner line naming the armed fault plan, if any
 	exit   int
+	buffer *expt.BufferSweep // Figures 4 and 5 share one run
+}
+
+// bufferSweep runs the buffer sweep on first use.
+func (r *renderer) bufferSweep(opt expt.Options) *expt.BufferSweep {
+	if r.buffer == nil {
+		r.buffer = expt.RunBufferSweep(opt)
+	}
+	return r.buffer
 }
 
 // header prints a figure banner.
@@ -508,6 +407,18 @@ func (r *renderer) header(label, title, sub string) {
 // tsvWriterTo is satisfied by the metrics tables.
 type tsvWriterTo interface {
 	WriteTSVTo(w io.Writer) (int64, error)
+}
+
+// show prints the parts in order: tables in the selected format, and
+// strings as lines of their own.
+func (r *renderer) show(parts ...any) {
+	for _, p := range parts {
+		if t, ok := p.(io.WriterTo); ok {
+			r.dump(t)
+		} else {
+			fmt.Fprintln(r.w, p)
+		}
+	}
 }
 
 // dump renders any table-like value in the selected format.

@@ -44,6 +44,49 @@ func TestBadFigure(t *testing.T) {
 	}
 }
 
+// TestFigureTableIsTheOnlyList: the texts and runs that name figures
+// are derived from the table, so each names exactly its rows — every
+// row in the -fig usage and in the error for an unknown figure, and the
+// default rows, in table order, in a run without -fig.
+func TestFigureTableIsTheOnlyList(t *testing.T) {
+	all := strings.Join(figureNames(func(*figure) bool { return true }), ", ")
+	_, _, usage := cli(t, "-h")
+	if !strings.Contains(usage, "figure to regenerate ("+all+")") {
+		t.Errorf("-fig usage does not list exactly %s:\n%s", all, usage)
+	}
+	_, _, errOut := cli(t, "-fig", "no-such")
+	var listed []string
+	for _, line := range strings.Split(errOut, "\n")[1:] {
+		if f := strings.Fields(line); len(f) > 0 {
+			listed = append(listed, f[0])
+		}
+	}
+	if got := strings.Join(listed, ", "); got != all {
+		t.Errorf("unknown-figure error lists %q, want %q", got, all)
+	}
+	if testing.Short() {
+		return // the rest is an all-figure run
+	}
+	code, out, errOut := cli(t, "-scale", "0.05")
+	if code != 0 {
+		t.Fatalf("code=%d stderr=%q", code, errOut)
+	}
+	var banners, want []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "==== Figure ") {
+			banners = append(banners, line)
+		}
+	}
+	for i := range figures {
+		if f := &figures[i]; !f.extra {
+			want = append(want, "==== Figure "+strings.ToUpper(f.name)+": "+f.title+" ====")
+		}
+	}
+	if strings.Join(banners, "\n") != strings.Join(want, "\n") {
+		t.Errorf("default run printed banners\n%s\nwant\n%s", strings.Join(banners, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestBadFormat(t *testing.T) {
 	code, _, errOut := cli(t, "-format", "xml")
 	if code != 2 || !strings.Contains(errOut, "unknown format") {

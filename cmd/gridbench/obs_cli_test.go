@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -175,5 +176,53 @@ poll:
 	if !sawOccupancy || !sawLease || !sawHealth {
 		t.Fatalf("mid-run endpoint never showed occupancy=%v lease=%v health=%v",
 			sawOccupancy, sawLease, sawHealth)
+	}
+}
+
+// TestMetricsTimestampsNeverDecrease runs every default figure, with
+// their trace companions, at a scale where neighbouring sweep points
+// collapse onto one population, and requires every dumped series to be
+// one cell's timeline: no timestamp lower than the one before it. Two
+// cells sharing a label are merged into one series whose clock restarts
+// mid-way.
+func TestMetricsTimestampsNeverDecrease(t *testing.T) {
+	if testing.Short() {
+		t.Skip("all-figure run; skipped in -short")
+	}
+	path := filepath.Join(t.TempDir(), "m.jsonl")
+	code, _, errOut := cli(t, "-scale", "0.05", "-trace-summary", "-metrics", path)
+	if code != 0 {
+		t.Fatalf("code=%d stderr=%q", code, errOut)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	series, backwards := 0, 0
+	dec := json.NewDecoder(f)
+	for dec.More() {
+		var s struct {
+			Name   string       `json:"name"`
+			Points [][2]float64 `json:"points"`
+		}
+		if err := dec.Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		series++
+		for i := 1; i < len(s.Points); i++ {
+			if s.Points[i][0] < s.Points[i-1][0] {
+				if backwards++; backwards <= 5 {
+					t.Errorf("%s: t=%v follows t=%v", s.Name, s.Points[i][0], s.Points[i-1][0])
+				}
+				break
+			}
+		}
+	}
+	if series == 0 {
+		t.Fatal("metrics dump is empty")
+	}
+	if backwards > 0 {
+		t.Errorf("%d of %d series have time running backwards", backwards, series)
 	}
 }

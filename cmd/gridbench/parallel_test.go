@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/expt"
 )
 
-// figsAll lists every figure the CLI can regenerate.
-var figsAll = []string{"1", "2", "3", "4", "5", "6", "7", "la", "res", "net", "scale"}
-
 // TestParallelDeterminism is the acceptance check for the parallel
-// sweep runner: for every figure and three distinct seeds, the full
+// sweep runner: for every figure of the table that the sim backend runs
+// and three distinct seeds, the full
 // CLI output (tables, banners, totals), the trace summary, and the
 // flight-recorder metrics dump at -parallel 8 must be byte-identical
 // to the forced-serial run.
@@ -21,8 +22,7 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Skip("runs every figure at two parallelism levels and three seeds")
 	}
 	for _, seed := range []string{"1", "7", "42"} {
-		for _, fig := range figsAll {
-			fig := fig
+		for _, fig := range figureNames(func(f *figure) bool { return slices.Contains(f.on(), expt.BackendSim) }) {
 			t.Run(fmt.Sprintf("fig%s/seed%s", fig, seed), func(t *testing.T) {
 				dir := t.TempDir()
 				m1 := filepath.Join(dir, "serial.jsonl")

@@ -7,9 +7,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/condor"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/replica"
-	"repro/internal/trace"
 )
 
 // The chaos sweeps below re-run each scenario under ~20 seeded fault
@@ -79,21 +77,21 @@ func TestChaosSweepCondor(t *testing.T) {
 	// Four arms per plan: the three legacy disciplines plus Reservation.
 	arms := len(sweepOrder) + 1
 	cells := make([]float64, len(plans)*arms)
-	runCells(opt, len(cells), func(c int, tr *trace.Tracer, cellRec *chaos.Recorder, _ *obs.Registry) {
-		plan := plans[c/arms]
-		arm := c % arms
+	runCells(opt, len(cells), func(i int, c cell) {
+		c.seed, c.window, c.plan = opt.seed(), window, plans[i/arms]
+		arm := i % arms
 		if arm == len(sweepOrder) {
 			// The reservation arm runs its own cell geometry (admission
 			// book over the client FD share). Its starvation acceptance
 			// has a dedicated budget in res_test.go, so only throughput is
 			// measured here.
-			cells[c] = float64(ResCell(Options{Trace: tr}, opt.seed(), n, window, plan, nil).Jobs)
+			c.rec = nil
+			cells[i] = float64(resCell(c, n).Jobs)
 			return
 		}
-		d := sweepOrder[arm]
-		subCfg, clCfg := scaledConfigs(opt, d)
-		j, _ := submitCellTraced(Options{}, opt.seed(), n, window, subCfg, clCfg, plan, cellRec, tr)
-		cells[c] = float64(j)
+		subCfg, clCfg := scaledConfigs(opt, sweepOrder[arm])
+		j, _ := submitCell(c, n, subCfg, clCfg, nil)
+		cells[i] = float64(j)
 	})
 	var sum [4]float64
 	for pi, plan := range plans {
@@ -136,15 +134,13 @@ func TestChaosSweepBuffer(t *testing.T) {
 	opt.Check = rec
 	arms := len(sweepOrder) + 1
 	cells := make([]float64, len(plans)*arms)
-	runCells(opt, len(cells), func(c int, tr *trace.Tracer, cellRec *chaos.Recorder, _ *obs.Registry) {
-		plan := plans[c/arms]
-		arm := c % arms
+	runCells(opt, len(cells), func(i int, c cell) {
+		c.seed, c.window, c.plan = opt.seed(), window, plans[i/arms]
 		d := core.Reservation
-		if arm < len(sweepOrder) {
+		if arm := i % arms; arm < len(sweepOrder) {
 			d = sweepOrder[arm]
 		}
-		b := bufferCellTraced(Options{}, opt.seed(), n, window, d, plan, cellRec, tr)
-		cells[c] = float64(b.Consumed)
+		cells[i] = float64(bufferCell(c, n, d).Consumed)
 	})
 	var sum [4]float64
 	for pi, plan := range plans {
@@ -202,15 +198,14 @@ func TestChaosSweepReader(t *testing.T) {
 	opt.Check = rec
 	arms := len(sweepOrder) + 1
 	cells := make([]float64, len(plans)*arms)
-	runCells(opt, len(cells), func(c int, tr *trace.Tracer, cellRec *chaos.Recorder, _ *obs.Registry) {
-		plan := plans[c/arms]
+	runCells(opt, len(cells), func(i int, c cell) {
+		c.seed, c.window, c.plan = opt.seed(), window, plans[i/arms]
 		rcfg := replica.DefaultReaderConfig(core.Reservation)
 		rcfg.OuterLimit = window
-		if arm := c % arms; arm < len(sweepOrder) {
+		if arm := i % arms; arm < len(sweepOrder) {
 			rcfg = mk(sweepOrder[arm])
 		}
-		tl := readerCellTraced(Options{}, opt.seed(), window, rcfg, plan, cellRec, tr)
-		cells[c] = float64(tl.TotalTransfers)
+		cells[i] = float64(readerCell(c, rcfg).TotalTransfers)
 	})
 	var sum [4]float64
 	for pi, plan := range plans {
@@ -255,15 +250,15 @@ func TestChaosCellDeterminism(t *testing.T) {
 	opt := Options{Scale: 0.1}
 	subCfg, clCfg := scaledConfigs(opt, core.Ethernet)
 	window := opt.scaleD(SubmitWindow)
-	j1, c1 := SubmitCellChaos(7, 40, window, subCfg, clCfg, plan(), nil)
-	j2, c2 := SubmitCellChaos(7, 40, window, subCfg, clCfg, plan(), nil)
+	j1, c1 := SubmitCell(Options{}, 7, 40, window, subCfg, clCfg, plan(), nil)
+	j2, c2 := SubmitCell(Options{}, 7, 40, window, subCfg, clCfg, plan(), nil)
 	if j1 != j2 || c1 != c2 {
 		t.Errorf("condor cell diverged: (%d,%d) vs (%d,%d)", j1, c1, j2, c2)
 	}
 
 	bw := opt.scaleD(BufferWindow)
-	b1 := BufferCell(7, 25, bw, core.Ethernet, plan(), nil)
-	b2 := BufferCell(7, 25, bw, core.Ethernet, plan(), nil)
+	b1 := BufferCell(Options{}, 7, 25, bw, core.Ethernet, plan(), nil)
+	b2 := BufferCell(Options{}, 7, 25, bw, core.Ethernet, plan(), nil)
 	if b1.Consumed != b2.Consumed || b1.Collisions != b2.Collisions || b1.Completed != b2.Completed {
 		t.Errorf("buffer cell diverged: %+v vs %+v",
 			[3]int64{b1.Consumed, b1.Collisions, b1.Completed},
@@ -273,8 +268,8 @@ func TestChaosCellDeterminism(t *testing.T) {
 	rw := opt.scaleD(ReaderWindow)
 	rcfg := replica.DefaultReaderConfig(core.Ethernet)
 	rcfg.OuterLimit = rw
-	tl1 := ReaderCellChaos(7, rw, rcfg, plan(), nil)
-	tl2 := ReaderCellChaos(7, rw, rcfg, plan(), nil)
+	tl1 := ReaderCell(Options{}, 7, rw, rcfg, plan(), nil)
+	tl2 := ReaderCell(Options{}, 7, rw, rcfg, plan(), nil)
 	if tl1.TotalTransfers != tl2.TotalTransfers || tl1.TotalDeferrals != tl2.TotalDeferrals {
 		t.Errorf("reader cell diverged: (%d,%d) vs (%d,%d)",
 			tl1.TotalTransfers, tl1.TotalDeferrals, tl2.TotalTransfers, tl2.TotalDeferrals)
@@ -292,19 +287,19 @@ func TestChaosInvariantsCleanWithoutChaos(t *testing.T) {
 	rec := &chaos.Recorder{}
 	for _, d := range core.Disciplines {
 		subCfg, clCfg := scaledConfigs(opt, d)
-		SubmitCellChaos(1, opt.scaleN(400), opt.scaleD(SubmitWindow), subCfg, clCfg, nil, rec)
-		BufferCell(1, 25, opt.scaleD(BufferWindow), d, nil, rec)
+		SubmitCell(Options{}, 1, opt.scaleN(400), opt.scaleD(SubmitWindow), subCfg, clCfg, nil, rec)
+		BufferCell(Options{}, 1, 25, opt.scaleD(BufferWindow), d, nil, rec)
 	}
 	rcfg := replica.DefaultReaderConfig(core.Ethernet)
 	rcfg.OuterLimit = opt.scaleD(ReaderWindow)
-	ReaderCellChaos(1, rcfg.OuterLimit, rcfg, nil, rec)
+	ReaderCell(Options{}, 1, rcfg.OuterLimit, rcfg, nil, rec)
 	// The fourth discipline's fault-free universes must be equally clean,
 	// including the admission book's own no-starvation budget.
 	ResCell(Options{}, 1, opt.scaleN(400), opt.scaleD(SubmitWindow), nil, rec)
-	BufferCell(1, 25, opt.scaleD(BufferWindow), core.Reservation, nil, rec)
+	BufferCell(Options{}, 1, 25, opt.scaleD(BufferWindow), core.Reservation, nil, rec)
 	rcfgR := replica.DefaultReaderConfig(core.Reservation)
 	rcfgR.OuterLimit = opt.scaleD(ReaderWindow)
-	ReaderCellChaos(1, rcfgR.OuterLimit, rcfgR, nil, rec)
+	ReaderCell(Options{}, 1, rcfgR.OuterLimit, rcfgR, nil, rec)
 	if err := rec.Err(); err != nil {
 		t.Errorf("fault-free run violated invariants: %v", err)
 	}

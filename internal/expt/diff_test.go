@@ -131,7 +131,8 @@ func TestDiffSubmitOrdering(t *testing.T) {
 			if d == core.Ethernet {
 				rec = &ethRec
 			}
-			j, _ := submitCellTraced(opt, seed, n, window, subCfg, clCfg, nil, rec, tr)
+			opt.Trace = tr
+			j, _ := SubmitCell(opt, seed, n, window, subCfg, clCfg, nil, rec)
 			checkTrace(t, tr)
 			jobs[d] = float64(j)
 		}
@@ -234,7 +235,8 @@ func TestDiffReaderOrdering(t *testing.T) {
 			rcfg := replica.DefaultReaderConfig(d)
 			rcfg.OuterLimit = window
 			tr := trace.New()
-			tl := readerCellTraced(opt, seed, window, rcfg, nil, nil, tr)
+			opt.Trace = tr
+			tl := ReaderCell(opt, seed, window, rcfg, nil, nil)
 			checkTrace(t, tr)
 			return tl
 		}
@@ -374,7 +376,8 @@ func TestDiffReservationReader(t *testing.T) {
 			rcfg := replica.DefaultReaderConfig(d)
 			rcfg.OuterLimit = window
 			tr := trace.New()
-			tl := readerCellTraced(opt, seed, window, rcfg, nil, nil, tr)
+			opt.Trace = tr
+			tl := ReaderCell(opt, seed, window, rcfg, nil, nil)
 			checkTrace(t, tr)
 			return tl
 		}

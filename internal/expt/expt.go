@@ -6,7 +6,7 @@
 package expt
 
 import (
-	"fmt"
+	"context"
 	"sort"
 	"time"
 
@@ -83,12 +83,6 @@ type Options struct {
 	// daemon on a loopback listener and tears it down afterwards, so
 	// the socket-level suites need no external setup.
 	GriddURL string
-
-	// cellObs is the per-cell registry handed out by runCells on the
-	// sim backend (merged into Obs in cell order); obsCell names the
-	// cell uniquely within its figure for the scope's cell label.
-	cellObs *obs.Registry
-	obsCell string
 }
 
 // Backend names accepted by Options.Backend and gridbench -backend.
@@ -166,57 +160,58 @@ const TimelineClients = 400
 var Fig1Sweep = []int{10, 25, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500}
 
 // SubmitCell runs n submitters with the given client and cluster
-// configurations for the window, returning total jobs submitted and
-// schedd crashes. It is the building block of Figure 1 and of the
-// threshold ablation benchmarks.
-func SubmitCell(seed int64, n int, window time.Duration, subCfg condor.SubmitterConfig, clCfg condor.Config) (jobs, crashes int64) {
-	return SubmitCellChaos(seed, n, window, subCfg, clCfg, nil, nil)
+// configurations for the window — optionally under a fault plan, with
+// the invariant suite recording into rec — and returns total jobs
+// submitted and schedd crashes. It is the one entry point of the submit
+// scenario: Figures 1 to 3, the chaos sweeps and the threshold ablation
+// benchmarks are all built from it.
+func SubmitCell(opt Options, seed int64, n int, window time.Duration, subCfg condor.SubmitterConfig, clCfg condor.Config, plan *chaos.Plan, rec *chaos.Recorder) (jobs, crashes int64) {
+	c := opt.cell("submit/"+subCfg.Discipline.String(), seed, window, plan, rec)
+	return submitCell(c, n, subCfg, clCfg, nil)
 }
 
-// SubmitCellChaos is SubmitCell with a fault plan armed against the
-// cluster and the invariant suite recording into rec; either may be
-// nil. It is the building block of the chaos sweep tests.
-func SubmitCellChaos(seed int64, n int, window time.Duration, subCfg condor.SubmitterConfig, clCfg condor.Config, plan *chaos.Plan, rec *chaos.Recorder) (jobs, crashes int64) {
-	return submitCellTraced(Options{}, seed, n, window, subCfg, clCfg, plan, rec, nil)
-}
+// timelineEvery is the sampling interval of Figures 2 and 3.
+const timelineEvery = 5 * time.Second
 
-// submitCellTraced is the traced core of SubmitCellChaos: when tr is
-// non-nil every submitter gets its own trace thread under the
-// discipline's process.
-func submitCellTraced(opt Options, seed int64, n int, window time.Duration, subCfg condor.SubmitterConfig, clCfg condor.Config, plan *chaos.Plan, rec *chaos.Recorder, tr *trace.Tracer) (jobs, crashes int64) {
-	e := opt.newEngine(seed)
-	cl := condor.NewCluster(e, clCfg)
-	ctx, cancel := e.WithTimeout(e.Context(), window)
-	defer cancel()
-	cl.StartHousekeeping(ctx)
-	if plan != nil {
-		plan.Arm(e, chaos.Targets{Window: window, Cluster: cl, Trace: tr})
-	}
-	inv := condorInvariants(e, rec, cl, subCfg, window)
-	if inv != nil {
-		inv.Start(ctx)
-	}
-	if opt.obsCell == "" {
-		opt.obsCell = "submit/" + subCfg.Discipline.String()
-	}
-	finish := armObs(opt, e, window, opt.obsCell, func(sc *obs.Scope) { obsCluster(sc, cl) })
-	for i := 0; i < n; i++ {
-		cfg := subCfg
-		if tr != nil {
-			cfg.Trace = tr.NewClient(subCfg.Discipline.String(), fmt.Sprintf("submitter-%d", i), e.Elapsed)
-		}
-		e.Spawn("submitter", func(p core.Proc) {
-			var sub condor.Submitter
-			sub.Loop(p, ctx, cl, cfg)
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic("expt: " + err.Error())
-	}
-	finish()
-	if inv != nil {
-		inv.Finish()
-	}
+// submitCell is the submit scenario. With a timeline to fill it also
+// samples available FDs and cumulative jobs every timelineEvery.
+func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Config, tl *SubmitTimeline) (jobs, crashes int64) {
+	var cl *condor.Cluster
+	c.run(scenario{
+		substrate: func(e core.Backend) chaos.Targets {
+			cl = condor.NewCluster(e, clCfg)
+			return chaos.Targets{Cluster: cl}
+		},
+		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
+		checks:  func(inv *chaos.Invariants) { condorChecks(inv, cl, subCfg, c.window) },
+		gauges:  func(sc *obs.Scope) { obsCluster(sc, cl) },
+		clients: func(e core.Backend, ctx context.Context) {
+			if tl != nil {
+				var tick func()
+				tick = func() {
+					tl.FDs.Add(e.Elapsed(), float64(cl.FDs.Free()))
+					tl.Jobs.Add(e.Elapsed(), float64(cl.Schedd.Jobs))
+					if e.Elapsed() < c.window {
+						e.Schedule(timelineEvery, tick)
+					}
+				}
+				e.Schedule(0, tick)
+			}
+			for i := 0; i < n; i++ {
+				cfg := subCfg
+				cfg.Trace = c.client(e, subCfg.Discipline.String(), "submitter", i)
+				e.Spawn("submitter", func(p core.Proc) {
+					var sub condor.Submitter
+					sub.Loop(p, ctx, cl, cfg)
+				})
+			}
+		},
+		post: func(inv *chaos.Invariants) {
+			if tl != nil {
+				inv.SeriesMonotone(tl.Jobs)
+			}
+		},
+	})
 	return cl.Schedd.Jobs, cl.Schedd.Crashes
 }
 
@@ -233,15 +228,11 @@ func invariantWindow(window time.Duration) time.Duration {
 	return mb
 }
 
-// condorInvariants wires the submit-scenario invariant suite: jobs and
+// condorChecks registers the submit-scenario invariant suite: jobs and
 // crashes are cumulative, the run must reach its horizon, and Ethernet
 // clients must never hold the FD table deep below the carrier floor
-// for longer than a backoff epoch. Returns nil when rec is nil.
-func condorInvariants(e core.Backend, rec *chaos.Recorder, cl *condor.Cluster, subCfg condor.SubmitterConfig, window time.Duration) *chaos.Invariants {
-	if rec == nil {
-		return nil
-	}
-	inv := chaos.NewInvariants(e, rec, 0)
+// for longer than a backoff epoch.
+func condorChecks(inv *chaos.Invariants, cl *condor.Cluster, subCfg condor.SubmitterConfig, window time.Duration) {
 	inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
 	inv.Monotone("crashes", func() float64 { return float64(cl.Schedd.Crashes) })
 	inv.Horizon(window)
@@ -257,7 +248,6 @@ func condorInvariants(e core.Backend, rec *chaos.Recorder, cl *condor.Cluster, s
 		}
 		inv.CarrierFloor("file-nr", cl.FDs.Free, floor, invariantWindow(window))
 	}
-	return inv
 }
 
 // scaledConfigs returns submitter and cluster configurations whose FD
@@ -273,41 +263,28 @@ func scaledConfigs(opt Options, d core.Discipline) (condor.SubmitterConfig, cond
 	return subCfg, clCfg
 }
 
-// runSubmitCell runs n submitters of discipline d with paper defaults.
-func runSubmitCell(seed int64, d core.Discipline, n int, window time.Duration) int64 {
-	jobs, _ := SubmitCell(seed, n, window, condor.DefaultSubmitterConfig(d), condor.Config{})
-	return jobs
+// fig1Sweep declares Figure 1's cells.
+func fig1Sweep(opt Options) sweep {
+	return sweep{fig: "fig1", xlabel: "submitters", arms: disciplineArms(), xs: opt.scaleXs(Fig1Sweep)}
 }
 
 // Fig1 reproduces "Figure 1: Scalability of Job Submission": jobs
 // submitted in five minutes versus the number of submitters, for the
 // Ethernet, Aloha, and Fixed disciplines.
 func Fig1(opt Options) *metrics.SweepTable {
+	s := fig1Sweep(opt)
 	window := opt.scaleD(SubmitWindow)
-	xs := make([]int, 0, len(Fig1Sweep))
-	for _, n := range Fig1Sweep {
-		xs = append(xs, opt.scaleN(n))
-	}
-	t := &metrics.SweepTable{XLabel: "submitters", Xs: xs}
-	jobs := make([]int64, len(core.Disciplines)*len(xs))
-	runCells(opt, len(jobs), func(c int, tr *trace.Tracer, rec *chaos.Recorder, reg *obs.Registry) {
-		d := core.Disciplines[c/len(xs)]
-		i := c % len(xs)
-		copt := opt
-		copt.cellObs = reg
-		copt.obsCell = fmt.Sprintf("fig1/%s/n%d", d, xs[i])
-		subCfg, clCfg := scaledConfigs(opt, d)
-		j, _ := submitCellTraced(copt, opt.seed()+int64(i), xs[i], window, subCfg, clCfg, opt.Chaos, rec, tr)
-		jobs[c] = j
+	jobs := grid[int64](s)
+	s.run(opt, func(arm, p int, c cell) {
+		c.window, c.plan = window, opt.Chaos
+		subCfg, clCfg := scaledConfigs(opt, core.Disciplines[arm])
+		jobs[arm][p], _ = submitCell(c, s.xs[p], subCfg, clCfg, nil)
 	})
-	for di, d := range core.Disciplines {
-		col := metrics.SweepCol{Name: d.String()}
-		for i := range xs {
-			col.Vals = append(col.Vals, float64(jobs[di*len(xs)+i]))
-		}
-		t.Cols = append(t.Cols, col)
+	var cols []col
+	for arm, name := range s.arms {
+		cols = append(cols, col{name, func(p int) float64 { return float64(jobs[arm][p]) }})
 	}
-	return t
+	return s.table(cols...)
 }
 
 // SubmitTimeline holds the data of Figures 2 and 3: available FDs and
@@ -325,72 +302,27 @@ func (tl *SubmitTimeline) Table() *metrics.Table {
 	return &metrics.Table{XLabel: "t(s)", Series: []*metrics.Series{tl.FDs, tl.Jobs}}
 }
 
-// runSubmitTimeline drives TimelineClients clients of discipline d for
-// TimelineWindow, sampling every 5 seconds.
-func runSubmitTimeline(opt Options, d core.Discipline) *SubmitTimeline {
-	e := opt.newEngine(opt.seed())
+// RunSubmitTimeline drives TimelineClients clients of discipline d for
+// TimelineWindow, sampling every 5 seconds. fig names the figure row
+// the run belongs to ("fig2"): it prefixes the cell label of the run's
+// metric series, which keeps a figure and another figure's trace
+// companion on the same seed apart in one registry.
+func RunSubmitTimeline(opt Options, fig string, d core.Discipline) *SubmitTimeline {
 	subCfg, clCfg := scaledConfigs(opt, d)
-	cl := condor.NewCluster(e, clCfg)
-	window := opt.scaleD(TimelineWindow)
-	n := opt.scaleN(TimelineClients)
-	ctx, cancel := e.WithTimeout(e.Context(), window)
-	defer cancel()
-	cl.StartHousekeeping(ctx)
-	if opt.Chaos != nil {
-		opt.Chaos.Arm(e, chaos.Targets{Window: window, Cluster: cl, Trace: opt.Trace})
-	}
-	inv := condorInvariants(e, opt.Check, cl, subCfg, window)
-	if inv != nil {
-		inv.Start(ctx)
-	}
-
-	if opt.obsCell == "" {
-		opt.obsCell = "timeline/" + d.String()
-	}
-	finish := armObs(opt, e, window, opt.obsCell, func(sc *obs.Scope) { obsCluster(sc, cl) })
-
 	tl := &SubmitTimeline{
 		FDs:  metrics.NewSeries("avail-fds"),
 		Jobs: metrics.NewSeries("jobs"),
 	}
-	const sampleEvery = 5 * time.Second
-	var tick func()
-	tick = func() {
-		tl.FDs.Add(e.Elapsed(), float64(cl.FDs.Free()))
-		tl.Jobs.Add(e.Elapsed(), float64(cl.Schedd.Jobs))
-		if e.Elapsed() < window {
-			e.Schedule(sampleEvery, tick)
-		}
-	}
-	e.Schedule(0, tick)
-
-	for i := 0; i < n; i++ {
-		cfg := subCfg
-		if opt.Trace != nil {
-			cfg.Trace = opt.Trace.NewClient(d.String(), fmt.Sprintf("submitter-%d", i), e.Elapsed)
-		}
-		e.Spawn("submitter", func(p core.Proc) {
-			var sub condor.Submitter
-			sub.Loop(p, ctx, cl, cfg)
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic("expt: " + err.Error())
-	}
-	finish()
-	if inv != nil {
-		inv.SeriesMonotone(tl.Jobs)
-		inv.Finish()
-	}
-	tl.Crashes = cl.Schedd.Crashes
+	c := opt.cell(fig+"/"+d.String(), opt.seed(), opt.scaleD(TimelineWindow), opt.Chaos, opt.Check)
+	_, tl.Crashes = submitCell(c, opt.scaleN(TimelineClients), subCfg, clCfg, tl)
 	return tl
 }
 
 // Fig2 reproduces "Figure 2: Timeline of Aloha Submitter".
-func Fig2(opt Options) *SubmitTimeline { return runSubmitTimeline(opt, core.Aloha) }
+func Fig2(opt Options) *SubmitTimeline { return RunSubmitTimeline(opt, "fig2", core.Aloha) }
 
 // Fig3 reproduces "Figure 3: Timeline of Ethernet Submitter".
-func Fig3(opt Options) *SubmitTimeline { return runSubmitTimeline(opt, core.Ethernet) }
+func Fig3(opt Options) *SubmitTimeline { return RunSubmitTimeline(opt, "fig3", core.Ethernet) }
 
 // ---------------------------------------------------------------------
 // Scenario 2: shared filesystem buffer (Figures 4, 5)
@@ -410,112 +342,85 @@ type BufferSweep struct {
 	Collisions *metrics.SweepTable
 }
 
+// bufferSweep declares the cells Figures 4 and 5 share.
+func bufferSweep(opt Options) sweep {
+	return sweep{fig: "fig45", xlabel: "producers", arms: disciplineArms(), xs: opt.scaleXs(Fig45Sweep)}
+}
+
 // RunBufferSweep runs the producer/consumer scenario across the sweep
 // and both disciplines, returning both figures' tables.
 func RunBufferSweep(opt Options) *BufferSweep {
+	s := bufferSweep(opt)
 	window := opt.scaleD(BufferWindow)
-	xs := make([]int, 0, len(Fig45Sweep))
-	for _, n := range Fig45Sweep {
-		xs = append(xs, opt.scaleN(n))
-	}
-	bs := &BufferSweep{
-		Consumed:   &metrics.SweepTable{XLabel: "producers", Xs: xs},
-		Collisions: &metrics.SweepTable{XLabel: "producers", Xs: xs},
-	}
-	type bufRes struct{ consumed, collisions int64 }
-	res := make([]bufRes, len(core.Disciplines)*len(xs))
-	runCells(opt, len(res), func(c int, tr *trace.Tracer, rec *chaos.Recorder, reg *obs.Registry) {
-		d := core.Disciplines[c/len(xs)]
-		i := c % len(xs)
-		copt := opt
-		copt.cellObs = reg
-		copt.obsCell = fmt.Sprintf("buffer/%s/n%d", d, xs[i])
-		b := bufferCellTraced(copt, opt.seed()+int64(i), xs[i], window, d, opt.Chaos, rec, tr)
-		res[c] = bufRes{consumed: b.Consumed, collisions: b.Collisions}
+	bufs := grid[struct{ consumed, collisions int64 }](s)
+	s.run(opt, func(arm, p int, c cell) {
+		c.window, c.plan = window, opt.Chaos
+		b := bufferCell(c, s.xs[p], core.Disciplines[arm])
+		bufs[arm][p].consumed, bufs[arm][p].collisions = b.Consumed, b.Collisions
 	})
-	for di, d := range core.Disciplines {
-		cons := metrics.SweepCol{Name: d.String()}
-		coll := metrics.SweepCol{Name: d.String()}
-		for i := range xs {
-			r := res[di*len(xs)+i]
-			cons.Vals = append(cons.Vals, float64(r.consumed))
-			coll.Vals = append(coll.Vals, float64(r.collisions))
-		}
-		bs.Consumed.Cols = append(bs.Consumed.Cols, cons)
-		bs.Collisions.Cols = append(bs.Collisions.Cols, coll)
+	var consumed, collisions []col
+	for arm, name := range s.arms {
+		consumed = append(consumed, col{name, func(p int) float64 { return float64(bufs[arm][p].consumed) }})
+		collisions = append(collisions, col{name, func(p int) float64 { return float64(bufs[arm][p].collisions) }})
 	}
-	return bs
+	return &BufferSweep{Consumed: s.table(consumed...), Collisions: s.table(collisions...)}
 }
 
 // BufferCell runs n producers of discipline d against a fresh buffer
 // for the window, optionally under a fault plan and the invariant
-// suite, and returns the buffer for inspection. It is the building
-// block of Figures 4 and 5 and of the chaos sweep tests.
-func BufferCell(seed int64, n int, window time.Duration, d core.Discipline, plan *chaos.Plan, rec *chaos.Recorder) *fsbuffer.Buffer {
-	return bufferCellTraced(Options{}, seed, n, window, d, plan, rec, nil)
+// suite, and returns the buffer for inspection. It is the one entry
+// point of the buffer scenario: Figures 4 and 5 and the chaos sweeps
+// are built from it.
+func BufferCell(opt Options, seed int64, n int, window time.Duration, d core.Discipline, plan *chaos.Plan, rec *chaos.Recorder) *fsbuffer.Buffer {
+	return bufferCell(opt.cell("buffer/"+d.String(), seed, window, plan, rec), n, d)
 }
 
-// bufferCellTraced is the traced core of BufferCell: when tr is non-nil
-// every producer gets its own trace thread under the discipline's
-// process. The Reservation discipline runs the allocator-fronted
-// reserving producer of §5 instead of an optimistic writer; the
-// allocator grants tenure with a window-derived quantum, so a wedged
-// holder's promise is reclaimed instead of pinning buffer space.
-func bufferCellTraced(opt Options, seed int64, n int, window time.Duration, d core.Discipline, plan *chaos.Plan, rec *chaos.Recorder, tr *trace.Tracer) *fsbuffer.Buffer {
-	e := opt.newEngine(seed)
-	b := fsbuffer.New(e, fsbuffer.Config{})
+// bufferCell is the buffer scenario. The Reservation discipline runs
+// the allocator-fronted reserving producer of §5 instead of an
+// optimistic writer; the allocator grants tenure with a window-derived
+// quantum, so a wedged holder's promise is reclaimed instead of pinning
+// buffer space.
+func bufferCell(c cell, n int, d core.Discipline) *fsbuffer.Buffer {
+	var b *fsbuffer.Buffer
 	var alloc *fsbuffer.Allocator
-	if d == core.Reservation {
-		alloc = fsbuffer.NewAllocator(e, b, 0)
-		alloc.SetLeaseQuantum(leaseQuantum(window))
-	}
-	ctx, cancel := e.WithTimeout(e.Context(), window)
-	defer cancel()
-	if plan != nil {
-		plan.Arm(e, chaos.Targets{Window: window, Buffer: b, Allocator: alloc, Trace: tr})
-	}
-	var inv *chaos.Invariants
-	if rec != nil {
-		inv = chaos.NewInvariants(e, rec, 0)
-		inv.Monotone("consumed", func() float64 { return float64(b.Consumed) })
-		inv.Monotone("completed", func() float64 { return float64(b.Completed) })
-		inv.Monotone("collisions", func() float64 { return float64(b.Collisions) })
-		inv.Horizon(window)
-		inv.Start(ctx)
-	}
-	if opt.obsCell == "" {
-		opt.obsCell = "buffer/" + d.String()
-	}
-	finish := armObs(opt, e, window, opt.obsCell, func(sc *obs.Scope) {
-		obsBuffer(sc, b)
-		if alloc != nil {
-			obsLease(sc, alloc.Tenure(), "reservation")
-		}
-	})
-	e.Spawn("consumer", func(p core.Proc) { b.Consumer(p, ctx) })
-	for j := 0; j < n; j++ {
-		j := j
-		cfg := fsbuffer.DefaultProducerConfig(d)
-		if tr != nil {
-			cfg.Trace = tr.NewClient(d.String(), fmt.Sprintf("producer-%d", j), e.Elapsed)
-		}
-		e.Spawn("producer", func(p core.Proc) {
+	c.run(scenario{
+		substrate: func(e core.Backend) chaos.Targets {
+			b = fsbuffer.New(e, fsbuffer.Config{})
 			if d == core.Reservation {
-				var rp fsbuffer.ReservingProducer
-				rp.Loop(p, ctx, alloc, j, cfg)
-				return
+				alloc = fsbuffer.NewAllocator(e, b, 0)
+				alloc.SetLeaseQuantum(leaseQuantum(c.window))
 			}
-			var pr fsbuffer.Producer
-			pr.Loop(p, ctx, b, j, cfg)
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic("expt: " + err.Error())
-	}
-	finish()
-	if inv != nil {
-		inv.Finish()
-	}
+			return chaos.Targets{Buffer: b, Allocator: alloc}
+		},
+		checks: func(inv *chaos.Invariants) {
+			inv.Monotone("consumed", func() float64 { return float64(b.Consumed) })
+			inv.Monotone("completed", func() float64 { return float64(b.Completed) })
+			inv.Monotone("collisions", func() float64 { return float64(b.Collisions) })
+			inv.Horizon(c.window)
+		},
+		gauges: func(sc *obs.Scope) {
+			obsBuffer(sc, b)
+			if alloc != nil {
+				obsLease(sc, alloc.Tenure(), "reservation")
+			}
+		},
+		clients: func(e core.Backend, ctx context.Context) {
+			e.Spawn("consumer", func(p core.Proc) { b.Consumer(p, ctx) })
+			for j := 0; j < n; j++ {
+				cfg := fsbuffer.DefaultProducerConfig(d)
+				cfg.Trace = c.client(e, d.String(), "producer", j)
+				e.Spawn("producer", func(p core.Proc) {
+					if d == core.Reservation {
+						var rp fsbuffer.ReservingProducer
+						rp.Loop(p, ctx, alloc, j, cfg)
+						return
+					}
+					var pr fsbuffer.Producer
+					pr.Loop(p, ctx, b, j, cfg)
+				})
+			}
+		},
+	})
 	return b
 }
 
@@ -550,98 +455,79 @@ func (tl *ReaderTimeline) Table() *metrics.Table {
 	return &metrics.Table{XLabel: "t(s)", Series: []*metrics.Series{tl.Transfers, tl.Penalty}}
 }
 
-// runReaderTimeline drives the replicated-service scenario with
-// discipline d and the paper's reader parameters.
-func runReaderTimeline(opt Options, d core.Discipline) *ReaderTimeline {
+// RunReaderTimeline drives the replicated-service scenario with
+// discipline d and the paper's reader parameters; fig is the figure row
+// the run belongs to, as in RunSubmitTimeline.
+func RunReaderTimeline(opt Options, fig string, d core.Discipline) *ReaderTimeline {
 	window := opt.scaleD(ReaderWindow)
 	rcfg := replica.DefaultReaderConfig(d)
 	rcfg.OuterLimit = window
-	return readerCellTraced(opt, opt.seed(), window, rcfg, opt.Chaos, opt.Check, opt.Trace)
+	return readerCell(opt.cell(fig+"/"+d.String(), opt.seed(), window, opt.Chaos, opt.Check), rcfg)
 }
 
 // ReaderCell runs the black-hole scenario with an arbitrary reader
-// configuration — the building block of Figures 6 and 7 and of the
-// probe-timeout ablation.
-func ReaderCell(seed int64, window time.Duration, rcfg replica.ReaderConfig) *ReaderTimeline {
-	return ReaderCellChaos(seed, window, rcfg, nil, nil)
+// configuration, optionally under a fault plan armed against the
+// servers and with the invariant suite recording into rec. It is the
+// one entry point of the reader scenario: Figures 6 and 7, the chaos
+// sweeps and the probe-timeout ablation are built from it.
+func ReaderCell(opt Options, seed int64, window time.Duration, rcfg replica.ReaderConfig, plan *chaos.Plan, rec *chaos.Recorder) *ReaderTimeline {
+	return readerCell(opt.cell("reader/"+rcfg.Discipline.String(), seed, window, plan, rec), rcfg)
 }
 
-// ReaderCellChaos is ReaderCell with a fault plan armed against the
-// servers and the invariant suite recording into rec; either may be
-// nil.
-func ReaderCellChaos(seed int64, window time.Duration, rcfg replica.ReaderConfig, plan *chaos.Plan, rec *chaos.Recorder) *ReaderTimeline {
-	return readerCellTraced(Options{}, seed, window, rcfg, plan, rec, nil)
-}
-
-// readerCellTraced is the traced core of ReaderCellChaos: when tr is
-// non-nil every reader gets its own trace thread under the discipline's
-// process.
-func readerCellTraced(opt Options, seed int64, window time.Duration, rcfg replica.ReaderConfig, plan *chaos.Plan, rec *chaos.Recorder, tr *trace.Tracer) *ReaderTimeline {
-	e := opt.newEngine(seed)
-	cfg := replica.Config{}
-	servers := []*replica.Server{
-		replica.NewServer(e, "xxx", true, cfg), // the permanent black hole
-		replica.NewServer(e, "yyy", false, cfg),
-		replica.NewServer(e, "zzz", false, cfg),
-	}
-	ctx, cancel := e.WithTimeout(e.Context(), window)
-	defer cancel()
-	// The Reservation reader books server lanes on per-server admission
-	// books instead of queueing organically.
+// readerCell is the reader scenario.
+func readerCell(c cell, rcfg replica.ReaderConfig) *ReaderTimeline {
+	var servers []*replica.Server
 	var books []*lease.Book
-	if rcfg.Discipline == core.Reservation {
-		books = replica.NewBooks(e, servers)
-	}
-	if plan != nil {
-		plan.Arm(e, chaos.Targets{Window: window, Servers: servers, Trace: tr})
-	}
 	readers := make([]*replica.Reader, ReaderClients)
-	var inv *chaos.Invariants
-	if rec != nil {
-		inv = chaos.NewInvariants(e, rec, 0)
-		inv.Monotone("transfers", func() float64 {
-			var n int64
-			for _, r := range readers {
-				if r != nil {
-					n += r.Done
+	c.run(scenario{
+		substrate: func(e core.Backend) chaos.Targets {
+			cfg := replica.Config{}
+			servers = []*replica.Server{
+				replica.NewServer(e, "xxx", true, cfg), // the permanent black hole
+				replica.NewServer(e, "yyy", false, cfg),
+				replica.NewServer(e, "zzz", false, cfg),
+			}
+			// The Reservation reader books server lanes on per-server
+			// admission books instead of queueing organically.
+			if rcfg.Discipline == core.Reservation {
+				books = replica.NewBooks(e, servers)
+			}
+			return chaos.Targets{Servers: servers}
+		},
+		checks: func(inv *chaos.Invariants) {
+			inv.Monotone("transfers", func() float64 {
+				var n int64
+				for _, r := range readers {
+					if r != nil {
+						n += r.Done
+					}
 				}
+				return float64(n)
+			})
+			inv.Horizon(c.window)
+		},
+		gauges: func(sc *obs.Scope) {
+			obsServers(sc, servers)
+			for i, b := range books {
+				obsBook(sc, b, servers[i].Name+"-book")
 			}
-			return float64(n)
-		})
-		inv.Horizon(window)
-		inv.Start(ctx)
-	}
-	if opt.obsCell == "" {
-		opt.obsCell = "reader/" + rcfg.Discipline.String()
-	}
-	finish := armObs(opt, e, window, opt.obsCell, func(sc *obs.Scope) {
-		obsServers(sc, servers)
-		for i, b := range books {
-			obsBook(sc, b, servers[i].Name+"-book")
-		}
+		},
+		clients: func(e core.Backend, ctx context.Context) {
+			for i := range readers {
+				r := &replica.Reader{}
+				readers[i] = r
+				rc := rcfg
+				rc.Trace = c.client(e, rcfg.Discipline.String(), "reader", i)
+				e.Spawn("reader", func(p core.Proc) {
+					if rc.Discipline == core.Reservation {
+						r.LoopReserved(p, ctx, servers, books, rc)
+						return
+					}
+					r.Loop(p, ctx, servers, rc)
+				})
+			}
+		},
 	})
-	for i := range readers {
-		readers[i] = &replica.Reader{}
-		r := readers[i]
-		rc := rcfg
-		if tr != nil {
-			rc.Trace = tr.NewClient(rcfg.Discipline.String(), fmt.Sprintf("reader-%d", i), e.Elapsed)
-		}
-		e.Spawn("reader", func(p core.Proc) {
-			if rc.Discipline == core.Reservation {
-				r.LoopReserved(p, ctx, servers, books, rc)
-				return
-			}
-			r.Loop(p, ctx, servers, rc)
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic("expt: " + err.Error())
-	}
-	finish()
-	if inv != nil {
-		inv.Finish()
-	}
 
 	penaltyName := "collisions"
 	penaltyKind := replica.EvCollision
@@ -687,35 +573,7 @@ func sortEvents(evs []replica.Event) {
 }
 
 // Fig6 reproduces "Figure 6: Aloha File Reader".
-func Fig6(opt Options) *ReaderTimeline { return runReaderTimeline(opt, core.Aloha) }
+func Fig6(opt Options) *ReaderTimeline { return RunReaderTimeline(opt, "fig6", core.Aloha) }
 
 // Fig7 reproduces "Figure 7: Ethernet File Reader".
-func Fig7(opt Options) *ReaderTimeline { return runReaderTimeline(opt, core.Ethernet) }
-
-// TraceCompanions re-runs a single-discipline figure's workload under
-// the disciplines the figure itself does not plot, on the same seed,
-// so one trace (and its summary) compares all three disciplines
-// head-to-head. Figures that already sweep every discipline (1, 4, 5)
-// need no companions. Companion runs skip the invariant suite: its
-// expectations are calibrated to the figure's own discipline.
-func TraceCompanions(opt Options, fig string) {
-	if opt.Trace == nil {
-		return
-	}
-	opt.Check = nil
-	switch fig {
-	case "2": // Aloha timeline: add Ethernet and Fixed
-		_ = runSubmitTimeline(opt, core.Ethernet)
-		_ = runSubmitTimeline(opt, core.Fixed)
-	case "3": // Ethernet timeline: add Aloha and Fixed
-		_ = runSubmitTimeline(opt, core.Aloha)
-		_ = runSubmitTimeline(opt, core.Fixed)
-	case "6": // Aloha reader: add Ethernet and Fixed
-		_ = runReaderTimeline(opt, core.Ethernet)
-		_ = runReaderTimeline(opt, core.Fixed)
-	case "7": // Ethernet reader: add Aloha and Fixed
-		_ = runReaderTimeline(opt, core.Aloha)
-		_ = runReaderTimeline(opt, core.Fixed)
-	}
-	// Figure "la" runs both of its arms itself; no companions needed.
-}
+func Fig7(opt Options) *ReaderTimeline { return RunReaderTimeline(opt, "fig7", core.Ethernet) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/condor"
 	"repro/internal/core"
 )
 
@@ -17,13 +18,18 @@ func TestFig1Shapes(t *testing.T) {
 		t.Skip("full-population sweep; skipped in -short")
 	}
 	window := SubmitWindow
-	peak := runSubmitCell(1, core.Ethernet, 50, window)
+	// jobsAt runs n submitters of discipline d with paper defaults.
+	jobsAt := func(d core.Discipline, n int) int64 {
+		jobs, _ := SubmitCell(Options{}, 1, n, window, condor.DefaultSubmitterConfig(d), condor.Config{}, nil, nil)
+		return jobs
+	}
+	peak := jobsAt(core.Ethernet, 50)
 	if peak < 500 {
 		t.Fatalf("peak throughput = %d, implausibly low", peak)
 	}
-	fixedHigh := runSubmitCell(1, core.Fixed, 475, window)
-	alohaHigh := runSubmitCell(1, core.Aloha, 475, window)
-	ethHigh := runSubmitCell(1, core.Ethernet, 475, window)
+	fixedHigh := jobsAt(core.Fixed, 475)
+	alohaHigh := jobsAt(core.Aloha, 475)
+	ethHigh := jobsAt(core.Ethernet, 475)
 
 	// "The fixed client fails completely above a load of 400 submitters."
 	if fixedHigh > peak/10 {
@@ -43,8 +49,8 @@ func TestFig1Shapes(t *testing.T) {
 		t.Errorf("Ethernet %d not above Aloha %d under load", ethHigh, alohaHigh)
 	}
 	// Below the collapse point all disciplines behave alike.
-	fLow := runSubmitCell(1, core.Fixed, 200, window)
-	eLow := runSubmitCell(1, core.Ethernet, 200, window)
+	fLow := jobsAt(core.Fixed, 200)
+	eLow := jobsAt(core.Ethernet, 200)
 	if diff := fLow - eLow; diff > eLow/10 || diff < -eLow/10 {
 		t.Errorf("below contention Fixed %d vs Ethernet %d should match", fLow, eLow)
 	}

@@ -1,7 +1,9 @@
 package expt
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
@@ -9,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // ---------------------------------------------------------------------
@@ -62,92 +63,85 @@ func leaseBudget(window time.Duration) time.Duration { return 4 * leaseQuantum(w
 // are counted into the result's Starved; when rec is non-nil they are
 // also forwarded to it, so an acceptance suite can demand a clean run.
 func LeaseCell(opt Options, seed int64, n int, window, quantum time.Duration, plan *chaos.Plan, rec *chaos.Recorder) *LeaseCellResult {
-	e := opt.newEngine(seed)
-	cl := condor.NewCluster(e, condor.Config{
-		// Capacity comfortably fits the live steady-state load (~35%
-		// duty cycle × 18 FDs each ≈ 6n, with the 3s think time below)
-		// but not that load plus a population of wedged holders pinning
-		// 15 FDs each: stuck holders, not honest congestion, are what
-		// exhausts the table.
-		FDCapacity:   12 * n,
-		ServiceSlots: n,
-		LeaseQuantum: quantum,
-	})
-	ctx, cancel := e.WithTimeout(e.Context(), window)
-	defer cancel()
-	cl.StartHousekeeping(ctx)
-	if plan != nil {
-		plan.Arm(e, chaos.Targets{Window: window, Cluster: cl, Trace: opt.Trace})
-	}
-	// Starvation is detected locally even for the ablation cell, whose
-	// violations are the expected result, not an experiment failure.
-	priv := &chaos.Recorder{}
-	inv := chaos.NewInvariants(e, priv, 0)
-	inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
-	inv.Horizon(window)
-	inv.NoStarvation("fds", cl.FDs.LongestWait, leaseBudget(window))
-	inv.Start(ctx)
+	return leaseCell(opt.cell(fmt.Sprintf("la/%s/n%d", leaseArm(quantum), n), seed, window, plan, rec), n, quantum)
+}
 
-	label := "ethernet-leased"
+// leaseArm names the two arms of the ablation, in traces and labels.
+func leaseArm(quantum time.Duration) string {
 	if quantum <= 0 {
-		label = "ethernet-unleased"
+		return "ethernet-unleased"
 	}
-	if opt.obsCell == "" {
-		opt.obsCell = fmt.Sprintf("la/%s/n%d", label, n)
-	}
-	finish := armObs(opt, e, window, opt.obsCell, func(sc *obs.Scope) { obsCluster(sc, cl) })
-	subs := make([]*condor.Submitter, n)
-	for i := 0; i < n; i++ {
-		subs[i] = &condor.Submitter{}
-		sub := subs[i]
-		cfg := condor.SubmitterConfig{
-			Discipline: core.Ethernet,
-			// One work unit spans the whole window: a wedged unleased
-			// holder pins its FDs until the run ends, which is exactly
-			// the failure mode under test.
-			TryLimit:  window,
-			Threshold: 4 * n,
-			ThinkTime: 3 * time.Second,
-			// Cap the backoff at half a quantum in both cells so a
-			// deferred client re-senses within the reclamation cycle
-			// instead of sleeping through the grant it was waiting for;
-			// the cap must not differ between cells or it would
-			// confound the ablation.
-			Backoff: &core.Backoff{Base: time.Second, Cap: leaseQuantum(window) / 2, Factor: 2, RandMin: 1, RandMax: 2},
-		}
-		if opt.Trace != nil {
-			cfg.Trace = opt.Trace.NewClient(label, fmt.Sprintf("submitter-%d", i), e.Elapsed)
-		}
-		// Unique process names: the lease ledger keys holders by name.
-		e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
-			sub.Loop(p, ctx, cl, cfg)
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic("expt: " + err.Error())
-	}
-	finish()
-	inv.Finish()
+	return "ethernet-leased"
+}
 
-	res := &LeaseCellResult{
-		Jobs:      cl.Schedd.Jobs,
-		PerClient: make([]float64, n),
-		Revokes:   cl.FDs.Manager().Revokes,
-		MaxWait:   cl.FDs.Manager().MaxStarvation(),
-		Crashes:   cl.Schedd.Crashes,
-	}
+// leaseCell is the limited-allocation scenario.
+func leaseCell(c cell, n int, quantum time.Duration) *LeaseCellResult {
+	var cl *condor.Cluster
+	subs := make([]*condor.Submitter, n)
+	res := &LeaseCellResult{PerClient: make([]float64, n)}
+	c.run(scenario{
+		substrate: func(e core.Backend) chaos.Targets {
+			cl = condor.NewCluster(e, condor.Config{
+				// Capacity comfortably fits the live steady-state load (~35%
+				// duty cycle × 18 FDs each ≈ 6n, with the 3s think time below)
+				// but not that load plus a population of wedged holders pinning
+				// 15 FDs each: stuck holders, not honest congestion, are what
+				// exhausts the table.
+				FDCapacity:   12 * n,
+				ServiceSlots: n,
+				LeaseQuantum: quantum,
+			})
+			return chaos.Targets{Cluster: cl}
+		},
+		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
+		checks: func(inv *chaos.Invariants) {
+			inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
+			inv.Horizon(c.window)
+			inv.NoStarvation("fds", cl.FDs.LongestWait, leaseBudget(c.window))
+		},
+		// Starvation is detected locally even for the ablation cell, whose
+		// violations are the expected result, not an experiment failure.
+		tally: func(v chaos.Violation) {
+			if v.Check == "no-starvation" {
+				res.Starved++
+			}
+		},
+		gauges: func(sc *obs.Scope) { obsCluster(sc, cl) },
+		clients: func(e core.Backend, ctx context.Context) {
+			for i := range subs {
+				sub := &condor.Submitter{}
+				subs[i] = sub
+				cfg := condor.SubmitterConfig{
+					Discipline: core.Ethernet,
+					// One work unit spans the whole window: a wedged unleased
+					// holder pins its FDs until the run ends, which is exactly
+					// the failure mode under test.
+					TryLimit:  c.window,
+					Threshold: 4 * n,
+					ThinkTime: 3 * time.Second,
+					// Cap the backoff at half a quantum in both cells so a
+					// deferred client re-senses within the reclamation cycle
+					// instead of sleeping through the grant it was waiting for;
+					// the cap must not differ between cells or it would
+					// confound the ablation.
+					Backoff: &core.Backoff{Base: time.Second, Cap: leaseQuantum(c.window) / 2, Factor: 2, RandMin: 1, RandMax: 2},
+					Trace:   c.client(e, leaseArm(quantum), "submitter", i),
+				}
+				// Unique process names: the lease ledger keys holders by name.
+				e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
+					sub.Loop(p, ctx, cl, cfg)
+				})
+			}
+		},
+	})
+	res.Jobs = cl.Schedd.Jobs
+	res.Revokes = cl.FDs.Manager().Revokes
+	res.MaxWait = cl.FDs.Manager().MaxStarvation()
+	res.Crashes = cl.Schedd.Crashes
 	for i, sub := range subs {
 		res.PerClient[i] = float64(sub.Submitted)
 	}
 	res.Jain = metrics.JainIndex(res.PerClient)
-	for _, v := range priv.Violations {
-		if v.Check == "no-starvation" {
-			res.Starved++
-		}
-		if rec != nil {
-			rec.Add(v)
-		}
-	}
 	return res
 }
 
@@ -160,71 +154,47 @@ type LeaseAblation struct {
 	Fairness *metrics.SweepTable
 }
 
+// laSweep declares the ablation's cells: leased then unleased at each
+// population, matching the serial emission order of traces and
+// violations.
+func laSweep(Options) sweep {
+	return sweep{fig: "la", xlabel: "submitters", arms: []string{leaseArm(1), leaseArm(0)}, xs: slices.Clone(LeaseSweep), byX: true}
+}
+
 // FigLA runs the limited-allocation ablation: each population size in
 // LeaseSweep runs leased and unleased under the stuck-holder plan
 // (opt.Chaos overrides it). Invariant violations from the leased cells
 // go to opt.Check — the leased universe must stay starvation-free;
 // the unleased cells' violations are the measurement, not a failure.
-//
-// Unlike the paper figures, the sweep population is not scaled down
-// and the window is floored at two minutes: starvation statistics on
-// a handful of clients over a few seconds are noise (one wedged
-// client is 20% of a 5-client population), so opt.Scale only shortens
-// the window, never below where the quantum cycle is meaningful.
+// Populations and window follow Options.ablationWindow, not the paper
+// figures' scaling.
 func FigLA(opt Options) *LeaseAblation {
-	window := opt.scaleD(SubmitWindow)
-	if window < 2*time.Minute {
-		window = 2 * time.Minute
-	}
-	quantum := leaseQuantum(window)
-	xs := append([]int(nil), LeaseSweep...)
-	la := &LeaseAblation{
-		Throughput: &metrics.SweepTable{XLabel: "submitters", Xs: xs},
-		Fairness:   &metrics.SweepTable{XLabel: "submitters", Xs: xs},
-	}
-	cols := struct {
-		jobsL, jobsU, jainL, jainU, revokes, starved, wait metrics.SweepCol
-	}{
-		jobsL:   metrics.SweepCol{Name: "leased"},
-		jobsU:   metrics.SweepCol{Name: "unleased"},
-		jainL:   metrics.SweepCol{Name: "jain-leased"},
-		jainU:   metrics.SweepCol{Name: "jain-unleased"},
-		revokes: metrics.SweepCol{Name: "revokes"},
-		starved: metrics.SweepCol{Name: "starved"},
-		wait:    metrics.SweepCol{Name: "wait-unleased"},
-	}
-	// Two cells per population: leased (even index) then unleased (odd),
-	// matching the serial emission order of traces and violations.
-	results := make([]*LeaseCellResult, 2*len(xs))
-	runCells(opt, len(results), func(c int, tr *trace.Tracer, rec *chaos.Recorder, reg *obs.Registry) {
-		i := c / 2
-		seed := opt.seed() + int64(i)
-		plan := opt.Chaos
-		if plan == nil {
-			plan, _ = chaos.Preset("stuck-holder", seed)
+	s := laSweep(opt)
+	window := opt.ablationWindow()
+	const leased, unleased = 0, 1
+	res := grid[*LeaseCellResult](s)
+	s.run(opt, func(arm, p int, c cell) {
+		c.window, c.plan = window, opt.Chaos
+		if c.plan == nil {
+			c.plan, _ = chaos.Preset("stuck-holder", c.seed)
 		}
-		copt := opt
-		copt.Trace = tr
-		copt.cellObs = reg
-		if c%2 == 0 {
-			results[c] = LeaseCell(copt, seed, xs[i], window, quantum, plan, rec)
-		} else {
-			// The unleased arm's violations are the measurement, not a
-			// failure: they stay out of the experiment's recorder.
-			results[c] = LeaseCell(copt, seed, xs[i], window, 0, plan, nil)
+		quantum := leaseQuantum(window)
+		if arm == unleased {
+			quantum, c.rec = 0, nil
 		}
+		res[arm][p] = leaseCell(c, s.xs[p], quantum)
 	})
-	for i := range xs {
-		leased, unleased := results[2*i], results[2*i+1]
-		cols.jobsL.Vals = append(cols.jobsL.Vals, float64(leased.Jobs))
-		cols.jobsU.Vals = append(cols.jobsU.Vals, float64(unleased.Jobs))
-		cols.jainL.Vals = append(cols.jainL.Vals, 100*leased.Jain)
-		cols.jainU.Vals = append(cols.jainU.Vals, 100*unleased.Jain)
-		cols.revokes.Vals = append(cols.revokes.Vals, float64(leased.Revokes))
-		cols.starved.Vals = append(cols.starved.Vals, float64(unleased.Starved))
-		cols.wait.Vals = append(cols.wait.Vals, unleased.MaxWait.Seconds())
+	return &LeaseAblation{
+		Throughput: s.table(
+			col{"leased", func(p int) float64 { return float64(res[leased][p].Jobs) }},
+			col{"unleased", func(p int) float64 { return float64(res[unleased][p].Jobs) }},
+		),
+		Fairness: s.table(
+			col{"jain-leased", func(p int) float64 { return 100 * res[leased][p].Jain }},
+			col{"jain-unleased", func(p int) float64 { return 100 * res[unleased][p].Jain }},
+			col{"revokes", func(p int) float64 { return float64(res[leased][p].Revokes) }},
+			col{"starved", func(p int) float64 { return float64(res[unleased][p].Starved) }},
+			col{"wait-unleased", func(p int) float64 { return res[unleased][p].MaxWait.Seconds() }},
+		),
 	}
-	la.Throughput.Cols = []metrics.SweepCol{cols.jobsL, cols.jobsU}
-	la.Fairness.Cols = []metrics.SweepCol{cols.jainL, cols.jainU, cols.revokes, cols.starved, cols.wait}
-	return la
 }

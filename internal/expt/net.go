@@ -1,15 +1,17 @@
 package expt
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/condor"
 	"repro/internal/core"
+	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // ---------------------------------------------------------------------
@@ -79,123 +81,116 @@ type NetCellResult struct {
 // Violations are tallied into the result; when rec is non-nil they are
 // also forwarded, so an acceptance suite can demand a clean fenced run.
 func NetCell(opt Options, seed int64, n int, window time.Duration, plan *chaos.Plan, fenced bool, rec *chaos.Recorder) *NetCellResult {
-	e := opt.newEngine(seed)
-	quantum := netQuantum(window)
-	cl := condor.NewCluster(e, condor.Config{
-		// Tighter provisioning than the other ablations: the table fits
-		// only a fraction of the population's peak demand, so admission
-		// genuinely gates progress. That is what makes ledger corruption
-		// observable — once double-frees understate the books, the
-		// manager admits real demand beyond true capacity and the
-		// no-double-allocation invariant has something to catch. The
-		// quantum is short (a twentieth of the window) so leases whose
-		// release the channel swallowed are zombies briefly, not for a
-		// whole reclamation epoch — under drops the watchdog is the
-		// release path, and it must cycle faster than zombies accumulate.
-		// The restart delay is one quantum too: a schedd crashed by
-		// housekeeping starvation mid-partition restarts into a table
-		// the watchdog has already drained, instead of sitting out a
-		// default 30s (a quarter of a short window) and re-crashing
-		// into the same jam.
-		FDCapacity:   6 * n,
-		ServiceSlots: n,
-		LeaseQuantum: quantum,
-		RestartDelay: quantum,
-		Unfenced:     !fenced,
+	return netCell(opt.cell(fmt.Sprintf("net/%s/n%d", netArm(fenced), n), seed, window, plan, rec), n, fenced)
+}
+
+// netArm names the two arms of the ablation, in traces and labels.
+func netArm(fenced bool) string {
+	if fenced {
+		return "fenced"
+	}
+	return "unfenced"
+}
+
+// netCell is the unreliable-channel scenario.
+func netCell(c cell, n int, fenced bool) *NetCellResult {
+	quantum := netQuantum(c.window)
+	var cl *condor.Cluster
+	var mgr *lease.Manager
+	res := &NetCellResult{}
+	c.run(scenario{
+		substrate: func(e core.Backend) chaos.Targets {
+			cl = condor.NewCluster(e, condor.Config{
+				// Tighter provisioning than the other ablations: the table fits
+				// only a fraction of the population's peak demand, so admission
+				// genuinely gates progress. That is what makes ledger corruption
+				// observable — once double-frees understate the books, the
+				// manager admits real demand beyond true capacity and the
+				// no-double-allocation invariant has something to catch. The
+				// quantum is short (a twentieth of the window) so leases whose
+				// release the channel swallowed are zombies briefly, not for a
+				// whole reclamation epoch — under drops the watchdog is the
+				// release path, and it must cycle faster than zombies accumulate.
+				// The restart delay is one quantum too: a schedd crashed by
+				// housekeeping starvation mid-partition restarts into a table
+				// the watchdog has already drained, instead of sitting out a
+				// default 30s (a quarter of a short window) and re-crashing
+				// into the same jam.
+				FDCapacity:   6 * n,
+				ServiceSlots: n,
+				LeaseQuantum: quantum,
+				RestartDelay: quantum,
+				Unfenced:     !fenced,
+			})
+			mgr = cl.FDs.Manager()
+			return chaos.Targets{Cluster: cl}
+		},
+		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
+		checks: func(inv *chaos.Invariants) {
+			inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
+			inv.Horizon(c.window)
+			inv.NoDoubleAlloc("fds", mgr.Outstanding, mgr.Capacity)
+			inv.Conservation("submit",
+				func() int64 { return cl.Schedd.Jobs },
+				func() int64 { return cl.Schedd.Unique })
+			if c.plan != nil && c.plan.Name == "part-flap" {
+				healAt := time.Duration(float64(c.window) * netHealFrac)
+				inv.HealLiveness("jobs",
+					func() float64 { return float64(cl.Schedd.Jobs) }, healAt, c.window/10)
+			}
+		},
+		// Violations are detected locally even for the unfenced cell, whose
+		// breaches are the expected measurement, not an experiment failure.
+		tally: func(v chaos.Violation) {
+			switch v.Check {
+			case "double-alloc":
+				res.DoubleAllocs++
+			case "conservation":
+				res.ConsViolations++
+			case "heal-liveness":
+				res.HealViolations++
+			}
+		},
+		gauges: func(sc *obs.Scope) { obsCluster(sc, cl) },
+		clients: func(e core.Backend, ctx context.Context) {
+			for i := 0; i < n; i++ {
+				sub := &condor.Submitter{}
+				cfg := condor.SubmitterConfig{
+					Discipline: core.Ethernet,
+					// One work unit spans the whole window: a unit abandoned
+					// mid-partition would understate the retry pressure the
+					// budget exists to absorb.
+					// The carrier threshold sits below the (shrunken) capacity so
+					// honest clients still get through; think time is short so
+					// the population keeps real pressure on the table.
+					TryLimit:  c.window,
+					Threshold: 2 * n,
+					ThinkTime: time.Second,
+					// The same capped backoff as the other ablations, so a
+					// deferred client re-senses within the reclamation cycle.
+					Backoff: &core.Backoff{Base: time.Second, Cap: quantum / 2, Factor: 2, RandMin: 1, RandMax: 2},
+					// The retry budget is armed in BOTH cells — it is a
+					// graceful-degradation mechanism, not a correctness one, and
+					// differing retry cadence would confound the ablation.
+					Budget: &core.RetryBudget{Rate: 0.5, Burst: 5},
+					Trace:  c.client(e, netArm(fenced), "submitter", i),
+				}
+				// Unique process names: the lease ledger keys holders by name.
+				e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
+					sub.Loop(p, ctx, cl, cfg)
+				})
+			}
+		},
 	})
-	ctx, cancel := e.WithTimeout(e.Context(), window)
-	defer cancel()
-	cl.StartHousekeeping(ctx)
-	if plan != nil {
-		plan.Arm(e, chaos.Targets{Window: window, Cluster: cl, Trace: opt.Trace})
-	}
-	// Violations are detected locally even for the unfenced cell, whose
-	// breaches are the expected measurement, not an experiment failure.
-	priv := &chaos.Recorder{}
-	inv := chaos.NewInvariants(e, priv, 0)
-	mgr := cl.FDs.Manager()
-	inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
-	inv.Horizon(window)
-	inv.NoDoubleAlloc("fds", mgr.Outstanding, mgr.Capacity)
-	inv.Conservation("submit",
-		func() int64 { return cl.Schedd.Jobs },
-		func() int64 { return cl.Schedd.Unique })
-	if plan != nil && plan.Name == "part-flap" {
-		healAt := time.Duration(float64(window) * netHealFrac)
-		inv.HealLiveness("jobs",
-			func() float64 { return float64(cl.Schedd.Jobs) }, healAt, window/10)
-	}
-	inv.Start(ctx)
-
-	label := "fenced"
-	if !fenced {
-		label = "unfenced"
-	}
-	if opt.obsCell == "" {
-		opt.obsCell = fmt.Sprintf("net/%s/n%d", label, n)
-	}
-	finish := armObs(opt, e, window, opt.obsCell, func(sc *obs.Scope) { obsCluster(sc, cl) })
-	subs := make([]*condor.Submitter, n)
-	for i := 0; i < n; i++ {
-		subs[i] = &condor.Submitter{}
-		sub := subs[i]
-		cfg := condor.SubmitterConfig{
-			Discipline: core.Ethernet,
-			// One work unit spans the whole window: a unit abandoned
-			// mid-partition would understate the retry pressure the
-			// budget exists to absorb.
-			// The carrier threshold sits below the (shrunken) capacity so
-			// honest clients still get through; think time is short so
-			// the population keeps real pressure on the table.
-			TryLimit:  window,
-			Threshold: 2 * n,
-			ThinkTime: time.Second,
-			// The same capped backoff as the other ablations, so a
-			// deferred client re-senses within the reclamation cycle.
-			Backoff: &core.Backoff{Base: time.Second, Cap: quantum / 2, Factor: 2, RandMin: 1, RandMax: 2},
-			// The retry budget is armed in BOTH cells — it is a
-			// graceful-degradation mechanism, not a correctness one, and
-			// differing retry cadence would confound the ablation.
-			Budget: &core.RetryBudget{Rate: 0.5, Burst: 5},
-		}
-		if opt.Trace != nil {
-			cfg.Trace = opt.Trace.NewClient(label, fmt.Sprintf("submitter-%d", i), e.Elapsed)
-		}
-		// Unique process names: the lease ledger keys holders by name.
-		e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
-			sub.Loop(p, ctx, cl, cfg)
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic("expt: " + err.Error())
-	}
-	finish()
-	inv.Finish()
-
-	res := &NetCellResult{
-		Jobs:      cl.Schedd.Jobs,
-		Unique:    cl.Schedd.Unique,
-		Phantom:   cl.Schedd.Jobs - cl.Schedd.Unique,
-		Deduped:   cl.Schedd.Deduped,
-		NetDrops:  cl.Schedd.NetDrops,
-		WireDrops: mgr.Drops,
-		WireDups:  mgr.Dups,
-		Stales:    mgr.Stales,
-		Revokes:   mgr.Revokes,
-	}
-	for _, v := range priv.Violations {
-		switch v.Check {
-		case "double-alloc":
-			res.DoubleAllocs++
-		case "conservation":
-			res.ConsViolations++
-		case "heal-liveness":
-			res.HealViolations++
-		}
-		if rec != nil {
-			rec.Add(v)
-		}
-	}
+	res.Jobs = cl.Schedd.Jobs
+	res.Unique = cl.Schedd.Unique
+	res.Phantom = cl.Schedd.Jobs - cl.Schedd.Unique
+	res.Deduped = cl.Schedd.Deduped
+	res.NetDrops = cl.Schedd.NetDrops
+	res.WireDrops = mgr.Drops
+	res.WireDups = mgr.Dups
+	res.Stales = mgr.Stales
+	res.Revokes = mgr.Revokes
 	return res
 }
 
@@ -213,105 +208,66 @@ type NetAblation struct {
 	Channel *metrics.SweepTable
 }
 
+// netSweep declares the ablation's cells: four per population, in
+// fixed order — fenced/unfenced under dup-storm, then fenced/unfenced
+// under part-flap — matching the serial emission order of traces and
+// violations.
+func netSweep(Options) sweep {
+	return sweep{fig: "net", xlabel: "submitters", arms: []string{"fenced-dup", "unfenced-dup", "fenced-part", "unfenced-part"}, xs: slices.Clone(NetSweep), byX: true}
+}
+
 // FigNet runs the unreliable-channel ablation: each population in
 // NetSweep runs four cells — fenced and unfenced, each under the
 // "dup-storm" and "part-flap" plans (opt.Chaos overrides both).
 // Violations from the fenced cells go to opt.Check — the defended
 // universe must never double-allocate, never book a phantom job, and
 // must make progress after the partition heals; the unfenced cells'
-// violations are the measurement.
-//
-// Like FigLA, the sweep population is not scaled down and the window
-// is floored at two minutes, so the partition phases dwarf the retry
+// violations are the measurement. Populations and window follow
+// Options.ablationWindow, so the partition phases dwarf the retry
 // cadence at every scale (see EXPERIMENTS.md on choosing -timescale
 // for live runs).
 func FigNet(opt Options) *NetAblation {
-	window := opt.scaleD(SubmitWindow)
-	if window < 2*time.Minute {
-		window = 2 * time.Minute
-	}
-	xs := append([]int(nil), NetSweep...)
-	na := &NetAblation{
-		Throughput: &metrics.SweepTable{XLabel: "submitters", Xs: xs},
-		Integrity:  &metrics.SweepTable{XLabel: "submitters", Xs: xs},
-		Channel:    &metrics.SweepTable{XLabel: "submitters", Xs: xs},
-	}
-	fDup := make([]*NetCellResult, len(xs))
-	uDup := make([]*NetCellResult, len(xs))
-	fPart := make([]*NetCellResult, len(xs))
-	uPart := make([]*NetCellResult, len(xs))
-	// Four cells per population, in fixed order — fenced/unfenced under
-	// dup-storm, then fenced/unfenced under part-flap — matching the
-	// serial emission order of traces and violations.
-	runCells(opt, 4*len(xs), func(c int, tr *trace.Tracer, rec *chaos.Recorder, reg *obs.Registry) {
-		i := c / 4
-		seed := opt.seed() + int64(i)
-		dup, part := opt.Chaos, opt.Chaos
-		if dup == nil {
-			dup, _ = chaos.Preset("dup-storm", seed)
-			part, _ = chaos.Preset("part-flap", seed)
+	s := netSweep(opt)
+	window := opt.ablationWindow()
+	const fDup, uDup, fPart, uPart = 0, 1, 2, 3
+	res := grid[*NetCellResult](s)
+	s.run(opt, func(arm, p int, c cell) {
+		c.window = window
+		if c.plan = opt.Chaos; c.plan == nil {
+			name := "dup-storm"
+			if arm == fPart || arm == uPart {
+				name = "part-flap"
+			}
+			c.plan, _ = chaos.Preset(name, c.seed)
 		}
-		copt := opt
-		copt.Trace = tr
-		copt.cellObs = reg
-		switch c % 4 {
-		case 0:
-			copt.obsCell = fmt.Sprintf("net/fenced-dup/n%d", xs[i])
-			fDup[i] = NetCell(copt, seed, xs[i], window, dup, true, rec)
-		case 1:
-			copt.obsCell = fmt.Sprintf("net/unfenced-dup/n%d", xs[i])
-			uDup[i] = NetCell(copt, seed, xs[i], window, dup, false, nil)
-		case 2:
-			copt.obsCell = fmt.Sprintf("net/fenced-part/n%d", xs[i])
-			fPart[i] = NetCell(copt, seed, xs[i], window, part, true, rec)
-		case 3:
-			copt.obsCell = fmt.Sprintf("net/unfenced-part/n%d", xs[i])
-			uPart[i] = NetCell(copt, seed, xs[i], window, part, false, nil)
+		fenced := arm == fDup || arm == fPart
+		if !fenced {
+			c.rec = nil
 		}
+		res[arm][p] = netCell(c, s.xs[p], fenced)
 	})
-	cols := struct {
-		fDup, uDup, fPart, uPart                   metrics.SweepCol
-		phanD, phanP, dallocD, dallocP             metrics.SweepCol
-		stalesD, stalesP, dedupD                   metrics.SweepCol
-		netDropsD, netDropsP, wdropP, wdupD, revkP metrics.SweepCol
-	}{
-		fDup:      metrics.SweepCol{Name: "fenced-dup"},
-		uDup:      metrics.SweepCol{Name: "unfenced-dup"},
-		fPart:     metrics.SweepCol{Name: "fenced-part"},
-		uPart:     metrics.SweepCol{Name: "unfenced-part"},
-		phanD:     metrics.SweepCol{Name: "phantom-dup"},
-		phanP:     metrics.SweepCol{Name: "phantom-part"},
-		dallocD:   metrics.SweepCol{Name: "dalloc-dup"},
-		dallocP:   metrics.SweepCol{Name: "dalloc-part"},
-		stalesD:   metrics.SweepCol{Name: "stales-dup"},
-		stalesP:   metrics.SweepCol{Name: "stales-part"},
-		dedupD:    metrics.SweepCol{Name: "deduped-dup"},
-		netDropsD: metrics.SweepCol{Name: "req-drops-dup"},
-		netDropsP: metrics.SweepCol{Name: "req-drops-part"},
-		wdropP:    metrics.SweepCol{Name: "wire-drops-part"},
-		wdupD:     metrics.SweepCol{Name: "wire-dups-dup"},
-		revkP:     metrics.SweepCol{Name: "revokes-part"},
+	return &NetAblation{
+		Throughput: s.table(
+			col{"fenced-dup", func(p int) float64 { return float64(res[fDup][p].Jobs) }},
+			col{"unfenced-dup", func(p int) float64 { return float64(res[uDup][p].Jobs) }},
+			col{"fenced-part", func(p int) float64 { return float64(res[fPart][p].Jobs) }},
+			col{"unfenced-part", func(p int) float64 { return float64(res[uPart][p].Jobs) }},
+		),
+		Integrity: s.table(
+			col{"phantom-dup", func(p int) float64 { return float64(res[uDup][p].Phantom) }},
+			col{"phantom-part", func(p int) float64 { return float64(res[uPart][p].Phantom) }},
+			col{"dalloc-dup", func(p int) float64 { return float64(res[uDup][p].DoubleAllocs) }},
+			col{"dalloc-part", func(p int) float64 { return float64(res[uPart][p].DoubleAllocs) }},
+			col{"stales-dup", func(p int) float64 { return float64(res[fDup][p].Stales) }},
+			col{"stales-part", func(p int) float64 { return float64(res[fPart][p].Stales) }},
+			col{"deduped-dup", func(p int) float64 { return float64(res[fDup][p].Deduped) }},
+		),
+		Channel: s.table(
+			col{"req-drops-dup", func(p int) float64 { return float64(res[fDup][p].NetDrops) }},
+			col{"req-drops-part", func(p int) float64 { return float64(res[fPart][p].NetDrops) }},
+			col{"wire-drops-part", func(p int) float64 { return float64(res[fPart][p].WireDrops) }},
+			col{"wire-dups-dup", func(p int) float64 { return float64(res[fDup][p].WireDups) }},
+			col{"revokes-part", func(p int) float64 { return float64(res[fPart][p].Revokes) }},
+		),
 	}
-	for i := range xs {
-		cols.fDup.Vals = append(cols.fDup.Vals, float64(fDup[i].Jobs))
-		cols.uDup.Vals = append(cols.uDup.Vals, float64(uDup[i].Jobs))
-		cols.fPart.Vals = append(cols.fPart.Vals, float64(fPart[i].Jobs))
-		cols.uPart.Vals = append(cols.uPart.Vals, float64(uPart[i].Jobs))
-		cols.phanD.Vals = append(cols.phanD.Vals, float64(uDup[i].Phantom))
-		cols.phanP.Vals = append(cols.phanP.Vals, float64(uPart[i].Phantom))
-		cols.dallocD.Vals = append(cols.dallocD.Vals, float64(uDup[i].DoubleAllocs))
-		cols.dallocP.Vals = append(cols.dallocP.Vals, float64(uPart[i].DoubleAllocs))
-		cols.stalesD.Vals = append(cols.stalesD.Vals, float64(fDup[i].Stales))
-		cols.stalesP.Vals = append(cols.stalesP.Vals, float64(fPart[i].Stales))
-		cols.dedupD.Vals = append(cols.dedupD.Vals, float64(fDup[i].Deduped))
-		cols.netDropsD.Vals = append(cols.netDropsD.Vals, float64(fDup[i].NetDrops))
-		cols.netDropsP.Vals = append(cols.netDropsP.Vals, float64(fPart[i].NetDrops))
-		cols.wdropP.Vals = append(cols.wdropP.Vals, float64(fPart[i].WireDrops))
-		cols.wdupD.Vals = append(cols.wdupD.Vals, float64(fDup[i].WireDups))
-		cols.revkP.Vals = append(cols.revkP.Vals, float64(fPart[i].Revokes))
-	}
-	na.Throughput.Cols = []metrics.SweepCol{cols.fDup, cols.uDup, cols.fPart, cols.uPart}
-	na.Integrity.Cols = []metrics.SweepCol{cols.phanD, cols.phanP, cols.dallocD, cols.dallocP, cols.stalesD, cols.stalesP, cols.dedupD}
-	na.Channel.Cols = []metrics.SweepCol{cols.netDropsD, cols.netDropsP, cols.wdropP, cols.wdupD, cols.revkP}
-	return na
 }

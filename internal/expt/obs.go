@@ -29,11 +29,11 @@ import (
 // instruments a private registry which is merged into Options.Obs in
 // cell order, whether the sweep ran serially or on the worker pool —
 // so a -metrics dump is byte-identical at any -parallel value. Cells
-// never share instrument identities: each cell's scope carries a
-// unique cell label stamped by the figure code. On the live backend
-// cells instrument Options.Obs directly instead, so a mid-run HTTP
-// exporter sees data as it arrives; live runs are not reproducible
-// anyway.
+// never share instrument identities: each cell's scope carries the
+// cell's label, which is unique within a run (see cell.label). On the
+// live backend cells instrument Options.Obs directly instead, so a
+// mid-run HTTP exporter sees data as it arrives; live runs are not
+// reproducible anyway.
 
 // Family names sampled by the flight recorder.
 const (
@@ -93,16 +93,6 @@ func (o Options) obsInterval() time.Duration {
 	return o.ObsInterval
 }
 
-// obsReg resolves the registry a cell instruments: the per-cell
-// registry handed out by runCells when sweeping on the sim backend,
-// or Obs itself (single-cell figures; live backend).
-func (o Options) obsReg() *obs.Registry {
-	if o.cellObs != nil {
-		return o.cellObs
-	}
-	return o.Obs
-}
-
 // engineObserver is the backend surface the engine gauges poll; both
 // sim.RT and *live.Engine satisfy it.
 type engineObserver interface {
@@ -119,20 +109,17 @@ type wheelObserver interface {
 }
 
 // armObs builds a cell's instrumentation scope — the engine gauges
-// plus whatever scenario gauges inst registers — and schedules the
-// periodic sampler on the backend clock for the window. The returned
-// finish func must be called after the backend's Run returns: it
-// takes the final sample, so end-of-run totals are always recorded.
-// With no registry armed, armObs is a no-op returning a no-op.
-//
-// cell names this cell uniquely within the figure (stamped as the
-// "cell" label); extra labels alternate key, value.
-func armObs(opt Options, e core.Backend, window time.Duration, cell string, inst func(sc *obs.Scope)) func() {
-	reg := opt.obsReg()
-	if reg == nil {
+// plus whatever scenario gauges inst registers, all under the cell's
+// label — and schedules the periodic sampler on the backend clock for
+// the window. The returned finish func must be called after the
+// backend's Run returns: it takes the final sample, so end-of-run totals
+// are always recorded. With no registry armed, armObs is a no-op
+// returning a no-op.
+func armObs(c cell, e core.Backend, inst func(sc *obs.Scope)) func() {
+	if c.reg == nil {
 		return func() {}
 	}
-	sc := reg.NewScope(e.Elapsed, "cell", cell)
+	sc := c.reg.NewScope(e.Elapsed, "cell", c.label)
 	sc.GaugeFunc(MEngineEvents, "Cumulative scheduling steps executed by the backend.",
 		func() float64 { return float64(e.Events()) })
 	if eo, ok := e.(engineObserver); ok {
@@ -152,11 +139,11 @@ func armObs(opt Options, e core.Backend, window time.Duration, cell string, inst
 	if inst != nil {
 		inst(sc)
 	}
-	interval := opt.obsInterval()
+	interval := c.opt.obsInterval()
 	var tick func()
 	tick = func() {
 		sc.Sample()
-		if e.Elapsed() < window {
+		if e.Elapsed() < c.window {
 			e.Schedule(interval, tick)
 		}
 	}

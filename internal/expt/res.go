@@ -1,7 +1,9 @@
 package expt
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
@@ -10,7 +12,6 @@ import (
 	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // ---------------------------------------------------------------------
@@ -82,94 +83,84 @@ type ResCellResult struct {
 // when rec is non-nil they are also forwarded, so an acceptance suite
 // can demand a clean run.
 func ResCell(opt Options, seed int64, n int, window time.Duration, plan *chaos.Plan, rec *chaos.Recorder) *ResCellResult {
-	e := opt.newEngine(seed)
-	quantum := leaseQuantum(window)
-	cl := condor.NewCluster(e, condor.Config{
-		// Same table and service provisioning as the Ethernet arm
-		// (LeaseCell), so the only variable is the discipline.
-		FDCapacity:   12 * n,
-		ServiceSlots: n,
-		LeaseQuantum: quantum,
-	})
-	// The book carves the client share out of the descriptor budget;
-	// the remainder of the table is the schedd's (connection FDs,
-	// housekeeping), so an admitted client can never crash the daemon
-	// by mere arrival — that is the admission-control bargain.
-	book := lease.NewBook(e, "fds", resBookCapacity(n))
-	ctx, cancel := e.WithTimeout(e.Context(), window)
-	defer cancel()
-	cl.StartHousekeeping(ctx)
-	if plan != nil {
-		plan.Arm(e, chaos.Targets{Window: window, Cluster: cl, Trace: opt.Trace})
-	}
-	// Starvation is detected locally: under the flap plan the
-	// violations are the measurement (dead windows starve the book),
-	// not an experiment failure.
-	priv := &chaos.Recorder{}
-	inv := chaos.NewInvariants(e, priv, 0)
-	inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
-	inv.Monotone("rejects", func() float64 { return float64(book.Rejects) })
-	inv.Horizon(window)
-	inv.NoStarvation("fds", book.Tenure().LongestWait, leaseBudget(window))
-	inv.Start(ctx)
+	return resCell(opt.cell(fmt.Sprintf("res/reservation/n%d", n), seed, window, plan, rec), n)
+}
 
-	if opt.obsCell == "" {
-		opt.obsCell = fmt.Sprintf("res/reservation/n%d", n)
-	}
-	finish := armObs(opt, e, window, opt.obsCell, func(sc *obs.Scope) {
-		obsCluster(sc, cl)
-		obsBook(sc, book, "book")
-	})
+// resCell is the reservation scenario.
+func resCell(c cell, n int) *ResCellResult {
+	quantum := leaseQuantum(c.window)
+	var cl *condor.Cluster
+	var book *lease.Book
 	subs := make([]*condor.Submitter, n)
-	for i := 0; i < n; i++ {
-		subs[i] = &condor.Submitter{}
-		sub := subs[i]
-		cfg := condor.ResSubmitterConfig{
-			// One work unit spans the whole window, as in the Ethernet
-			// arm.
-			TryLimit:  window,
-			Window:    resWindow(window),
-			ThinkTime: 3 * time.Second,
-			// The same capped backoff template as the Ethernet arm: a
-			// rejected client re-asks within the reclamation cycle.
-			Backoff: &core.Backoff{Base: time.Second, Cap: quantum / 2, Factor: 2, RandMin: 1, RandMax: 2},
-		}
-		if opt.Trace != nil {
-			cfg.Trace = opt.Trace.NewClient(core.Reservation.String(), fmt.Sprintf("submitter-%d", i), e.Elapsed)
-		}
-		// Unique process names: the book ledger keys holders by name.
-		e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
-			sub.ReserveLoop(p, ctx, cl, book, cfg)
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic("expt: " + err.Error())
-	}
-	finish()
-	inv.Finish()
-
-	res := &ResCellResult{
-		Jobs:      cl.Schedd.Jobs,
-		PerClient: make([]float64, n),
-		Rejects:   book.Rejects,
-		Admits:    book.Admits,
-		Revokes:   book.Tenure().Revokes,
-		Lapses:    book.Lapses,
-		Crashes:   cl.Schedd.Crashes,
-		MaxWait:   book.Tenure().MaxStarvation(),
-	}
+	res := &ResCellResult{PerClient: make([]float64, n)}
+	c.run(scenario{
+		substrate: func(e core.Backend) chaos.Targets {
+			cl = condor.NewCluster(e, condor.Config{
+				// Same table and service provisioning as the Ethernet arm
+				// (leaseCell), so the only variable is the discipline.
+				FDCapacity:   12 * n,
+				ServiceSlots: n,
+				LeaseQuantum: quantum,
+			})
+			// The book carves the client share out of the descriptor budget;
+			// the remainder of the table is the schedd's (connection FDs,
+			// housekeeping), so an admitted client can never crash the daemon
+			// by mere arrival — that is the admission-control bargain.
+			book = lease.NewBook(e, "fds", resBookCapacity(n))
+			return chaos.Targets{Cluster: cl}
+		},
+		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
+		checks: func(inv *chaos.Invariants) {
+			inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
+			inv.Monotone("rejects", func() float64 { return float64(book.Rejects) })
+			inv.Horizon(c.window)
+			inv.NoStarvation("fds", book.Tenure().LongestWait, leaseBudget(c.window))
+		},
+		// Starvation is detected locally: under the flap plan the
+		// violations are the measurement (dead windows starve the book),
+		// not an experiment failure.
+		tally: func(v chaos.Violation) {
+			if v.Check == "no-starvation" {
+				res.Starved++
+			}
+		},
+		gauges: func(sc *obs.Scope) {
+			obsCluster(sc, cl)
+			obsBook(sc, book, "book")
+		},
+		clients: func(e core.Backend, ctx context.Context) {
+			for i := range subs {
+				sub := &condor.Submitter{}
+				subs[i] = sub
+				cfg := condor.ResSubmitterConfig{
+					// One work unit spans the whole window, as in the Ethernet
+					// arm.
+					TryLimit:  c.window,
+					Window:    resWindow(c.window),
+					ThinkTime: 3 * time.Second,
+					// The same capped backoff template as the Ethernet arm: a
+					// rejected client re-asks within the reclamation cycle.
+					Backoff: &core.Backoff{Base: time.Second, Cap: quantum / 2, Factor: 2, RandMin: 1, RandMax: 2},
+					Trace:   c.client(e, core.Reservation.String(), "submitter", i),
+				}
+				// Unique process names: the book ledger keys holders by name.
+				e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
+					sub.ReserveLoop(p, ctx, cl, book, cfg)
+				})
+			}
+		},
+	})
+	res.Jobs = cl.Schedd.Jobs
+	res.Rejects = book.Rejects
+	res.Admits = book.Admits
+	res.Revokes = book.Tenure().Revokes
+	res.Lapses = book.Lapses
+	res.Crashes = cl.Schedd.Crashes
+	res.MaxWait = book.Tenure().MaxStarvation()
 	for i, sub := range subs {
 		res.PerClient[i] = float64(sub.Submitted)
 	}
 	res.Jain = metrics.JainIndex(res.PerClient)
-	for _, v := range priv.Violations {
-		if v.Check == "no-starvation" {
-			res.Starved++
-		}
-		if rec != nil {
-			rec.Add(v)
-		}
-	}
 	return res
 }
 
@@ -184,84 +175,53 @@ type ResAblation struct {
 	Admission *metrics.SweepTable
 }
 
+// resSweep declares the ablation's cells: four per population, in
+// fixed order — res/eth steady, then res/eth under flap — matching the
+// serial emission order of traces and violations.
+func resSweep(Options) sweep {
+	return sweep{fig: "res", xlabel: "submitters", arms: []string{"res-steady", "eth-steady", "res-flap", "eth-flap"}, xs: slices.Clone(ResSweep), byX: true}
+}
+
 // FigRes runs the reservation ablation: each population in ResSweep
 // runs four cells — Reservation and leased Ethernet, each fault-free
 // and under the "res-flap" plan (opt.Chaos overrides it). Violations
 // from the fault-free cells go to opt.Check — a steady-state universe
 // must stay clean; the flap cells' violations are the measurement.
-//
-// Like FigLA, the sweep population is not scaled down and the window is
-// floored at two minutes, so the booking-window cycle stays meaningful
-// at every scale.
+// Populations and window follow Options.ablationWindow, so the
+// booking-window cycle stays meaningful at every scale.
 func FigRes(opt Options) *ResAblation {
-	window := opt.scaleD(SubmitWindow)
-	if window < 2*time.Minute {
-		window = 2 * time.Minute
-	}
-	quantum := leaseQuantum(window)
-	xs := append([]int(nil), ResSweep...)
-	ra := &ResAblation{
-		Throughput: &metrics.SweepTable{XLabel: "submitters", Xs: xs},
-		Admission:  &metrics.SweepTable{XLabel: "submitters", Xs: xs},
-	}
-	resS := make([]*ResCellResult, len(xs))
-	resF := make([]*ResCellResult, len(xs))
-	ethS := make([]*LeaseCellResult, len(xs))
-	ethF := make([]*LeaseCellResult, len(xs))
-	// Four cells per population, in fixed order — res/eth steady, then
-	// res/eth under flap — matching the serial emission order of traces
-	// and violations.
-	runCells(opt, 4*len(xs), func(c int, tr *trace.Tracer, rec *chaos.Recorder, reg *obs.Registry) {
-		i := c / 4
-		seed := opt.seed() + int64(i)
-		flap := opt.Chaos
-		if flap == nil {
-			flap, _ = chaos.Preset("res-flap", seed)
+	s := resSweep(opt)
+	window := opt.ablationWindow()
+	const resS, ethS, resF, ethF = 0, 1, 2, 3
+	res := grid[*ResCellResult](s)
+	eth := grid[*LeaseCellResult](s)
+	s.run(opt, func(arm, p int, c cell) {
+		c.window = window
+		if arm == resF || arm == ethF {
+			c.rec = nil
+			if c.plan = opt.Chaos; c.plan == nil {
+				c.plan, _ = chaos.Preset("res-flap", c.seed)
+			}
 		}
-		copt := opt
-		copt.Trace = tr
-		copt.cellObs = reg
-		switch c % 4 {
-		case 0:
-			copt.obsCell = fmt.Sprintf("res/res-steady/n%d", xs[i])
-			resS[i] = ResCell(copt, seed, xs[i], window, nil, rec)
-		case 1:
-			copt.obsCell = fmt.Sprintf("res/eth-steady/n%d", xs[i])
-			ethS[i] = LeaseCell(copt, seed, xs[i], window, quantum, nil, rec)
-		case 2:
-			copt.obsCell = fmt.Sprintf("res/res-flap/n%d", xs[i])
-			resF[i] = ResCell(copt, seed, xs[i], window, flap, nil)
-		case 3:
-			copt.obsCell = fmt.Sprintf("res/eth-flap/n%d", xs[i])
-			ethF[i] = LeaseCell(copt, seed, xs[i], window, quantum, flap, nil)
+		if arm == resS || arm == resF {
+			res[arm][p] = resCell(c, s.xs[p])
+		} else {
+			eth[arm][p] = leaseCell(c, s.xs[p], leaseQuantum(window))
 		}
 	})
-	cols := struct {
-		resS, ethS, resF, ethF               metrics.SweepCol
-		rejS, rejF, dead, lapses, crashesEth metrics.SweepCol
-	}{
-		resS:       metrics.SweepCol{Name: "res"},
-		ethS:       metrics.SweepCol{Name: "ethernet"},
-		resF:       metrics.SweepCol{Name: "res-flap"},
-		ethF:       metrics.SweepCol{Name: "eth-flap"},
-		rejS:       metrics.SweepCol{Name: "rejects"},
-		rejF:       metrics.SweepCol{Name: "rejects-flap"},
-		dead:       metrics.SweepCol{Name: "dead-windows"},
-		lapses:     metrics.SweepCol{Name: "lapses-flap"},
-		crashesEth: metrics.SweepCol{Name: "eth-crashes-flap"},
+	return &ResAblation{
+		Throughput: s.table(
+			col{"res", func(p int) float64 { return float64(res[resS][p].Jobs) }},
+			col{"ethernet", func(p int) float64 { return float64(eth[ethS][p].Jobs) }},
+			col{"res-flap", func(p int) float64 { return float64(res[resF][p].Jobs) }},
+			col{"eth-flap", func(p int) float64 { return float64(eth[ethF][p].Jobs) }},
+		),
+		Admission: s.table(
+			col{"rejects", func(p int) float64 { return float64(res[resS][p].Rejects) }},
+			col{"rejects-flap", func(p int) float64 { return float64(res[resF][p].Rejects) }},
+			col{"dead-windows", func(p int) float64 { return float64(res[resF][p].Revokes) }},
+			col{"lapses-flap", func(p int) float64 { return float64(res[resF][p].Lapses) }},
+			col{"eth-crashes-flap", func(p int) float64 { return float64(eth[ethF][p].Crashes) }},
+		),
 	}
-	for i := range xs {
-		cols.resS.Vals = append(cols.resS.Vals, float64(resS[i].Jobs))
-		cols.ethS.Vals = append(cols.ethS.Vals, float64(ethS[i].Jobs))
-		cols.resF.Vals = append(cols.resF.Vals, float64(resF[i].Jobs))
-		cols.ethF.Vals = append(cols.ethF.Vals, float64(ethF[i].Jobs))
-		cols.rejS.Vals = append(cols.rejS.Vals, float64(resS[i].Rejects))
-		cols.rejF.Vals = append(cols.rejF.Vals, float64(resF[i].Rejects))
-		cols.dead.Vals = append(cols.dead.Vals, float64(resF[i].Revokes))
-		cols.lapses.Vals = append(cols.lapses.Vals, float64(resF[i].Lapses))
-		cols.crashesEth.Vals = append(cols.crashesEth.Vals, float64(ethF[i].Crashes))
-	}
-	ra.Throughput.Cols = []metrics.SweepCol{cols.resS, cols.ethS, cols.resF, cols.ethF}
-	ra.Admission.Cols = []metrics.SweepCol{cols.rejS, cols.rejF, cols.dead, cols.lapses, cols.crashesEth}
-	return ra
 }

@@ -71,21 +71,26 @@ func (pr *progressReporter) cellDone(reg *obs.Registry) {
 }
 
 // runCells executes cells 0..n-1 via run, which must write its results
-// into per-cell slots and touch shared sinks only through the tr, rec,
-// and reg it is handed (each may be nil, mirroring opt.Trace,
-// opt.Check, and opt.Obs).
+// into per-cell slots and touch shared sinks only through the tracer,
+// recorder, and registry of the cell it is handed (each may be nil,
+// mirroring opt.Trace, opt.Check, and opt.Obs); run fills in the rest
+// of the cell (label, seed, window, plan) before running a scenario in
+// it.
 //
 // With one worker the cells run in the calling goroutine against
-// opt.Trace and opt.Check directly — the legacy serial path. With
-// more, each cell gets a private tracer and recorder; after every cell
-// finishes, tracers are merged (trace.Tracer.Merge) and violations
-// appended in cell order, reproducing the serial byte stream. Metric
+// opt.Trace and opt.Check directly — the serial path, kept as the
+// reference the merge path is compared against
+// (TestRunnerParallelMatchesSerial, cmd/gridbench's
+// TestParallelDeterminism). With more, each cell gets a private tracer
+// and recorder; after every cell finishes, tracers are merged
+// (trace.Tracer.Merge) and violations appended in cell order,
+// reproducing the serial byte stream. Metric
 // registries are per-cell on the sim backend in BOTH paths and merged
 // in cell order immediately (serial) or after the pool drains
 // (parallel) — the same Merge sequence either way, so dumps are
 // byte-identical at any worker count. A panic in any cell is re-raised
 // here, lowest cell first, after the pool drains.
-func runCells(opt Options, n int, run func(cell int, tr *trace.Tracer, rec *chaos.Recorder, reg *obs.Registry)) {
+func runCells(opt Options, n int, run func(i int, c cell)) {
 	workers := opt.workers()
 	if workers > n {
 		workers = n
@@ -94,7 +99,7 @@ func runCells(opt Options, n int, run func(cell int, tr *trace.Tracer, rec *chao
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			reg := opt.cellRegistry()
-			run(i, opt.Trace, opt.Check, reg)
+			run(i, cell{opt: opt, tr: opt.Trace, rec: opt.Check, reg: reg})
 			if reg != nil && reg != opt.Obs {
 				opt.Obs.Merge(reg)
 			}
@@ -134,7 +139,7 @@ func runCells(opt Options, n int, run func(cell int, tr *trace.Tracer, rec *chao
 							panics[i] = r
 						}
 					}()
-					run(i, trs[i], recs[i], regs[i])
+					run(i, cell{opt: opt, tr: trs[i], rec: recs[i], reg: regs[i]})
 				}()
 				if panics[i] == nil {
 					pr.cellDone(regs[i])

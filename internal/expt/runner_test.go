@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -115,7 +114,7 @@ func TestRunCellsCoversAllCellsOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 8, 100} {
 		const n = 23
 		var counts [n]atomic.Int64
-		runCells(Options{Parallel: workers}, n, func(c int, _ *trace.Tracer, _ *chaos.Recorder, _ *obs.Registry) {
+		runCells(Options{Parallel: workers}, n, func(c int, _ cell) {
 			counts[c].Add(1)
 		})
 		for i := range counts {
@@ -131,9 +130,9 @@ func TestRunCellsCoversAllCellsOnce(t *testing.T) {
 func TestRunCellsSerialUsesSharedSinks(t *testing.T) {
 	tr := trace.New()
 	rec := &chaos.Recorder{}
-	runCells(Options{Parallel: 1, Trace: tr, Check: rec}, 3, func(c int, cellTr *trace.Tracer, cellRec *chaos.Recorder, _ *obs.Registry) {
-		if cellTr != tr || cellRec != rec {
-			t.Errorf("cell %d: serial path handed out private sinks", c)
+	runCells(Options{Parallel: 1, Trace: tr, Check: rec}, 3, func(i int, c cell) {
+		if c.tr != tr || c.rec != rec {
+			t.Errorf("cell %d: serial path handed out private sinks", i)
 		}
 	})
 }
@@ -146,7 +145,7 @@ func TestRunCellsPanicPropagates(t *testing.T) {
 			t.Errorf("recovered %v, want panic from cell 2", r)
 		}
 	}()
-	runCells(Options{Parallel: 4}, 8, func(c int, _ *trace.Tracer, _ *chaos.Recorder, _ *obs.Registry) {
+	runCells(Options{Parallel: 4}, 8, func(c int, _ cell) {
 		if c == 2 || c == 5 {
 			panic("cell " + string(rune('0'+c)) + " failed")
 		}
@@ -167,7 +166,7 @@ func TestRunCellsProcPanicPropagates(t *testing.T) {
 			t.Errorf("recovered %v, want *sim.ProcPanic from cell 2's client", r)
 		}
 	}()
-	runCells(Options{Parallel: 4}, 8, func(c int, _ *trace.Tracer, _ *chaos.Recorder, _ *obs.Registry) {
+	runCells(Options{Parallel: 4}, 8, func(c int, _ cell) {
 		eng := sim.New(int64(c))
 		eng.Spawn("client", func(p *sim.Proc) {
 			p.SleepFor(time.Second)

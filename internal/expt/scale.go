@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ---------------------------------------------------------------------
@@ -164,17 +162,20 @@ func (r *ScaleCellResult) EventsPerSec() float64 {
 // ScaleCell runs one sweep point: n lightweight Ethernet clients
 // contending for an n/100-unit carrier over the window.
 func ScaleCell(opt Options, seed int64, n int) *ScaleCellResult {
-	return scaleCellChecked(opt, seed, n, nil)
+	return runScale(opt.cell(fmt.Sprintf("scale/ethernet/n%d", n), seed, opt.scaleD(ScaleWindow), nil, nil), n)
 }
 
-// scaleCellChecked is ScaleCell with the invariant recorder attached.
-func scaleCellChecked(opt Options, seed int64, n int, rec *chaos.Recorder) *ScaleCellResult {
+// runScale is the timer-only scenario. It does not go through cell.run:
+// it has no processes, substrate or fault plan, and it is the engine
+// benchmark's hot path, so it takes from the cell only what it shares
+// with the others — seed, window, recorder, registry and label.
+func runScale(c cell, n int) *ScaleCellResult {
 	start := time.Now()
-	e := sim.New(seed)
+	e := sim.New(c.seed)
 	cap := scaleCarrierCapacity(n)
 	s := &scaleCell{
 		e:         e,
-		window:    opt.scaleD(ScaleWindow),
+		window:    c.window,
 		capacity:  cap,
 		threshold: max(1, cap/4),
 	}
@@ -193,8 +194,8 @@ func scaleCellChecked(opt Options, seed int64, n int, rec *chaos.Recorder) *Scal
 	e.Schedule(s.window+2*scaleBackoffMax, wd.Cancel)
 
 	var inv *chaos.Invariants
-	if rec != nil {
-		inv = chaos.NewInvariants(e.RT(), rec, 0)
+	if c.rec != nil {
+		inv = chaos.NewInvariants(e.RT(), c.rec, 0)
 		inv.Monotone("jobs", func() float64 { return float64(s.jobs) })
 		inv.Monotone("attempts", func() float64 { return float64(s.attempts) })
 		inv.Horizon(s.window)
@@ -202,10 +203,7 @@ func scaleCellChecked(opt Options, seed int64, n int, rec *chaos.Recorder) *Scal
 		defer cancel()
 		inv.Start(ctx)
 	}
-	if opt.obsCell == "" {
-		opt.obsCell = fmt.Sprintf("scale/ethernet/n%d", n)
-	}
-	finish := armObs(opt, e.RT(), s.window, opt.obsCell, nil)
+	finish := armObs(c, e.RT(), nil)
 	if err := e.Run(); err != nil {
 		panic("expt: " + err.Error())
 	}
@@ -231,39 +229,28 @@ type ScaleResult struct {
 	Cells []*ScaleCellResult
 }
 
+// scaleSweep declares the figure's cells: one per population.
+func scaleSweep(opt Options) sweep {
+	return sweep{fig: "scale", xlabel: "clients", arms: []string{"ethernet"}, xs: opt.scaleXs(ScaleSweep)}
+}
+
 // FigScale runs the million-client engine sweep: ScaleSweep populations
 // of lightweight Ethernet clients, one independent cell per population.
 // Cells run on the worker pool like every other sweep and are
 // reassembled in cell order, so the table is byte-identical at any
 // Options.Parallel.
 func FigScale(opt Options) *ScaleResult {
-	xs := make([]int, 0, len(ScaleSweep))
-	for _, n := range ScaleSweep {
-		xs = append(xs, opt.scaleN(n))
-	}
-	cells := make([]*ScaleCellResult, len(xs))
-	runCells(opt, len(xs), func(c int, tr *trace.Tracer, rec *chaos.Recorder, reg *obs.Registry) {
-		copt := opt
-		copt.cellObs = reg
-		copt.obsCell = fmt.Sprintf("scale/ethernet/n%d", xs[c])
-		cells[c] = scaleCellChecked(copt, opt.seed()+int64(c), xs[c], rec)
+	s := scaleSweep(opt)
+	window := opt.scaleD(ScaleWindow)
+	cells := make([]*ScaleCellResult, len(s.xs))
+	s.run(opt, func(_, p int, c cell) {
+		c.window = window
+		cells[p] = runScale(c, s.xs[p])
 	})
-	t := &metrics.SweepTable{XLabel: "clients", Xs: xs}
-	cols := []struct {
-		name string
-		val  func(r *ScaleCellResult) float64
-	}{
-		{"jobs", func(r *ScaleCellResult) float64 { return float64(r.Jobs) }},
-		{"attempts", func(r *ScaleCellResult) float64 { return float64(r.Attempts) }},
-		{"deferrals", func(r *ScaleCellResult) float64 { return float64(r.Deferrals) }},
-		{"events", func(r *ScaleCellResult) float64 { return float64(r.Events) }},
-	}
-	for _, c := range cols {
-		col := metrics.SweepCol{Name: c.name}
-		for _, r := range cells {
-			col.Vals = append(col.Vals, c.val(r))
-		}
-		t.Cols = append(t.Cols, col)
-	}
-	return &ScaleResult{Table: t, Cells: cells}
+	return &ScaleResult{Cells: cells, Table: s.table(
+		col{"jobs", func(p int) float64 { return float64(cells[p].Jobs) }},
+		col{"attempts", func(p int) float64 { return float64(cells[p].Attempts) }},
+		col{"deferrals", func(p int) float64 { return float64(cells[p].Deferrals) }},
+		col{"events", func(p int) float64 { return float64(cells[p].Events) }},
+	)}
 }

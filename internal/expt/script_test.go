@@ -120,7 +120,7 @@ func TestScriptedMatchesCoreClients(t *testing.T) {
 
 	cfg := condor.DefaultSubmitterConfig(core.Ethernet)
 	cfg.Threshold = 250
-	coreJobs, coreCrashes := SubmitCell(1, n, window, cfg, condor.Config{FDCapacity: 2048})
+	coreJobs, coreCrashes := SubmitCell(Options{}, 1, n, window, cfg, condor.Config{FDCapacity: 2048}, nil, nil)
 
 	// The 250-FD margin is deliberately thin; the occasional crash is
 	// seed luck, not a divergence between the two client stacks.

@@ -79,9 +79,11 @@ func NewServer(cfg Config) *Server {
 	}
 	for _, rc := range cfg.Resources {
 		s.mon.Lock()
-		s.createLocked(rc)
+		created := s.createLocked(rc)
 		s.mon.Unlock()
-		s.registerObs(rc.Name)
+		if created { // a name given twice resizes; its gauges exist
+			s.registerObs(rc.Name)
+		}
 	}
 	return s
 }
@@ -205,15 +207,16 @@ type held struct {
 	resv *lease.Reservation
 }
 
-// createLocked creates or resizes a resource. Only capacity changes on
-// an existing resource; everything else is fixed at first creation so
-// re-creates are idempotent.
-func (s *Server) createLocked(rc ResourceConfig) {
+// createLocked creates or resizes a resource, reporting whether it is
+// new (and so still needs registerObs, which must not run under the
+// lock). Only capacity changes on an existing resource; everything else
+// is fixed at first creation so re-creates are idempotent.
+func (s *Server) createLocked(rc ResourceConfig) (created bool) {
 	if r, ok := s.res[rc.Name]; ok {
 		if rc.Capacity > 0 && rc.Capacity != r.mgr.Capacity() {
 			r.book.SetCapacity(rc.Capacity)
 		}
-		return
+		return false
 	}
 	r := &resource{
 		srv:      s,
@@ -232,6 +235,7 @@ func (s *Server) createLocked(rc ResourceConfig) {
 	if rc.HousekeepInterval > 0 && !s.draining {
 		r.armHousekeeping()
 	}
+	return true
 }
 
 // admit enters a fresh lease in the id table and renders it for the

@@ -615,7 +615,10 @@ func TestOnePumpTwoGrantsKeepFIFO(t *testing.T) {
 }
 
 func TestMetricsAndHealthz(t *testing.T) {
+	// A name given twice resizes the resource and must not register its
+	// polled gauges a second time (obs panics on that).
 	srv := gridd.NewServer(gridd.Config{Resources: []gridd.ResourceConfig{
+		{Name: "fds", Capacity: 2},
 		{Name: "fds", Capacity: 4},
 	}})
 	hs := httptest.NewServer(srv.Handler())

@@ -348,8 +348,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		fail(w, ErrorReply{Code: CodeDraining, Message: "daemon draining"})
 		return
 	}
-	existed := s.res[cr.Name] != nil
-	s.createLocked(ResourceConfig{
+	created := s.createLocked(ResourceConfig{
 		Name:              cr.Name,
 		Capacity:          cr.Capacity,
 		Quantum:           time.Duration(cr.QuantumNS),
@@ -360,7 +359,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		CrashHolder:       cr.CrashHolder,
 	})
 	s.mon.Unlock()
-	if !existed {
+	if created {
 		s.registerObs(cr.Name) // obs registration never runs under s.mon
 	}
 	reply(w, struct{}{})

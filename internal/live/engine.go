@@ -49,11 +49,12 @@ type Engine struct {
 	events  int64
 	liveN   int
 
-	wg            sync.WaitGroup
-	pendingProcs  []*pendingProc
-	pendingTimers []*timerNode
-	timers        map[*timerNode]struct{}
-	timerSeq      uint64
+	wg               sync.WaitGroup
+	pendingProcs     []*pendingProc
+	pendingTimers    []*timerNode
+	pendingDeadlines []*runCtx
+	timers           map[*timerNode]struct{}
+	timerSeq         uint64
 
 	root       context.Context
 	rootCancel context.CancelFunc
@@ -141,8 +142,78 @@ func (e *Engine) WithCancel(parent context.Context) (context.Context, context.Ca
 }
 
 // WithTimeout derives a child context canceled after d of virtual time.
+// Before Run the virtual clock has not started, so neither has the
+// deadline: like a timer scheduled before Run it is armed when Run
+// starts, and the context expires at Elapsed() >= d however much real
+// time set-up took. (Counted from construction instead, a run's horizon
+// would end before its clock said so.)
 func (e *Engine) WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(parent, e.toReal(d))
+	if e.started {
+		return context.WithTimeout(parent, e.toReal(d))
+	}
+	c := &runCtx{Context: parent, done: make(chan struct{}), delay: e.toReal(d)}
+	c.mu.Lock() // an already-canceled parent calls end at once, on another goroutine
+	c.stopParent = context.AfterFunc(parent, func() { c.end(parent.Err()) })
+	c.mu.Unlock()
+	e.pendingDeadlines = append(e.pendingDeadlines, c)
+	return c, func() { c.end(context.Canceled) }
+}
+
+// runCtx is a deadline context made before Run: a context.WithTimeout
+// whose clock starts when Run arms it.
+type runCtx struct {
+	context.Context // the parent
+	done            chan struct{}
+	delay           time.Duration
+	stopParent      func() bool
+
+	mu       sync.Mutex
+	err      error
+	deadline time.Time   // zero until armed
+	timer    *time.Timer // nil until armed
+}
+
+func (c *runCtx) Done() <-chan struct{} { return c.done }
+
+func (c *runCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+func (c *runCtx) Deadline() (time.Time, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if pd, ok := c.Context.Deadline(); ok && (c.deadline.IsZero() || pd.Before(c.deadline)) {
+		return pd, true
+	}
+	return c.deadline, !c.deadline.IsZero()
+}
+
+// arm starts the deadline's wall-clock timer, unless the context has
+// ended already.
+func (c *runCtx) arm() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.deadline = time.Now().Add(c.delay)
+		c.timer = time.AfterFunc(c.delay, func() { c.end(context.DeadlineExceeded) })
+	}
+}
+
+// end cancels the context with err; the first end wins.
+func (c *runCtx) end(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return
+	}
+	c.err = err
+	close(c.done)
+	c.stopParent()
+	if c.timer != nil {
+		c.timer.Stop()
+	}
 }
 
 // NewResource implements core.Backend.
@@ -197,8 +268,8 @@ func (e *Engine) Schedule(d time.Duration, fn func()) core.Timer {
 	return n
 }
 
-// Run launches every pending process and timer, waits for all processes
-// (including ones spawned later) to return, then drains outstanding
+// Run launches every pending process, timer and deadline, waits for all
+// processes (including ones spawned later) to return, then drains outstanding
 // timers: each pending callback fires exactly once, in deadline order,
 // before Run returns. The simulator runs its event queue to quiescence,
 // so a lease watchdog pending when the last process exits still fires
@@ -216,6 +287,10 @@ func (e *Engine) Run() error {
 	}
 	e.started = true
 	e.start = time.Now()
+	for _, c := range e.pendingDeadlines {
+		c.arm()
+	}
+	e.pendingDeadlines = nil
 	for _, n := range e.pendingTimers {
 		n.arm()
 	}

@@ -299,3 +299,63 @@ func TestShutdownDrainsPendingTimers(t *testing.T) {
 		t.Errorf("%d timers still pending after Run", e.TimerHeapLen())
 	}
 }
+
+// TestHorizonAnchoredToRun: a deadline made before Run counts from the
+// same instant as Elapsed. Twenty real milliseconds of set-up — two
+// whole windows at this timescale — must neither expire the context
+// before Run nor end the run short of its horizon on the engine's own
+// clock.
+func TestHorizonAnchoredToRun(t *testing.T) {
+	e := New(1, 100)
+	const horizon = time.Second // 10ms of real time
+	ctx, cancel := e.WithTimeout(e.Context(), horizon)
+	defer cancel()
+	time.Sleep(20 * time.Millisecond)
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("context ended during set-up, before Run: %v", err)
+	}
+	var err error
+	var at time.Duration
+	e.Spawn("waiter", func(p core.Proc) {
+		err = p.Hang(ctx)
+		at = p.Elapsed()
+	})
+	if rerr := e.Run(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Hang returned %v, want context.DeadlineExceeded", err)
+	}
+	if at < horizon {
+		t.Errorf("context expired at %v of a %v horizon", at, horizon)
+	}
+	if dl, ok := ctx.Deadline(); !ok || dl.IsZero() {
+		t.Errorf("Deadline() = %v, %v after Run; want the armed deadline", dl, ok)
+	}
+}
+
+// TestPreRunDeadlineEndsOnce covers the other ways a deadline made
+// before Run can end: its own cancel, and its parent's, whichever comes
+// first; Run then has nothing to arm.
+func TestPreRunDeadlineEndsOnce(t *testing.T) {
+	e := New(1, ts)
+	parent, cancelParent := e.WithCancel(e.Context())
+	own, cancelOwn := e.WithTimeout(parent, time.Hour)
+	inherited, cancelInherited := e.WithTimeout(parent, time.Hour)
+	defer cancelInherited()
+	cancelOwn()
+	cancelParent()
+	<-inherited.Done()
+	cancelOwn() // idempotent, also after the parent ended
+	for name, ctx := range map[string]context.Context{"own": own, "inherited": inherited} {
+		if err := ctx.Err(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Err() = %v, want context.Canceled", name, err)
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := own.Deadline(); ok {
+		t.Error("a context canceled before Run was armed by it")
+	}
+}

@@ -472,7 +472,11 @@ func (s *Scope) Gauge(name, help string, kv ...string) *Gauge {
 }
 
 // GaugeFunc registers a polled gauge: fn is called at each Sample (and
-// only then — see FuncGauge).
+// only then — see FuncGauge). Unlike the find-or-create instruments a
+// polled gauge is its closure, so registering the same family and label
+// values twice is a bug in the caller — handing back the first gauge
+// would keep polling the first closure's state, from the second
+// caller's clock and lock — and panics, naming the series.
 func (s *Scope) GaugeFunc(name, help string, fn func() float64, kv ...string) *FuncGauge {
 	if s == nil {
 		return nil
@@ -481,8 +485,8 @@ func (s *Scope) GaugeFunc(name, help string, fn func() float64, kv ...string) *F
 	s.r.mu.Lock()
 	defer s.r.mu.Unlock()
 	f := s.r.family(name, help, KindGauge, keys)
-	if c, ok := f.child(vals); ok {
-		return s.track(c).(*FuncGauge)
+	if _, ok := f.child(vals); ok {
+		panic("obs: polled gauge " + seriesName(name, keys, vals) + " registered twice")
 	}
 	g := &FuncGauge{fn: fn, meta: meta{vals: vals, series: s.r.newSeries(name, keys, vals, "")}}
 	f.addChild(vals, g)

@@ -156,6 +156,29 @@ func TestMergeSameIdentityFoldsValues(t *testing.T) {
 	}
 }
 
+// TestGaugeFuncRegisteredTwicePanics: a polled gauge is its closure, so
+// a second scope registering the same series must fail loudly instead
+// of silently polling the first scope's state (find-or-create is right
+// for counters, which TestMergeSameIdentityFoldsValues pins).
+func TestGaugeFuncRegisteredTwicePanics(t *testing.T) {
+	r := New()
+	clk := &fakeClock{}
+	first := r.NewScope(clk.now, "cell", "fig1/Ethernet/n1")
+	first.GaugeFunc("depth", "d", func() float64 { return 1 })
+	// Another label value, and the same labels in another family, are
+	// different series.
+	r.NewScope(clk.now, "cell", "fig1/Ethernet/n2").GaugeFunc("depth", "d", func() float64 { return 2 })
+	first.GaugeFunc("width", "w", func() float64 { return 3 })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "depth{cell=fig1/Ethernet/n1}") {
+			t.Fatalf("second registration recovered %q, want a panic naming the series", msg)
+		}
+	}()
+	r.NewScope(clk.now, "cell", "fig1/Ethernet/n1").GaugeFunc("depth", "d", func() float64 { return 4 })
+	t.Fatal("second registration of depth{cell=fig1/Ethernet/n1} did not panic")
+}
+
 func TestWriteProm(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}

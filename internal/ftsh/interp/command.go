@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -14,38 +15,80 @@ import (
 	"repro/internal/ftsh/token"
 )
 
-// execCommand expands, resolves redirections, and dispatches a command
-// to a function, builtin, or the Runner.
+// execCommand expands a command onto the argv stack and runs it: a
+// user-defined function directly, a builtin or the Runner through
+// dispatch, a command with redirections through execRedirected. The
+// argv is popped when the command returns.
+//
+// A call level of a recursive function is this frame, callFunction's,
+// execBlock's and execStmt's, so this one is kept small: what only a
+// redirected or a failing command needs lives in functions of its own.
 func (in *Interp) execCommand(ctx context.Context, st *ast.CommandStmt) error {
-	argv, err := in.expandList(st.Words)
+	base := len(in.argv)
+	argv, err := in.pushArgv(st.Words)
+	switch {
+	case err != nil:
+		err = &PosError{Pos: st.Pos(), Err: err}
+	case len(argv) == 0:
+		err = &PosError{Pos: st.Pos(), Err: errors.New("command expanded to nothing")}
+	case len(st.Redirs) > 0:
+		err = in.execRedirected(ctx, st, argv)
+	default:
+		if fn := in.fns[argv[0]]; fn != nil {
+			err = in.callFunction(ctx, fn, argv[1:])
+		} else {
+			err = in.dispatch(ctx, argv, &in.stdio)
+		}
+		err = in.commandErr(st.Pos(), argv[0], err)
+	}
+	in.argv = in.argv[:base]
+	return err
+}
+
+// pushArgv expands words onto the argv stack and returns the fields it
+// pushed. The slice aliases the stack, so it is good until the command
+// that pushed it pops it; for a function call that is after the body,
+// so a function's positional parameters stay below the stack top for
+// as long as it runs.
+func (in *Interp) pushArgv(words []*ast.Word) ([]string, error) {
+	base := len(in.argv)
+	stack, err := in.appendFields(slices.Grow(in.argv, len(words)), words)
+	in.argv = stack
+	return stack[base:], err
+}
+
+// commandErr is what a command that ran returns: nil, or success's
+// unwinding, as they are; a failure logged and with its position.
+func (in *Interp) commandErr(pos token.Pos, name string, err error) error {
+	if err == nil || errors.Is(err, errSuccess) {
+		return err
+	}
+	if in.cfg.Log != nil {
+		in.logf("command %s failed: %v", name, err)
+	}
+	return wrapPos(pos, err)
+}
+
+// execRedirected runs a command that has redirections: it resolves
+// them, runs the command as execCommand would, and finalizes the
+// targets (variables, files) whatever the command's outcome, matching
+// shell behaviour.
+func (in *Interp) execRedirected(ctx context.Context, st *ast.CommandStmt, argv []string) error {
+	var few [2]finisher // a command with more redirections spills to the heap
+	io_, fins, err := in.setupRedirs(st.Redirs, few[:0])
 	if err != nil {
+		_ = in.finish(fins) // release any redirection targets opened before the error
 		return &PosError{Pos: st.Pos(), Err: err}
 	}
-	if len(argv) == 0 {
-		return &PosError{Pos: st.Pos(), Err: errors.New("command expanded to nothing")}
+	if fn := in.fns[argv[0]]; fn != nil {
+		err = in.callFunction(ctx, fn, argv[1:])
+	} else {
+		err = in.dispatch(ctx, argv, &io_)
 	}
-
-	io_, fins := in.stdio, []finisher(nil)
-	if len(st.Redirs) > 0 {
-		var few [2]finisher // a command with more redirections spills to the heap
-		if io_, fins, err = in.setupRedirs(st.Redirs, few[:0]); err != nil {
-			_ = in.finish(fins) // release any redirection targets opened before the error
-			return &PosError{Pos: st.Pos(), Err: err}
-		}
+	if ferr := in.finish(fins); ferr != nil && err == nil {
+		err = ferr
 	}
-	runErr := in.dispatch(ctx, argv, io_)
-	// Redirection targets (variables, files) are finalized regardless of
-	// the command's outcome, matching shell behaviour.
-	if ferr := in.finish(fins); ferr != nil && runErr == nil {
-		runErr = ferr
-	}
-	if runErr != nil && !errors.Is(runErr, errSuccess) {
-		if in.cfg.Log != nil {
-			in.logf("command %s failed: %v", argv[0], runErr)
-		}
-		return wrapPos(st.Pos(), runErr)
-	}
-	return runErr
+	return in.commandErr(st.Pos(), argv[0], err)
 }
 
 // cmdIO is the resolved I/O plumbing for one command. It is passed by
@@ -160,14 +203,13 @@ func (in *Interp) finish(fins []finisher) error {
 	return first
 }
 
-// dispatch routes argv to a shell function, a builtin, or the Runner.
-func (in *Interp) dispatch(ctx context.Context, argv []string, io_ cmdIO) error {
+// dispatch routes argv to a builtin or the Runner. It takes the streams
+// by reference: by value they would be six words of every call level's
+// execCommand frame.
+func (in *Interp) dispatch(ctx context.Context, argv []string, io_ *cmdIO) error {
 	name := argv[0]
-	if fn, ok := in.fns[name]; ok {
-		return in.callFunction(ctx, fn, argv[1:])
-	}
 	if bi, ok := builtins[name]; ok {
-		return bi(ctx, in, argv[1:], io_)
+		return bi(ctx, in, argv[1:], *io_)
 	}
 	if in.cfg.Log != nil {
 		in.logf("exec %s", strings.Join(argv, " "))

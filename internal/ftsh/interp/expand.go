@@ -70,22 +70,27 @@ func (in *Interp) expandWord(w *ast.Word) (string, error) {
 // to exactly one field, except that an unquoted word expanding to ""
 // produces no field.
 func (in *Interp) expandList(words []*ast.Word) ([]string, error) {
-	out := make([]string, 0, len(words))
+	return in.appendFields(make([]string, 0, len(words)), words)
+}
+
+// appendFields is expandList appending to dst. On an error it returns
+// dst with the fields appended so far.
+func (in *Interp) appendFields(dst []string, words []*ast.Word) ([]string, error) {
 	for _, w := range words {
 		s, err := in.expandWord(w)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		switch {
 		case w.Quoted:
-			out = append(out, s)
+			dst = append(dst, s)
 		case w.Kind == ast.WordVar && strings.IndexFunc(s, unicode.IsSpace) >= 0:
 			// The same predicate strings.Fields splits on: without a
 			// match the value is one field, or none when empty.
-			out = append(out, strings.Fields(s)...)
+			dst = append(dst, strings.Fields(s)...)
 		case s != "":
-			out = append(out, s)
+			dst = append(dst, s)
 		}
 	}
-	return out, nil
+	return dst, nil
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"strconv"
 	"time"
 
@@ -38,8 +39,10 @@ type Runner interface {
 }
 
 // Command is a fully expanded external command invocation. Its streams
-// are the runner's until Run returns, and not after: the interpreter
-// reuses variable-capture buffers.
+// and its Args slice are the runner's until Run returns, and not after:
+// the interpreter reuses variable-capture buffers, and Args is a window
+// on the interpreter's argv stack. A runner that keeps the arguments
+// copies them (the strings themselves are immutable).
 type Command struct {
 	Name   string
 	Args   []string
@@ -92,12 +95,14 @@ type Config struct {
 // Interp executes scripts. An Interp carries variable state between
 // Run calls, like an interactive shell session.
 type Interp struct {
-	cfg   Config
-	vars  map[string]string
-	fns   map[string]*ast.FunctionStmt
-	args  []string // positional parameters of the current function frame
-	depth int      // current user-function call depth
-	stats *Stats
+	cfg       Config
+	vars      map[string]string
+	fns       map[string]*ast.FunctionStmt // nil until the first definition
+	fnsShared bool                         // fns is a forall parent's: copy it before defining
+	args      []string                     // positional parameters of the current function frame
+	argv      []string                     // argv stack: every running command's fields (see pushArgv)
+	depth     int                          // current user-function call depth
+	stats     *Stats
 
 	stdio cmdIO           // what a command without redirections reads and writes
 	bufs  []*bytes.Buffer // idle variable-capture buffers (see captureBuf)
@@ -126,7 +131,6 @@ func New(cfg Config) *Interp {
 	return &Interp{
 		cfg:   cfg,
 		vars:  make(map[string]string),
-		fns:   make(map[string]*ast.FunctionStmt),
 		stats: newStats(),
 		stdio: cmdIO{stdin: noInput{}, stdout: cfg.Stdout, stderr: cfg.Stderr},
 	}
@@ -159,11 +163,35 @@ func (e *PosError) Unwrap() error { return e.Err }
 // failed, and re-wrapping at every enclosing call frame would bury it
 // (a 200-deep recursion would prefix 200 call-site positions).
 func wrapPos(pos token.Pos, err error) error {
-	var pe *PosError
-	if errors.As(err, &pe) {
+	if hasPos(err) {
 		return err
 	}
 	return &PosError{Pos: pos, Err: err}
+}
+
+// hasPos reports whether err's chain holds a *PosError, walking the
+// Unwrap tree as errors.As does — but without the escaping target that
+// errors.As would allocate for every failing command. (No error type of
+// this module has an As method for errors.As to consult.)
+func hasPos(err error) bool {
+	for err != nil {
+		switch e := err.(type) {
+		case *PosError:
+			return true
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, sub := range e.Unwrap() {
+				if hasPos(sub) {
+					return true
+				}
+			}
+			return false
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 // Var returns the value of a shell variable ("" if unset).
@@ -231,20 +259,7 @@ func (in *Interp) execStmt(ctx context.Context, st ast.Stmt) error {
 	case *ast.CommandStmt:
 		return in.execCommand(ctx, st)
 	case *ast.AssignStmt:
-		var val string
-		for i, w := range st.Values {
-			part, err := in.expandWord(w)
-			if err != nil {
-				return &PosError{Pos: st.Pos(), Err: err}
-			}
-			if i == 0 {
-				val = part
-			} else {
-				val += " " + part
-			}
-		}
-		in.vars[st.Name] = val
-		return nil
+		return in.execAssign(st)
 	case *ast.TryStmt:
 		return in.execTry(ctx, st)
 	case *ast.ForanyStmt:
@@ -262,11 +277,29 @@ func (in *Interp) execStmt(ctx context.Context, st ast.Stmt) error {
 	case *ast.SuccessStmt:
 		return errSuccess
 	case *ast.FunctionStmt:
-		in.fns[st.Name] = st
+		in.define(st)
 		return nil
 	default:
 		return fmt.Errorf("interp: unknown statement %T", st)
 	}
+}
+
+// execAssign sets a variable to its values, expanded and space-joined.
+func (in *Interp) execAssign(st *ast.AssignStmt) error {
+	var val string
+	for i, w := range st.Values {
+		part, err := in.expandWord(w)
+		if err != nil {
+			return &PosError{Pos: st.Pos(), Err: err}
+		}
+		if i == 0 {
+			val = part
+		} else {
+			val += " " + part
+		}
+	}
+	in.vars[st.Name] = val
+	return nil
 }
 
 // execTry implements the try construct on top of core.Try.
@@ -406,7 +439,9 @@ func (in *Interp) execForany(ctx context.Context, st *ast.ForanyStmt) error {
 }
 
 // execForall runs alternatives in parallel; each branch gets a private
-// copy of the variable state, like a subshell, so branches cannot race.
+// copy of the variable state and of the function table, like a
+// subshell, so branches cannot race and what one defines or assigns
+// neither leaks out of it nor into a sibling.
 func (in *Interp) execForall(ctx context.Context, st *ast.ForallStmt) error {
 	items, err := in.expandList(st.List)
 	if err != nil {
@@ -435,18 +470,33 @@ func (in *Interp) execForall(ctx context.Context, st *ast.ForallStmt) error {
 	return nil
 }
 
-// cloneForBranch copies variable state for a forall branch running under
-// runtime rt and tracing to tc. Functions are shared (they are immutable
-// once defined).
+// cloneForBranch makes the interpreter of a forall branch running under
+// runtime rt and tracing to tc: a copy of the variables, the function
+// table copied on the branch's first definition (the parent defines
+// nothing while its branches run), its own argv stack, and the parent's
+// call depth, so that recursion through a forall meets maxCallDepth
+// too. The positional parameters are the parent's, read in place: they
+// sit below the top of the parent's argv stack until the forall returns.
 func (in *Interp) cloneForBranch(rt core.Runtime, tc *trace.Client) *Interp {
 	cfg := in.cfg
 	cfg.Runtime = rt
 	cfg.Trace = tc
-	vars := make(map[string]string, len(in.vars))
-	for k, v := range in.vars {
-		vars[k] = v
+	return &Interp{
+		cfg: cfg, vars: maps.Clone(in.vars), fns: in.fns, fnsShared: true,
+		args: in.args, depth: in.depth, stats: in.stats, stdio: in.stdio,
 	}
-	return &Interp{cfg: cfg, vars: vars, fns: in.fns, args: in.args, stats: in.stats, stdio: in.stdio}
+}
+
+// define adds a function to the table, first making the table this
+// interpreter's own if it is still a forall parent's.
+func (in *Interp) define(fn *ast.FunctionStmt) {
+	if in.fnsShared {
+		in.fns, in.fnsShared = maps.Clone(in.fns), false
+	}
+	if in.fns == nil {
+		in.fns = make(map[string]*ast.FunctionStmt)
+	}
+	in.fns[fn.Name] = fn
 }
 
 // execFor runs the body once per item, sequentially, failing fast.
@@ -568,7 +618,7 @@ func (in *Interp) evalCond(c *ast.Cond) (bool, error) {
 // callFunction invokes a user-defined function with positional args.
 func (in *Interp) callFunction(ctx context.Context, fn *ast.FunctionStmt, args []string) error {
 	if in.depth >= maxCallDepth {
-		return &PosError{Pos: fn.Pos(), Err: fmt.Errorf("call depth exceeds %d: unbounded recursion in function %q", maxCallDepth, fn.Name)}
+		return tooDeep(fn)
 	}
 	in.depth++
 	saved := in.args
@@ -580,6 +630,15 @@ func (in *Interp) callFunction(ctx context.Context, fn *ast.FunctionStmt, args [
 		return nil
 	}
 	return err
+}
+
+// tooDeep is the error of a call past maxCallDepth. It is a function of
+// its own, never inlined, so that callFunction, one frame of every call
+// level, does not carry fmt's arguments.
+//
+//go:noinline
+func tooDeep(fn *ast.FunctionStmt) error {
+	return &PosError{Pos: fn.Pos(), Err: fmt.Errorf("call depth exceeds %d: unbounded recursion in function %q", maxCallDepth, fn.Name)}
 }
 
 // parseNum is strconv.ParseFloat(s, 64) with a short cut for what

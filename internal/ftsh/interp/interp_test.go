@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftsh/interp"
+	"repro/internal/ftsh/parser"
 	"repro/internal/ftsh/token"
 	"repro/internal/proc"
 	"repro/internal/sim"
@@ -240,6 +241,108 @@ echo x=${x}
 	}
 }
 
+// TestForallRecursionMeetsDepthLimit recurses through a forall: every
+// level is a new branch, and each branch must carry its parent's call
+// depth, or the recursion never meets maxCallDepth and runs until the
+// engine's event guard (or, on the real runtime, memory) gives out.
+func TestForallRecursionMeetsDepthLimit(t *testing.T) {
+	w := newWorld(1)
+	w.eng.MaxEvents = 20_000 // 200 levels take 402 events; unbounded recursion hits this
+	src := `function f
+  forall i in a
+    f
+  end
+end
+f
+echo unreachable
+`
+	err := w.run(t, src, nil)
+	if err == nil {
+		t.Fatal("want the call-depth failure")
+	}
+	pe := innermostPosError(err)
+	const want = `1:1: call depth exceeds 200: unbounded recursion in function "f"`
+	if pe == nil || pe.Error() != want {
+		t.Fatalf("innermost position error = %v, want %s (whole error: %v)", pe, want, err)
+	}
+	if strings.Contains(w.out.String(), "unreachable") {
+		t.Fatal("statements after the failing call ran")
+	}
+}
+
+// innermostPosError returns the deepest *PosError in err's Unwrap tree.
+func innermostPosError(err error) *interp.PosError {
+	var inner *interp.PosError
+	var walk func(error)
+	walk = func(err error) {
+		if pe, ok := err.(*interp.PosError); ok {
+			inner = pe
+		}
+		switch e := err.(type) {
+		case interface{ Unwrap() error }:
+			walk(e.Unwrap())
+		case interface{ Unwrap() []error }:
+			for _, err := range e.Unwrap() {
+				walk(err)
+			}
+		}
+	}
+	walk(err)
+	return inner
+}
+
+// TestForallBranchFunctionsArePrivate: a function defined inside a
+// forall branch is the branch's, like its variables, while functions
+// defined before the forall are visible in every branch.
+func TestForallBranchFunctionsArePrivate(t *testing.T) {
+	w := newWorld(1)
+	src := `function h
+  echo h ${1}
+end
+forall i in a b
+  h ${i}
+  function g
+    echo g from ${i}
+  end
+  g
+end
+h after
+g
+`
+	err := w.run(t, src, nil)
+	if err == nil || !strings.Contains(err.Error(), "g: command not found") {
+		t.Fatalf("err = %v, want g not found after the forall: branch definitions leaked", err)
+	}
+	out := w.out.String()
+	for _, line := range []string{"h a\n", "h b\n", "g from a\n", "g from b\n", "h after\n"} {
+		if !strings.Contains(out, line) {
+			t.Errorf("out = %q, want a line %q", out, line)
+		}
+	}
+}
+
+// TestForallBranchDefinitionsRaceFree runs branches that each define a
+// function on the real runtime, where branches are goroutines: under
+// -race the branches' definitions must not touch a shared table.
+func TestForallBranchDefinitionsRaceFree(t *testing.T) {
+	script, err := parser.Parse(`forall i in a b c d
+  function g
+    echo ${i}
+  end
+  g -> out
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		in := interp.New(interp.Config{Runner: proc.NewMapRunner(), Runtime: core.NewReal(int64(run))})
+		if err := in.Run(context.Background(), script); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+}
+
 func TestWhileLoopWithExprCounter(t *testing.T) {
 	w := newWorld(1)
 	src := `n=0
@@ -413,6 +516,38 @@ greet alice bob
 	}
 }
 
+// TestPositionalParamsSurviveTheBody: a function's parameters are a
+// window on the argv stack, below the commands its body pushes. They
+// must read the same after commands shorter than the call (which fit
+// above them without growing the stack), after a nested call longer
+// than it (which grows it), and in forall branches, which push on
+// stacks of their own.
+func TestPositionalParamsSurviveTheBody(t *testing.T) {
+	w := newWorld(1)
+	src := `function inner
+  echo inner ${1} ${2} ${3} $#
+end
+function outer
+  echo outer x ${1} ${3}
+  inner p q r s t u v w
+  echo outer after ${1} ${2} ${3} ${4} ${5} ${6} $*
+  forall i in 1 2
+    echo branch ${i} ${1} ${6}
+  end
+end
+outer a b c d e f
+echo top $#
+`
+	if err := w.run(t, src, nil); err != nil {
+		t.Fatalf("err = %v", err)
+	}
+	const want = "outer x a c\ninner p q r 8\nouter after a b c d e f a b c d e f\n" +
+		"branch 1 a f\nbranch 2 a f\ntop 0\n"
+	if got := w.out.String(); got != want {
+		t.Fatalf("out = %q, want %q", got, want)
+	}
+}
+
 func TestFunctionFailurePropagates(t *testing.T) {
 	w := newWorld(1)
 	src := `function die
@@ -505,7 +640,7 @@ func TestQuotedVariableDoesNotSplit(t *testing.T) {
 	w := newWorld(1)
 	var got []string
 	w.runner.Register("take", func(ctx context.Context, rt core.Runtime, cmd *interp.Command) error {
-		got = cmd.Args
+		got = append([]string(nil), cmd.Args...) // Args is the runner's only until Run returns
 		return nil
 	})
 	src := `v=a b c

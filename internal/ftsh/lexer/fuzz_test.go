@@ -9,7 +9,8 @@ import (
 // FuzzLex checks the lexer's totality and basic stream invariants on
 // arbitrary bytes: Next must never panic, must terminate (every call
 // consumes input or ends the stream), positions must be sane, and
-// lexing must be deterministic.
+// lexing must be deterministic; and tokens and errors must be those of
+// the reference scanner, refWord.
 func FuzzLex(f *testing.F) {
 	seeds := []string{
 		"",
@@ -25,11 +26,25 @@ func FuzzLex(f *testing.F) {
 		"${unclosed",
 		"\x00\xff\xfe weird bytes\n",
 		"line\\\ncontinuation\n",
+		// The shapes TestQuickLexMatchesReference mixes: runs that stay
+		// source slices, and runs an escape or a gap copies.
+		"run->out a-b ->x",
+		"'q''r' \"s\"'t' a\"b\"c 'a'$x",
+		"\"\\n\\t\\\"\\$\\\\\" \"a\\qb\"",
+		"a\\ b \\$x \\'",
+		"a$ b ${} $$ $- \"$\" x${}y",
+		"$* $# ${*} ${#} $*x ${ 1}",
+		"trailing\\",
+		"\"trailing\\",
+		"${x\n}",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if err := checkLexMatchesReference(src); err != nil {
+			t.Fatal(err)
+		}
 		toks, err := All(src)
 		if err != nil {
 			// Rejection is fine; it just must be repeatable.

@@ -86,7 +86,17 @@ func isWordByte(c byte) bool {
 
 // Next returns the next token.
 func (l *Lexer) Next() (token.Token, error) {
-	// Skip horizontal whitespace, comments, and line continuations.
+	l.skipBlank()
+	pos := l.pos()
+	if t, ok := l.punct(pos); ok {
+		return t, nil
+	}
+	return l.word(pos)
+}
+
+// skipBlank skips horizontal whitespace, comments, and line
+// continuations.
+func (l *Lexer) skipBlank() {
 	for {
 		c := l.peek()
 		if c == ' ' || c == '\t' || c == '\r' {
@@ -104,101 +114,102 @@ func (l *Lexer) Next() (token.Token, error) {
 			l.advance()
 			continue
 		}
-		break
+		return
 	}
+}
 
-	pos := l.pos()
+// punct scans the end of input, a statement separator, or a
+// redirection operator at pos; ok is false when a word starts there.
+func (l *Lexer) punct(pos token.Pos) (t token.Token, ok bool) {
 	switch c := l.peek(); {
 	case c == 0:
-		return token.Token{Kind: token.EOF, Pos: pos}, nil
+		return token.Token{Kind: token.EOF, Pos: pos}, true
 	case c == '\n' || c == ';':
 		l.advance()
-		return token.Token{Kind: token.NEWLINE, Pos: pos, Text: string(c)}, nil
+		return token.Token{Kind: token.NEWLINE, Pos: pos, Text: string(c)}, true
 	case c == '>':
 		l.advance()
 		switch l.peek() {
 		case '>':
 			l.advance()
-			return token.Token{Kind: token.GTGT, Pos: pos, Text: ">>"}, nil
+			return token.Token{Kind: token.GTGT, Pos: pos, Text: ">>"}, true
 		case '&':
 			l.advance()
-			return token.Token{Kind: token.GTAMP, Pos: pos, Text: ">&"}, nil
+			return token.Token{Kind: token.GTAMP, Pos: pos, Text: ">&"}, true
 		}
-		return token.Token{Kind: token.GT, Pos: pos, Text: ">"}, nil
+		return token.Token{Kind: token.GT, Pos: pos, Text: ">"}, true
 	case c == '<':
 		l.advance()
-		return token.Token{Kind: token.LT, Pos: pos, Text: "<"}, nil
+		return token.Token{Kind: token.LT, Pos: pos, Text: "<"}, true
 	case c == '-' && (l.peekAt(1) == '>' || l.peekAt(1) == '<'):
 		l.advance()
 		if l.peek() == '<' {
 			l.advance()
-			return token.Token{Kind: token.DASHLT, Pos: pos, Text: "-<"}, nil
+			return token.Token{Kind: token.DASHLT, Pos: pos, Text: "-<"}, true
 		}
 		l.advance() // '>'
 		switch l.peek() {
 		case '>':
 			l.advance()
-			return token.Token{Kind: token.DASHGTGT, Pos: pos, Text: "->>"}, nil
+			return token.Token{Kind: token.DASHGTGT, Pos: pos, Text: "->>"}, true
 		case '&':
 			l.advance()
-			return token.Token{Kind: token.DASHGTAMP, Pos: pos, Text: "->&"}, nil
+			return token.Token{Kind: token.DASHGTAMP, Pos: pos, Text: "->&"}, true
 		}
-		return token.Token{Kind: token.DASHGT, Pos: pos, Text: "->"}, nil
-	default:
-		return l.word(pos)
+		return token.Token{Kind: token.DASHGT, Pos: pos, Text: "->"}, true
 	}
+	return token.Token{}, false
 }
 
-// word scans a (possibly quoted, possibly variable-bearing) word.
+// word scans a (possibly quoted, possibly variable-bearing) word. Its
+// Text is the source it spans: a word never contains a line
+// continuation, so every byte the scanner consumes belongs to it.
 func (l *Lexer) word(pos token.Pos) (token.Token, error) {
-	w := &wordBuilder{}
+	start := l.off
+	w := wordBuilder{src: l.src}
 	for {
 		c := l.peek()
 		switch {
 		case c == '\'':
 			w.quoted = true
-			w.raw.WriteByte(l.advance())
+			l.advance()
 			for {
 				if l.peek() == 0 {
 					return token.Token{}, &Error{Pos: pos, Msg: "unterminated single-quoted string"}
 				}
-				ch := l.advance()
-				w.raw.WriteByte(ch)
-				if ch == '\'' {
+				if l.advance() == '\'' {
 					break
 				}
-				w.writeLit(ch, true)
+				w.writeSrc(l.off-1, true)
 			}
 		case c == '"':
 			w.quoted = true
-			if err := l.scanDQuote(pos, w); err != nil {
+			if err := l.scanDQuote(pos, &w); err != nil {
 				return token.Token{}, err
 			}
 		case c == '$':
-			if err := l.scanVar(w, false); err != nil {
+			if err := l.scanVar(&w, false); err != nil {
 				return token.Token{}, err
 			}
 		case c == '\\':
-			w.raw.WriteByte(l.advance())
+			l.advance()
 			if l.peek() == 0 || l.peek() == '\n' {
 				return token.Token{}, &Error{Pos: pos, Msg: "trailing backslash"}
 			}
-			ch := l.advance()
-			w.raw.WriteByte(ch)
-			w.writeLit(ch, false)
-		case isWordByte(c) && !(c == '-' && (l.peekAt(1) == '>' || l.peekAt(1) == '<') && w.raw.Len() > 0):
+			l.advance()
+			w.writeSrc(l.off-1, false)
+		case isWordByte(c) && !(c == '-' && (l.peekAt(1) == '>' || l.peekAt(1) == '<') && l.off > start):
 			// A redirection arrow may begin immediately after a word
 			// (e.g. `run->out`); stop the word there. A leading '-'
 			// arrow was already handled by Next.
-			ch := l.advance()
-			w.raw.WriteByte(ch)
-			w.writeLit(ch, false)
+			l.advance()
+			w.writeSrc(l.off-1, false)
 		default:
 			w.flushLit()
 			if len(w.segs) == 0 && !w.quoted {
 				return token.Token{}, &Error{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", c)}
 			}
-			return token.Token{Kind: token.WORD, Pos: pos, Text: w.raw.String(), Segs: w.segs, Quoted: w.quoted}, nil
+			return token.Token{Kind: token.WORD, Pos: pos, Text: l.src[start:l.off], Segs: w.segs, Quoted: w.quoted}, nil
 		}
 	}
 }
@@ -206,66 +217,112 @@ func (l *Lexer) word(pos token.Pos) (token.Token, error) {
 // wordBuilder accumulates a word's segments, flushing the pending
 // literal run whenever the quoting context changes so each literal
 // segment carries an accurate Quoted flag.
+//
+// A pending run is the source slice src[litStart:litEnd] for as long as
+// its bytes are consecutive source bytes; the first byte that is not —
+// an escape's translation, or a byte after a gap such as a backslash or
+// a closing and reopening quote — copies the run into lit, which then
+// takes the rest of it.
 type wordBuilder struct {
-	segs      []token.Segment
-	lit       strings.Builder
-	litQuoted bool
-	raw       strings.Builder
-	quoted    bool
+	src              string
+	segs             []token.Segment
+	litStart, litEnd int
+	lit              strings.Builder
+	spilled          bool // the pending run is in lit, not src[litStart:litEnd]
+	litQuoted        bool
+	quoted           bool
 }
 
-// writeLit appends one literal byte produced in the given quoting
-// context.
-func (w *wordBuilder) writeLit(c byte, quoted bool) {
-	if w.lit.Len() > 0 && w.litQuoted != quoted {
+// writeSrc appends the source byte at offset at to the literal run of
+// the given quoting context.
+func (w *wordBuilder) writeSrc(at int, quoted bool) {
+	w.startLit(quoted)
+	switch {
+	case w.spilled:
+		w.lit.WriteByte(w.src[at])
+	case w.litStart == w.litEnd:
+		w.litStart, w.litEnd = at, at+1
+	case at == w.litEnd:
+		w.litEnd++
+	default:
+		w.spill(w.src[at])
+	}
+}
+
+// writeByte appends c, which the source spells differently (an escape
+// like \n), to the literal run of the given quoting context.
+func (w *wordBuilder) writeByte(c byte, quoted bool) {
+	w.startLit(quoted)
+	if w.spilled {
+		w.lit.WriteByte(c)
+		return
+	}
+	w.spill(c)
+}
+
+// startLit flushes the pending run if its quoting context differs.
+func (w *wordBuilder) startLit(quoted bool) {
+	if w.litQuoted != quoted && (w.spilled || w.litStart < w.litEnd) {
 		w.flushLit()
 	}
 	w.litQuoted = quoted
+}
+
+// spill moves the pending run into lit and appends c.
+func (w *wordBuilder) spill(c byte) {
+	w.lit.WriteString(w.src[w.litStart:w.litEnd])
 	w.lit.WriteByte(c)
+	w.spilled = true
 }
 
 // flushLit closes the pending literal run into a segment.
 func (w *wordBuilder) flushLit() {
-	if w.lit.Len() > 0 {
-		w.segs = append(w.segs, token.Segment{Kind: token.SegLit, Text: w.lit.String(), Quoted: w.litQuoted})
+	var text string
+	switch {
+	case w.spilled:
+		text = w.lit.String()
 		w.lit.Reset()
+		w.spilled = false
+	case w.litStart < w.litEnd:
+		text = w.src[w.litStart:w.litEnd]
+	default:
+		return
 	}
+	w.litStart, w.litEnd = 0, 0
+	w.segs = append(w.segs, token.Segment{Kind: token.SegLit, Text: text, Quoted: w.litQuoted})
 }
 
 // scanDQuote consumes a double-quoted string (opening quote included),
 // handling escapes and variable references.
 func (l *Lexer) scanDQuote(pos token.Pos, w *wordBuilder) error {
-	w.raw.WriteByte(l.advance()) // opening '"'
+	l.advance() // opening '"'
 	for {
 		switch l.peek() {
 		case 0:
 			return &Error{Pos: pos, Msg: "unterminated double-quoted string"}
 		case '"':
-			w.raw.WriteByte(l.advance())
+			l.advance()
 			return nil
 		case '\\':
-			w.raw.WriteByte(l.advance())
+			l.advance()
 			if l.peek() == 0 {
 				return &Error{Pos: pos, Msg: "trailing backslash in string"}
 			}
-			esc := l.advance()
-			w.raw.WriteByte(esc)
-			switch esc {
+			switch l.advance() {
 			case 'n':
-				w.writeLit('\n', true)
+				w.writeByte('\n', true)
 			case 't':
-				w.writeLit('\t', true)
+				w.writeByte('\t', true)
 			default:
-				w.writeLit(esc, true)
+				w.writeSrc(l.off-1, true)
 			}
 		case '$':
 			if err := l.scanVar(w, true); err != nil {
 				return err
 			}
 		default:
-			ch := l.advance()
-			w.raw.WriteByte(ch)
-			w.writeLit(ch, true)
+			l.advance()
+			w.writeSrc(l.off-1, true)
 		}
 	}
 }
@@ -273,37 +330,37 @@ func (l *Lexer) scanDQuote(pos token.Pos, w *wordBuilder) error {
 // scanVar consumes `$name` or `${name}` at the current offset.
 func (l *Lexer) scanVar(w *wordBuilder, quoted bool) error {
 	start := l.pos()
-	w.raw.WriteByte(l.advance()) // '$'
-	var nameB strings.Builder
+	dollar := l.off
+	l.advance() // '$'
 	if c := l.peek(); c == '*' || c == '#' {
 		// The positional specials $* (all args) and $# (arg count).
-		w.raw.WriteByte(l.advance())
+		l.advance()
 		w.flushLit()
-		w.segs = append(w.segs, token.Segment{Kind: token.SegVar, Text: string(c)})
+		w.segs = append(w.segs, token.Segment{Kind: token.SegVar, Text: l.src[l.off-1 : l.off]})
 		return nil
 	}
+	var name string
 	if l.peek() == '{' {
-		w.raw.WriteByte(l.advance())
+		l.advance()
+		from := l.off
 		for l.peek() != '}' {
 			if l.peek() == 0 || l.peek() == '\n' {
 				return &Error{Pos: start, Msg: "unterminated ${...}"}
 			}
-			ch := l.advance()
-			w.raw.WriteByte(ch)
-			nameB.WriteByte(ch)
+			l.advance()
 		}
-		w.raw.WriteByte(l.advance()) // '}'
+		name = l.src[from:l.off]
+		l.advance() // '}'
 	} else {
+		from := l.off
 		for isVarByte(l.peek()) {
-			ch := l.advance()
-			w.raw.WriteByte(ch)
-			nameB.WriteByte(ch)
+			l.advance()
 		}
+		name = l.src[from:l.off]
 	}
-	name := nameB.String()
 	if name == "" {
 		// A bare '$' is literal, as in most shells.
-		w.writeLit('$', quoted)
+		w.writeSrc(dollar, quoted)
 		return nil
 	}
 	w.flushLit()

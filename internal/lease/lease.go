@@ -428,7 +428,8 @@ func (m *Manager) newLease(p Parker, ctx context.Context, holder string, units i
 	if quantum > 0 && m.eng != nil {
 		l.ctx, l.cancel = m.eng.WithCancel(ctx)
 		l.deadline = m.eng.Elapsed() + quantum
-		l.timer = m.eng.Schedule(quantum, l.expire)
+		l.watchdog = l.expire
+		l.timer = m.eng.Schedule(quantum, l.watchdog)
 	}
 	l.tr.Acquire(m.name, units)
 	if m.wire != nil {
@@ -453,6 +454,7 @@ type Lease struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	timer    core.Timer
+	watchdog func() // l.expire, bound once: a method value per renew is an allocation
 	deadline time.Duration
 	done     bool
 	revoked  bool
@@ -549,7 +551,7 @@ func (l *Lease) RenewFor(d time.Duration) bool {
 func (l *Lease) extend(d time.Duration) {
 	l.timer.Cancel()
 	l.deadline = l.m.eng.Elapsed() + d
-	l.timer = l.m.eng.Schedule(d, l.expire)
+	l.timer = l.m.eng.Schedule(d, l.watchdog)
 }
 
 // Release ends the tenure and returns the units. Releasing a revoked

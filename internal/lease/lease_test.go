@@ -121,6 +121,35 @@ func TestRenewExtendsTenure(t *testing.T) {
 	}
 }
 
+// TestRenewAllocs is the allocation budget of a renew on the sim. The
+// watchdog callback is bound once per lease (it was a fresh l.expire
+// method value per renew, 2 allocations), so what is left is
+// RT.Schedule boxing the engine's timer handle into a core.Timer.
+func TestRenewAllocs(t *testing.T) {
+	e := sim.New(1)
+	m := New(e.RT(), "res", 1, 10*time.Second)
+	var allocs float64
+	e.Spawn("holder", func(p *sim.Proc) {
+		l, err := m.Acquire(p, e.Context(), "holder", 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			if !l.Renew() {
+				t.Error("renew of a live lease failed")
+			}
+		})
+		l.Release()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 1 {
+		t.Fatalf("%.1f allocations per renew: budget 1", allocs)
+	}
+}
+
 func TestRevocationWakesWaiter(t *testing.T) {
 	e := sim.New(1)
 	m := New(e.RT(), "res", 1, 10*time.Second)

@@ -25,7 +25,7 @@
 // None of it allocates per operation in steady state. The first block of
 // each arena is small (8 records, then 256), so an engine asked for one
 // process and one timer — every ftsh script, most unit tests — costs some
-// 20 KB, not 100.
+// 17 KB, not 100.
 package sim
 
 import (
@@ -66,7 +66,8 @@ type Engine struct {
 
 	current *Proc // the process Run has switched into; nil in the engine
 
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // made by Rand on first draw; nil until then
 	events int64
 	// MaxEvents bounds the total number of scheduling steps as a guard
 	// against accidental infinite simulations. Zero means the default.
@@ -78,9 +79,11 @@ type Engine struct {
 const defaultMaxEvents = 200_000_000
 
 // New returns an engine whose random source is seeded with seed.
-// Identical seeds yield identical simulations.
+// Identical seeds yield identical simulations. The source itself is
+// made on the first draw: seeding one costs more than the rest of a
+// fresh engine, and most ftsh scripts never draw.
 func New(seed int64) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{seed: seed}
 	e.root = newCtx(e, nil)
 	return e
 }
@@ -119,8 +122,14 @@ func (e *Engine) MaxSlotOccupancy() int { return int(e.q.maxSlot) }
 func (e *Engine) TimerOverflowLen() int { return e.q.overflowLen }
 
 // Rand returns the engine's deterministic random source. It must only be
-// used under the engine token (from processes or timer callbacks).
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// used under the engine token (from processes or timer callbacks). It is
+// the only reader of e.rng: the source is seeded here, on first use.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // Context returns the root simulation context. It is canceled only when
 // explicitly requested, e.g. to shut down an experiment window.

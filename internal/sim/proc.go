@@ -77,7 +77,7 @@ func (p *Proc) Now() time.Time { return p.eng.Now() }
 func (p *Proc) Elapsed() time.Duration { return p.eng.now }
 
 // Rand returns a deterministic uniform value in [0,1).
-func (p *Proc) Rand() float64 { return p.eng.rng.Float64() }
+func (p *Proc) Rand() float64 { return p.eng.Rand().Float64() }
 
 // exit is called by the spawn wrapper when the process function returns.
 func (p *Proc) exit() {

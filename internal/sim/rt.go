@@ -22,7 +22,7 @@ func (e *Engine) RT() RT { return RT{e} }
 
 // Rand implements core.Backend, drawing from the engine's deterministic
 // source.
-func (r RT) Rand() float64 { return r.Engine.rng.Float64() }
+func (r RT) Rand() float64 { return r.Engine.Rand().Float64() }
 
 // Context implements core.Backend with the root simulation context.
 func (r RT) Context() context.Context { return r.Engine.root }

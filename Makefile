@@ -70,15 +70,18 @@ profile-figures:
 # corpus, which between them are the benchmark's ftsh-corpus workload,
 # plus a 150-level recursion — each printed as a cumulative top-40. The
 # corpus runs whole (ConformancePass/pass) and member by member, so the
-# benchmark lines above the profiles are the per-script split. Same
-# rules as profile-figures: writes only under .bench_build/, gates
-# nothing.
+# benchmark lines above the profiles are the per-script split. Beside
+# them, what the engine charges every script: a fresh engine with one
+# process (BenchmarkFreshEngineSpawn) and one 800 Go frames deep
+# (BenchmarkDeepProcess). Same rules as profile-figures: writes only
+# under .bench_build/, gates nothing.
 profile-ftsh:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -c -o $(PROFILE_DIR)/interp.test ./internal/ftsh/interp
 	cd internal/ftsh/interp && $(CURDIR)/$(PROFILE_DIR)/interp.test -test.run NONE \
 		-test.bench 'BenchmarkInterpLoop|BenchmarkConformancePass|BenchmarkRecursion' -test.benchtime 1s -test.benchmem \
 		-test.cpuprofile $(CURDIR)/$(PROFILE_DIR)/cpu.ftsh.pprof -test.memprofile $(CURDIR)/$(PROFILE_DIR)/mem.ftsh.pprof
+	$(GO) test -run NONE -bench 'BenchmarkFreshEngineSpawn|BenchmarkDeepProcess' -benchtime 1s -benchmem ./internal/sim
 	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_DIR)/interp.test $(PROFILE_DIR)/cpu.ftsh.pprof
 	$(GO) tool pprof -sample_index=alloc_objects -top -cum -nodecount=40 $(PROFILE_DIR)/interp.test $(PROFILE_DIR)/mem.ftsh.pprof
 

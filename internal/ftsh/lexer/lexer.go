@@ -23,7 +23,19 @@ type Lexer struct {
 	off  int
 	line int
 	col  int
+	// segs is the slab words' segments are carved from: its length is
+	// what earlier words took, its spare capacity what the next may.
+	segs []token.Segment
 }
+
+// A fresh slab holds one segment per slabSrcBytes of the source still
+// to scan, and never fewer than slabMinSegs. The conformance scripts
+// average 15 source bytes per segment, comments included, so one slab
+// usually serves a whole script.
+const (
+	slabSrcBytes = 16
+	slabMinSegs  = 8
+)
 
 // New returns a lexer over src.
 func New(src string) *Lexer {
@@ -126,7 +138,8 @@ func (l *Lexer) punct(pos token.Pos) (t token.Token, ok bool) {
 		return token.Token{Kind: token.EOF, Pos: pos}, true
 	case c == '\n' || c == ';':
 		l.advance()
-		return token.Token{Kind: token.NEWLINE, Pos: pos, Text: string(c)}, true
+		// Sliced from the source: string(c) would allocate per line.
+		return token.Token{Kind: token.NEWLINE, Pos: pos, Text: l.src[l.off-1 : l.off]}, true
 	case c == '>':
 		l.advance()
 		switch l.peek() {
@@ -166,7 +179,10 @@ func (l *Lexer) punct(pos token.Pos) (t token.Token, ok bool) {
 // continuation, so every byte the scanner consumes belongs to it.
 func (l *Lexer) word(pos token.Pos) (token.Token, error) {
 	start := l.off
-	w := wordBuilder{src: l.src}
+	if len(l.segs) == cap(l.segs) {
+		l.segs = make([]token.Segment, 0, max(slabMinSegs, (len(l.src)-l.off)/slabSrcBytes))
+	}
+	w := wordBuilder{src: l.src, segs: l.segs[len(l.segs):]}
 	for {
 		c := l.peek()
 		switch {
@@ -209,9 +225,25 @@ func (l *Lexer) word(pos token.Pos) (token.Token, error) {
 			if len(w.segs) == 0 && !w.quoted {
 				return token.Token{}, &Error{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", c)}
 			}
-			return token.Token{Kind: token.WORD, Pos: pos, Text: l.src[start:l.off], Segs: w.segs, Quoted: w.quoted}, nil
+			return token.Token{Kind: token.WORD, Pos: pos, Text: l.src[start:l.off], Segs: l.carve(w.segs), Quoted: w.quoted}, nil
 		}
 	}
+}
+
+// carve closes a word whose segments were appended from the slab's
+// spare capacity. A word that fit is left in the slab, capped at its own
+// end so that no later append through it can write into the next
+// word's; one that outgrew the spare capacity was moved to an array of
+// its own by that append and leaves the slab as it was.
+func (l *Lexer) carve(segs []token.Segment) []token.Segment {
+	n := len(segs)
+	if n == 0 {
+		return nil
+	}
+	if n <= cap(l.segs)-len(l.segs) {
+		l.segs = l.segs[:len(l.segs)+n]
+	}
+	return segs[:n:n]
 }
 
 // wordBuilder accumulates a word's segments, flushing the pending

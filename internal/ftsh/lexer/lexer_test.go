@@ -1,6 +1,9 @@
 package lexer
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +239,67 @@ func TestQuickLexerTotal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLexAllocs is the lexer's allocation budget on two conformance
+// scripts: the token slice as it grows, and the segment slabs. Each
+// allocated once per word (flushLit's append) and once per line (the
+// NEWLINE's text) before words were carved from a slab and newlines
+// sliced from the source: 19 and 56 allocations.
+func TestLexAllocs(t *testing.T) {
+	for _, c := range []struct {
+		script string
+		budget float64
+	}{
+		{"recursion.ftsh", 6},
+		{"nested_reader.ftsh", 11},
+	} {
+		b, err := os.ReadFile(filepath.Join("..", "interp", "testdata", c.script))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(b)
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := All(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.budget {
+			t.Errorf("lexing %s: %.0f allocations, budget %.0f", c.script, got, c.budget)
+		}
+	}
+}
+
+// TestSlabWordsDoNotOverlap appends to each word's segments and checks
+// that no other word changed: a word carved from a shared slab is
+// capped at its own end, so an append must move it, not write into its
+// neighbour.
+func TestSlabWordsDoNotOverlap(t *testing.T) {
+	toks, err := All(`a ${b}c "d$e" f` + "\n" + `g${h}i${j} k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words [][]token.Segment
+	for _, tk := range toks {
+		if tk.Kind == token.WORD {
+			words = append(words, append([]token.Segment(nil), tk.Segs...))
+		}
+	}
+	for i, tk := range toks {
+		if tk.Kind == token.WORD {
+			_ = append(toks[i].Segs, token.Segment{Text: "clobber"})
+		}
+	}
+	w := 0
+	for _, tk := range toks {
+		if tk.Kind != token.WORD {
+			continue
+		}
+		if !reflect.DeepEqual(tk.Segs, words[w]) {
+			t.Errorf("word %q: segments %+v after its neighbours grew, want %+v", tk.Text, tk.Segs, words[w])
+		}
+		w++
 	}
 }
 

@@ -4,10 +4,18 @@
 // The engine advances a virtual clock and runs exactly one process at a
 // time, so simulation code needs no locking and every run with the same
 // seed is bit-for-bit reproducible. Processes are ordinary Go functions
-// that block by calling engine primitives (Sleep, Acquire, Park); each is
-// an iter.Pull coroutine that Run switches into directly and that
-// switches straight back when it parks or returns, so only the engine or
-// one process ever executes and engine state needs no mutex.
+// that block by calling engine primitives (Sleep, Acquire, Park); each
+// runs on a shell, an iter.Pull coroutine that Run switches into
+// directly and that switches straight back when the process parks or
+// returns, so only the engine or one process ever executes and engine
+// state needs no mutex.
+//
+// A shell outlives its process. When a process returns, its shell goes
+// back to one small pool that every engine draws from, so a fresh
+// engine's first process starts on a goroutine that already exists and
+// whose stack has already grown. A process still parked when Run
+// reaches quiescence never returns: it keeps its shell, and the shell's
+// goroutine, for the life of the program.
 //
 // The package exists so that the retry/backoff logic in internal/core can
 // be exercised over hours of virtual time in milliseconds of real time,
@@ -33,6 +41,7 @@ import (
 	"iter"
 	"math/rand"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -208,13 +217,14 @@ func (e *Engine) procByID(id int32) *Proc {
 	return &e.procBlocks[1+id/procBlock][id%procBlock]
 }
 
-// recycleProc returns an exited process's record to the free list. The
-// cached wakeup closures survive recycling; the coroutine does not: it
-// ended when the process function returned, and dropping its two
-// handles here unpins that function's closure.
+// recycleProc returns an exited process's record to the free list and
+// its shell to the shell pool. The cached wakeup closures survive
+// recycling; the shell serves whichever process, of whichever engine,
+// is spawned next.
 func (e *Engine) recycleProc(p *Proc) {
+	putShell(p.sh)
+	p.sh = nil
 	p.name = ""
-	p.next, p.yield = nil, nil
 	p.parked = false
 	p.wakeErr = nil
 	p.done = false
@@ -227,28 +237,115 @@ func (e *Engine) recycleProc(p *Proc) {
 // Spawn creates a new process executing fn and schedules it to run. It
 // may be called before Run or from inside a running process or timer.
 //
-// The process is a coroutine that only Run resumes. A panic in fn
-// therefore surfaces from Run, on the goroutine that called it, as a
-// *ProcPanic carrying the process's name and stack; runtime.Goexit in
-// fn (a t.Fatal, say) unwinds Run's goroutine likewise. A process still
-// parked when Run reaches quiescence keeps its coroutine, and so its
-// stack and deferred calls, for as long as the engine is reachable.
+// The process runs on a shell from the shell pool, a coroutine that
+// only Run resumes. A panic in fn therefore surfaces from Run, on the
+// goroutine that called it, as a *ProcPanic carrying the process's name
+// and stack; runtime.Goexit in fn (a t.Fatal, say) unwinds Run's
+// goroutine likewise. Either way the shell dies with the process. A
+// process still parked when Run reaches quiescence keeps its shell, and
+// so its goroutine, stack and deferred calls, for the life of the
+// program: dropping the engine does not free them.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := e.allocProc()
 	p.name = name
 	e.live++
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			if v := recover(); v != nil {
-				panic(&ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()})
-			}
-		}()
-		fn(p)
-		p.exit()
-	})
+	p.sh = takeShell()
+	p.sh.p, p.sh.fn = p, fn
 	e.pushRun(p)
 	return p
+}
+
+// shellPoolMax bounds the idle shells kept for the next spawn, across
+// all engines. It is more than an ftsh script keeps alive at once (the
+// script and its forall branches), and far below a figure cell's
+// population, whose exits mostly stop their shells rather than keep a
+// thousand goroutines parked for nothing. An idle
+// shell's stack needs no management: at each collection the runtime
+// halves a stack that uses less than a quarter of itself.
+const shellPoolMax = 64
+
+// A shell is a coroutine that runs process bodies one after another:
+// Spawn hands it a process and a body, Run's first switch into it
+// starts the body, and when the body returns the shell yields and
+// waits, idle in the pool, for the next one. The pool is package-wide
+// because a fresh engine's first process is the one that wants a warm
+// shell: every ftsh script runs on an engine of its own.
+type shell struct {
+	next  func() (struct{}, bool) // engine side: switch into the shell
+	stop  func()                  // end an idle shell's loop
+	yield func(struct{}) bool     // shell side: switch back to Run
+	p     *Proc                   // the process to run next
+	fn    func(p *Proc)           // its body
+}
+
+// shellPool is a LIFO, so the shell handed out is the one that ran
+// most recently: the one whose stack is likeliest still to be grown.
+// Shells move between goroutines only through it, under its mutex,
+// which is what orders one engine's last use of a shell before
+// another's first.
+var shellPool struct {
+	sync.Mutex
+	idle []*shell
+}
+
+// takeShell returns an idle shell from the pool, or a new one.
+func takeShell() *shell {
+	shellPool.Lock()
+	if k := len(shellPool.idle); k > 0 {
+		sh := shellPool.idle[k-1]
+		shellPool.idle[k-1] = nil
+		shellPool.idle = shellPool.idle[:k-1]
+		shellPool.Unlock()
+		return sh
+	}
+	shellPool.Unlock()
+	sh := &shell{}
+	sh.next, sh.stop = iter.Pull(sh.loop)
+	return sh
+}
+
+// putShell returns a shell whose body has returned to the pool, or
+// stops it if the pool is full. Only an idle shell may be stopped:
+// stopping a shell parked inside a body would resume the body as if it
+// had been woken.
+func putShell(sh *shell) {
+	shellPool.Lock()
+	if len(shellPool.idle) < shellPoolMax {
+		shellPool.idle = append(shellPool.idle, sh)
+		shellPool.Unlock()
+		return
+	}
+	shellPool.Unlock()
+	sh.stop()
+}
+
+// loop is the shell's coroutine: run a body, switch back, repeat until
+// stopped.
+func (sh *shell) loop(yield func(struct{}) bool) {
+	sh.yield = yield
+	for {
+		sh.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run runs the body Spawn handed over, dropping both handles first so
+// an idle shell pins neither. A panic leaves the shell's loop, and so
+// ends the coroutine, as a *ProcPanic that iter.Pull re-raises from
+// Run's switch; the process's frames are gone by then, so its stack is
+// taken here.
+func (sh *shell) run() {
+	p, fn := sh.p, sh.fn
+	sh.p, sh.fn = nil, nil
+	defer func() {
+		if v := recover(); v != nil {
+			panic(&ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()})
+		}
+	}()
+	fn(p)
+	p.exit()
 }
 
 // ProcPanic is the value Run panics with when a process panicked. The
@@ -326,7 +423,7 @@ func (e *Engine) Run() error {
 		if e.rqLen > 0 {
 			p := e.popRun()
 			e.current = p
-			p.next()
+			p.sh.next()
 			e.current = nil
 			if p.done {
 				e.recycleProc(p)

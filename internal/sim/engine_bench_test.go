@@ -89,3 +89,50 @@ func BenchmarkSleepCancelCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkFreshEngineSpawn measures what every ftsh script pays the
+// engine before the script does anything: a fresh engine, one process
+// that returns at once, and the Run that switches into it.
+func BenchmarkFreshEngineSpawn(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New(1)
+		e.Spawn("one", func(p *Proc) {})
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeepProcess is BenchmarkFreshEngineSpawn with a process
+// 800 Go frames deep, as recursion.ftsh's 200 call levels of four
+// interpreter frames each are: what the stack's growth costs a process
+// whose coroutine starts small, and what a pooled, already grown one
+// saves.
+func BenchmarkDeepProcess(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New(1)
+		e.Spawn("deep", func(p *Proc) {
+			if descend(800) != 800 {
+				b.Error("descend lost frames")
+			}
+		})
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// descend recurses n frames of about an interpreter frame's size each
+// (execCommand keeps 136 bytes of locals, execStmt 80) and returns n.
+//
+//go:noinline
+func descend(n int) int {
+	var frame [96]byte
+	frame[n%len(frame)] = 1
+	if n == 0 {
+		return 0
+	}
+	return descend(n-1) + int(frame[n%len(frame)])
+}

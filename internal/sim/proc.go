@@ -9,10 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Proc is a simulated process: a coroutine that Engine.Run resumes and
-// that runs only while it holds the engine token. All of its methods
-// must be called from inside the process itself unless documented
-// otherwise; the blocking ones panic when called from anywhere else.
+// Proc is a simulated process: a body that runs on a shell coroutine,
+// which Engine.Run resumes, and only while it holds the engine token.
+// All of its methods must be called from inside the process itself
+// unless documented otherwise; the blocking ones panic when called from
+// anywhere else.
 //
 // Proc satisfies the core.Runtime interface, so the same fault-tolerance
 // code drives both simulated and real executions.
@@ -20,8 +21,7 @@ type Proc struct {
 	eng     *Engine
 	id      int32 // arena index; see Engine.procByID
 	name    string
-	next    func() (struct{}, bool) // engine side: switch into the process
-	yield   func(struct{}) bool     // process side: switch back to Run
+	sh      *shell // the coroutine the process runs on; nil once recycled
 	parked  bool
 	wakeErr error
 	done    bool
@@ -79,7 +79,7 @@ func (p *Proc) Elapsed() time.Duration { return p.eng.now }
 // Rand returns a deterministic uniform value in [0,1).
 func (p *Proc) Rand() float64 { return p.eng.Rand().Float64() }
 
-// exit is called by the spawn wrapper when the process function returns.
+// exit is called by the shell when the process function returns.
 func (p *Proc) exit() {
 	p.done = true
 	p.eng.live--
@@ -94,7 +94,7 @@ func (p *Proc) park() error {
 		panic("sim: park of " + p.name + " from outside its own process")
 	}
 	p.parked = true
-	p.yield(struct{}{})
+	p.sh.yield(struct{}{})
 	err := p.wakeErr
 	p.wakeErr = nil
 	return err

@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt-check vet test race short bench-smoke fuzz-smoke golden profile-figures profile-ftsh ci
+.PHONY: all build fmt-check vet test race short bench-smoke fuzz-smoke golden profile-figures profile-scale profile-ftsh ci
 
 all: build
 
@@ -64,6 +64,18 @@ profile-figures:
 		$(PROFILE_DIR)/gridbench -parallel 1 -seed 1 -cpuprofile $(PROFILE_DIR)/cpu.$${member%% *}.pprof -fig $$member >/dev/null; \
 	done
 	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_DIR)/gridbench $(PROFILE_DIR)/cpu.*.pprof
+
+# Where the scale figure's time goes: ten CPU profiles of the run the
+# benchmark's sim-scale workload times (one run is too short to sample
+# well), merged into one cumulative top-30. Same rules as
+# profile-figures: writes only under .bench_build/, gates nothing.
+profile-scale:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/gridbench ./cmd/gridbench
+	set -e; for i in 1 2 3 4 5 6 7 8 9 10; do \
+		$(PROFILE_DIR)/gridbench -parallel 1 -seed 1 -cpuprofile $(PROFILE_DIR)/scale.$$i.pprof -fig scale -scale 0.1 >/dev/null; \
+	done
+	$(GO) tool pprof -top -cum -nodecount=30 $(PROFILE_DIR)/gridbench $(PROFILE_DIR)/scale.*.pprof
 
 # Where a script's time goes: CPU and allocation profiles of the
 # interpreter's benchmarks — the counting loop and the conformance

@@ -3,7 +3,9 @@ package expt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -67,6 +69,43 @@ func TestScaleWheelHealthExported(t *testing.T) {
 	for _, fam := range []string{MWheelCascades, MWheelMaxSlot, MWheelOverflow} {
 		if maxPoint[fam] <= 0 {
 			t.Errorf("family %s never sampled a nonzero value", fam)
+		}
+	}
+}
+
+// TestScaleWheelCountsPinned pins the wheel's exact counters on the
+// seed-1, -scale 0.01 sweep (100 / 1 000 / 10 000 clients), as
+// `gridbench -fig scale -scale 0.01 -seed 1 -metrics m.prom
+// -metrics-format prom` prints them. The timer queue may change how it
+// moves nodes, never where it files them: the cascade count and the
+// fullest slot are functions of the filing rule and the seed alone, and
+// the benchmark's sim-scale workload reports them for comparison.
+func TestScaleWheelCountsPinned(t *testing.T) {
+	reg := obs.New()
+	FigScale(Options{Seed: 1, Scale: 0.01, Obs: reg})
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && !strings.HasPrefix(line, "#") {
+			got[f[0]] = f[1]
+		}
+	}
+	for _, c := range []struct {
+		n                 int
+		cascades, slotMax int
+	}{
+		{100, 110, 7},
+		{1_000, 1_119, 71},
+		{10_000, 10_922, 474},
+	} {
+		for fam, want := range map[string]int{MWheelCascades: c.cascades, MWheelMaxSlot: c.slotMax, MWheelOverflow: 0} {
+			key := fmt.Sprintf("%s{cell=%q}", fam, fmt.Sprintf("scale/ethernet/n%d", c.n))
+			if g, ok := got[key]; !ok || g != fmt.Sprint(want) {
+				t.Errorf("%s = %q, want %d", key, g, want)
+			}
 		}
 	}
 }

@@ -27,13 +27,17 @@
 // (internal/expt runs thousands of cells, each millions of steps), and
 // in particular for the schedule-then-cancel churn of backoff machines:
 // timers live in a hierarchical timer wheel (see wheel.go) with O(1)
-// insert and O(1) cancel, nodes come from a block arena with
-// generation-checked handles, processes are recycled through an arena of
-// their own, and the run queue is a power-of-two ring with mask indexing.
-// None of it allocates per operation in steady state. The first block of
-// each arena is small (8 records, then 256), so an engine asked for one
-// process and one timer — every ftsh script, most unit tests — costs some
-// 17 KB, not 100.
+// insert and O(1) cancel, in front of a typed near heap that orders only
+// the current tick's timers; a slot that comes due is drained or
+// cascaded whole, not node by node. Timer nodes are taken from a free
+// list or the unused tail of the newest block, with generation-checked
+// handles, and carry one callback form: Schedule's closure rides as the
+// argument of a shared function. Processes are recycled through an arena
+// of their own, and the run queue is a power-of-two ring with mask
+// indexing. None of it allocates per operation in steady state. The
+// first block of each arena is small (8 records, then 256), so an engine
+// asked for one process and one timer — every ftsh script, most unit
+// tests — costs some 16 KB, not 100.
 package sim
 
 import (
@@ -370,10 +374,13 @@ func (pp *ProcPanic) String() string { return pp.Error() }
 // fires. The handle is a value: copies are equivalent, and the zero
 // Timer is valid and inert.
 func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
-	n := e.q.alloc()
-	n.fn = fn
-	return e.arm(n, d)
+	return e.ScheduleArg(d, runFunc, fn)
 }
+
+// runFunc is the shared callback of every Schedule: the closure rides
+// in the node's arg, which costs no allocation (a func value is a
+// single pointer), so a node has one callback form and Run one call.
+func runFunc(arg any) { arg.(func())() }
 
 // ScheduleArg is Schedule for mass-client workloads: fn is a shared,
 // usually package-level function and arg the per-client state, so a
@@ -382,7 +389,7 @@ func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
 // Schedule.
 func (e *Engine) ScheduleArg(d time.Duration, fn func(arg any), arg any) Timer {
 	n := e.q.alloc()
-	n.afn = fn
+	n.fn = fn
 	n.arg = arg
 	return e.arm(n, d)
 }
@@ -435,15 +442,9 @@ func (e *Engine) Run() error {
 			if n.at > e.now {
 				e.now = n.at
 			}
-			if n.afn != nil {
-				afn, arg := n.afn, n.arg
-				e.q.recycle(n)
-				afn(arg)
-			} else {
-				fn := n.fn
-				e.q.recycle(n)
-				fn()
-			}
+			fn, arg := n.fn, n.arg
+			e.q.recycle(n)
+			fn(arg)
 			continue
 		}
 		return nil
@@ -495,48 +496,17 @@ func (t Timer) Scheduled() bool { return t.n != nil }
 
 // timerNode is the engine-owned record behind a Timer handle. It lives
 // either in the near heap (index = heap position) or on a wheel slot /
-// overflow doubly-linked list (prev/next); loc says which.
+// overflow doubly-linked list (prev/next); loc says which. The field
+// order packs it into 72 bytes.
 type timerNode struct {
-	at    time.Duration
-	seq   int64
-	fn    func()        // closure form (Schedule)
-	afn   func(arg any) // shared-function form (ScheduleArg)
-	arg   any
-	index int // position in the near heap; -1 when not in it
+	at  time.Duration
+	seq int64
+	fn  func(arg any) // runFunc for Schedule, the caller's for ScheduleArg
+	arg any
 
 	prev, next *timerNode // wheel slot / overflow list links
+	index      int32      // position in the near heap; -1 when not in it
+	gen        uint32     // tenure counter; bumped on recycle
 	loc        int8       // locNear, locNone, locOverflow, or wheel level
 	slot       uint8      // slot index when loc is a wheel level
-	gen        uint32     // tenure counter; bumped on recycle
-}
-
-// timerHeap is the exact-order heap used for near (due) timers; see
-// wheel.go for how it combines with the wheel levels.
-type timerHeap []*timerNode
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *timerHeap) Push(x any) {
-	n := x.(*timerNode)
-	n.index = len(*h)
-	*h = append(*h, n)
-}
-func (h *timerHeap) Pop() any {
-	old := *h
-	k := len(old)
-	n := old[k-1]
-	old[k-1] = nil
-	n.index = -1
-	*h = old[:k-1]
-	return n
 }

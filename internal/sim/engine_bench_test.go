@@ -51,6 +51,117 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
+// popClient is one client of BenchmarkTimerPopulation; pop is what the
+// population shares.
+type popClient struct{ pop *timerPop }
+
+type timerPop struct {
+	b    *testing.B
+	e    *Engine
+	left int // fires still to time
+}
+
+// think is a client's 5–15 s of virtual idle time.
+func (s *timerPop) think() time.Duration {
+	return 5*time.Second + time.Duration(s.e.Rand().Int63n(int64(10*time.Second)))
+}
+
+// popFire is the population's shared callback: count the fire and
+// re-arm after a think, until the benchmark has had its b.N fires.
+func popFire(arg any) {
+	s := arg.(*popClient).pop
+	if s.left--; s.left < 0 {
+		return
+	}
+	if s.left == 0 {
+		s.b.StopTimer() // the rest of the population drains untimed
+	}
+	s.e.ScheduleArg(s.think(), popFire, arg)
+}
+
+// BenchmarkTimerPopulation is the scale figure's traffic in process:
+// 100 000 ScheduleArg clients, each re-arming itself after a 5–15 s
+// think, so the wheel holds a population that leaves cache and every
+// timer is filed a level up and cascades down before it fires. One op
+// is one fired timer.
+func BenchmarkTimerPopulation(b *testing.B) {
+	const clients = 100_000
+	e := New(1)
+	e.MaxEvents = int64(b.N) + 2*clients + 1024
+	s := &timerPop{b: b, e: e, left: b.N}
+	cs := make([]popClient, clients)
+	for i := range cs {
+		cs[i].pop = s
+		e.ScheduleArg(s.think(), popFire, &cs[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// nearBench is BenchmarkNearHeap's state: its 64 timers and the fires
+// still to time.
+type nearBench struct {
+	e     *Engine
+	tms   [64]nearTimer
+	fired int
+	n     int
+}
+
+// nearTimer is one of BenchmarkNearHeap's timers: its slot in the state
+// and the handle of its current tenure.
+type nearTimer struct {
+	s  *nearBench
+	i  int
+	tm Timer
+}
+
+// arm schedules timer i at most a microsecond out, well inside the
+// ~1 ms tick the clock is in, so it files straight into the near heap.
+func (s *nearBench) arm(i int) {
+	t := &s.tms[i]
+	t.tm = s.e.ScheduleArg(time.Duration(s.e.Rand().Int63n(1000)), nearFire, t)
+}
+
+// nearFire re-arms the timer that fired, and on every fourth fire
+// cancels another pending timer and re-arms it too, so the heap is
+// popped, pushed and cut from the middle.
+func nearFire(arg any) {
+	t := arg.(*nearTimer)
+	s := t.s
+	if s.fired++; s.fired > s.n {
+		return
+	}
+	s.arm(t.i)
+	if s.fired%4 == 0 {
+		j := (t.i + 1 + s.e.Rand().Intn(len(s.tms)-1)) % len(s.tms)
+		s.tms[j].tm.Cancel()
+		s.arm(j)
+	}
+}
+
+// BenchmarkNearHeap measures the near heap alone: 64 timers due inside
+// one tick, each popped and re-armed as it fires, with every fourth
+// fire also cancelling one of the others. One op is one fired timer.
+func BenchmarkNearHeap(b *testing.B) {
+	e := New(1)
+	e.MaxEvents = 2*int64(b.N) + 1024
+	s := &nearBench{e: e, n: b.N}
+	e.Schedule(0, func() {
+		for i := range s.tms {
+			s.tms[i] = nearTimer{s: s, i: i}
+			s.arm(i)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkScheduleCancel measures the WithTimeout pattern that
 // dominates real workloads: schedule a guard timer, cancel it almost
 // immediately because the guarded work finished first. Without eager

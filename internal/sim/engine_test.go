@@ -1041,3 +1041,42 @@ func TestShellReuseAllocs(t *testing.T) {
 		t.Fatalf("a fresh engine and one process on a warm pool: %.0f allocations, want 9", got)
 	}
 }
+
+// TestTimerAllocs pins the timer path's allocation budgets, the numbers
+// the README states: once an engine has nodes to recycle, a timer
+// scheduled by either callback form and fired, or scheduled and
+// canceled, allocates nothing, and a process's WithTimeout + Sleep +
+// cancel cycle allocates exactly twice, for the context and its cancel
+// func. A recycled process on a pooled shell costs nothing itself, so
+// the cycle is measured as one process spawned and run.
+func TestTimerAllocs(t *testing.T) {
+	e := New(1)
+	fn := func() {}
+	afn := func(any) {}
+	run := func() {
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := func(p *Proc) {}
+	cycle := func(p *Proc) {
+		ctx, cancel := p.WithTimeout(e.Context(), time.Hour)
+		_ = p.Sleep(ctx, time.Millisecond)
+		cancel()
+	}
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"Schedule then fire", 0, func() { e.Schedule(time.Second, fn); run() }},
+		{"ScheduleArg then fire", 0, func() { e.ScheduleArg(time.Second, afn, e); run() }},
+		{"Schedule then Cancel", 0, func() { e.Schedule(time.Hour, fn).Cancel() }},
+		{"Spawn and Run", 0, func() { e.Spawn("idle", idle); run() }},
+		{"WithTimeout + Sleep + cancel", 2, func() { e.Spawn("cycle", cycle); run() }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got != c.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
+}

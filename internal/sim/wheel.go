@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
 	"math/bits"
 	"time"
@@ -41,6 +40,17 @@ import (
 // engine's clock when the next timer is far away; inserts that land at
 // or before cur (overdue from the queue's point of view) go straight to
 // the near heap, preserving exact order.
+//
+// Each node is touched only as often as its life requires. The near
+// heap is typed: it compares (at, seq) inline and moves nodes through a
+// hole instead of swapping them through an interface. A slot that
+// comes due — drained to the near heap or cascaded a level down — is
+// detached whole: its head, count, occupancy bit and level share are
+// cleared once, then its nodes are walked and re-filed one at a time,
+// so the cascade and slot-occupancy counters read exactly what
+// per-node unlinking read. Only cancel and overflow readmission unlink
+// single nodes. New nodes are taken from the unused tail of the newest
+// block, so minting a block writes nothing but the block.
 const (
 	tickShift   = 20 // one tick = 2^20 ns ≈ 1.05 ms of virtual time
 	wheelBits   = 8
@@ -63,7 +73,7 @@ func tickOf(at time.Duration) uint64 { return uint64(at) >> tickShift }
 
 // timerQueue is the engine's pending-timer structure.
 type timerQueue struct {
-	near timerHeap // tick(at) <= cur, exact (at, seq) order
+	near []*timerNode // tick(at) <= cur, a binary heap in exact (at, seq) order
 
 	cur    uint64                              // last tick drained into near
 	slots  [wheelLevels][wheelSlots]*timerNode // doubly-linked slot lists
@@ -74,7 +84,8 @@ type timerQueue struct {
 	overflow    *timerNode // beyond the wheel horizon (~52 virtual days)
 	overflowLen int
 
-	free   []*timerNode // recycled nodes; new ones minted in blocks
+	free   []*timerNode // recycled nodes, taken before fresh ones
+	fresh  []timerNode  // the newest block's never-used tail
 	minted bool         // the small first block has been minted
 
 	// Health counters, surfaced via the Engine's wheel observability
@@ -93,8 +104,8 @@ const (
 	timerBlock0 = 8
 )
 
-// alloc takes a node from the free list, minting a fresh block when it
-// runs dry.
+// alloc takes a node from the free list or, when it is empty, from the
+// newest block's unused tail, minting a fresh block when both run dry.
 func (q *timerQueue) alloc() *timerNode {
 	if k := len(q.free); k > 0 {
 		n := q.free[k-1]
@@ -102,24 +113,19 @@ func (q *timerQueue) alloc() *timerNode {
 		q.free = q.free[:k-1]
 		return n
 	}
-	return q.allocSlow()
-}
-
-func (q *timerQueue) allocSlow() *timerNode {
-	size := timerBlock
-	if !q.minted {
-		q.minted = true
-		size = timerBlock0
+	if len(q.fresh) == 0 {
+		size := timerBlock
+		if !q.minted {
+			q.minted = true
+			size = timerBlock0
+		}
+		q.fresh = make([]timerNode, size)
 	}
-	blk := make([]timerNode, size)
-	for i := range blk {
-		blk[i].index = -1
-		blk[i].loc = locNone
-	}
-	for i := size - 1; i >= 1; i-- {
-		q.free = append(q.free, &blk[i])
-	}
-	return &blk[0]
+	n := &q.fresh[0]
+	q.fresh = q.fresh[1:]
+	n.index = -1
+	n.loc = locNone
+	return n
 }
 
 // recycle returns a node to the free list. Bumping the generation
@@ -128,7 +134,6 @@ func (q *timerQueue) allocSlow() *timerNode {
 func (q *timerQueue) recycle(n *timerNode) {
 	n.gen++
 	n.fn = nil
-	n.afn = nil
 	n.arg = nil
 	n.loc = locNone
 	q.free = append(q.free, n)
@@ -137,11 +142,11 @@ func (q *timerQueue) recycle(n *timerNode) {
 // insert files n by its tick distance from cur: overdue ticks go to the
 // near heap (exact order), future ticks to the shallowest level whose
 // span contains them, and deadlines beyond the horizon to overflow.
+// n's list links must be nil.
 func (q *timerQueue) insert(n *timerNode) {
 	t := tickOf(n.at)
 	if t <= q.cur {
-		n.loc = locNear
-		heap.Push(&q.near, n)
+		q.push(n)
 		return
 	}
 	switch delta := t - q.cur; {
@@ -155,7 +160,6 @@ func (q *timerQueue) insert(n *timerNode) {
 		q.place(n, 3, int((t>>(3*wheelBits))&wheelMask))
 	default:
 		n.loc = locOverflow
-		n.prev = nil
 		n.next = q.overflow
 		if q.overflow != nil {
 			q.overflow.prev = n
@@ -169,7 +173,6 @@ func (q *timerQueue) insert(n *timerNode) {
 func (q *timerQueue) place(n *timerNode, lvl, slot int) {
 	n.loc = int8(lvl)
 	n.slot = uint8(slot)
-	n.prev = nil
 	n.next = q.slots[lvl][slot]
 	if n.next != nil {
 		n.next.prev = n
@@ -210,6 +213,22 @@ func (q *timerQueue) unlink(n *timerNode) {
 	n.loc = locNone
 }
 
+// take detaches a wheel slot's whole list and returns its head and
+// length: the slot's bookkeeping is cleared once, and the nodes keep
+// their links until the caller walks them.
+func (q *timerQueue) take(lvl, slot int) (*timerNode, int32) {
+	head := q.slots[lvl][slot]
+	if head == nil {
+		return nil, 0
+	}
+	c := q.cnt[lvl][slot]
+	q.slots[lvl][slot] = nil
+	q.cnt[lvl][slot] = 0
+	q.occ[lvl][slot>>6] &^= 1 << (slot & 63)
+	q.lvlLen[lvl] -= int(c)
+	return head, c
+}
+
 // next returns the lowest occupied slot >= from at level lvl, or -1.
 func (q *timerQueue) next(lvl, from int) int {
 	if from >= wheelSlots {
@@ -232,10 +251,12 @@ func (q *timerQueue) next(lvl, from int) int {
 // drainNear moves every node in level-0 slot s — all due at tick cur —
 // into the near heap.
 func (q *timerQueue) drainNear(slot int) {
-	for n := q.slots[0][slot]; n != nil; n = q.slots[0][slot] {
-		q.unlink(n)
-		n.loc = locNear
-		heap.Push(&q.near, n)
+	n, _ := q.take(0, slot)
+	for n != nil {
+		next := n.next
+		n.prev, n.next = nil, nil
+		q.push(n)
+		n = next
 	}
 }
 
@@ -244,10 +265,13 @@ func (q *timerQueue) drainNear(slot int) {
 // strictly shallower level (or the near heap), so total cascade work
 // per node is bounded by the level it was first filed at.
 func (q *timerQueue) cascade(lvl, slot int) {
-	for n := q.slots[lvl][slot]; n != nil; n = q.slots[lvl][slot] {
-		q.unlink(n)
+	n, c := q.take(lvl, slot)
+	q.cascades += int64(c)
+	for n != nil {
+		next := n.next
+		n.prev, n.next = nil, nil
 		q.insert(n)
-		q.cascades++
+		n = next
 	}
 }
 
@@ -359,7 +383,7 @@ func (q *timerQueue) rebase() {
 // peek returns the earliest timer without removing it, advancing the
 // wheel as needed, or nil when nothing is pending.
 func (q *timerQueue) peek() *timerNode {
-	for q.near.Len() == 0 {
+	for len(q.near) == 0 {
 		if !q.advanceOne() {
 			return nil
 		}
@@ -367,9 +391,10 @@ func (q *timerQueue) peek() *timerNode {
 	return q.near[0]
 }
 
-// pop removes the node a preceding peek returned.
+// pop removes the node a preceding peek returned: the near heap's root.
 func (q *timerQueue) pop() *timerNode {
-	n := heap.Pop(&q.near).(*timerNode)
+	n := q.near[0]
+	q.removeAt(0)
 	n.loc = locNone
 	return n
 }
@@ -380,7 +405,7 @@ func (q *timerQueue) pop() *timerNode {
 // and its callback is already recycled, so its handle cannot reach here.
 func (q *timerQueue) cancel(n *timerNode) {
 	if n.loc == locNear {
-		heap.Remove(&q.near, n.index)
+		q.removeAt(int(n.index))
 	} else {
 		q.unlink(n)
 	}
@@ -390,9 +415,81 @@ func (q *timerQueue) cancel(n *timerNode) {
 // pending reports every timer still in the queue: near, wheel, and
 // overflow nodes.
 func (q *timerQueue) pending() int {
-	n := q.near.Len() + q.overflowLen
+	n := len(q.near) + q.overflowLen
 	for _, l := range q.lvlLen {
 		n += l
 	}
 	return n
+}
+
+// before is the near heap's order: exact (at, seq), and seq is unique,
+// so no two nodes tie and the pop order is independent of heap layout.
+func before(a, b *timerNode) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// push adds n to the near heap.
+func (q *timerQueue) push(n *timerNode) {
+	n.loc = locNear
+	q.near = append(q.near, n)
+	q.up(n, len(q.near)-1)
+}
+
+// removeAt takes the node at heap position i out of the near heap, as
+// container/heap's Remove does: the last node moves into the hole and
+// sifts down, or up if it cannot go down.
+func (q *timerQueue) removeAt(i int) {
+	h := q.near
+	k := len(h) - 1
+	h[i].index = -1
+	last := h[k]
+	h[k] = nil
+	q.near = h[:k]
+	if i != k && !q.down(last, i) {
+		q.up(last, i)
+	}
+}
+
+// up settles n, bound for heap position j, at or above j: later parents
+// move down into the hole until n's parent is before n.
+func (q *timerQueue) up(n *timerNode, j int) {
+	h := q.near
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !before(n, p) {
+			break
+		}
+		h[j] = p
+		p.index = int32(j)
+		j = i
+	}
+	h[j] = n
+	n.index = int32(j)
+}
+
+// down settles n, bound for heap position i, at or below i: earlier
+// children move up into the hole until neither child is before n. It
+// reports whether n ended below i.
+func (q *timerQueue) down(n *timerNode, i int) bool {
+	h := q.near
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], n) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = int32(i)
+		i = c
+	}
+	h[i] = n
+	n.index = int32(i)
+	return i > i0
 }

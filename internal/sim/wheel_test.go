@@ -173,9 +173,83 @@ func (w *wheelSim) drop(id int) {
 	}
 }
 
-// runWheelScript executes a byte script, then drains both models to
-// empty. It returns the byte offset of the op that diverged (for the
-// shrinker) and the divergence, or (-1, nil).
+// checkQueue verifies the queue's bookkeeping against the lists and the
+// heap it describes, so a slot taken whole that forgot a count, a level
+// share or an occupancy bit fails at the op that broke it, not at some
+// much later pop: every slot's list has cnt members, all naming that
+// slot, with consistent back-links, and its occupancy bit is set exactly
+// when cnt > 0; lvlLen sums its level's cnt; the overflow list holds
+// overflowLen members; the near heap is in heap order with each node's
+// index its position; nodes on no list — near, free — have nil links;
+// and pending() is the model's size.
+func (w *wheelSim) checkQueue() error {
+	q := &w.q
+	// list walks one doubly-linked list, checking that each member sits
+	// at loc (and slot, for a wheel level) and links back to the last.
+	list := func(head *timerNode, loc int8, slot int) (int, error) {
+		k := 0
+		var prev *timerNode
+		for n := head; n != nil; n = n.next {
+			if n.prev != prev {
+				return k, fmt.Errorf("member %d of list loc=%d slot=%d has a broken back-link", k, loc, slot)
+			}
+			if n.loc != loc || (loc < wheelLevels && int(n.slot) != slot) || n.index != -1 {
+				return k, fmt.Errorf("member %d of list loc=%d slot=%d says loc=%d slot=%d index=%d", k, loc, slot, n.loc, n.slot, n.index)
+			}
+			if k++; k > len(w.ref) {
+				return k, fmt.Errorf("list loc=%d slot=%d outruns the %d live timers", loc, slot, len(w.ref))
+			}
+			prev = n
+		}
+		return k, nil
+	}
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		sum := 0
+		for slot := 0; slot < wheelSlots; slot++ {
+			k, err := list(q.slots[lvl][slot], int8(lvl), slot)
+			if err != nil {
+				return err
+			}
+			if int32(k) != q.cnt[lvl][slot] {
+				return fmt.Errorf("level %d slot %d lists %d nodes, cnt %d", lvl, slot, k, q.cnt[lvl][slot])
+			}
+			if occ := q.occ[lvl][slot>>6]>>(slot&63)&1 == 1; occ != (k > 0) {
+				return fmt.Errorf("level %d slot %d: occupancy bit %v with %d nodes", lvl, slot, occ, k)
+			}
+			sum += k
+		}
+		if sum != q.lvlLen[lvl] {
+			return fmt.Errorf("level %d: lvlLen %d, slots hold %d", lvl, q.lvlLen[lvl], sum)
+		}
+	}
+	if k, err := list(q.overflow, locOverflow, 0); err != nil {
+		return err
+	} else if k != q.overflowLen {
+		return fmt.Errorf("overflow lists %d nodes, overflowLen %d", k, q.overflowLen)
+	}
+	for i, n := range q.near {
+		if n.loc != locNear || int(n.index) != i || n.prev != nil || n.next != nil {
+			return fmt.Errorf("near[%d]: loc=%d index=%d links=%v/%v", i, n.loc, n.index, n.prev != nil, n.next != nil)
+		}
+		if i > 0 && before(n, q.near[(i-1)/2]) {
+			return fmt.Errorf("near[%d] (at=%v seq=%d) precedes its parent", i, n.at, n.seq)
+		}
+	}
+	for i, n := range q.free {
+		if n.loc != locNone || n.index != -1 || n.prev != nil || n.next != nil {
+			return fmt.Errorf("free[%d]: loc=%d index=%d links=%v/%v", i, n.loc, n.index, n.prev != nil, n.next != nil)
+		}
+	}
+	if p := q.pending(); p != len(w.ref) {
+		return fmt.Errorf("queue reports %d pending, model holds %d", p, len(w.ref))
+	}
+	return nil
+}
+
+// runWheelScript executes a byte script, checking the queue's
+// bookkeeping after every op, then drains both models to empty. It
+// returns the byte offset of the op that diverged (for the shrinker)
+// and the divergence, or (-1, nil).
 func runWheelScript(script []byte) (int, error) {
 	w := newWheelSim()
 	i := 0
@@ -202,9 +276,15 @@ func runWheelScript(script []byte) (int, error) {
 			w.cancel(script[i])
 			i++
 		}
+		if err := w.checkQueue(); err != nil {
+			return op, err
+		}
 	}
 	for len(w.ref) > 0 || w.q.peek() != nil {
 		if err := w.pop(); err != nil {
+			return len(script), fmt.Errorf("drain: %w", err)
+		}
+		if err := w.checkQueue(); err != nil {
 			return len(script), fmt.Errorf("drain: %w", err)
 		}
 	}
@@ -314,6 +394,11 @@ func FuzzTimerWheel(f *testing.F) {
 		over = append(over, 0, 15, 255, 0, 16, 255, 3, byte(i*2))
 	}
 	f.Add(over)
+	// Near-heap removal that must sift up: six due timers at 0, X, 1ns,
+	// X, X, 1µs (X the tick's last nanosecond) lay the heap out as
+	// inserted; canceling the X at position 4 moves the 1µs from
+	// position 5 into the hole, below an X it must climb past.
+	f.Add([]byte{0, 0, 255, 0, 3, 255, 0, 1, 255, 0, 3, 255, 0, 3, 255, 0, 2, 255, 3, 4})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 1<<14 {
 			script = script[:1<<14]

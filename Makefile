@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt-check vet test race short bench-smoke fuzz-smoke golden profile-figures profile-scale profile-ftsh ci
+.PHONY: all build fmt-check vet test race gridd-race short bench-smoke fuzz-smoke golden profile-figures profile-scale profile-ftsh ci
 
 all: build
 
@@ -30,6 +30,13 @@ short:
 # direct `go test -race ./pkg -run Pattern` line for each.
 race:
 	$(GO) test -race ./...
+
+# The socket suites alone under the race detector: the daemon, its one
+# client, the CLI, then the differentials and chaos cells that drive
+# the daemon over a loopback socket. A subset of race, so not in ci.
+gridd-race:
+	$(GO) test -race -count=1 ./internal/gridd ./internal/griddclient ./cmd/gridd
+	$(GO) test -race -count=1 ./internal/expt -run 'TestDiffGridd|TestGridd|TestTripper'
 
 # Run every benchmark exactly once: keeps the harnesses compiling and
 # passing — including the engine hot-path and parallel-sweep benchmarks

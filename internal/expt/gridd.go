@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/gridd"
 	"repro/internal/griddclient"
@@ -79,15 +80,14 @@ func (o Options) griddTimescale() float64 {
 
 // SpawnGridd starts an in-process gridd daemon on a loopback listener:
 // the same Server cmd/gridd serves, minus the process. It returns the
-// base URL, the server handle (for Stats-style white-box checks), and
-// a stop function that drains and closes it. Cells call this when
-// Options.GriddURL is empty, so the socket-level suites need no
-// external setup.
-func SpawnGridd(rcs ...gridd.ResourceConfig) (string, *gridd.Server, func(), error) {
-	srv := gridd.NewServer(gridd.Config{Resources: rcs})
+// base URL and a stop function that drains and closes it. Cells call
+// this when Options.GriddURL is empty, so the socket-level suites need
+// no external setup.
+func SpawnGridd() (string, func(), error) {
+	srv := gridd.NewServer(gridd.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", nil, nil, fmt.Errorf("expt: spawn gridd: %w", err)
+		return "", nil, fmt.Errorf("expt: spawn gridd: %w", err)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go func() { _ = hs.Serve(ln) }()
@@ -97,7 +97,7 @@ func SpawnGridd(rcs ...gridd.ResourceConfig) (string, *gridd.Server, func(), err
 		srv.Shutdown(ctx)
 		_ = hs.Close()
 	}
-	return "http://" + ln.Addr().String(), srv, stop, nil
+	return "http://" + ln.Addr().String(), stop, nil
 }
 
 // GriddDaemon resolves the daemon a cell talks to: an external one
@@ -107,9 +107,14 @@ func (o Options) GriddDaemon() (string, func(), error) {
 	if o.GriddURL != "" {
 		return o.GriddURL, func() {}, nil
 	}
-	url, _, stop, err := SpawnGridd()
-	return url, stop, err
+	return SpawnGridd()
 }
+
+// blocking runs fn, a wire call, with the live engine's monitor
+// released: holding it across a socket round trip would stall every
+// other process for the call's wall-clock duration. Every process a
+// gridd cell spawns is a *live.Proc.
+func blocking(p core.Proc, fn func()) { p.(*live.Proc).Blocking(fn) }
 
 // ---------------------------------------------------------------------
 // Submit scenario over the wire
@@ -213,7 +218,6 @@ func GriddSubmitCell(opt Options, seed int64, n int, window time.Duration, d cor
 // carrier to sense.
 func spawnGriddFloorMonitor(eng *live.Engine, ctx context.Context, c *griddclient.Client, fds string, floor int, window time.Duration, mu *sync.Mutex, breaches *int) {
 	eng.Spawn("floor-monitor", func(p core.Proc) {
-		blocker, _ := p.(griddclient.Blocker)
 		var belowSince time.Duration
 		sampled, inBreach := false, false
 		for ctx.Err() == nil {
@@ -222,7 +226,7 @@ func spawnGriddFloorMonitor(eng *live.Engine, ctx context.Context, c *griddclien
 			}
 			var pr gridd.ProbeReply
 			var err error
-			griddclient.Block(blocker, func() { pr, err = c.Probe(context.Background(), fds) })
+			blocking(p, func() { pr, err = c.Probe(context.Background(), fds) })
 			if err != nil {
 				continue
 			}
@@ -251,11 +255,10 @@ func spawnGriddFloorMonitor(eng *live.Engine, ctx context.Context, c *griddclien
 // carrier sense and acquisition crossing the socket.
 func griddSubmitLoop(p core.Proc, ctx context.Context, c *griddclient.Client, fds string, d core.Discipline, threshold int, window time.Duration, tc *trace.Client, mu *sync.Mutex, jobs *int64) {
 	p.SetTracer(tc)
-	blocker, _ := p.(griddclient.Blocker)
 	sense := func(context.Context) error {
 		var pr gridd.ProbeReply
 		var err error
-		griddclient.Block(blocker, func() { pr, err = c.Probe(context.Background(), fds) })
+		blocking(p, func() { pr, err = c.Probe(context.Background(), fds) })
 		if err != nil || pr.Down || pr.Free < int64(threshold) {
 			return core.Deferred(fds)
 		}
@@ -276,7 +279,7 @@ func griddSubmitLoop(p core.Proc, ctx context.Context, c *griddclient.Client, fd
 	}
 	for ctx.Err() == nil {
 		err := client.Do(ctx, func(ctx context.Context) error {
-			return griddSubmitOnce(p, ctx, c, blocker, tc, fds)
+			return griddSubmitOnce(p, ctx, c, tc, fds)
 		})
 		switch {
 		case err == nil:
@@ -296,12 +299,12 @@ func griddSubmitLoop(p core.Proc, ctx context.Context, c *griddclient.Client, fd
 // client's descriptors, pay the setup time, have the schedd's accept
 // side find its own descriptors (failure crashes it — the broadcast
 // jam), then the service time, then everything home.
-func griddSubmitOnce(p core.Proc, ctx context.Context, c *griddclient.Client, blocker griddclient.Blocker, tc *trace.Client, fds string) error {
+func griddSubmitOnce(p core.Proc, ctx context.Context, c *griddclient.Client, tc *trace.Client, fds string) error {
 	realQ := int64(c.ToReal(griddSubmitQuantum))
 	units := int64(10 + int(p.Rand()*8)) // the submission's descriptor footprint
 	var lease *griddclient.Lease
 	var err error
-	griddclient.Block(blocker, func() {
+	blocking(p, func() {
 		lease, err = c.Acquire(context.Background(), gridd.AcquireRequest{
 			Resource: fds, Holder: p.Name(), Units: units, QuantumNS: realQ,
 		})
@@ -317,12 +320,12 @@ func griddSubmitOnce(p core.Proc, ctx context.Context, c *griddclient.Client, bl
 		tc.Acquire(fds, units)
 	}
 	if p.Sleep(ctx, 200*time.Millisecond) != nil { // client-side setup
-		griddRetire(blocker, tc, lease, fds, units)
+		griddRetire(p, tc, lease, fds, units)
 		return ctx.Err()
 	}
 	var sl *griddclient.Lease
 	var serr error
-	griddclient.Block(blocker, func() {
+	blocking(p, func() {
 		sl, serr = c.Acquire(context.Background(), gridd.AcquireRequest{
 			Resource: fds, Holder: "schedd", Units: griddScheddUnits, QuantumNS: realQ,
 		})
@@ -331,13 +334,13 @@ func griddSubmitOnce(p core.Proc, ctx context.Context, c *griddclient.Client, bl
 		// The schedd could not serve the accept: the resource crashed
 		// (CrashHolder) and the jam revoked our grant with everyone
 		// else's. Retire it anyway — griddRetire books the revoke.
-		griddRetire(blocker, tc, lease, fds, units)
+		griddRetire(p, tc, lease, fds, units)
 		_ = p.Sleep(ctx, time.Second)
 		return core.Collision(fds, serr)
 	}
 	sleepErr := p.Sleep(ctx, time.Duration(float64(1500*time.Millisecond)*(0.5+p.Rand()))) // service
-	griddclient.Block(blocker, func() { _ = sl.Release(context.Background()) })
-	griddRetire(blocker, tc, lease, fds, units)
+	blocking(p, func() { _ = sl.Release(context.Background()) })
+	griddRetire(p, tc, lease, fds, units)
 	if sleepErr != nil {
 		return ctx.Err()
 	}
@@ -347,9 +350,9 @@ func griddSubmitOnce(p core.Proc, ctx context.Context, c *griddclient.Client, bl
 // griddRetire sends the lease home and books the outcome on the trace:
 // a clean release, or — when the daemon already moved past it (watchdog
 // or broadcast jam) — the revoke the stale verdict proves happened.
-func griddRetire(blocker griddclient.Blocker, tc *trace.Client, lease *griddclient.Lease, res string, units int64) {
+func griddRetire(p core.Proc, tc *trace.Client, lease *griddclient.Lease, res string, units int64) {
 	var err error
-	griddclient.Block(blocker, func() { err = lease.Release(context.Background()) })
+	blocking(p, func() { err = lease.Release(context.Background()) })
 	if tc == nil {
 		return
 	}
@@ -439,7 +442,6 @@ func GriddLeaseCell(opt Options, seed int64, n int, window, quantum time.Duratio
 // watchdog take it back.
 func griddLeaseLoop(p core.Proc, ctx context.Context, c *griddclient.Client, pool string, quantum time.Duration, tc *trace.Client, mu *sync.Mutex, res *GriddLeaseResult, idx int) {
 	p.SetTracer(tc)
-	blocker, _ := p.(griddclient.Blocker)
 	budget := 4 * quantum
 	realQ := int64(c.ToReal(quantum))
 	for ctx.Err() == nil {
@@ -450,7 +452,7 @@ func griddLeaseLoop(p core.Proc, ctx context.Context, c *griddclient.Client, poo
 				return
 			}
 			var err error
-			griddclient.Block(blocker, func() {
+			blocking(p, func() {
 				lease, err = c.Acquire(context.Background(), gridd.AcquireRequest{
 					Resource: pool, Holder: p.Name(), Units: 1,
 					WaitNS: realQ, QuantumNS: realQ,
@@ -481,22 +483,22 @@ func griddLeaseLoop(p core.Proc, ctx context.Context, c *griddclient.Client, poo
 			// one; the renew afterwards must land stale — unless timer
 			// jitter kept us alive, in which case retire honestly.
 			if p.Sleep(ctx, 2*quantum) != nil {
-				griddRetire(blocker, tc, lease, pool, 1)
+				griddRetire(p, tc, lease, pool, 1)
 				return
 			}
 			var rerr error
-			griddclient.Block(blocker, func() { _, rerr = lease.Renew(context.Background(), 0) })
+			blocking(p, func() { _, rerr = lease.Renew(context.Background(), 0) })
 			if rerr == nil {
-				griddRetire(blocker, tc, lease, pool, 1)
+				griddRetire(p, tc, lease, pool, 1)
 			} else if tc != nil {
 				tc.Revoke(pool, 1)
 			}
 		} else {
 			if p.Sleep(ctx, 1500*time.Millisecond) != nil {
-				griddRetire(blocker, tc, lease, pool, 1)
+				griddRetire(p, tc, lease, pool, 1)
 				return
 			}
-			griddRetire(blocker, tc, lease, pool, 1)
+			griddRetire(p, tc, lease, pool, 1)
 			mu.Lock()
 			res.Jobs++
 			res.PerClient[idx]++
@@ -516,13 +518,15 @@ func griddLeaseLoop(p core.Proc, ctx context.Context, c *griddclient.Client, poo
 // GriddNetCell runs concurrent clients against a daemon-hosted
 // resource through a fault-injecting RoundTripper that duplicates
 // requests and drops replies — the channel-fault model applied at the
-// HTTP boundary instead of inside the simulator. With fencing on, a
-// duplicated release's replay lands stale and the ledger stays exact;
-// unfenced, replays double-free and admit phantom grants. The cell
-// runs entirely on real goroutines and small real durations: the
-// claim under test is wire-protocol integrity, not scenario timing.
-// It returns the daemon's final accounting after quiescence (every
-// orphaned grant reclaimed by the watchdog).
+// HTTP boundary instead of inside the simulator, armed as an ordinary
+// chaos.Plan at griddclient's InjectReq/InjectRep sites. With fencing
+// on, a duplicated release's replay lands stale and the ledger stays
+// exact; unfenced, replays double-free and admit phantom grants. The
+// clients are processes on a live engine at timescale 1, so every
+// duration is real and small: the claim under test is wire-protocol
+// integrity, not scenario timing. It returns the daemon's final
+// accounting after quiescence (every orphaned grant reclaimed by the
+// watchdog).
 func GriddNetCell(opt Options, seed int64, unfenced bool) (gridd.StatsReply, error) {
 	url, stop, err := opt.GriddDaemon()
 	if err != nil {
@@ -538,39 +542,45 @@ func GriddNetCell(opt Options, seed int64, unfenced bool) (gridd.StatsReply, err
 		return gridd.StatsReply{}, err
 	}
 
-	faults := griddclient.NewFaults(seed)
-	faults.PDup = 0.5
-	faults.PDropRep = 0.15
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	const horizon = 30 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), horizon)
 	defer cancel()
+	eng := live.New(seed, 1)
+	plan := chaos.Plan{Name: "gridd-net", Seed: seed, Specs: []chaos.Spec{
+		chaos.MsgDup{Window: chaos.Window{Duration: horizon}, Site: griddclient.InjectReq, Prob: 0.5},
+		chaos.MsgDrop{Window: chaos.Window{Duration: horizon}, Site: griddclient.InjectRep, Prob: 0.15},
+	}}
+	c := griddclient.New(url, 1)
+	c.HTTP = &http.Client{Transport: &griddclient.FaultTripper{Inj: plan.Arm(eng, chaos.Targets{})}}
 
 	const clients, opsPer = 6, 12
-	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := griddclient.New(url, 1)
-			c.HTTP = &http.Client{Transport: &griddclient.FaultTripper{F: faults}}
+		holder := fmt.Sprintf("c%d", i)
+		eng.Spawn(holder, func(p core.Proc) {
 			for j := 0; j < opsPer && ctx.Err() == nil; j++ {
-				lease, err := c.Acquire(ctx, gridd.AcquireRequest{
-					Resource: name, Holder: fmt.Sprintf("c%d", i), Units: 1,
-					WaitNS: int64(50 * time.Millisecond),
+				var lease *griddclient.Lease
+				var err error
+				blocking(p, func() {
+					lease, err = c.Acquire(ctx, gridd.AcquireRequest{
+						Resource: name, Holder: holder, Units: 1,
+						WaitNS: int64(50 * time.Millisecond),
+					})
 				})
 				if err != nil {
-					time.Sleep(2 * time.Millisecond)
+					_ = p.Sleep(ctx, 2*time.Millisecond)
 					continue
 				}
-				time.Sleep(time.Duration(1+j%3) * time.Millisecond)
+				_ = p.Sleep(ctx, time.Duration(1+j%3)*time.Millisecond)
 				// The release itself crosses the lossy channel: this is
 				// where duplication double-frees an unfenced ledger.
-				_ = lease.Release(ctx)
-				time.Sleep(time.Millisecond)
+				blocking(p, func() { _ = lease.Release(ctx) })
+				_ = p.Sleep(ctx, time.Millisecond)
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	if err := eng.Run(); err != nil {
+		return gridd.StatsReply{}, err
+	}
 
 	// Quiescence: the watchdog owes us every orphan back.
 	deadline := time.Now().Add(5 * time.Second)

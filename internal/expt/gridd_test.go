@@ -2,8 +2,18 @@ package expt
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/gridd"
+	"repro/internal/griddclient"
+	"repro/internal/live"
 )
 
 // TestGriddNetFencedVsUnfenced is the fenced-vs-unfenced ablation of
@@ -48,7 +58,7 @@ func TestGriddNetFencedVsUnfenced(t *testing.T) {
 // fresh in-process daemon — the same checklist gridbench -fig gridd
 // pins with a golden file.
 func TestGriddConformance(t *testing.T) {
-	url, _, stop, err := SpawnGridd()
+	url, stop, err := SpawnGridd()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,5 +76,49 @@ func TestGriddConformance(t *testing.T) {
 	}
 	if got != 7 {
 		t.Fatalf("conformance emitted %d ok lines, want 7:\n%s", got, out)
+	}
+}
+
+// TestTripperPartitionHeals arms a chaos.Partition over both wire
+// directions on a live engine at timescale 1: a probe inside the
+// window is lost, and one after the window's close — the heal —
+// reaches the daemon.
+func TestTripperPartitionHeals(t *testing.T) {
+	url, stop, err := SpawnGridd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if err := griddclient.New(url, 1).CreateResource(context.Background(), gridd.CreateRequest{Name: "fds", Capacity: 2}); err != nil {
+		t.Fatal(err)
+	}
+	const window = 50 * time.Millisecond
+	eng := live.New(1, 1)
+	plan := chaos.Plan{Name: "partition", Specs: []chaos.Spec{chaos.Partition{
+		Window: chaos.Window{Duration: window},
+		Sites:  []string{griddclient.InjectReq, griddclient.InjectRep},
+	}}}
+	c := griddclient.New(url, 1)
+	c.HTTP = &http.Client{Transport: &griddclient.FaultTripper{Inj: plan.Arm(eng, chaos.Targets{})}}
+
+	var during, after error
+	var duringAt time.Duration
+	eng.Spawn("prober", func(p core.Proc) {
+		duringAt = p.Elapsed()
+		blocking(p, func() { _, during = c.Probe(context.Background(), "fds") })
+		p.SleepFor(window + 10*time.Millisecond)
+		blocking(p, func() { _, after = c.Probe(context.Background(), "fds") })
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if duringAt >= window {
+		t.Fatalf("first probe started at %v, after the %v partition", duringAt, window)
+	}
+	if !errors.Is(during, core.ErrLost) {
+		t.Fatalf("probe during partition = %v; want core.ErrLost", during)
+	}
+	if after != nil {
+		t.Fatalf("probe after partition healed: %v", after)
 	}
 }

@@ -9,8 +9,12 @@
 // ToReal before they cross the socket (and scale observed real waits
 // back with ToVirtual). Blocking: every method here performs a real
 // socket round-trip, so code running under the live engine's monitor
-// lock must wrap calls in (*live.Proc).Blocking — the Block helper
-// does this nil-safely.
+// lock must wrap calls in (*live.Proc).Blocking.
+//
+// This package is the daemon's one client. The discipline stays in
+// the caller: internal/expt's gridd cells drive a Client through
+// core.Client's retry machinery, and socket-level chaos is an ordinary
+// chaos.Plan aimed at InjectReq/InjectRep, consulted by FaultTripper.
 package griddclient
 
 import (
@@ -26,22 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gridd"
 )
-
-// Blocker releases an engine monitor lock around fn; *live.Proc
-// satisfies it. See Block.
-type Blocker interface {
-	Blocking(fn func())
-}
-
-// Block runs fn through b, or directly when b is nil (plain goroutines
-// that hold no monitor lock).
-func Block(b Blocker, fn func()) {
-	if b == nil {
-		fn()
-		return
-	}
-	b.Blocking(fn)
-}
 
 // ErrBusy is the immediate-mode verdict: no free units now (the wire
 // EMFILE). Matched through *BusyError.

@@ -3,7 +3,6 @@ package griddclient
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -11,99 +10,37 @@ import (
 	"repro/internal/core"
 )
 
-// Faults is a concurrency-safe fault plan for the HTTP boundary: the
-// socket-level analogue of the chaos package's channel strategies
-// (drop, duplicate, delay, partition), re-implemented here because
-// chaos plans are engine-locked and a RoundTripper runs on arbitrary
-// goroutines outside any monitor. All decisions draw from one seeded
-// source under the plan's own mutex, so a seeded run makes the same
-// decisions in the same arrival order (the order itself stays
-// scheduler-dependent, as everywhere in the live backend).
-type Faults struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-
-	// PDropReq drops the request before it is sent: the server never
-	// sees the operation (a lost message on the forward path).
-	PDropReq float64
-	// PDropRep drops the reply after the server applied the operation:
-	// the client sees core.ErrLost while the server's state moved — the
+// Injection sites consulted by FaultTripper (see core.Injector): the two
+// directions of the HTTP boundary, so a chaos.Plan aimed at them is the
+// socket-level twin of one aimed at condor.InjectNetReq/InjectNetRep.
+const (
+	// InjectReq covers the request direction (client -> daemon): a Drop
+	// means the request is never sent, a Dup that it is sent twice (the
+	// client sees only the second reply), a Delay that it waits that
+	// long on the wall clock before sending.
+	InjectReq = "gridd/net/req"
+	// InjectRep covers the reply direction (daemon -> client): a Drop
+	// discards the reply after the daemon applied the request, so the
+	// client sees core.ErrLost while the daemon's state moved — the
 	// phantom-grant / lost-release hazard fencing exists to contain.
-	PDropRep float64
-	// PDup duplicates the request: the server applies it twice, the
-	// client sees only the second reply (an at-least-once channel).
-	PDup float64
-	// PDelay delays the request by Delay before sending.
-	PDelay float64
-	Delay  time.Duration
+	InjectRep = "gridd/net/rep"
+)
 
-	partUntil time.Time
-
-	// Counters (read with Snapshot).
-	drops, dups, delays int64
-}
-
-// NewFaults returns a plan drawing from a source seeded with seed.
-func NewFaults(seed int64) *Faults {
-	return &Faults{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Partition drops every message (both directions) for the next d of
-// real time: the two-rack partition at the socket.
-func (f *Faults) Partition(d time.Duration) {
-	f.mu.Lock()
-	f.partUntil = time.Now().Add(d)
-	f.mu.Unlock()
-}
-
-// Snapshot reports how many requests were dropped (either direction),
-// duplicated, and delayed.
-func (f *Faults) Snapshot() (drops, dups, delays int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.drops, f.dups, f.delays
-}
-
-// verdict is one request's fate, decided up front under the lock.
-type verdict struct {
-	dropReq, dropRep, dup bool
-	delay                 time.Duration
-}
-
-func (f *Faults) roll() verdict {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var v verdict
-	if time.Now().Before(f.partUntil) {
-		v.dropReq = true
-		f.drops++
-		return v
-	}
-	switch {
-	case f.rng.Float64() < f.PDropReq:
-		v.dropReq = true
-		f.drops++
-	case f.rng.Float64() < f.PDropRep:
-		v.dropRep = true
-		f.drops++
-	case f.rng.Float64() < f.PDup:
-		v.dup = true
-		f.dups++
-	}
-	if f.rng.Float64() < f.PDelay && f.Delay > 0 {
-		v.delay = f.Delay
-		f.delays++
-	}
-	return v
-}
-
-// FaultTripper injects F's faults around Base (nil Base means
-// http.DefaultTransport). Install it as the Client's transport:
+// FaultTripper injects Inj's channel faults around Base (nil Base means
+// http.DefaultTransport). Install one tripper as the transport of every
+// client that shares the injector:
 //
-//	c.HTTP = &http.Client{Transport: &FaultTripper{F: faults}}
+//	c.HTTP = &http.Client{Transport: &FaultTripper{Inj: plan.Arm(eng, chaos.Targets{})}}
+//
+// RoundTrip runs on the caller's goroutine outside any engine monitor
+// (a live process makes wire calls under Proc.Blocking), and an injector
+// such as chaos.Armed is not safe for concurrent use, so the tripper
+// serializes every Inject under its own mutex.
 type FaultTripper struct {
 	Base http.RoundTripper
-	F    *Faults
+	Inj  core.Injector
+
+	mu sync.Mutex
 }
 
 func (t *FaultTripper) base() http.RoundTripper {
@@ -113,51 +50,60 @@ func (t *FaultTripper) base() http.RoundTripper {
 	return http.DefaultTransport
 }
 
+func (t *FaultTripper) inject(site string) core.Fault {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return core.InjectAt(t.Inj, site)
+}
+
 // RoundTrip implements http.RoundTripper.
 func (t *FaultTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.F == nil {
-		return t.base().RoundTrip(req)
-	}
-	v := t.F.roll()
-	if v.delay > 0 {
+	f := t.inject(InjectReq)
+	if f.Delay > 0 {
 		select {
-		case <-time.After(v.delay):
+		case <-time.After(f.Delay):
 		case <-req.Context().Done():
+			closeBody(req)
 			return nil, req.Context().Err()
 		}
 	}
-	if v.dropReq {
-		if req.Body != nil {
-			_ = req.Body.Close()
-		}
+	if f.Drop {
+		closeBody(req)
 		return nil, fmt.Errorf("%s %s: %w", req.Method, req.URL.Path, core.ErrLost)
 	}
-	if v.dup {
-		// Apply the operation twice server-side; hand the client only
-		// the second reply. Requires a replayable body (the JSON
-		// clients always set GetBody via bytes.Reader).
+	if f.Dup {
+		// Apply the operation twice server-side and hand the client
+		// only the second reply. Requires a replayable body (the JSON
+		// client always sets GetBody via bytes.Reader). A first send
+		// that fails on the wire still leaves the clone to apply the
+		// operation once.
 		if clone := cloneRequest(req); clone != nil {
-			first, err := t.base().RoundTrip(req)
-			if err == nil {
-				_, _ = io.Copy(io.Discard, first.Body)
-				_ = first.Body.Close()
-				return t.base().RoundTrip(clone)
+			if first, err := t.base().RoundTrip(req); err == nil {
+				discard(first)
 			}
-			// First send failed on the wire; fall through with the
-			// clone so the operation still happens once.
-			return t.base().RoundTrip(clone)
+			req = clone
 		}
 	}
 	resp, err := t.base().RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	if v.dropRep {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
+	if t.inject(InjectRep).Drop {
+		discard(resp)
 		return nil, fmt.Errorf("%s %s: reply %w", req.Method, req.URL.Path, core.ErrLost)
 	}
 	return resp, nil
+}
+
+func closeBody(req *http.Request) {
+	if req.Body != nil {
+		_ = req.Body.Close()
+	}
+}
+
+func discard(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
 }
 
 // cloneRequest builds a re-sendable copy, or nil if the body cannot be

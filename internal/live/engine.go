@@ -99,11 +99,6 @@ func (e *Engine) toReal(d time.Duration) time.Duration {
 	return rd
 }
 
-// Timescale reports the engine's time compression: virtual seconds per
-// real second. Wire clients (internal/griddclient) use it to convert
-// virtual tenures into the real durations a wall-clock daemon enforces.
-func (e *Engine) Timescale() float64 { return e.timescale }
-
 // Elapsed reports virtual time since Run started (zero before then).
 func (e *Engine) Elapsed() time.Duration {
 	if !e.started {

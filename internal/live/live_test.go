@@ -168,6 +168,30 @@ func TestParallelRunsBranches(t *testing.T) {
 	}
 }
 
+// TestBlockingReleasesMonitor: a process whose fn waits inside Blocking
+// must not hold the engine lock, or a process that needs the lock to
+// end the wait can never run. b is launched while a holds the lock, so
+// the only way b runs is through a's Blocking letting go.
+func TestBlockingReleasesMonitor(t *testing.T) {
+	e := New(1, 1)
+	release := make(chan struct{})
+	e.Spawn("a", func(p core.Proc) {
+		lp := p.(*Proc)
+		lp.Engine().Spawn("b", func(core.Proc) { close(release) })
+		lp.Blocking(func() { <-release })
+	})
+	done := make(chan error, 1)
+	go func() { done <- e.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run never returned: Blocking kept the engine lock while fn waited")
+	}
+}
+
 // TestLeaseWatchdogOnLiveBackend drives the lease manager — written
 // against core.Backend — on the wall-clock engine: a wedged holder must
 // be revoked after its quantum and the queued waiter granted.

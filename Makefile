@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt-check vet test race gridd-race short bench-smoke fuzz-smoke golden profile-figures profile-scale profile-ftsh ci
+.PHONY: all build fmt-check vet test race gridd-race short bench-smoke fuzz-smoke golden profile-figures profile-scale profile-ftsh loc ci
 
 all: build
 
@@ -103,5 +103,15 @@ profile-ftsh:
 	$(GO) test -run NONE -bench 'BenchmarkFreshEngineSpawn|BenchmarkDeepProcess' -benchtime 1s -benchmem ./internal/sim
 	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_DIR)/interp.test $(PROFILE_DIR)/cpu.ftsh.pprof
 	$(GO) tool pprof -sample_index=alloc_objects -top -cum -nodecount=40 $(PROFILE_DIR)/interp.test $(PROFILE_DIR)/mem.ftsh.pprof
+
+# Non-test Go lines per package (the files `go build` compiles on this
+# platform), then the total: the line counts the docs quote come from
+# here. It measures, it gates nothing, so it is not in ci.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}{{range .GoFiles}} {{.}}{{end}}' ./... | \
+		while read pkg dir files; do \
+			[ -n "$$files" ] || continue; \
+			printf '%7d %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
+		done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 ci: fmt-check vet build race bench-smoke fuzz-smoke

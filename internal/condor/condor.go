@@ -272,7 +272,7 @@ type Schedd struct {
 	inj  core.Injector
 	down bool
 
-	slots core.Resource
+	slots *lease.Manager
 
 	// conns maps live connection ids to their abort functions, so a
 	// crash can reset every client at once.
@@ -314,7 +314,7 @@ func NewCluster(e core.Backend, cfg Config) *Cluster {
 		eng:   e,
 		cfg:   cfg,
 		fds:   fds,
-		slots: e.NewResource("schedd-slots", cfg.ServiceSlots),
+		slots: lease.New(e, "schedd-slots", int64(cfg.ServiceSlots), 0),
 		conns: make(map[int64]context.CancelFunc),
 	}
 	return &Cluster{Eng: e, Cfg: cfg, FDs: fds, Schedd: s}
@@ -569,12 +569,12 @@ func (s *Schedd) serve(p core.Proc, ctx, outer context.Context, renew func(), he
 	defer delete(s.conns, id)
 
 	// Queue for a service slot, then transfer the job.
-	if err := s.slots.Acquire(p, connCtx); err != nil {
+	if err := s.slots.Take(p, connCtx, 1); err != nil {
 		return s.submitErr(outer, all...)
 	}
 	tr.Acquire("slot", 1)
 	defer func() {
-		s.slots.Release()
+		s.slots.Put(1)
 		tr.Release("slot", 1)
 	}()
 	// Connected and in service: the holds are now doing useful work,

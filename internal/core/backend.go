@@ -14,13 +14,14 @@ import (
 var Epoch = time.Date(2003, time.June, 22, 0, 0, 0, 0, time.UTC)
 
 // Backend is the engine-level runtime behind a scenario: virtual time,
-// process creation, timers, contexts, and shared resources. Two
-// implementations exist — the deterministic discrete-event engine
-// (internal/sim, via Engine.RT) and the wall-clock backend
-// (internal/live) that runs the same scenarios on real goroutines under
-// compressed time. Substrate code (condor, fsbuffer, replica, lease,
-// chaos) is written against this interface so the paper's experiments
-// run unmodified on either.
+// process creation, timers, and contexts. It creates no resources:
+// every contended carrier is a lease.Manager hosted on the backend, the
+// one FIFO semaphore on every backend. Two implementations exist — the
+// deterministic discrete-event engine (internal/sim, via Engine.RT) and
+// the wall-clock backend (internal/live) that runs the same scenarios
+// on real goroutines under compressed time. Substrate code (condor,
+// fsbuffer, replica, lease, chaos) is written against this interface so
+// the paper's experiments run unmodified on either.
 //
 // Unless a method documents otherwise, Backend methods must be called
 // either before Run starts, from inside a spawned process, or from a
@@ -48,9 +49,6 @@ type Backend interface {
 	// WithTimeout derives a child context canceled after d of virtual
 	// time.
 	WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc)
-	// NewResource returns a FIFO counting semaphore with the given
-	// capacity, arbitrated by this backend.
-	NewResource(name string, capacity int) Resource
 	// Run executes the scenario until completion: quiescence for the
 	// simulator, all processes returned for the live backend.
 	Run() error
@@ -87,31 +85,4 @@ type Proc interface {
 // (or lock); canceling an already-fired timer is a no-op.
 type Timer interface {
 	Cancel()
-}
-
-// Resource is a FIFO counting semaphore: the carrier-sense observable
-// behind the disciplines. It models serially-shared services such as a
-// single-threaded data server (capacity 1) or a bounded table of file
-// descriptors (capacity N).
-type Resource interface {
-	// Name returns the resource's diagnostic name.
-	Name() string
-	// Capacity returns the total number of units.
-	Capacity() int
-	// InUse returns the number of units currently held.
-	InUse() int
-	// Available returns the number of free units.
-	Available() int
-	// QueueLen returns the number of processes waiting to acquire.
-	QueueLen() int
-	// SetCapacity adjusts capacity at runtime; shrinking below InUse is
-	// allowed (units drain as they are released).
-	SetCapacity(n int)
-	// TryAcquire takes one unit without waiting, reporting success.
-	TryAcquire() bool
-	// Acquire takes one unit, parking the process in FIFO order until
-	// one is free or ctx is canceled (returning the cancellation cause).
-	Acquire(p Proc, ctx context.Context) error
-	// Release returns one unit and grants it to the oldest live waiter.
-	Release()
 }

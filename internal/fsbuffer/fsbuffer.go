@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lease"
 )
 
 // B, KB, MB express sizes in bytes.
@@ -118,7 +119,7 @@ type Buffer struct {
 	used  int64
 	// server is the file server's single service queue; every I/O
 	// operation passes through it in FIFO order.
-	server core.Resource
+	server *lease.Manager
 
 	// Collisions counts ENOSPC write failures; Completed counts files
 	// renamed .done; Consumed counts files drained by the consumer.
@@ -136,20 +137,20 @@ func New(e core.Backend, cfg Config) *Buffer {
 		eng:    e,
 		cfg:    cfg,
 		files:  make(map[string]*file),
-		server: e.NewResource("fileserver", 1),
+		server: lease.New(e, "fileserver", 1, 0),
 	}
 }
 
 // serverOp runs one I/O operation of duration d through the server's
 // FIFO queue.
 func (b *Buffer) serverOp(p core.Proc, ctx context.Context, d time.Duration) error {
-	if err := b.server.Acquire(p, ctx); err != nil {
+	if err := b.server.Take(p, ctx, 1); err != nil {
 		return err
 	}
 	tr := p.Tracer()
 	tr.Acquire("fileserver", 1)
 	defer func() {
-		b.server.Release()
+		b.server.Put(1)
 		tr.Release("fileserver", 1)
 	}()
 	return p.Sleep(ctx, d)

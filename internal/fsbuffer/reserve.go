@@ -54,7 +54,7 @@ type Allocator struct {
 	// GrantTime models the allocation round trip; the allocation
 	// service is itself a shared resource and serializes requests.
 	GrantTime time.Duration
-	lane      core.Resource
+	lane      *lease.Manager
 
 	// Grants and Denials count allocator outcomes; NetDrops counts
 	// reservation requests the channel swallowed.
@@ -74,7 +74,7 @@ func NewAllocator(e core.Backend, buf *Buffer, grantTime time.Duration) *Allocat
 		buf:       buf,
 		tenure:    lease.New(e, "reservation", buf.Free(), 0),
 		GrantTime: grantTime,
-		lane:      e.NewResource("allocator", 1),
+		lane:      lease.New(e, "allocator", 1, 0),
 	}
 }
 
@@ -150,10 +150,10 @@ func (a *Allocator) reserve(p core.Proc, ctx context.Context, size int64) (*Rese
 			return nil, core.Collision("net", core.ErrLost)
 		}
 	}
-	if err := a.lane.Acquire(p, ctx); err != nil {
+	if err := a.lane.Take(p, ctx, 1); err != nil {
 		return nil, err
 	}
-	defer a.lane.Release()
+	defer a.lane.Put(1)
 	if err := p.Sleep(ctx, a.GrantTime); err != nil {
 		return nil, err
 	}

@@ -187,7 +187,7 @@ type resource struct {
 	wseq     uint64
 
 	down        bool
-	downUntil   time.Time
+	downUntil   time.Duration // on the monitor clock
 	hk, restart core.Timer
 
 	// What only the daemon counts; the rest of StatsReply is read off
@@ -309,12 +309,20 @@ func (r *resource) crash() {
 	if delay <= 0 {
 		delay = time.Second
 	}
-	r.downUntil = time.Now().Add(delay)
+	r.downUntil = r.srv.mon.Elapsed() + delay
 	r.flush(flushed(CodeDown))
 	for _, h := range drainOrder(r) {
 		h.l.Revoke()
 	}
 	r.restart = r.srv.mon.Schedule(delay, func() { r.down = false })
+}
+
+// retryAfter is the down reply's hint: the time left until the outage
+// ends, in nanoseconds. The restart timer can fire and then wait on the
+// monitor while a handler still reads the resource as down, so the end
+// may already be past; the hint is then 0 ("none"), never negative.
+func (r *resource) retryAfter() int64 {
+	return int64(max(r.downUntil-r.srv.mon.Elapsed(), 0))
 }
 
 // armHousekeeping starts the periodic housekeeping loop: every

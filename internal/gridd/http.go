@@ -132,7 +132,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, req *http.Request) {
 		}
 		if r.down {
 			r.mgr.NoteWant(ar.Holder)
-			return nil, &ErrorReply{Code: CodeDown, Message: "resource down", RetryAfterNS: int64(time.Until(r.downUntil))}
+			return nil, &ErrorReply{Code: CodeDown, Message: "resource down", RetryAfterNS: r.retryAfter()}
 		}
 		if ar.WaitNS <= 0 {
 			// EMFILE: an immediate verdict. The FIFO queue may not be
@@ -167,7 +167,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, req *http.Request) {
 			}
 			er := &ErrorReply{Code: string(code), Message: "parked acquire failed"}
 			if r.down {
-				er.RetryAfterNS = int64(time.Until(r.downUntil))
+				er.RetryAfterNS = r.retryAfter()
 			}
 			return nil, er
 		}

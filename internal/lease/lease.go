@@ -11,7 +11,10 @@
 // units are reclaimed for the next waiter. A quantum of zero disables
 // the watchdog entirely and degenerates to a plain counting semaphore,
 // so legacy unlimited-allocation behavior is a configuration, not a
-// separate code path.
+// separate code path. The Manager is the repository's one FIFO
+// semaphore: carriers that want no tenure at all (condor's service
+// slots, fsbuffer's file server and allocator lane) Take and Put raw
+// units in the same queue as the leases, on every backend.
 //
 // The Manager also keeps per-client fairness accounting (grants,
 // rejects, revocations, and the longest interval each client spent
@@ -113,7 +116,6 @@ type ClientStats struct {
 type waiter struct {
 	ctx     context.Context // wait context, child of the caller's
 	cancel  context.CancelFunc
-	holder  string
 	units   int64
 	ordinal int64 // the manager's grant count when the pump admitted it
 	granted bool
@@ -279,21 +281,46 @@ func (m *Manager) MaxStarvation() time.Duration {
 func (m *Manager) fits(units int64) bool { return units <= m.capacity-m.inUse }
 
 // TryTake takes units without waiting and without a lease, reporting
-// success. It exists for legacy callers (the condor FD table's raw
-// path) that manage tenure themselves; leased callers use TryAcquire.
+// success. It exists for callers that manage tenure themselves (the
+// condor FD table's raw path); leased callers use TryAcquire.
 func (m *Manager) TryTake(units int64) bool {
 	if m.fits(units) {
-		m.inUse += units
-		m.outstanding += units
-		m.noteGrant()
+		m.take(units)
 		return true
 	}
 	m.noteReject()
 	return false
 }
 
-// Put returns units taken with TryTake. Returning more than was taken
-// panics: that is a simulation bug.
+// Take is TryTake's waiting twin: it takes units without a lease,
+// parking the process in the same FIFO queue as Acquire until they are
+// free or ctx is canceled (returning the cancellation cause). It mints
+// no lease, epoch or ledger row and emits no trace event; the caller
+// returns the units with Put.
+func (m *Manager) Take(p Parker, ctx context.Context, units int64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if m.fits(units) && m.QueueLen() == 0 {
+		m.take(units)
+		return nil
+	}
+	if _, err := m.wait(p, ctx, units); err != nil {
+		return err
+	}
+	m.outstanding += units
+	return nil
+}
+
+// take books a raw grant.
+func (m *Manager) take(units int64) {
+	m.inUse += units
+	m.outstanding += units
+	m.noteGrant()
+}
+
+// Put returns units taken with TryTake or Take. Returning more than was
+// taken panics: that is a simulation bug.
 func (m *Manager) Put(units int64) {
 	m.outstanding -= units
 	m.release(units)
@@ -337,17 +364,9 @@ func (m *Manager) AcquireFor(p Parker, ctx context.Context, holder string, units
 		return m.GrantFor(p, ctx, holder, units, d), nil
 	}
 	m.NoteWant(holder)
-	wctx, wcancel := m.eng.WithCancel(ctx)
-	w := &waiter{ctx: wctx, cancel: wcancel, holder: holder, units: units}
-	m.waiters = append(m.waiters, w)
-	herr := p.Hang(wctx)
-	if !w.granted {
-		w.gone = true
-		m.noteTimeout()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, herr
+	ordinal, err := m.wait(p, ctx, units)
+	if err != nil {
+		return nil, err
 	}
 	st := m.stats(holder)
 	st.Grants++
@@ -357,8 +376,28 @@ func (m *Manager) AcquireFor(p Parker, ctx context.Context, holder string, units
 	// under a host whose processes race for a lock (gridd) other grants
 	// may have been minted in between, so the admission ordinal is the
 	// pump's, not the current count.
-	l.ordinal = w.ordinal
+	l.ordinal = ordinal
 	return l, nil
+}
+
+// wait parks p at the tail of the FIFO queue until the pump grants it
+// units (returning the grant's admission ordinal) or ctx ends
+// (returning the cancellation cause). A grant that races the
+// cancellation wins: the units are booked to the caller.
+func (m *Manager) wait(p Parker, ctx context.Context, units int64) (int64, error) {
+	wctx, wcancel := m.eng.WithCancel(ctx)
+	w := &waiter{ctx: wctx, cancel: wcancel, units: units}
+	m.waiters = append(m.waiters, w)
+	herr := p.Hang(wctx)
+	if !w.granted {
+		w.gone = true
+		m.noteTimeout()
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		return 0, herr
+	}
+	return w.ordinal, nil
 }
 
 // Grant takes units unconditionally as a lease: the caller has already

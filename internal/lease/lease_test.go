@@ -150,6 +150,57 @@ func TestRenewAllocs(t *testing.T) {
 	}
 }
 
+// TestTakeAllocs is the allocation budget of the raw semaphore path on
+// the sim. An uncontended Take+Put mints nothing. A parked Take pays
+// for its place in the queue: the waiter record, the wait context
+// (sim.Engine.WithCancel's Ctx and its cancel closure) and the queue
+// slot, since a queue that empties from the front has no spare
+// capacity left to append into.
+func TestTakeAllocs(t *testing.T) {
+	e := sim.New(1)
+	m := New(e.RT(), "res", 1, 0)
+	ctx, stop := e.WithCancel(e.Context())
+	var free, parked float64
+	e.Spawn("a", func(p *sim.Proc) {
+		free = testing.AllocsPerRun(100, func() {
+			if err := m.Take(p, ctx, 1); err != nil {
+				t.Error(err)
+			}
+			m.Put(1)
+		})
+		// Ping-pong with b: each run is one Put that grants b, then a
+		// Take that parks until b's Put grants it back, while b's own
+		// Take parks in turn — two parked Takes per run.
+		if !m.TryTake(1) {
+			t.Error("the unit is not free")
+		}
+		p.Yield() // b parks behind a's unit
+		parked = testing.AllocsPerRun(100, func() {
+			m.Put(1)
+			if err := m.Take(p, ctx, 1); err != nil {
+				t.Error(err)
+			}
+		}) / 2
+		stop()
+		m.Put(1)
+	})
+	e.Spawn("b", func(p *sim.Proc) {
+		for m.Take(p, ctx, 1) == nil {
+			m.Put(1)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.2f allocations per free Take+Put, %.2f per parked Take", free, parked)
+	if free != 0 {
+		t.Errorf("%.1f allocations per uncontended Take+Put: budget 0", free)
+	}
+	if parked > 4 {
+		t.Errorf("%.1f allocations per parked Take: budget 4", parked)
+	}
+}
+
 func TestRevocationWakesWaiter(t *testing.T) {
 	e := sim.New(1)
 	m := New(e.RT(), "res", 1, 10*time.Second)

@@ -11,16 +11,19 @@ import (
 )
 
 // The property harness drives a Manager with randomized, seeded
-// sequences of acquire / try-acquire / renew / release / wedge ops
-// from several concurrent clients and checks two properties the rest
-// of the repository leans on:
+// sequences of acquire / try-acquire / take / renew / release / put /
+// wedge ops from several concurrent clients and checks two properties
+// the rest of the repository leans on:
 //
 //   - FIFO grant order: clients that park are granted in park order
-//     (timed-out waiters drop out without reordering the survivors);
+//     (timed-out waiters drop out without reordering the survivors),
+//     raw Take waiters and lease waiters alike, since they share one
+//     queue;
 //   - units conservation: every granted lease ends in exactly one of
-//     release or revocation, and at quiescence no units are in use —
-//     grants == releases + revokes, with the manager's own counters
-//     agreeing with the harness's ledger.
+//     release or revocation, every raw take in one Put, and at
+//     quiescence no units are in use — grants == releases + revokes,
+//     with the manager's own counters agreeing with the harness's
+//     ledger.
 //
 // A failure is re-run with progressively smaller op counts and client
 // counts to report the smallest failing configuration.
@@ -38,9 +41,10 @@ type propLedger struct {
 	grantOrder []string
 	granted    map[string]bool
 	grants     int64
-	releases   int64
+	releases   int64 // lease releases and raw puts
 	revokes    int64
 	timeouts   int64
+	rawParked  int64 // Take calls that queued
 }
 
 // leasePropRun executes one randomized schedule and returns the
@@ -61,7 +65,8 @@ func leasePropRun(seed int64, clients, opsPer int) (*propLedger, string) {
 				units := 1 + rng.Int63n(propCapacity)
 				p.SleepFor(time.Duration(rng.Intn(5000)) * time.Millisecond)
 
-				if rng.Intn(5) == 0 {
+				op := rng.Intn(6)
+				if op == 0 {
 					// Non-blocking path: a reject starts the
 					// starvation clock but grants nothing.
 					l, ok := m.TryAcquire(p, e.Context(), holder, units)
@@ -75,12 +80,22 @@ func leasePropRun(seed int64, clients, opsPer int) (*propLedger, string) {
 
 				// Mirror Acquire's immediate-grant condition exactly:
 				// anything else parks in the FIFO queue.
+				// Take parks under the same condition, in the same queue.
 				wouldPark := m.InUse()+units > m.Capacity() || m.QueueLen() > 0
 				if wouldPark {
 					led.parkOrder = append(led.parkOrder, tag)
 				}
 				ctx, cancel := p.WithTimeout(e.Context(), time.Duration(5+rng.Intn(90))*time.Second)
-				l, err := m.Acquire(p, ctx, holder, units)
+				var l *Lease
+				var err error
+				if op == 1 {
+					if wouldPark {
+						led.rawParked++
+					}
+					err = m.Take(p, ctx, units)
+				} else {
+					l, err = m.Acquire(p, ctx, holder, units)
+				}
 				if err != nil {
 					led.timeouts++
 					cancel()
@@ -91,7 +106,15 @@ func leasePropRun(seed int64, clients, opsPer int) (*propLedger, string) {
 					led.granted[tag] = true
 				}
 				led.grants++
-				finishTenure(p, rng, l, led)
+				if l != nil {
+					finishTenure(p, rng, l, led)
+				} else {
+					// A raw holder has no watchdog: it holds for a
+					// while, then puts the units back itself.
+					p.SleepFor(time.Duration(rng.Int63n(int64(propQuantum))))
+					m.Put(units)
+					led.releases++
+				}
 				cancel()
 			}
 		})
@@ -100,8 +123,8 @@ func leasePropRun(seed int64, clients, opsPer int) (*propLedger, string) {
 		return led, fmt.Sprintf("engine: %v", err)
 	}
 
-	if m.InUse() != 0 {
-		return led, fmt.Sprintf("conservation: %d units still in use at quiescence", m.InUse())
+	if m.InUse() != 0 || m.Outstanding() != 0 {
+		return led, fmt.Sprintf("conservation: %d units booked, %d outstanding at quiescence", m.InUse(), m.Outstanding())
 	}
 	if led.grants != led.releases+led.revokes {
 		return led, fmt.Sprintf("conservation: %d grants != %d releases + %d revokes",
@@ -156,7 +179,7 @@ func finishTenure(p *sim.Proc, rng *rand.Rand, l *Lease, led *propLedger) {
 
 func TestPropFIFOAndUnitsConservation(t *testing.T) {
 	const clients, opsPer = 6, 12
-	var parked, granted, revoked, timedOut int64
+	var parked, rawParked, granted, revoked, timedOut int64
 	for seed := int64(1); seed <= 25; seed++ {
 		led, msg := leasePropRun(seed, clients, opsPer)
 		if msg != "" {
@@ -165,16 +188,18 @@ func TestPropFIFOAndUnitsConservation(t *testing.T) {
 				seed, sc, so, clients, opsPer, sm)
 		}
 		parked += int64(len(led.parkOrder))
+		rawParked += led.rawParked
 		granted += led.grants
 		revoked += led.revokes
 		timedOut += led.timeouts
 	}
 	// The properties are only as strong as the schedules that reach
-	// them: a generator drift that stops producing contention, revoked
-	// tenures, or abandoned waits would hollow the test out silently.
-	if parked == 0 || granted == 0 || revoked == 0 || timedOut == 0 {
-		t.Fatalf("vacuous coverage: parked=%d granted=%d revoked=%d timedOut=%d",
-			parked, granted, revoked, timedOut)
+	// them: a generator drift that stops producing contention, queued
+	// raw takes, revoked tenures, or abandoned waits would hollow the
+	// test out silently.
+	if parked == 0 || rawParked == 0 || granted == 0 || revoked == 0 || timedOut == 0 {
+		t.Fatalf("vacuous coverage: parked=%d rawParked=%d granted=%d revoked=%d timedOut=%d",
+			parked, rawParked, granted, revoked, timedOut)
 	}
 }
 

@@ -5,11 +5,12 @@
 // Where the simulator serializes processes with a token handoff, the
 // live engine serializes them with one global mutex — a monitor. A
 // process holds the engine lock while it executes substrate code and
-// releases it across every blocking operation (Sleep, Hang, Yield,
-// resource waits), so the shared state invariants the substrates were
-// written against ("engine methods run under the token") carry over
-// unchanged, while the interleaving between blocking points is decided
-// by the Go scheduler and the wall clock rather than by a seed. Runs
+// releases it across every blocking operation (Sleep, Hang, Yield; a
+// lease.Manager waiter parks in Hang), so the shared state invariants
+// the substrates were written against ("engine methods run under the
+// token") carry over unchanged, while the interleaving between blocking
+// points is decided by the Go scheduler and the wall clock rather than
+// by a seed. Runs
 // are therefore not reproducible; the differential harness
 // (internal/expt) asserts distributional properties with tolerance
 // bands instead of golden outputs.
@@ -209,11 +210,6 @@ func (c *runCtx) end(err error) {
 	if c.timer != nil {
 		c.timer.Stop()
 	}
-}
-
-// NewResource implements core.Backend.
-func (e *Engine) NewResource(name string, capacity int) core.Resource {
-	return newResource(e, name, capacity)
 }
 
 // Spawn creates a new process executing fn. Before Run it is queued;

@@ -78,16 +78,16 @@ func TestTimerFiresAndCancels(t *testing.T) {
 
 func TestResourceFIFOUnderContention(t *testing.T) {
 	e := New(1, ts)
-	r := e.NewResource("server", 1)
+	r := lease.New(e, "server", 1, 0)
 	var served atomic.Int64
 	for i := 0; i < 8; i++ {
 		e.Spawn("client", func(p core.Proc) {
-			if err := r.Acquire(p, e.Context()); err != nil {
+			if err := r.Take(p, e.Context(), 1); err != nil {
 				t.Errorf("acquire: %v", err)
 				return
 			}
 			p.SleepFor(time.Second)
-			r.Release()
+			r.Put(1)
 			served.Add(1)
 		})
 	}
@@ -104,21 +104,21 @@ func TestResourceFIFOUnderContention(t *testing.T) {
 
 func TestResourceAcquireTimesOut(t *testing.T) {
 	e := New(1, ts)
-	r := e.NewResource("server", 1).(*Resource)
+	r := lease.New(e, "server", 1, 0)
 	var werr error
 	e.Spawn("holder", func(p core.Proc) {
-		if err := r.Acquire(p, e.Context()); err != nil {
+		if err := r.Take(p, e.Context(), 1); err != nil {
 			t.Errorf("holder acquire: %v", err)
 			return
 		}
 		p.SleepFor(time.Minute)
-		r.Release()
+		r.Put(1)
 	})
 	e.Spawn("waiter", func(p core.Proc) {
 		p.SleepFor(time.Second) // let the holder in first
 		ctx, cancel := p.WithTimeout(e.Context(), 5*time.Second)
 		defer cancel()
-		werr = r.Acquire(p, ctx)
+		werr = r.Take(p, ctx, 1)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

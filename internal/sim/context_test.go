@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/lease"
 )
 
 func TestWithCancelOnCanceledParent(t *testing.T) {
@@ -121,24 +123,24 @@ func TestSleepOnCanceledContextReturnsImmediately(t *testing.T) {
 
 func TestResourceSetCapacity(t *testing.T) {
 	e := New(1)
-	r := NewResource(e, "r", 2)
+	r := lease.New(e.RT(), "r", 2, 0)
 	e.Spawn("x", func(p *Proc) {
-		if !r.TryAcquire() || !r.TryAcquire() {
+		if !r.TryTake(1) || !r.TryTake(1) {
 			t.Error("initial capacity not 2")
 		}
 		r.SetCapacity(1) // shrink below inUse: drains as released
-		if r.TryAcquire() {
+		if r.TryTake(1) {
 			t.Error("acquire beyond shrunk capacity")
 		}
-		r.Release()
-		r.Release()
-		if !r.TryAcquire() {
+		r.Put(1)
+		r.Put(1)
+		if !r.TryTake(1) {
 			t.Error("acquire after drain failed")
 		}
-		if r.Available() != 0 || r.InUse() != 1 || r.Capacity() != 1 {
+		if r.Free() != 0 || r.InUse() != 1 || r.Capacity() != 1 {
 			t.Errorf("state = cap %d inUse %d", r.Capacity(), r.InUse())
 		}
-		r.Release()
+		r.Put(1)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -177,17 +179,17 @@ func TestEngineAccounting(t *testing.T) {
 
 func TestResourceQueueLen(t *testing.T) {
 	e := New(1)
-	r := NewResource(e, "r", 1)
+	r := lease.New(e.RT(), "r", 1, 0)
 	e.Spawn("holder", func(p *Proc) {
-		_ = r.Acquire(p, e.Context())
+		_ = r.Take(p, e.Context(), 1)
 		p.SleepFor(10 * time.Second)
-		r.Release()
+		r.Put(1)
 	})
 	for i := 0; i < 3; i++ {
 		e.Spawn("w", func(p *Proc) {
 			p.SleepFor(time.Second)
-			if err := r.Acquire(p, e.Context()); err == nil {
-				r.Release()
+			if err := r.Take(p, e.Context(), 1); err == nil {
+				r.Put(1)
 			}
 		})
 	}
@@ -206,20 +208,20 @@ func TestResourceQueueLen(t *testing.T) {
 
 func TestSetCapacityGrowthGrantsWaiters(t *testing.T) {
 	e := New(1)
-	r := NewResource(e, "r", 1)
+	r := lease.New(e.RT(), "r", 1, 0)
 	var gotAt time.Duration
 	e.Spawn("holder", func(p *Proc) {
-		_ = r.Acquire(p, e.Context())
+		_ = r.Take(p, e.Context(), 1)
 		p.SleepFor(time.Hour)
-		r.Release()
+		r.Put(1)
 	})
 	e.Spawn("waiter", func(p *Proc) {
-		if err := r.Acquire(p, e.Context()); err != nil {
+		if err := r.Take(p, e.Context(), 1); err != nil {
 			t.Errorf("acquire: %v", err)
 			return
 		}
 		gotAt = p.Elapsed()
-		r.Release()
+		r.Put(1)
 	})
 	// Capacity doubles at t=5s; the waiter must be granted then, not
 	// an hour later when the holder releases.

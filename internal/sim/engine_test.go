@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lease"
 )
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
@@ -174,16 +175,16 @@ func TestExplicitCancelWakesHang(t *testing.T) {
 
 func TestResourceSerializesClients(t *testing.T) {
 	e := New(1)
-	r := NewResource(e, "server", 1)
+	r := lease.New(e.RT(), "server", 1, 0)
 	var finish []time.Duration
 	for i := 0; i < 3; i++ {
 		e.Spawn("client", func(p *Proc) {
-			if err := r.Acquire(p, e.Context()); err != nil {
+			if err := r.Take(p, e.Context(), 1); err != nil {
 				t.Errorf("acquire: %v", err)
 				return
 			}
 			p.SleepFor(10 * time.Second)
-			r.Release()
+			r.Put(1)
 			finish = append(finish, p.Elapsed())
 		})
 	}
@@ -200,19 +201,19 @@ func TestResourceSerializesClients(t *testing.T) {
 
 func TestResourceAcquireCanceled(t *testing.T) {
 	e := New(1)
-	r := NewResource(e, "server", 1)
+	r := lease.New(e.RT(), "server", 1, 0)
 	e.Spawn("holder", func(p *Proc) {
-		if err := r.Acquire(p, e.Context()); err != nil {
+		if err := r.Take(p, e.Context(), 1); err != nil {
 			t.Errorf("holder acquire: %v", err)
 		}
 		p.SleepFor(time.Hour)
-		r.Release()
+		r.Put(1)
 	})
 	var waitErr error
 	e.Spawn("waiter", func(p *Proc) {
 		ctx, cancel := p.WithTimeout(e.Context(), time.Minute)
 		defer cancel()
-		waitErr = r.Acquire(p, ctx)
+		waitErr = r.Take(p, ctx, 1)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -227,26 +228,26 @@ func TestResourceAcquireCanceled(t *testing.T) {
 
 func TestResourceAbandonedWaiterNotGranted(t *testing.T) {
 	e := New(1)
-	r := NewResource(e, "s", 1)
+	r := lease.New(e.RT(), "s", 1, 0)
 	var got []string
 	e.Spawn("holder", func(p *Proc) {
-		_ = r.Acquire(p, e.Context())
+		_ = r.Take(p, e.Context(), 1)
 		p.SleepFor(10 * time.Second)
-		r.Release()
+		r.Put(1)
 	})
 	e.Spawn("quitter", func(p *Proc) {
 		ctx, cancel := p.WithTimeout(e.Context(), 2*time.Second)
 		defer cancel()
-		if err := r.Acquire(p, ctx); err == nil {
+		if err := r.Take(p, ctx, 1); err == nil {
 			got = append(got, "quitter")
-			r.Release()
+			r.Put(1)
 		}
 	})
 	e.Spawn("patient", func(p *Proc) {
 		p.SleepFor(time.Second)
-		if err := r.Acquire(p, e.Context()); err == nil {
+		if err := r.Take(p, e.Context(), 1); err == nil {
 			got = append(got, "patient")
-			r.Release()
+			r.Put(1)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -479,14 +480,14 @@ func TestQuickResourcePipelining(t *testing.T) {
 		c := int(cRaw%5) + 1
 		const d = 3 * time.Second
 		e := New(5)
-		r := NewResource(e, "r", c)
+		r := lease.New(e.RT(), "r", int64(c), 0)
 		for i := 0; i < n; i++ {
 			e.Spawn("job", func(p *Proc) {
-				if err := r.Acquire(p, e.Context()); err != nil {
+				if err := r.Take(p, e.Context(), 1); err != nil {
 					return
 				}
 				p.SleepFor(d)
-				r.Release()
+				r.Put(1)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -565,7 +566,7 @@ func TestLargePopulationDeterminism(t *testing.T) {
 	// clock on every run with the same seed.
 	run := func() (int64, time.Duration) {
 		e := New(99)
-		r := NewResource(e, "shared", 7)
+		r := lease.New(e.RT(), "shared", 7, 0)
 		ctx, cancel := e.WithTimeout(e.Context(), 5*time.Minute)
 		defer cancel()
 		for i := 0; i < 1000; i++ {
@@ -576,9 +577,9 @@ func TestLargePopulationDeterminism(t *testing.T) {
 						return
 					}
 					actx, acancel := p.WithTimeout(ctx, 10*time.Second)
-					if r.Acquire(p, actx) == nil {
+					if r.Take(p, actx, 1) == nil {
 						_ = p.Sleep(ctx, 500*time.Millisecond)
-						r.Release()
+						r.Put(1)
 					}
 					acancel()
 				}

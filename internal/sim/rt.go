@@ -12,7 +12,7 @@ import (
 // sim.Timer, func(*Proc)) for the engine's direct users and the
 // zero-allocation hot path; RT shadows exactly the methods whose
 // signatures differ, boxing only at setup-rate call sites (Spawn,
-// Schedule, NewResource). Obtain one with Engine.RT.
+// Schedule). Obtain one with Engine.RT.
 type RT struct{ *Engine }
 
 var _ core.Backend = RT{}
@@ -37,9 +37,4 @@ func (r RT) Spawn(name string, fn func(p core.Proc)) {
 // timer handle.
 func (r RT) Schedule(d time.Duration, fn func()) core.Timer {
 	return r.Engine.Schedule(d, fn)
-}
-
-// NewResource implements core.Backend.
-func (r RT) NewResource(name string, capacity int) core.Resource {
-	return NewResource(r.Engine, name, capacity)
 }

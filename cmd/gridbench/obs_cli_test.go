@@ -226,3 +226,39 @@ func TestMetricsTimestampsNeverDecrease(t *testing.T) {
 		t.Errorf("%d of %d series have time running backwards", backwards, series)
 	}
 }
+
+// TestMetricsCounterKindIffTotal holds every dumped family to the
+// Prometheus naming rule: kind counter exactly when the name ends in
+// _total. A monotone count registered as a gauge (or a level named
+// like a count) fails it. The figures cover every scenario's families:
+// submit (1), buffer (4), reservation (res), lossy wire (net) and the
+// engine's timer wheel (scale).
+func TestMetricsCounterKindIffTotal(t *testing.T) {
+	for _, fig := range []string{"1", "4", "res", "net", "scale"} {
+		path := filepath.Join(t.TempDir(), "m.jsonl")
+		code, _, errOut := cli(t, "-fig", fig, "-scale", "0.05", "-metrics", path)
+		if code != 0 {
+			t.Fatalf("fig %s: code=%d stderr=%q", fig, code, errOut)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := make(map[string]string)
+		for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+			var s struct{ Family, Kind string }
+			if err := json.Unmarshal([]byte(line), &s); err != nil {
+				t.Fatalf("fig %s: %v: %s", fig, err, line)
+			}
+			kinds[s.Family] = s.Kind
+		}
+		if len(kinds) == 0 {
+			t.Fatalf("fig %s: empty dump", fig)
+		}
+		for fam, kind := range kinds {
+			if (kind == "counter") != strings.HasSuffix(fam, "_total") {
+				t.Errorf("fig %s: family %s has kind %s", fig, fam, kind)
+			}
+		}
+	}
+}

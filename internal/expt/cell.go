@@ -30,9 +30,9 @@ type cell struct {
 	tr     *trace.Tracer   // where client timelines go, or nil
 	reg    *obs.Registry   // where the flight recorder samples, or nil
 	// label is the "cell" label of every series the cell samples. Cells
-	// sharing a registry must not share a label (obs.Scope.GaugeFunc
-	// panics), so sweeps stamp it (sweep.label) and single-cell figures
-	// prefix it with their figure row.
+	// sharing a registry must not share a label (obs.Scope panics on a
+	// series registered twice), so sweeps stamp it (sweep.label) and
+	// single-cell figures prefix it with their figure row.
 	label string
 }
 

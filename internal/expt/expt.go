@@ -401,7 +401,7 @@ func bufferCell(c cell, n int, d core.Discipline) *fsbuffer.Buffer {
 		gauges: func(sc *obs.Scope) {
 			obsBuffer(sc, b)
 			if alloc != nil {
-				obsLease(sc, alloc.Tenure(), "reservation")
+				alloc.Tenure().Observe(sc, "reservation")
 			}
 		},
 		clients: func(e core.Backend, ctx context.Context) {

@@ -35,7 +35,9 @@ import (
 // mid-run HTTP exporter sees data as it arrives; live runs are not
 // reproducible anyway.
 
-// Family names sampled by the flight recorder.
+// Family names sampled by the flight recorder; the lease and book
+// ledgers' own are in package lease (lease.MGrants, lease.MBookReserves,
+// ...), beside the fields they read.
 const (
 	MEngineEvents = "grid_engine_events_total"
 	MEngineRunq   = "grid_engine_runq_depth"
@@ -60,25 +62,8 @@ const (
 	MServerBusy  = "grid_server_busy"
 	MServerQueue = "grid_server_queue_depth"
 
-	MLeaseGrants       = "grid_lease_grants_total"
-	MLeaseRejects      = "grid_lease_rejects_total"
-	MLeaseTimeouts     = "grid_lease_timeouts_total"
-	MLeaseRevokes      = "grid_lease_revokes_total"
-	MLeaseInUse        = "grid_lease_units_inuse"
-	MLeaseQueue        = "grid_lease_queue_depth"
-	MLeaseRevokedUnits = "grid_lease_revoked_units_total"
-	MLeaseDrops        = "grid_lease_msg_drops_total"
-	MLeaseDups         = "grid_lease_msg_dups_total"
-	MLeaseStales       = "grid_lease_stale_total"
-
 	MNetDrops   = "grid_net_drops_total"
 	MNetDeduped = "grid_net_deduped_total"
-
-	MBookReserves = "grid_book_reserves_total"
-	MBookRejects  = "grid_book_rejects_total"
-	MBookAdmits   = "grid_book_admits_total"
-	MBookCancels  = "grid_book_cancels_total"
-	MBookLapses   = "grid_book_lapses_total"
 )
 
 // DefaultObsInterval is the default sampling interval on the backend
@@ -120,7 +105,7 @@ func armObs(c cell, e core.Backend, inst func(sc *obs.Scope)) func() {
 		return func() {}
 	}
 	sc := c.reg.NewScope(e.Elapsed, "cell", c.label)
-	sc.GaugeFunc(MEngineEvents, "Cumulative scheduling steps executed by the backend.",
+	sc.CounterFunc(MEngineEvents, "Cumulative scheduling steps executed by the backend.",
 		func() float64 { return float64(e.Events()) })
 	if eo, ok := e.(engineObserver); ok {
 		sc.GaugeFunc(MEngineRunq, "Runnable processes (live-process count on the live backend).",
@@ -129,7 +114,7 @@ func armObs(c cell, e core.Backend, inst func(sc *obs.Scope)) func() {
 			func() float64 { return float64(eo.TimerHeapLen()) })
 	}
 	if wo, ok := e.(wheelObserver); ok {
-		sc.GaugeFunc(MWheelCascades, "Timer nodes re-dispersed by wheel level cascades.",
+		sc.CounterFunc(MWheelCascades, "Timer nodes re-dispersed by wheel level cascades.",
 			func() float64 { return float64(wo.WheelCascades()) })
 		sc.GaugeFunc(MWheelMaxSlot, "High-water mark of timers sharing one wheel slot.",
 			func() float64 { return float64(wo.MaxSlotOccupancy()) })
@@ -151,37 +136,12 @@ func armObs(c cell, e core.Backend, inst func(sc *obs.Scope)) func() {
 	return func() { sc.Sample() }
 }
 
-// obsLease registers the ledger counters and occupancy gauges for one
-// lease manager under the resource label.
-func obsLease(sc *obs.Scope, m *lease.Manager, resource string) {
-	m.SetHooks(lease.Hooks{
-		Grants:       sc.Counter(MLeaseGrants, "Tenures granted (leased or raw).", "resource", resource),
-		Rejects:      sc.Counter(MLeaseRejects, "Try-acquire failures.", "resource", resource),
-		Timeouts:     sc.Counter(MLeaseTimeouts, "Waiters abandoned by cancellation.", "resource", resource),
-		Revokes:      sc.Counter(MLeaseRevokes, "Tenures reclaimed by the expiry watchdog.", "resource", resource),
-		RevokedUnits: sc.Counter(MLeaseRevokedUnits, "Units reclaimed by revocation (dead-window capacity).", "resource", resource),
-		Drops:        sc.Counter(MLeaseDrops, "Lease-control messages the channel dropped.", "resource", resource),
-		Dups:         sc.Counter(MLeaseDups, "Lease-control messages the channel duplicated.", "resource", resource),
-		Stales:       sc.Counter(MLeaseStales, "Stale-epoch messages the fence rejected.", "resource", resource),
-	})
-	sc.GaugeFunc(MLeaseInUse, "Units currently held.",
-		func() float64 { return float64(m.InUse()) }, "resource", resource)
-	sc.GaugeFunc(MLeaseQueue, "Processes waiting to acquire.",
-		func() float64 { return float64(m.QueueLen()) }, "resource", resource)
-}
-
-// obsBook registers the admission ledger for one reservation book,
-// plus its embedded tenure manager (whose revoked-units counter is
-// exactly the dead-window capacity FigRes measures).
+// obsBook registers one reservation book's admission ledger, plus its
+// embedded tenure manager under resource-tenure (whose revoked-units
+// counter is exactly the dead-window capacity FigRes measures).
 func obsBook(sc *obs.Scope, b *lease.Book, resource string) {
-	b.SetHooks(lease.BookHooks{
-		Reserves: sc.Counter(MBookReserves, "Bookings admitted.", "resource", resource),
-		Rejects:  sc.Counter(MBookRejects, "Bookings refused (book full over the window).", "resource", resource),
-		Admits:   sc.Counter(MBookAdmits, "Booked windows claimed.", "resource", resource),
-		Cancels:  sc.Counter(MBookCancels, "Bookings canceled before a claim.", "resource", resource),
-		Lapses:   sc.Counter(MBookLapses, "Bookings whose window ended unclaimed.", "resource", resource),
-	})
-	obsLease(sc, b.Tenure(), resource+"-tenure")
+	b.Observe(sc, resource)
+	b.Tenure().Observe(sc, resource+"-tenure")
 }
 
 // obsCluster registers the submit scenario's carrier: the kernel FD
@@ -201,15 +161,15 @@ func obsCluster(sc *obs.Scope, cl *condor.Cluster) {
 		func() float64 { return float64(fds.InUse()) })
 	sc.GaugeFunc(MCarrierQueue, "Processes queued on the carrier (FD table).",
 		func() float64 { return float64(fds.Manager().QueueLen()) })
-	sc.GaugeFunc(MJobs, "Jobs successfully submitted.",
+	sc.CounterFunc(MJobs, "Jobs successfully submitted.",
 		func() float64 { return float64(cl.Schedd.Jobs) })
-	sc.GaugeFunc(MCrashes, "Schedd crashes.",
+	sc.CounterFunc(MCrashes, "Schedd crashes.",
 		func() float64 { return float64(cl.Schedd.Crashes) })
-	sc.GaugeFunc(MNetDrops, "Submit requests or replies the channel swallowed.",
+	sc.CounterFunc(MNetDrops, "Submit requests or replies the channel swallowed.",
 		func() float64 { return float64(cl.Schedd.NetDrops) })
-	sc.GaugeFunc(MNetDeduped, "Duplicate submissions the idempotency keys absorbed.",
+	sc.CounterFunc(MNetDeduped, "Duplicate submissions the idempotency keys absorbed.",
 		func() float64 { return float64(cl.Schedd.Deduped) })
-	obsLease(sc, fds.Manager(), "fds")
+	fds.Manager().Observe(sc, "fds")
 }
 
 // obsBuffer registers the buffer scenario's carrier: shared disk
@@ -225,11 +185,11 @@ func obsBuffer(sc *obs.Scope, b *fsbuffer.Buffer) {
 		})
 	sc.GaugeFunc(MBufferUsed, "Bytes in the buffer, complete and partial.",
 		func() float64 { return float64(b.Used()) })
-	sc.GaugeFunc(MCollisions, "Write collisions (out-of-space failures).",
+	sc.CounterFunc(MCollisions, "Write collisions (out-of-space failures).",
 		func() float64 { return float64(b.Collisions) })
-	sc.GaugeFunc(MCompleted, "Files written to completion.",
+	sc.CounterFunc(MCompleted, "Files written to completion.",
 		func() float64 { return float64(b.Completed) })
-	sc.GaugeFunc(MConsumed, "Files drained by the consumer.",
+	sc.CounterFunc(MConsumed, "Files drained by the consumer.",
 		func() float64 { return float64(b.Consumed) })
 }
 
@@ -247,6 +207,6 @@ func obsServers(sc *obs.Scope, servers []*replica.Server) {
 			}, "server", s.Name)
 		sc.GaugeFunc(MServerQueue, "Clients queued on the server's service lane.",
 			func() float64 { return float64(s.QueueLen()) }, "server", s.Name)
-		obsLease(sc, s.Lane(), s.Name)
+		s.Lane().Observe(sc, s.Name)
 	}
 }

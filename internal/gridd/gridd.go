@@ -64,10 +64,12 @@ type Server struct {
 	order    []*resource // creation order, for deterministic iteration
 	draining bool
 
+	// reg is the daemon's flight recorder and sc its one scope: every
+	// resource registers its families there when it is created, and
+	// /metrics samples it. Both happen under mon, so the lock order is
+	// monitor, then registry, everywhere.
 	reg *obs.Registry
-	// scopes are sampled by /metrics; appended by registerObs, which by
-	// the lock-ordering rule documented there never runs under mon.
-	scopes []*obs.Scope
+	sc  *obs.Scope
 }
 
 // NewServer builds a server hosting cfg.Resources.
@@ -77,13 +79,11 @@ func NewServer(cfg Config) *Server {
 		res: make(map[string]*resource),
 		reg: obs.New(),
 	}
+	s.sc = s.reg.NewScope(s.mon.Elapsed)
+	s.mon.Lock()
+	defer s.mon.Unlock()
 	for _, rc := range cfg.Resources {
-		s.mon.Lock()
-		created := s.createLocked(rc)
-		s.mon.Unlock()
-		if created { // a name given twice resizes; its gauges exist
-			s.registerObs(rc.Name)
-		}
+		s.createLocked(rc)
 	}
 	return s
 }
@@ -180,7 +180,8 @@ type resource struct {
 	// The id tables, wire ids to live state-machine objects. A lease's
 	// wire id is its fencing epoch, a booking's its admission ordinal.
 	// A row leaves when its tenure or window ends: the handler drops it
-	// on a release, the hooks below when a timer gets there first.
+	// on a release, the OnRevoke and OnRetire callbacks when a timer
+	// gets there first.
 	leases   map[uint64]held
 	bookings map[uint64]*lease.Reservation
 	parked   map[uint64]context.CancelCauseFunc // flush handles by FIFO position
@@ -207,16 +208,15 @@ type held struct {
 	resv *lease.Reservation
 }
 
-// createLocked creates or resizes a resource, reporting whether it is
-// new (and so still needs registerObs, which must not run under the
-// lock). Only capacity changes on an existing resource; everything else
+// createLocked creates or resizes a resource. Only capacity changes on
+// an existing resource; everything else, its metric families included,
 // is fixed at first creation so re-creates are idempotent.
-func (s *Server) createLocked(rc ResourceConfig) (created bool) {
+func (s *Server) createLocked(rc ResourceConfig) {
 	if r, ok := s.res[rc.Name]; ok {
 		if rc.Capacity > 0 && rc.Capacity != r.mgr.Capacity() {
 			r.book.SetCapacity(rc.Capacity)
 		}
-		return false
+		return
 	}
 	r := &resource{
 		srv:      s,
@@ -228,14 +228,19 @@ func (s *Server) createLocked(rc ResourceConfig) (created bool) {
 	}
 	r.mgr = r.book.Tenure()
 	r.mgr.SetWire(quietWire{}, rc.Name, !rc.Unfenced)
-	r.mgr.SetHooks(lease.Hooks{Revoked: func(l *lease.Lease) { delete(r.leases, l.Epoch()) }})
-	r.book.SetHooks(lease.BookHooks{Retired: func(b *lease.Reservation) { delete(r.bookings, b.ID()) }})
+	r.mgr.OnRevoke(func(l *lease.Lease) { delete(r.leases, l.Epoch()) })
+	r.book.OnRetire(func(b *lease.Reservation) { delete(r.bookings, b.ID()) })
+	r.mgr.Observe(s.sc, rc.Name)
+	r.book.Observe(s.sc, rc.Name)
+	s.sc.CounterFunc("gridd_crashes_total", "Resource crashes (broadcast jams).",
+		func() float64 { return float64(r.crashes) }, "resource", rc.Name)
+	s.sc.CounterFunc("gridd_phantoms_total", "Grants admitted past ground-truth capacity.",
+		func() float64 { return float64(r.phantoms) }, "resource", rc.Name)
 	s.res[rc.Name] = r
 	s.order = append(s.order, r)
 	if rc.HousekeepInterval > 0 && !s.draining {
 		r.armHousekeeping()
 	}
-	return true
 }
 
 // admit enters a fresh lease in the id table and renders it for the

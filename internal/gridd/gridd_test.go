@@ -616,7 +616,7 @@ func TestOnePumpTwoGrantsKeepFIFO(t *testing.T) {
 
 func TestMetricsAndHealthz(t *testing.T) {
 	// A name given twice resizes the resource and must not register its
-	// polled gauges a second time (obs panics on that).
+	// families a second time (obs panics on that).
 	srv := gridd.NewServer(gridd.Config{Resources: []gridd.ResourceConfig{
 		{Name: "fds", Capacity: 2},
 		{Name: "fds", Capacity: 4},
@@ -636,7 +636,14 @@ func TestMetricsAndHealthz(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(body)
-	for _, want := range []string{"gridd_capacity", "gridd_in_use", "gridd_outstanding"} {
+	for _, want := range []string{
+		`grid_lease_capacity_units{resource="fds"} 4`,
+		`grid_lease_units_inuse{resource="fds"} 3`,
+		`grid_lease_outstanding_units{resource="fds"} 3`,
+		`grid_lease_grants_total{resource="fds"} 1`,
+		"# TYPE grid_lease_grants_total counter",
+		`gridd_crashes_total{resource="fds"} 0`,
+	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, text)
 		}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lease"
-	"repro/internal/obs"
 )
 
 // Handler returns the daemon's HTTP surface. It is a plain
@@ -348,7 +347,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		fail(w, ErrorReply{Code: CodeDraining, Message: "daemon draining"})
 		return
 	}
-	created := s.createLocked(ResourceConfig{
+	s.createLocked(ResourceConfig{
 		Name:              cr.Name,
 		Capacity:          cr.Capacity,
 		Quantum:           time.Duration(cr.QuantumNS),
@@ -359,9 +358,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		CrashHolder:       cr.CrashHolder,
 	})
 	s.mon.Unlock()
-	if created {
-		s.registerObs(cr.Name) // obs registration never runs under s.mon
-	}
 	reply(w, struct{}{})
 }
 
@@ -423,45 +419,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// handleMetrics samples every resource's families under the monitor,
+// then writes the samples after letting go.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mon.Lock()
-	scopes := append([]*obs.Scope(nil), s.scopes...)
+	s.sc.Sample()
 	s.mon.Unlock()
-	for _, sc := range scopes {
-		sc.Sample() // takes the registry lock; gauges re-take s.mon
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WriteProm(w)
-}
-
-// registerObs wires the named resource's gauges and counters into the
-// daemon's flight recorder. It must never run under s.mon: Scope.Sample
-// calls the closures below while holding the registry lock, and they
-// take s.mon — registering under s.mon would invert that order into a
-// deadlock.
-func (s *Server) registerObs(name string) {
-	sc := s.reg.NewScope(s.mon.Elapsed, "resource", name)
-	read := func(f func(r *resource) float64) func() float64 {
-		return func() float64 {
-			s.mon.Lock()
-			defer s.mon.Unlock()
-			r := s.res[name]
-			if r == nil {
-				return 0
-			}
-			return f(r)
-		}
-	}
-	sc.GaugeFunc("gridd_capacity", "resource capacity in units", read(func(r *resource) float64 { return float64(r.mgr.Capacity()) }))
-	sc.GaugeFunc("gridd_in_use", "units currently allocated (bookkeeping view)", read(func(r *resource) float64 { return float64(r.mgr.InUse()) }))
-	sc.GaugeFunc("gridd_outstanding", "units across live grants (ground truth)", read(func(r *resource) float64 { return float64(r.mgr.Outstanding()) }))
-	sc.GaugeFunc("gridd_queue", "parked acquires", read(func(r *resource) float64 { return float64(r.mgr.QueueLen()) }))
-	sc.GaugeFunc("gridd_grants", "leases granted", read(func(r *resource) float64 { return float64(r.mgr.Acquires) }))
-	sc.GaugeFunc("gridd_revokes", "tenures revoked by the watchdog or a crash", read(func(r *resource) float64 { return float64(r.mgr.Revokes) }))
-	sc.GaugeFunc("gridd_stales", "operations fenced as stale", read(func(r *resource) float64 { return float64(r.mgr.Stales) }))
-	sc.GaugeFunc("gridd_crashes", "resource crashes (broadcast jams)", read(func(r *resource) float64 { return float64(r.crashes) }))
-	sc.GaugeFunc("gridd_phantoms", "grants admitted past ground-truth capacity", read(func(r *resource) float64 { return float64(r.phantoms) }))
-	s.mon.Lock()
-	s.scopes = append(s.scopes, sc)
-	s.mon.Unlock()
 }

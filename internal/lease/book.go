@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -34,11 +35,14 @@ import (
 type Book struct {
 	name   string
 	tenure *Manager // clock, capacity, claim leases; quantum 0 (tenure set per claim)
-	hooks  BookHooks
+	// onRetire is told of each booking that leaves the book; see
+	// OnRetire.
+	onRetire func(*Reservation)
 
 	resv []*Reservation // live bookings in admission order
 
-	// Stats, readable at any point under the engine token.
+	// Stats, readable at any point under the engine token; Observe
+	// exports them.
 	Reserves int64 // bookings admitted
 	Rejects  int64 // bookings refused (book full over the window)
 	Admits   int64 // booked windows claimed
@@ -56,6 +60,33 @@ var ErrNotOpen = errors.New("reservation window not open yet")
 func NewBook(e Clock, name string, capacity int64) *Book {
 	return &Book{name: name, tenure: New(e, name, capacity, 0)}
 }
+
+// Family names of the book's admission ledger, as Observe registers
+// them.
+const (
+	MBookReserves = "grid_book_reserves_total"
+	MBookRejects  = "grid_book_rejects_total"
+	MBookAdmits   = "grid_book_admits_total"
+	MBookCancels  = "grid_book_cancels_total"
+	MBookLapses   = "grid_book_lapses_total"
+)
+
+// Observe registers the book's admission ledger with sc under the
+// resource label, as Manager.Observe does the manager's. The tenure
+// manager is not included: its host registers it (Tenure().Observe)
+// under whatever label suits.
+func (b *Book) Observe(sc *obs.Scope, resource string) {
+	counter(sc, resource, MBookReserves, "Bookings admitted.", &b.Reserves)
+	counter(sc, resource, MBookRejects, "Bookings refused (book full over the window).", &b.Rejects)
+	counter(sc, resource, MBookAdmits, "Booked windows claimed.", &b.Admits)
+	counter(sc, resource, MBookCancels, "Bookings canceled before a claim.", &b.Cancels)
+	counter(sc, resource, MBookLapses, "Bookings whose window ended unclaimed.", &b.Lapses)
+}
+
+// OnRetire tells fn of each booking that leaves the book — canceled,
+// released, lapsed, or its claimed window ended — the Book's
+// counterpart of Manager.OnRevoke. Install it before the run starts.
+func (b *Book) OnRetire(fn func(*Reservation)) { b.onRetire = fn }
 
 // Name returns the resource's diagnostic name.
 func (b *Book) Name() string { return b.name }
@@ -124,7 +155,6 @@ func (b *Book) Reserve(p Parker, holder string, start, tenure time.Duration, uni
 	// a large enough request.
 	if room := max(b.tenure.capacity-b.peakOver(start, end), 0); units > room {
 		b.Rejects++
-		b.hooks.Rejects.Inc()
 		b.tenure.stats(holder).Rejects++
 		b.tenure.NoteWant(holder)
 		return nil, core.Rejected(b.name, units-room)
@@ -135,7 +165,6 @@ func (b *Book) Reserve(p Parker, holder string, start, tenure time.Duration, uni
 		r.tr = p.Tracer()
 	}
 	b.resv = append(b.resv, r)
-	b.hooks.Reserves.Inc()
 	r.tr.Reserve(b.name, start)
 	// The window-end timer retires the booking no matter how the holder
 	// behaves: an unclaimed window lapses, and a claimed one is already
@@ -154,8 +183,8 @@ func (b *Book) remove(r *Reservation) {
 			break
 		}
 	}
-	if b.hooks.Retired != nil {
-		b.hooks.Retired(r)
+	if b.onRetire != nil {
+		b.onRetire(r)
 	}
 }
 
@@ -218,7 +247,6 @@ func (r *Reservation) Claim(p Parker, ctx context.Context) (*Lease, error) {
 	}
 	r.state = resClaimed
 	r.b.Admits++
-	r.b.hooks.Admits.Inc()
 	r.tr.Admit(r.b.name, r.end)
 	r.lease = r.b.tenure.GrantFor(p, ctx, r.holder, r.units, r.end-now)
 	r.lease.deadline = r.end // not a later clock reading plus the tenure
@@ -254,7 +282,6 @@ func (r *Reservation) Cancel() {
 	}
 	r.state = resDone
 	r.b.Cancels++
-	r.b.hooks.Cancels.Inc()
 	if r.lapse != nil {
 		r.lapse.Cancel()
 	}
@@ -300,7 +327,6 @@ func (r *Reservation) windowEnd() {
 	case resPending:
 		r.state = resDone
 		r.b.Lapses++
-		r.b.hooks.Lapses.Inc()
 		r.b.remove(r)
 		r.tr.Forfeit(r.b.name)
 	case resClaimed:

@@ -20,6 +20,15 @@
 // rejects, revocations, and the longest interval each client spent
 // wanting the resource without holding it), which the experiment layer
 // folds into Jain's fairness index and the no-starvation invariant.
+//
+// Each ledger is kept once, in the exported fields of Manager and Book,
+// and read where it lives: Manager.Observe and Book.Observe register
+// polled families over those fields (grid_lease_*, grid_book_*) under a
+// resource label, and the simulator cells, the live cells and gridd all
+// call them, so the three backends export one namespace. A host that
+// keeps its own table of live objects learns of the ones a timer ends
+// through the one callback per type: OnRevoke (a tenure the watchdog or
+// Lease.Revoke reclaimed) and OnRetire (a booking that left the book).
 package lease
 
 import (
@@ -28,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -68,7 +78,9 @@ type Manager struct {
 	capacity int64
 	inUse    int64
 	waiters  []*waiter
-	hooks    Hooks
+	// onRevoke is told of each tenure the watchdog (or Lease.Revoke)
+	// reclaims; see OnRevoke.
+	onRevoke func(*Lease)
 
 	// wire, when non-nil, is the unreliable channel between holders and
 	// the manager: lease control messages (release, renew) may be
@@ -85,14 +97,19 @@ type Manager struct {
 	// no-double-allocation invariant is outstanding <= capacity.
 	outstanding int64
 
-	// Stats, readable at any point under the engine token.
+	// Stats, readable at any point under the engine token; Observe
+	// exports them.
 	Acquires int64 // granted tenures (leased or raw)
 	Rejects  int64 // TryAcquire/TryTake failures
 	Timeouts int64 // waiters abandoned by cancellation
 	Revokes  int64 // tenures forcibly reclaimed by the watchdog
-	Drops    int64 // lease control messages swallowed by the wire
-	Dups     int64 // lease control messages duplicated by the wire
-	Stales   int64 // stale-epoch operations fenced off (fenced wire only)
+	// RevokedUnits counts the units those revocations reclaimed: on a
+	// reservation book's tenure manager this is exactly the dead-window
+	// capacity (booked but revoked units) the FigRes sweep measures.
+	RevokedUnits int64
+	Drops        int64 // lease control messages swallowed by the wire
+	Dups         int64 // lease control messages duplicated by the wire
+	Stales       int64 // stale-epoch operations fenced off (fenced wire only)
 
 	clients map[string]*ClientStats
 	order   []string
@@ -142,6 +159,53 @@ func New(e Clock, name string, capacity int64, quantum time.Duration) *Manager {
 	}
 	return &Manager{eng: e, name: name, quantum: quantum, capacity: capacity}
 }
+
+// Family names of the manager's ledger, as Observe registers them.
+const (
+	MGrants       = "grid_lease_grants_total"
+	MRejects      = "grid_lease_rejects_total"
+	MTimeouts     = "grid_lease_timeouts_total"
+	MRevokes      = "grid_lease_revokes_total"
+	MRevokedUnits = "grid_lease_revoked_units_total"
+	MDrops        = "grid_lease_msg_drops_total"
+	MDups         = "grid_lease_msg_dups_total"
+	MStales       = "grid_lease_stale_total"
+	MInUse        = "grid_lease_units_inuse"
+	MQueue        = "grid_lease_queue_depth"
+	MCapacity     = "grid_lease_capacity_units"
+	MOutstanding  = "grid_lease_outstanding_units"
+)
+
+// Observe registers the manager's ledger with sc under the resource
+// label: each family reads its field at sample time, so the ledger is
+// counted once, here, on every backend. The sampler runs under the
+// host's token or lock, like every other method.
+func (m *Manager) Observe(sc *obs.Scope, resource string) {
+	counter(sc, resource, MGrants, "Tenures granted (leased or raw).", &m.Acquires)
+	counter(sc, resource, MRejects, "Try-acquire failures.", &m.Rejects)
+	counter(sc, resource, MTimeouts, "Waiters abandoned by cancellation.", &m.Timeouts)
+	counter(sc, resource, MRevokes, "Tenures reclaimed by the expiry watchdog.", &m.Revokes)
+	counter(sc, resource, MRevokedUnits, "Units reclaimed by revocation (dead-window capacity).", &m.RevokedUnits)
+	counter(sc, resource, MDrops, "Lease-control messages the channel dropped.", &m.Drops)
+	counter(sc, resource, MDups, "Lease-control messages the channel duplicated.", &m.Dups)
+	counter(sc, resource, MStales, "Stale-epoch messages the fence rejected.", &m.Stales)
+	sc.GaugeFunc(MInUse, "Units currently held.", func() float64 { return float64(m.inUse) }, "resource", resource)
+	sc.GaugeFunc(MQueue, "Processes waiting to acquire.", func() float64 { return float64(m.QueueLen()) }, "resource", resource)
+	sc.GaugeFunc(MCapacity, "Total units.", func() float64 { return float64(m.capacity) }, "resource", resource)
+	sc.GaugeFunc(MOutstanding, "Units across live grants (ground truth).", func() float64 { return float64(m.outstanding) }, "resource", resource)
+}
+
+// counter registers the ledger field n with sc as a polled counter
+// under the resource label.
+func counter(sc *obs.Scope, resource, name, help string, n *int64) {
+	sc.CounterFunc(name, help, func() float64 { return float64(*n) }, "resource", resource)
+}
+
+// OnRevoke tells fn of each tenure the watchdog (or Lease.Revoke)
+// reclaims, so a host that keeps its own table of live leases —
+// gridd's wire ids — can drop the entry. Install it before the run
+// starts (engine token).
+func (m *Manager) OnRevoke(fn func(*Lease)) { m.onRevoke = fn }
 
 // Name returns the resource's diagnostic name.
 func (m *Manager) Name() string { return m.name }
@@ -288,7 +352,7 @@ func (m *Manager) TryTake(units int64) bool {
 		m.take(units)
 		return true
 	}
-	m.noteReject()
+	m.Rejects++
 	return false
 }
 
@@ -316,7 +380,7 @@ func (m *Manager) Take(p Parker, ctx context.Context, units int64) error {
 func (m *Manager) take(units int64) {
 	m.inUse += units
 	m.outstanding += units
-	m.noteGrant()
+	m.Acquires++
 }
 
 // Put returns units taken with TryTake or Take. Returning more than was
@@ -340,7 +404,7 @@ func (m *Manager) TryAcquireFor(p Parker, ctx context.Context, holder string, un
 	if m.fits(units) && m.QueueLen() == 0 {
 		return m.GrantFor(p, ctx, holder, units, d), true
 	}
-	m.noteReject()
+	m.Rejects++
 	m.stats(holder).Rejects++
 	m.NoteWant(holder)
 	return nil, false
@@ -391,7 +455,7 @@ func (m *Manager) wait(p Parker, ctx context.Context, units int64) (int64, error
 	herr := p.Hang(wctx)
 	if !w.granted {
 		w.gone = true
-		m.noteTimeout()
+		m.Timeouts++
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -414,7 +478,7 @@ func (m *Manager) Grant(p Parker, ctx context.Context, holder string, units int6
 func (m *Manager) GrantFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) *Lease {
 	st := m.stats(holder)
 	m.inUse += units
-	m.noteGrant()
+	m.Acquires++
 	st.Grants++
 	m.endWait(st)
 	return m.newLease(p, ctx, holder, units, d)
@@ -448,7 +512,7 @@ func (m *Manager) grantWaiters() {
 		m.waiters = m.waiters[1:]
 		w.granted = true
 		m.inUse += w.units
-		m.noteGrant()
+		m.Acquires++
 		w.ordinal = m.Acquires
 		w.cancel()
 	}
@@ -647,7 +711,12 @@ func (l *Lease) expire() {
 		return
 	}
 	l.revoked = true
-	l.m.noteRevoke(l)
+	l.m.Revokes++
+	l.m.RevokedUnits += l.units
+	l.m.stats(l.holder).Revokes++
+	if l.m.onRevoke != nil {
+		l.m.onRevoke(l)
+	}
 	l.tr.Revoke(l.m.name, l.units)
 	if l.cancel != nil {
 		l.cancel() // a no-op when the wire already canceled at the lost release

@@ -85,7 +85,7 @@ func (m *Manager) releaseLoose(units int64) {
 // hazard the ablation measures.
 func (m *Manager) Late(units int64) (fenced bool) {
 	if m.Fenced() {
-		m.noteStale()
+		m.Stales++
 		return true
 	}
 	m.releaseLoose(units)
@@ -121,10 +121,10 @@ func (w *wire) grant(l *Lease) {
 	if !f.Dup {
 		return
 	}
-	m.noteDup()
+	m.Dups++
 	l.tr.MsgDup(m.name)
 	if w.fenced {
-		m.noteStale()
+		m.Stales++
 		l.tr.Stale(m.name, l.units)
 		return
 	}
@@ -143,7 +143,7 @@ func (w *wire) renew(l *Lease, d time.Duration) bool {
 	switch {
 	case f.Drop || f.Err != nil:
 		// Lost: the holder believes it renewed; the watchdog does not.
-		m.noteDrop()
+		m.Drops++
 		l.tr.MsgDrop(m.name)
 		return true
 	case f.Delay > 0:
@@ -156,7 +156,7 @@ func (w *wire) renew(l *Lease, d time.Duration) bool {
 		m.eng.Schedule(f.Delay, func() {
 			if l.done || l.revoked {
 				if w.fenced {
-					m.noteStale()
+					m.Stales++
 					l.tr.Stale(m.name, l.units)
 				}
 				// Unfenced: renewing a dead tenure re-arms nothing —
@@ -169,7 +169,7 @@ func (w *wire) renew(l *Lease, d time.Duration) bool {
 	case f.Dup:
 		// A duplicated renewal is idempotent — both copies set the same
 		// deadline — so apply once and count the copy.
-		m.noteDup()
+		m.Dups++
 		l.tr.MsgDup(m.name)
 		return false
 	}
@@ -189,7 +189,7 @@ func (w *wire) release(l *Lease) bool {
 		// Lost: the manager never hears the end. The watchdog (if any)
 		// reclaims the units at the old deadline; without one the units
 		// leak — which is why partitions need tenure quanta.
-		m.noteDrop()
+		m.Drops++
 		l.tr.MsgDrop(m.name)
 		l.lost = true
 		if l.cancel != nil {
@@ -219,7 +219,7 @@ func (w *wire) release(l *Lease) bool {
 		m.retire(l.epoch)
 		m.release(l.units)
 		l.tr.Release(m.name, l.units)
-		m.noteDup()
+		m.Dups++
 		l.tr.MsgDup(m.name)
 		if m.Late(l.units) {
 			l.tr.Stale(m.name, l.units)

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/metrics"
 )
 
 // fmtFloat renders a float the same way everywhere (shortest
@@ -26,39 +23,29 @@ func escapeLabel(v string) string {
 }
 
 // promLabels renders {k="v",...} (empty string when unlabeled).
-func promLabels(keys, vals []string, extra ...string) string {
-	if len(keys) == 0 && len(extra) == 0 {
+func promLabels(keys, vals []string) string {
+	if len(keys) == 0 {
 		return ""
 	}
 	var b strings.Builder
 	b.WriteByte('{')
-	first := true
-	emit := func(k, v string) {
-		if !first {
+	for i, k := range keys {
+		if i > 0 {
 			b.WriteByte(',')
 		}
-		first = false
 		b.WriteString(k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(v))
+		b.WriteString(escapeLabel(vals[i]))
 		b.WriteByte('"')
-	}
-	for i, k := range keys {
-		emit(k, vals[i])
-	}
-	for i := 0; i < len(extra); i += 2 {
-		emit(extra[i], extra[i+1])
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
 // WriteProm writes the registry's current state in the Prometheus text
-// exposition format, families sorted by name. Counters and gauges
-// expose their instantaneous value; histograms are exposed as a
-// summary (quantile-labeled samples plus _sum and _count). Polled
-// gauges expose their cached last sample and never call their
-// callback here, so exposition cannot race the engine.
+// exposition format, families sorted by name: each instrument's cached
+// last sample. It never calls an instrument's function, so exposition
+// cannot race the engine.
 func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -70,39 +57,12 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			return err
 		}
 		for _, c := range f.children {
-			if err := writePromChild(w, f, c); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.keys, c.vals), fmtFloat(c.Value())); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-func writePromChild(w io.Writer, f *Family, c instrument) error {
-	switch h := c.(type) {
-	case *Histogram:
-		h.mu.Lock()
-		qs := [3]float64{h.h.P50(), h.h.P95(), h.h.P99()}
-		sum, n := h.h.Sum, h.h.Count
-		h.mu.Unlock()
-		for i, q := range []string{"0.5", "0.95", "0.99"} {
-			v := qs[i]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.keys, h.vals, "quantile", q), fmtFloat(v)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, promLabels(f.keys, h.vals), fmtFloat(sum)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, promLabels(f.keys, h.vals), n)
-		return err
-	default:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.keys, c.labelVals()), fmtFloat(c.current()))
-		return err
-	}
 }
 
 // WriteJSONL dumps every sampled series, one JSON object per line, in
@@ -119,37 +79,34 @@ func (r *Registry) WriteJSONL(w io.Writer) error {
 	var b strings.Builder
 	for _, f := range r.fams {
 		for _, c := range f.children {
-			for _, s := range c.allSeries() {
-				b.Reset()
-				writeSeriesJSON(&b, f, c, s)
-				if _, err := io.WriteString(w, b.String()); err != nil {
-					return err
-				}
+			b.Reset()
+			writeSeriesJSON(&b, f, c)
+			if _, err := io.WriteString(w, b.String()); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-func writeSeriesJSON(b *strings.Builder, f *Family, c instrument, s *metrics.Series) {
+func writeSeriesJSON(b *strings.Builder, f *Family, c *Polled) {
 	b.WriteString(`{"name":`)
-	b.WriteString(strconv.Quote(s.Name))
+	b.WriteString(strconv.Quote(c.series.Name))
 	b.WriteString(`,"family":`)
 	b.WriteString(strconv.Quote(f.name))
 	b.WriteString(`,"kind":"`)
 	b.WriteString(f.kind.String())
 	b.WriteString(`","labels":{`)
-	vals := c.labelVals()
 	for i, k := range f.keys {
 		if i > 0 {
 			b.WriteByte(',')
 		}
 		b.WriteString(strconv.Quote(k))
 		b.WriteByte(':')
-		b.WriteString(strconv.Quote(vals[i]))
+		b.WriteString(strconv.Quote(c.vals[i]))
 	}
 	b.WriteString(`},"points":[`)
-	for i, p := range s.Points {
+	for i, p := range c.series.Points {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -181,64 +138,27 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 	var b strings.Builder
 	for _, f := range r.fams {
 		for _, c := range f.children {
-			for _, s := range c.allSeries() {
-				b.Reset()
-				name := s.Name
-				if strings.ContainsAny(name, ",\"\n") {
-					name = `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
+			b.Reset()
+			name := c.series.Name
+			if strings.ContainsAny(name, ",\"\n") {
+				name = `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
+			}
+			for _, p := range c.series.Points {
+				b.WriteString(name)
+				b.WriteByte(',')
+				b.WriteString(strconv.FormatInt(int64(p.T), 10))
+				b.WriteByte(',')
+				if math.IsNaN(p.V) || math.IsInf(p.V, 0) {
+					b.WriteString("NaN")
+				} else {
+					b.WriteString(fmtFloat(p.V))
 				}
-				for _, p := range s.Points {
-					b.WriteString(name)
-					b.WriteByte(',')
-					b.WriteString(strconv.FormatInt(int64(p.T), 10))
-					b.WriteByte(',')
-					if math.IsNaN(p.V) || math.IsInf(p.V, 0) {
-						b.WriteString("NaN")
-					} else {
-						b.WriteString(fmtFloat(p.V))
-					}
-					b.WriteByte('\n')
-				}
-				if _, err := io.WriteString(w, b.String()); err != nil {
-					return err
-				}
+				b.WriteByte('\n')
+			}
+			if _, err := io.WriteString(w, b.String()); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
-}
-
-// SeriesNames returns every sampled series name in registration order
-// (test helper).
-func (r *Registry) SeriesNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var names []string
-	for _, f := range r.fams {
-		for _, c := range f.children {
-			for _, s := range c.allSeries() {
-				names = append(names, s.Name)
-			}
-		}
-	}
-	return names
-}
-
-// FamilyNames returns the registered family names, sorted (test
-// helper).
-func (r *Registry) FamilyNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,31 +1,34 @@
 // Package obs is the flight recorder: a metrics registry whose
-// instruments — counters, gauges, polled gauges, and quantile
-// histograms, grouped into labeled families — are periodically sampled
-// into bounded time series on the *backend clock*, then exported as
-// Prometheus text, JSONL/CSV time-series dumps, or served live over
-// HTTP (see export.go and http.go).
+// instruments — polled counters and gauges, grouped into labeled
+// families — are periodically sampled into bounded time series on the
+// *backend clock*, then exported as Prometheus text, JSONL/CSV
+// time-series dumps, or served live over HTTP (see export.go and
+// http.go).
 //
 // Where internal/metrics holds the figures themselves and
-// internal/trace records every event, obs sits in between: cheap
-// always-on counters plus a clock-driven sampler that turns them into
-// "occupancy vs time" series at a chosen resolution. On the simulator
-// the clock is virtual, so a dump is a pure function of the seed
+// internal/trace records every event, obs sits in between: a
+// clock-driven sampler that turns state the program already keeps into
+// "occupancy vs time" series at a chosen resolution. Every instrument
+// is a read of that state at sample time (a ledger field, a queue
+// length, an engine total), never a second count kept beside it, so an
+// instrumented hot path does no extra work at all. On the simulator the
+// clock is virtual, so a dump is a pure function of the seed
 // (byte-identical across runs and across -parallel settings, via
 // Merge); on the live backend it is compressed wall time.
 //
 // Like the tracer, the whole API is nil-safe: a nil *Registry yields
-// nil scopes and nil instruments, and every hot-path method (Inc, Add,
-// Set, Observe) on a nil instrument is a single pointer check with
-// zero allocations — asserted by this package's benchmarks and its
+// nil scopes, a nil scope registers nothing and samples nothing, and
+// both are a single pointer check with zero allocations — asserted by
 // TestNilHotPathZeroAlloc. Instrumentation is therefore wired
 // unconditionally and costs nothing until a registry is armed.
 //
-// Concurrency: instrument writes are atomic (histograms take a small
-// private mutex), and the registry's structure plus every sampled
-// series is guarded by the registry mutex, so live-backend cells can
-// share one registry while an HTTP exporter reads it mid-run. On the
-// simulator everything additionally runs under the engine token, as
-// usual.
+// Concurrency: the registry's structure plus every sampled series is
+// guarded by the registry mutex, so live-backend cells can share one
+// registry while an HTTP exporter reads it mid-run. Sampling calls the
+// instruments' functions with that mutex held, so the caller of Sample
+// holds whatever guards the state they read (the engine token, or
+// gridd's monitor) and takes it before the registry's: host lock, then
+// registry lock, everywhere.
 package obs
 
 import (
@@ -44,21 +47,15 @@ type Kind uint8
 
 // Family kinds, matching the Prometheus exposition types.
 const (
-	KindCounter Kind = iota
-	KindGauge
-	KindHistogram // exposed as a Prometheus summary (quantiles)
+	KindCounter Kind = iota // a monotone count (its name ends in _total)
+	KindGauge               // an instantaneous level
 )
 
 func (k Kind) String() string {
-	switch k {
-	case KindCounter:
+	if k == KindCounter {
 		return "counter"
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "summary"
 	}
-	return "untyped"
+	return "gauge"
 }
 
 // DefaultSeriesCap bounds every sampled series (see metrics.Series
@@ -99,32 +96,15 @@ type Family struct {
 	name, help string
 	kind       Kind
 	keys       []string
-	children   []instrument
-	byKey      map[string]instrument
-}
-
-// instrument is the family-internal contract every concrete instrument
-// satisfies.
-type instrument interface {
-	labelVals() []string
-	// sample appends the instrument's current value(s) to its series
-	// at clock offset t. Registry lock held.
-	sample(t time.Duration)
-	// current is the instantaneous scalar used by CurrentTotal and the
-	// sweep progress reporter (for histograms, the observation count).
-	current() float64
-	// allSeries lists the instrument's sampled series for export.
-	allSeries() []*metrics.Series
-	// mergeFrom folds another cell's instrument of the same identity
-	// into this one (same concrete type by construction).
-	mergeFrom(o instrument)
+	children   []*Polled
+	byKey      map[string]*Polled
 }
 
 // family finds or creates a family under the registry lock.
 func (r *Registry) family(name, help string, kind Kind, keys []string) *Family {
 	f, ok := r.byName[name]
 	if !ok {
-		f = &Family{name: name, help: help, kind: kind, keys: keys, byKey: make(map[string]instrument)}
+		f = &Family{name: name, help: help, kind: kind, keys: keys, byKey: make(map[string]*Polled)}
 		r.fams = append(r.fams, f)
 		r.byName[name] = f
 	}
@@ -155,241 +135,58 @@ func seriesName(name string, keys, vals []string) string {
 	return b.String()
 }
 
-// newSeries mints a bounded series for one instrument. Registry lock
-// held.
-func (r *Registry) newSeries(name string, keys, vals []string, suffix string) *metrics.Series {
-	s := metrics.NewSeries(seriesName(name+suffix, keys, vals))
-	s.SetCap(r.seriesCap)
-	return s
-}
-
-// meta is the label identity and sampled series shared by the scalar
-// instruments.
-type meta struct {
+// Polled is the one kind of instrument: a function of state the program
+// already keeps, called at sample time. The function runs under
+// whatever lock protects that state (on a backend, the engine token —
+// Scope.Sample is driven by backend timers; in gridd, the monitor);
+// exposition never calls it, reading the cached last sample instead, so
+// an HTTP exporter cannot race the engine.
+type Polled struct {
+	fn     func() float64
+	last   atomic.Uint64
 	vals   []string
 	series *metrics.Series
 }
 
-func (m *meta) labelVals() []string               { return m.vals }
-func (m *meta) allSeries() []*metrics.Series      { return []*metrics.Series{m.series} }
-func (m *meta) record(t time.Duration, v float64) { m.series.Add(t, v) }
-
-// Counter is a monotonically increasing count. All methods are nil-safe
-// and allocation-free.
-type Counter struct {
-	n atomic.Int64
-	meta
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.n.Add(1)
-	}
-}
-
-// Add adds n (negative deltas are a caller bug; they are not checked
-// on the hot path).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.n.Add(n)
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.n.Load()
-}
-
-func (c *Counter) sample(t time.Duration) { c.record(t, float64(c.n.Load())) }
-func (c *Counter) current() float64       { return float64(c.n.Load()) }
-func (c *Counter) mergeFrom(o instrument) {
-	oc := o.(*Counter)
-	c.n.Add(oc.n.Load())
-	appendPoints(c.series, oc.series)
-}
-
-// Gauge is an instantaneous value. All methods are nil-safe and
-// allocation-free.
-type Gauge struct {
-	bits atomic.Uint64
-	meta
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adds d to the current value.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-func (g *Gauge) sample(t time.Duration) { g.record(t, g.Value()) }
-func (g *Gauge) current() float64       { return g.Value() }
-func (g *Gauge) mergeFrom(o instrument) {
-	og := o.(*Gauge)
-	g.bits.Store(og.bits.Load())
-	appendPoints(g.series, og.series)
-}
-
-// FuncGauge polls a callback at sample time. The callback runs under
-// whatever lock protects the sampled state (on a backend, the engine
-// token — Scope.Sample is driven by backend timers); exposition never
-// calls it, reading the cached last sample instead, so an HTTP
-// exporter cannot race the engine.
-type FuncGauge struct {
-	fn   func() float64
-	last atomic.Uint64
-	meta
-}
-
 // Value returns the last sampled value (0 on nil or before the first
 // sample).
-func (g *FuncGauge) Value() float64 {
-	if g == nil {
+func (p *Polled) Value() float64 {
+	if p == nil {
 		return 0
 	}
-	return math.Float64frombits(g.last.Load())
+	return math.Float64frombits(p.last.Load())
 }
 
-func (g *FuncGauge) sample(t time.Duration) {
-	v := g.fn()
-	g.last.Store(math.Float64bits(v))
-	g.record(t, v)
-}
-func (g *FuncGauge) current() float64 { return g.Value() }
-func (g *FuncGauge) mergeFrom(o instrument) {
-	og := o.(*FuncGauge)
-	g.last.Store(og.last.Load())
-	appendPoints(g.series, og.series)
+// sample polls the function and appends its value to the series at
+// clock offset t. Registry lock held.
+func (p *Polled) sample(t time.Duration) {
+	v := p.fn()
+	p.last.Store(math.Float64bits(v))
+	p.series.Add(t, v)
 }
 
-// Histogram accumulates observations into summary statistics plus a
-// deterministic fixed-size reservoir (metrics.Histogram); sampling
-// records its P50/P95/P99 and count as four series. Observe is
-// nil-safe; when enabled it takes a private mutex, so it is safe from
-// concurrent live-backend processes.
-type Histogram struct {
-	mu   sync.Mutex
-	h    *metrics.Histogram
-	vals []string
-	q    [4]*metrics.Series // p50, p95, p99, count
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.h.Observe(v)
-	h.mu.Unlock()
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Count
-}
-
-// Quantile returns the q-th quantile of the observations (0 on nil).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Quantile(q)
-}
-
-func (h *Histogram) labelVals() []string { return h.vals }
-func (h *Histogram) sample(t time.Duration) {
-	h.mu.Lock()
-	p50, p95, p99, n := h.h.P50(), h.h.P95(), h.h.P99(), h.h.Count
-	h.mu.Unlock()
-	h.q[0].Add(t, p50)
-	h.q[1].Add(t, p95)
-	h.q[2].Add(t, p99)
-	h.q[3].Add(t, float64(n))
-}
-func (h *Histogram) current() float64 { return float64(h.Count()) }
-func (h *Histogram) allSeries() []*metrics.Series {
-	return []*metrics.Series{h.q[0], h.q[1], h.q[2], h.q[3]}
-}
-func (h *Histogram) mergeFrom(o instrument) {
-	oh := o.(*Histogram)
-	oh.mu.Lock()
-	// Fold the summary moments; the reservoir keeps this cell's samples.
-	h.h.Count += oh.h.Count
-	h.h.Sum += oh.h.Sum
-	h.h.SumSquares += oh.h.SumSquares
-	if oh.h.MinV < h.h.MinV {
-		h.h.MinV = oh.h.MinV
-	}
-	if oh.h.MaxV > h.h.MaxV {
-		h.h.MaxV = oh.h.MaxV
-	}
-	oh.mu.Unlock()
-	for i := range h.q {
-		appendPoints(h.q[i], oh.q[i])
-	}
-}
-
-// appendPoints appends o's retained points to s (merge path only; the
-// per-series cap applies to future Adds, not to an explicit merge).
-func appendPoints(s, o *metrics.Series) {
-	s.Points = append(s.Points, o.Points...)
+// mergeFrom folds another registry's instrument of the same identity
+// into p: its points follow p's, and its last sample becomes p's (the
+// per-series cap applies to future samples, not to an explicit merge).
+func (p *Polled) mergeFrom(o *Polled) {
+	p.last.Store(o.last.Load())
+	p.series.Points = append(p.series.Points, o.series.Points...)
 }
 
 // Scope is the per-cell instrumentation handle: a clock (the cell
 // backend's Elapsed), a base label set stamped onto every instrument
 // (the cell identity), and the list of instruments Sample walks. A nil
-// Scope — from a nil Registry — returns nil instruments and samples
-// nothing.
+// Scope — from a nil Registry — registers nothing and samples nothing.
 type Scope struct {
 	r     *Registry
 	clock func() time.Duration
 	base  []string // alternating key, value
-	items []instrument
+	items []*Polled
 }
 
 // NewScope returns an instrumentation scope whose samples are stamped
 // with the clock's offsets and whose instruments all carry the base
-// labels (alternating key, value — L is a readable way to build them).
+// labels (alternating key, value).
 func (r *Registry) NewScope(clock func() time.Duration, base ...string) *Scope {
 	if r == nil {
 		return nil
@@ -399,10 +196,6 @@ func (r *Registry) NewScope(clock func() time.Duration, base ...string) *Scope {
 	}
 	return &Scope{r: r, clock: clock, base: base}
 }
-
-// L builds an alternating key-value label list; it exists purely to
-// make call sites read as L("disc", "Ethernet", "n", "400").
-func L(kv ...string) []string { return kv }
 
 // labels merges the scope's base labels with kv into parallel key and
 // value slices.
@@ -424,106 +217,51 @@ func (s *Scope) labels(kv []string) (keys, vals []string) {
 	return keys, vals
 }
 
-// child finds or creates the instrument for (name, labels), returning
-// (existing, true) when it was already registered. Registry lock held.
-func (f *Family) child(vals []string) (instrument, bool) {
-	c, ok := f.byKey[labelKey(vals)]
-	return c, ok
-}
-
-func (f *Family) addChild(vals []string, c instrument) {
-	f.children = append(f.children, c)
-	f.byKey[labelKey(vals)] = c
-}
-
-// Counter registers (or finds) a counter in the named family, with the
-// scope's base labels plus kv.
-func (s *Scope) Counter(name, help string, kv ...string) *Counter {
-	if s == nil {
-		return nil
-	}
-	keys, vals := s.labels(kv)
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	f := s.r.family(name, help, KindCounter, keys)
-	if c, ok := f.child(vals); ok {
-		return s.track(c).(*Counter)
-	}
-	c := &Counter{meta: meta{vals: vals, series: s.r.newSeries(name, keys, vals, "")}}
-	f.addChild(vals, c)
-	return s.track(c).(*Counter)
-}
-
-// Gauge registers (or finds) a gauge in the named family.
-func (s *Scope) Gauge(name, help string, kv ...string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	keys, vals := s.labels(kv)
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	f := s.r.family(name, help, KindGauge, keys)
-	if c, ok := f.child(vals); ok {
-		return s.track(c).(*Gauge)
-	}
-	g := &Gauge{meta: meta{vals: vals, series: s.r.newSeries(name, keys, vals, "")}}
-	f.addChild(vals, g)
-	return s.track(g).(*Gauge)
-}
-
 // GaugeFunc registers a polled gauge: fn is called at each Sample (and
-// only then — see FuncGauge). Unlike the find-or-create instruments a
-// polled gauge is its closure, so registering the same family and label
-// values twice is a bug in the caller — handing back the first gauge
-// would keep polling the first closure's state, from the second
-// caller's clock and lock — and panics, naming the series.
-func (s *Scope) GaugeFunc(name, help string, fn func() float64, kv ...string) *FuncGauge {
+// only then — see Polled), and the family is exposed as a gauge.
+func (s *Scope) GaugeFunc(name, help string, fn func() float64, kv ...string) *Polled {
+	return s.polled(KindGauge, name, help, fn, kv)
+}
+
+// CounterFunc registers a polled counter: a GaugeFunc whose family is
+// exposed as a counter, for a monotone count the program keeps anyway
+// (a ledger field, an engine total). By convention its name ends in
+// _total.
+func (s *Scope) CounterFunc(name, help string, fn func() float64, kv ...string) *Polled {
+	return s.polled(KindCounter, name, help, fn, kv)
+}
+
+// polled registers fn in the named family, with the scope's base
+// labels plus kv. A polled instrument is its closure, so registering
+// the same family and label values twice is a bug in the caller —
+// handing back the first instrument would keep polling the first
+// closure's state, from the second caller's clock and lock — and
+// panics, naming the series.
+func (s *Scope) polled(kind Kind, name, help string, fn func() float64, kv []string) *Polled {
 	if s == nil {
 		return nil
 	}
 	keys, vals := s.labels(kv)
 	s.r.mu.Lock()
 	defer s.r.mu.Unlock()
-	f := s.r.family(name, help, KindGauge, keys)
-	if _, ok := f.child(vals); ok {
-		panic("obs: polled gauge " + seriesName(name, keys, vals) + " registered twice")
+	f := s.r.family(name, help, kind, keys)
+	key := labelKey(vals)
+	if _, ok := f.byKey[key]; ok {
+		panic("obs: polled instrument " + seriesName(name, keys, vals) + " registered twice")
 	}
-	g := &FuncGauge{fn: fn, meta: meta{vals: vals, series: s.r.newSeries(name, keys, vals, "")}}
-	f.addChild(vals, g)
-	return s.track(g).(*FuncGauge)
-}
-
-// Histogram registers (or finds) a quantile histogram in the named
-// family.
-func (s *Scope) Histogram(name, help string, kv ...string) *Histogram {
-	if s == nil {
-		return nil
-	}
-	keys, vals := s.labels(kv)
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	f := s.r.family(name, help, KindHistogram, keys)
-	if c, ok := f.child(vals); ok {
-		return s.track(c).(*Histogram)
-	}
-	h := &Histogram{h: metrics.NewHistogram(name), vals: vals}
-	h.q[0] = s.r.newSeries(name, keys, vals, "_p50")
-	h.q[1] = s.r.newSeries(name, keys, vals, "_p95")
-	h.q[2] = s.r.newSeries(name, keys, vals, "_p99")
-	h.q[3] = s.r.newSeries(name, keys, vals, "_count")
-	f.addChild(vals, h)
-	return s.track(h).(*Histogram)
-}
-
-// track adds the instrument to the scope's sample list.
-func (s *Scope) track(c instrument) instrument {
-	s.items = append(s.items, c)
-	return c
+	series := metrics.NewSeries(seriesName(name, keys, vals))
+	series.SetCap(s.r.seriesCap)
+	p := &Polled{fn: fn, vals: vals, series: series}
+	f.children = append(f.children, p)
+	f.byKey[key] = p
+	s.items = append(s.items, p)
+	return p
 }
 
 // Sample appends every scoped instrument's current value to its series
-// at the scope clock's current offset. Call it from a backend timer so
-// polled gauges read engine state under the engine token.
+// at the scope clock's current offset. Call it from a backend timer, or
+// with the host's lock held, so the functions read state under the lock
+// that guards it.
 func (s *Scope) Sample() {
 	if s == nil {
 		return
@@ -531,8 +269,8 @@ func (s *Scope) Sample() {
 	t := s.clock()
 	s.r.mu.Lock()
 	defer s.r.mu.Unlock()
-	for _, it := range s.items {
-		it.sample(t)
+	for _, p := range s.items {
+		p.sample(t)
 	}
 }
 
@@ -550,17 +288,19 @@ func (r *Registry) Merge(o *Registry) {
 	for _, of := range o.fams {
 		f := r.family(of.name, of.help, of.kind, of.keys)
 		for _, oc := range of.children {
-			if c, ok := f.child(oc.labelVals()); ok {
+			key := labelKey(oc.vals)
+			if c, ok := f.byKey[key]; ok {
 				c.mergeFrom(oc)
 				continue
 			}
-			f.addChild(oc.labelVals(), oc)
+			f.children = append(f.children, oc)
+			f.byKey[key] = oc
 		}
 	}
 }
 
-// CurrentTotal sums the instantaneous values of every instrument in
-// the named family (0 when absent): the sweep progress reporter reads
+// CurrentTotal sums the last sampled values of every instrument in the
+// named family (0 when absent): the sweep progress reporter reads
 // engine event totals through it.
 func (r *Registry) CurrentTotal(name string) float64 {
 	if r == nil {
@@ -574,7 +314,7 @@ func (r *Registry) CurrentTotal(name string) float64 {
 	}
 	var sum float64
 	for _, c := range f.children {
-		sum += c.current()
+		sum += c.Value()
 	}
 	return sum
 }
@@ -588,9 +328,7 @@ func (r *Registry) SeriesCount() int {
 	defer r.mu.Unlock()
 	n := 0
 	for _, f := range r.fams {
-		for _, c := range f.children {
-			n += len(c.allSeries())
-		}
+		n += len(f.children)
 	}
 	return n
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -20,19 +22,10 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if s != nil {
 		t.Fatalf("nil registry produced non-nil scope")
 	}
-	c := s.Counter("c_total", "help")
-	g := s.Gauge("g", "help")
+	fc := s.CounterFunc("c_total", "help", func() float64 { t.Fatal("fn called on nil scope"); return 0 })
 	fg := s.GaugeFunc("fg", "help", func() float64 { t.Fatal("fn called on nil scope"); return 0 })
-	h := s.Histogram("h", "help")
-	c.Inc()
-	c.Add(5)
-	g.Set(3)
-	g.Add(1)
-	g.Inc()
-	g.Dec()
-	h.Observe(1.5)
 	s.Sample()
-	if c.Value() != 0 || g.Value() != 0 || fg.Value() != 0 || h.Count() != 0 {
+	if fc.Value() != 0 || fg.Value() != 0 {
 		t.Fatalf("nil instruments reported values")
 	}
 	if err := r.WriteProm(io.Discard); err != nil {
@@ -51,59 +44,36 @@ func TestScopeSampleAndSeries(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}
 	s := r.NewScope(clk.now, "disc", "Ethernet")
-	c := s.Counter("grid_attempts_total", "attempts")
-	g := s.Gauge("grid_busy", "busy units")
-	depth := 0.0
+	attempts, depth := 0, 0.0
+	c := s.CounterFunc("grid_attempts_total", "attempts", func() float64 { return float64(attempts) })
 	fg := s.GaugeFunc("grid_depth", "queue depth", func() float64 { return depth })
-	h := s.Histogram("grid_wait_seconds", "wait time")
 
-	c.Inc()
-	c.Add(2)
-	g.Set(4)
-	g.Dec()
-	depth = 7
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+	attempts, depth = 3, 7
+	if c.Value() != 0 || fg.Value() != 0 {
+		t.Fatalf("polled before the first sample: %v, %v", c.Value(), fg.Value())
 	}
 	clk.t = 10 * time.Millisecond
 	s.Sample()
+	attempts, depth = 5, 1 // read at the next sample, not before
 
 	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
-	}
-	if g.Value() != 3 {
-		t.Fatalf("gauge = %v, want 3", g.Value())
+		t.Fatalf("counter cached = %v, want 3", c.Value())
 	}
 	if fg.Value() != 7 {
-		t.Fatalf("func gauge cached = %v, want 7", fg.Value())
+		t.Fatalf("gauge cached = %v, want 7", fg.Value())
 	}
-	if got := h.Quantile(0.5); got < 49 || got > 52 {
-		t.Fatalf("histogram p50 = %v, want ~50", got)
-	}
-	names := r.SeriesNames()
-	want := []string{
-		`grid_attempts_total{disc=Ethernet}`,
-		`grid_busy{disc=Ethernet}`,
-		`grid_depth{disc=Ethernet}`,
-		`grid_wait_seconds_p50{disc=Ethernet}`,
-		`grid_wait_seconds_p95{disc=Ethernet}`,
-		`grid_wait_seconds_p99{disc=Ethernet}`,
-		`grid_wait_seconds_count{disc=Ethernet}`,
-	}
-	if len(names) != len(want) {
-		t.Fatalf("series = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("series[%d] = %q, want %q", i, names[i], want[i])
+	var names []string
+	for _, f := range r.fams {
+		for _, c := range f.children {
+			names = append(names, c.series.Name)
 		}
+	}
+	want := []string{`grid_attempts_total{disc=Ethernet}`, `grid_depth{disc=Ethernet}`}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("series = %v, want %v", names, want)
 	}
 	if got := r.CurrentTotal("grid_attempts_total"); got != 3 {
 		t.Fatalf("CurrentTotal = %v, want 3", got)
-	}
-	// A second registration with the same labels returns the same child.
-	if c2 := s.Counter("grid_attempts_total", "attempts"); c2 != c {
-		t.Fatalf("re-registration minted a new counter")
 	}
 }
 
@@ -114,11 +84,12 @@ func TestMergeEqualsSerial(t *testing.T) {
 		for cell, r := range regs {
 			clk := &fakeClock{}
 			s := r.NewScope(clk.now, "cell", fmt.Sprint(cell))
-			c := s.Counter("events_total", "events")
-			h := s.Histogram("wait", "wait")
+			events, wait := 0, 0.0
+			s.CounterFunc("events_total", "events", func() float64 { return float64(events) })
+			s.GaugeFunc("wait", "wait", func() float64 { return wait })
 			for i := 0; i < 50; i++ {
-				c.Inc()
-				h.Observe(float64(cell*100 + i))
+				events++
+				wait = float64(cell*100 + i)
 				clk.t += time.Millisecond
 				s.Sample()
 			}
@@ -143,23 +114,35 @@ func TestMergeEqualsSerial(t *testing.T) {
 	}
 }
 
+// TestMergeSameIdentityFoldsValues: merging an instrument of the same
+// identity appends its points after the receiver's and adopts its last
+// sample.
 func TestMergeSameIdentityFoldsValues(t *testing.T) {
 	a, b := New(), New()
-	clk := &fakeClock{}
+	clk := &fakeClock{t: time.Second}
 	sa := a.NewScope(clk.now, "disc", "Aloha")
+	sa.CounterFunc("n_total", "n", func() float64 { return 3 })
+	sa.Sample()
+	clk.t = 2 * time.Second
 	sb := b.NewScope(clk.now, "disc", "Aloha")
-	sa.Counter("n_total", "n").Add(3)
-	sb.Counter("n_total", "n").Add(4)
+	sb.CounterFunc("n_total", "n", func() float64 { return 7 })
+	sb.Sample()
 	a.Merge(b)
 	if got := a.CurrentTotal("n_total"); got != 7 {
 		t.Fatalf("merged counter total = %v, want 7", got)
 	}
+	var jb strings.Builder
+	if err := a.WriteJSONL(&jb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(jb.String(), `"points":[[1000000000,3],[2000000000,7]]`) {
+		t.Fatalf("merged series did not fold the points in order: %s", jb.String())
+	}
 }
 
-// TestGaugeFuncRegisteredTwicePanics: a polled gauge is its closure, so
-// a second scope registering the same series must fail loudly instead
-// of silently polling the first scope's state (find-or-create is right
-// for counters, which TestMergeSameIdentityFoldsValues pins).
+// TestGaugeFuncRegisteredTwicePanics: a polled instrument is its
+// closure, so a second scope registering the same series must fail
+// loudly instead of silently polling the first scope's state.
 func TestGaugeFuncRegisteredTwicePanics(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}
@@ -168,7 +151,7 @@ func TestGaugeFuncRegisteredTwicePanics(t *testing.T) {
 	// Another label value, and the same labels in another family, are
 	// different series.
 	r.NewScope(clk.now, "cell", "fig1/Ethernet/n2").GaugeFunc("depth", "d", func() float64 { return 2 })
-	first.GaugeFunc("width", "w", func() float64 { return 3 })
+	first.CounterFunc("width_total", "w", func() float64 { return 3 })
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "depth{cell=fig1/Ethernet/n1}") {
@@ -183,28 +166,21 @@ func TestWriteProm(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}
 	s := r.NewScope(clk.now, "disc", "Ethernet")
-	s.Counter("grid_attempts_total", "Total attempts.").Add(5)
-	h := s.Histogram("grid_wait", "Wait time.")
-	for i := 1; i <= 10; i++ {
-		h.Observe(float64(i))
-	}
+	s.CounterFunc("grid_attempts_total", "Total attempts.", func() float64 { return 5 })
+	s.GaugeFunc("grid_busy", "Busy units.", func() float64 { return 0.5 }, "resource", "fds")
+	s.Sample()
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{
-		"# HELP grid_attempts_total Total attempts.",
-		"# TYPE grid_attempts_total counter",
-		`grid_attempts_total{disc="Ethernet"} 5`,
-		"# TYPE grid_wait summary",
-		`grid_wait{disc="Ethernet",quantile="0.5"}`,
-		`grid_wait_sum{disc="Ethernet"} 55`,
-		`grid_wait_count{disc="Ethernet"} 10`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prom output missing %q:\n%s", want, out)
-		}
+	want := "# HELP grid_attempts_total Total attempts.\n" +
+		"# TYPE grid_attempts_total counter\n" +
+		`grid_attempts_total{disc="Ethernet"} 5` + "\n" +
+		"# HELP grid_busy Busy units.\n" +
+		"# TYPE grid_busy gauge\n" +
+		`grid_busy{disc="Ethernet",resource="fds"} 0.5` + "\n"
+	if b.String() != want {
+		t.Fatalf("prom output:\n got %q\nwant %q", b.String(), want)
 	}
 }
 
@@ -212,11 +188,12 @@ func TestWriteJSONLAndCSV(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}
 	s := r.NewScope(clk.now, "fig", "2")
-	g := s.Gauge("occupancy", "carrier occupancy")
-	g.Set(0.5)
+	occ, files := 0.5, 1
+	s.GaugeFunc("occupancy", "carrier occupancy", func() float64 { return occ })
+	s.CounterFunc("files_total", "files written", func() float64 { return float64(files) })
 	clk.t = time.Second
 	s.Sample()
-	g.Set(0.75)
+	occ, files = 0.75, 4
 	clk.t = 2 * time.Second
 	s.Sample()
 
@@ -224,7 +201,8 @@ func TestWriteJSONLAndCSV(t *testing.T) {
 	if err := r.WriteJSONL(&jb); err != nil {
 		t.Fatal(err)
 	}
-	wantJSON := `{"name":"occupancy{fig=2}","family":"occupancy","kind":"gauge","labels":{"fig":"2"},"points":[[1000000000,0.5],[2000000000,0.75]]}` + "\n"
+	wantJSON := `{"name":"occupancy{fig=2}","family":"occupancy","kind":"gauge","labels":{"fig":"2"},"points":[[1000000000,0.5],[2000000000,0.75]]}` + "\n" +
+		`{"name":"files_total{fig=2}","family":"files_total","kind":"counter","labels":{"fig":"2"},"points":[[1000000000,1],[2000000000,4]]}` + "\n"
 	if jb.String() != wantJSON {
 		t.Fatalf("jsonl:\n got %q\nwant %q", jb.String(), wantJSON)
 	}
@@ -235,7 +213,9 @@ func TestWriteJSONLAndCSV(t *testing.T) {
 	}
 	wantCSV := "series,t_ns,value\n" +
 		"occupancy{fig=2},1000000000,0.5\n" +
-		"occupancy{fig=2},2000000000,0.75\n"
+		"occupancy{fig=2},2000000000,0.75\n" +
+		"files_total{fig=2},1000000000,1\n" +
+		"files_total{fig=2},2000000000,4\n"
 	if cb.String() != wantCSV {
 		t.Fatalf("csv:\n got %q\nwant %q", cb.String(), wantCSV)
 	}
@@ -246,14 +226,14 @@ func TestSeriesCapAppliesToSampledSeries(t *testing.T) {
 	r.SetSeriesCap(64)
 	clk := &fakeClock{}
 	s := r.NewScope(clk.now)
-	g := s.Gauge("g", "g")
-	for i := 0; i < 100000; i++ {
-		g.Set(float64(i))
+	i := 0
+	s.CounterFunc("g_total", "g", func() float64 { return float64(i) })
+	for ; i < 100000; i++ {
 		clk.t += time.Millisecond
 		s.Sample()
 	}
 	r.mu.Lock()
-	n := len(r.fams[0].children[0].allSeries()[0].Points)
+	n := len(r.fams[0].children[0].series.Points)
 	r.mu.Unlock()
 	if n > 64 {
 		t.Fatalf("sampled series grew to %d points, cap 64", n)
@@ -264,7 +244,8 @@ func TestServeEndpoints(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}
 	s := r.NewScope(clk.now, "disc", "Ethernet")
-	s.Counter("grid_attempts_total", "attempts").Add(9)
+	s.CounterFunc("grid_attempts_total", "attempts", func() float64 { return 9 })
+	s.Sample()
 	srv, err := Serve("127.0.0.1:0", r, func() map[string]string {
 		return map[string]string{"backend": "live", "fig": "1"}
 	})
@@ -303,37 +284,51 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 func TestConcurrentWritesWithExposition(t *testing.T) {
-	// Live-backend shape: several goroutines hammer shared instruments
-	// while another samples and a third exports. Run under -race in CI.
+	// Live-backend shape: several goroutines advance the state the
+	// instruments read (under the host's lock) while others sample and
+	// export. Run under -race in CI.
 	r := New()
 	clk := &fakeClock{}
 	s := r.NewScope(clk.now, "cell", "0")
-	c := s.Counter("c_total", "c")
-	g := s.Gauge("g", "g")
-	h := s.Histogram("h", "h")
-	done := make(chan struct{})
+	var host sync.Mutex // the engine token / gridd monitor
+	var n int64
+	var level atomic.Int64
+	s.CounterFunc("c_total", "c", func() float64 { return float64(n) })
+	s.GaugeFunc("g", "g", func() float64 { return float64(level.Load()) })
+	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		go func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for j := 0; j < 5000; j++ {
-				c.Inc()
-				g.Add(1)
-				h.Observe(float64(i * j % 97))
+				host.Lock()
+				n++
+				host.Unlock()
+				level.Add(1)
 			}
-			done <- struct{}{}
-		}(i)
+		}()
 	}
+	wg.Add(2)
 	go func() {
+		defer wg.Done()
 		for j := 0; j < 200; j++ {
+			host.Lock() // host lock, then registry lock
 			s.Sample()
+			host.Unlock()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 200; j++ {
 			_ = r.WriteProm(io.Discard)
 			_ = r.CurrentTotal("c_total")
 		}
-		done <- struct{}{}
 	}()
-	for i := 0; i < 5; i++ {
-		<-done
-	}
-	if c.Value() != 20000 {
-		t.Fatalf("counter = %d, want 20000", c.Value())
+	wg.Wait()
+	host.Lock()
+	s.Sample()
+	host.Unlock()
+	if got := r.CurrentTotal("c_total"); got != 20000 {
+		t.Fatalf("counter = %v, want 20000", got)
 	}
 }

@@ -78,14 +78,11 @@ func FuzzWire(f *testing.F) {
 			}
 			h.ServeHTTP(httptest.NewRecorder(), req)
 			cancel()
-			srv.mon.Lock()
 			for _, name := range []string{"fenced", "jam"} {
-				if st := srv.res[name].stats(); st.Outstanding > st.Capacity || st.Phantoms != 0 || st.DoubleFrees != 0 {
-					srv.mon.Unlock()
+				if st, _ := srv.Stats(name); st.Outstanding > st.Capacity || st.Phantoms != 0 || st.DoubleFrees != 0 {
 					t.Fatalf("%s: ledger broken after copy %d of %s %s %q: %+v", name, copy+1, method, path, body, *st)
 				}
 			}
-			srv.mon.Unlock()
 		}
 	})
 }

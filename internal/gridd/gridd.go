@@ -10,21 +10,27 @@
 // per tenure, the per-holder starvation ledger), the book itself the
 // interval admission ledger behind /reserve and /claim, and the
 // manager's fence is what turns a late or duplicated operation into
-// core.ErrStale over the wire. What this package owns is what only a
-// daemon has: the monitor (one mutex, presented to internal/lease as
-// its clock and parker, so the state machine runs on the wall clock as
-// it runs on the simulator's), the tables from wire ids to live leases
-// and bookings, the daemon-only counters, and the two ways a resource
-// ends tenures on its own account: a housekeeping failure that crashes
-// it and revokes every grant (the broadcast jam of the submit
-// scenario), and graceful shutdown, which mirrors the live engine's
-// drain — new work is refused with a typed retriable error, in-flight
-// grants are waited out, and whatever remains is revoked in (deadline,
-// grant) order, exactly as live.Engine.Run fires leftover watchdogs.
+// core.ErrStale over the wire.
+//
+// The daemon is its operations, one typed call on Server per endpoint
+// (http.go is one codec over them), run on a host: the monitor — one
+// lock and the wall clock — or, in tests, a simulator engine, on which
+// they replay from a seed. Beside them the package owns the tables from
+// wire ids to live leases and bookings, the daemon-only counters, and
+// the two ways a resource ends tenures on its own account: a
+// housekeeping failure that crashes it and revokes every grant (the
+// broadcast jam of the submit scenario), and graceful shutdown, which
+// mirrors the live engine's drain — new work is refused with a typed
+// retriable error, in-flight grants are waited out, and whatever
+// remains is revoked in (deadline, grant) order, exactly as
+// live.Engine.Run fires leftover watchdogs.
 package gridd
 
 import (
 	"context"
+	"errors"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -55,44 +61,55 @@ type Config struct {
 	Resources []ResourceConfig
 }
 
-// Server hosts the resources. One mutex — the monitor — guards all
+// Server hosts the resources. One lock — the host's — guards all
 // state, the same discipline as the live engine, and every timer
 // callback takes it before touching anything.
 type Server struct {
-	mon      monitor
+	host     host
 	res      map[string]*resource
 	order    []*resource // creation order, for deterministic iteration
 	draining bool
 
 	// reg is the daemon's flight recorder and sc its one scope: every
 	// resource registers its families there when it is created, and
-	// /metrics samples it. Both happen under mon, so the lock order is
-	// monitor, then registry, everywhere.
+	// /metrics samples it. Both happen under the host's lock, so the
+	// lock order is host, then registry, everywhere.
 	reg *obs.Registry
 	sc  *obs.Scope
 }
 
-// NewServer builds a server hosting cfg.Resources.
+// NewServer builds a server hosting cfg.Resources on the monitor.
 func NewServer(cfg Config) *Server {
+	return newServer(&monitor{start: time.Now()}, cfg)
+}
+
+// newServer builds a server on h.
+func newServer(h host, cfg Config) *Server {
 	s := &Server{
-		mon: monitor{start: time.Now()},
-		res: make(map[string]*resource),
-		reg: obs.New(),
+		host: h,
+		res:  make(map[string]*resource),
+		reg:  obs.New(),
 	}
-	s.sc = s.reg.NewScope(s.mon.Elapsed)
-	s.mon.Lock()
-	defer s.mon.Unlock()
+	s.sc = s.reg.NewScope(h.Elapsed)
+	h.Lock()
+	defer h.Unlock()
 	for _, rc := range cfg.Resources {
 		s.createLocked(rc)
 	}
 	return s
 }
 
-// monitor is the daemon's one lock, presented to internal/lease as its
-// Clock: wall time since construction, timers whose callbacks take the
-// lock before they run, and plain contexts. It is to the daemon what
-// the engine token is to the simulator — everything in internal/lease
-// runs with it held, and a parked acquire gives it up (parked.Hang).
+// host is what the operations run on: internal/lease's clock, whose
+// timer callbacks take the lock, and the lock every operation holds.
+type host interface {
+	lease.Clock
+	sync.Locker
+}
+
+// monitor is the daemon's host: one mutex, and the wall clock since
+// construction. It is to the daemon what the engine token is to the
+// simulator. It is also the parker of every HTTP request: a long poll
+// that has to queue gives the lock up until its wait ends.
 type monitor struct {
 	sync.Mutex
 	start time.Time
@@ -131,36 +148,37 @@ func (m *monitor) Schedule(d time.Duration, fn func()) core.Timer {
 	return t
 }
 
-// parked is one long-polling acquire as the manager sees it (its
-// lease.Parker). The manager calls Hang only if the request has to
-// queue, so that is where it takes its FIFO position and leaves the
-// handle a crash or drain flushes it by, before it gives the lock up
-// until its wait context ends.
+// Hang parks the calling goroutine, lock given up, until ctx ends.
+func (m *monitor) Hang(ctx context.Context) error {
+	m.Unlock()
+	<-ctx.Done()
+	m.Lock()
+	return ctx.Err()
+}
+
+func (*monitor) Tracer() *trace.Client { return nil }
+
+// parked is a long-polling acquire's parker (the monitor, or a
+// simulator process) wrapped in the FIFO bookkeeping: the manager calls
+// Hang only if the request has to queue, so that is where it takes its
+// FIFO position and joins the list a crash or drain flushes.
 type parked struct {
-	r     *resource
-	flush context.CancelCauseFunc
-	seq   uint64 // FIFO position; 0 = granted without parking
+	lease.Parker
+	r      *resource
+	cancel context.CancelFunc // ends the wait
+	seq    uint64             // FIFO position; 0 = granted without parking
+	cause  string             // CodeDown or CodeDraining once flushed
 }
 
 func (p *parked) Hang(ctx context.Context) error {
 	r := p.r
 	r.wseq++
 	p.seq = r.wseq
-	r.parked[p.seq] = p.flush
-	r.srv.mon.Unlock()
-	<-ctx.Done()
-	r.srv.mon.Lock()
-	delete(r.parked, p.seq)
-	return context.Cause(ctx)
+	r.parked = append(r.parked, p)
+	err := p.Parker.Hang(ctx)
+	r.parked = slices.DeleteFunc(r.parked, func(q *parked) bool { return q == p })
+	return err
 }
-
-func (*parked) Tracer() *trace.Client { return nil }
-
-// flushed is why the server itself failed a parked acquire; its text is
-// the wire code the waiter answers with.
-type flushed string
-
-func (f flushed) Error() string { return string(f) }
 
 // quietWire is the fault injector of a wire that is a real socket: it
 // adds nothing, the faults arrive by themselves. Installing it is how
@@ -179,16 +197,16 @@ type resource struct {
 
 	// The id tables, wire ids to live state-machine objects. A lease's
 	// wire id is its fencing epoch, a booking's its admission ordinal.
-	// A row leaves when its tenure or window ends: the handler drops it
-	// on a release, the OnRevoke and OnRetire callbacks when a timer
-	// gets there first.
+	// A row leaves when its tenure or window ends: the Release
+	// operation drops it, the OnRevoke and OnRetire callbacks when a
+	// timer gets there first.
 	leases   map[uint64]held
 	bookings map[uint64]*lease.Reservation
-	parked   map[uint64]context.CancelCauseFunc // flush handles by FIFO position
+	parked   []*parked // the long polls in the queue, in FIFO order
 	wseq     uint64
 
 	down        bool
-	downUntil   time.Duration // on the monitor clock
+	downUntil   time.Duration // on the host clock
 	hk, restart core.Timer
 
 	// What only the daemon counts; the rest of StatsReply is read off
@@ -221,10 +239,9 @@ func (s *Server) createLocked(rc ResourceConfig) {
 	r := &resource{
 		srv:      s,
 		cfg:      rc,
-		book:     lease.NewBook(&s.mon, rc.Name, rc.Capacity),
+		book:     lease.NewBook(s.host, rc.Name, rc.Capacity),
 		leases:   make(map[uint64]held),
 		bookings: make(map[uint64]*lease.Reservation),
-		parked:   make(map[uint64]context.CancelCauseFunc),
 	}
 	r.mgr = r.book.Tenure()
 	r.mgr.SetWire(quietWire{}, rc.Name, !rc.Unfenced)
@@ -268,9 +285,10 @@ func (r *resource) admit(l *lease.Lease, resv *lease.Reservation, quantum time.D
 
 // flush fails every parked acquire with cause. A flushed waiter's
 // context is done, so the manager's pump skips it from here on.
-func (r *resource) flush(cause flushed) {
-	for _, cancel := range r.parked {
-		cancel(cause)
+func (r *resource) flush(cause string) {
+	for _, p := range r.parked {
+		p.cause = cause
+		p.cancel()
 	}
 }
 
@@ -314,27 +332,27 @@ func (r *resource) crash() {
 	if delay <= 0 {
 		delay = time.Second
 	}
-	r.downUntil = r.srv.mon.Elapsed() + delay
-	r.flush(flushed(CodeDown))
+	r.downUntil = r.srv.host.Elapsed() + delay
+	r.flush(CodeDown)
 	for _, h := range drainOrder(r) {
 		h.l.Revoke()
 	}
-	r.restart = r.srv.mon.Schedule(delay, func() { r.down = false })
+	r.restart = r.srv.host.Schedule(delay, func() { r.down = false })
 }
 
 // retryAfter is the down reply's hint: the time left until the outage
 // ends, in nanoseconds. The restart timer can fire and then wait on the
-// monitor while a handler still reads the resource as down, so the end
+// lock while an operation still reads the resource as down, so the end
 // may already be past; the hint is then 0 ("none"), never negative.
 func (r *resource) retryAfter() int64 {
-	return int64(max(r.downUntil-r.srv.mon.Elapsed(), 0))
+	return int64(max(r.downUntil-r.srv.host.Elapsed(), 0))
 }
 
 // armHousekeeping starts the periodic housekeeping loop: every
 // interval the daemon needs HousekeepUnits free units transiently;
 // not finding them is the overload signal that crashes the resource.
 func (r *resource) armHousekeeping() {
-	r.hk = r.srv.mon.Schedule(r.cfg.HousekeepInterval, func() {
+	r.hk = r.srv.host.Schedule(r.cfg.HousekeepInterval, func() {
 		if !r.down && r.cfg.HousekeepUnits > r.mgr.Free() {
 			r.crash()
 		}
@@ -360,12 +378,12 @@ type DrainRecord struct {
 // live.Engine.Run's drain semantics — and the firing order is returned
 // so tests can assert it. Bookings still open are forfeited, so no
 // timer outlives the daemon. Idempotent (a second call finds nothing
-// left to revoke); safe to call while handlers are in flight.
+// left to revoke); safe to call while operations are in flight.
 func (s *Server) Shutdown(ctx context.Context) []DrainRecord {
-	s.mon.Lock()
+	s.host.Lock()
 	s.draining = true
 	for _, r := range s.order {
-		r.flush(flushed(CodeDraining))
+		r.flush(CodeDraining)
 		for _, t := range []core.Timer{r.hk, r.restart} {
 			if t != nil {
 				t.Cancel()
@@ -373,7 +391,7 @@ func (s *Server) Shutdown(ctx context.Context) []DrainRecord {
 		}
 		r.down = false
 	}
-	s.mon.Unlock()
+	s.host.Unlock()
 
 	// Wait for in-flight grants to drain (their releases and watchdogs
 	// still run), polling on the wall clock.
@@ -384,8 +402,8 @@ func (s *Server) Shutdown(ctx context.Context) []DrainRecord {
 		}
 	}
 
-	s.mon.Lock()
-	defer s.mon.Unlock()
+	s.host.Lock()
+	defer s.host.Unlock()
 	var recs []DrainRecord
 	for _, h := range drainOrder(s.order...) {
 		deadline, _ := h.l.Deadline()
@@ -408,17 +426,323 @@ func (s *Server) Shutdown(ctx context.Context) []DrainRecord {
 
 // outstanding is the units still out across all resources.
 func (s *Server) outstanding() (tot int64) {
-	s.mon.Lock()
-	defer s.mon.Unlock()
+	s.host.Lock()
+	defer s.host.Unlock()
 	for _, r := range s.order {
 		tot += r.mgr.Outstanding()
 	}
 	return tot
 }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool {
-	s.mon.Lock()
-	defer s.mon.Unlock()
-	return s.draining
+// maxWindowNS bounds every duration a request carries. The daemon
+// clock is int64 nanoseconds; a span of 73 years is a malformed
+// request, and refusing it keeps now+span (and a reservation's
+// now+start+tenure) from wrapping.
+const maxWindowNS = math.MaxInt64 / 4
+
+// on runs fn on the named resource with the host's lock held: the
+// operations' one lookup. newWork is refused while the daemon drains.
+func on[Rep any](s *Server, name string, newWork bool, fn func(r *resource) (Rep, *ErrorReply)) (Rep, *ErrorReply) {
+	s.host.Lock()
+	defer s.host.Unlock()
+	r := s.res[name]
+	var none Rep
+	switch {
+	case newWork && s.draining:
+		return none, &ErrorReply{Code: CodeDraining, Message: "daemon draining"}
+	case r == nil:
+		return none, &ErrorReply{Code: CodeUnknown, Message: "no such resource: " + name}
+	}
+	return fn(r)
+}
+
+// Probe is carrier sense on the named resource.
+func (s *Server) Probe(name string) (*ProbeReply, *ErrorReply) {
+	return on(s, name, false, func(r *resource) (*ProbeReply, *ErrorReply) {
+		return &ProbeReply{
+			Resource: r.cfg.Name,
+			Capacity: r.mgr.Capacity(),
+			InUse:    r.mgr.InUse(),
+			Free:     max(r.mgr.Free(), 0),
+			Queue:    r.mgr.QueueLen(),
+			Down:     r.down,
+			Draining: s.draining,
+		}, nil
+	})
+}
+
+// busy is the refusal of an acquire with how far over the free units
+// it is — at least 1: a queue that may not be jumped is busy even when
+// units are free.
+func (r *resource) busy(units int64, msg string) *ErrorReply {
+	return &ErrorReply{Code: CodeBusy, Message: msg, Shortfall: max(units-max(r.mgr.Free(), 0), 1)}
+}
+
+// Acquire leases units. It is the one operation that can park: a long
+// poll that has to queue parks p, the caller (the monitor for an HTTP
+// request, or a simulator process), until it is granted, its wait runs
+// out, ctx ends, or a crash or drain flushes it.
+func (s *Server) Acquire(p lease.Parker, ctx context.Context, ar AcquireRequest) (*LeaseReply, *ErrorReply) {
+	switch {
+	case ar.Units <= 0:
+		return nil, &ErrorReply{Code: CodeBadRequest, Message: "units must be positive"}
+	case max(ar.QuantumNS, ar.WaitNS) > maxWindowNS:
+		return nil, &ErrorReply{Code: CodeBadRequest, Message: "quantum and wait must be under 73 years"}
+	}
+	return on(s, ar.Resource, true, func(r *resource) (*LeaseReply, *ErrorReply) {
+		quantum := r.cfg.Quantum
+		if ar.QuantumNS > 0 {
+			quantum = time.Duration(ar.QuantumNS)
+		}
+		if r.down {
+			r.mgr.NoteWant(ar.Holder)
+			return nil, &ErrorReply{Code: CodeDown, Message: "resource down", RetryAfterNS: r.retryAfter()}
+		}
+		if ar.WaitNS <= 0 || ar.Units > r.mgr.Capacity() {
+			// EMFILE: an immediate verdict. The FIFO queue may not be
+			// jumped, so a non-empty queue is busy even with free units.
+			// An acquire that can never fit gets one too, however long
+			// it would wait: parked, it would hold the queue's head.
+			l, ok := r.mgr.TryAcquireFor(nil, context.Background(), ar.Holder, ar.Units, quantum)
+			if !ok {
+				er := r.busy(ar.Units, "no free units")
+				if r.cfg.CrashHolder != "" && ar.Holder == r.cfg.CrashHolder {
+					// The schedd-side accept failure: rejecting this holder
+					// is the overload signal that crashes the resource.
+					r.crash()
+				}
+				return nil, er
+			}
+			return r.admit(l, nil, quantum, 0), nil
+		}
+		// The long poll: granted at once if the units are free and nobody
+		// is queued, else parked FIFO until a release or revocation pumps
+		// the queue, WaitNS runs out, ctx ends, or a crash or drain
+		// flushes it. Its contexts and timer are the host's.
+		ctx, cancel := s.host.WithCancel(ctx)
+		defer cancel()
+		expiry := s.host.Schedule(time.Duration(ar.WaitNS), cancel)
+		defer expiry.Cancel()
+		w := &parked{Parker: p, r: r, cancel: cancel}
+		l, err := r.mgr.AcquireFor(w, ctx, ar.Holder, ar.Units, quantum)
+		if w.cause != "" {
+			if l != nil {
+				// The pump admitted this waiter, then the crash or drain
+				// took the lock before it woke: the jam covers its grant.
+				l.Revoke()
+			}
+			er := &ErrorReply{Code: w.cause, Message: "parked acquire failed"}
+			if r.down {
+				er.RetryAfterNS = r.retryAfter()
+			}
+			return nil, er
+		}
+		if err != nil {
+			return nil, r.busy(ar.Units, "wait expired")
+		}
+		return r.admit(l, nil, quantum, w.seq), nil
+	})
+}
+
+// stale is the fenced verdict on an operation whose tenure already
+// ended (or never existed): the typed error core.ErrStale crosses the
+// socket as.
+func (r *resource) stale(epoch uint64) *ErrorReply {
+	return &ErrorReply{Code: CodeStale, Message: "lease fenced", Epoch: epoch, Fence: r.mgr.Fence()}
+}
+
+// Release returns a lease.
+func (s *Server) Release(rr ReleaseRequest) (struct{}, *ErrorReply) {
+	return on(s, rr.Resource, false, func(r *resource) (struct{}, *ErrorReply) {
+		h, live := r.leases[rr.LeaseID]
+		switch {
+		case live && h.l.Epoch() == rr.Epoch:
+			delete(r.leases, rr.LeaseID)
+			if h.resv != nil {
+				h.resv.Release()
+			} else {
+				h.l.Release()
+			}
+		case r.mgr.Late(max(rr.Units, 0)):
+			return struct{}{}, r.stale(rr.Epoch)
+		default:
+			// The unfenced manager applied what arrived: a duplicated or
+			// late release double-frees, corrupting InUse low. This is the
+			// ablation arm — the measured hazard, not a bug.
+			r.doubleFrees++
+		}
+		r.releases++
+		return struct{}{}, nil
+	})
+}
+
+// Renew extends a lease's tenure.
+func (s *Server) Renew(rn RenewRequest) (*RenewReply, *ErrorReply) {
+	if rn.ForNS > maxWindowNS {
+		return nil, &ErrorReply{Code: CodeBadRequest, Message: "for_ns must be under 73 years"}
+	}
+	return on(s, rn.Resource, false, func(r *resource) (*RenewReply, *ErrorReply) {
+		h, live := r.leases[rn.LeaseID]
+		live = live && h.l.Epoch() == rn.Epoch
+		d := time.Duration(rn.ForNS)
+		switch {
+		case !live:
+		case h.resv != nil:
+			if d <= 0 {
+				d = math.MaxInt64 // a claim's default is the rest of its window
+			}
+			// False in the instant between the window's end and the
+			// watchdog that is about to revoke the claim.
+			live = h.resv.Renew(d)
+		case d > 0:
+			h.l.RenewFor(d)
+		default:
+			h.l.Renew()
+		}
+		if !live {
+			// Nothing to extend. Unfenced there is no fence to say so
+			// either: the server shrugs — the delayed-renew hazard.
+			if r.mgr.Late(0) {
+				return nil, r.stale(rn.Epoch)
+			}
+			return &RenewReply{}, nil
+		}
+		deadline, _ := h.l.Deadline()
+		return &RenewReply{DeadlineNS: int64(deadline)}, nil
+	})
+}
+
+// Reserve books an admission window.
+func (s *Server) Reserve(rr ReserveRequest) (*ReserveReply, *ErrorReply) {
+	// The book panics on a non-positive request: that would be our bug,
+	// so what a client can cause is refused here.
+	if rr.Units <= 0 || rr.TenureNS <= 0 || max(rr.TenureNS, rr.StartNS) > maxWindowNS {
+		return nil, &ErrorReply{Code: CodeBadRequest, Message: "units and tenure must be positive, start and tenure under 73 years"}
+	}
+	return on(s, rr.Resource, true, func(r *resource) (*ReserveReply, *ErrorReply) {
+		start := s.host.Elapsed() + time.Duration(max(rr.StartNS, 0))
+		b, err := r.book.Reserve(nil, rr.Holder, start, time.Duration(rr.TenureNS), rr.Units)
+		if err != nil {
+			return nil, &ErrorReply{Code: CodeRejected, Message: "window over capacity", Shortfall: core.Rejection(err).Shortfall}
+		}
+		r.bookings[b.ID()] = b
+		start, end := b.Window()
+		return &ReserveReply{BookingID: b.ID(), StartNS: int64(start), EndNS: int64(end)}, nil
+	})
+}
+
+// booking resolves a wire booking id that can still be claimed or
+// canceled. An id the book issued but no longer holds has lapsed; one
+// it never issued is unknown.
+func (r *resource) booking(id uint64) (*lease.Reservation, *ErrorReply) {
+	b := r.bookings[id]
+	switch {
+	case b == nil && 1 <= id && id <= uint64(r.book.Reserves):
+		return nil, &ErrorReply{Code: CodeLapsed, Message: "booking retired"}
+	case b == nil:
+		return nil, &ErrorReply{Code: CodeUnknown, Message: "no such booking"}
+	case b.Lease() != nil:
+		return nil, &ErrorReply{Code: CodeBadRequest, Message: "booking already claimed"}
+	}
+	return b, nil
+}
+
+// Claim converts a booking into a lease fenced at the window's end.
+func (s *Server) Claim(cr ClaimRequest) (*LeaseReply, *ErrorReply) {
+	return on(s, cr.Resource, false, func(r *resource) (*LeaseReply, *ErrorReply) {
+		b, er := r.booking(cr.BookingID)
+		if er != nil {
+			return nil, er
+		}
+		now := s.host.Elapsed()
+		// The window fences the claim: the lease's deadline is the
+		// booking's end, however late inside the window the claim landed.
+		l, err := b.Claim(nil, context.Background())
+		switch {
+		case errors.Is(err, lease.ErrNotOpen):
+			return nil, &ErrorReply{Code: CodeEarly, Message: "window not open yet"}
+		case err != nil:
+			return nil, &ErrorReply{Code: CodeLapsed, Message: "window closed"}
+		}
+		_, end := b.Window()
+		return r.admit(l, b, end-now, 0), nil
+	})
+}
+
+// Cancel forfeits an unclaimed booking.
+func (s *Server) Cancel(cr CancelRequest) (struct{}, *ErrorReply) {
+	return on(s, cr.Resource, false, func(r *resource) (struct{}, *ErrorReply) {
+		b, er := r.booking(cr.BookingID)
+		if er == nil {
+			b.Cancel()
+		}
+		return struct{}{}, er
+	})
+}
+
+// Create creates or resizes a resource.
+func (s *Server) Create(cr CreateRequest) (struct{}, *ErrorReply) {
+	switch {
+	case cr.Name == "" || cr.Capacity <= 0:
+		return struct{}{}, &ErrorReply{Code: CodeBadRequest, Message: "name and positive capacity required"}
+	case max(cr.QuantumNS, cr.HousekeepIntervalNS, cr.RestartDelayNS) > maxWindowNS:
+		return struct{}{}, &ErrorReply{Code: CodeBadRequest, Message: "durations must be under 73 years"}
+	}
+	s.host.Lock()
+	defer s.host.Unlock()
+	if s.draining {
+		return struct{}{}, &ErrorReply{Code: CodeDraining, Message: "daemon draining"}
+	}
+	s.createLocked(ResourceConfig{
+		Name:              cr.Name,
+		Capacity:          cr.Capacity,
+		Quantum:           time.Duration(cr.QuantumNS),
+		Unfenced:          cr.Unfenced,
+		HousekeepUnits:    cr.HousekeepUnits,
+		HousekeepInterval: time.Duration(cr.HousekeepIntervalNS),
+		RestartDelay:      time.Duration(cr.RestartDelayNS),
+		CrashHolder:       cr.CrashHolder,
+	})
+	return struct{}{}, nil
+}
+
+// Stats is the named resource's full accounting: the manager's and the
+// book's ledgers plus the daemon's own counters.
+func (s *Server) Stats(name string) (*StatsReply, *ErrorReply) {
+	return on(s, name, false, func(r *resource) (*StatsReply, *ErrorReply) {
+		m, now := r.mgr, r.srv.host.Elapsed()
+		st := &StatsReply{
+			Resource:       r.cfg.Name,
+			Capacity:       m.Capacity(),
+			InUse:          m.InUse(),
+			Outstanding:    m.Outstanding(),
+			MaxOutstanding: r.maxOutstanding,
+			Phantoms:       r.phantoms,
+			DoubleFrees:    r.doubleFrees,
+			Grants:         m.Acquires,
+			Releases:       r.releases,
+			Rejects:        m.Rejects,
+			Revokes:        m.Revokes,
+			Stales:         m.Stales,
+			Timeouts:       m.Timeouts,
+			Crashes:        r.crashes,
+			Admits:         r.book.Reserves,
+			BookRejects:    r.book.Rejects,
+			Lapses:         r.book.Lapses,
+			LongestWaitNS:  int64(m.LongestWait()),
+			MaxWaitNS:      int64(m.MaxStarvation()),
+			Down:           r.down,
+			Draining:       r.srv.draining,
+		}
+		for _, c := range m.Clients() {
+			hs := HolderStats{Holder: c.Holder, Grants: c.Grants, Rejects: c.Rejects, Revokes: c.Revokes, MaxWaitNS: int64(c.MaxWait)}
+			if since, ok := c.Waiting(); ok {
+				hs.Waiting = true
+				hs.MaxWaitNS = max(hs.MaxWaitNS, int64(now-since))
+			}
+			st.Holders = append(st.Holders, hs)
+		}
+		sort.Slice(st.Holders, func(i, j int) bool { return st.Holders[i].Holder < st.Holders[j].Holder })
+		return st, nil
+	})
 }

@@ -1,17 +1,35 @@
 package gridd
 
 // White-box tests of what the daemon owns beside the state machine it
-// hosts: the monitor's timers and the wire-id tables. (The socket-level
-// contract is in gridd_test.go, package gridd_test.)
+// hosts: the monitor's timers, on the wall clock, and the wire-id
+// tables, on the simulator host. (The socket-level contract is in
+// gridd_test.go, package gridd_test.)
 
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
+
+// simHost is the daemon's host on the simulator: the engine's virtual
+// clock, timers and contexts, and no lock, since the engine's token
+// already runs one process at a time.
+type simHost struct{ sim.RT }
+
+func (simHost) Lock()   {}
+func (simHost) Unlock() {}
+
+// newSimServer is NewServer on e: the operations, called from e's
+// processes (or between runs), replay from e's seed.
+func newSimServer(e *sim.Engine, rcs ...ResourceConfig) *Server {
+	return newServer(simHost{e.RT()}, Config{Resources: rcs})
+}
 
 // call drives one request through the handler in-process, decoding the
 // reply body (a result or an ErrorReply) into out, and returns the
@@ -66,18 +84,18 @@ func TestCanceledTimerQueuedOnTheLockDoesNotRun(t *testing.T) {
 	}
 }
 
-// The restart timer can fire and then wait on the monitor while a
-// handler still reads the resource as down. A down reply given then
+// The restart timer can fire and then wait on the monitor while an
+// operation still reads the resource as down. A down reply given then
 // must carry no retry hint (0, "none"), not a negative one.
 func TestDownReplyAfterOutageEndHintsNoNegative(t *testing.T) {
 	srv := NewServer(Config{Resources: []ResourceConfig{{
 		Name: "r", Capacity: 1, RestartDelay: time.Millisecond,
 	}}})
 	r := srv.res["r"]
-	srv.mon.Lock()
+	srv.host.Lock()
 	r.crash()
 	r.restart.Cancel() // the restart is held off, as if queued on the lock
-	srv.mon.Unlock()
+	srv.host.Unlock()
 	time.Sleep(5 * time.Millisecond) // the outage's end is now past
 
 	var er ErrorReply
@@ -90,85 +108,134 @@ func TestDownReplyAfterOutageEndHintsNoNegative(t *testing.T) {
 	}
 }
 
+// A duration comes straight off the socket: one past the daemon's
+// bound is a bad request, not a deadline that wraps negative.
+func TestOverlongDurationsAreBadRequests(t *testing.T) {
+	srv := NewServer(Config{Resources: []ResourceConfig{{Name: "r", Capacity: 2}}})
+	h := srv.Handler()
+	var l LeaseReply
+	if code := call(t, h, "POST", "/acquire", AcquireRequest{Resource: "r", Holder: "a", Units: 1}, &l); code != http.StatusOK {
+		t.Fatalf("acquire answered %d", code)
+	}
+	for _, c := range []struct {
+		path string
+		in   any
+	}{
+		{"/acquire", AcquireRequest{Resource: "r", Holder: "b", Units: 1, WaitNS: math.MaxInt64}},
+		{"/acquire", AcquireRequest{Resource: "r", Holder: "b", Units: 1, QuantumNS: math.MaxInt64}},
+		{"/renew", RenewRequest{Resource: "r", LeaseID: l.LeaseID, Epoch: l.Epoch, ForNS: math.MaxInt64}},
+		{"/resources", CreateRequest{Name: "s", Capacity: 1, RestartDelayNS: math.MaxInt64}},
+	} {
+		var er ErrorReply
+		if code := call(t, h, "POST", c.path, c.in, &er); code != http.StatusBadRequest || er.Code != CodeBadRequest {
+			t.Errorf("%s %+v answered %d %+v; want 400 %s", c.path, c.in, code, er, CodeBadRequest)
+		}
+	}
+	var st StatsReply
+	call(t, h, "GET", "/stats/r", nil, &st)
+	if st.Grants != 1 || st.InUse != 1 {
+		t.Fatalf("stats %+v; want only the first grant", st)
+	}
+}
+
+// An acquire for more units than the resource has can never be granted;
+// parked, it would hold the FIFO head for its whole wait and every
+// acquire behind it would be busy. It is refused at once instead.
+func TestOversizedAcquireIsRefusedAtOnce(t *testing.T) {
+	srv := NewServer(Config{Resources: []ResourceConfig{{Name: "r", Capacity: 2}}})
+	h := srv.Handler()
+	const wait = 2 * time.Second
+	for _, units := range []int64{3, math.MaxInt64} {
+		var er ErrorReply
+		start := time.Now()
+		code := call(t, h, "POST", "/acquire", AcquireRequest{Resource: "r", Holder: "big", Units: units, WaitNS: int64(wait)}, &er)
+		if took := time.Since(start); took > wait/2 {
+			t.Fatalf("acquire of %d units parked for %v", units, took)
+		}
+		if code != http.StatusConflict || er.Code != CodeBusy || er.Shortfall != units-2 {
+			t.Fatalf("acquire of %d units answered %d %+v; want busy short by %d", units, code, er, units-2)
+		}
+	}
+	if code := call(t, h, "POST", "/acquire", AcquireRequest{Resource: "r", Holder: "small", Units: 1}, nil); code != http.StatusOK {
+		t.Fatalf("acquire of a free unit answered %d", code)
+	}
+}
+
 // Every way a tenure or a booking can end must also take its row out
 // of the daemon's tables: by request (release, cancel), by timer
 // (watchdog, window end), and by crash.
 func TestTablesEmptyAfterEveryKindOfEnd(t *testing.T) {
 	const n = 5
-	srv := NewServer(Config{Resources: []ResourceConfig{{
+	e := sim.New(1)
+	srv := newSimServer(e, ResourceConfig{
 		Name: "r", Capacity: 4 * n, Quantum: 5 * time.Millisecond,
 		CrashHolder: "schedd", RestartDelay: 5 * time.Millisecond,
-	}}})
-	h := srv.Handler()
+	})
 	r := srv.res["r"]
-	ok := func(what string, code int) {
+	ok := func(what string, er *ErrorReply) {
 		t.Helper()
-		if code != http.StatusOK {
-			t.Fatalf("%s answered %d", what, code)
+		if er != nil {
+			t.Fatalf("%s: %v", what, er)
 		}
 	}
-	reserve := func(start, tenure time.Duration) (rr ReserveReply) {
+	reserve := func(start, tenure time.Duration) *ReserveReply {
 		t.Helper()
-		ok("reserve", call(t, h, "POST", "/reserve", ReserveRequest{
+		rr, er := srv.Reserve(ReserveRequest{
 			Resource: "r", Holder: "a", Units: 1, StartNS: int64(start), TenureNS: int64(tenure),
-		}, &rr))
+		})
+		ok("reserve", er)
 		return rr
 	}
 	for i := 0; i < n; i++ {
-		var l LeaseReply
-		rr := reserve(0, time.Hour)
-		ok("claim", call(t, h, "POST", "/claim", ClaimRequest{Resource: "r", BookingID: rr.BookingID}, &l))
-		ok("release", call(t, h, "POST", "/release", ReleaseRequest{Resource: "r", LeaseID: l.LeaseID, Epoch: l.Epoch}, nil))
+		l, er := srv.Claim(ClaimRequest{Resource: "r", BookingID: reserve(0, time.Hour).BookingID})
+		ok("claim", er)
+		_, er = srv.Release(ReleaseRequest{Resource: "r", LeaseID: l.LeaseID, Epoch: l.Epoch})
+		ok("release", er)
 
-		rr = reserve(time.Hour, time.Hour)
-		ok("cancel", call(t, h, "POST", "/cancel", CancelRequest{Resource: "r", BookingID: rr.BookingID}, nil))
+		_, er = srv.Cancel(CancelRequest{Resource: "r", BookingID: reserve(time.Hour, time.Hour).BookingID})
+		ok("cancel", er)
 
 		reserve(0, 5*time.Millisecond) // never claimed: lapses
 
 		// Never released: the 5 ms watchdog reclaims it.
-		ok("acquire", call(t, h, "POST", "/acquire", AcquireRequest{Resource: "r", Holder: "wedged", Units: 1}, nil))
+		_, er = srv.Acquire(nil, e.Context(), AcquireRequest{Resource: "r", Holder: "wedged", Units: 1})
+		ok("acquire", er)
 	}
-	tables := func() (leases, bookings, parked int) {
-		srv.mon.Lock()
-		defer srv.mon.Unlock()
-		return len(r.leases), len(r.bookings), len(r.parked)
-	}
-	settle := func(what string, want func(leases, bookings, parked int) bool) {
+	empty := func(what string) {
 		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for !want(tables()) {
-			if time.Now().After(deadline) {
-				l, b, p := tables()
-				t.Fatalf("timed out waiting for %s: %d leases, %d bookings, %d parked", what, l, b, p)
-			}
-			time.Sleep(time.Millisecond)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if l, b, p := len(r.leases), len(r.bookings), len(r.parked); l+b+p != 0 {
+			t.Fatalf("after %s: %d leases, %d bookings, %d parked", what, l, b, p)
 		}
 	}
-	empty := func(l, b, p int) bool { return l+b+p == 0 }
-	settle("watchdogs and window ends", empty)
+	empty("watchdogs and window ends")
 
 	// One crash: a long tenure holds everything, a waiter parks behind
 	// it, and the crash holder's refusal jams the resource.
-	ok("acquire", call(t, h, "POST", "/acquire", AcquireRequest{
+	_, er := srv.Acquire(nil, e.Context(), AcquireRequest{
 		Resource: "r", Holder: "long", Units: 4 * n, QuantumNS: int64(time.Hour),
-	}, nil))
-	parkedCode := make(chan int, 1)
-	go func() {
-		parkedCode <- call(t, h, "POST", "/acquire", AcquireRequest{
+	})
+	ok("acquire", er)
+	var parkedEr *ErrorReply
+	e.Spawn("waits", func(p *sim.Proc) {
+		_, parkedEr = srv.Acquire(p, e.Context(), AcquireRequest{
 			Resource: "r", Holder: "waits", Units: 1, WaitNS: int64(10 * time.Second),
-		}, nil)
-	}()
-	settle("the waiter to park", func(l, b, p int) bool { return l == 1 && p == 1 })
-	if code := call(t, h, "POST", "/acquire", AcquireRequest{Resource: "r", Holder: "schedd", Units: 1}, nil); code != http.StatusConflict {
-		t.Fatalf("crash holder's acquire answered %d; want 409", code)
+		})
+	})
+	e.Spawn("schedd", func(p *sim.Proc) {
+		if len(r.leases) != 1 || len(r.parked) != 1 {
+			t.Errorf("before the crash: %d leases, %d parked; want 1 and 1", len(r.leases), len(r.parked))
+		}
+		if _, er := srv.Acquire(p, e.Context(), AcquireRequest{Resource: "r", Holder: "schedd", Units: 1}); er == nil || er.Code != CodeBusy {
+			t.Errorf("crash holder's acquire answered %v; want busy", er)
+		}
+	})
+	empty("the crash")
+	if parkedEr == nil || parkedEr.Code != CodeDown {
+		t.Fatalf("parked acquire answered %v after the crash; want down", parkedEr)
 	}
-	if code := <-parkedCode; code != http.StatusServiceUnavailable {
-		t.Fatalf("parked acquire answered %d after the crash; want 503", code)
-	}
-	settle("the crash", empty)
-
-	srv.mon.Lock()
-	defer srv.mon.Unlock()
 	if live, queue, out := r.book.Outstanding(), r.mgr.QueueLen(), r.mgr.Outstanding(); live+queue != 0 || out != 0 {
 		t.Fatalf("state machine not empty: %d live bookings, %d queued, %d units outstanding", live, queue, out)
 	}

@@ -1,10 +1,9 @@
 package gridd_test
 
-// The wire-protocol property battery (the socket-level analogue of
-// internal/lease's prop_test): 25 seeded schedules of concurrent
-// acquire / renew / release / duplicate-release / reserve+claim /
-// crash traffic from real goroutines against a live daemon, checking
-// the properties the wire protocol promises:
+// The wire-protocol property battery over a real socket: seeded
+// schedules of concurrent acquire / renew / release / duplicate-release
+// / reserve+claim / crash traffic from real goroutines against a live
+// daemon, checking the properties the wire protocol promises:
 //
 //   - safety at every snapshot: Outstanding <= Capacity and zero
 //     phantom grants, observed by a stats poller racing the traffic;
@@ -13,9 +12,12 @@ package gridd_test
 //   - units conservation at quiescence: outstanding drains to zero
 //     and grants == releases + revokes on the daemon's own counters.
 //
-// Schedules are seeded but wall-clock nondeterministic (the live
-// backend's usual caveat); a failure is re-run at smaller op and
-// client counts to report the smallest still-failing configuration.
+// The same properties are checked on hundreds of deterministic
+// schedules by the simulator-host battery (simprop_test.go), where a
+// failure replays from its seed and shrinks. Here, on the wall clock,
+// a schedule does not replay, so this battery is a smoke test that the
+// codec and the monitor keep them: the fewest seeds whose schedules
+// park, fence, reject, crash and book on every run.
 
 import (
 	"context"
@@ -264,12 +266,10 @@ func tenure(ctx context.Context, c *griddclient.Client, rng *rand.Rand, l *gridd
 func TestPropWireFIFOAndConservation(t *testing.T) {
 	const clients, opsPer = 4, 5
 	var parked, granted, stales, rejects, crashes, bookings int64
-	for seed := int64(1); seed <= 25; seed++ {
+	for seed := int64(1); seed <= 2; seed++ {
 		tally, msg := griddPropRun(seed, clients, opsPer)
 		if msg != "" {
-			sc, so, sm := shrinkGriddProp(seed, clients, opsPer, msg)
-			t.Fatalf("seed %d: %d clients x %d ops fail (shrunk from %dx%d): %s",
-				seed, sc, so, clients, opsPer, sm)
+			t.Fatalf("seed %d: %d clients x %d ops fail: %s", seed, clients, opsPer, msg)
 		}
 		parked += tally.parked
 		granted += tally.granted
@@ -280,32 +280,9 @@ func TestPropWireFIFOAndConservation(t *testing.T) {
 	}
 	// The properties are only as strong as the schedules that reach
 	// them: the battery must actually have parked, fenced, rejected,
-	// crashed, and booked somewhere across the 25 seeds.
+	// crashed, and booked somewhere across its seeds.
 	if parked == 0 || granted == 0 || stales == 0 || rejects == 0 || crashes == 0 || bookings == 0 {
 		t.Fatalf("vacuous coverage: parked=%d granted=%d stales=%d rejects=%d crashes=%d bookings=%d",
 			parked, granted, stales, rejects, crashes, bookings)
 	}
-}
-
-// shrinkGriddProp reduces ops-per-client, then client count, as far as
-// the failure persists, returning the smallest failing configuration
-// and its message (internal/lease's prefix shrinker, re-aimed at the
-// socket; re-runs are wall-clock schedules, so the shrink stops at the
-// first configuration that happens to pass).
-func shrinkGriddProp(seed int64, clients, opsPer int, msg string) (int, int, string) {
-	for opsPer > 1 {
-		if _, m := griddPropRun(seed, clients, opsPer-1); m != "" {
-			opsPer, msg = opsPer-1, m
-		} else {
-			break
-		}
-	}
-	for clients > 1 {
-		if _, m := griddPropRun(seed, clients-1, opsPer); m != "" {
-			clients, msg = clients-1, m
-		} else {
-			break
-		}
-	}
-	return clients, opsPer, msg
 }

@@ -78,7 +78,10 @@ func TestShutdownRefusesNewWorkWithTypedRetriableError(t *testing.T) {
 		defer cancel()
 		done <- srv.Shutdown(sctx)
 	}()
-	waitFor(t, 2*time.Second, "draining to begin", srv.Draining)
+	waitFor(t, 2*time.Second, "draining to begin", func() bool {
+		pr, _ := srv.Probe("fds")
+		return pr.Draining
+	})
 
 	// New acquires and reservations land as the typed retriable error.
 	_, err = c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "b", Units: 1})

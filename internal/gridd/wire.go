@@ -1,7 +1,7 @@
 package gridd
 
-// The gridd wire protocol: JSON bodies shared by the daemon's HTTP
-// handlers and the client library (internal/griddclient). The protocol
+// The gridd wire protocol: JSON bodies shared by the daemon's
+// operations and the client library (internal/griddclient). The protocol
 // speaks *real* durations in nanoseconds — the daemon runs on the wall
 // clock and has no idea its clients compress time; a live-backend
 // client converts virtual tenures with its engine timescale before
@@ -75,6 +75,9 @@ type ErrorReply struct {
 	// RetryAfterNS accompanies down/draining.
 	RetryAfterNS int64 `json:"retry_after_ns,omitempty"`
 }
+
+// Error renders the reply's code and message.
+func (e *ErrorReply) Error() string { return e.Code + ": " + e.Message }
 
 // CreateRequest creates a resource, or resizes an existing one (only
 // Capacity may change after creation; the other fields are fixed at

@@ -57,18 +57,25 @@ fuzz-smoke:
 golden:
 	$(GO) test ./cmd/gridbench -run TestGolden -update
 
-# Where a figure's time goes: one CPU profile per member of the
-# benchmark's sim-figures bundle that runs long enough to sample (figs 6
-# and 7 finish in a few milliseconds), run exactly as the bundle runs
-# them, merged into one cumulative top-40. Writes only under the
-# git-ignored .bench_build/. Not part of ci: it measures, it gates nothing.
+# Where a figure's time goes: one CPU and one heap profile per member of
+# the benchmark's sim-figures bundle that runs long enough to sample
+# (figs 6 and 7 finish in a few milliseconds), run exactly as the bundle
+# runs them. Per member it prints the GC cycles the run took
+# (GODEBUG=gctrace=1) and the bytes it allocated with their top-10 sites
+# (alloc_space); then the CPU profiles merged into one cumulative top-40.
+# Writes only under the git-ignored .bench_build/. Not part of ci: it
+# measures, it gates nothing.
 PROFILE_DIR := .bench_build/profile
 
 profile-figures:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) build -o $(PROFILE_DIR)/gridbench ./cmd/gridbench
 	set -e; for member in "1 -scale 0.1" "4 -scale 0.1" "res -scale 0.1" "la -scale 0.1" "net -scale 0.1" 2 3; do \
-		$(PROFILE_DIR)/gridbench -parallel 1 -seed 1 -cpuprofile $(PROFILE_DIR)/cpu.$${member%% *}.pprof -fig $$member >/dev/null; \
+		name=$${member%% *}; \
+		GODEBUG=gctrace=1 $(PROFILE_DIR)/gridbench -parallel 1 -seed 1 -cpuprofile $(PROFILE_DIR)/cpu.$$name.pprof \
+			-memprofile $(PROFILE_DIR)/mem.$$name.pprof -fig $$member >/dev/null 2>$(PROFILE_DIR)/gc.$$name.txt; \
+		echo "== -fig $$member: $$(grep -c '^gc ' $(PROFILE_DIR)/gc.$$name.txt) GC cycles"; \
+		$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 $(PROFILE_DIR)/gridbench $(PROFILE_DIR)/mem.$$name.pprof 2>/dev/null | sed -n '/^Showing nodes/,$$p'; \
 	done
 	$(GO) tool pprof -top -cum -nodecount=40 $(PROFILE_DIR)/gridbench $(PROFILE_DIR)/cpu.*.pprof
 

@@ -209,7 +209,7 @@ func (t *FDTable) Release(n int) {
 // Lease takes n descriptors as a lease held by holder, reporting
 // success. Like TryAcquire it never queues — an EMFILE-style immediate
 // failure — but a grant is tenure-bounded by the table's quantum.
-func (t *FDTable) Lease(p core.Proc, ctx context.Context, holder string, n int) (*lease.Lease, bool) {
+func (t *FDTable) Lease(p core.Proc, ctx context.Context, holder string, n int) (lease.Lease, bool) {
 	return t.m.TryAcquire(p, ctx, holder, int64(n))
 }
 
@@ -262,6 +262,16 @@ var (
 	ErrScheddDown = errors.New("connection refused: schedd down")
 	// ErrScheddCrashed means the schedd died mid-submission.
 	ErrScheddCrashed = errors.New("connection reset: schedd crashed")
+)
+
+// The refusals a submission returns, built once: every field of each is
+// a constant, and a refusal is read-only.
+var (
+	errNoFDs         = core.Collision("fds", ErrNoFDs)
+	errScheddDown    = core.Collision("schedd", ErrScheddDown)
+	errScheddCrashed = core.Collision("schedd", ErrScheddCrashed)
+	errRevoked       = core.Collision("lease", lease.ErrRevoked)
+	errLost          = core.Collision("net", core.ErrLost)
 )
 
 // Schedd is the simulated Condor scheduler daemon.
@@ -400,7 +410,7 @@ func (s *Schedd) Submit(p core.Proc, ctx context.Context) error {
 		if err := p.Sleep(ctx, s.cfg.ConnectFailTime); err != nil {
 			return err
 		}
-		return core.Collision("fds", ErrNoFDs)
+		return errNoFDs
 	}
 	defer l1.Release()
 	// Work under the lease context from here on: when the watchdog
@@ -408,15 +418,15 @@ func (s *Schedd) Submit(p core.Proc, ctx context.Context) error {
 	// quantum Ctx() is the caller's context and nothing changes.
 	ctx = l1.Ctx()
 	if err := p.Sleep(ctx, s.cfg.SetupTime); err != nil {
-		return s.submitErr(outer, l1)
+		return s.submitErr(outer, lease.Lease{}, l1)
 	}
 	rest := want - first
 	l2, ok := s.fds.Lease(p, ctx, p.Name(), rest)
 	if !ok {
 		if err := p.Sleep(ctx, s.cfg.ConnectFailTime); err != nil {
-			return s.submitErr(outer, l1)
+			return s.submitErr(outer, lease.Lease{}, l1)
 		}
-		return core.Collision("fds", ErrNoFDs)
+		return errNoFDs
 	}
 	defer l2.Release()
 	ctx = l2.Ctx()
@@ -427,7 +437,7 @@ func (s *Schedd) Submit(p core.Proc, ctx context.Context) error {
 	if f := core.InjectAt(s.inj, InjectHold); f.Hang {
 		tr.FaultInjected(InjectHold)
 		_ = p.Hang(ctx)
-		return s.submitErr(outer, l1, l2)
+		return s.submitErr(outer, lease.Lease{}, l1, l2)
 	}
 
 	// Connected on the client side: the schedd half of the submission is
@@ -477,7 +487,7 @@ func (s *Schedd) SubmitKeyed(p core.Proc, ctx context.Context, key string) error
 			if err := p.Sleep(ctx, s.cfg.ConnectFailTime); err != nil {
 				return err
 			}
-			return core.Collision("net", core.ErrLost)
+			return errLost
 		}
 		dup = f.Dup
 	}
@@ -524,7 +534,7 @@ func (s *Schedd) SubmitKeyed(p core.Proc, ctx context.Context, key string) error
 			// landed. The seen-set (above) is what makes that safe.
 			tr.MsgDrop("schedd")
 			s.NetDrops++
-			return core.Collision("net", core.ErrLost)
+			return errLost
 		}
 	}
 	return nil
@@ -537,13 +547,13 @@ func (s *Schedd) SubmitKeyed(p core.Proc, ctx context.Context, key string) error
 // caller is working under, for abort classification; renew is called
 // once the transfer begins so the caller can extend those holds for
 // the service time.
-func (s *Schedd) serve(p core.Proc, ctx, outer context.Context, renew func(), held ...*lease.Lease) error {
+func (s *Schedd) serve(p core.Proc, ctx, outer context.Context, renew func(), held ...lease.Lease) error {
 	tr := p.Tracer()
 	if s.down {
 		if err := p.Sleep(ctx, s.cfg.ConnectFailTime); err != nil {
-			return s.submitErr(outer, held...)
+			return s.submitErr(outer, lease.Lease{}, held...)
 		}
-		return core.Collision("schedd", ErrScheddDown)
+		return errScheddDown
 	}
 
 	// The schedd accepts the connection, pinning its own descriptors.
@@ -552,13 +562,12 @@ func (s *Schedd) serve(p core.Proc, ctx, outer context.Context, renew func(), he
 	if !ok {
 		s.crash()
 		if err := p.Sleep(ctx, s.cfg.ConnectFailTime); err != nil {
-			return s.submitErr(outer, held...)
+			return s.submitErr(outer, lease.Lease{}, held...)
 		}
-		return core.Collision("schedd", ErrScheddCrashed)
+		return errScheddCrashed
 	}
 	defer l3.Release()
 	ctx = l3.Ctx()
-	all := append(append([]*lease.Lease{}, held...), l3)
 
 	// Register for the crash broadcast.
 	connCtx, cancel := s.eng.WithCancel(ctx)
@@ -570,7 +579,7 @@ func (s *Schedd) serve(p core.Proc, ctx, outer context.Context, renew func(), he
 
 	// Queue for a service slot, then transfer the job.
 	if err := s.slots.Take(p, connCtx, 1); err != nil {
-		return s.submitErr(outer, all...)
+		return s.submitErr(outer, l3, held...)
 	}
 	tr.Acquire("slot", 1)
 	defer func() {
@@ -592,13 +601,13 @@ func (s *Schedd) serve(p core.Proc, ctx, outer context.Context, renew func(), he
 		d += f.Delay
 		if f.Err != nil {
 			if err := p.Sleep(connCtx, d); err != nil {
-				return s.submitErr(outer, all...)
+				return s.submitErr(outer, l3, held...)
 			}
 			return core.Collision("schedd", f.Err)
 		}
 	}
 	if err := p.Sleep(connCtx, d); err != nil {
-		return s.submitErr(outer, all...)
+		return s.submitErr(outer, l3, held...)
 	}
 	s.Jobs++
 	return nil
@@ -607,17 +616,22 @@ func (s *Schedd) serve(p core.Proc, ctx, outer context.Context, renew func(), he
 // submitErr classifies an aborted submission: if the caller's own
 // context died, propagate; if a lease was revoked out from under the
 // client, that is a collision on the tenure discipline itself;
-// otherwise the schedd crashed underneath us.
-func (s *Schedd) submitErr(ctx context.Context, leases ...*lease.Lease) error {
+// otherwise the schedd crashed underneath us. own is the schedd's
+// descriptor lease for the connection (the zero Lease before it has
+// one), held the leases the client works under.
+func (s *Schedd) submitErr(ctx context.Context, own lease.Lease, held ...lease.Lease) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for _, l := range leases {
+	if own.Revoked() {
+		return errRevoked
+	}
+	for _, l := range held {
 		if l.Revoked() {
-			return core.Collision("lease", lease.ErrRevoked)
+			return errRevoked
 		}
 	}
-	return core.Collision("schedd", ErrScheddCrashed)
+	return errScheddCrashed
 }
 
 // crash kills the schedd: every live connection is reset and the daemon

@@ -32,7 +32,7 @@ import (
 // chaos seams all still apply. claim is the lease returned by
 // Reservation.Claim; its watchdog is armed at the window boundary, so
 // there is nothing to renew.
-func (s *Schedd) SubmitReserved(p core.Proc, ctx context.Context, claim *lease.Lease) error {
+func (s *Schedd) SubmitReserved(p core.Proc, ctx context.Context, claim lease.Lease) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -58,7 +58,7 @@ func (s *Schedd) SubmitReserved(p core.Proc, ctx context.Context, claim *lease.L
 	// the watchdog unwinds everything downstream.
 	ctx = claim.Ctx()
 	if err := p.Sleep(ctx, s.cfg.SetupTime); err != nil {
-		return s.submitErr(outer, claim)
+		return s.submitErr(outer, lease.Lease{}, claim)
 	}
 	// Chaos seam: a stuck-holder plan black-holes the client while it
 	// holds its booked window. The window-boundary watchdog is the only
@@ -67,7 +67,7 @@ func (s *Schedd) SubmitReserved(p core.Proc, ctx context.Context, claim *lease.L
 	if f := core.InjectAt(s.inj, InjectHold); f.Hang {
 		tr.FaultInjected(InjectHold)
 		_ = p.Hang(ctx)
-		return s.submitErr(outer, claim)
+		return s.submitErr(outer, lease.Lease{}, claim)
 	}
 	return s.serve(p, ctx, outer, func() {}, claim)
 }

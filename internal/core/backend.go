@@ -44,6 +44,10 @@ type Backend interface {
 	// Schedule arranges for fn to run at virtual time now+d, returning a
 	// handle that can cancel the callback before it fires.
 	Schedule(d time.Duration, fn func()) Timer
+	// NewAlarm returns a timer for fn that the caller keeps and re-arms
+	// as often as it likes: a lease watchdog, pushed back on every
+	// renewal and carried across the tenures of a recycled lease record.
+	NewAlarm(fn func()) Alarm
 	// WithCancel derives an explicitly cancelable child context.
 	WithCancel(parent context.Context) (context.Context, context.CancelFunc)
 	// WithTimeout derives a child context canceled after d of virtual
@@ -85,4 +89,40 @@ type Proc interface {
 // (or lock); canceling an already-fired timer is a no-op.
 type Timer interface {
 	Cancel()
+}
+
+// Alarm is a one-shot timer with a fixed callback that its owner keeps
+// across firings. Set cancels any pending firing and arms the callback
+// d from now; Stop cancels it. Both must be called under the backend's
+// token (or lock). It spares a caller that re-arms one callback again
+// and again a Timer per arming: on the simulator, boxing a fresh handle
+// into a Timer is an allocation, and an alarm keeps the engine's handle
+// in place.
+type Alarm interface {
+	Set(d time.Duration)
+	Stop()
+}
+
+// AlarmOf builds an Alarm over a backend's Schedule, for backends whose
+// timers are heap objects anyway (the live engine, gridd's monitor).
+func AlarmOf(schedule func(d time.Duration, fn func()) Timer, fn func()) Alarm {
+	return &schedAlarm{schedule: schedule, fn: fn}
+}
+
+type schedAlarm struct {
+	schedule func(d time.Duration, fn func()) Timer
+	fn       func()
+	t        Timer
+}
+
+func (a *schedAlarm) Set(d time.Duration) {
+	a.Stop()
+	a.t = a.schedule(d, a.fn)
+}
+
+func (a *schedAlarm) Stop() {
+	if a.t != nil {
+		a.t.Cancel()
+		a.t = nil
+	}
 }

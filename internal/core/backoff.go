@@ -37,7 +37,14 @@ const (
 // NewBackoff returns a Backoff with the paper's defaults, drawing
 // randomness from rnd.
 func NewBackoff(rnd func() float64) *Backoff {
-	b := &Backoff{
+	b := paperBackoff(rnd)
+	return &b
+}
+
+// paperBackoff is NewBackoff as a value, for a Try that keeps its
+// backoff on its own stack.
+func paperBackoff(rnd func() float64) Backoff {
+	return Backoff{
 		Base:    DefaultBase,
 		Cap:     DefaultCap,
 		Factor:  DefaultFactor,
@@ -45,8 +52,6 @@ func NewBackoff(rnd func() float64) *Backoff {
 		RandMax: 2.0,
 		Rand:    rnd,
 	}
-	b.Reset()
-	return b
 }
 
 // Reset restores the delay sequence to the beginning, as after a success.

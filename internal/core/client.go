@@ -138,13 +138,17 @@ func (c *Client) Do(ctx context.Context, op Op) error {
 //
 // fragment used by the Ethernet job submitter.
 func ThresholdSense(name string, free func() int, threshold int) func(ctx context.Context) error {
+	deferred := Deferred(name) // one refusal, returned by every deferral
 	return func(ctx context.Context) error {
 		if free() < threshold {
-			return Deferred(name)
+			return deferred
 		}
 		return nil
 	}
 }
+
+// errProbeDeferred is ProbeSense's deferral, built once.
+var errProbeDeferred = Deferred("probe")
 
 // ProbeSense builds a carrier-sense probe that performs a cheap trial
 // interaction bounded by timeout — the 1-byte "flag file" fetch used by
@@ -156,7 +160,7 @@ func ProbeSense(rt Runtime, timeout time.Duration, probe Op) func(ctx context.Co
 		pctx, cancel := rt.WithTimeout(ctx, timeout)
 		defer cancel()
 		if err := probe(pctx); err != nil {
-			return Deferred("probe")
+			return errProbeDeferred
 		}
 		return nil
 	}

@@ -149,27 +149,25 @@ func Try(ctx context.Context, rt Runtime, lim Limit, cfg TryConfig, op Op) error
 	if lim.Duration <= 0 && lim.Attempts <= 0 {
 		lim.Attempts = 1 // a zero limit permits exactly one attempt
 	}
-	bo := cfg.Backoff
-	if bo == nil {
-		bo = NewBackoff(rt.Rand)
+	// The backoff and the budget are this Try's own, on its stack: a
+	// TryConfig is a shared template (each submitter gets the same one),
+	// and mutating its Backoff's cursor or Rand field, or its bucket,
+	// would be a data race.
+	var bo Backoff
+	if cfg.Backoff == nil {
+		bo = paperBackoff(rt.Rand)
 	} else {
-		// Clone the caller's backoff: a TryConfig may be shared across
-		// concurrent Trys (each submitter gets the same template), and
-		// mutating the shared Backoff's cursor or Rand field here would
-		// be a data race.
-		c := *bo
-		bo = &c
+		bo = *cfg.Backoff
 		bo.Reset()
 		if bo.Rand == nil {
 			bo.Rand = rt.Rand
 		}
 	}
-	budget := cfg.Budget
-	if budget != nil {
-		// Clone for the same reason as Backoff: the config is a shared
-		// template and the bucket's cursor is per-Try state.
-		c := *budget
-		budget = &c
+	var budget *RetryBudget
+	var bucket RetryBudget
+	if cfg.Budget != nil {
+		bucket = *cfg.Budget
+		budget = &bucket
 	}
 
 	tryCtx := ctx

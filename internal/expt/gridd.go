@@ -255,12 +255,13 @@ func spawnGriddFloorMonitor(eng *live.Engine, ctx context.Context, c *griddclien
 // carrier sense and acquisition crossing the socket.
 func griddSubmitLoop(p core.Proc, ctx context.Context, c *griddclient.Client, fds string, d core.Discipline, threshold int, window time.Duration, tc *trace.Client, mu *sync.Mutex, jobs *int64) {
 	p.SetTracer(tc)
+	deferred := core.Deferred(fds)
 	sense := func(context.Context) error {
 		var pr gridd.ProbeReply
 		var err error
 		blocking(p, func() { pr, err = c.Probe(context.Background(), fds) })
 		if err != nil || pr.Down || pr.Free < int64(threshold) {
-			return core.Deferred(fds)
+			return deferred
 		}
 		return nil
 	}

@@ -49,6 +49,7 @@ type Producer struct {
 // estimated free space (free minus expected growth of incomplete files)
 // leaves room for a typical output file.
 func Sense(b *Buffer, expect int64) func(ctx context.Context) error {
+	deferred := core.Deferred("disk") // one refusal for every deferral
 	return func(ctx context.Context) error {
 		st := b.Stats()
 		need := st.AvgDoneSize
@@ -56,7 +57,7 @@ func Sense(b *Buffer, expect int64) func(ctx context.Context) error {
 			need = expect / 2 // no completed files yet: assume the mean
 		}
 		if st.EstimatedFree < need {
-			return core.Deferred("disk")
+			return deferred
 		}
 		return nil
 	}

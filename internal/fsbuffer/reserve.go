@@ -173,7 +173,7 @@ func (a *Allocator) reserve(p core.Proc, ctx context.Context, size int64) (*Rese
 // Reservation is a granted slice of future buffer space, held as a
 // lease.
 type Reservation struct {
-	l *lease.Lease
+	l lease.Lease
 }
 
 // Size reports the reserved byte count.

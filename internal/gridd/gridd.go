@@ -148,6 +148,10 @@ func (m *monitor) Schedule(d time.Duration, fn func()) core.Timer {
 	return t
 }
 
+// NewAlarm re-arms through Schedule: a wall-clock timer is an
+// allocation whatever holds it.
+func (m *monitor) NewAlarm(fn func()) core.Alarm { return core.AlarmOf(m.Schedule, fn) }
+
 // Hang parks the calling goroutine, lock given up, until ctx ends.
 func (m *monitor) Hang(ctx context.Context) error {
 	m.Unlock()
@@ -222,7 +226,7 @@ type resource struct {
 // of the window back and a renewal stops at the window's end.
 type held struct {
 	res  *resource
-	l    *lease.Lease
+	l    lease.Lease
 	resv *lease.Reservation
 }
 
@@ -245,7 +249,7 @@ func (s *Server) createLocked(rc ResourceConfig) {
 	}
 	r.mgr = r.book.Tenure()
 	r.mgr.SetWire(quietWire{}, rc.Name, !rc.Unfenced)
-	r.mgr.OnRevoke(func(l *lease.Lease) { delete(r.leases, l.Epoch()) })
+	r.mgr.OnRevoke(func(l lease.Lease) { delete(r.leases, l.Epoch()) })
 	r.book.OnRetire(func(b *lease.Reservation) { delete(r.bookings, b.ID()) })
 	r.mgr.Observe(s.sc, rc.Name)
 	r.book.Observe(s.sc, rc.Name)
@@ -263,7 +267,7 @@ func (s *Server) createLocked(rc ResourceConfig) {
 // admit enters a fresh lease in the id table and renders it for the
 // wire. resv is the booking a claim came from (nil for an acquire),
 // wseq the FIFO position if the acquire parked.
-func (r *resource) admit(l *lease.Lease, resv *lease.Reservation, quantum time.Duration, wseq uint64) *LeaseReply {
+func (r *resource) admit(l lease.Lease, resv *lease.Reservation, quantum time.Duration, wseq uint64) *LeaseReply {
 	r.leases[l.Epoch()] = held{res: r, l: l, resv: resv}
 	out := r.mgr.Outstanding()
 	r.maxOutstanding = max(r.maxOutstanding, out)
@@ -526,7 +530,7 @@ func (s *Server) Acquire(p lease.Parker, ctx context.Context, ar AcquireRequest)
 		w := &parked{Parker: p, r: r, cancel: cancel}
 		l, err := r.mgr.AcquireFor(w, ctx, ar.Holder, ar.Units, quantum)
 		if w.cause != "" {
-			if l != nil {
+			if err == nil {
 				// The pump admitted this waiter, then the crash or drain
 				// took the lock before it woke: the jam covers its grant.
 				l.Revoke()
@@ -641,7 +645,7 @@ func (r *resource) booking(id uint64) (*lease.Reservation, *ErrorReply) {
 		return nil, &ErrorReply{Code: CodeLapsed, Message: "booking retired"}
 	case b == nil:
 		return nil, &ErrorReply{Code: CodeUnknown, Message: "no such booking"}
-	case b.Lease() != nil:
+	case b.Lease() != (lease.Lease{}):
 		return nil, &ErrorReply{Code: CodeBadRequest, Message: "booking already claimed"}
 	}
 	return b, nil

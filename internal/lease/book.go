@@ -211,7 +211,7 @@ type Reservation struct {
 	tr     *trace.Client
 	lapse  core.Timer
 	state  resState
-	lease  *Lease
+	lease  Lease // the zero Lease before Claim
 }
 
 // ID returns the booking's admission ordinal: 1 for the book's first
@@ -232,24 +232,24 @@ func (r *Reservation) Holder() string { return r.holder }
 // lapsed with ErrLapsed. The returned lease's watchdog fires exactly
 // at the window's end, so the units come back to the book even if the
 // holder never returns.
-func (r *Reservation) Claim(p Parker, ctx context.Context) (*Lease, error) {
+func (r *Reservation) Claim(p Parker, ctx context.Context) (Lease, error) {
 	if r.state != resPending {
-		return nil, ErrLapsed
+		return Lease{}, ErrLapsed
 	}
 	now := r.b.now()
 	if now < r.start {
-		return nil, ErrNotOpen
+		return Lease{}, ErrNotOpen
 	}
 	if now >= r.end {
 		// The window-end timer is due and has not run yet, which only a
 		// wall clock allows. A tenure of zero would mean unlimited.
-		return nil, ErrLapsed
+		return Lease{}, ErrLapsed
 	}
 	r.state = resClaimed
 	r.b.Admits++
 	r.tr.Admit(r.b.name, r.end)
 	r.lease = r.b.tenure.GrantFor(p, ctx, r.holder, r.units, r.end-now)
-	r.lease.deadline = r.end // not a later clock reading plus the tenure
+	r.lease.r.deadline = r.end // not a later clock reading plus the tenure
 	return r.lease, nil
 }
 
@@ -258,21 +258,21 @@ func (r *Reservation) Claim(p Parker, ctx context.Context) (*Lease, error) {
 // back-to-back booking for the next window, this window's watchdog
 // stays armed at this window's boundary.
 func (r *Reservation) Renew(d time.Duration) bool {
-	if r.state != resClaimed || r.lease == nil {
+	if r.state != resClaimed {
 		return false
 	}
 	if remain := r.end - r.b.now(); d > remain {
 		d = remain
 	}
 	ok := r.lease.RenewFor(d)
-	if r.lease.deadline > r.end {
-		r.lease.deadline = r.end // a wall clock moved between the two readings
+	if l := r.lease.rec(); l.deadline > r.end {
+		l.deadline = r.end // a wall clock moved between the two readings
 	}
 	return ok
 }
 
-// Lease returns the claim lease (nil before Claim).
-func (r *Reservation) Lease() *Lease { return r.lease }
+// Lease returns the claim lease (the zero Lease before Claim).
+func (r *Reservation) Lease() Lease { return r.lease }
 
 // Cancel gives up a pending booking, freeing its window for others.
 // Canceling a claimed or finished reservation is a no-op; use Release.
@@ -308,15 +308,13 @@ func (r *Reservation) Release() {
 		// Under a wall clock the window-end timer can retire the booking a
 		// moment before the claim lease's watchdog runs; a release landing
 		// in between still ends the tenure (and is a no-op otherwise).
-		if r.lease != nil {
-			r.lease.Release()
-		}
+		r.lease.Release()
 	}
 }
 
 // Revoked reports whether the claim lease was reclaimed by the
 // watchdog (always false before Claim).
-func (r *Reservation) Revoked() bool { return r.lease != nil && r.lease.Revoked() }
+func (r *Reservation) Revoked() bool { return r.lease.Revoked() }
 
 // windowEnd is the window-end timer: whatever the holder did, the
 // booking is over. An unclaimed booking lapses (a forfeit); a claimed

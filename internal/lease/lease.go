@@ -46,14 +46,16 @@ import (
 var ErrRevoked = errors.New("lease revoked: tenure expired")
 
 // Clock is what the manager needs from its host: elapsed time, one-shot
-// timers, cancelable contexts. core.Backend (the simulator, the live
-// engine) satisfies it; so does gridd's monitor, which puts the wall
-// clock and the daemon's mutex behind the same three methods. The host
+// timers, a re-armable alarm for each lease record's watchdog, and
+// cancelable contexts. core.Backend (the simulator, the live engine)
+// satisfies it; so does gridd's monitor, which puts the wall clock and
+// the daemon's mutex behind the same four methods. The host
 // serialises access: every method in this package, and every callback
 // the clock fires, runs under the host's token or lock.
 type Clock interface {
 	Elapsed() time.Duration
 	Schedule(d time.Duration, fn func()) core.Timer
+	NewAlarm(fn func()) core.Alarm
 	WithCancel(parent context.Context) (context.Context, context.CancelFunc)
 }
 
@@ -80,7 +82,8 @@ type Manager struct {
 	waiters  []*waiter
 	// onRevoke is told of each tenure the watchdog (or Lease.Revoke)
 	// reclaims; see OnRevoke.
-	onRevoke func(*Lease)
+	onRevoke func(Lease)
+	free     []*record // records whose holders released them intact
 
 	// wire, when non-nil, is the unreliable channel between holders and
 	// the manager: lease control messages (release, renew) may be
@@ -205,7 +208,7 @@ func counter(sc *obs.Scope, resource, name, help string, n *int64) {
 // reclaims, so a host that keeps its own table of live leases —
 // gridd's wire ids — can drop the entry. Install it before the run
 // starts (engine token).
-func (m *Manager) OnRevoke(fn func(*Lease)) { m.onRevoke = fn }
+func (m *Manager) OnRevoke(fn func(Lease)) { m.onRevoke = fn }
 
 // Name returns the resource's diagnostic name.
 func (m *Manager) Name() string { return m.name }
@@ -393,36 +396,36 @@ func (m *Manager) Put(units int64) {
 // TryAcquire takes units as a lease without waiting, reporting
 // success. On failure the holder is marked as wanting the resource,
 // so the starvation clock runs until a later grant.
-func (m *Manager) TryAcquire(p Parker, ctx context.Context, holder string, units int64) (*Lease, bool) {
+func (m *Manager) TryAcquire(p Parker, ctx context.Context, holder string, units int64) (Lease, bool) {
 	return m.TryAcquireFor(p, ctx, holder, units, m.quantum)
 }
 
 // TryAcquireFor is TryAcquire with an explicit tenure for this lease
 // alone, as GrantFor is to Grant: gridd's acquire carries its own
 // quantum over the wire. d <= 0 means unlimited tenure.
-func (m *Manager) TryAcquireFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) (*Lease, bool) {
+func (m *Manager) TryAcquireFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) (Lease, bool) {
 	if m.fits(units) && m.QueueLen() == 0 {
 		return m.GrantFor(p, ctx, holder, units, d), true
 	}
 	m.Rejects++
 	m.stats(holder).Rejects++
 	m.NoteWant(holder)
-	return nil, false
+	return Lease{}, false
 }
 
 // Acquire takes units as a lease, parking the process in FIFO order
 // until they are free or ctx is canceled (returning the cancellation
 // cause). Waiters whose units do not fit block the queue head, which
 // keeps the discipline FIFO-fair for mixed sizes.
-func (m *Manager) Acquire(p Parker, ctx context.Context, holder string, units int64) (*Lease, error) {
+func (m *Manager) Acquire(p Parker, ctx context.Context, holder string, units int64) (Lease, error) {
 	return m.AcquireFor(p, ctx, holder, units, m.quantum)
 }
 
 // AcquireFor is Acquire with an explicit tenure for this lease alone
 // (see TryAcquireFor).
-func (m *Manager) AcquireFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) (*Lease, error) {
+func (m *Manager) AcquireFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) (Lease, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Lease{}, err
 	}
 	if m.fits(units) && m.QueueLen() == 0 {
 		return m.GrantFor(p, ctx, holder, units, d), nil
@@ -430,7 +433,7 @@ func (m *Manager) AcquireFor(p Parker, ctx context.Context, holder string, units
 	m.NoteWant(holder)
 	ordinal, err := m.wait(p, ctx, units)
 	if err != nil {
-		return nil, err
+		return Lease{}, err
 	}
 	st := m.stats(holder)
 	st.Grants++
@@ -440,7 +443,7 @@ func (m *Manager) AcquireFor(p Parker, ctx context.Context, holder string, units
 	// under a host whose processes race for a lock (gridd) other grants
 	// may have been minted in between, so the admission ordinal is the
 	// pump's, not the current count.
-	l.ordinal = ordinal
+	l.r.ordinal = ordinal
 	return l, nil
 }
 
@@ -453,8 +456,13 @@ func (m *Manager) wait(p Parker, ctx context.Context, units int64) (int64, error
 	w := &waiter{ctx: wctx, cancel: wcancel, units: units}
 	m.waiters = append(m.waiters, w)
 	herr := p.Hang(wctx)
+	// The pump's cancel only woke us; this one ends the wait context's
+	// tenure. A waiter left in the queue is gone, so the pump skips it
+	// without reading the context again.
+	w.gone = !w.granted
+	w.ctx, w.cancel = nil, nil
+	wcancel()
 	if !w.granted {
-		w.gone = true
 		m.Timeouts++
 		if err := ctx.Err(); err != nil {
 			return 0, err
@@ -467,7 +475,7 @@ func (m *Manager) wait(p Parker, ctx context.Context, units int64) (int64, error
 // Grant takes units unconditionally as a lease: the caller has already
 // arbitrated admission (the fsbuffer allocator grants under its own
 // lane) and only wants the tenure discipline.
-func (m *Manager) Grant(p Parker, ctx context.Context, holder string, units int64) *Lease {
+func (m *Manager) Grant(p Parker, ctx context.Context, holder string, units int64) Lease {
 	return m.GrantFor(p, ctx, holder, units, m.quantum)
 }
 
@@ -475,7 +483,7 @@ func (m *Manager) Grant(p Parker, ctx context.Context, holder string, units int6
 // overriding the manager's quantum: the reservation book grants claim
 // leases whose watchdog fires exactly at the booked window's end, not
 // one global quantum from now. d <= 0 means unlimited tenure.
-func (m *Manager) GrantFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) *Lease {
+func (m *Manager) GrantFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) Lease {
 	st := m.stats(holder)
 	m.inUse += units
 	m.Acquires++
@@ -518,46 +526,90 @@ func (m *Manager) grantWaiters() {
 	}
 }
 
-// newLease mints the tenure record, arming the expiry watchdog when
-// a tenure is given. The trace acquire event is emitted last so event
-// order matches the pre-lease code paths exactly.
-func (m *Manager) newLease(p Parker, ctx context.Context, holder string, units int64, quantum time.Duration) *Lease {
+// newLease opens a tenure on a record from the manager's free list (or
+// a new one), arming the expiry watchdog when a tenure is given. The
+// trace acquire event is emitted last so event order matches the
+// pre-lease code paths exactly.
+func (m *Manager) newLease(p Parker, ctx context.Context, holder string, units int64, quantum time.Duration) Lease {
 	m.nextEpoch++
 	m.outstanding += units
-	l := &Lease{m: m, holder: holder, units: units, parent: ctx, quantum: quantum, epoch: m.nextEpoch, ordinal: m.Acquires}
+	var r *record
+	if k := len(m.free); k > 0 {
+		r = m.free[k-1]
+		m.free[k-1] = nil
+		m.free = m.free[:k-1]
+	} else {
+		r = &record{m: m}
+	}
+	*r = record{m: m, alarm: r.alarm, holder: holder, units: units, parent: ctx, quantum: quantum, epoch: m.nextEpoch, ordinal: m.Acquires}
 	if p != nil {
-		l.tr = p.Tracer()
+		r.tr = p.Tracer()
 	}
 	if quantum > 0 && m.eng != nil {
-		l.ctx, l.cancel = m.eng.WithCancel(ctx)
-		l.deadline = m.eng.Elapsed() + quantum
-		l.watchdog = l.expire
-		l.timer = m.eng.Schedule(quantum, l.watchdog)
+		r.ctx, r.cancel = m.eng.WithCancel(ctx)
+		r.deadline = m.eng.Elapsed() + quantum
+		if r.alarm == nil {
+			r.alarm = m.eng.NewAlarm(r.expire) // bound once per record
+		}
+		r.watched = true
+		r.alarm.Set(quantum)
 	}
-	l.tr.Acquire(m.name, units)
+	r.tr.Acquire(m.name, units)
 	if m.wire != nil {
-		m.wire.grant(l)
+		m.wire.grant(r)
 	}
-	return l
+	return Lease{r: r, epoch: r.epoch}
 }
 
-// Lease is one granted tenure. The holder works under Ctx, renews
-// before the deadline to keep going, and releases when done; if the
-// deadline passes first the watchdog revokes the tenure out from
+// recycle puts a record whose tenure its holder released, and the
+// manager heard released, back on the free list, unless the wire still
+// owes it a delayed renewal. Its epoch goes to 0, which no handle
+// carries, so every handle on it is stale at once.
+func (m *Manager) recycle(r *record) {
+	if r.owed > 0 {
+		return
+	}
+	r.epoch = 0
+	r.holder, r.tr, r.parent, r.ctx = "", nil, nil, nil
+	m.free = append(m.free, r)
+}
+
+// Lease is a handle on one granted tenure: the manager's record of it
+// and the fencing epoch the grant minted. The holder works under Ctx,
+// renews before the deadline to keep going, and releases when done; if
+// the deadline passes first the watchdog revokes the tenure out from
 // under it.
+//
+// A Manager reuses its records: a tenure its holder released hands its
+// record back once the release reached the manager (a revoked tenure's
+// record is left to the collector, and the wire keeps a record until
+// it has delivered what it carries). Epochs are unique per grant, so a
+// handle whose record has moved on acts on an ended lease: Release and
+// Revoke do nothing, Renew reports false, Revoked reports false (only a
+// tenure released intact is reused), Ctx is canceled, Holder, Units,
+// Deadline and Ordinal are zero, and nothing reaches the record's next
+// tenant. The zero Lease is such a handle. Handles are values: copy
+// them freely.
 type Lease struct {
+	r     *record
+	epoch uint64
+}
+
+// record is one tenure's state, reused across tenures by its manager.
+type record struct {
 	m        *Manager
 	holder   string
 	units    int64
 	quantum  time.Duration // this lease's own tenure (renewal step)
-	epoch    uint64        // monotone fencing epoch minted at grant
+	epoch    uint64        // this tenure's fencing epoch; 0 on the free list
 	ordinal  int64         // the manager's grant count at admission
 	tr       *trace.Client
 	parent   context.Context
 	ctx      context.Context
 	cancel   context.CancelFunc
-	timer    core.Timer
-	watchdog func() // l.expire, bound once: a method value per renew is an allocation
+	alarm    core.Alarm // the watchdog, r.expire, made once per record
+	watched  bool       // the alarm guards this tenure (limited tenure)
+	owed     int        // delayed renewals the wire has yet to deliver
 	deadline time.Duration
 	done     bool
 	revoked  bool
@@ -566,63 +618,97 @@ type Lease struct {
 	inFlight bool // release message delayed: delivery pending
 }
 
+// rec returns the handle's record while the tenure it names is the
+// record's current one, else over.
+func (l Lease) rec() *record {
+	if r := l.r; r != nil && r.epoch == l.epoch {
+		return r
+	}
+	return &over
+}
+
+// over is the record a stale or zero handle reads: a tenure that has
+// ended, whose context is canceled. Every path through an ended record
+// returns before it writes, so one record serves every manager.
+var over = record{done: true, ctx: ended}
+
 // endOutstanding returns the lease's units to the ground-truth ledger
 // exactly once: at the holder-side end of the tenure (Release called,
 // or the watchdog's cancellation stopping the holder).
-func (l *Lease) endOutstanding() {
-	if !l.ended {
-		l.ended = true
-		l.m.outstanding -= l.units
+func (r *record) endOutstanding() {
+	if !r.ended {
+		r.ended = true
+		r.m.outstanding -= r.units
 	}
 }
+
+// endCtx cancels the lease context, once per tenure. The holder's own
+// cancel ends the context's tenure on its host (a simulator recycles
+// it), so the record keeps no pointer to it afterwards.
+func (r *record) endCtx() {
+	if r.cancel != nil {
+		r.cancel()
+		r.cancel = nil
+		r.ctx = ended
+	}
+}
+
+// ended is the context of a tenure that is over: what Ctx returns once
+// the lease context was canceled, and to a stale handle.
+var ended = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // Ctx returns the context the holder must work under: canceled on
 // revocation. With an unlimited quantum it is the acquisition context
 // itself (no watchdog, no extra context).
-func (l *Lease) Ctx() context.Context {
-	if l.ctx != nil {
-		return l.ctx
+func (l Lease) Ctx() context.Context {
+	r := l.rec()
+	if r.ctx != nil {
+		return r.ctx
 	}
-	return l.parent
+	return r.parent
 }
 
 // Holder returns the holder name the lease was granted to.
-func (l *Lease) Holder() string { return l.holder }
+func (l Lease) Holder() string { return l.rec().holder }
 
 // Units returns the number of units held.
-func (l *Lease) Units() int64 { return l.units }
+func (l Lease) Units() int64 { return l.rec().units }
 
 // Deadline returns the virtual time the tenure expires; ok is false
 // for unlimited tenure.
-func (l *Lease) Deadline() (time.Duration, bool) {
-	return l.deadline, l.timer != nil
+func (l Lease) Deadline() (time.Duration, bool) {
+	r := l.rec()
+	return r.deadline, r.watched
 }
 
 // Revoked reports whether the watchdog reclaimed this tenure.
-func (l *Lease) Revoked() bool { return l.revoked }
+func (l Lease) Revoked() bool { return l.rec().revoked }
 
 // Ordinal returns the manager's grant count (Acquires) at the moment
 // this tenure was admitted: 1 for the first grant, in admission order
 // even when the admitted processes resume out of order.
-func (l *Lease) Ordinal() int64 { return l.ordinal }
+func (l Lease) Ordinal() int64 { return l.rec().ordinal }
 
 // Revoke ends the tenure now, exactly as the watchdog would at its
 // deadline: the host's own reasons to reclaim (a crashed resource, a
 // draining daemon) take the same path as an overstayed quantum. A
 // tenure that already ended is left alone.
-func (l *Lease) Revoke() {
-	if l.timer != nil {
-		l.timer.Cancel()
+func (l Lease) Revoke() {
+	r := l.rec()
+	if r.watched {
+		r.alarm.Stop()
 	}
-	l.expire()
+	r.expire()
 }
 
 // Renew extends the tenure by one quantum from now, reporting whether
 // the lease was still live. Renewing an unlimited lease is a no-op
 // that reports true.
-func (l *Lease) Renew() bool {
-	return l.RenewFor(l.quantum)
-}
+func (l Lease) Renew() bool { return l.RenewFor(l.rec().quantum) }
 
 // RenewFor extends the tenure to d from now, reporting whether the
 // lease was still live. It is Renew with an explicit tenure: the
@@ -634,58 +720,60 @@ func (l *Lease) Renew() bool {
 // renewed; the watchdog fires on the old schedule) or delayed (the
 // extension lands late — or arrives after a revocation, where a fenced
 // manager rejects the stale epoch).
-func (l *Lease) RenewFor(d time.Duration) bool {
-	if l.done {
+func (l Lease) RenewFor(d time.Duration) bool {
+	r := l.rec()
+	if r.done {
 		return false
 	}
-	if l.timer == nil || d <= 0 {
+	if !r.watched || d <= 0 {
 		return true
 	}
-	if w := l.m.wire; w != nil {
-		if w.renew(l, d) {
+	if w := r.m.wire; w != nil {
+		if w.renew(r, d) {
 			return true // the wire consumed (dropped/delayed) the message
 		}
 	}
-	l.extend(d)
+	r.extend(d)
 	return true
 }
 
 // extend applies a renewal: the watchdog is pushed to d from now.
-func (l *Lease) extend(d time.Duration) {
-	l.timer.Cancel()
-	l.deadline = l.m.eng.Elapsed() + d
-	l.timer = l.m.eng.Schedule(d, l.watchdog)
+func (r *record) extend(d time.Duration) {
+	r.deadline = r.m.eng.Elapsed() + d
+	r.alarm.Set(d)
 }
 
 // Release ends the tenure and returns the units. Releasing a revoked
 // or already-released lease is a no-op, so holders can defer Release
-// unconditionally.
+// unconditionally. A release that ends a live tenure hands the record
+// back to the manager for the next grant.
 //
 // With a wire installed the release message crosses the unreliable
 // channel: it may be dropped (the units leak until the watchdog
 // reclaims them), delayed (a revocation can race the delivery), or
 // duplicated (a fenced manager rejects the second copy as stale; an
 // unfenced one double-frees — the double-allocation hazard).
-func (l *Lease) Release() {
-	if l.done {
+func (l Lease) Release() {
+	r := l.rec()
+	if r.done {
 		return
 	}
-	l.done = true
-	l.endOutstanding() // the holder genuinely stops using the units now
-	if w := l.m.wire; w != nil {
-		if w.release(l) {
+	r.done = true
+	r.endOutstanding() // the holder genuinely stops using the units now
+	m := r.m
+	if w := m.wire; w != nil {
+		if w.release(r) {
 			return // the wire consumed (dropped/delayed/duplicated) it
 		}
 	}
-	if l.timer != nil {
-		l.timer.Cancel()
+	if r.watched {
+		r.alarm.Stop()
 	}
-	if l.cancel != nil {
-		l.cancel()
-	}
-	l.m.retire(l.epoch)
-	l.m.release(l.units)
-	l.tr.Release(l.m.name, l.units)
+	r.endCtx()
+	m.retire(r.epoch)
+	m.release(r.units)
+	r.tr.Release(m.name, r.units)
+	m.recycle(r)
 }
 
 // expire is the watchdog: the quantum ran out without a Renew or
@@ -697,30 +785,29 @@ func (l *Lease) Release() {
 // wire, the manager never heard the tenure end — from its side this is
 // an ordinary expiry, and the watchdog is exactly the mechanism that
 // heals the leak.
-func (l *Lease) expire() {
+func (r *record) expire() {
 	switch {
-	case !l.done:
-		l.done = true
-		l.endOutstanding() // cancellation below forcibly stops the holder
-	case l.lost || l.inFlight:
+	case !r.done:
+		r.done = true
+		r.endOutstanding() // cancellation below forcibly stops the holder
+	case r.lost || r.inFlight:
 		// Reclaim a tenure whose release the manager never received. A
 		// delivery still in flight now races a completed revocation: the
 		// fence decides (see wire.deliverRelease).
-		l.lost = false
+		r.lost = false
 	default:
 		return
 	}
-	l.revoked = true
-	l.m.Revokes++
-	l.m.RevokedUnits += l.units
-	l.m.stats(l.holder).Revokes++
-	if l.m.onRevoke != nil {
-		l.m.onRevoke(l)
+	m := r.m
+	r.revoked = true
+	m.Revokes++
+	m.RevokedUnits += r.units
+	m.stats(r.holder).Revokes++
+	if m.onRevoke != nil {
+		m.onRevoke(Lease{r: r, epoch: r.epoch})
 	}
-	l.tr.Revoke(l.m.name, l.units)
-	if l.cancel != nil {
-		l.cancel() // a no-op when the wire already canceled at the lost release
-	}
-	l.m.retire(l.epoch)
-	l.m.release(l.units)
+	r.tr.Revoke(m.name, r.units)
+	r.endCtx() // a no-op when the wire already canceled at the lost release
+	m.retire(r.epoch)
+	m.release(r.units)
 }

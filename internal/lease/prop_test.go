@@ -86,7 +86,7 @@ func leasePropRun(seed int64, clients, opsPer int) (*propLedger, string) {
 					led.parkOrder = append(led.parkOrder, tag)
 				}
 				ctx, cancel := p.WithTimeout(e.Context(), time.Duration(5+rng.Intn(90))*time.Second)
-				var l *Lease
+				var l Lease
 				var err error
 				if op == 1 {
 					if wouldPark {
@@ -106,7 +106,7 @@ func leasePropRun(seed int64, clients, opsPer int) (*propLedger, string) {
 					led.granted[tag] = true
 				}
 				led.grants++
-				if l != nil {
+				if l != (Lease{}) {
 					finishTenure(p, rng, l, led)
 				} else {
 					// A raw holder has no watchdog: it holds for a
@@ -157,7 +157,7 @@ func leasePropRun(seed int64, clients, opsPer int) (*propLedger, string) {
 // finishTenure holds a granted lease in one of the randomized styles —
 // wedge until revoked, renew mid-tenure, hold briefly, or release at
 // once — then records how the tenure ended.
-func finishTenure(p *sim.Proc, rng *rand.Rand, l *Lease, led *propLedger) {
+func finishTenure(p *sim.Proc, rng *rand.Rand, l Lease, led *propLedger) {
 	switch rng.Intn(4) {
 	case 0: // wedge: never renew, never release; the watchdog reclaims
 		_ = p.Sleep(l.Ctx(), 50*propQuantum)

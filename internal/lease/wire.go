@@ -92,21 +92,22 @@ func (m *Manager) Late(units int64) (fenced bool) {
 	return false
 }
 
-// Epoch returns the lease's fencing epoch.
-func (l *Lease) Epoch() uint64 { return l.epoch }
+// Epoch returns the lease's fencing epoch (a stale handle's too).
+func (l Lease) Epoch() uint64 { return l.epoch }
 
 // StaleErr returns the typed fencing rejection a fenced resource gives
 // this lease's operations once its epoch is retired, or nil while the
 // tenure is live (or the manager is not fenced). Substrates surface it
 // to clients whose tenure was revoked out from under them.
-func (l *Lease) StaleErr() error {
-	if l.m.wire == nil || !l.m.wire.fenced {
+func (l Lease) StaleErr() error {
+	if l.r == nil {
 		return nil
 	}
-	if l.epoch > l.m.fence {
+	m := l.r.m // a record serves one manager for life
+	if !m.Fenced() || l.epoch > m.fence {
 		return nil
 	}
-	return core.Stale(l.m.name, l.epoch, l.m.fence)
+	return core.Stale(m.name, l.epoch, m.fence)
 }
 
 // grant delivers the grant acknowledgement over the wire. A duplicated
@@ -115,36 +116,36 @@ func (l *Lease) StaleErr() error {
 // second, holderless tenure. The phantom pins capacity until the
 // watchdog notices nobody is renewing it (one quantum), or forever on
 // a quantum-0 manager — which is why partitions need tenure quanta.
-func (w *wire) grant(l *Lease) {
-	m := l.m
+func (w *wire) grant(r *record) {
+	m := r.m
 	f := core.InjectAt(w.inj, w.site)
 	if !f.Dup {
 		return
 	}
 	m.Dups++
-	l.tr.MsgDup(m.name)
+	r.tr.MsgDup(m.name)
 	if w.fenced {
 		m.Stales++
-		l.tr.Stale(m.name, l.units)
+		r.tr.Stale(m.name, r.units)
 		return
 	}
-	m.inUse += l.units // phantom duplicate booking
+	m.inUse += r.units // phantom duplicate booking
 	if m.quantum > 0 {
-		units := l.units
+		units := r.units
 		m.eng.Schedule(m.quantum, func() { m.releaseLoose(units) })
 	}
 }
 
 // renew carries a renewal message over the wire, reporting whether the
 // wire consumed it (the caller then skips the local extension).
-func (w *wire) renew(l *Lease, d time.Duration) bool {
-	m := l.m
+func (w *wire) renew(r *record, d time.Duration) bool {
+	m := r.m
 	f := core.InjectAt(w.inj, w.site)
 	switch {
 	case f.Drop || f.Err != nil:
 		// Lost: the holder believes it renewed; the watchdog does not.
 		m.Drops++
-		l.tr.MsgDrop(m.name)
+		r.tr.MsgDrop(m.name)
 		return true
 	case f.Delay > 0:
 		// Late: the extension lands Delay later — unless the watchdog
@@ -153,24 +154,26 @@ func (w *wire) renew(l *Lease, d time.Duration) bool {
 		// release, and clearing it here would let a release delivery
 		// scheduled in the meantime return without freeing the books —
 		// a permanent phantom booking.
+		r.owed++ // the record stays out of the free list until delivery
 		m.eng.Schedule(f.Delay, func() {
-			if l.done || l.revoked {
+			r.owed--
+			if r.done || r.revoked {
 				if w.fenced {
 					m.Stales++
-					l.tr.Stale(m.name, l.units)
+					r.tr.Stale(m.name, r.units)
 				}
 				// Unfenced: renewing a dead tenure re-arms nothing —
 				// the units were already reclaimed. No resurrection.
 				return
 			}
-			l.extend(d)
+			r.extend(d)
 		})
 		return true
 	case f.Dup:
 		// A duplicated renewal is idempotent — both copies set the same
 		// deadline — so apply once and count the copy.
 		m.Dups++
-		l.tr.MsgDup(m.name)
+		r.tr.MsgDup(m.name)
 		return false
 	}
 	return false
@@ -181,8 +184,8 @@ func (w *wire) renew(l *Lease, d time.Duration) bool {
 // caller has already marked the lease done and returned the units to
 // the ground-truth ledger: whatever happens below is about the
 // manager's books, not about reality.
-func (w *wire) release(l *Lease) bool {
-	m := l.m
+func (w *wire) release(r *record) bool {
+	m := r.m
 	f := core.InjectAt(w.inj, w.site)
 	switch {
 	case f.Drop || f.Err != nil:
@@ -190,66 +193,62 @@ func (w *wire) release(l *Lease) bool {
 		// reclaims the units at the old deadline; without one the units
 		// leak — which is why partitions need tenure quanta.
 		m.Drops++
-		l.tr.MsgDrop(m.name)
-		l.lost = true
-		if l.cancel != nil {
-			l.cancel()
-		}
+		r.tr.MsgDrop(m.name)
+		r.lost = true
+		r.endCtx()
 		return true
 	case f.Delay > 0:
 		// In flight: delivery lands Delay later. If the watchdog
 		// revokes the tenure first, the delivery arrives stale: the
 		// fence rejects it; an unfenced manager double-frees.
-		l.inFlight = true
-		if l.cancel != nil {
-			l.cancel()
-		}
-		m.eng.Schedule(f.Delay, func() { w.deliverRelease(l) })
+		r.inFlight = true
+		r.endCtx()
+		m.eng.Schedule(f.Delay, func() { w.deliverRelease(r) })
 		return true
 	case f.Dup:
 		// Delivered twice: apply the first copy normally, then the
 		// duplicate. The fence rejects the copy as stale; an unfenced
 		// manager double-frees — the double-allocation seed.
-		if l.timer != nil {
-			l.timer.Cancel()
+		if r.watched {
+			r.alarm.Stop()
 		}
-		if l.cancel != nil {
-			l.cancel()
-		}
-		m.retire(l.epoch)
-		m.release(l.units)
-		l.tr.Release(m.name, l.units)
+		r.endCtx()
+		m.retire(r.epoch)
+		m.release(r.units)
+		r.tr.Release(m.name, r.units)
 		m.Dups++
-		l.tr.MsgDup(m.name)
-		if m.Late(l.units) {
-			l.tr.Stale(m.name, l.units)
+		r.tr.MsgDup(m.name)
+		if m.Late(r.units) {
+			r.tr.Stale(m.name, r.units)
 		}
+		m.recycle(r)
 		return true
 	}
 	return false
 }
 
 // deliverRelease is the late arrival of a delayed release message.
-func (w *wire) deliverRelease(l *Lease) {
-	m := l.m
-	if !l.inFlight {
+func (w *wire) deliverRelease(r *record) {
+	m := r.m
+	if !r.inFlight {
 		return
 	}
-	l.inFlight = false
-	if l.revoked {
+	r.inFlight = false
+	if r.revoked {
 		// The watchdog beat the delivery: the tenure was revoked and
 		// the units already reclaimed. Fenced, the stale epoch is
 		// rejected; unfenced, the manager frees units it no longer
 		// holds for this tenure — over-admission follows.
-		if m.Late(l.units) {
-			l.tr.Stale(m.name, l.units)
+		if m.Late(r.units) {
+			r.tr.Stale(m.name, r.units)
 		}
 		return
 	}
-	if l.timer != nil {
-		l.timer.Cancel()
+	if r.watched {
+		r.alarm.Stop()
 	}
-	m.retire(l.epoch)
-	m.release(l.units)
-	l.tr.Release(m.name, l.units)
+	m.retire(r.epoch)
+	m.release(r.units)
+	r.tr.Release(m.name, r.units)
+	m.recycle(r) // delivered: the wire holds the record no longer
 }

@@ -259,6 +259,9 @@ func (e *Engine) Schedule(d time.Duration, fn func()) core.Timer {
 	return n
 }
 
+// NewAlarm implements core.Backend over Schedule.
+func (e *Engine) NewAlarm(fn func()) core.Alarm { return core.AlarmOf(e.Schedule, fn) }
+
 // Run launches every pending process, timer and deadline, waits for all
 // processes (including ones spawned later) to return, then drains outstanding
 // timers: each pending callback fires exactly once, in deadline order,

@@ -204,7 +204,7 @@ func (s *Server) fetch(p core.Proc, ctx context.Context, size int64) error {
 // sleepRenewing sleeps for d, renewing the lease each half-quantum so
 // an actively transferring client is never mistaken for a stuck one.
 // With unlimited tenure it is a single plain sleep.
-func (s *Server) sleepRenewing(p core.Proc, ctx context.Context, l *lease.Lease, d time.Duration) error {
+func (s *Server) sleepRenewing(p core.Proc, ctx context.Context, l lease.Lease, d time.Duration) error {
 	q := s.lane.Quantum()
 	if q <= 0 {
 		return p.Sleep(ctx, d)
@@ -231,7 +231,7 @@ func (s *Server) sleepRenewing(p core.Proc, ctx context.Context, l *lease.Lease,
 // cancellation propagates; a revoked tenure is a collision on this
 // server (the client touched the resource and lost it); otherwise the
 // sleep's verdict stands.
-func (s *Server) holdErr(ctx context.Context, l *lease.Lease, err error) error {
+func (s *Server) holdErr(ctx context.Context, l lease.Lease, err error) error {
 	if err == nil {
 		return nil
 	}

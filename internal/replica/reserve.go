@@ -39,7 +39,7 @@ func NewBooks(e core.Backend, servers []*Server) []*lease.Book {
 // this server's lane book. There is no lane queueing — the window is
 // already the holder's — so the only ways to lose are the black hole,
 // injected faults, and the window's own boundary.
-func (s *Server) FetchDataReserved(p core.Proc, ctx context.Context, claim *lease.Lease) error {
+func (s *Server) FetchDataReserved(p core.Proc, ctx context.Context, claim lease.Lease) error {
 	if err := p.Sleep(ctx, s.cfg.ConnectTime); err != nil {
 		return err
 	}

@@ -16,23 +16,38 @@ import (
 // require a real goroutine and real time.
 //
 // The type is tuned for the timeout-per-attempt pattern, where a
-// context lives for one guarded call and is discarded: the done channel
-// is materialized only if someone asks for it, and children and hooks
-// live in slices backed by small inline arrays, so the typical
-// WithTimeout/Sleep/cancel cycle costs two allocations total (the Ctx
-// and the CancelFunc closure).
+// context lives for one guarded call and is discarded. Records are the
+// engine's: a context derived by a process goes back to its engine's
+// free list when that same process calls its CancelFunc, and the next
+// derive reuses it, so in steady state a WithTimeout/Sleep/cancel cycle
+// allocates nothing. The CancelFunc is bound once per record. A cancel
+// from anywhere else (another process, a timer callback, or before
+// Run) only cancels; the record is then left to the collector, as is
+// one derived outside any process. After the deriving process's cancel
+// the context and its CancelFunc are dead to everyone: whoever still
+// holds them reads, or cancels, the record's next tenant (DESIGN.md,
+// "Handle lifetimes"). The done channel is materialized only if
+// someone asks for it, and children and hooks live in slices backed by
+// small inline arrays.
 type Ctx struct {
-	eng      *Engine
-	parent   context.Context
+	eng *Engine
+	// parent is the sim parent this context is registered with: nil
+	// for the root, under a foreign parent, and once canceled. outer is
+	// the nearest foreign ancestor, which answers Value.
+	parent   *Ctx
+	outer    context.Context
+	owner    *Proc         // the process that derived it; nil outside any process
+	stop     func()        // the CancelFunc: c.end, bound once per record
 	done     chan struct{} // lazily created by Done
 	err      error
 	deadline time.Duration // virtual; valid if hasDL
 	hasDL    bool
+	free     bool // on the engine's free list
 	timer    Timer
 
 	children []*Ctx // registration order; backed by childArr while small
 	hooks    []ctxHook
-	hookSeq  int
+	hookSeq  int // never reset: a stale removeHook id matches no later hook
 	childArr [2]*Ctx
 	hookArr  [2]ctxHook
 }
@@ -52,8 +67,45 @@ var closedchan = make(chan struct{})
 
 func init() { close(closedchan) }
 
-func newCtx(e *Engine, parent context.Context) *Ctx {
-	return &Ctx{eng: e, parent: parent}
+// newCtx takes a record from the engine's free list, or mints one,
+// and opens a tenure under parent for the running process.
+func (e *Engine) newCtx(parent context.Context) *Ctx {
+	var c *Ctx
+	if k := len(e.ctxFree); k > 0 {
+		c = e.ctxFree[k-1]
+		e.ctxFree[k-1] = nil
+		e.ctxFree = e.ctxFree[:k-1]
+		c.free = false
+		c.err = nil
+		c.done = nil
+		c.hasDL = false
+		c.deadline = 0
+	} else {
+		c = &Ctx{eng: e}
+		c.stop = c.end
+	}
+	c.owner = e.current
+	switch pc := parent.(type) {
+	case *Ctx:
+		c.parent, c.outer = pc, pc.outer
+	default:
+		c.parent, c.outer = nil, parent
+	}
+	return c
+}
+
+// end is the CancelFunc: it cancels the context and, called by the
+// process that derived it, ends the record's tenure. A second call
+// before the record is reused does nothing.
+func (c *Ctx) end() {
+	if c.free {
+		return
+	}
+	c.cancel(context.Canceled)
+	if e := c.eng; c.owner != nil && c.owner == e.current {
+		c.free = true
+		e.ctxFree = append(e.ctxFree, c)
+	}
 }
 
 // Deadline reports the virtual deadline, converted to absolute time.
@@ -80,10 +132,11 @@ func (c *Ctx) Done() <-chan struct{} {
 // Err reports nil until the context is canceled, then the cause.
 func (c *Ctx) Err() error { return c.err }
 
-// Value defers to the parent context chain.
+// Value defers to the nearest foreign ancestor: a sim context holds
+// no values of its own.
 func (c *Ctx) Value(key any) any {
-	if c.parent != nil {
-		return c.parent.Value(key)
+	if c.outer != nil {
+		return c.outer.Value(key)
 	}
 	return nil
 }
@@ -104,14 +157,18 @@ func (c *Ctx) cancel(err error) {
 	hooks := c.hooks
 	c.hooks = nil
 	for i := range hooks {
-		hooks[i].fn(err)
+		fn := hooks[i].fn
+		hooks[i] = ctxHook{}
+		fn(err)
 	}
 	children := c.children
 	c.children = nil
-	for _, child := range children {
+	for i, child := range children {
+		children[i] = nil
 		child.cancel(err)
 	}
-	if pc, ok := c.parent.(*Ctx); ok {
+	if pc := c.parent; pc != nil {
+		c.parent = nil // a canceled context keeps no parent to touch
 		pc.removeChild(c)
 	}
 }
@@ -168,18 +225,18 @@ func onCancelID(ctx context.Context, fn func(error)) (int, *Ctx) {
 // WithCancel derives a child context canceled either explicitly or when
 // its parent is canceled.
 func (e *Engine) WithCancel(parent context.Context) (context.Context, context.CancelFunc) {
-	child := newCtx(e, parent)
+	child := e.newCtx(parent)
 	if err := parent.Err(); err != nil {
 		child.cancel(err)
-		return child, func() {}
+		return child, child.stop
 	}
-	if pc, ok := parent.(*Ctx); ok {
+	if pc := child.parent; pc != nil {
 		if pc.children == nil {
 			pc.children = pc.childArr[:0]
 		}
 		pc.children = append(pc.children, child)
 	}
-	return child, func() { child.cancel(context.Canceled) }
+	return child, child.stop
 }
 
 // WithTimeout derives a child context canceled after d of virtual time.

@@ -233,3 +233,144 @@ func TestSetCapacityGrowthGrantsWaiters(t *testing.T) {
 		t.Fatalf("waiter granted at %v, want 5s", gotAt)
 	}
 }
+
+// TestCtxRecycledByDerivingProcess: the deriving process's cancel hands
+// the record back, the next derive reuses it, and a second cancel before
+// the reuse neither cancels anything nor returns the record twice. A
+// cancel from anywhere else only cancels.
+func TestCtxRecycledByDerivingProcess(t *testing.T) {
+	e := New(1)
+	outside, stop := e.WithCancel(e.Context()) // derived outside any process
+	e.Spawn("a", func(p *Proc) {
+		ctx, cancel := p.WithCancel(e.Context())
+		cancel()
+		cancel()
+		if len(e.ctxFree) != 1 {
+			t.Fatalf("%d records on the free list after a double cancel, want 1", len(e.ctxFree))
+		}
+		if ctx.Err() == nil {
+			t.Error("a canceled context reads live before its record is reused")
+		}
+		again, cancel2 := p.WithTimeout(e.Context(), time.Hour)
+		if again != ctx || again.Err() != nil {
+			t.Fatal("the next derive did not reuse the record as a live context")
+		}
+		cancel2()
+		stop()
+		if len(e.ctxFree) != 1 {
+			t.Error("a cancel by another party than the deriving process recycled")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(outside.Err(), context.Canceled) {
+		t.Fatalf("outside Err = %v", outside.Err())
+	}
+}
+
+// TestRecycledCtxNeverFiresOldHook: a process woken by a cancellation
+// deregisters its hook after the record may have moved on. Hook ids are
+// never reused on a record, so the late deregistration misses the new
+// tenant's hook, and the new tenant's cancellation fires only its own.
+func TestRecycledCtxNeverFiresOldHook(t *testing.T) {
+	e := New(1)
+	var first context.Context
+	var fired []string
+	e.Spawn("owner", func(p *Proc) {
+		var end context.CancelFunc
+		first, end = p.WithCancel(e.Context())
+		p.Yield() // the sleeper parks on first
+		end()     // wakes it; it has not run yet
+		second, end2 := p.WithCancel(e.Context())
+		if second != first {
+			t.Fatal("the record was not reused")
+		}
+		second.(*Ctx).onCancel(func(err error) { fired = append(fired, "new:"+errName(err)) })
+		p.Yield() // the sleeper resumes and deregisters its old hook
+		end2()
+	})
+	e.Spawn("sleeper", func(p *Proc) {
+		err := p.Sleep(first, time.Hour)
+		fired = append(fired, "sleeper:"+errName(err))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 2 || fired[0] != "sleeper:canceled" || fired[1] != "new:canceled" {
+		t.Fatalf("wakeups %v, want the sleeper once, then the new tenant's hook once", fired)
+	}
+}
+
+func errName(err error) string {
+	if errors.Is(err, context.Canceled) {
+		return "canceled"
+	}
+	return "other"
+}
+
+// TestRecycledCtxNeverCascadesToOldChild: the children of a record's
+// old tenure are not the new tenant's. A parent and its child are both
+// recycled; the child's record goes to an unrelated context, the
+// parent's to a new parent, and canceling the new parent leaves the
+// unrelated context live.
+func TestRecycledCtxNeverCascadesToOldChild(t *testing.T) {
+	e := New(1)
+	e.Spawn("a", func(p *Proc) {
+		parent, endParent := p.WithCancel(e.Context())
+		child, endChild := p.WithCancel(parent)
+		endChild()
+		endParent()
+		parent2, endParent2 := p.WithCancel(e.Context())
+		other, endOther := p.WithCancel(e.Context())
+		if parent2 != parent || other != child {
+			t.Fatal("the records were not reused")
+		}
+		endParent2()
+		if other.Err() != nil {
+			t.Error("canceling the parent's new tenant canceled its old child's record")
+		}
+		endOther()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCascadeUnlinksChildFromEndedParent: a child that outlives its
+// parent's tenure (canceled by the cascade, owned by another process)
+// no longer points at the parent's record, so its own late cancel does
+// not touch the record's next tenant.
+func TestCascadeUnlinksChildFromEndedParent(t *testing.T) {
+	e := New(1)
+	var parent context.Context
+	var endParent context.CancelFunc
+	e.Spawn("owner", func(p *Proc) {
+		parent, endParent = p.WithCancel(e.Context())
+		p.Yield() // the other process derives its child
+		endParent()
+		parent2, endParent2 := p.WithCancel(e.Context())
+		if parent2 != parent {
+			t.Fatal("the record was not reused")
+		}
+		sibling, endSibling := p.WithCancel(parent2)
+		p.Yield() // the child's owner cancels its child now
+		if sibling.Err() != nil {
+			t.Error("the old child's cancel reached the parent's new tenant")
+		}
+		endSibling()
+		endParent2()
+	})
+	e.Spawn("child-owner", func(p *Proc) {
+		child, endChild := p.WithCancel(parent)
+		p.Yield()
+		if !errors.Is(child.Err(), context.Canceled) {
+			t.Errorf("child Err = %v after its parent ended", child.Err())
+		}
+		p.Yield()
+		endChild()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

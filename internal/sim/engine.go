@@ -86,7 +86,8 @@ type Engine struct {
 	// against accidental infinite simulations. Zero means the default.
 	MaxEvents int64
 
-	root *Ctx
+	root    *Ctx
+	ctxFree []*Ctx // contexts whose deriving process canceled them
 }
 
 const defaultMaxEvents = 200_000_000
@@ -97,7 +98,7 @@ const defaultMaxEvents = 200_000_000
 // fresh engine, and most ftsh scripts never draw.
 func New(seed int64) *Engine {
 	e := &Engine{seed: seed}
-	e.root = newCtx(e, nil)
+	e.root = &Ctx{eng: e}
 	return e
 }
 

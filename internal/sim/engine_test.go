@@ -1046,10 +1046,11 @@ func TestShellReuseAllocs(t *testing.T) {
 // TestTimerAllocs pins the timer path's allocation budgets, the numbers
 // the README states: once an engine has nodes to recycle, a timer
 // scheduled by either callback form and fired, or scheduled and
-// canceled, allocates nothing, and a process's WithTimeout + Sleep +
-// cancel cycle allocates exactly twice, for the context and its cancel
-// func. A recycled process on a pooled shell costs nothing itself, so
-// the cycle is measured as one process spawned and run.
+// canceled, allocates nothing, and so does a process's WithTimeout +
+// Sleep + cancel cycle: the deriving process's cancel hands the context
+// back to the engine, and its CancelFunc is bound once per record. A
+// recycled process on a pooled shell costs nothing itself, so the cycle
+// is measured as one process spawned and run.
 func TestTimerAllocs(t *testing.T) {
 	e := New(1)
 	fn := func() {}
@@ -1074,10 +1075,34 @@ func TestTimerAllocs(t *testing.T) {
 		{"ScheduleArg then fire", 0, func() { e.ScheduleArg(time.Second, afn, e); run() }},
 		{"Schedule then Cancel", 0, func() { e.Schedule(time.Hour, fn).Cancel() }},
 		{"Spawn and Run", 0, func() { e.Spawn("idle", idle); run() }},
-		{"WithTimeout + Sleep + cancel", 2, func() { e.Spawn("cycle", cycle); run() }},
+		{"WithTimeout + Sleep + cancel", 0, func() { e.Spawn("cycle", cycle); run() }},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got != c.want {
 			t.Errorf("%s: %.0f allocations, want %.0f", c.name, got, c.want)
 		}
+	}
+}
+
+// TestTryAttemptAllocs is the allocation budget of one core.Try attempt
+// on the sim, with a duration budget: none. The try's timeout context
+// comes from the engine's free list and goes back when Try's deferred
+// cancel runs; its backoff and budget live on Try's stack.
+func TestTryAttemptAllocs(t *testing.T) {
+	e := New(1)
+	var allocs float64
+	op := func(context.Context) error { return nil }
+	e.Spawn("client", func(p *Proc) {
+		ctx := e.Context()
+		allocs = testing.AllocsPerRun(100, func() {
+			if err := core.Try(ctx, p, core.For(time.Minute), core.TryConfig{}, op); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per Try attempt: budget 0", allocs)
 	}
 }

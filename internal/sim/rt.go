@@ -12,7 +12,8 @@ import (
 // sim.Timer, func(*Proc)) for the engine's direct users and the
 // zero-allocation hot path; RT shadows exactly the methods whose
 // signatures differ, boxing only at setup-rate call sites (Spawn,
-// Schedule). Obtain one with Engine.RT.
+// Schedule), and adds NewAlarm, the re-armable timer a caller keeps
+// instead of boxing a handle per arming. Obtain one with Engine.RT.
 type RT struct{ *Engine }
 
 var _ core.Backend = RT{}
@@ -38,3 +39,28 @@ func (r RT) Spawn(name string, fn func(p core.Proc)) {
 func (r RT) Schedule(d time.Duration, fn func()) core.Timer {
 	return r.Engine.Schedule(d, fn)
 }
+
+// NewAlarm implements core.Backend. The alarm keeps the engine's
+// value-type handle and re-arms through ScheduleArg with itself as the
+// argument, so Set and Stop allocate nothing.
+func (r RT) NewAlarm(fn func()) core.Alarm { return &alarm{eng: r.Engine, fn: fn} }
+
+// alarm is the simulator's core.Alarm.
+type alarm struct {
+	eng *Engine
+	fn  func()
+	t   Timer
+}
+
+func (a *alarm) Set(d time.Duration) {
+	a.t.Cancel()
+	a.t = a.eng.ScheduleArg(d, fireAlarm, a)
+}
+
+func (a *alarm) Stop() {
+	a.t.Cancel()
+	a.t = Timer{}
+}
+
+// fireAlarm is the shared callback of every alarm.
+func fireAlarm(arg any) { arg.(*alarm).fn() }

@@ -36,7 +36,7 @@ race:
 # the daemon over a loopback socket. A subset of race, so not in ci.
 gridd-race:
 	$(GO) test -race -count=1 ./internal/gridd ./internal/griddclient ./cmd/gridd
-	$(GO) test -race -count=1 ./internal/expt -run 'TestDiffGridd|TestGridd|TestTripper'
+	$(GO) test -race -count=1 ./internal/expt -run 'TestDiff(SubmitOrdering|LeaseNoStarvation)/gridd|TestGridd|TestTripper'
 
 # Run every benchmark exactly once: keeps the harnesses compiling and
 # passing — including the engine hot-path and parallel-sweep benchmarks

@@ -42,6 +42,10 @@ type renderFunc func(r *renderer, f *figure, opt expt.Options, d core.Discipline
 
 func one(d core.Discipline) *core.Discipline { return &d }
 
+// everywhere lists every backend: the figures of the submit and lease
+// scenarios run on gridd too, their FD table on the daemon.
+var everywhere = []string{expt.BackendSim, expt.BackendLive, expt.BackendGridd}
+
 // sweepFigure renders a figure that is a list of tables with note lines
 // between them (renderer.show).
 func sweepFigure(run func(r *renderer, opt expt.Options) []any) renderFunc {
@@ -53,12 +57,13 @@ func sweepFigure(run func(r *renderer, opt expt.Options) []any) renderFunc {
 
 var figures = []figure{
 	{name: "1", title: "Scalability of Job Submission", sub: "jobs submitted in 5 minutes vs number of submitters",
-		render:  sweepFigure(func(_ *renderer, opt expt.Options) []any { return []any{expt.Fig1(opt)} }),
-		goldens: []string{"fig1_table -scale 0.1"}},
+		backends: everywhere,
+		render:   sweepFigure(func(_ *renderer, opt expt.Options) []any { return []any{expt.Fig1(opt)} }),
+		goldens:  []string{"fig1_table -scale 0.1"}},
 	{name: "2", title: "Timeline of Aloha Submitter", sub: "available FDs and cumulative jobs, 400 clients, 30 minutes",
-		single: one(core.Aloha), render: submitTimeline, goldens: []string{"fig2_table -scale 0.1"}},
+		single: one(core.Aloha), backends: everywhere, render: submitTimeline, goldens: []string{"fig2_table -scale 0.1"}},
 	{name: "3", title: "Timeline of Ethernet Submitter", sub: "available FDs and cumulative jobs, 400 clients, 30 minutes",
-		single: one(core.Ethernet), render: submitTimeline, goldens: []string{"fig3_table -scale 0.1"}},
+		single: one(core.Ethernet), backends: everywhere, render: submitTimeline, goldens: []string{"fig3_table -scale 0.1"}},
 	{name: "4", title: "Buffer Throughput", sub: "total files consumed vs number of producers",
 		render:  sweepFigure(func(r *renderer, opt expt.Options) []any { return []any{r.bufferSweep(opt).Consumed} }),
 		goldens: []string{"fig4_table -scale 0.1"}},
@@ -71,6 +76,7 @@ var figures = []figure{
 		single: one(core.Ethernet), render: readerTimeline,
 		goldens: []string{"fig7_table -scale 0.2", "fig7_tsv -scale 0.2 -format tsv", "fig7_chaos -scale 0.2 -chaos mixed -check"}},
 	{name: "la", title: "Limited Allocation Ablation", sub: "Ethernet submitters under stuck-holder chaos, leased vs unleased FD tenure",
+		backends: everywhere,
 		render: sweepFigure(func(_ *renderer, opt expt.Options) []any {
 			la := expt.FigLA(opt)
 			return []any{la.Throughput, "# fairness: Jain's index x100, watchdog revocations, starvation excursions, longest unleased wait", la.Fairness}
@@ -103,7 +109,7 @@ var figures = []figure{
 		goldens: []string{"figscale_table -scale 0.01"}},
 	{name: "gridd", title: "Wire-Protocol Conformance", sub: "carrier sense, fenced leases, watchdog revocation, and admission booking over a real HTTP socket",
 		extra: true, backends: []string{expt.BackendGridd},
-		why: "it proves the wire protocol, not a simulation; the scenario differentials against a daemon run in internal/expt's TestDiffGridd* suite",
+		why: "it proves the wire protocol, not a simulation; figures 1, 2, 3 and la run their scenarios against a daemon",
 		render: func(r *renderer, _ *figure, opt expt.Options, _ core.Discipline) error {
 			url, stop, err := opt.GriddDaemon()
 			if err != nil {

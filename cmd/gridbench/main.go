@@ -37,13 +37,13 @@
 // virtual seconds per real second, default 1000). Live runs exercise
 // real scheduler interleavings, so their numbers vary run to run —
 // compare them to sim output with the tolerance-band methodology in
-// EXPERIMENTS.md, not byte-wise. "gridd" talks to a real networked
-// gridd daemon (see cmd/gridd) over HTTP and runs the wire-protocol
-// conformance checklist (the only figure it serves; the full scenario
-// differentials against a daemon live in internal/expt's
-// TestDiffGridd* suite). By default the checklist
-// spawns its own in-process daemon on a loopback listener;
-// -gridd-addr points it at an externally running one instead.
+// EXPERIMENTS.md, not byte-wise. "gridd" runs figures 1, 2, 3 and la
+// live (-timescale default 25) with the FD table on a real networked
+// gridd daemon (see cmd/gridd), every operation on it an HTTP round
+// trip, and serves the wire-protocol conformance checklist (-fig
+// gridd), which no other backend runs. By default every cell spawns
+// its own in-process daemon on a loopback listener; -gridd-addr points
+// them at an externally running one instead.
 //
 // -parallel runs the sweep figures' independent simulation cells on N
 // workers (0, the default, means GOMAXPROCS; 1 forces the serial
@@ -108,7 +108,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "scale factor for windows and populations (1.0 = paper)")
 	format := fs.String("format", "table", "output format: table or tsv")
 	backend := fs.String("backend", expt.BackendSim, "execution backend: "+strings.Join(expt.Backends(), ", "))
-	timescale := fs.Float64("timescale", 0, "live backend only: virtual seconds per real second (0 = default "+fmt.Sprint(expt.DefaultTimescale)+")")
+	timescale := fs.Float64("timescale", 0, "live and gridd backends: virtual seconds per real second (0 = default "+fmt.Sprint(expt.DefaultTimescale)+" live, "+fmt.Sprint(expt.GriddTimescale)+" gridd)")
 	chaosName := fs.String("chaos", "", "fault-injection plan to run the figures under ("+strings.Join(chaos.Names(), ", ")+")")
 	chaosSeed := fs.Int64("chaos-seed", 0, "seed for the fault plan's schedule (default: -seed)")
 	check := fs.Bool("check", false, "run the invariant-checker suite alongside every figure")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -108,9 +109,11 @@ func TestBadBackend(t *testing.T) {
 	}
 }
 
+// Only the gridd backend serves -fig gridd; gridd serves it and the
+// figures of the scenarios whose FD table it can host.
 func TestGriddBackendServesOnlyFigGridd(t *testing.T) {
-	code, _, errOut := cli(t, "-backend", "gridd", "-fig", "1")
-	if code != 2 || !strings.Contains(errOut, "-backend=gridd serves only -fig gridd") {
+	code, _, errOut := cli(t, "-backend", "gridd", "-fig", "4")
+	if code != 2 || !strings.Contains(errOut, "-backend=gridd serves only -fig 1, 2, 3, la, gridd") {
 		t.Fatalf("code=%d stderr=%q", code, errOut)
 	}
 	code, _, errOut = cli(t, "-fig", "gridd")
@@ -120,6 +123,27 @@ func TestGriddBackendServesOnlyFigGridd(t *testing.T) {
 	code, _, errOut = cli(t, "-gridd-addr", "http://localhost:1", "-fig", "1")
 	if code != 2 || !strings.Contains(errOut, "-gridd-addr needs -backend=gridd") {
 		t.Fatalf("code=%d stderr=%q", code, errOut)
+	}
+}
+
+// TestGriddBackendFigure3 runs the Ethernet timeline with its FD
+// table on an in-process daemon: the same scenario the sim golden
+// pins, so it must submit.
+func TestGriddBackendFigure3(t *testing.T) {
+	code, out, errOut := cli(t, "-fig", "3", "-scale", "0.05", "-backend", "gridd")
+	if code != 0 {
+		t.Fatalf("code=%d stderr=%q", code, errOut)
+	}
+	var jobs float64
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] != "t(s)" {
+			if v, err := strconv.ParseFloat(f[2], 64); err == nil {
+				jobs = v
+			}
+		}
+	}
+	if !strings.Contains(out, "Figure 3") || jobs == 0 {
+		t.Fatalf("no table with Ethernet jobs:\n%s", out)
 	}
 }
 

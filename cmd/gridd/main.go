@@ -68,20 +68,12 @@ func parseSpec(spec string) (gridd.ResourceConfig, error) {
 	return rc, nil
 }
 
-// defaultResources is the paper's resource set: the schedd FD table
-// (with the housekeeping loop whose starvation is the broadcast jam),
-// fsbuffer occupancy, and the three single-lane replica services.
+// defaultResources is the paper's resource set: the schedd FD table,
+// fsbuffer occupancy, and the three single-lane replica services. The
+// schedd that crashes when the table runs dry is the client's.
 func defaultResources() []gridd.ResourceConfig {
 	return []gridd.ResourceConfig{
-		{
-			Name:              "fds",
-			Capacity:          96,
-			Quantum:           30 * time.Second,
-			HousekeepUnits:    16,
-			HousekeepInterval: 5 * time.Second,
-			RestartDelay:      10 * time.Second,
-			CrashHolder:       "schedd",
-		},
+		{Name: "fds", Capacity: 96, Quantum: 30 * time.Second},
 		{Name: "buffer", Capacity: 40, Quantum: 30 * time.Second},
 		{Name: "xxx", Capacity: 1, Quantum: 30 * time.Second},
 		{Name: "yyy", Capacity: 1, Quantum: 30 * time.Second},

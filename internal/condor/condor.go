@@ -155,75 +155,63 @@ func (c *Config) fillDefaults() {
 // FDTable is a bounded pool of file descriptors shared by every process
 // on the submit machine. Acquisition never queues: a process that cannot
 // get FDs fails immediately, exactly like open(2) returning EMFILE.
-// Tenure flows through an internal lease.Manager, so holds can be
+// Tenure flows through the table's carrier, so holds can be
 // time-bounded (see Config.LeaseQuantum) and per-client fairness is
-// accounted centrally.
+// accounted centrally. The carrier is a lease.Manager in process, or a
+// gridd daemon's resource when the backend keeps the table there.
 type FDTable struct {
-	m *lease.Manager
+	c lease.Carrier
 }
 
 // NewFDTable returns an engine-free table with the given capacity and
 // unlimited tenure, for unit tests and raw accounting.
 func NewFDTable(capacity int) *FDTable {
-	return &FDTable{m: lease.New(nil, "fds", int64(capacity), 0)}
+	return &FDTable{c: lease.New(nil, "fds", int64(capacity), 0)}
 }
 
-// NewLeasedFDTable returns a table on engine e whose holds are leases
-// with the given tenure quantum (0 = unlimited, the legacy behavior).
-func NewLeasedFDTable(e core.Backend, capacity int, quantum time.Duration) *FDTable {
-	return &FDTable{m: lease.New(e, "fds", int64(capacity), quantum)}
-}
+// Carrier returns the carrier the table sits on.
+func (t *FDTable) Carrier() lease.Carrier { return t.c }
 
 // SetCapacity retunes the table size at runtime (an administrator
 // shrinking fs.file-max, or a fault plan squeezing the resource).
 // Shrinking below InUse is allowed: Free goes negative and every new
 // allocation fails until holders release, exactly like the real sysctl.
-func (t *FDTable) SetCapacity(n int) { t.m.SetCapacity(int64(n)) }
+func (t *FDTable) SetCapacity(n int) { t.c.SetCapacity(int64(n)) }
 
 // Free reports available descriptors — the observable used by the
 // Ethernet submitter's carrier sense (/proc/sys/fs/file-nr).
-func (t *FDTable) Free() int { return int(t.m.Free()) }
+func (t *FDTable) Free() int { return int(t.c.Free()) }
 
 // InUse reports descriptors currently held.
-func (t *FDTable) InUse() int { return int(t.m.InUse()) }
+func (t *FDTable) InUse() int { return int(t.c.InUse()) }
 
 // Capacity reports the table size.
-func (t *FDTable) Capacity() int { return int(t.m.Capacity()) }
-
-// Failures counts allocation failures, a collision indicator.
-func (t *FDTable) Failures() int64 { return t.m.Rejects }
+func (t *FDTable) Capacity() int { return int(t.c.Capacity()) }
 
 // TryAcquire takes n descriptors without a lease, reporting success.
 // Callers of this raw path manage tenure themselves; Lease is the
 // bounded-tenure entry point.
-func (t *FDTable) TryAcquire(n int) bool { return t.m.TryTake(int64(n)) }
+func (t *FDTable) TryAcquire(n int) bool { return t.c.TryTake(int64(n)) }
 
-// Release returns n descriptors taken with TryAcquire.
-func (t *FDTable) Release(n int) {
-	if int64(n) > t.m.InUse() {
-		panic("condor: FD table underflow")
-	}
-	t.m.Put(int64(n))
-}
+// Release returns n descriptors taken with TryAcquire; returning more
+// than were taken panics.
+func (t *FDTable) Release(n int) { t.c.Put(int64(n)) }
 
 // Lease takes n descriptors as a lease held by holder, reporting
 // success. Like TryAcquire it never queues — an EMFILE-style immediate
 // failure — but a grant is tenure-bounded by the table's quantum.
 func (t *FDTable) Lease(p core.Proc, ctx context.Context, holder string, n int) (lease.Lease, bool) {
-	return t.m.TryAcquire(p, ctx, holder, int64(n))
+	return t.c.TryAcquire(p, ctx, holder, int64(n))
 }
 
 // NoteWant records that holder wants descriptors it could not get
 // (e.g. its carrier sense came back busy); the starvation clock runs
 // until the holder's next grant.
-func (t *FDTable) NoteWant(holder string) { t.m.NoteWant(holder) }
+func (t *FDTable) NoteWant(holder string) { t.c.NoteWant(holder) }
 
 // LongestWait reports the longest want-to-grant wait currently in
 // progress — the no-starvation invariant's observable.
-func (t *FDTable) LongestWait() time.Duration { return t.m.LongestWait() }
-
-// Manager exposes the underlying lease manager for fairness accounting.
-func (t *FDTable) Manager() *lease.Manager { return t.m }
+func (t *FDTable) LongestWait() time.Duration { return t.c.LongestWait() }
 
 // Injection sites consulted by this substrate (see core.Injector).
 const (
@@ -316,27 +304,40 @@ type Cluster struct {
 	Schedd *Schedd
 }
 
-// NewCluster builds the scenario substrate on engine e.
+// NewCluster builds the scenario substrate on engine e, its FD table a
+// lease.Manager on e.
 func NewCluster(e core.Backend, cfg Config) *Cluster {
+	return NewClusterOn(e, cfg, func(capacity int64, quantum time.Duration) lease.Carrier {
+		return lease.New(e, "fds", capacity, quantum)
+	})
+}
+
+// NewClusterOn builds the scenario substrate on engine e, its FD table
+// on the carrier fds returns for the configured capacity and tenure
+// quantum (0 = unlimited): the backend decides where the table lives.
+func NewClusterOn(e core.Backend, cfg Config, fds func(capacity int64, quantum time.Duration) lease.Carrier) *Cluster {
 	cfg.fillDefaults()
-	fds := NewLeasedFDTable(e, cfg.FDCapacity, cfg.LeaseQuantum)
 	s := &Schedd{
 		eng:   e,
 		cfg:   cfg,
-		fds:   fds,
+		fds:   &FDTable{c: fds(int64(cfg.FDCapacity), cfg.LeaseQuantum)},
 		slots: lease.New(e, "schedd-slots", int64(cfg.ServiceSlots), 0),
 		conns: make(map[int64]context.CancelFunc),
 	}
-	return &Cluster{Eng: e, Cfg: cfg, FDs: fds, Schedd: s}
+	return &Cluster{Eng: e, Cfg: cfg, FDs: s.fds, Schedd: s}
 }
 
 // SetInjector installs a fault injector consulted at this cluster's
 // failure sites, and routes the FD table's lease-control messages
-// through it at InjectNet (fenced unless Config.Unfenced). A nil
-// injector (the default) disables injection and removes the wire.
+// through it at InjectNet (fenced unless Config.Unfenced) when the
+// table is a lease.Manager in process; a table kept elsewhere has a
+// real wire to it, and no InjectNet. A nil injector (the default)
+// disables injection and removes the wire.
 func (c *Cluster) SetInjector(inj core.Injector) {
 	c.Schedd.inj = inj
-	c.FDs.Manager().SetWire(inj, InjectNet, !c.Cfg.Unfenced)
+	if m, ok := c.FDs.c.(*lease.Manager); ok {
+		m.SetWire(inj, InjectNet, !c.Cfg.Unfenced)
+	}
 }
 
 // Down reports whether the schedd is currently crashed.

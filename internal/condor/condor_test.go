@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lease"
 	"repro/internal/sim"
 )
 
@@ -18,8 +19,8 @@ func TestFDTable(t *testing.T) {
 	if tb.TryAcquire(1) {
 		t.Fatal("acquire over capacity succeeded")
 	}
-	if tb.Failures() != 1 {
-		t.Fatalf("Failures = %d", tb.Failures())
+	if f := tb.Carrier().(*lease.Manager).Rejects; f != 1 {
+		t.Fatalf("Failures = %d", f)
 	}
 	tb.Release(40)
 	if tb.Free() != 40 {
@@ -204,7 +205,7 @@ func TestEthernetSubmitterDefersUnderFDPressure(t *testing.T) {
 	if sub.Submitted == 0 {
 		t.Fatal("never submitted after pressure lifted")
 	}
-	if f := cl.FDs.Failures(); f != 0 {
+	if f := cl.FDs.Carrier().(*lease.Manager).Rejects; f != 0 {
 		t.Fatalf("Ethernet client caused %d FD allocation failures", f)
 	}
 }
@@ -236,5 +237,28 @@ func TestQuickNoFDLeak(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitAllocs pins the cost of an uncontended submission on the
+// simulator at zero allocations: the FD table's carrier hands lease
+// handles out by value, so neither the seam nor a handle is boxed.
+func TestSubmitAllocs(t *testing.T) {
+	e := sim.New(1)
+	cl := NewCluster(e.RT(), Config{})
+	var allocs float64
+	e.Spawn("sub", func(p *sim.Proc) {
+		ctx := e.Context()
+		allocs = testing.AllocsPerRun(1000, func() {
+			if err := cl.Schedd.Submit(p, ctx); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.2f allocations per Submit: budget 0", allocs)
 	}
 }

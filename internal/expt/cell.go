@@ -3,10 +3,13 @@ package expt
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/griddclient"
+	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -42,12 +45,18 @@ func (o Options) cell(label string, seed int64, window time.Duration, plan *chao
 	return cell{opt: o, seed: seed, window: window, plan: plan, rec: rec, tr: o.Trace, reg: o.Obs, label: label}
 }
 
+// newCarrier makes an FD table's carrier for a capacity and a tenure
+// quantum (0 = unlimited) where the cell's backend keeps it
+// (cell.carrier).
+type newCarrier = func(capacity int64, quantum time.Duration) lease.Carrier
+
 // scenario is what one kind of universe contains: the hooks cell.run
 // calls, in the order listed. Only substrate and clients are required.
 type scenario struct {
-	// substrate builds the contended resource on the fresh backend and
-	// returns what a fault plan may act on.
-	substrate func(e core.Backend) chaos.Targets
+	// substrate builds the contended resource on the fresh backend,
+	// putting an FD table on fds, and returns what a fault plan may act
+	// on.
+	substrate func(e core.Backend, fds newCarrier) chaos.Targets
 	// daemons starts the substrate's own processes, bounded by the
 	// window's deadline.
 	daemons func(ctx context.Context)
@@ -65,6 +74,10 @@ type scenario struct {
 	clients func(e core.Backend, ctx context.Context)
 	// post adds checks that need the finished run, when the suite ran.
 	post func(inv *chaos.Invariants)
+	// collect reads the finished run's results off the substrate while
+	// its carrier still stands: the gridd backend stops the daemon after
+	// it.
+	collect func()
 }
 
 // run executes the scenario in the cell. The order of the steps is part
@@ -72,7 +85,9 @@ type scenario struct {
 // order they were scheduled — so it is written exactly once.
 func (c cell) run(s scenario) {
 	e := c.opt.newEngine(c.seed)
-	targets := s.substrate(e)
+	fds, stop := c.carrier(e)
+	defer stop()
+	targets := s.substrate(e, fds)
 	ctx, cancel := e.WithTimeout(e.Context(), c.window)
 	defer cancel()
 	if s.daemons != nil {
@@ -112,6 +127,35 @@ func (c cell) run(s scenario) {
 			}
 		}
 	}
+	if s.collect != nil {
+		s.collect()
+	}
+}
+
+// carrier returns where the cell keeps an FD table, and what to call
+// when the cell is done with it: a lease.Manager on e, or on the gridd
+// backend a resource of the daemon opt.GriddDaemon resolves, named after
+// the cell so that cells sharing a daemon keep apart. The backend
+// decides; the scenario's code is the same on all three.
+func (c cell) carrier(e core.Backend) (newCarrier, func()) {
+	if c.opt.Backend != BackendGridd {
+		return func(capacity int64, quantum time.Duration) lease.Carrier {
+			return lease.New(e, "fds", capacity, quantum)
+		}, func() {}
+	}
+	url, stop, err := c.opt.GriddDaemon()
+	if err != nil {
+		panic("expt: " + err.Error())
+	}
+	client := griddclient.New(url, c.opt.griddTimescale())
+	name := fmt.Sprintf("fds-%s-s%d", strings.ReplaceAll(c.label, "/", "-"), c.seed)
+	return func(capacity int64, quantum time.Duration) lease.Carrier {
+		car, err := griddclient.NewCarrier(e.(griddclient.Host), client, name, capacity, quantum)
+		if err != nil {
+			panic("expt: " + err.Error())
+		}
+		return car
+	}, stop
 }
 
 // client returns the trace handle of the cell's i-th client in the

@@ -81,10 +81,10 @@ func TestCellStepOrder(t *testing.T) {
 	}
 	var tallied int
 	c.run(scenario{
-		substrate: func(e core.Backend) chaos.Targets {
+		substrate: func(e core.Backend, fds newCarrier) chaos.Targets {
 			be = e
 			step("substrate")
-			return chaos.Targets{Cluster: condor.NewCluster(e, condor.Config{})}
+			return chaos.Targets{Cluster: condor.NewClusterOn(e, condor.Config{}, fds)}
 		},
 		daemons: func(ctx context.Context) {
 			if _, ok := ctx.Deadline(); !ok {
@@ -108,8 +108,9 @@ func TestCellStepOrder(t *testing.T) {
 			}
 			step("post")
 		},
+		collect: func() { step("collect") },
 	})
-	if got, want := strings.Join(steps, " "), "substrate daemons checks gauges clients post tally"; got != want {
+	if got, want := strings.Join(steps, " "), "substrate daemons checks gauges clients post tally collect"; got != want {
 		t.Fatalf("hooks ran as %q, want %q", got, want)
 	}
 	sub, dae, chk, gau, cli := timers[0], timers[1], timers[2], timers[3], timers[4]

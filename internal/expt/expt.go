@@ -54,14 +54,16 @@ type Options struct {
 	// (the default) is the deterministic virtual-clock engine,
 	// BackendLive runs the same scenarios on real goroutines under
 	// compressed wall-clock time (see internal/live), and BackendGridd
-	// runs them against a real networked gridd daemon over HTTP (see
-	// gridd.go). Live and gridd runs are not reproducible; compare
+	// runs them live with the FD table on a real networked gridd daemon
+	// over HTTP (see gridd.go). Live and gridd runs are not
+	// reproducible; compare
 	// them to sim runs with tolerance bands (see diff_test.go), never
 	// byte-for-byte.
 	Backend string
 	// Timescale compresses live-backend time: virtual seconds per real
-	// second. Zero means DefaultTimescale. Ignored by the sim backend,
-	// whose virtual clock costs no real time at all.
+	// second. Zero means DefaultTimescale (GriddTimescale on the gridd
+	// backend). Ignored by the sim backend, whose virtual clock costs no
+	// real time at all.
 	Timescale float64
 	// Obs, when non-nil, arms the flight recorder: every cell samples
 	// engine, carrier, and lease observables into the registry on its
@@ -104,8 +106,11 @@ func (o Options) timescale() float64 {
 
 // newEngine builds the backend one simulation cell runs on.
 func (o Options) newEngine(seed int64) core.Backend {
-	if o.Backend == BackendLive {
+	switch o.Backend {
+	case BackendLive:
 		return live.New(seed, o.timescale())
+	case BackendGridd:
+		return live.New(seed, o.griddTimescale())
 	}
 	return sim.New(seed).RT()
 }
@@ -178,8 +183,8 @@ const timelineEvery = 5 * time.Second
 func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Config, tl *SubmitTimeline) (jobs, crashes int64) {
 	var cl *condor.Cluster
 	c.run(scenario{
-		substrate: func(e core.Backend) chaos.Targets {
-			cl = condor.NewCluster(e, clCfg)
+		substrate: func(e core.Backend, fds newCarrier) chaos.Targets {
+			cl = condor.NewClusterOn(e, clCfg, fds)
 			return chaos.Targets{Cluster: cl}
 		},
 		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
@@ -189,9 +194,12 @@ func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Confi
 			if tl != nil {
 				var tick func()
 				tick = func() {
-					tl.FDs.Add(e.Elapsed(), float64(cl.FDs.Free()))
-					tl.Jobs.Add(e.Elapsed(), float64(cl.Schedd.Jobs))
-					if e.Elapsed() < c.window {
+					// One reading for both series: on gridd, Free is a round
+					// trip, and the clock moves across it.
+					now := e.Elapsed()
+					tl.FDs.Add(now, float64(cl.FDs.Free()))
+					tl.Jobs.Add(now, float64(cl.Schedd.Jobs))
+					if now < c.window {
 						e.Schedule(timelineEvery, tick)
 					}
 				}
@@ -384,7 +392,7 @@ func bufferCell(c cell, n int, d core.Discipline) *fsbuffer.Buffer {
 	var b *fsbuffer.Buffer
 	var alloc *fsbuffer.Allocator
 	c.run(scenario{
-		substrate: func(e core.Backend) chaos.Targets {
+		substrate: func(e core.Backend, _ newCarrier) chaos.Targets {
 			b = fsbuffer.New(e, fsbuffer.Config{})
 			if d == core.Reservation {
 				alloc = fsbuffer.NewAllocator(e, b, 0)
@@ -480,7 +488,7 @@ func readerCell(c cell, rcfg replica.ReaderConfig) *ReaderTimeline {
 	var books []*lease.Book
 	readers := make([]*replica.Reader, ReaderClients)
 	c.run(scenario{
-		substrate: func(e core.Backend) chaos.Targets {
+		substrate: func(e core.Backend, _ newCarrier) chaos.Targets {
 			cfg := replica.Config{}
 			servers = []*replica.Server{
 				replica.NewServer(e, "xxx", true, cfg), // the permanent black hole

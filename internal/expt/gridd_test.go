@@ -105,9 +105,9 @@ func TestTripperPartitionHeals(t *testing.T) {
 	var duringAt time.Duration
 	eng.Spawn("prober", func(p core.Proc) {
 		duringAt = p.Elapsed()
-		blocking(p, func() { _, during = c.Probe(context.Background(), "fds") })
+		eng.Blocking(func() { _, during = c.Probe(context.Background(), "fds") })
 		p.SleepFor(window + 10*time.Millisecond)
-		blocking(p, func() { _, after = c.Probe(context.Background(), "fds") })
+		eng.Blocking(func() { _, after = c.Probe(context.Background(), "fds") })
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

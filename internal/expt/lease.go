@@ -37,7 +37,8 @@ type LeaseCellResult struct {
 	PerClient []float64
 	// Jain is Jain's fairness index over PerClient.
 	Jain float64
-	// Revokes counts FD tenures the lease watchdog reclaimed.
+	// Revokes counts FD tenures the lease watchdog reclaimed: the
+	// carrier's own count, the daemon's on the gridd backend.
 	Revokes int64
 	// Starved counts no-starvation invariant violations: excursions
 	// where some live client wanted FDs for more than the budget.
@@ -80,8 +81,8 @@ func leaseCell(c cell, n int, quantum time.Duration) *LeaseCellResult {
 	subs := make([]*condor.Submitter, n)
 	res := &LeaseCellResult{PerClient: make([]float64, n)}
 	c.run(scenario{
-		substrate: func(e core.Backend) chaos.Targets {
-			cl = condor.NewCluster(e, condor.Config{
+		substrate: func(e core.Backend, fds newCarrier) chaos.Targets {
+			cl = condor.NewClusterOn(e, condor.Config{
 				// Capacity comfortably fits the live steady-state load (~35%
 				// duty cycle × 18 FDs each ≈ 6n, with the 3s think time below)
 				// but not that load plus a population of wedged holders pinning
@@ -90,7 +91,7 @@ func leaseCell(c cell, n int, quantum time.Duration) *LeaseCellResult {
 				FDCapacity:   12 * n,
 				ServiceSlots: n,
 				LeaseQuantum: quantum,
-			})
+			}, fds)
 			return chaos.Targets{Cluster: cl}
 		},
 		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
@@ -133,10 +134,12 @@ func leaseCell(c cell, n int, quantum time.Duration) *LeaseCellResult {
 				})
 			}
 		},
+		collect: func() {
+			res.Revokes = cl.FDs.Carrier().Revocations()
+			res.MaxWait = cl.FDs.Carrier().MaxStarvation()
+		},
 	})
 	res.Jobs = cl.Schedd.Jobs
-	res.Revokes = cl.FDs.Manager().Revokes
-	res.MaxWait = cl.FDs.Manager().MaxStarvation()
 	res.Crashes = cl.Schedd.Crashes
 	for i, sub := range subs {
 		res.PerClient[i] = float64(sub.Submitted)

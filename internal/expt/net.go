@@ -99,8 +99,10 @@ func netCell(c cell, n int, fenced bool) *NetCellResult {
 	var mgr *lease.Manager
 	res := &NetCellResult{}
 	c.run(scenario{
-		substrate: func(e core.Backend) chaos.Targets {
-			cl = condor.NewCluster(e, condor.Config{
+		// The ablation reads the manager's wire ledger, so its table is
+		// a lease.Manager whatever the backend.
+		substrate: func(e core.Backend, _ newCarrier) chaos.Targets {
+			cl = condor.NewClusterOn(e, condor.Config{
 				// Tighter provisioning than the other ablations: the table fits
 				// only a fraction of the population's peak demand, so admission
 				// genuinely gates progress. That is what makes ledger corruption
@@ -121,8 +123,10 @@ func netCell(c cell, n int, fenced bool) *NetCellResult {
 				LeaseQuantum: quantum,
 				RestartDelay: quantum,
 				Unfenced:     !fenced,
+			}, func(capacity int64, quantum time.Duration) lease.Carrier {
+				mgr = lease.New(e, "fds", capacity, quantum)
+				return mgr
 			})
-			mgr = cl.FDs.Manager()
 			return chaos.Targets{Cluster: cl}
 		},
 		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },

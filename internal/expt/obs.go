@@ -160,7 +160,7 @@ func obsCluster(sc *obs.Scope, cl *condor.Cluster) {
 	sc.GaugeFunc(MCarrierInUse, "Carrier units in use (FD table).",
 		func() float64 { return float64(fds.InUse()) })
 	sc.GaugeFunc(MCarrierQueue, "Processes queued on the carrier (FD table).",
-		func() float64 { return float64(fds.Manager().QueueLen()) })
+		func() float64 { return float64(fds.Carrier().QueueLen()) })
 	sc.CounterFunc(MJobs, "Jobs successfully submitted.",
 		func() float64 { return float64(cl.Schedd.Jobs) })
 	sc.CounterFunc(MCrashes, "Schedd crashes.",
@@ -169,7 +169,9 @@ func obsCluster(sc *obs.Scope, cl *condor.Cluster) {
 		func() float64 { return float64(cl.Schedd.NetDrops) })
 	sc.CounterFunc(MNetDeduped, "Duplicate submissions the idempotency keys absorbed.",
 		func() float64 { return float64(cl.Schedd.Deduped) })
-	fds.Manager().Observe(sc, "fds")
+	if m, ok := fds.Carrier().(*lease.Manager); ok { // a daemon exports its own
+		m.Observe(sc, "fds")
+	}
 }
 
 // obsBuffer registers the buffer scenario's carrier: shared disk

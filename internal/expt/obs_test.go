@@ -176,7 +176,7 @@ func TestGriddLedgerFamiliesMatchSimAndLive(t *testing.T) {
 		var book *lease.Book
 		var err error
 		Options{Backend: backend, Obs: reg}.cell("ledger/"+backend, 1, time.Minute, nil, nil).run(scenario{
-			substrate: func(e core.Backend) chaos.Targets {
+			substrate: func(e core.Backend, _ newCarrier) chaos.Targets {
 				book = lease.NewBook(e, "fds", 2)
 				return chaos.Targets{}
 			},

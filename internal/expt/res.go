@@ -94,14 +94,14 @@ func resCell(c cell, n int) *ResCellResult {
 	subs := make([]*condor.Submitter, n)
 	res := &ResCellResult{PerClient: make([]float64, n)}
 	c.run(scenario{
-		substrate: func(e core.Backend) chaos.Targets {
-			cl = condor.NewCluster(e, condor.Config{
+		substrate: func(e core.Backend, fds newCarrier) chaos.Targets {
+			cl = condor.NewClusterOn(e, condor.Config{
 				// Same table and service provisioning as the Ethernet arm
 				// (leaseCell), so the only variable is the discipline.
 				FDCapacity:   12 * n,
 				ServiceSlots: n,
 				LeaseQuantum: quantum,
-			})
+			}, fds)
 			// The book carves the client share out of the descriptor budget;
 			// the remainder of the table is the schedd's (connection FDs,
 			// housekeeping), so an admitted client can never crash the daemon

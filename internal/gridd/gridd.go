@@ -17,13 +17,13 @@
 // lock and the wall clock — or, in tests, a simulator engine, on which
 // they replay from a seed. Beside them the package owns the tables from
 // wire ids to live leases and bookings, the daemon-only counters, and
-// the two ways a resource ends tenures on its own account: a
-// housekeeping failure that crashes it and revokes every grant (the
-// broadcast jam of the submit scenario), and graceful shutdown, which
-// mirrors the live engine's drain — new work is refused with a typed
-// retriable error, in-flight grants are waited out, and whatever
-// remains is revoked in (deadline, grant) order, exactly as
-// live.Engine.Run fires leftover watchdogs.
+// the one way the daemon ends tenures on its own account: graceful
+// shutdown, which mirrors the live engine's drain — new work is refused
+// with a typed retriable error, in-flight grants are waited out, and
+// whatever remains is revoked in (deadline, grant) order, exactly as
+// live.Engine.Run fires leftover watchdogs. (The schedd a crowded FD
+// table crashes is the client's, in internal/condor: the daemon hosts
+// the table, not the crash rule.)
 package gridd
 
 import (
@@ -44,14 +44,10 @@ import (
 // ResourceConfig shapes one hosted resource; see CreateRequest for
 // field semantics (this is its internal, time.Duration form).
 type ResourceConfig struct {
-	Name              string
-	Capacity          int64
-	Quantum           time.Duration // default tenure; 0 = unlimited
-	Unfenced          bool
-	HousekeepUnits    int64
-	HousekeepInterval time.Duration
-	RestartDelay      time.Duration
-	CrashHolder       string
+	Name     string
+	Capacity int64
+	Quantum  time.Duration // default tenure; 0 = unlimited
+	Unfenced bool
 }
 
 // Config shapes a Server.
@@ -165,13 +161,13 @@ func (*monitor) Tracer() *trace.Client { return nil }
 // parked is a long-polling acquire's parker (the monitor, or a
 // simulator process) wrapped in the FIFO bookkeeping: the manager calls
 // Hang only if the request has to queue, so that is where it takes its
-// FIFO position and joins the list a crash or drain flushes.
+// FIFO position and joins the list a drain flushes.
 type parked struct {
 	lease.Parker
-	r      *resource
-	cancel context.CancelFunc // ends the wait
-	seq    uint64             // FIFO position; 0 = granted without parking
-	cause  string             // CodeDown or CodeDraining once flushed
+	r       *resource
+	cancel  context.CancelFunc // ends the wait
+	seq     uint64             // FIFO position; 0 = granted without parking
+	drained bool               // flushed by a drain
 }
 
 func (p *parked) Hang(ctx context.Context) error {
@@ -209,16 +205,12 @@ type resource struct {
 	parked   []*parked // the long polls in the queue, in FIFO order
 	wseq     uint64
 
-	down        bool
-	downUntil   time.Duration // on the host clock
-	hk, restart core.Timer
-
 	// What only the daemon counts; the rest of StatsReply is read off
 	// mgr and book. maxOutstanding is the high-water mark of
 	// mgr.Outstanding, phantoms the grants admitted while it exceeded
 	// capacity: a fenced resource can never get there, an unfenced one
 	// whose books a duplicated release corrupted low does.
-	releases, crashes, phantoms, doubleFrees, maxOutstanding int64
+	releases, phantoms, doubleFrees, maxOutstanding int64
 }
 
 // held is one live lease's row. A claim keeps the booking it came from:
@@ -253,15 +245,10 @@ func (s *Server) createLocked(rc ResourceConfig) {
 	r.book.OnRetire(func(b *lease.Reservation) { delete(r.bookings, b.ID()) })
 	r.mgr.Observe(s.sc, rc.Name)
 	r.book.Observe(s.sc, rc.Name)
-	s.sc.CounterFunc("gridd_crashes_total", "Resource crashes (broadcast jams).",
-		func() float64 { return float64(r.crashes) }, "resource", rc.Name)
 	s.sc.CounterFunc("gridd_phantoms_total", "Grants admitted past ground-truth capacity.",
 		func() float64 { return float64(r.phantoms) }, "resource", rc.Name)
 	s.res[rc.Name] = r
 	s.order = append(s.order, r)
-	if rc.HousekeepInterval > 0 && !s.draining {
-		r.armHousekeeping()
-	}
 }
 
 // admit enters a fresh lease in the id table and renders it for the
@@ -287,11 +274,11 @@ func (r *resource) admit(l lease.Lease, resv *lease.Reservation, quantum time.Du
 	}
 }
 
-// flush fails every parked acquire with cause. A flushed waiter's
-// context is done, so the manager's pump skips it from here on.
-func (r *resource) flush(cause string) {
+// flush fails every parked acquire: the daemon is draining. A flushed
+// waiter's context is done, so the manager's pump skips it from here on.
+func (r *resource) flush() {
 	for _, p := range r.parked {
-		p.cause = cause
+		p.drained = true
 		p.cancel()
 	}
 }
@@ -321,49 +308,6 @@ func drainOrder(rs ...*resource) []held {
 	return hs
 }
 
-// crash is the broadcast jam: the resource goes down for RestartDelay,
-// parked acquires fail fast with CodeDown, and every live grant is
-// revoked (their holders discover it as ErrStale on their next renew
-// or release). The waiters go first: each Revoke pumps the queue, and
-// would otherwise grant into a resource that is down.
-func (r *resource) crash() {
-	if r.down {
-		return
-	}
-	r.crashes++
-	r.down = true
-	delay := r.cfg.RestartDelay
-	if delay <= 0 {
-		delay = time.Second
-	}
-	r.downUntil = r.srv.host.Elapsed() + delay
-	r.flush(CodeDown)
-	for _, h := range drainOrder(r) {
-		h.l.Revoke()
-	}
-	r.restart = r.srv.host.Schedule(delay, func() { r.down = false })
-}
-
-// retryAfter is the down reply's hint: the time left until the outage
-// ends, in nanoseconds. The restart timer can fire and then wait on the
-// lock while an operation still reads the resource as down, so the end
-// may already be past; the hint is then 0 ("none"), never negative.
-func (r *resource) retryAfter() int64 {
-	return int64(max(r.downUntil-r.srv.host.Elapsed(), 0))
-}
-
-// armHousekeeping starts the periodic housekeeping loop: every
-// interval the daemon needs HousekeepUnits free units transiently;
-// not finding them is the overload signal that crashes the resource.
-func (r *resource) armHousekeeping() {
-	r.hk = r.srv.host.Schedule(r.cfg.HousekeepInterval, func() {
-		if !r.down && r.cfg.HousekeepUnits > r.mgr.Free() {
-			r.crash()
-		}
-		r.armHousekeeping()
-	})
-}
-
 // DrainRecord is one forced revocation during Shutdown, in firing
 // order — the shutdown analogue of the live engine's timer drain.
 type DrainRecord struct {
@@ -376,7 +320,7 @@ type DrainRecord struct {
 
 // Shutdown drains the server: new acquires and reservations are
 // refused with CodeDraining (a typed, retriable verdict), parked
-// acquires are flushed, housekeeping stops, and in-flight grants are
+// acquires are flushed, and in-flight grants are
 // given until ctx expires to land their releases. Grants still live
 // at the deadline are revoked in (deadline, grant) order — matching
 // live.Engine.Run's drain semantics — and the firing order is returned
@@ -387,13 +331,7 @@ func (s *Server) Shutdown(ctx context.Context) []DrainRecord {
 	s.host.Lock()
 	s.draining = true
 	for _, r := range s.order {
-		r.flush(CodeDraining)
-		for _, t := range []core.Timer{r.hk, r.restart} {
-			if t != nil {
-				t.Cancel()
-			}
-		}
-		r.down = false
+		r.flush()
 	}
 	s.host.Unlock()
 
@@ -469,7 +407,6 @@ func (s *Server) Probe(name string) (*ProbeReply, *ErrorReply) {
 			InUse:    r.mgr.InUse(),
 			Free:     max(r.mgr.Free(), 0),
 			Queue:    r.mgr.QueueLen(),
-			Down:     r.down,
 			Draining: s.draining,
 		}, nil
 	})
@@ -485,7 +422,7 @@ func (r *resource) busy(units int64, msg string) *ErrorReply {
 // Acquire leases units. It is the one operation that can park: a long
 // poll that has to queue parks p, the caller (the monitor for an HTTP
 // request, or a simulator process), until it is granted, its wait runs
-// out, ctx ends, or a crash or drain flushes it.
+// out, ctx ends, or a drain flushes it.
 func (s *Server) Acquire(p lease.Parker, ctx context.Context, ar AcquireRequest) (*LeaseReply, *ErrorReply) {
 	switch {
 	case ar.Units <= 0:
@@ -498,10 +435,6 @@ func (s *Server) Acquire(p lease.Parker, ctx context.Context, ar AcquireRequest)
 		if ar.QuantumNS > 0 {
 			quantum = time.Duration(ar.QuantumNS)
 		}
-		if r.down {
-			r.mgr.NoteWant(ar.Holder)
-			return nil, &ErrorReply{Code: CodeDown, Message: "resource down", RetryAfterNS: r.retryAfter()}
-		}
 		if ar.WaitNS <= 0 || ar.Units > r.mgr.Capacity() {
 			// EMFILE: an immediate verdict. The FIFO queue may not be
 			// jumped, so a non-empty queue is busy even with free units.
@@ -509,37 +442,26 @@ func (s *Server) Acquire(p lease.Parker, ctx context.Context, ar AcquireRequest)
 			// it would wait: parked, it would hold the queue's head.
 			l, ok := r.mgr.TryAcquireFor(nil, context.Background(), ar.Holder, ar.Units, quantum)
 			if !ok {
-				er := r.busy(ar.Units, "no free units")
-				if r.cfg.CrashHolder != "" && ar.Holder == r.cfg.CrashHolder {
-					// The schedd-side accept failure: rejecting this holder
-					// is the overload signal that crashes the resource.
-					r.crash()
-				}
-				return nil, er
+				return nil, r.busy(ar.Units, "no free units")
 			}
 			return r.admit(l, nil, quantum, 0), nil
 		}
 		// The long poll: granted at once if the units are free and nobody
 		// is queued, else parked FIFO until a release or revocation pumps
-		// the queue, WaitNS runs out, ctx ends, or a crash or drain
-		// flushes it. Its contexts and timer are the host's.
+		// the queue, WaitNS runs out, ctx ends, or a drain flushes it. Its contexts and timer are the host's.
 		ctx, cancel := s.host.WithCancel(ctx)
 		defer cancel()
 		expiry := s.host.Schedule(time.Duration(ar.WaitNS), cancel)
 		defer expiry.Cancel()
 		w := &parked{Parker: p, r: r, cancel: cancel}
 		l, err := r.mgr.AcquireFor(w, ctx, ar.Holder, ar.Units, quantum)
-		if w.cause != "" {
+		if w.drained {
 			if err == nil {
-				// The pump admitted this waiter, then the crash or drain
-				// took the lock before it woke: the jam covers its grant.
+				// The pump admitted this waiter, then the drain took the
+				// lock before it woke: the drain covers its grant.
 				l.Revoke()
 			}
-			er := &ErrorReply{Code: w.cause, Message: "parked acquire failed"}
-			if r.down {
-				er.RetryAfterNS = r.retryAfter()
-			}
-			return nil, er
+			return nil, &ErrorReply{Code: CodeDraining, Message: "parked acquire failed"}
 		}
 		if err != nil {
 			return nil, r.busy(ar.Units, "wait expired")
@@ -689,7 +611,7 @@ func (s *Server) Create(cr CreateRequest) (struct{}, *ErrorReply) {
 	switch {
 	case cr.Name == "" || cr.Capacity <= 0:
 		return struct{}{}, &ErrorReply{Code: CodeBadRequest, Message: "name and positive capacity required"}
-	case max(cr.QuantumNS, cr.HousekeepIntervalNS, cr.RestartDelayNS) > maxWindowNS:
+	case cr.QuantumNS > maxWindowNS:
 		return struct{}{}, &ErrorReply{Code: CodeBadRequest, Message: "durations must be under 73 years"}
 	}
 	s.host.Lock()
@@ -698,14 +620,10 @@ func (s *Server) Create(cr CreateRequest) (struct{}, *ErrorReply) {
 		return struct{}{}, &ErrorReply{Code: CodeDraining, Message: "daemon draining"}
 	}
 	s.createLocked(ResourceConfig{
-		Name:              cr.Name,
-		Capacity:          cr.Capacity,
-		Quantum:           time.Duration(cr.QuantumNS),
-		Unfenced:          cr.Unfenced,
-		HousekeepUnits:    cr.HousekeepUnits,
-		HousekeepInterval: time.Duration(cr.HousekeepIntervalNS),
-		RestartDelay:      time.Duration(cr.RestartDelayNS),
-		CrashHolder:       cr.CrashHolder,
+		Name:     cr.Name,
+		Capacity: cr.Capacity,
+		Quantum:  time.Duration(cr.QuantumNS),
+		Unfenced: cr.Unfenced,
 	})
 	return struct{}{}, nil
 }
@@ -729,13 +647,11 @@ func (s *Server) Stats(name string) (*StatsReply, *ErrorReply) {
 			Revokes:        m.Revokes,
 			Stales:         m.Stales,
 			Timeouts:       m.Timeouts,
-			Crashes:        r.crashes,
 			Admits:         r.book.Reserves,
 			BookRejects:    r.book.Rejects,
 			Lapses:         r.book.Lapses,
 			LongestWaitNS:  int64(m.LongestWait()),
 			MaxWaitNS:      int64(m.MaxStarvation()),
-			Down:           r.down,
 			Draining:       r.srv.draining,
 		}
 		for _, c := range m.Clients() {

@@ -277,46 +277,6 @@ func TestFIFOGrantOrderObservableOnTheWire(t *testing.T) {
 	}
 }
 
-func TestCrashHolderBroadcastJam(t *testing.T) {
-	_, c := newDaemon(t, gridd.ResourceConfig{
-		Name: "fds", Capacity: 1, RestartDelay: 60 * time.Millisecond, CrashHolder: "schedd",
-	})
-	ctx := ctxT(t)
-
-	lease, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "a", Units: 1})
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	// The schedd itself being refused is the overload that crashes the
-	// resource and revokes every grant — the broadcast jam.
-	_, err = c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "schedd", Units: 1})
-	if !errors.Is(err, griddclient.ErrBusy) {
-		t.Fatalf("schedd acquire = %v; want busy", err)
-	}
-	st, _ := c.Stats(ctx, "fds")
-	if st.Crashes != 1 || st.Revokes != 1 || !st.Down {
-		t.Fatalf("stats after jam = %+v; want crash, revoke, down", st)
-	}
-	// The jammed holder discovers the revocation as stale.
-	if err := lease.Release(ctx); !errors.Is(err, core.ErrStale) {
-		t.Fatalf("release after jam = %v; want stale", err)
-	}
-	// While down, acquires are refused with the typed retriable error.
-	_, err = c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "b", Units: 1})
-	var ue *griddclient.UnavailableError
-	if !errors.As(err, &ue) || ue.Reason != "down" {
-		t.Fatalf("acquire while down = %v; want UnavailableError(down)", err)
-	}
-	// After the restart delay the resource heals.
-	waitFor(t, 2*time.Second, "restart", func() bool {
-		pr, _ := c.Probe(ctx, "fds")
-		return !pr.Down
-	})
-	if _, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "b", Units: 1}); err != nil {
-		t.Fatalf("acquire after restart: %v", err)
-	}
-}
-
 func TestReserveClaimCancelLapse(t *testing.T) {
 	_, c := newDaemon(t,
 		gridd.ResourceConfig{Name: "yyy", Capacity: 2},
@@ -642,7 +602,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 		`grid_lease_outstanding_units{resource="fds"} 3`,
 		`grid_lease_grants_total{resource="fds"} 1`,
 		"# TYPE grid_lease_grants_total counter",
-		`gridd_crashes_total{resource="fds"} 0`,
+		`gridd_phantoms_total{resource="fds"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, text)

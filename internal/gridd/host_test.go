@@ -84,30 +84,6 @@ func TestCanceledTimerQueuedOnTheLockDoesNotRun(t *testing.T) {
 	}
 }
 
-// The restart timer can fire and then wait on the monitor while an
-// operation still reads the resource as down. A down reply given then
-// must carry no retry hint (0, "none"), not a negative one.
-func TestDownReplyAfterOutageEndHintsNoNegative(t *testing.T) {
-	srv := NewServer(Config{Resources: []ResourceConfig{{
-		Name: "r", Capacity: 1, RestartDelay: time.Millisecond,
-	}}})
-	r := srv.res["r"]
-	srv.host.Lock()
-	r.crash()
-	r.restart.Cancel() // the restart is held off, as if queued on the lock
-	srv.host.Unlock()
-	time.Sleep(5 * time.Millisecond) // the outage's end is now past
-
-	var er ErrorReply
-	code := call(t, srv.Handler(), "POST", "/acquire", AcquireRequest{Resource: "r", Holder: "h", Units: 1}, &er)
-	if er.Code != CodeDown {
-		t.Fatalf("reply %+v (HTTP %d), want code %q", er, code, CodeDown)
-	}
-	if er.RetryAfterNS < 0 {
-		t.Fatalf("retry_after_ns = %d: a negative hint", er.RetryAfterNS)
-	}
-}
-
 // A duration comes straight off the socket: one past the daemon's
 // bound is a bad request, not a deadline that wraps negative.
 func TestOverlongDurationsAreBadRequests(t *testing.T) {
@@ -124,7 +100,7 @@ func TestOverlongDurationsAreBadRequests(t *testing.T) {
 		{"/acquire", AcquireRequest{Resource: "r", Holder: "b", Units: 1, WaitNS: math.MaxInt64}},
 		{"/acquire", AcquireRequest{Resource: "r", Holder: "b", Units: 1, QuantumNS: math.MaxInt64}},
 		{"/renew", RenewRequest{Resource: "r", LeaseID: l.LeaseID, Epoch: l.Epoch, ForNS: math.MaxInt64}},
-		{"/resources", CreateRequest{Name: "s", Capacity: 1, RestartDelayNS: math.MaxInt64}},
+		{"/resources", CreateRequest{Name: "s", Capacity: 1, QuantumNS: math.MaxInt64}},
 	} {
 		var er ErrorReply
 		if code := call(t, h, "POST", c.path, c.in, &er); code != http.StatusBadRequest || er.Code != CodeBadRequest {
@@ -162,14 +138,13 @@ func TestOversizedAcquireIsRefusedAtOnce(t *testing.T) {
 }
 
 // Every way a tenure or a booking can end must also take its row out
-// of the daemon's tables: by request (release, cancel), by timer
-// (watchdog, window end), and by crash.
+// of the daemon's tables: by request (release, cancel) and by timer
+// (watchdog, window end).
 func TestTablesEmptyAfterEveryKindOfEnd(t *testing.T) {
 	const n = 5
 	e := sim.New(1)
 	srv := newSimServer(e, ResourceConfig{
 		Name: "r", Capacity: 4 * n, Quantum: 5 * time.Millisecond,
-		CrashHolder: "schedd", RestartDelay: 5 * time.Millisecond,
 	})
 	r := srv.res["r"]
 	ok := func(what string, er *ErrorReply) {
@@ -211,35 +186,10 @@ func TestTablesEmptyAfterEveryKindOfEnd(t *testing.T) {
 		}
 	}
 	empty("watchdogs and window ends")
-
-	// One crash: a long tenure holds everything, a waiter parks behind
-	// it, and the crash holder's refusal jams the resource.
-	_, er := srv.Acquire(nil, e.Context(), AcquireRequest{
-		Resource: "r", Holder: "long", Units: 4 * n, QuantumNS: int64(time.Hour),
-	})
-	ok("acquire", er)
-	var parkedEr *ErrorReply
-	e.Spawn("waits", func(p *sim.Proc) {
-		_, parkedEr = srv.Acquire(p, e.Context(), AcquireRequest{
-			Resource: "r", Holder: "waits", Units: 1, WaitNS: int64(10 * time.Second),
-		})
-	})
-	e.Spawn("schedd", func(p *sim.Proc) {
-		if len(r.leases) != 1 || len(r.parked) != 1 {
-			t.Errorf("before the crash: %d leases, %d parked; want 1 and 1", len(r.leases), len(r.parked))
-		}
-		if _, er := srv.Acquire(p, e.Context(), AcquireRequest{Resource: "r", Holder: "schedd", Units: 1}); er == nil || er.Code != CodeBusy {
-			t.Errorf("crash holder's acquire answered %v; want busy", er)
-		}
-	})
-	empty("the crash")
-	if parkedEr == nil || parkedEr.Code != CodeDown {
-		t.Fatalf("parked acquire answered %v after the crash; want down", parkedEr)
-	}
 	if live, queue, out := r.book.Outstanding(), r.mgr.QueueLen(), r.mgr.Outstanding(); live+queue != 0 || out != 0 {
 		t.Fatalf("state machine not empty: %d live bookings, %d queued, %d units outstanding", live, queue, out)
 	}
-	if r.crashes != 1 || r.mgr.Revokes != n+1 || r.book.Lapses != n {
-		t.Fatalf("crashes=%d revokes=%d lapses=%d; want 1, %d, %d", r.crashes, r.mgr.Revokes, r.book.Lapses, n+1, n)
+	if r.mgr.Revokes != n || r.book.Lapses != n {
+		t.Fatalf("revokes=%d lapses=%d; want %d, %d", r.mgr.Revokes, r.book.Lapses, n, n)
 	}
 }

@@ -3,9 +3,7 @@ package gridd
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/lease"
 )
@@ -72,12 +70,8 @@ func fail(w http.ResponseWriter, er *ErrorReply) {
 		status = http.StatusConflict
 	case CodeStale, CodeLapsed:
 		status = http.StatusGone
-	case CodeDown, CodeDraining:
+	case CodeDraining:
 		status = http.StatusServiceUnavailable
-		if er.RetryAfterNS > 0 {
-			secs := (er.RetryAfterNS + int64(time.Second) - 1) / int64(time.Second)
-			w.Header().Set("Retry-After", fmt.Sprint(secs))
-		}
 	case CodeUnknown:
 		status = http.StatusNotFound
 	}

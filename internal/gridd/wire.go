@@ -37,9 +37,6 @@ const (
 	// CodeBusy: an immediate-mode acquire found no free units (or a
 	// FIFO queue it may not jump) — the EMFILE analogue. HTTP 409.
 	CodeBusy = "busy"
-	// CodeDown: the resource crashed and is restarting; RetryAfterNS
-	// says when. HTTP 503.
-	CodeDown = "down"
 	// CodeDraining: the daemon is shutting down gracefully; the error
 	// is retriable against a peer. HTTP 503.
 	CodeDraining = "draining"
@@ -72,8 +69,6 @@ type ErrorReply struct {
 	// Epoch and Fence accompany stale, reconstructing core.StaleError.
 	Epoch uint64 `json:"epoch,omitempty"`
 	Fence uint64 `json:"fence,omitempty"`
-	// RetryAfterNS accompanies down/draining.
-	RetryAfterNS int64 `json:"retry_after_ns,omitempty"`
 }
 
 // Error renders the reply's code and message.
@@ -92,17 +87,6 @@ type CreateRequest struct {
 	// Unfenced disables epoch fencing: duplicate releases double-free,
 	// which is exactly what the fenced-vs-unfenced ablation measures.
 	Unfenced bool `json:"unfenced,omitempty"`
-	// Housekeeping: the daemon periodically needs HousekeepUnits free
-	// units for its own transient work (the schedd's housekeeping FDs);
-	// failing to find them crashes the resource for RestartDelayNS,
-	// revoking every grant — the broadcast jam.
-	HousekeepUnits      int64 `json:"housekeep_units,omitempty"`
-	HousekeepIntervalNS int64 `json:"housekeep_interval_ns,omitempty"`
-	RestartDelayNS      int64 `json:"restart_delay_ns,omitempty"`
-	// CrashHolder, when non-empty, names the holder whose rejected
-	// immediate acquire crashes the resource — the schedd-side accept
-	// failure of the submit scenario.
-	CrashHolder string `json:"crash_holder,omitempty"`
 }
 
 // ProbeReply is the carrier-sense observation.
@@ -114,7 +98,6 @@ type ProbeReply struct {
 	// Queue counts the parked acquires that can still be granted: one
 	// whose client gave up or went away is gone from it at once.
 	Queue    int  `json:"queue"`
-	Down     bool `json:"down,omitempty"`
 	Draining bool `json:"draining,omitempty"`
 }
 
@@ -250,9 +233,8 @@ type StatsReply struct {
 	Stales      int64 `json:"stales"`
 	// Timeouts counts parked acquires that left the queue ungranted,
 	// whatever the reason: WaitNS ran out, the client gave up or went
-	// away, or a crash or drain flushed them.
+	// away, or a drain flushed them.
 	Timeouts int64 `json:"timeouts"`
-	Crashes  int64 `json:"crashes"`
 	// Admits counts bookings admitted, BookRejects bookings refused,
 	// Lapses windows that ended unclaimed (counted when the window
 	// ends, whether or not a late claim ever arrives).
@@ -264,6 +246,5 @@ type StatsReply struct {
 	LongestWaitNS int64         `json:"longest_wait_ns"`
 	MaxWaitNS     int64         `json:"max_wait_ns"`
 	Holders       []HolderStats `json:"holders,omitempty"`
-	Down          bool          `json:"down,omitempty"`
 	Draining      bool          `json:"draining,omitempty"`
 }

@@ -9,12 +9,13 @@
 // ToReal before they cross the socket (and scale observed real waits
 // back with ToVirtual). Blocking: every method here performs a real
 // socket round-trip, so code running under the live engine's monitor
-// lock must wrap calls in (*live.Proc).Blocking.
+// lock must wrap calls in (*live.Engine).Blocking, as Carrier does.
 //
 // This package is the daemon's one client. The discipline stays in
-// the caller: internal/expt's gridd cells drive a Client through
-// core.Client's retry machinery, and socket-level chaos is an ordinary
-// chaos.Plan aimed at InjectReq/InjectRep, consulted by FaultTripper.
+// the caller: the gridd backend puts condor's FD table on a Carrier and
+// runs the scenario code it runs everywhere, and socket-level chaos is
+// an ordinary chaos.Plan aimed at InjectReq/InjectRep, consulted by
+// FaultTripper.
 package griddclient
 
 import (
@@ -35,8 +36,8 @@ import (
 // EMFILE). Matched through *BusyError.
 var ErrBusy = errors.New("gridd: busy")
 
-// ErrUnavailable marks a retriable outage: the resource crashed or the
-// daemon is draining. Matched through *UnavailableError.
+// ErrUnavailable marks a retriable outage: the daemon is draining.
+// Matched through *UnavailableError.
 var ErrUnavailable = errors.New("gridd: unavailable")
 
 // ErrLapsed marks a claim that arrived after its booking's window
@@ -62,16 +63,14 @@ func (e *BusyError) Error() string {
 // Is makes errors.Is(err, ErrBusy) match.
 func (e *BusyError) Is(target error) bool { return target == ErrBusy }
 
-// UnavailableError is a typed retriable outage: Reason is "down" or
-// "draining", RetryAfter the server's hint (0 = none).
+// UnavailableError is a typed retriable outage: Reason is "draining".
 type UnavailableError struct {
-	Resource   string
-	Reason     string
-	RetryAfter time.Duration
+	Resource string
+	Reason   string
 }
 
 func (e *UnavailableError) Error() string {
-	return fmt.Sprintf("%s: %v (%s, retry after %v)", e.Resource, ErrUnavailable, e.Reason, e.RetryAfter)
+	return fmt.Sprintf("%s: %v (%s)", e.Resource, ErrUnavailable, e.Reason)
 }
 
 // Is makes errors.Is(err, ErrUnavailable) match.
@@ -180,10 +179,8 @@ func wireError(er gridd.ErrorReply, resource string) error {
 		return core.Rejected(resource, er.Shortfall)
 	case gridd.CodeBusy:
 		return &BusyError{Resource: resource, Shortfall: er.Shortfall}
-	case gridd.CodeDown:
-		return &UnavailableError{Resource: resource, Reason: "down", RetryAfter: time.Duration(er.RetryAfterNS)}
 	case gridd.CodeDraining:
-		return &UnavailableError{Resource: resource, Reason: "draining", RetryAfter: time.Duration(er.RetryAfterNS)}
+		return &UnavailableError{Resource: resource, Reason: "draining"}
 	case gridd.CodeLapsed:
 		return fmt.Errorf("%s: %w", resource, ErrLapsed)
 	case gridd.CodeEarly:

@@ -249,7 +249,7 @@ func (r *Reservation) Claim(p Parker, ctx context.Context) (Lease, error) {
 	r.b.Admits++
 	r.tr.Admit(r.b.name, r.end)
 	r.lease = r.b.tenure.GrantFor(p, ctx, r.holder, r.units, r.end-now)
-	r.lease.r.deadline = r.end // not a later clock reading plus the tenure
+	r.lease.rec().deadline = r.end // not a later clock reading plus the tenure
 	return r.lease, nil
 }
 

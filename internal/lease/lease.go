@@ -114,23 +114,8 @@ type Manager struct {
 	Dups         int64 // lease control messages duplicated by the wire
 	Stales       int64 // stale-epoch operations fenced off (fenced wire only)
 
-	clients map[string]*ClientStats
-	order   []string
-}
-
-// ClientStats is the per-holder fairness ledger.
-type ClientStats struct {
-	Holder  string
-	Grants  int64
-	Rejects int64
-	Revokes int64
-	// MaxWait is the longest completed interval the client spent
-	// wanting the resource (first denial or queue entry) before a
-	// grant ended the wait.
-	MaxWait time.Duration
-
-	waiting      bool
-	waitingSince time.Duration
+	// Ledger is the per-holder fairness ledger, on the manager's clock.
+	Ledger
 }
 
 type waiter struct {
@@ -160,7 +145,7 @@ func New(e Clock, name string, capacity int64, quantum time.Duration) *Manager {
 	if e == nil {
 		quantum = 0
 	}
-	return &Manager{eng: e, name: name, quantum: quantum, capacity: capacity}
+	return &Manager{eng: e, name: name, quantum: quantum, capacity: capacity, Ledger: NewLedger(e)}
 }
 
 // Family names of the manager's ledger, as Observe registers them.
@@ -258,88 +243,8 @@ func (m *Manager) QueueLen() int {
 	return n
 }
 
-func (m *Manager) now() time.Duration {
-	if m.eng == nil {
-		return 0
-	}
-	return m.eng.Elapsed()
-}
-
-func (m *Manager) stats(holder string) *ClientStats {
-	if m.clients == nil {
-		m.clients = make(map[string]*ClientStats)
-	}
-	st, ok := m.clients[holder]
-	if !ok {
-		st = &ClientStats{Holder: holder}
-		m.clients[holder] = st
-		m.order = append(m.order, holder)
-	}
-	return st
-}
-
-// NoteWant records that holder wants the resource but does not hold
-// it — e.g. a carrier sense came back busy, or a try failed upstream.
-// The wait interval it opens ends at the holder's next grant.
-func (m *Manager) NoteWant(holder string) {
-	st := m.stats(holder)
-	if !st.waiting {
-		st.waiting = true
-		st.waitingSince = m.now()
-	}
-}
-
-// Waiting reports whether the client wants the resource and does not
-// hold it, and since when.
-func (st *ClientStats) Waiting() (since time.Duration, ok bool) {
-	return st.waitingSince, st.waiting
-}
-
-func (m *Manager) endWait(st *ClientStats) {
-	if st.waiting {
-		if w := m.now() - st.waitingSince; w > st.MaxWait {
-			st.MaxWait = w
-		}
-		st.waiting = false
-	}
-}
-
-// Clients returns the per-holder ledgers in first-contact order.
-func (m *Manager) Clients() []*ClientStats {
-	out := make([]*ClientStats, 0, len(m.order))
-	for _, h := range m.order {
-		out = append(out, m.clients[h])
-	}
-	return out
-}
-
-// LongestWait returns the longest wait currently in progress: the
-// no-starvation invariant samples this against its budget.
-func (m *Manager) LongestWait() time.Duration {
-	var max time.Duration
-	now := m.now()
-	for _, h := range m.order {
-		st := m.clients[h]
-		if st.waiting {
-			if w := now - st.waitingSince; w > max {
-				max = w
-			}
-		}
-	}
-	return max
-}
-
-// MaxStarvation returns the longest wait any client has experienced,
-// completed or still in progress.
-func (m *Manager) MaxStarvation() time.Duration {
-	max := m.LongestWait()
-	for _, h := range m.order {
-		if st := m.clients[h]; st.MaxWait > max {
-			max = st.MaxWait
-		}
-	}
-	return max
-}
+// Revocations returns Revokes.
+func (m *Manager) Revocations() int64 { return m.Revokes }
 
 // fits reports whether units are free on the books. It compares
 // without adding: units comes from outside (over gridd's socket), and
@@ -408,8 +313,7 @@ func (m *Manager) TryAcquireFor(p Parker, ctx context.Context, holder string, un
 		return m.GrantFor(p, ctx, holder, units, d), true
 	}
 	m.Rejects++
-	m.stats(holder).Rejects++
-	m.NoteWant(holder)
+	m.NoteRefusal(holder)
 	return Lease{}, false
 }
 
@@ -435,15 +339,13 @@ func (m *Manager) AcquireFor(p Parker, ctx context.Context, holder string, units
 	if err != nil {
 		return Lease{}, err
 	}
-	st := m.stats(holder)
-	st.Grants++
-	m.endWait(st)
+	m.NoteGrant(holder)
 	l := m.newLease(p, ctx, holder, units, d)
 	// The pump admitted this waiter before the process got to run again;
 	// under a host whose processes race for a lock (gridd) other grants
 	// may have been minted in between, so the admission ordinal is the
 	// pump's, not the current count.
-	l.r.ordinal = ordinal
+	l.rec().ordinal = ordinal
 	return l, nil
 }
 
@@ -484,11 +386,9 @@ func (m *Manager) Grant(p Parker, ctx context.Context, holder string, units int6
 // leases whose watchdog fires exactly at the booked window's end, not
 // one global quantum from now. d <= 0 means unlimited tenure.
 func (m *Manager) GrantFor(p Parker, ctx context.Context, holder string, units int64, d time.Duration) Lease {
-	st := m.stats(holder)
+	m.NoteGrant(holder)
 	m.inUse += units
 	m.Acquires++
-	st.Grants++
-	m.endWait(st)
 	return m.newLease(p, ctx, holder, units, d)
 }
 
@@ -574,8 +474,9 @@ func (m *Manager) recycle(r *record) {
 	m.free = append(m.free, r)
 }
 
-// Lease is a handle on one granted tenure: the manager's record of it
-// and the fencing epoch the grant minted. The holder works under Ctx,
+// Lease is a handle on one granted tenure: its state (a manager's
+// record, or a grant a remote carrier holds, see Tenure) and the
+// fencing epoch the grant minted. The holder works under Ctx,
 // renews before the deadline to keep going, and releases when done; if
 // the deadline passes first the watchdog revokes the tenure out from
 // under it.
@@ -589,9 +490,11 @@ func (m *Manager) recycle(r *record) {
 // tenure released intact is reused), Ctx is canceled, Holder, Units,
 // Deadline and Ordinal are zero, and nothing reaches the record's next
 // tenant. The zero Lease is such a handle. Handles are values: copy
-// them freely.
+// them freely. Holder, Units, Deadline, Ordinal, Revoke and RenewFor
+// read a manager's record; on a remote grant they act as on an ended
+// lease.
 type Lease struct {
-	r     *record
+	r     Tenure
 	epoch uint64
 }
 
@@ -618,10 +521,18 @@ type record struct {
 	inFlight bool // release message delayed: delivery pending
 }
 
-// rec returns the handle's record while the tenure it names is the
-// record's current one, else over.
+// tenure returns the handle's state while the tenure it names is the
+// state's current one, else over.
+func (l Lease) tenure() Tenure {
+	if l.r != nil && l.r.Epoch() == l.epoch {
+		return l.r
+	}
+	return &over
+}
+
+// rec is tenure for the accessors only a manager's record answers.
 func (l Lease) rec() *record {
-	if r := l.r; r != nil && r.epoch == l.epoch {
+	if r, ok := l.r.(*record); ok && r.epoch == l.epoch {
 		return r
 	}
 	return &over
@@ -664,8 +575,13 @@ var ended = func() context.Context {
 // Ctx returns the context the holder must work under: canceled on
 // revocation. With an unlimited quantum it is the acquisition context
 // itself (no watchdog, no extra context).
-func (l Lease) Ctx() context.Context {
-	r := l.rec()
+func (l Lease) Ctx() context.Context { return l.tenure().Ctx() }
+
+// Epoch is the epoch of the tenure the record holds now.
+func (r *record) Epoch() uint64 { return r.epoch }
+
+// Ctx is Lease.Ctx.
+func (r *record) Ctx() context.Context {
 	if r.ctx != nil {
 		return r.ctx
 	}
@@ -686,7 +602,10 @@ func (l Lease) Deadline() (time.Duration, bool) {
 }
 
 // Revoked reports whether the watchdog reclaimed this tenure.
-func (l Lease) Revoked() bool { return l.rec().revoked }
+func (l Lease) Revoked() bool { return l.tenure().Revoked() }
+
+// Revoked is Lease.Revoked.
+func (r *record) Revoked() bool { return r.revoked }
 
 // Ordinal returns the manager's grant count (Acquires) at the moment
 // this tenure was admitted: 1 for the first grant, in admission order
@@ -708,7 +627,10 @@ func (l Lease) Revoke() {
 // Renew extends the tenure by one quantum from now, reporting whether
 // the lease was still live. Renewing an unlimited lease is a no-op
 // that reports true.
-func (l Lease) Renew() bool { return l.RenewFor(l.rec().quantum) }
+func (l Lease) Renew() bool { return l.tenure().Renew() }
+
+// Renew is Lease.Renew.
+func (r *record) Renew() bool { return r.renewFor(r.quantum) }
 
 // RenewFor extends the tenure to d from now, reporting whether the
 // lease was still live. It is Renew with an explicit tenure: the
@@ -720,8 +642,9 @@ func (l Lease) Renew() bool { return l.RenewFor(l.rec().quantum) }
 // renewed; the watchdog fires on the old schedule) or delayed (the
 // extension lands late — or arrives after a revocation, where a fenced
 // manager rejects the stale epoch).
-func (l Lease) RenewFor(d time.Duration) bool {
-	r := l.rec()
+func (l Lease) RenewFor(d time.Duration) bool { return l.rec().renewFor(d) }
+
+func (r *record) renewFor(d time.Duration) bool {
 	if r.done {
 		return false
 	}
@@ -753,8 +676,10 @@ func (r *record) extend(d time.Duration) {
 // reclaims them), delayed (a revocation can race the delivery), or
 // duplicated (a fenced manager rejects the second copy as stale; an
 // unfenced one double-frees — the double-allocation hazard).
-func (l Lease) Release() {
-	r := l.rec()
+func (l Lease) Release() { l.tenure().Release() }
+
+// Release is Lease.Release.
+func (r *record) Release() {
 	if r.done {
 		return
 	}
@@ -802,7 +727,7 @@ func (r *record) expire() {
 	r.revoked = true
 	m.Revokes++
 	m.RevokedUnits += r.units
-	m.stats(r.holder).Revokes++
+	m.NoteRevoke(r.holder)
 	if m.onRevoke != nil {
 		m.onRevoke(Lease{r: r, epoch: r.epoch})
 	}

@@ -100,10 +100,11 @@ func (l Lease) Epoch() uint64 { return l.epoch }
 // tenure is live (or the manager is not fenced). Substrates surface it
 // to clients whose tenure was revoked out from under them.
 func (l Lease) StaleErr() error {
-	if l.r == nil {
+	r, ok := l.r.(*record)
+	if !ok {
 		return nil
 	}
-	m := l.r.m // a record serves one manager for life
+	m := r.m // a record serves one manager for life
 	if !m.Fenced() || l.epoch > m.fence {
 		return nil
 	}

@@ -49,8 +49,11 @@ type Engine struct {
 	closed  bool
 	events  int64
 	liveN   int
+	// blocking counts callers inside Blocking, with the lock let go;
+	// quiet wakes Run when it and liveN are both 0.
+	blocking int
+	quiet    sync.Cond
 
-	wg               sync.WaitGroup
 	pendingProcs     []*pendingProc
 	pendingTimers    []*timerNode
 	pendingDeadlines []*runCtx
@@ -82,6 +85,7 @@ func New(seed int64, timescale float64) *Engine {
 		timescale: timescale,
 		timers:    make(map[*timerNode]struct{}),
 	}
+	e.quiet.L = &e.mu
 	e.root, e.rootCancel = context.WithCancel(context.Background())
 	return e
 }
@@ -228,14 +232,21 @@ func (e *Engine) Spawn(name string, fn func(p core.Proc)) {
 func (e *Engine) launch(p *Proc, fn func(p core.Proc)) {
 	e.events++
 	e.liveN++
-	e.wg.Add(1)
 	go func() {
-		defer e.wg.Done()
 		e.mu.Lock()
 		fn(p)
 		e.liveN--
+		e.wake()
 		e.mu.Unlock()
 	}()
+}
+
+// wake tells Run that the run may be over: no process is live and no
+// timer callback is inside Blocking. Engine lock held.
+func (e *Engine) wake() {
+	if e.liveN == 0 && e.blocking == 0 {
+		e.quiet.Broadcast()
+	}
 }
 
 // Schedule arranges fn to run at virtual time now+d under the engine
@@ -263,7 +274,8 @@ func (e *Engine) Schedule(d time.Duration, fn func()) core.Timer {
 func (e *Engine) NewAlarm(fn func()) core.Alarm { return core.AlarmOf(e.Schedule, fn) }
 
 // Run launches every pending process, timer and deadline, waits for all
-// processes (including ones spawned later) to return, then drains outstanding
+// processes (including ones spawned later) to return and for every
+// timer callback inside Blocking to come back, then drains outstanding
 // timers: each pending callback fires exactly once, in deadline order,
 // before Run returns. The simulator runs its event queue to quiescence,
 // so a lease watchdog pending when the last process exits still fires
@@ -294,11 +306,9 @@ func (e *Engine) Run() error {
 	for _, pp := range pending {
 		e.launch(pp.p, pp.fn)
 	}
-	e.mu.Unlock()
-
-	e.wg.Wait()
-
-	e.mu.Lock()
+	for e.liveN > 0 || e.blocking > 0 {
+		e.quiet.Wait()
+	}
 	e.closed = true // re-scheduling from a drained callback is inert
 	drain := make([]*timerNode, 0, len(e.timers))
 	for n := range e.timers {
@@ -326,6 +336,29 @@ func (e *Engine) Run() error {
 	e.mu.Unlock()
 	e.rootCancel()
 	return nil
+}
+
+// Blocking releases the engine lock, runs fn, and re-acquires the lock
+// before returning. Substrate code that performs a real blocking
+// operation — a socket round-trip to a gridd daemon, a disk read —
+// must wrap it here, exactly as Sleep and Hang do internally, or the
+// whole monitor stalls for the call's wall-clock duration. It serves
+// process code and timer callbacks alike, and Run does not shut down
+// while a caller is inside. fn runs outside the monitor: it must not
+// touch engine-locked state. Before Run starts, and in its shutdown
+// drain (which holds the lock throughout), no other process or timer
+// can want the lock, and fn simply runs.
+func (e *Engine) Blocking(fn func()) {
+	if !e.started || e.closed {
+		fn()
+		return
+	}
+	e.blocking++
+	e.mu.Unlock()
+	fn()
+	e.mu.Lock()
+	e.blocking--
+	e.wake()
 }
 
 // Live reports the number of processes that have started and not yet

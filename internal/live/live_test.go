@@ -168,17 +168,18 @@ func TestParallelRunsBranches(t *testing.T) {
 	}
 }
 
-// TestBlockingReleasesMonitor: a process whose fn waits inside Blocking
-// must not hold the engine lock, or a process that needs the lock to
-// end the wait can never run. b is launched while a holds the lock, so
-// the only way b runs is through a's Blocking letting go.
+// TestBlockingReleasesMonitor: a process whose fn waits inside
+// Engine.Blocking must not hold the engine lock, or a process that
+// needs the lock to end the wait can never run. b is launched while a
+// holds the lock, so the only way b runs is through a's Blocking
+// letting go.
 func TestBlockingReleasesMonitor(t *testing.T) {
 	e := New(1, 1)
 	release := make(chan struct{})
 	e.Spawn("a", func(p core.Proc) {
 		lp := p.(*Proc)
 		lp.Engine().Spawn("b", func(core.Proc) { close(release) })
-		lp.Blocking(func() { <-release })
+		lp.Engine().Blocking(func() { <-release })
 	})
 	done := make(chan error, 1)
 	go func() { done <- e.Run() }()
@@ -189,6 +190,62 @@ func TestBlockingReleasesMonitor(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run never returned: Blocking kept the engine lock while fn waited")
+	}
+}
+
+// TestEngineBlockingReleasesMonitorInTimer: a timer callback waiting
+// inside Engine.Blocking must not hold the engine lock either. b is
+// spawned by the callback, under the lock, so the only way b runs is
+// through the callback's Blocking letting go; a keeps the run open
+// until the callback has finished.
+func TestEngineBlockingReleasesMonitorInTimer(t *testing.T) {
+	e := New(1, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	e.Spawn("a", func(p core.Proc) { _ = p.Hang(ctx) })
+	e.Schedule(time.Millisecond, func() {
+		e.Spawn("b", func(core.Proc) { close(release) })
+		e.Blocking(func() { <-release })
+		cancel()
+	})
+	done := make(chan error, 1)
+	go func() { done <- e.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run never returned: a timer callback's Blocking kept the engine lock")
+	}
+}
+
+// TestRunWaitsForTimerInsideBlocking: Run does not shut down while a
+// timer callback is inside Blocking, even when the last process has
+// returned meanwhile. The callback finishes under the lock, before Run
+// returns; a shutdown that did not wait would return first and leave
+// the callback writing engine state after the run.
+func TestRunWaitsForTimerInsideBlocking(t *testing.T) {
+	e := New(1, 1)
+	inside := make(chan struct{})
+	var finished atomic.Bool
+	e.Spawn("a", func(core.Proc) { e.Blocking(func() { <-inside }) })
+	e.Schedule(time.Millisecond, func() {
+		e.Blocking(func() {
+			close(inside) // a returns now, with the callback still out
+			time.Sleep(50 * time.Millisecond)
+		})
+		e.Schedule(time.Hour, func() {}) // before the drain: it fires there
+		finished.Store(true)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !finished.Load() {
+		t.Fatal("Run returned while a timer callback was inside Blocking")
+	}
+	if n := e.Events(); n != 3 {
+		t.Errorf("events = %d, want 3: a, the callback, and the timer it scheduled, drained", n)
 	}
 }
 

@@ -58,18 +58,6 @@ func (p *Proc) Yield() {
 	p.eng.mu.Lock()
 }
 
-// Blocking releases the engine lock, runs fn, and re-acquires the lock
-// before returning. Substrate code that performs a real blocking
-// operation — a socket round-trip to a gridd daemon, a disk read —
-// must wrap it here, exactly as Sleep and Hang do internally, or the
-// whole monitor stalls for the call's wall-clock duration. fn runs
-// outside the monitor: it must not touch engine-locked state.
-func (p *Proc) Blocking(fn func()) {
-	p.eng.mu.Unlock()
-	fn()
-	p.eng.mu.Lock()
-}
-
 // SleepFor pauses for d of virtual time. It cannot be interrupted;
 // prefer Sleep with a context for cancellable waits.
 func (p *Proc) SleepFor(d time.Duration) {
@@ -151,9 +139,7 @@ func (p *Proc) Parallel(ctx context.Context, limit int, fns []func(ctx context.C
 	for w := 0; w < workers; w++ {
 		child := &Proc{eng: e, name: p.name + "/par", tracer: p.tracer}
 		wg.Add(1)
-		e.wg.Add(1)
 		go func() {
-			defer e.wg.Done()
 			defer wg.Done()
 			e.mu.Lock()
 			for next < len(fns) {

@@ -2,6 +2,7 @@
 package ast
 
 import (
+	"strconv"
 	"strings"
 	"time"
 
@@ -41,12 +42,21 @@ type Stmt interface {
 type Word struct {
 	WordPos token.Pos
 	Segs    []token.Segment
-	Quoted  bool
 	Raw     string
-	// Kind is the shape NewWord resolved the word to, and Text the value
-	// of a WordLit.
-	Kind WordKind
+	// Text is the value of a WordLit, and Num that value as a number
+	// when ParseNum accepts it (IsNum), so a literal operand is parsed
+	// once, here.
 	Text string
+	Num  float64
+	// Sym is the name a literal word spells, interned, where the word
+	// names a command or a variable: the first word of a command, and
+	// the target of a redirection to a variable. It is zero elsewhere,
+	// and where the name is only built at run time.
+	Sym    token.Sym
+	Quoted bool
+	// Kind is the shape NewWord resolved the word to.
+	Kind  WordKind
+	IsNum bool
 }
 
 // WordKind is the shape of a word, which decides how it is expanded.
@@ -59,9 +69,10 @@ const (
 	WordVar                   // one variable reference: its value, split into fields unless Quoted
 )
 
-// NewWord returns a resolved word: its shape is decided and every
-// variable segment classified (in place, in segs) here, once, so that
-// expanding the word never parses anything. The parser builds every
+// NewWord returns a resolved word: its shape is decided, every variable
+// segment classified and its name interned (in place, in segs), and a
+// numeric literal's value parsed here, once, so that expanding the word
+// never parses or looks up anything by name. The parser builds every
 // word through it and the interpreter relies on that.
 func NewWord(pos token.Pos, segs []token.Segment, quoted bool, raw string) *Word {
 	w := &Word{WordPos: pos, Segs: segs, Quoted: quoted, Raw: raw}
@@ -69,6 +80,9 @@ func NewWord(pos token.Pos, segs []token.Segment, quoted bool, raw string) *Word
 	for i := range segs {
 		if seg := &segs[i]; seg.Kind == token.SegVar {
 			seg.Var, seg.Index = token.ClassifyVar(seg.Text)
+			if seg.Var == token.VarNamed {
+				seg.Sym = token.Intern(seg.Text)
+			}
 			refs++
 		}
 	}
@@ -76,10 +90,56 @@ func NewWord(pos token.Pos, segs []token.Segment, quoted bool, raw string) *Word
 	case refs == 0:
 		w.Kind = WordLit
 		w.Text, _ = w.Lit()
+		w.Num, w.IsNum = literalNum(w.Text)
 	case len(segs) == 1:
 		w.Kind = WordVar
 	}
 	return w
+}
+
+// literalNum is ParseNum for a literal word, which is seldom a number:
+// a word whose first byte past an optional sign is not one that
+// ParseFloat can start with (a digit, '.', or the i of inf or the n of
+// nan) is refused without building ParseFloat's error.
+func literalNum(s string) (float64, bool) {
+	t := s
+	if t != "" && (t[0] == '+' || t[0] == '-') {
+		t = t[1:]
+	}
+	if t == "" {
+		return 0, false
+	}
+	switch c := t[0]; {
+	case c >= '0' && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return 0, false
+	}
+	return ParseNum(s)
+}
+
+// ParseNum is strconv.ParseFloat(s, 64), and whether it accepts s, with
+// a short cut for what scripts count with: up to 15 plain decimal
+// digits, which a float64 holds exactly. A sign, 1e3, 0x1p4 or Inf goes
+// to ParseFloat.
+func ParseNum(s string) (float64, bool) {
+	if s == "" || len(s) > 15 {
+		return parseFloat(s)
+	}
+	var n int64
+	for i := 0; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			return parseFloat(s)
+		}
+		n = n*10 + int64(c)
+	}
+	return float64(n), true
+}
+
+// parseFloat is ParseNum's way for what is not plain digits.
+func parseFloat(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil
 }
 
 // Pos implements Node.
@@ -133,7 +193,8 @@ func (c *CommandStmt) Pos() token.Pos { return c.Words[0].Pos() }
 type AssignStmt struct {
 	NamePos token.Pos
 	Name    string
-	Values  []*Word // may be empty for `name=`
+	Sym     token.Sym // Name interned
+	Values  []*Word   // may be empty for `name=`
 }
 
 func (a *AssignStmt) stmt() {}
@@ -173,6 +234,7 @@ func (t *TryStmt) Pos() token.Pos { return t.TryPos }
 type ForanyStmt struct {
 	AnyPos token.Pos
 	Var    string
+	Sym    token.Sym // Var interned
 	List   []*Word
 	Body   *Block
 }
@@ -188,6 +250,7 @@ func (f *ForanyStmt) Pos() token.Pos { return f.AnyPos }
 type ForallStmt struct {
 	AllPos token.Pos
 	Var    string
+	Sym    token.Sym // Var interned
 	List   []*Word
 	Body   *Block
 }
@@ -202,6 +265,7 @@ func (f *ForallStmt) Pos() token.Pos { return f.AllPos }
 type ForStmt struct {
 	ForPos token.Pos
 	Var    string
+	Sym    token.Sym // Var interned
 	List   []*Word
 	Body   *Block
 }
@@ -291,6 +355,7 @@ func (s *SuccessStmt) Pos() token.Pos { return s.OKPos }
 type FunctionStmt struct {
 	FuncPos token.Pos
 	Name    string
+	Sym     token.Sym // Name interned
 	Body    *Block
 }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ftsh/ast"
@@ -18,7 +19,9 @@ import (
 // execCommand expands a command onto the argv stack and runs it: a
 // user-defined function directly, a builtin or the Runner through
 // dispatch, a command with redirections through execRedirected. The
-// argv is popped when the command returns.
+// command's name is the symbol the parser resolved, or, for a name
+// built at run time, the one its first field interns to. The argv is
+// popped when the command returns.
 //
 // A call level of a recursive function is this frame, callFunction's,
 // execBlock's and execStmt's, so this one is kept small: what only a
@@ -34,15 +37,35 @@ func (in *Interp) execCommand(ctx context.Context, st *ast.CommandStmt) error {
 	case len(st.Redirs) > 0:
 		err = in.execRedirected(ctx, st, argv)
 	default:
-		if fn := in.fns[argv[0]]; fn != nil {
+		head := headSym(st.Words[0].Sym, argv[0])
+		if fn := in.function(head); fn != nil {
 			err = in.callFunction(ctx, fn, argv[1:])
 		} else {
-			err = in.dispatch(ctx, argv, &in.stdio)
+			err = in.dispatch(ctx, head, argv, &in.stdio)
 		}
 		err = in.commandErr(st.Pos(), argv[0], err)
 	}
 	in.argv = in.argv[:base]
 	return err
+}
+
+// headSym is the symbol of a command's name: the parser's, or, when the
+// name was built at run time, the interned name's. A name never interned
+// names no function and no builtin, and interning it would only grow
+// the table, so it stays the zero Sym.
+func headSym(head token.Sym, name string) token.Sym {
+	if head == 0 {
+		head, _ = token.Lookup(name)
+	}
+	return head
+}
+
+// function returns the user function named head, or nil.
+func (in *Interp) function(head token.Sym) *ast.FunctionStmt {
+	if in.fns == nil {
+		return nil
+	}
+	return in.fns[head]
 }
 
 // pushArgv expands words onto the argv stack and returns the fields it
@@ -58,9 +81,18 @@ func (in *Interp) pushArgv(words []*ast.Word) ([]string, error) {
 }
 
 // commandErr is what a command that ran returns: nil, or success's
-// unwinding, as they are; a failure logged and with its position.
+// unwinding, as they are; a failure logged and with its position. The
+// nil case is small enough to inline.
 func (in *Interp) commandErr(pos token.Pos, name string, err error) error {
-	if err == nil || errors.Is(err, errSuccess) {
+	if err == nil {
+		return nil
+	}
+	return in.commandFailed(pos, name, err)
+}
+
+// commandFailed is commandErr for an error.
+func (in *Interp) commandFailed(pos token.Pos, name string, err error) error {
+	if errors.Is(err, errSuccess) {
 		return err
 	}
 	if in.cfg.Log != nil {
@@ -75,15 +107,17 @@ func (in *Interp) commandErr(pos token.Pos, name string, err error) error {
 // shell behaviour.
 func (in *Interp) execRedirected(ctx context.Context, st *ast.CommandStmt, argv []string) error {
 	var few [2]finisher // a command with more redirections spills to the heap
-	io_, fins, err := in.setupRedirs(st.Redirs, few[:0])
+	io_ := in.stdio
+	fins, err := in.setupRedirs(st.Redirs, &io_, few[:0])
 	if err != nil {
 		_ = in.finish(fins) // release any redirection targets opened before the error
 		return &PosError{Pos: st.Pos(), Err: err}
 	}
-	if fn := in.fns[argv[0]]; fn != nil {
+	head := headSym(st.Words[0].Sym, argv[0])
+	if fn := in.function(head); fn != nil {
 		err = in.callFunction(ctx, fn, argv[1:])
 	} else {
-		err = in.dispatch(ctx, argv, &io_)
+		err = in.dispatch(ctx, head, argv, &io_)
 	}
 	if ferr := in.finish(fins); ferr != nil && err == nil {
 		err = ferr
@@ -106,31 +140,37 @@ type noInput struct{}
 func (noInput) Read([]byte) (int, error) { return 0, io.EOF }
 
 // finisher is what one redirection leaves to do once its command has
-// run: close a file, or store a capture buffer into a variable.
+// run: close a file, or store capture buffer in.bufs[buf] into variable
+// sym. It holds the buffer by index, so filling one in stores no
+// pointer.
 type finisher struct {
 	file io.Closer
-	buf  *bytes.Buffer
-	name string
+	sym  token.Sym
+	buf  int
 }
 
-// setupRedirs resolves redirections into readers/writers, and appends
-// to fins what finish must do afterwards (on an error too, for the
-// targets already opened): flush variable captures and close files.
-func (in *Interp) setupRedirs(redirs []*ast.Redir, fins []finisher) (cmdIO, []finisher, error) {
-	io_ := in.stdio
+// setupRedirs resolves redirections into the readers and writers of
+// io_, and appends to fins what finish must do afterwards (on an error
+// too, for the targets already opened): flush variable captures and
+// close files.
+func (in *Interp) setupRedirs(redirs []*ast.Redir, io_ *cmdIO, fins []finisher) ([]finisher, error) {
 	for _, r := range redirs {
-		target, err := in.expandWord(r.Target)
-		if err != nil {
-			return io_, fins, err
+		sym := r.Target.Sym
+		var target string
+		if sym == 0 {
+			var err error
+			if target, err = in.expandWord(r.Target); err != nil {
+				return fins, err
+			}
 		}
 		switch r.Op {
 		case token.GT, token.GTGT, token.GTAMP:
 			if in.cfg.FS == nil {
-				return io_, fins, fmt.Errorf("file redirection %s unavailable (no filesystem)", r.Op)
+				return fins, fmt.Errorf("file redirection %s unavailable (no filesystem)", r.Op)
 			}
 			w, err := in.cfg.FS.OpenWrite(target, r.Op == token.GTGT)
 			if err != nil {
-				return io_, fins, err
+				return fins, err
 			}
 			fins = append(fins, finisher{file: w})
 			io_.stdout = w
@@ -139,52 +179,62 @@ func (in *Interp) setupRedirs(redirs []*ast.Redir, fins []finisher) (cmdIO, []fi
 			}
 		case token.LT:
 			if in.cfg.FS == nil {
-				return io_, fins, fmt.Errorf("file redirection < unavailable (no filesystem)")
+				return fins, fmt.Errorf("file redirection < unavailable (no filesystem)")
 			}
 			rd, err := in.cfg.FS.OpenRead(target)
 			if err != nil {
-				return io_, fins, err
+				return fins, err
 			}
 			fins = append(fins, finisher{file: rd})
 			io_.stdin = rd
 		case token.DASHGT, token.DASHGTGT, token.DASHGTAMP:
-			buf := in.captureBuf()
-			if r.Op == token.DASHGTGT && in.vars[target] != "" {
-				// Re-insert the newline stripped by the previous capture
-				// so appended records stay line-separated.
-				buf.WriteString(in.vars[target])
-				buf.WriteByte('\n')
+			if sym == 0 {
+				sym = token.Intern(target) // the capture sets it
+			}
+			k, buf := in.captureBuf()
+			if r.Op == token.DASHGTGT {
+				if old := in.vars.get(sym); old != "" {
+					// Re-insert the newline stripped by the previous
+					// capture so appended records stay line-separated.
+					buf.WriteString(old)
+					buf.WriteByte('\n')
+				}
 			}
 			io_.stdout = buf
 			if r.Op == token.DASHGTAMP {
 				io_.stderr = buf
 			}
-			fins = append(fins, finisher{buf: buf, name: target})
+			fins = append(fins, finisher{sym: sym, buf: k})
 		case token.DASHLT:
-			io_.stdin = strings.NewReader(in.vars[target])
+			if sym == 0 {
+				sym, _ = token.Lookup(target)
+			}
+			io_.stdin = strings.NewReader(in.vars.get(sym))
 		default:
-			return io_, fins, fmt.Errorf("unsupported redirection %v", r.Op)
+			return fins, fmt.Errorf("unsupported redirection %v", r.Op)
 		}
 	}
-	return io_, fins, nil
+	return fins, nil
 }
 
-// captureBuf takes an empty buffer for a variable capture. finish puts
-// it back on in.bufs, so a loop's captures share one, while captures
-// live together — several on one command, or a function body's inside
-// its call's — never do.
-func (in *Interp) captureBuf() *bytes.Buffer {
-	k := len(in.bufs)
-	if k == 0 {
-		return new(bytes.Buffer)
+// captureBuf takes an empty buffer for a variable capture, and its
+// index: the first of in.bufs not in use. Captures nest — several on
+// one command, or a function body's inside its call's — and finish
+// releases a command's captures together, so the buffers in use are
+// always the first in.ncap, a loop's captures share one, and captures
+// that live together never do.
+func (in *Interp) captureBuf() (int, *bytes.Buffer) {
+	k := in.ncap
+	if k == len(in.bufs) {
+		in.bufs = append(in.bufs, new(bytes.Buffer))
 	}
-	buf := in.bufs[k-1]
-	in.bufs = in.bufs[:k-1]
-	return buf
+	in.ncap++
+	return k, in.bufs[k]
 }
 
 // finish runs a command's finishers in redirection order and returns
-// the first error.
+// the first error. It releases the command's capture buffers, which are
+// the last taken, by lowering in.ncap to the first of them.
 func (in *Interp) finish(fins []finisher) error {
 	var first error
 	for _, f := range fins {
@@ -196,19 +246,20 @@ func (in *Interp) finish(fins []finisher) error {
 		}
 		// ftsh strips the trailing newline when capturing into a
 		// variable, so `cut ... -> n` compares cleanly.
-		in.vars[f.name] = strings.TrimRight(f.buf.String(), "\n")
-		f.buf.Reset()
-		in.bufs = append(in.bufs, f.buf)
+		buf := in.bufs[f.buf]
+		in.vars.set(f.sym, string(bytes.TrimRight(buf.Bytes(), "\n")))
+		buf.Reset()
+		in.ncap = min(in.ncap, f.buf)
 	}
 	return first
 }
 
-// dispatch routes argv to a builtin or the Runner. It takes the streams
-// by reference: by value they would be six words of every call level's
-// execCommand frame.
-func (in *Interp) dispatch(ctx context.Context, argv []string, io_ *cmdIO) error {
+// dispatch routes argv, whose name is head, to a builtin or the Runner.
+// It takes the streams by reference: by value they would be six words
+// of every call level's execCommand frame.
+func (in *Interp) dispatch(ctx context.Context, head token.Sym, argv []string, io_ *cmdIO) error {
 	name := argv[0]
-	if bi, ok := builtins[name]; ok {
+	if bi := builtinOf(head); bi != nil {
 		return bi(ctx, in, argv[1:], *io_)
 	}
 	if in.cfg.Log != nil {
@@ -229,20 +280,46 @@ func (in *Interp) dispatch(ctx context.Context, argv []string, io_ *cmdIO) error
 // must interact with the interpreter state or the virtual clock.
 type builtin func(ctx context.Context, in *Interp, args []string, io_ cmdIO) error
 
-var builtins map[string]builtin
+// builtinTab holds the builtins by symbol, offset by builtinBase. The
+// names are interned together when the package initializes, so the
+// table spans just them, and finding a builtin is a subtraction and a
+// bounds check.
+var builtinBase, builtinTab = builtinTable([]namedBuiltin{
+	{"echo", biEcho},
+	{"true", biTrue},
+	{"false", biFalse},
+	{"sleep", biSleep},
+	{"expr", biExpr},
+	{"cat", biCat},
+	{"rm", biRm},
+})
 
-func init() {
-	// Initialized in init to avoid an initialization cycle through the
-	// help builtin referencing the table itself.
-	builtins = map[string]builtin{
-		"echo":  biEcho,
-		"true":  biTrue,
-		"false": biFalse,
-		"sleep": biSleep,
-		"expr":  biExpr,
-		"cat":   biCat,
-		"rm":    biRm,
+type namedBuiltin struct {
+	name string
+	fn   builtin
+}
+
+// builtinTable interns the builtins' names and files each builtin at
+// its symbol less the lowest one, which it returns with the table.
+func builtinTable(list []namedBuiltin) (token.Sym, []builtin) {
+	syms := make([]token.Sym, len(list))
+	for i, b := range list {
+		syms[i] = token.Intern(b.name)
 	}
+	lo := slices.Min(syms)
+	tab := make([]builtin, slices.Max(syms)-lo+1)
+	for i, b := range list {
+		tab[syms[i]-lo] = b.fn
+	}
+	return lo, tab
+}
+
+// builtinOf returns the builtin named head, or nil.
+func builtinOf(head token.Sym) builtin {
+	if i := head - builtinBase; int(i) < len(builtinTab) {
+		return builtinTab[i]
+	}
+	return nil
 }
 
 // biRm removes files through the FS abstraction. With -f, missing files
@@ -329,7 +406,8 @@ func biFalse(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
 }
 
 // biSleep pauses in runtime time: `sleep 5`, `sleep 0.25`, `sleep 500ms`.
-// Under the simulator this advances the virtual clock.
+// Under the simulator this advances the virtual clock. `sleep inf`
+// sleeps until the context ends, as GNU sleep does; `sleep 0` yields.
 func biSleep(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
 	if len(args) != 1 {
 		return errors.New("sleep: want exactly one duration argument")
@@ -337,6 +415,15 @@ func biSleep(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
 	d, err := durationArg(args[0])
 	if err != nil {
 		return fmt.Errorf("sleep: %w", err)
+	}
+	if d == forever {
+		// No clock can add forever to its now without overflowing, so
+		// forever is slept a day at a time.
+		for {
+			if err := in.cfg.Runtime.Sleep(ctx, 24*time.Hour); err != nil {
+				return err
+			}
+		}
 	}
 	return in.cfg.Runtime.Sleep(ctx, d)
 }
@@ -347,13 +434,13 @@ func biExpr(ctx context.Context, in *Interp, args []string, io_ cmdIO) error {
 	if len(args) == 0 || len(args)%2 == 0 {
 		return errors.New("expr: want `value (op value)...`")
 	}
-	acc, err := parseNum(args[0])
-	if err != nil {
+	acc, ok := ast.ParseNum(args[0])
+	if !ok {
 		return fmt.Errorf("expr: bad operand %q", args[0])
 	}
 	for i := 1; i < len(args); i += 2 {
-		rhs, err := parseNum(args[i+1])
-		if err != nil {
+		rhs, ok := ast.ParseNum(args[i+1])
+		if !ok {
 			return fmt.Errorf("expr: bad operand %q", args[i+1])
 		}
 		switch args[i] {

@@ -33,6 +33,39 @@ func TestBuiltinSleepErrors(t *testing.T) {
 	if err := w.run(t, "sleep 250ms\n", nil); err != nil {
 		t.Fatalf("go-style duration rejected: %v", err)
 	}
+	// NaN and negative durations are errors, not sleeps that return at
+	// once.
+	for _, arg := range []string{"nan", "NaN", "-5", "-1s", "-inf", "-1e300"} {
+		err := newWorld(1).run(t, "sleep "+arg+"\n", nil)
+		if err == nil || !strings.Contains(err.Error(), "sleep: invalid duration") {
+			t.Errorf("sleep %s: err = %v, want an invalid duration", arg, err)
+		}
+	}
+	// sleep 0 yields and succeeds at once.
+	w = newWorld(1)
+	if err := w.run(t, "sleep 0\n", nil); err != nil || w.eng.Elapsed() != 0 {
+		t.Errorf("sleep 0: err = %v after %v", err, w.eng.Elapsed())
+	}
+}
+
+// TestSleepForeverUntilBudget checks that sleeps no clock can count —
+// inf, and more seconds than a time.Duration holds — last until the
+// context ends, as GNU sleep inf does: under `try for 2 seconds` the try
+// fails after exactly 2 virtual seconds, and the next line never runs.
+func TestSleepForeverUntilBudget(t *testing.T) {
+	for _, arg := range []string{"inf", "+Inf", "infinity", "1e300", "1e400", "9223372037"} {
+		w := newWorld(1)
+		err := w.run(t, "try for 2 seconds\n  sleep "+arg+"\n  echo woke\nend\n", nil)
+		if err == nil {
+			t.Errorf("sleep %s inside a 2 s try succeeded", arg)
+		}
+		if got := w.eng.Elapsed(); got != 2*time.Second {
+			t.Errorf("sleep %s: try ended after %v, want 2s", arg, got)
+		}
+		if strings.Contains(w.out.String(), "woke") {
+			t.Errorf("sleep %s returned: %q", arg, w.out.String())
+		}
+	}
 }
 
 func TestBuiltinExprFull(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/ftsh/ast"
 	"repro/internal/ftsh/token"
@@ -16,6 +17,14 @@ import (
 // string, as in the Bourne shell. Which of these a name is was decided
 // by the parser (token.ClassifyVar).
 func (in *Interp) lookupVar(seg *token.Segment) (string, error) {
+	if seg.Var == token.VarNamed {
+		return in.vars.get(seg.Sym), nil
+	}
+	return in.lookupParam(seg)
+}
+
+// lookupParam is lookupVar for the positional parameters.
+func (in *Interp) lookupParam(seg *token.Segment) (string, error) {
 	switch seg.Var {
 	case token.VarArgs:
 		return strings.Join(in.args, " "), nil
@@ -26,25 +35,28 @@ func (in *Interp) lookupVar(seg *token.Segment) (string, error) {
 			return in.args[seg.Index-1], nil
 		}
 		return "", nil
-	case token.VarBadPos:
-		return "", fmt.Errorf("invalid positional parameter $%s", seg.Text)
 	}
-	return in.vars[seg.Text], nil
+	return "", fmt.Errorf("invalid positional parameter $%s", seg.Text) // VarBadPos
 }
 
-// expandWord expands a word to a single string (no splitting). A nil
-// word expands to "". Only a word that mixes segments builds anything:
-// a literal's text was put together by the parser, and a lone variable
-// reference expands to the variable's own string.
+// expandWord expands a word to a single string (no splitting). Only a
+// word that mixes segments builds anything: a literal's text was put
+// together by the parser, and a lone variable reference expands to the
+// variable's own string. The literal case is small enough to inline.
 func (in *Interp) expandWord(w *ast.Word) (string, error) {
-	if w == nil {
-		return "", nil
-	}
-	switch w.Kind {
-	case ast.WordLit:
+	if w.Kind == ast.WordLit {
 		return w.Text, nil
-	case ast.WordVar:
-		return in.lookupVar(&w.Segs[0])
+	}
+	return in.expandRefs(w)
+}
+
+// expandRefs is expandWord for a word with variable references.
+func (in *Interp) expandRefs(w *ast.Word) (string, error) {
+	if w.Kind == ast.WordVar {
+		if seg := &w.Segs[0]; seg.Var == token.VarNamed {
+			return in.vars.get(seg.Sym), nil // lookupVar's common case, without the call
+		}
+		return in.lookupParam(&w.Segs[0])
 	}
 	var b strings.Builder
 	for i := range w.Segs {
@@ -84,9 +96,7 @@ func (in *Interp) appendFields(dst []string, words []*ast.Word) ([]string, error
 		switch {
 		case w.Quoted:
 			dst = append(dst, s)
-		case w.Kind == ast.WordVar && strings.IndexFunc(s, unicode.IsSpace) >= 0:
-			// The same predicate strings.Fields splits on: without a
-			// match the value is one field, or none when empty.
+		case w.Kind == ast.WordVar && hasSpace(s):
 			dst = append(dst, strings.Fields(s)...)
 		case s != "":
 			dst = append(dst, s)
@@ -94,3 +104,26 @@ func (in *Interp) appendFields(dst []string, words []*ast.Word) ([]string, error
 	}
 	return dst, nil
 }
+
+// hasSpace reports whether strings.Fields would split s: whether s
+// holds a rune unicode.IsSpace accepts. Without one the value is one
+// field, or none when empty. ASCII, which is what variables hold, is
+// looked up a byte at a time; the rest goes to unicode.IsSpace.
+func hasSpace(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if notPlain[s[i]] {
+			return s[i] < utf8.RuneSelf || strings.IndexFunc(s[i:], unicode.IsSpace) >= 0
+		}
+	}
+	return false
+}
+
+// notPlain marks the bytes hasSpace cannot pass over: unicode.IsSpace
+// below utf8.RuneSelf, and every byte from it on, which starts or
+// continues a rune to decode.
+var notPlain = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c >= utf8.RuneSelf || unicode.IsSpace(rune(c))
+	}
+	return t
+}()

@@ -45,6 +45,14 @@ func FuzzInterp(f *testing.F) {
 		"echo x > f -> v < f >> f\ncat f\n",                                                                        // more redirections than the fixed array holds
 		"expr 1e3 + 1 -> n\nexpr 0x1p4 * 2\nexpr 999999999999999 + 1\nexpr 9999999999999999 + 1\n",                 // beyond plain digits
 		"if 0x1p4 .lt. 17\n  echo yes\nend\nif Inf .gt. 1e3\n  echo inf\nend\nif 007 .eq. 7\n  echo seven\nend\n",
+		// Names built at run time: a command head, and the targets of
+		// ->, ->> and -<, one of them a name no script spells.
+		"c=echo\n${c} hi\nv=t\necho a -> ${v}\necho b ->> ${v}\ncat -< ${v} -> w\necho ${t} ${w}\nu=never_spelled\necho x -> ${u}\n",
+		"f=nope\n${f} x\ne=\n${e} echo still\n", // a head that names nothing; an empty head
+		// A function that shadows a builtin, called by name and through
+		// a variable.
+		"function expr\n  echo mine $*\nend\nexpr 1 + 2 -> r\ne=expr\n${e} 3 -> s\necho ${r} ${s}\n",
+		"sleep inf\ntry for 1 second\n  sleep nan\nend\n", // sleeps no clock counts
 	} {
 		f.Add(src)
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"strconv"
 	"time"
 
@@ -96,17 +97,18 @@ type Config struct {
 // Run calls, like an interactive shell session.
 type Interp struct {
 	cfg       Config
-	vars      map[string]string
-	fns       map[string]*ast.FunctionStmt // nil until the first definition
-	fnsShared bool                         // fns is a forall parent's: copy it before defining
-	args      []string                     // positional parameters of the current function frame
-	argv      []string                     // argv stack: every running command's fields (see pushArgv)
-	depth     int                          // current user-function call depth
+	vars      varTable
+	fns       map[token.Sym]*ast.FunctionStmt // nil until the first definition
+	fnsShared bool                            // fns is a forall parent's: copy it before defining
+	args      []string                        // positional parameters of the current function frame
+	argv      []string                        // argv stack: every running command's fields (see pushArgv)
+	depth     int                             // current user-function call depth
 	stats     *Stats
 
 	stdio cmdIO           // what a command without redirections reads and writes
-	bufs  []*bytes.Buffer // idle variable-capture buffers (see captureBuf)
-	line  []byte          // the last line a builtin printed, kept for its capacity
+	bufs  []*bytes.Buffer // variable-capture buffers, the first ncap in use (see captureBuf)
+	ncap  int
+	line  []byte // the last line a builtin printed, kept for its capacity
 }
 
 // maxCallDepth bounds user-function call nesting so unbounded recursion
@@ -130,7 +132,6 @@ func New(cfg Config) *Interp {
 	}
 	return &Interp{
 		cfg:   cfg,
-		vars:  make(map[string]string),
 		stats: newStats(),
 		stdio: cmdIO{stdin: noInput{}, stdout: cfg.Stdout, stderr: cfg.Stderr},
 	}
@@ -194,11 +195,15 @@ func hasPos(err error) bool {
 	return false
 }
 
-// Var returns the value of a shell variable ("" if unset).
-func (in *Interp) Var(name string) string { return in.vars[name] }
+// Var returns the value of a shell variable ("" if unset). A name no
+// script or SetVar has interned was never set.
+func (in *Interp) Var(name string) string {
+	sym, _ := token.Lookup(name)
+	return in.vars.get(sym)
+}
 
 // SetVar sets a shell variable, e.g. to parameterize a script.
-func (in *Interp) SetVar(name, value string) { in.vars[name] = value }
+func (in *Interp) SetVar(name, value string) { in.vars.set(token.Intern(name), value) }
 
 // SetArgs sets the script-level positional parameters ${1}..${9}, $*,
 // and $#. Function calls shadow them for the duration of the call.
@@ -298,7 +303,7 @@ func (in *Interp) execAssign(st *ast.AssignStmt) error {
 			val += " " + part
 		}
 	}
-	in.vars[st.Name] = val
+	in.vars.set(st.Sym, val)
 	return nil
 }
 
@@ -420,7 +425,7 @@ func (in *Interp) execForany(ctx context.Context, st *ast.ForanyStmt) error {
 	span := tr.SpanBegin(in.spanName("forany", st.Pos()))
 	defer tr.SpanEnd(span)
 	winner, err := core.Forany(ctx, in.cfg.Runtime, items, in.cfg.ShuffleForany, func(ctx context.Context, item string) error {
-		in.vars[st.Var] = item
+		in.vars.set(st.Sym, item)
 		err := in.execBlock(ctx, st.Body)
 		if errors.Is(err, errSuccess) {
 			sawSuccess = true
@@ -457,7 +462,7 @@ func (in *Interp) execForall(ctx context.Context, st *ast.ForallStmt) error {
 			thread = tr.Fork(name + " " + item)
 		}
 		branch := in.cloneForBranch(rt, thread)
-		branch.vars[st.Var] = item
+		branch.vars.set(st.Sym, item)
 		err := branch.execBlock(ctx, st.Body)
 		if errors.Is(err, errSuccess) {
 			return nil // success unwinds only to the branch boundary
@@ -482,7 +487,7 @@ func (in *Interp) cloneForBranch(rt core.Runtime, tc *trace.Client) *Interp {
 	cfg.Runtime = rt
 	cfg.Trace = tc
 	return &Interp{
-		cfg: cfg, vars: maps.Clone(in.vars), fns: in.fns, fnsShared: true,
+		cfg: cfg, vars: in.vars.clone(), fns: in.fns, fnsShared: true,
 		args: in.args, depth: in.depth, stats: in.stats, stdio: in.stdio,
 	}
 }
@@ -494,9 +499,9 @@ func (in *Interp) define(fn *ast.FunctionStmt) {
 		in.fns, in.fnsShared = maps.Clone(in.fns), false
 	}
 	if in.fns == nil {
-		in.fns = make(map[string]*ast.FunctionStmt)
+		in.fns = make(map[token.Sym]*ast.FunctionStmt)
 	}
-	in.fns[fn.Name] = fn
+	in.fns[fn.Sym] = fn
 }
 
 // execFor runs the body once per item, sequentially, failing fast.
@@ -509,7 +514,7 @@ func (in *Interp) execFor(ctx context.Context, st *ast.ForStmt) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		in.vars[st.Var] = item
+		in.vars.set(st.Sym, item)
 		if err := in.execBlock(ctx, st.Body); err != nil {
 			return err
 		}
@@ -592,9 +597,9 @@ func (in *Interp) evalCond(c *ast.Cond) (bool, error) {
 	case ".neql.":
 		return l != r, nil
 	}
-	lf, errL := parseNum(l)
-	rf, errR := parseNum(r)
-	if errL != nil || errR != nil {
+	lf, okL := operand(c.Left, l)
+	rf, okR := operand(c.Right, r)
+	if !okL || !okR {
 		return false, &PosError{Pos: c.Pos(), Err: fmt.Errorf("numeric comparison %s on non-numeric operands %q, %q", c.Op, l, r)}
 	}
 	switch c.Op {
@@ -641,29 +646,37 @@ func tooDeep(fn *ast.FunctionStmt) error {
 	return &PosError{Pos: fn.Pos(), Err: fmt.Errorf("call depth exceeds %d: unbounded recursion in function %q", maxCallDepth, fn.Name)}
 }
 
-// parseNum is strconv.ParseFloat(s, 64) with a short cut for what
-// scripts count with: up to 15 plain decimal digits, which a float64
-// holds exactly. A sign, 1e3, 0x1p4 or Inf goes to ParseFloat.
-func parseNum(s string) (float64, error) {
-	if s == "" || len(s) > 15 {
-		return strconv.ParseFloat(s, 64)
+// operand is a numeric comparison's operand w, which expanded to s: the
+// value the parser read from a literal, or s parsed now.
+func operand(w *ast.Word, s string) (float64, bool) {
+	if w.Kind == ast.WordLit {
+		return w.Num, w.IsNum
 	}
-	var n int64
-	for i := 0; i < len(s); i++ {
-		c := s[i] - '0'
-		if c > 9 {
-			return strconv.ParseFloat(s, 64)
-		}
-		n = n*10 + int64(c)
-	}
-	return float64(n), nil
+	return ast.ParseNum(s)
 }
 
+// forever is the duration of a sleep no clock can count.
+const forever time.Duration = math.MaxInt64
+
 // durationArg parses builtin sleep's argument: a float number of seconds
-// or a Go-style duration like 500ms.
+// or a Go-style duration like 500ms. NaN and negative durations are
+// invalid. Infinity, and any number of seconds past what a
+// time.Duration holds, is forever.
 func durationArg(s string) (time.Duration, error) {
-	if secs, err := strconv.ParseFloat(s, 64); err == nil {
-		return time.Duration(secs * float64(time.Second)), nil
+	secs, err := strconv.ParseFloat(s, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		d, err := time.ParseDuration(s)
+		if err == nil && d < 0 {
+			return 0, fmt.Errorf("invalid duration %q", s)
+		}
+		return d, err
 	}
-	return time.ParseDuration(s)
+	switch ns := secs * float64(time.Second); {
+	case math.IsNaN(ns) || ns < 0:
+		return 0, fmt.Errorf("invalid duration %q", s)
+	case ns >= float64(forever):
+		return forever, nil
+	default:
+		return time.Duration(ns), nil
+	}
 }

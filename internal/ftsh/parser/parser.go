@@ -22,9 +22,12 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // Parse parses an ftsh script. The tree it returns is resolved — every
-// word is an ast.NewWord, its shape and variable references decided —
-// and is never written again, so one tree may be run any number of
-// times, by any number of interpreters at once.
+// word is an ast.NewWord, its shape and variable references decided,
+// and every name the source spells (a variable, a loop variable, a
+// function, a literal command head or variable redirection target)
+// interned as a token.Sym — and is never written again, so one tree
+// may be run any number of times, by any number of interpreters at
+// once.
 func Parse(src string) (*ast.Script, error) {
 	toks, err := lexer.All(src)
 	if err != nil {
@@ -156,7 +159,7 @@ func (p *parser) stmt() (ast.Stmt, error) {
 	}
 	if name, value, ok := splitAssign(t); ok {
 		p.next()
-		st := &ast.AssignStmt{NamePos: t.Pos, Name: name}
+		st := &ast.AssignStmt{NamePos: t.Pos, Name: name, Sym: token.Intern(name)}
 		if value != nil {
 			st.Values = append(st.Values, value)
 		}
@@ -223,6 +226,10 @@ func (p *parser) commandStmt() (ast.Stmt, error) {
 		return nil, err
 	}
 	cmd.Words = append(cmd.Words, w)
+	if w.Kind == ast.WordLit && w.Text != "" {
+		// A non-empty literal is the first field, whatever follows.
+		w.Sym = token.Intern(w.Text)
+	}
 	for {
 		switch p.cur().Kind {
 		case token.WORD:
@@ -238,7 +245,11 @@ func (p *parser) commandStmt() (ast.Stmt, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s target: %w", op, err)
 			}
-			cmd.Redirs = append(cmd.Redirs, &ast.Redir{Op: op, Target: target})
+			r := &ast.Redir{Op: op, Target: target}
+			if r.ToVar() && target.Kind == ast.WordLit {
+				target.Sym = token.Intern(target.Text)
+			}
+			cmd.Redirs = append(cmd.Redirs, r)
 		default:
 			return cmd, nil
 		}
@@ -423,13 +434,14 @@ func (p *parser) loopStmt(kw string) (ast.Stmt, error) {
 		return nil, err
 	}
 	p.next() // 'end'
+	sym := token.Intern(name)
 	switch kw {
 	case "forany":
-		return &ast.ForanyStmt{AnyPos: pos, Var: name, List: list, Body: body}, nil
+		return &ast.ForanyStmt{AnyPos: pos, Var: name, Sym: sym, List: list, Body: body}, nil
 	case "forall":
-		return &ast.ForallStmt{AllPos: pos, Var: name, List: list, Body: body}, nil
+		return &ast.ForallStmt{AllPos: pos, Var: name, Sym: sym, List: list, Body: body}, nil
 	default:
-		return &ast.ForStmt{ForPos: pos, Var: name, List: list, Body: body}, nil
+		return &ast.ForStmt{ForPos: pos, Var: name, Sym: sym, List: list, Body: body}, nil
 	}
 }
 
@@ -547,5 +559,5 @@ func (p *parser) functionStmt() (ast.Stmt, error) {
 		return nil, err
 	}
 	p.next() // 'end'
-	return &ast.FunctionStmt{FuncPos: pos, Name: name, Body: body}, nil
+	return &ast.FunctionStmt{FuncPos: pos, Name: name, Sym: token.Intern(name), Body: body}, nil
 }

@@ -6,6 +6,8 @@ import (
 	"cmp"
 	"fmt"
 	"strconv"
+	"strings"
+	"sync"
 )
 
 // Kind identifies a token class.
@@ -94,10 +96,11 @@ type Segment struct {
 	// matters for assignment and keyword recognition (`"a=b"` is a
 	// command, `a="b c"` an assignment) and for faithful printing.
 	Quoted bool
-	// Var and Index say what a SegVar's name refers to. The parser
-	// fills them in from ClassifyVar (the lexer leaves them zero), so
-	// that nothing has to read the name again when the word is expanded.
+	// Var, Sym and Index say what a SegVar's name refers to. The
+	// parser fills them in (the lexer leaves them zero), so that nothing
+	// has to read the name again when the word is expanded.
 	Var   VarKind
+	Sym   Sym // the variable of a VarNamed, interned
 	Index int // the parameter number of a VarPos
 }
 
@@ -176,4 +179,55 @@ var Keywords = map[string]bool{
 var CompareOps = map[string]bool{
 	".lt.": true, ".gt.": true, ".le.": true, ".ge.": true,
 	".eq.": true, ".ne.": true, ".eql.": true, ".neql.": true,
+}
+
+// Sym is an interned name: a variable, a function or a command. The
+// parser resolves every name it can see to a Sym, so that running a
+// statement compares and indexes small integers instead of hashing
+// strings. Two names are the same Sym exactly when they are the same
+// string. The zero Sym is no name: a name the parser could not see,
+// because it is built at run time.
+//
+// The table is process-wide and only grows; an interpreter keeps its
+// variables and functions per Sym for the names it uses, so what other
+// scripts interned does not cost it anything.
+type Sym uint32
+
+var symtab struct {
+	sync.Mutex
+	ids map[string]Sym // Syms count from 1 in interning order
+}
+
+// Intern returns the Sym of name, adding name to the table if it is
+// new.
+func Intern(name string) Sym {
+	symtab.Lock()
+	defer symtab.Unlock()
+	s, ok := symtab.ids[name]
+	if !ok {
+		if symtab.ids == nil {
+			symtab.ids = make(map[string]Sym)
+		}
+		s = Sym(len(symtab.ids) + 1)
+		// A name is often a substring of a whole script, which the
+		// table must not keep alive.
+		symtab.ids[strings.Clone(name)] = s
+	}
+	return s
+}
+
+// Lookup returns the Sym of name if name has been interned. A name that
+// was never interned names nothing that was ever set or defined.
+func Lookup(name string) (Sym, bool) {
+	symtab.Lock()
+	defer symtab.Unlock()
+	s, ok := symtab.ids[name]
+	return s, ok
+}
+
+// Interned reports how many names the table holds.
+func Interned() int {
+	symtab.Lock()
+	defer symtab.Unlock()
+	return len(symtab.ids)
 }

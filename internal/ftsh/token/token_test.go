@@ -1,6 +1,12 @@
 package token
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+)
 
 func TestKindStrings(t *testing.T) {
 	cases := map[Kind]string{
@@ -81,5 +87,49 @@ func TestCompareOpsTable(t *testing.T) {
 	}
 	if CompareOps[".weird."] {
 		t.Error(".weird. accepted")
+	}
+}
+
+func TestIntern(t *testing.T) {
+	a, b := Intern("intern_test_a"), Intern("intern_test_b")
+	if a == 0 || b == 0 || a == b {
+		t.Fatalf("Intern gave %d and %d", a, b)
+	}
+	if again := Intern(strings.Clone("intern_test_a")); again != a {
+		t.Errorf("re-interning an equal string gave %d, want %d", again, a)
+	}
+	if s, ok := Lookup("intern_test_b"); !ok || s != b {
+		t.Errorf("Lookup = %d, %v; want %d, true", s, ok, b)
+	}
+	n := Interned()
+	if s, ok := Lookup("intern_test_never"); ok || s != 0 {
+		t.Errorf("Lookup of a name never interned = %d, %v", s, ok)
+	}
+	if Interned() != n {
+		t.Error("Lookup interned a name")
+	}
+}
+
+// TestInternConcurrent interns overlapping names from several
+// goroutines: under -race this must be silent, and every goroutine must
+// get the same Sym for the same name.
+func TestInternConcurrent(t *testing.T) {
+	const workers, names = 4, 200
+	got := make([][]Sym, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range names {
+				got[w] = append(got[w], Intern(fmt.Sprintf("concurrent_%d", i)))
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if !slices.Equal(got[w], got[0]) {
+			t.Fatalf("goroutine %d interned differently from goroutine 0", w)
+		}
 	}
 }

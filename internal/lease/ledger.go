@@ -1,6 +1,9 @@
 package lease
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Ledger is the per-holder fairness ledger: each holder's grants,
 // refusals and revocations, and how long it has wanted the resource
@@ -9,8 +12,8 @@ import "time"
 // wants are clocked in the clients' time.
 type Ledger struct {
 	clock   interface{ Elapsed() time.Duration } // nil: time stands at 0
-	clients map[string]*ClientStats
-	order   []string
+	clients map[string]*ClientStats              // for stats(holder)
+	order   []*ClientStats                       // first-contact order, for the scans
 }
 
 // NewLedger returns an empty ledger clocked by c (nil: time stands at
@@ -49,7 +52,7 @@ func (l *Ledger) stats(holder string) *ClientStats {
 	if !ok {
 		st = &ClientStats{Holder: holder}
 		l.clients[holder] = st
-		l.order = append(l.order, holder)
+		l.order = append(l.order, st)
 	}
 	return st
 }
@@ -95,11 +98,7 @@ func (st *ClientStats) Waiting() (since time.Duration, ok bool) {
 
 // Clients returns the per-holder ledgers in first-contact order.
 func (l *Ledger) Clients() []*ClientStats {
-	out := make([]*ClientStats, 0, len(l.order))
-	for _, h := range l.order {
-		out = append(out, l.clients[h])
-	}
-	return out
+	return slices.Clone(l.order)
 }
 
 // LongestWait returns the longest wait currently in progress: the
@@ -107,8 +106,7 @@ func (l *Ledger) Clients() []*ClientStats {
 func (l *Ledger) LongestWait() time.Duration {
 	var max time.Duration
 	now := l.now()
-	for _, h := range l.order {
-		st := l.clients[h]
+	for _, st := range l.order {
 		if st.waiting {
 			if w := now - st.waitingSince; w > max {
 				max = w
@@ -122,8 +120,8 @@ func (l *Ledger) LongestWait() time.Duration {
 // completed or still in progress.
 func (l *Ledger) MaxStarvation() time.Duration {
 	max := l.LongestWait()
-	for _, h := range l.order {
-		if st := l.clients[h]; st.MaxWait > max {
+	for _, st := range l.order {
+		if st.MaxWait > max {
 			max = st.MaxWait
 		}
 	}

@@ -31,11 +31,14 @@ short:
 race:
 	$(GO) test -race ./...
 
-# The socket suites alone under the race detector: the daemon, its one
-# client, the CLI, then the differentials and chaos cells that drive
-# the daemon over a loopback socket. A subset of race, so not in ci.
+# The gridd suites alone under the race detector: the daemon, its one
+# client, the daemon's CLI, the one scenario that crosses a real socket
+# (gridbench -gridd-addr), then the differentials and chaos cells that
+# drive the daemon through its codec on the simulator. A subset of race,
+# so not in ci.
 gridd-race:
 	$(GO) test -race -count=1 ./internal/gridd ./internal/griddclient ./cmd/gridd
+	$(GO) test -race -count=1 ./cmd/gridbench -run TestGriddBackendFigure3
 	$(GO) test -race -count=1 ./internal/expt -run 'TestDiff(SubmitOrdering|LeaseNoStarvation)/gridd|TestGridd|TestTripper'
 
 # Run every benchmark exactly once: keeps the harnesses compiling and

@@ -61,9 +61,11 @@ var figures = []figure{
 		render:   sweepFigure(func(_ *renderer, opt expt.Options) []any { return []any{expt.Fig1(opt)} }),
 		goldens:  []string{"fig1_table -scale 0.1"}},
 	{name: "2", title: "Timeline of Aloha Submitter", sub: "available FDs and cumulative jobs, 400 clients, 30 minutes",
-		single: one(core.Aloha), backends: everywhere, render: submitTimeline, goldens: []string{"fig2_table -scale 0.1"}},
+		single: one(core.Aloha), backends: everywhere, render: submitTimeline,
+		goldens: []string{"fig2_table -scale 0.1", "fig2_table -scale 0.1 -backend gridd"}},
 	{name: "3", title: "Timeline of Ethernet Submitter", sub: "available FDs and cumulative jobs, 400 clients, 30 minutes",
-		single: one(core.Ethernet), backends: everywhere, render: submitTimeline, goldens: []string{"fig3_table -scale 0.1"}},
+		single: one(core.Ethernet), backends: everywhere, render: submitTimeline,
+		goldens: []string{"fig3_table -scale 0.1", "fig3_table -scale 0.1 -backend gridd"}},
 	{name: "4", title: "Buffer Throughput", sub: "total files consumed vs number of producers",
 		render:  sweepFigure(func(r *renderer, opt expt.Options) []any { return []any{r.bufferSweep(opt).Consumed} }),
 		goldens: []string{"fig4_table -scale 0.1"}},
@@ -107,21 +109,6 @@ var figures = []figure{
 			return parts
 		}),
 		goldens: []string{"figscale_table -scale 0.01"}},
-	{name: "gridd", title: "Wire-Protocol Conformance", sub: "carrier sense, fenced leases, watchdog revocation, and admission booking over a real HTTP socket",
-		extra: true, backends: []string{expt.BackendGridd},
-		why: "it proves the wire protocol, not a simulation; figures 1, 2, 3 and la run their scenarios against a daemon",
-		render: func(r *renderer, _ *figure, opt expt.Options, _ core.Discipline) error {
-			url, stop, err := opt.GriddDaemon()
-			if err != nil {
-				return err
-			}
-			defer stop()
-			if err := expt.GriddConformance(url, r.w); err != nil {
-				return fmt.Errorf("conformance: %w", err)
-			}
-			return nil
-		},
-		goldens: []string{"figgridd -backend gridd"}},
 }
 
 func submitTimeline(r *renderer, f *figure, opt expt.Options, d core.Discipline) error {

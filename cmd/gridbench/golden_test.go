@@ -55,9 +55,9 @@ func golden(t *testing.T, name string, args ...string) {
 // TestGoldenFigures checks every golden file the figure table declares:
 // the exact seed-1 output of each figure — in both formats and under a
 // fault plan for one of them — so any change to simulation order, RNG
-// consumption, or rendering shows up here as a diff. The conformance
-// checklist's golden is deterministic despite its live HTTP transport:
-// every "ok" line is a property proven over the socket.
+// consumption, or rendering shows up here as a diff. Figures 2 and 3
+// also run on the gridd backend against the sim's files: the daemon on
+// the cell's engine, reached through its codec, changes nothing.
 func TestGoldenFigures(t *testing.T) {
 	for i := range figures {
 		f := &figures[i]
@@ -85,19 +85,21 @@ func TestGoldenFigLATable(t *testing.T)    { goldenAlias(t, "figla_table") }
 func TestGoldenFigResTable(t *testing.T)   { goldenAlias(t, "figres_table") }
 func TestGoldenFigNetTable(t *testing.T)   { goldenAlias(t, "fignet_table") }
 func TestGoldenFigScaleTable(t *testing.T) { goldenAlias(t, "figscale_table") }
-func TestGoldenFigGridd(t *testing.T)      { goldenAlias(t, "figgridd") }
+func TestGoldenFigGridd(t *testing.T)      { goldenAlias(t, "fig3_table -scale 0.1 -backend gridd") }
 
-func goldenAlias(t *testing.T, file string) {
+// goldenAlias runs the first golden run the table declares for run: a
+// golden file's name, or a whole golden ("file args...").
+func goldenAlias(t *testing.T, run string) {
 	t.Helper()
 	for i := range figures {
 		for _, g := range figures[i].goldens {
-			if f, argv := figures[i].goldenRun(g); f == file {
-				golden(t, file, argv...)
+			if f, argv := figures[i].goldenRun(g); f == run || g == run {
+				golden(t, f, argv...)
 				return
 			}
 		}
 	}
-	t.Fatalf("no figure declares a golden run %q", file)
+	t.Fatalf("no figure declares a golden run %q", run)
 }
 
 // goldenRun splits one of f's goldens ("file args...") into the golden

@@ -38,12 +38,12 @@
 // real scheduler interleavings, so their numbers vary run to run —
 // compare them to sim output with the tolerance-band methodology in
 // EXPERIMENTS.md, not byte-wise. "gridd" runs figures 1, 2, 3 and la
-// live (-timescale default 25) with the FD table on a real networked
-// gridd daemon (see cmd/gridd), every operation on it an HTTP round
-// trip, and serves the wire-protocol conformance checklist (-fig
-// gridd), which no other backend runs. By default every cell spawns
-// its own in-process daemon on a loopback listener; -gridd-addr points
-// them at an externally running one instead.
+// with the FD table on a gridd daemon (see cmd/gridd), every operation
+// on it an HTTP request through the daemon's JSON codec. By default
+// every cell runs on the simulator with its own daemon on the cell's
+// engine, reached in process, and prints what the sim backend prints;
+// -gridd-addr points the cells at a running daemon across a real
+// socket instead, from a live engine (-timescale default 25).
 //
 // -parallel runs the sweep figures' independent simulation cells on N
 // workers (0, the default, means GOMAXPROCS; 1 forces the serial
@@ -70,10 +70,11 @@
 // line-delimited JSON, CSV, or Prometheus text (-metrics-format). On
 // the sim backend the dump is byte-identical per seed at every
 // -parallel setting; on the live backend it inherits the live run's
-// scheduling noise. -obs-addr (live backend only) additionally serves
-// the registry over HTTP while the run is in flight: /metrics
-// (Prometheus text), /healthz, and net/http/pprof. -progress prints a
-// one-line sweep progress report to stderr about once a second.
+// scheduling noise. -obs-addr (wall-clock runs only: live, or gridd
+// with -gridd-addr) additionally serves the registry over HTTP while
+// the run is in flight: /metrics (Prometheus text), /healthz, and
+// net/http/pprof. -progress prints a one-line sweep progress report to
+// stderr about once a second.
 package main
 
 import (
@@ -108,7 +109,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "scale factor for windows and populations (1.0 = paper)")
 	format := fs.String("format", "table", "output format: table or tsv")
 	backend := fs.String("backend", expt.BackendSim, "execution backend: "+strings.Join(expt.Backends(), ", "))
-	timescale := fs.Float64("timescale", 0, "live and gridd backends: virtual seconds per real second (0 = default "+fmt.Sprint(expt.DefaultTimescale)+" live, "+fmt.Sprint(expt.GriddTimescale)+" gridd)")
+	timescale := fs.Float64("timescale", 0, "live backend, and gridd with -gridd-addr: virtual seconds per real second (0 = default "+fmt.Sprint(expt.DefaultTimescale)+" live, "+fmt.Sprint(expt.GriddTimescale)+" gridd)")
 	chaosName := fs.String("chaos", "", "fault-injection plan to run the figures under ("+strings.Join(chaos.Names(), ", ")+")")
 	chaosSeed := fs.Int64("chaos-seed", 0, "seed for the fault plan's schedule (default: -seed)")
 	check := fs.Bool("check", false, "run the invariant-checker suite alongside every figure")
@@ -119,8 +120,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	metricsOut := fs.String("metrics", "", "sample the flight recorder on the backend clock and dump it to this file")
 	metricsInterval := fs.Duration("metrics-interval", 0, "virtual-time sampling interval for -metrics (0 = default "+expt.DefaultObsInterval.String()+")")
 	metricsFormat := fs.String("metrics-format", "jsonl", "metrics dump format: jsonl, csv, or prom")
-	obsAddr := fs.String("obs-addr", "", "live or gridd backend: serve /metrics, /healthz, and pprof on this address during the run")
-	griddAddr := fs.String("gridd-addr", "", "gridd backend only: base URL of a running gridd daemon (empty spawns one in-process)")
+	obsAddr := fs.String("obs-addr", "", "live backend, or gridd with -gridd-addr: serve /metrics, /healthz, and pprof on this address during the run")
+	griddAddr := fs.String("gridd-addr", "", "gridd backend only: base URL of a running gridd daemon, reached from a live engine (empty: each cell's own daemon, in process on the simulator)")
 	progress := fs.Bool("progress", false, "print one-line sweep progress to stderr about once a second")
 	parallel := fs.Int("parallel", 0, "worker count for independent simulation cells (0 = GOMAXPROCS, 1 = serial)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -157,7 +158,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gridbench: negative metrics interval %v\n", *metricsInterval)
 		return 2
 	}
-	if *obsAddr != "" && *backend == expt.BackendSim {
+	if *obsAddr != "" && (*backend == expt.BackendSim || *backend == expt.BackendGridd && *griddAddr == "") {
 		fmt.Fprintf(stderr, "gridbench: -obs-addr needs a wall-clock backend (the sim backend finishes in virtual time; dump it with -metrics instead)\n")
 		return 2
 	}

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/expt"
+	"repro/internal/gridd"
 )
 
 func cli(t *testing.T, args ...string) (int, string, string) {
@@ -109,15 +111,11 @@ func TestBadBackend(t *testing.T) {
 	}
 }
 
-// Only the gridd backend serves -fig gridd; gridd serves it and the
-// figures of the scenarios whose FD table it can host.
+// The gridd backend serves the figures of the scenarios whose FD table
+// it can host, and only those.
 func TestGriddBackendServesOnlyFigGridd(t *testing.T) {
 	code, _, errOut := cli(t, "-backend", "gridd", "-fig", "4")
-	if code != 2 || !strings.Contains(errOut, "-backend=gridd serves only -fig 1, 2, 3, la, gridd") {
-		t.Fatalf("code=%d stderr=%q", code, errOut)
-	}
-	code, _, errOut = cli(t, "-fig", "gridd")
-	if code != 2 || !strings.Contains(errOut, "-fig gridd needs -backend=gridd") {
+	if code != 2 || !strings.Contains(errOut, "-backend=gridd serves only -fig 1, 2, 3, la") {
 		t.Fatalf("code=%d stderr=%q", code, errOut)
 	}
 	code, _, errOut = cli(t, "-gridd-addr", "http://localhost:1", "-fig", "1")
@@ -127,10 +125,12 @@ func TestGriddBackendServesOnlyFigGridd(t *testing.T) {
 }
 
 // TestGriddBackendFigure3 runs the Ethernet timeline with its FD
-// table on an in-process daemon: the same scenario the sim golden
-// pins, so it must submit.
+// table on a daemon across a real socket (-gridd-addr), on a live
+// engine: the same scenario the sim golden pins, so it must submit.
 func TestGriddBackendFigure3(t *testing.T) {
-	code, out, errOut := cli(t, "-fig", "3", "-scale", "0.05", "-backend", "gridd")
+	hs := httptest.NewServer(gridd.NewServer(gridd.Config{}).Handler())
+	defer hs.Close()
+	code, out, errOut := cli(t, "-fig", "3", "-scale", "0.05", "-backend", "gridd", "-gridd-addr", hs.URL)
 	if code != 0 {
 		t.Fatalf("code=%d stderr=%q", code, errOut)
 	}

@@ -14,10 +14,13 @@ import (
 	"time"
 )
 
+// Without -gridd-addr the gridd backend runs on the simulator too.
 func TestObsAddrNeedsWallClockBackend(t *testing.T) {
-	code, _, errOut := cli(t, "-obs-addr", ":0", "-fig", "1", "-scale", "0.05")
-	if code != 2 || !strings.Contains(errOut, "-obs-addr needs a wall-clock backend") {
-		t.Fatalf("code=%d stderr=%q", code, errOut)
+	for _, backend := range []string{"sim", "gridd"} {
+		code, _, errOut := cli(t, "-obs-addr", ":0", "-backend", backend, "-fig", "1", "-scale", "0.05")
+		if code != 2 || !strings.Contains(errOut, "-obs-addr needs a wall-clock backend") {
+			t.Fatalf("-backend %s: code=%d stderr=%q", backend, code, errOut)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/gridd"
 	"repro/internal/griddclient"
 	"repro/internal/lease"
 	"repro/internal/metrics"
@@ -74,10 +75,6 @@ type scenario struct {
 	clients func(e core.Backend, ctx context.Context)
 	// post adds checks that need the finished run, when the suite ran.
 	post func(inv *chaos.Invariants)
-	// collect reads the finished run's results off the substrate while
-	// its carrier still stands: the gridd backend stops the daemon after
-	// it.
-	collect func()
 }
 
 // run executes the scenario in the cell. The order of the steps is part
@@ -85,9 +82,7 @@ type scenario struct {
 // order they were scheduled — so it is written exactly once.
 func (c cell) run(s scenario) {
 	e := c.opt.newEngine(c.seed)
-	fds, stop := c.carrier(e)
-	defer stop()
-	targets := s.substrate(e, fds)
+	targets := s.substrate(e, c.carrier(e))
 	ctx, cancel := e.WithTimeout(e.Context(), c.window)
 	defer cancel()
 	if s.daemons != nil {
@@ -127,35 +122,36 @@ func (c cell) run(s scenario) {
 			}
 		}
 	}
-	if s.collect != nil {
-		s.collect()
-	}
 }
 
-// carrier returns where the cell keeps an FD table, and what to call
-// when the cell is done with it: a lease.Manager on e, or on the gridd
-// backend a resource of the daemon opt.GriddDaemon resolves, named after
-// the cell so that cells sharing a daemon keep apart. The backend
-// decides; the scenario's code is the same on all three.
-func (c cell) carrier(e core.Backend) (newCarrier, func()) {
+// carrier returns where the cell keeps an FD table: a lease.Manager on
+// e, or on the gridd backend a resource on a daemon, reached through
+// griddclient. The daemon is the cell's own, on e's clock, reached
+// through its codec in process; or, with opt.GriddURL, a shared one
+// across a socket, where the resource is named after the cell so that
+// cells keep apart. The backend decides; the scenario's code is the
+// same on all three.
+func (c cell) carrier(e core.Backend) newCarrier {
 	if c.opt.Backend != BackendGridd {
 		return func(capacity int64, quantum time.Duration) lease.Carrier {
 			return lease.New(e, "fds", capacity, quantum)
-		}, func() {}
+		}
 	}
-	url, stop, err := c.opt.GriddDaemon()
-	if err != nil {
-		panic("expt: " + err.Error())
+	var client *griddclient.Client
+	name := "fds"
+	if c.opt.GriddURL == "" {
+		client = inProcess(gridd.NewServerOn(e, gridd.Config{}))
+	} else {
+		client = griddclient.New(c.opt.GriddURL, c.opt.griddTimescale())
+		name = fmt.Sprintf("fds-%s-s%d", strings.ReplaceAll(c.label, "/", "-"), c.seed)
 	}
-	client := griddclient.New(url, c.opt.griddTimescale())
-	name := fmt.Sprintf("fds-%s-s%d", strings.ReplaceAll(c.label, "/", "-"), c.seed)
 	return func(capacity int64, quantum time.Duration) lease.Carrier {
 		car, err := griddclient.NewCarrier(e.(griddclient.Host), client, name, capacity, quantum)
 		if err != nil {
 			panic("expt: " + err.Error())
 		}
 		return car
-	}, stop
+	}
 }
 
 // client returns the trace handle of the cell's i-th client in the

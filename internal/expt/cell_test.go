@@ -108,9 +108,8 @@ func TestCellStepOrder(t *testing.T) {
 			}
 			step("post")
 		},
-		collect: func() { step("collect") },
 	})
-	if got, want := strings.Join(steps, " "), "substrate daemons checks gauges clients post tally collect"; got != want {
+	if got, want := strings.Join(steps, " "), "substrate daemons checks gauges clients post tally"; got != want {
 		t.Fatalf("hooks ran as %q, want %q", got, want)
 	}
 	sub, dae, chk, gau, cli := timers[0], timers[1], timers[2], timers[3], timers[4]

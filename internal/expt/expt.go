@@ -54,16 +54,16 @@ type Options struct {
 	// (the default) is the deterministic virtual-clock engine,
 	// BackendLive runs the same scenarios on real goroutines under
 	// compressed wall-clock time (see internal/live), and BackendGridd
-	// runs them live with the FD table on a real networked gridd daemon
-	// over HTTP (see gridd.go). Live and gridd runs are not
-	// reproducible; compare
+	// runs them with the FD table on a gridd daemon (see gridd.go): on
+	// the simulator, the daemon on the cell's engine, or live, against
+	// the daemon at GriddURL. Live runs are not reproducible; compare
 	// them to sim runs with tolerance bands (see diff_test.go), never
-	// byte-for-byte.
+	// byte-for-byte. Gridd runs on the simulator equal sim runs.
 	Backend string
 	// Timescale compresses live-backend time: virtual seconds per real
 	// second. Zero means DefaultTimescale (GriddTimescale on the gridd
-	// backend). Ignored by the sim backend, whose virtual clock costs no
-	// real time at all.
+	// backend with a GriddURL). Ignored on the simulator, whose virtual
+	// clock costs no real time at all.
 	Timescale float64
 	// Obs, when non-nil, arms the flight recorder: every cell samples
 	// engine, carrier, and lease observables into the registry on its
@@ -81,9 +81,9 @@ type Options struct {
 	// worker goroutines; the callback must be safe for that.
 	Progress func(done, total int, events int64)
 	// GriddURL points the gridd cells at an already-running daemon
-	// (see cmd/gridd). Empty means each cell spawns its own in-process
-	// daemon on a loopback listener and tears it down afterwards, so
-	// the socket-level suites need no external setup.
+	// (see cmd/gridd), across a real socket, from a live engine. Empty
+	// means each cell runs on the simulator with its own daemon on the
+	// cell's engine, reached in process.
 	GriddURL string
 }
 
@@ -106,10 +106,10 @@ func (o Options) timescale() float64 {
 
 // newEngine builds the backend one simulation cell runs on.
 func (o Options) newEngine(seed int64) core.Backend {
-	switch o.Backend {
-	case BackendLive:
+	switch {
+	case o.Backend == BackendLive:
 		return live.New(seed, o.timescale())
-	case BackendGridd:
+	case o.Backend == BackendGridd && o.GriddURL != "":
 		return live.New(seed, o.griddTimescale())
 	}
 	return sim.New(seed).RT()

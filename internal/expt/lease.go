@@ -134,11 +134,9 @@ func leaseCell(c cell, n int, quantum time.Duration) *LeaseCellResult {
 				})
 			}
 		},
-		collect: func() {
-			res.Revokes = cl.FDs.Carrier().Revocations()
-			res.MaxWait = cl.FDs.Carrier().MaxStarvation()
-		},
 	})
+	res.Revokes = cl.FDs.Carrier().Revocations()
+	res.MaxWait = cl.FDs.Carrier().MaxStarvation()
 	res.Jobs = cl.Schedd.Jobs
 	res.Crashes = cl.Schedd.Crashes
 	for i, sub := range subs {

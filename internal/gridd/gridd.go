@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"slices"
 	"sort"
 	"sync"
@@ -72,12 +73,31 @@ type Server struct {
 	// lock order is host, then registry, everywhere.
 	reg *obs.Registry
 	sc  *obs.Scope
+
+	mux *http.ServeMux // the codec over the operations (http.go)
 }
 
 // NewServer builds a server hosting cfg.Resources on the monitor.
 func NewServer(cfg Config) *Server {
 	return newServer(&monitor{start: time.Now()}, cfg)
 }
+
+// NewServerOn builds a server hosting cfg.Resources on clk, a clock
+// that runs one thing at a time, such as a simulator engine: its
+// operations, called from clk's processes (or between runs), and its
+// timers share clk's one thread, so they take no lock, and on a
+// simulator they replay from its seed. Nothing parks on such a server's
+// Handler or RoundTrip: a long poll that would have to queue is refused
+// at once, as if it had not asked to wait.
+func NewServerOn(clk lease.Clock, cfg Config) *Server {
+	return newServer(unlocked{clk}, cfg)
+}
+
+// unlocked is NewServerOn's host: the caller's clock, and no lock.
+type unlocked struct{ lease.Clock }
+
+func (unlocked) Lock()   {}
+func (unlocked) Unlock() {}
 
 // newServer builds a server on h.
 func newServer(h host, cfg Config) *Server {
@@ -87,6 +107,7 @@ func newServer(h host, cfg Config) *Server {
 		reg:  obs.New(),
 	}
 	s.sc = s.reg.NewScope(h.Elapsed)
+	s.mux = s.routes()
 	h.Lock()
 	defer h.Unlock()
 	for _, rc := range cfg.Resources {
@@ -435,11 +456,12 @@ func (s *Server) Acquire(p lease.Parker, ctx context.Context, ar AcquireRequest)
 		if ar.QuantumNS > 0 {
 			quantum = time.Duration(ar.QuantumNS)
 		}
-		if ar.WaitNS <= 0 || ar.Units > r.mgr.Capacity() {
+		if ar.WaitNS <= 0 || ar.Units > r.mgr.Capacity() || p == nil {
 			// EMFILE: an immediate verdict. The FIFO queue may not be
 			// jumped, so a non-empty queue is busy even with free units.
 			// An acquire that can never fit gets one too, however long
-			// it would wait: parked, it would hold the queue's head.
+			// it would wait: parked, it would hold the queue's head. So
+			// does one with nothing to park (NewServerOn's codec).
 			l, ok := r.mgr.TryAcquireFor(nil, context.Background(), ar.Holder, ar.Units, quantum)
 			if !ok {
 				return nil, r.busy(ar.Units, "no free units")

@@ -58,8 +58,8 @@ func TestProbeAcquireRelease(t *testing.T) {
 	ctx := ctxT(t)
 
 	pr, err := c.Probe(ctx, "fds")
-	if err != nil || pr.Free != 2 || pr.InUse != 0 {
-		t.Fatalf("fresh probe = %+v, %v; want free 2", pr, err)
+	if err != nil || pr.Free != 2 || pr.InUse != 0 || pr.Queue != 0 {
+		t.Fatalf("fresh probe = %+v, %v; want free 2, nothing queued", pr, err)
 	}
 	lease, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "a", Units: 1})
 	if err != nil {
@@ -70,6 +70,11 @@ func TestProbeAcquireRelease(t *testing.T) {
 	}
 	if pr, _ = c.Probe(ctx, "fds"); pr.InUse != 1 || pr.Free != 1 {
 		t.Fatalf("probe after acquire = %+v; want in_use 1", pr)
+	}
+	// EMFILE: a shortfall with nobody queued is an immediate verdict.
+	var be *griddclient.BusyError
+	if _, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "b", Units: 2}); !errors.As(err, &be) || be.Shortfall != 1 {
+		t.Fatalf("immediate acquire of 2 with 1 free = %v; want busy, 1 short", err)
 	}
 	if err := lease.Release(ctx); err != nil {
 		t.Fatalf("release: %v", err)
@@ -108,8 +113,20 @@ func TestFencedDuplicateReleaseIsStale(t *testing.T) {
 }
 
 func TestWatchdogRevokesOverstayedTenure(t *testing.T) {
-	_, c := newDaemon(t, gridd.ResourceConfig{Name: "fds", Capacity: 1, Quantum: 40 * time.Millisecond})
+	_, c := newDaemon(t,
+		gridd.ResourceConfig{Name: "fds", Capacity: 1, Quantum: 40 * time.Millisecond},
+		gridd.ResourceConfig{Name: "hour", Capacity: 1, Quantum: time.Hour},
+	)
 	ctx := ctxT(t)
+
+	// A tenure the acquire asked for overrides the resource's default.
+	if _, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "hour", Holder: "wedged", Units: 1, QuantumNS: int64(40 * time.Millisecond)}); err != nil {
+		t.Fatalf("acquire with its own quantum: %v", err)
+	}
+	waitFor(t, 2*time.Second, "revocation of the requested tenure", func() bool {
+		st, _ := c.Stats(ctx, "hour")
+		return st.Revokes == 1 && st.Outstanding == 0
+	})
 
 	lease, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "wedged", Units: 1})
 	if err != nil {
@@ -305,8 +322,8 @@ func TestReserveClaimCancelLapse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("claim: %v", err)
 	}
-	if lease.DeadlineNS == 0 || lease.DeadlineNS > rr.EndNS {
-		t.Fatalf("claimed lease deadline %d; want (0, %d]", lease.DeadlineNS, rr.EndNS)
+	if lease.DeadlineNS != rr.EndNS {
+		t.Fatalf("claimed lease deadline %d; want the window's end %d", lease.DeadlineNS, rr.EndNS)
 	}
 	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: rr.BookingID}); err == nil {
 		t.Fatalf("double claim succeeded")

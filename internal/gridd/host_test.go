@@ -2,7 +2,7 @@ package gridd
 
 // White-box tests of what the daemon owns beside the state machine it
 // hosts: the monitor's timers, on the wall clock, and the wire-id
-// tables, on the simulator host. (The socket-level contract is in
+// tables, on a simulator engine (NewServerOn). (The socket-level contract is in
 // gridd_test.go, package gridd_test.)
 
 import (
@@ -16,20 +16,6 @@ import (
 
 	"repro/internal/sim"
 )
-
-// simHost is the daemon's host on the simulator: the engine's virtual
-// clock, timers and contexts, and no lock, since the engine's token
-// already runs one process at a time.
-type simHost struct{ sim.RT }
-
-func (simHost) Lock()   {}
-func (simHost) Unlock() {}
-
-// newSimServer is NewServer on e: the operations, called from e's
-// processes (or between runs), replay from e's seed.
-func newSimServer(e *sim.Engine, rcs ...ResourceConfig) *Server {
-	return newServer(simHost{e.RT()}, Config{Resources: rcs})
-}
 
 // call drives one request through the handler in-process, decoding the
 // reply body (a result or an ErrorReply) into out, and returns the
@@ -143,9 +129,9 @@ func TestOversizedAcquireIsRefusedAtOnce(t *testing.T) {
 func TestTablesEmptyAfterEveryKindOfEnd(t *testing.T) {
 	const n = 5
 	e := sim.New(1)
-	srv := newSimServer(e, ResourceConfig{
+	srv := NewServerOn(e.RT(), Config{Resources: []ResourceConfig{{
 		Name: "r", Capacity: 4 * n, Quantum: 5 * time.Millisecond,
-	})
+	}}})
 	r := srv.res["r"]
 	ok := func(what string, er *ErrorReply) {
 		t.Helper()
@@ -191,5 +177,37 @@ func TestTablesEmptyAfterEveryKindOfEnd(t *testing.T) {
 	}
 	if r.mgr.Revokes != n || r.book.Lapses != n {
 		t.Fatalf("revokes=%d lapses=%d; want %d, %d", r.mgr.Revokes, r.book.Lapses, n, n)
+	}
+}
+
+// A NewServerOn server has nothing to park a long poll on: through its
+// codec (RoundTrip), an acquire that would have to queue is refused at
+// once, busy, however long it asked to wait.
+func TestLongPollWithoutParkerIsRefusedAtOnce(t *testing.T) {
+	e := sim.New(1)
+	c := &http.Client{Transport: NewServerOn(e.RT(), Config{Resources: []ResourceConfig{{Name: "r", Capacity: 1}}})}
+	acquire := func(holder string, wait time.Duration) (int, ErrorReply) {
+		t.Helper()
+		body, err := json.Marshal(AcquireRequest{Resource: "r", Holder: holder, Units: 1, WaitNS: int64(wait)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Post("http://gridd/acquire", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er ErrorReply
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+		return resp.StatusCode, er
+	}
+	if code, er := acquire("a", time.Hour); code != http.StatusOK {
+		t.Fatalf("long poll on a free unit answered %d %+v", code, er)
+	}
+	if code, er := acquire("b", time.Hour); code != http.StatusConflict || er.Code != CodeBusy || er.Shortfall != 1 {
+		t.Fatalf("long poll on a taken unit answered %d %+v; want busy short by 1", code, er)
+	}
+	if e.Elapsed() != 0 {
+		t.Fatalf("the refusal took %v of the engine's time", e.Elapsed())
 	}
 }

@@ -1,8 +1,10 @@
 package gridd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 
 	"repro/internal/lease"
@@ -12,7 +14,37 @@ import (
 // operations plus /metrics and /healthz, for cmd/gridd's listener or a
 // test's httptest.Server: the Server owns no socket. A request that has
 // to park parks on the monitor.
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return s.mux }
+
+// RoundTrip serves req on the caller's goroutine: a Server is the
+// http.RoundTripper of a client in the same process, whose requests
+// and replies cross both JSON codecs and no socket. On a NewServerOn
+// server the caller is a process of the server's own clock.
+func (s *Server) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		defer req.Body.Close()
+	}
+	w := &recorder{code: http.StatusOK, header: http.Header{}}
+	s.mux.ServeHTTP(w, req)
+	return &http.Response{
+		StatusCode: w.code, Header: w.header, Request: req,
+		Body: io.NopCloser(&w.body), ContentLength: int64(w.body.Len()),
+	}, nil
+}
+
+// recorder is the http.ResponseWriter of an in-process round trip.
+type recorder struct {
+	code   int
+	header http.Header
+	body   bytes.Buffer
+}
+
+func (w *recorder) Header() http.Header         { return w.header }
+func (w *recorder) Write(b []byte) (int, error) { return w.body.Write(b) }
+func (w *recorder) WriteHeader(code int)        { w.code = code }
+
+// routes builds the codec, once per server.
+func (s *Server) routes() *http.ServeMux {
 	p, _ := s.host.(lease.Parker)
 	mux := http.NewServeMux()
 	mux.Handle("GET /probe/{name}", serve(p, plain(s.Probe)))

@@ -67,10 +67,10 @@ func (run *simRun) log(who, op string, req, rep any, er *ErrorReply) {
 
 func simPropRun(seed int64, clients, opsPer int) *simRun {
 	e := sim.New(seed)
-	run := &simRun{eng: e, srv: newSimServer(e,
-		ResourceConfig{Name: "pool", Capacity: simPoolCap, Quantum: simQuantum},
-		ResourceConfig{Name: "book", Capacity: simBookCap},
-	)}
+	run := &simRun{eng: e, srv: NewServerOn(e.RT(), Config{Resources: []ResourceConfig{
+		{Name: "pool", Capacity: simPoolCap, Quantum: simQuantum},
+		{Name: "book", Capacity: simBookCap},
+	}})}
 	srv, ctx := run.srv, e.Context()
 
 	acquire := func(p *sim.Proc, who string, ar AcquireRequest) *LeaseReply {

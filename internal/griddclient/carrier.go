@@ -13,7 +13,9 @@ import (
 
 // Host is the engine a Carrier's clients run on: its clock, alarms and
 // contexts, and Blocking, which releases the engine around a round
-// trip so that other processes run meanwhile. live.Engine is one.
+// trip so that other processes run meanwhile. live.Engine is one; so is
+// sim.RT, whose Blocking just runs the round trip: there it is a call
+// into a daemon on the same engine, which takes no virtual time.
 type Host interface {
 	Elapsed() time.Duration
 	NewAlarm(fn func()) core.Alarm

@@ -2,6 +2,7 @@ package griddclient_test
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -16,7 +17,9 @@ import (
 
 // The carrier contract: what condor's FD table relies on, whatever
 // carrier it sits on. One table, run on a lease.Manager on the
-// simulator and on a Carrier against an in-process daemon.
+// simulator, on a Carrier against a daemon on the holder's simulator
+// engine, reached through the daemon's codec in process, and on a
+// Carrier against a daemon across a real socket.
 
 const (
 	contractCap     = 4
@@ -78,6 +81,49 @@ func onDaemon(t *testing.T, body func(p core.Proc, car lease.Carrier, x levers))
 				done, cancel := context.WithCancel(context.Background())
 				cancel()
 				e.Blocking(func() { srv.Shutdown(done) })
+			},
+			lag: func(d time.Duration) { h.lag = d },
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// simHost is the holder's simulator engine as a Carrier's host: a
+// round trip is a call, and lag parks the one holder for d after its
+// next one.
+type simHost struct {
+	sim.RT
+	holder *sim.Proc
+	lag    time.Duration
+}
+
+func (h *simHost) Blocking(fn func()) {
+	fn()
+	if d := h.lag; d > 0 {
+		h.lag = 0
+		h.holder.SleepFor(d)
+	}
+}
+
+func onSimDaemon(t *testing.T, body func(p core.Proc, car lease.Carrier, x levers)) {
+	e := sim.New(1)
+	srv := gridd.NewServerOn(e.RT(), gridd.Config{})
+	c := griddclient.New("http://gridd", 1)
+	c.HTTP = &http.Client{Transport: srv}
+	h := &simHost{RT: e.RT()}
+	car, err := griddclient.NewCarrier(h, c, "fds", contractCap, contractQuantum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.holder = e.Spawn("holder", func(p *sim.Proc) {
+		body(p, car, levers{
+			reclaim: func(lease.Lease) {
+				// A drain with no budget revokes every grant at once.
+				done, cancel := context.WithCancel(context.Background())
+				cancel()
+				srv.Shutdown(done)
 			},
 			lag: func(d time.Duration) { h.lag = d },
 		})
@@ -268,7 +314,7 @@ func TestCarrierContract(t *testing.T) {
 	for _, env := range []struct {
 		name string
 		run  carrierRun
-	}{{"manager-on-sim", onSim}, {"gridd", onDaemon}} {
+	}{{"manager-on-sim", onSim}, {"gridd-on-sim", onSimDaemon}, {"gridd", onDaemon}} {
 		t.Run(env.name, func(t *testing.T) {
 			for _, c := range cases {
 				t.Run(c.name, func(t *testing.T) {

@@ -4,12 +4,14 @@
 // and core.Rejection(err) work across the socket exactly as they do
 // against an in-process substrate.
 //
-// Time: the daemon runs on the wall clock; a client driving it from a
-// compressed-time live engine must convert virtual durations with
-// ToReal before they cross the socket (and scale observed real waits
-// back with ToVirtual). Blocking: every method here performs a real
-// socket round-trip, so code running under the live engine's monitor
-// lock must wrap calls in (*live.Engine).Blocking, as Carrier does.
+// Time: a daemon across a socket runs on the wall clock; a client
+// driving it from a compressed-time live engine must convert virtual
+// durations with ToReal before they cross the socket (and scale
+// observed real waits back with ToVirtual). Blocking: every method here
+// performs a round-trip, a real socket one unless the transport is a
+// daemon in the same process (gridd.Server is an http.RoundTripper), so
+// code running under the live engine's monitor lock must wrap calls in
+// (*live.Engine).Blocking, as Carrier does through its Host.
 //
 // This package is the daemon's one client. The discipline stays in
 // the caller: the gridd backend puts condor's FD table on a Carrier and

@@ -1,4 +1,4 @@
-// Package metrics collects the time series and counters from which the
+// Package metrics collects the time series and statistics from which the
 // paper's figures are regenerated. It is deliberately simple: everything
 // is single-writer under the simulation token, so there is no locking.
 package metrics
@@ -38,14 +38,6 @@ type Series struct {
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
-// NewBoundedSeries returns an empty named series that retains at most
-// cap points (see SetCap).
-func NewBoundedSeries(name string, cap int) *Series {
-	s := NewSeries(name)
-	s.SetCap(cap)
-	return s
-}
-
 // SetCap bounds the series to at most n retained points. When an Add
 // would grow past the cap, the series halves itself in place (keeping
 // every other point) and doubles its sampling stride, so from then on
@@ -63,9 +55,6 @@ func (s *Series) SetCap(n int) {
 		s.stride = 1
 	}
 }
-
-// Cap reports the retention bound (0 = unbounded).
-func (s *Series) Cap() int { return s.cap }
 
 // Add appends a sample, downsampling when a cap is set (see SetCap).
 func (s *Series) Add(t time.Duration, v float64) {
@@ -176,38 +165,6 @@ func (s *Series) At(t time.Duration) float64 {
 	}
 	return s.Points[i-1].V
 }
-
-// Counter is a monotonically increasing event count that can also record
-// its own history for timeline figures.
-type Counter struct {
-	Name  string
-	N     int64
-	trace *Series
-}
-
-// NewCounter returns a named counter. If traced, every increment is also
-// recorded as a time-series sample.
-func NewCounter(name string, traced bool) *Counter {
-	c := &Counter{Name: name}
-	if traced {
-		c.trace = NewSeries(name)
-	}
-	return c
-}
-
-// Inc adds one at virtual time t.
-func (c *Counter) Inc(t time.Duration) { c.AddN(t, 1) }
-
-// AddN adds n at virtual time t.
-func (c *Counter) AddN(t time.Duration, n int64) {
-	c.N += n
-	if c.trace != nil {
-		c.trace.Add(t, float64(c.N))
-	}
-}
-
-// Trace returns the counter's cumulative time series (nil if untraced).
-func (c *Counter) Trace() *Series { return c.trace }
 
 // ReservoirSize is the number of samples a Histogram retains for
 // quantile estimation. Up to this many observations the quantiles are

@@ -56,30 +56,6 @@ func TestEmptySeries(t *testing.T) {
 	}
 }
 
-func TestCounterTrace(t *testing.T) {
-	c := NewCounter("submits", true)
-	c.Inc(time.Second)
-	c.AddN(2*time.Second, 4)
-	if c.N != 5 {
-		t.Fatalf("N = %d", c.N)
-	}
-	tr := c.Trace()
-	if tr.Len() != 2 || tr.Last().V != 5 {
-		t.Fatalf("trace = %+v", tr.Points)
-	}
-}
-
-func TestUntracedCounter(t *testing.T) {
-	c := NewCounter("x", false)
-	c.Inc(0)
-	if c.Trace() != nil {
-		t.Fatal("untraced counter has trace")
-	}
-	if c.N != 1 {
-		t.Fatalf("N = %d", c.N)
-	}
-}
-
 func TestHistogramStats(t *testing.T) {
 	h := NewHistogram("lat")
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -171,7 +147,8 @@ func TestHistogramReservoirBoundedDeterministic(t *testing.T) {
 // are added — the flight recorder's guard for million-client runs.
 func TestSeriesCapBounds10MPoints(t *testing.T) {
 	const cap = 4096
-	s := NewBoundedSeries("events", cap)
+	s := NewSeries("events")
+	s.SetCap(cap)
 	const n = 10_000_000
 	for i := 0; i < n; i++ {
 		s.Add(time.Duration(i)*time.Millisecond, float64(i))
@@ -199,7 +176,9 @@ func TestSeriesCapBounds10MPoints(t *testing.T) {
 // Downsampling is count-driven, so two identical Add sequences retain
 // identical points — the parallel-vs-serial merge equality depends on it.
 func TestSeriesCapDeterministic(t *testing.T) {
-	a, b := NewBoundedSeries("a", 64), NewBoundedSeries("b", 64)
+	a, b := NewSeries("a"), NewSeries("b")
+	a.SetCap(64)
+	b.SetCap(64)
 	for i := 0; i < 10_000; i++ {
 		a.Add(time.Duration(i)*time.Second, float64(i*i%913))
 		b.Add(time.Duration(i)*time.Second, float64(i*i%913))
@@ -211,9 +190,6 @@ func TestSeriesCapDeterministic(t *testing.T) {
 		if a.Points[i] != b.Points[i] {
 			t.Fatalf("point %d differs: %v vs %v", i, a.Points[i], b.Points[i])
 		}
-	}
-	if a.Cap() != 64 {
-		t.Errorf("Cap = %d", a.Cap())
 	}
 	// Unbounded series keep everything, exactly as before.
 	u := NewSeries("u")

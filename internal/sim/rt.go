@@ -64,3 +64,9 @@ func (a *alarm) Stop() {
 
 // fireAlarm is the shared callback of every alarm.
 func fireAlarm(arg any) { arg.(*alarm).fn() }
+
+// Blocking runs fn. A process keeps the engine token while it runs, so
+// there is nothing to let go around fn; with it RT is a host for code
+// written for engines that must release theirs around a round trip
+// (griddclient.Host).
+func (r RT) Blocking(fn func()) { fn() }

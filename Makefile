@@ -42,8 +42,8 @@ gridd-race:
 	$(GO) test -race -count=1 ./internal/expt -run 'TestDiff(SubmitOrdering|LeaseNoStarvation)/gridd|TestGridd|TestTripper'
 
 # Run every benchmark exactly once: keeps the harnesses compiling and
-# passing — including the engine hot-path and parallel-sweep benchmarks
-# — without paying for real measurement in CI.
+# passing — the engine hot-path, interpreter and flight-recorder
+# benchmarks — without paying for real measurement in CI.
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 

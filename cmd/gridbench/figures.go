@@ -98,6 +98,26 @@ var figures = []figure{
 				"# channel: submit-path request drops, lease-wire drops/dups, watchdog revocations (fenced arms)", na.Channel}
 		}),
 		goldens: []string{"fignet_table -scale 0.1"}},
+	{name: "abl", title: "Ablations", sub: "backoff randomization, backoff cap, carrier threshold, probe timeout (DESIGN.md §6)",
+		extra: true, backends: []string{expt.BackendSim}, why: "the arms of an ablation share a seed, which only the simulator replays",
+		render: sweepFigure(func(_ *renderer, opt expt.Options) []any {
+			a := expt.FigAbl(opt)
+			return []any{"# randomization: frames delivered and collisions of Aloha stations on the channel, random vs lockstep backoff", a.Randomization,
+				"# backoff cap: jobs and schedd crashes of Aloha submitters per cap", a.Cap,
+				"# carrier threshold: jobs and schedd crashes of Ethernet submitters per threshold, in % of the FD table", a.Threshold,
+				"# probe timeout: transfers and deferrals of Ethernet readers per probe budget", a.Probe}
+		}),
+		goldens: []string{"figabl_table -scale 0.25"}},
+	{name: "ext", title: "Extension Experiments", sub: "Chimera DAG dispatcher, NeST-style reservation, the disciplines on a collision channel",
+		extra: true, backends: []string{expt.BackendSim}, why: "the arms of an experiment share a seed, which only the simulator replays",
+		render: sweepFigure(func(_ *renderer, opt expt.Options) []any {
+			x := expt.FigExt(opt)
+			return []any{"# DAG: makespan (s) of a 15-node DAG per dispatcher discipline, and the Aloha crowd's jobs", x.DAG,
+				"# reservation: files consumed, write collisions and allocator denials, reserving vs Ethernet producers", x.Reservation,
+				"# channel: frames delivered and collisions per discipline", x.Channel,
+				"# channel: utilization (% of the window the medium was busy)", x.Utilization}
+		}),
+		goldens: []string{"figext_table -scale 0.25"}},
 	{name: "scale", title: "Million-Client Engine Sweep", sub: "lightweight Ethernet clients on shared carrier, 60 virtual seconds, engine-throughput benchmark",
 		extra: true, backends: []string{expt.BackendSim}, why: "a million wall-clock timers is a load test, not a measurement",
 		render: sweepFigure(func(_ *renderer, opt expt.Options) []any {

@@ -18,12 +18,10 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/condor"
-	"repro/internal/core"
 	"repro/internal/ftsh/interp"
 	"repro/internal/proc"
 	"repro/internal/sim"
@@ -74,15 +72,7 @@ func run(script string) (jobs, crashes int64) {
 
 	// Expose the cluster to scripts as external commands.
 	runner := proc.NewMapRunner()
-	runner.Register("condor_submit", func(ctx context.Context, rt core.Runtime, cmd *interp.Command) error {
-		return cl.Schedd.Submit(rt.(*sim.Proc), ctx)
-	})
-	runner.Register("cut", func(ctx context.Context, rt core.Runtime, cmd *interp.Command) error {
-		// The paper reads /proc/sys/fs/file-nr; our kernel is the
-		// simulated FD table.
-		fmt.Fprintln(cmd.Stdout, cl.FDs.Free())
-		return nil
-	})
+	condor.Install(runner, cl)
 
 	for i := 0; i < 100; i++ {
 		e.Spawn("client", func(p *sim.Proc) {

@@ -10,6 +10,9 @@
 //     re-collide forever (cascading collisions);
 //   - with carrier sense and randomized exponential backoff the channel
 //     sustains high utilization.
+//
+// The medium and its stations are a scenario of internal/expt, run like
+// every other cell; gridbench -fig abl and -fig ext print the results.
 package channel
 
 import (
@@ -17,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // Channel is a shared broadcast medium. Any two transmissions that
@@ -29,7 +31,7 @@ import (
 const InjectTransmit = "channel/transmit"
 
 type Channel struct {
-	eng    *sim.Engine
+	eng    core.Backend
 	inj    core.Injector
 	active []*frame
 
@@ -48,8 +50,8 @@ type frame struct {
 	corrupted bool
 }
 
-// New returns an idle channel on engine e.
-func New(e *sim.Engine) *Channel { return &Channel{eng: e} }
+// New returns an idle channel on backend e.
+func New(e core.Backend) *Channel { return &Channel{eng: e} }
 
 // SetInjector installs a fault injector consulted on every transmission.
 // A nil injector (the default) disables injection.
@@ -78,7 +80,7 @@ func (c *Channel) Utilization() float64 {
 // only discovers the damage by observing the medium (§3: "the client
 // must observe the effects of its actions rather than simply assume
 // their success").
-func (c *Channel) Transmit(p *sim.Proc, ctx context.Context, d time.Duration) error {
+func (c *Channel) Transmit(p core.Proc, ctx context.Context, d time.Duration) error {
 	f := &frame{}
 	// Chaos seam: a noise burst corrupts the frame regardless of other
 	// traffic; injected latency stretches the transmission (and so
@@ -165,7 +167,7 @@ type Station struct {
 }
 
 // Loop runs the station.
-func (s *Station) Loop(p *sim.Proc, ctx context.Context, ch *Channel, cfg StationConfig) {
+func (s *Station) Loop(p core.Proc, ctx context.Context, ch *Channel, cfg StationConfig) {
 	var bo *core.Backoff
 	if cfg.Backoff != nil {
 		// Copy the template: a Backoff is per-client state, and sharing
@@ -208,23 +210,4 @@ func (s *Station) Loop(p *sim.Proc, ctx context.Context, ch *Channel, cfg Statio
 			}
 		}
 	}
-}
-
-// RunStations drives n identical stations for the window and returns
-// the channel for inspection.
-func RunStations(seed int64, n int, window time.Duration, cfg StationConfig) *Channel {
-	e := sim.New(seed)
-	ch := New(e)
-	ctx, cancel := e.WithTimeout(e.Context(), window)
-	defer cancel()
-	for i := 0; i < n; i++ {
-		e.Spawn("station", func(p *sim.Proc) {
-			var st Station
-			st.Loop(p, ctx, ch, cfg)
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic("channel: " + err.Error())
-	}
-	return ch
 }

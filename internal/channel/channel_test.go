@@ -2,7 +2,6 @@ package channel
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/core"
@@ -11,7 +10,7 @@ import (
 
 func TestSingleTransmitterNeverCollides(t *testing.T) {
 	e := sim.New(1)
-	ch := New(e)
+	ch := New(e.RT())
 	var err error
 	e.Spawn("s", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
@@ -33,7 +32,7 @@ func TestSingleTransmitterNeverCollides(t *testing.T) {
 
 func TestOverlappingTransmissionsBothCollide(t *testing.T) {
 	e := sim.New(1)
-	ch := New(e)
+	ch := New(e.RT())
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		i := i
@@ -59,7 +58,7 @@ func TestOverlappingTransmissionsBothCollide(t *testing.T) {
 
 func TestNonOverlappingTransmissionsSucceed(t *testing.T) {
 	e := sim.New(1)
-	ch := New(e)
+	ch := New(e.RT())
 	for i := 0; i < 2; i++ {
 		i := i
 		e.Spawn("s", func(p *sim.Proc) {
@@ -79,7 +78,7 @@ func TestNonOverlappingTransmissionsSucceed(t *testing.T) {
 
 func TestUtilizationAccounting(t *testing.T) {
 	e := sim.New(1)
-	ch := New(e)
+	ch := New(e.RT())
 	e.Spawn("s", func(p *sim.Proc) {
 		// 1 ms busy, 1 ms idle, 1 ms busy => 2/3 utilization at t=3ms.
 		_ = ch.Transmit(p, e.Context(), time.Millisecond)
@@ -91,77 +90,5 @@ func TestUtilizationAccounting(t *testing.T) {
 	}
 	if u := ch.Utilization(); u < 0.66 || u > 0.67 {
 		t.Fatalf("utilization = %v, want 2/3", u)
-	}
-}
-
-func TestEthernetStationsNeverCollide(t *testing.T) {
-	ch := RunStations(3, 20, time.Second, DefaultStationConfig(core.Ethernet))
-	if ch.Collisions != 0 {
-		t.Fatalf("collisions = %d, want 0 with carrier sense", ch.Collisions)
-	}
-	if ch.Successes == 0 {
-		t.Fatal("no frames delivered")
-	}
-}
-
-func TestDisciplineOrderingOnChannel(t *testing.T) {
-	window := 2 * time.Second
-	n := 30
-	eth := RunStations(5, n, window, DefaultStationConfig(core.Ethernet))
-	aloha := RunStations(5, n, window, DefaultStationConfig(core.Aloha))
-	fixed := RunStations(5, n, window, DefaultStationConfig(core.Fixed))
-	if eth.Successes <= aloha.Successes {
-		t.Errorf("ethernet %d not above aloha %d", eth.Successes, aloha.Successes)
-	}
-	if aloha.Successes <= fixed.Successes {
-		t.Errorf("aloha %d not above fixed %d", aloha.Successes, fixed.Successes)
-	}
-	// The original Aloha result: the pure-collision medium saturates at
-	// a small fraction of the Ethernet goodput under load.
-	if fixed.Successes*2 > eth.Successes {
-		t.Errorf("fixed %d not far below ethernet %d", fixed.Successes, eth.Successes)
-	}
-}
-
-func TestRandomizedBackoffBeatsSynchronized(t *testing.T) {
-	// The §3 requirement: "the problem will not be solved if all
-	// clients return at the same instant, so some asymmetry or random
-	// factor is needed to discourage cascading collisions."
-	window := 2 * time.Second
-	run := func(randomized bool) int64 {
-		var total int64
-		for seed := int64(1); seed <= 3; seed++ {
-			cfg := DefaultStationConfig(core.Aloha)
-			cfg.Backoff = &core.Backoff{
-				Base: cfg.Frame, Cap: 1024 * cfg.Frame, Factor: 2,
-				RandMin: 1, RandMax: 2,
-			}
-			if !randomized {
-				cfg.Backoff.RandMax = 1
-			}
-			ch := RunStations(seed, 30, window, cfg)
-			total += ch.Successes
-		}
-		return total
-	}
-	rand := run(true)
-	sync := run(false)
-	if rand <= sync {
-		t.Fatalf("randomized %d not above synchronized %d", rand, sync)
-	}
-}
-
-// Property: successes plus collisions equals total frames whose
-// transmission completed, and utilization stays in [0,1].
-func TestQuickChannelAccounting(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%20) + 1
-		cfg := DefaultStationConfig(core.Discipline(seed % 3))
-		ch := RunStations(seed, n, 300*time.Millisecond, cfg)
-		u := ch.Utilization()
-		return u >= 0 && u <= 1.0000001 && ch.Successes >= 0 && ch.Collisions >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }

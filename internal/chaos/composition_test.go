@@ -71,7 +71,7 @@ func TestPresetPairsCompose(t *testing.T) {
 						replica.NewServer(e.RT(), "yyy", false, replica.Config{}),
 						replica.NewServer(e.RT(), "zzz", false, replica.Config{}),
 					}
-					ch := channel.New(e)
+					ch := channel.New(e.RT())
 					a := compose(an, bn, seed).Arm(e.RT(), Targets{
 						Window:    horizon,
 						Cluster:   cl,

@@ -52,7 +52,10 @@ func (o Options) cell(label string, seed int64, window time.Duration, plan *chao
 type newCarrier = func(capacity int64, quantum time.Duration) lease.Carrier
 
 // scenario is what one kind of universe contains: the hooks cell.run
-// calls, in the order listed. Only substrate and clients are required.
+// calls, in the order listed. substrate, checks and clients are
+// required: cell.run calls checks whenever there is a recorder, so a
+// scenario without it would fail exactly when -check asks for its
+// invariants.
 type scenario struct {
 	// substrate builds the contended resource on the fresh backend,
 	// putting an FD table on fds, and returns what a fault plan may act
@@ -226,6 +229,16 @@ func grid[T any](s sweep) [][]T {
 type col struct {
 	name string
 	val  func(p int) float64
+}
+
+// armCols returns one column per arm, named prefix+arm, whose value at
+// sweep position p is val(arm, p).
+func (s sweep) armCols(prefix string, val func(arm, p int) float64) []col {
+	cols := make([]col, len(s.arms))
+	for arm, name := range s.arms {
+		cols[arm] = col{prefix + name, func(p int) float64 { return val(arm, p) }}
+	}
+	return cols
 }
 
 // table assembles a table over the sweep's populations.

@@ -129,3 +129,19 @@ func TestCellStepOrder(t *testing.T) {
 		t.Errorf("tallied %d violations, forwarded %d; want the one horizon violation in both", tallied, len(c.rec.Violations))
 	}
 }
+
+// TestScenarioChecksRequired: checks is one of a scenario's required
+// hooks, because cell.run calls it whenever there is a recorder to
+// check into. A scenario that left it out would pass every run but one
+// under -check; this pins that such a scenario cannot run checked.
+func TestScenarioChecksRequired(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a scenario without checks ran under a recorder")
+		}
+	}()
+	Options{}.cell("nochecks", 1, time.Minute, nil, &chaos.Recorder{}).run(scenario{
+		substrate: func(core.Backend, newCarrier) chaos.Targets { return chaos.Targets{} },
+		clients:   func(core.Backend, context.Context) {},
+	})
+}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/condor"
 	"repro/internal/core"
+	"repro/internal/fsbuffer"
 	"repro/internal/replica"
 )
 
@@ -90,7 +91,7 @@ func TestChaosSweepCondor(t *testing.T) {
 			return
 		}
 		subCfg, clCfg := scaledConfigs(opt, sweepOrder[arm])
-		j, _ := submitCell(c, n, subCfg, clCfg, nil)
+		j, _ := submitCell(c, n, subCfg, clCfg, nil, nil)
 		cells[i] = float64(j)
 	})
 	var sum [4]float64
@@ -140,7 +141,8 @@ func TestChaosSweepBuffer(t *testing.T) {
 		if arm := i % arms; arm < len(sweepOrder) {
 			d = sweepOrder[arm]
 		}
-		cells[i] = float64(bufferCell(c, n, d).Consumed)
+		b, _ := bufferCell(c, n, d, fsbuffer.Config{}, 0)
+		cells[i] = float64(b.Consumed)
 	})
 	var sum [4]float64
 	for pi, plan := range plans {
@@ -250,15 +252,15 @@ func TestChaosCellDeterminism(t *testing.T) {
 	opt := Options{Scale: 0.1}
 	subCfg, clCfg := scaledConfigs(opt, core.Ethernet)
 	window := opt.scaleD(SubmitWindow)
-	j1, c1 := SubmitCell(Options{}, 7, 40, window, subCfg, clCfg, plan(), nil)
-	j2, c2 := SubmitCell(Options{}, 7, 40, window, subCfg, clCfg, plan(), nil)
+	j1, c1 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, subCfg, clCfg, nil, nil)
+	j2, c2 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, subCfg, clCfg, nil, nil)
 	if j1 != j2 || c1 != c2 {
 		t.Errorf("condor cell diverged: (%d,%d) vs (%d,%d)", j1, c1, j2, c2)
 	}
 
 	bw := opt.scaleD(BufferWindow)
-	b1 := BufferCell(Options{}, 7, 25, bw, core.Ethernet, plan(), nil)
-	b2 := BufferCell(Options{}, 7, 25, bw, core.Ethernet, plan(), nil)
+	b1, _ := bufferCell(Options{}.cell("buffer", 7, bw, plan(), nil), 25, core.Ethernet, fsbuffer.Config{}, 0)
+	b2, _ := bufferCell(Options{}.cell("buffer", 7, bw, plan(), nil), 25, core.Ethernet, fsbuffer.Config{}, 0)
 	if b1.Consumed != b2.Consumed || b1.Collisions != b2.Collisions || b1.Completed != b2.Completed {
 		t.Errorf("buffer cell diverged: %+v vs %+v",
 			[3]int64{b1.Consumed, b1.Collisions, b1.Completed},
@@ -268,8 +270,8 @@ func TestChaosCellDeterminism(t *testing.T) {
 	rw := opt.scaleD(ReaderWindow)
 	rcfg := replica.DefaultReaderConfig(core.Ethernet)
 	rcfg.OuterLimit = rw
-	tl1 := ReaderCell(Options{}, 7, rw, rcfg, plan(), nil)
-	tl2 := ReaderCell(Options{}, 7, rw, rcfg, plan(), nil)
+	tl1 := readerCell(Options{}.cell("reader", 7, rw, plan(), nil), rcfg)
+	tl2 := readerCell(Options{}.cell("reader", 7, rw, plan(), nil), rcfg)
 	if tl1.TotalTransfers != tl2.TotalTransfers || tl1.TotalDeferrals != tl2.TotalDeferrals {
 		t.Errorf("reader cell diverged: (%d,%d) vs (%d,%d)",
 			tl1.TotalTransfers, tl1.TotalDeferrals, tl2.TotalTransfers, tl2.TotalDeferrals)
@@ -287,19 +289,19 @@ func TestChaosInvariantsCleanWithoutChaos(t *testing.T) {
 	rec := &chaos.Recorder{}
 	for _, d := range core.Disciplines {
 		subCfg, clCfg := scaledConfigs(opt, d)
-		SubmitCell(Options{}, 1, opt.scaleN(400), opt.scaleD(SubmitWindow), subCfg, clCfg, nil, rec)
-		BufferCell(Options{}, 1, 25, opt.scaleD(BufferWindow), d, nil, rec)
+		submitCell(Options{}.cell("submit", 1, opt.scaleD(SubmitWindow), nil, rec), opt.scaleN(400), subCfg, clCfg, nil, nil)
+		bufferCell(Options{}.cell("buffer", 1, opt.scaleD(BufferWindow), nil, rec), 25, d, fsbuffer.Config{}, 0)
 	}
 	rcfg := replica.DefaultReaderConfig(core.Ethernet)
 	rcfg.OuterLimit = opt.scaleD(ReaderWindow)
-	ReaderCell(Options{}, 1, rcfg.OuterLimit, rcfg, nil, rec)
+	readerCell(Options{}.cell("reader", 1, rcfg.OuterLimit, nil, rec), rcfg)
 	// The fourth discipline's fault-free universes must be equally clean,
 	// including the admission book's own no-starvation budget.
 	ResCell(Options{}, 1, opt.scaleN(400), opt.scaleD(SubmitWindow), nil, rec)
-	BufferCell(Options{}, 1, 25, opt.scaleD(BufferWindow), core.Reservation, nil, rec)
+	bufferCell(Options{}.cell("buffer", 1, opt.scaleD(BufferWindow), nil, rec), 25, core.Reservation, fsbuffer.Config{}, 0)
 	rcfgR := replica.DefaultReaderConfig(core.Reservation)
 	rcfgR.OuterLimit = opt.scaleD(ReaderWindow)
-	ReaderCell(Options{}, 1, rcfgR.OuterLimit, rcfgR, nil, rec)
+	readerCell(Options{}.cell("reader", 1, rcfgR.OuterLimit, nil, rec), rcfgR)
 	if err := rec.Err(); err != nil {
 		t.Errorf("fault-free run violated invariants: %v", err)
 	}

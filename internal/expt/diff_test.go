@@ -142,7 +142,7 @@ func TestDiffSubmitOrdering(t *testing.T) {
 				rec = &ethRec
 			}
 			opt.Trace = tr
-			j, _ := SubmitCell(opt, seed, n, window, subCfg, clCfg, nil, rec)
+			j, _ := submitCell(opt.cell("submit", seed, window, nil, rec), n, subCfg, clCfg, nil, nil)
 			checkTrace(t, tr)
 			jobs[d] = float64(j)
 		}
@@ -170,9 +170,9 @@ func TestDiffSubmitOrdering(t *testing.T) {
 					subCfg, clCfg := griddSubmitConfigs(n, window, d)
 					tr := trace.New()
 					var got, want chaos.Recorder
-					j, crashes := SubmitCell(Options{Backend: BackendGridd, Trace: tr}, seed, n, window, subCfg, clCfg, nil, &got)
+					j, crashes := submitCell(Options{Backend: BackendGridd, Trace: tr}.cell("submit", seed, window, nil, &got), n, subCfg, clCfg, nil, nil)
 					checkTrace(t, tr)
-					simJ, simCrashes := SubmitCell(Options{}, seed, n, window, subCfg, clCfg, nil, &want)
+					simJ, simCrashes := submitCell(Options{}.cell("submit", seed, window, nil, &want), n, subCfg, clCfg, nil, nil)
 					t.Logf("%s: jobs=%d crashes=%d violations=%d", d, j, crashes, len(got.Violations))
 					if j != simJ || crashes != simCrashes || !slices.Equal(got.Violations, want.Violations) {
 						t.Errorf("%s: gridd cell (jobs %d, crashes %d, violations %v) differs from the sim cell (%d, %d, %v)",
@@ -306,7 +306,7 @@ func TestDiffReaderOrdering(t *testing.T) {
 			rcfg.OuterLimit = window
 			tr := trace.New()
 			opt.Trace = tr
-			tl := ReaderCell(opt, seed, window, rcfg, nil, nil)
+			tl := readerCell(opt.cell("reader", seed, window, nil, nil), rcfg)
 			checkTrace(t, tr)
 			return tl
 		}
@@ -447,7 +447,7 @@ func TestDiffReservationReader(t *testing.T) {
 			rcfg.OuterLimit = window
 			tr := trace.New()
 			opt.Trace = tr
-			tl := ReaderCell(opt, seed, window, rcfg, nil, nil)
+			tl := readerCell(opt.cell("reader", seed, window, nil, nil), rcfg)
 			checkTrace(t, tr)
 			return tl
 		}

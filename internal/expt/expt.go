@@ -1,7 +1,8 @@
-// Package expt regenerates every figure in the paper's evaluation (§5).
-// Each FigN function builds a fresh simulated universe, runs the paper's
-// workload, and returns the same series the figure plots. The package is
-// used by cmd/gridbench, by the repository's benchmarks, and by
+// Package expt regenerates every figure in the paper's evaluation (§5),
+// and the ablations and extension experiments beside them. Each FigN
+// function builds fresh simulated universes, runs the workload, and
+// returns the same series the figure plots. The package is used by
+// cmd/gridbench (and through it by the repository's benchmark), and by
 // integration tests that assert the paper's qualitative shapes.
 package expt
 
@@ -164,23 +165,16 @@ const TimelineClients = 400
 // Fig1Sweep is the submitter counts swept in Figure 1 (x-axis 0–500).
 var Fig1Sweep = []int{10, 25, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500}
 
-// SubmitCell runs n submitters with the given client and cluster
-// configurations for the window — optionally under a fault plan, with
-// the invariant suite recording into rec — and returns total jobs
-// submitted and schedd crashes. It is the one entry point of the submit
-// scenario: Figures 1 to 3, the chaos sweeps and the threshold ablation
-// benchmarks are all built from it.
-func SubmitCell(opt Options, seed int64, n int, window time.Duration, subCfg condor.SubmitterConfig, clCfg condor.Config, plan *chaos.Plan, rec *chaos.Recorder) (jobs, crashes int64) {
-	c := opt.cell("submit/"+subCfg.Discipline.String(), seed, window, plan, rec)
-	return submitCell(c, n, subCfg, clCfg, nil)
-}
-
 // timelineEvery is the sampling interval of Figures 2 and 3.
 const timelineEvery = 5 * time.Second
 
-// submitCell is the submit scenario. With a timeline to fill it also
-// samples available FDs and cumulative jobs every timelineEvery.
-func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Config, tl *SubmitTimeline) (jobs, crashes int64) {
+// submitCell is the submit scenario: n submitters against a fresh
+// cluster. It is the one entry point of the scenario: Figures 1 to 3,
+// the ablations and the chaos sweeps are built from it. With a timeline
+// to fill it also samples available FDs and cumulative jobs every
+// timelineEvery; extra, when set, spawns more clients of the same
+// cluster after the submitters.
+func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Config, tl *SubmitTimeline, extra func(e core.Backend, ctx context.Context, cl *condor.Cluster)) (jobs, crashes int64) {
 	var cl *condor.Cluster
 	c.run(scenario{
 		substrate: func(e core.Backend, fds newCarrier) chaos.Targets {
@@ -212,6 +206,9 @@ func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Confi
 					var sub condor.Submitter
 					sub.Loop(p, ctx, cl, cfg)
 				})
+			}
+			if extra != nil {
+				extra(e, ctx, cl)
 			}
 		},
 		post: func(inv *chaos.Invariants) {
@@ -286,13 +283,9 @@ func Fig1(opt Options) *metrics.SweepTable {
 	s.run(opt, func(arm, p int, c cell) {
 		c.window, c.plan = window, opt.Chaos
 		subCfg, clCfg := scaledConfigs(opt, core.Disciplines[arm])
-		jobs[arm][p], _ = submitCell(c, s.xs[p], subCfg, clCfg, nil)
+		jobs[arm][p], _ = submitCell(c, s.xs[p], subCfg, clCfg, nil, nil)
 	})
-	var cols []col
-	for arm, name := range s.arms {
-		cols = append(cols, col{name, func(p int) float64 { return float64(jobs[arm][p]) }})
-	}
-	return s.table(cols...)
+	return s.table(s.armCols("", func(arm, p int) float64 { return float64(jobs[arm][p]) })...)
 }
 
 // SubmitTimeline holds the data of Figures 2 and 3: available FDs and
@@ -322,7 +315,7 @@ func RunSubmitTimeline(opt Options, fig string, d core.Discipline) *SubmitTimeli
 		Jobs: metrics.NewSeries("jobs"),
 	}
 	c := opt.cell(fig+"/"+d.String(), opt.seed(), opt.scaleD(TimelineWindow), opt.Chaos, opt.Check)
-	_, tl.Crashes = submitCell(c, opt.scaleN(TimelineClients), subCfg, clCfg, tl)
+	_, tl.Crashes = submitCell(c, opt.scaleN(TimelineClients), subCfg, clCfg, tl, nil)
 	return tl
 }
 
@@ -363,39 +356,31 @@ func RunBufferSweep(opt Options) *BufferSweep {
 	bufs := grid[struct{ consumed, collisions int64 }](s)
 	s.run(opt, func(arm, p int, c cell) {
 		c.window, c.plan = window, opt.Chaos
-		b := bufferCell(c, s.xs[p], core.Disciplines[arm])
+		b, _ := bufferCell(c, s.xs[p], core.Disciplines[arm], fsbuffer.Config{}, 0)
 		bufs[arm][p].consumed, bufs[arm][p].collisions = b.Consumed, b.Collisions
 	})
-	var consumed, collisions []col
-	for arm, name := range s.arms {
-		consumed = append(consumed, col{name, func(p int) float64 { return float64(bufs[arm][p].consumed) }})
-		collisions = append(collisions, col{name, func(p int) float64 { return float64(bufs[arm][p].collisions) }})
+	return &BufferSweep{
+		Consumed:   s.table(s.armCols("", func(arm, p int) float64 { return float64(bufs[arm][p].consumed) })...),
+		Collisions: s.table(s.armCols("", func(arm, p int) float64 { return float64(bufs[arm][p].collisions) })...),
 	}
-	return &BufferSweep{Consumed: s.table(consumed...), Collisions: s.table(collisions...)}
 }
 
-// BufferCell runs n producers of discipline d against a fresh buffer
-// for the window, optionally under a fault plan and the invariant
-// suite, and returns the buffer for inspection. It is the one entry
-// point of the buffer scenario: Figures 4 and 5 and the chaos sweeps
-// are built from it.
-func BufferCell(opt Options, seed int64, n int, window time.Duration, d core.Discipline, plan *chaos.Plan, rec *chaos.Recorder) *fsbuffer.Buffer {
-	return bufferCell(opt.cell("buffer/"+d.String(), seed, window, plan, rec), n, d)
-}
-
-// bufferCell is the buffer scenario. The Reservation discipline runs
-// the allocator-fronted reserving producer of §5 instead of an
-// optimistic writer; the allocator grants tenure with a window-derived
-// quantum, so a wedged holder's promise is reclaimed instead of pinning
-// buffer space.
-func bufferCell(c cell, n int, d core.Discipline) *fsbuffer.Buffer {
+// bufferCell is the buffer scenario: n producers of discipline d
+// against a fresh buffer of bufCfg. It is the one entry point of the
+// scenario: Figures 4 and 5, the reservation baseline and the chaos
+// sweeps are built from it. The Reservation discipline runs the
+// allocator-fronted reserving producer of §5 instead of an optimistic
+// writer, through an allocator whose round trip is grant (returned,
+// nil otherwise); it grants tenure with a window-derived quantum, so a
+// wedged holder's promise is reclaimed instead of pinning buffer space.
+func bufferCell(c cell, n int, d core.Discipline, bufCfg fsbuffer.Config, grant time.Duration) (*fsbuffer.Buffer, *fsbuffer.Allocator) {
 	var b *fsbuffer.Buffer
 	var alloc *fsbuffer.Allocator
 	c.run(scenario{
 		substrate: func(e core.Backend, _ newCarrier) chaos.Targets {
-			b = fsbuffer.New(e, fsbuffer.Config{})
+			b = fsbuffer.New(e, bufCfg)
 			if d == core.Reservation {
-				alloc = fsbuffer.NewAllocator(e, b, 0)
+				alloc = fsbuffer.NewAllocator(e, b, grant)
 				alloc.SetLeaseQuantum(leaseQuantum(c.window))
 			}
 			return chaos.Targets{Buffer: b, Allocator: alloc}
@@ -429,14 +414,8 @@ func bufferCell(c cell, n int, d core.Discipline) *fsbuffer.Buffer {
 			}
 		},
 	})
-	return b
+	return b, alloc
 }
-
-// Fig4 reproduces "Figure 4: Buffer Throughput".
-func Fig4(opt Options) *metrics.SweepTable { return RunBufferSweep(opt).Consumed }
-
-// Fig5 reproduces "Figure 5: Buffer Collisions".
-func Fig5(opt Options) *metrics.SweepTable { return RunBufferSweep(opt).Collisions }
 
 // ---------------------------------------------------------------------
 // Scenario 3: black holes (Figures 6, 7)
@@ -473,16 +452,10 @@ func RunReaderTimeline(opt Options, fig string, d core.Discipline) *ReaderTimeli
 	return readerCell(opt.cell(fig+"/"+d.String(), opt.seed(), window, opt.Chaos, opt.Check), rcfg)
 }
 
-// ReaderCell runs the black-hole scenario with an arbitrary reader
-// configuration, optionally under a fault plan armed against the
-// servers and with the invariant suite recording into rec. It is the
-// one entry point of the reader scenario: Figures 6 and 7, the chaos
-// sweeps and the probe-timeout ablation are built from it.
-func ReaderCell(opt Options, seed int64, window time.Duration, rcfg replica.ReaderConfig, plan *chaos.Plan, rec *chaos.Recorder) *ReaderTimeline {
-	return readerCell(opt.cell("reader/"+rcfg.Discipline.String(), seed, window, plan, rec), rcfg)
-}
-
-// readerCell is the reader scenario.
+// readerCell is the reader scenario: the paper's three readers of
+// rcfg against three servers, one a permanent black hole. It is the one
+// entry point of the scenario: Figures 6 and 7, the probe-timeout
+// ablation and the chaos sweeps are built from it.
 func readerCell(c cell, rcfg replica.ReaderConfig) *ReaderTimeline {
 	var servers []*replica.Server
 	var books []*lease.Book

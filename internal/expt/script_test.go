@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -64,13 +63,7 @@ func runScriptedSubmitters(t *testing.T, seed int64, script string, n int, windo
 	cl.StartHousekeeping(ctx)
 
 	runner := proc.NewMapRunner()
-	runner.Register("condor_submit", func(ctx context.Context, rt core.Runtime, cmd *interp.Command) error {
-		return cl.Schedd.Submit(rt.(*sim.Proc), ctx)
-	})
-	runner.Register("cut", func(ctx context.Context, rt core.Runtime, cmd *interp.Command) error {
-		fmt.Fprintln(cmd.Stdout, cl.FDs.Free())
-		return nil
-	})
+	condor.Install(runner, cl)
 	for i := 0; i < n; i++ {
 		i := i
 		e.Spawn("client", func(p *sim.Proc) {
@@ -120,7 +113,7 @@ func TestScriptedMatchesCoreClients(t *testing.T) {
 
 	cfg := condor.DefaultSubmitterConfig(core.Ethernet)
 	cfg.Threshold = 250
-	coreJobs, coreCrashes := SubmitCell(Options{}, 1, n, window, cfg, condor.Config{FDCapacity: 2048}, nil, nil)
+	coreJobs, coreCrashes := submitCell(Options{}.cell("submit", 1, window, nil, nil), n, cfg, condor.Config{FDCapacity: 2048}, nil, nil)
 
 	// The 250-FD margin is deliberately thin; the occasional crash is
 	// seed luck, not a divergence between the two client stacks.

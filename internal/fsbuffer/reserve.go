@@ -24,7 +24,7 @@ import (
 // unused remainder only after the write completes. The slack between
 // reserved and actual bytes idles buffer capacity, so reservation trades
 // collisions for throughput — the quantitative form of the paper's
-// argument. BenchmarkBaselineReservation measures the trade.
+// argument. gridbench -fig ext measures the trade.
 
 // ErrReservationDenied reports that the allocator had no space.
 var ErrReservationDenied = errors.New("allocation denied: no reservable space")

@@ -112,65 +112,3 @@ func TestReservingProducersNeverCollide(t *testing.T) {
 		t.Fatalf("reservations leaked: %d", a.Reserved())
 	}
 }
-
-func TestReservationThroughputTradeoff(t *testing.T) {
-	// The paper's §5 argument, quantified: "the actual process of
-	// allocation itself may be subject to contention." Under space
-	// pressure most reservation requests are denied, but a denial still
-	// costs a full allocator round trip, so denial storms congest the
-	// allocation service and grants arrive long after space has freed —
-	// the drain starves in the gaps. The Ethernet producer observes
-	// free space passively, at zero service cost, and keeps the buffer
-	// fed.
-	window := 5 * time.Minute
-	n := 25
-	cfg := Config{Capacity: 6 * MB}          // space-constrained
-	const grantTime = 200 * time.Millisecond // 2003-era WAN SRM round trip
-
-	runReserving := func() int64 {
-		e := sim.New(4)
-		b := New(e.RT(), cfg)
-		a := NewAllocator(e.RT(), b, grantTime)
-		ctx, cancel := e.WithTimeout(e.Context(), window)
-		defer cancel()
-		e.Spawn("consumer", func(p *sim.Proc) { b.Consumer(p, ctx) })
-		for i := 0; i < n; i++ {
-			i := i
-			e.Spawn("producer", func(p *sim.Proc) {
-				var rp ReservingProducer
-				rp.Loop(p, ctx, a, i, DefaultProducerConfig(core.Aloha))
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return b.Consumed
-	}
-	runEthernet := func() int64 {
-		e := sim.New(4)
-		b := New(e.RT(), cfg)
-		ctx, cancel := e.WithTimeout(e.Context(), window)
-		defer cancel()
-		e.Spawn("consumer", func(p *sim.Proc) { b.Consumer(p, ctx) })
-		for i := 0; i < n; i++ {
-			i := i
-			e.Spawn("producer", func(p *sim.Proc) {
-				var pr Producer
-				pr.Loop(p, ctx, b, i, DefaultProducerConfig(core.Ethernet))
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return b.Consumed
-	}
-
-	reserving := runReserving()
-	ethernet := runEthernet()
-	if reserving == 0 || ethernet == 0 {
-		t.Fatalf("reserving=%d ethernet=%d", reserving, ethernet)
-	}
-	if ethernet <= reserving {
-		t.Fatalf("ethernet %d not above reserving %d: the worst-case-reservation penalty vanished", ethernet, reserving)
-	}
-}

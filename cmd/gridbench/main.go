@@ -8,13 +8,13 @@
 //	          [-backend sim|live|gridd] [-timescale F] [-gridd-addr URL]
 //	          [-parallel N] [-chaos PLAN] [-chaos-seed S] [-check]
 //	          [-trace FILE] [-trace-format jsonl|chrome] [-trace-summary]
-//	          [-trace-quantiles] [-metrics FILE] [-metrics-interval D]
+//	          [-trace-quantiles] [-metrics FILE]
 //	          [-metrics-format jsonl|csv|prom] [-obs-addr ADDR] [-progress]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // -fig names one row of the figure table in figures.go: the paper's
-// Figures 1 to 7, this repository's ablations, the engine sweep and the
-// daemon conformance checklist (`gridbench -h` lists the names; an
+// Figures 1 to 7, this repository's ablations and extension
+// experiments, and the engine sweep (`gridbench -h` lists the names; an
 // unknown name is answered with every name and title). Without -fig,
 // the rows of the default run are produced in table order. Output is
 // plain aligned text (or TSV for plotting): sweep tables, or time
@@ -65,8 +65,8 @@
 // tracing never changes the figures themselves.
 //
 // -metrics arms the flight recorder (see internal/obs): engine, lease,
-// and carrier instruments are sampled on the backend clock every
-// -metrics-interval of virtual time (default 5s) and dumped to FILE as
+// and carrier instruments are sampled every 5 s of the backend clock
+// (Figures 2 and 3 are read from these samples) and dumped to FILE as
 // line-delimited JSON, CSV, or Prometheus text (-metrics-format). On
 // the sim backend the dump is byte-identical per seed at every
 // -parallel setting; on the live backend it inherits the live run's
@@ -118,7 +118,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	traceSummary := fs.Bool("trace-summary", false, "append a per-discipline collision/backoff accounting table")
 	traceQuantiles := fs.Bool("trace-quantiles", false, "append a per-discipline span-distribution table (P50/P95/P99)")
 	metricsOut := fs.String("metrics", "", "sample the flight recorder on the backend clock and dump it to this file")
-	metricsInterval := fs.Duration("metrics-interval", 0, "virtual-time sampling interval for -metrics (0 = default "+expt.DefaultObsInterval.String()+")")
 	metricsFormat := fs.String("metrics-format", "jsonl", "metrics dump format: jsonl, csv, or prom")
 	obsAddr := fs.String("obs-addr", "", "live backend, or gridd with -gridd-addr: serve /metrics, /healthz, and pprof on this address during the run")
 	griddAddr := fs.String("gridd-addr", "", "gridd backend only: base URL of a running gridd daemon, reached from a live engine (empty: each cell's own daemon, in process on the simulator)")
@@ -152,10 +151,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *metricsFormat != "jsonl" && *metricsFormat != "csv" && *metricsFormat != "prom" {
 		fmt.Fprintf(stderr, "gridbench: unknown metrics format %q (want jsonl, csv, or prom)\n", *metricsFormat)
-		return 2
-	}
-	if *metricsInterval < 0 {
-		fmt.Fprintf(stderr, "gridbench: negative metrics interval %v\n", *metricsInterval)
 		return 2
 	}
 	if *obsAddr != "" && (*backend == expt.BackendSim || *backend == expt.BackendGridd && *griddAddr == "") {
@@ -209,7 +204,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		// -progress needs the recorder too: the events/sec column comes
 		// from the engine event counters it samples.
 		opt.Obs = obs.New()
-		opt.ObsInterval = *metricsInterval
 	}
 	if *progress {
 		opt.Progress = progressPrinter(stderr)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -31,10 +32,56 @@ func TestBadMetricsFormat(t *testing.T) {
 	}
 }
 
-func TestNegativeMetricsInterval(t *testing.T) {
-	code, _, errOut := cli(t, "-metrics", "x", "-metrics-interval", "-5s")
-	if code != 2 || !strings.Contains(errOut, "negative metrics interval") {
-		t.Fatalf("code=%d stderr=%q", code, errOut)
+// dumpSeries is one line of a -metrics JSONL dump.
+type dumpSeries struct {
+	Name, Family, Kind string
+	Points             [][2]float64 // [t_ns, value]
+}
+
+// dump runs the CLI with args and -metrics, and returns its output and
+// the dump's series by name.
+func dump(t *testing.T, args ...string) (string, map[string]dumpSeries) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "m.jsonl")
+	code, out, errOut := cli(t, append(args, "-metrics", path)...)
+	b, err := os.ReadFile(path)
+	if code != 0 || err != nil {
+		t.Fatalf("code=%d stderr=%q read: %v", code, errOut, err)
+	}
+	series := make(map[string]dumpSeries)
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var s dumpSeries
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("%v: %s", err, line)
+		}
+		series[s.Name] = s
+	}
+	return out, series
+}
+
+// TestTimelineIsTheRecordersSeries: Figure 2's rows (t, avail-fds,
+// jobs) are the dumped grid_carrier_free and grid_jobs_total points of
+// the figure's cell, and the dump has one point more: the sample taken
+// after the run, which under -chaos mixed at scale 1 lands past the
+// window, where the table has no row.
+func TestTimelineIsTheRecordersSeries(t *testing.T) {
+	for _, scale := range []string{"0.1", "1 -chaos mixed"} {
+		out, series := dump(t, append([]string{"-fig", "2", "-scale"}, strings.Fields(scale)...)...)
+		free, jobs := series["grid_carrier_free{cell=fig2/Aloha}"].Points, series["grid_jobs_total{cell=fig2/Aloha}"].Points
+		var rows int
+		for _, line := range strings.Split(out, "\n") {
+			var t0, f, j float64
+			if n, _ := fmt.Sscan(line, &t0, &f, &j); n != 3 {
+				continue
+			}
+			if rows >= len(free)-1 || free[rows] != [2]float64{t0 * 1e9, f} || jobs[rows] != [2]float64{t0 * 1e9, j} {
+				t.Fatalf("-scale %s: row %d %q is not the recorder's point: free %v, jobs %v", scale, rows, line, free, jobs)
+			}
+			rows++
+		}
+		if rows == 0 || len(free) != rows+1 || len(jobs) != rows+1 || free[rows][0] < free[rows-1][0] {
+			t.Fatalf("-scale %s: %d rows; the dump has %d and %d points, want one more each, taken after the run", scale, rows, len(free), len(jobs))
+		}
 	}
 }
 
@@ -192,41 +239,20 @@ func TestMetricsTimestampsNeverDecrease(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-figure run; skipped in -short")
 	}
-	path := filepath.Join(t.TempDir(), "m.jsonl")
-	code, _, errOut := cli(t, "-scale", "0.05", "-trace-summary", "-metrics", path)
-	if code != 0 {
-		t.Fatalf("code=%d stderr=%q", code, errOut)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	series, backwards := 0, 0
-	dec := json.NewDecoder(f)
-	for dec.More() {
-		var s struct {
-			Name   string       `json:"name"`
-			Points [][2]float64 `json:"points"`
-		}
-		if err := dec.Decode(&s); err != nil {
-			t.Fatal(err)
-		}
-		series++
-		for i := 1; i < len(s.Points); i++ {
-			if s.Points[i][0] < s.Points[i-1][0] {
+	_, series := dump(t, "-scale", "0.05", "-trace-summary")
+	backwards := 0
+	for name, s := range series {
+		for i, pts := 1, s.Points; i < len(pts); i++ {
+			if pts[i][0] < pts[i-1][0] {
 				if backwards++; backwards <= 5 {
-					t.Errorf("%s: t=%v follows t=%v", s.Name, s.Points[i][0], s.Points[i-1][0])
+					t.Errorf("%s: t=%v follows t=%v", name, pts[i][0], pts[i-1][0])
 				}
 				break
 			}
 		}
 	}
-	if series == 0 {
-		t.Fatal("metrics dump is empty")
-	}
 	if backwards > 0 {
-		t.Errorf("%d of %d series have time running backwards", backwards, series)
+		t.Errorf("%d of %d series have time running backwards", backwards, len(series))
 	}
 }
 
@@ -238,25 +264,10 @@ func TestMetricsTimestampsNeverDecrease(t *testing.T) {
 // engine's timer wheel (scale).
 func TestMetricsCounterKindIffTotal(t *testing.T) {
 	for _, fig := range []string{"1", "4", "res", "net", "scale"} {
-		path := filepath.Join(t.TempDir(), "m.jsonl")
-		code, _, errOut := cli(t, "-fig", fig, "-scale", "0.05", "-metrics", path)
-		if code != 0 {
-			t.Fatalf("fig %s: code=%d stderr=%q", fig, code, errOut)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, series := dump(t, "-fig", fig, "-scale", "0.05")
 		kinds := make(map[string]string)
-		for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
-			var s struct{ Family, Kind string }
-			if err := json.Unmarshal([]byte(line), &s); err != nil {
-				t.Fatalf("fig %s: %v: %s", fig, err, line)
-			}
+		for _, s := range series {
 			kinds[s.Family] = s.Kind
-		}
-		if len(kinds) == 0 {
-			t.Fatalf("fig %s: empty dump", fig)
 		}
 		for fam, kind := range kinds {
 			if (kind == "counter") != strings.HasSuffix(fam, "_total") {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 )
 
 // This file is the invariant-checker layer: mechanical assertions of
@@ -79,8 +78,8 @@ type Invariants struct {
 	rec   *Recorder
 	every time.Duration
 
-	ticks  []func(now time.Duration)
-	finals []func(now time.Duration)
+	ticks   []func(now time.Duration)
+	horizon time.Duration // see Horizon; 0 checks nothing
 }
 
 // DefaultSampleEvery is the default invariant sampling cadence.
@@ -244,13 +243,7 @@ func (inv *Invariants) HealLiveness(name string, value func() float64, healAt, b
 // virtual time to at least window. A simulation that quiesces early has
 // deadlocked — every client parked forever with no timer left to free
 // it — which no retry discipline is ever allowed to do.
-func (inv *Invariants) Horizon(window time.Duration) {
-	inv.finals = append(inv.finals, func(now time.Duration) {
-		if now < window {
-			inv.violate("liveness", now, "run quiesced at %v, before the %v horizon: deadlock", now, window)
-		}
-	})
-}
+func (inv *Invariants) Horizon(window time.Duration) { inv.horizon = window }
 
 // EventBudget asserts that no sampling interval burns more than
 // maxPerTick scheduling events: a bound on livelock, where virtual time
@@ -265,16 +258,6 @@ func (inv *Invariants) EventBudget(maxPerTick int64) {
 				n-last, inv.every, maxPerTick)
 		}
 		last = n
-	})
-}
-
-// SeriesMonotone is a post-run convenience: it records a violation if a
-// cumulative series ever decreases.
-func (inv *Invariants) SeriesMonotone(s *metrics.Series) {
-	inv.finals = append(inv.finals, func(now time.Duration) {
-		if !s.Monotone() {
-			inv.violate("monotone", now, "series %s is not monotone", s.Name)
-		}
 	})
 }
 
@@ -296,10 +279,9 @@ func (inv *Invariants) Start(ctx context.Context) {
 	inv.eng.Schedule(inv.every, tick)
 }
 
-// Finish runs the end-of-run checks. Call it after Engine.Run returns.
+// Finish runs Horizon's check. Call it after Engine.Run returns.
 func (inv *Invariants) Finish() {
-	now := inv.eng.Elapsed()
-	for _, f := range inv.finals {
-		f(now)
+	if now := inv.eng.Elapsed(); now < inv.horizon {
+		inv.violate("liveness", now, "run quiesced at %v, before the %v horizon: deadlock", now, inv.horizon)
 	}
 }

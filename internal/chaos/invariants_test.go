@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -141,21 +140,6 @@ func TestEventBudgetFlagsLivelock(t *testing.T) {
 	}
 	if got := rec.Violations[0].Check; got != "event-budget" {
 		t.Errorf("check = %q, want event-budget", got)
-	}
-}
-
-func TestSeriesMonotoneFinal(t *testing.T) {
-	e := sim.New(1)
-	rec := &Recorder{}
-	inv := NewInvariants(e.RT(), rec, time.Second)
-	s := metrics.NewSeries("jobs")
-	s.Add(0, 1)
-	s.Add(time.Second, 5)
-	s.Add(2*time.Second, 2)
-	inv.SeriesMonotone(s)
-	inv.Finish()
-	if rec.Ok() {
-		t.Fatal("non-monotone series not flagged")
 	}
 }
 

@@ -116,7 +116,7 @@ func ablSubmit(opt Options, fig string, d core.Discipline, arms []string, tune f
 		c.window, c.plan = opt.scaleD(SubmitWindow), opt.Chaos
 		subCfg, clCfg := scaledConfigs(opt, d)
 		tune(arm, &subCfg)
-		jobs[arm][p], crashes[arm][p] = submitCell(c, s.xs[p], subCfg, clCfg, nil, nil)
+		jobs[arm][p], crashes[arm][p] = submitCell(c, s.xs[p], subCfg, clCfg, nil)
 	})
 	return s.table(append(
 		s.armCols("", func(arm, p int) float64 { return float64(jobs[arm][p]) }),
@@ -201,7 +201,7 @@ func extDAG(opt Options) *metrics.SweepTable {
 		dcfg.Submit.Threshold = bgCfg.Threshold
 		dag := condor.LayeredDAG(rand.New(rand.NewSource(c.seed)), 3, 5, 2)
 		var disp condor.Dispatcher
-		jobs, _ := submitCell(c, s.xs[p], bgCfg, condor.Config{FDCapacity: opt.scaleN(2048)}, nil,
+		jobs, _ := submitCell(c, s.xs[p], bgCfg, condor.Config{FDCapacity: opt.scaleN(2048)},
 			func(e core.Backend, ctx context.Context, cl *condor.Cluster) {
 				e.Spawn("dispatcher", func(p core.Proc) { _ = disp.Run(p, ctx, cl, dag, dcfg) })
 			})

@@ -26,7 +26,7 @@ import (
 
 // cell is one simulated universe about to run.
 type cell struct {
-	opt    Options // backend, timescale, sampling interval
+	opt    Options // backend, timescale
 	seed   int64
 	window time.Duration
 	plan   *chaos.Plan     // faults to arm, or nil
@@ -76,8 +76,6 @@ type scenario struct {
 	gauges func(sc *obs.Scope)
 	// clients spawns the population.
 	clients func(e core.Backend, ctx context.Context)
-	// post adds checks that need the finished run, when the suite ran.
-	post func(inv *chaos.Invariants)
 }
 
 // run executes the scenario in the cell. The order of the steps is part
@@ -112,9 +110,6 @@ func (c cell) run(s scenario) {
 	}
 	finish()
 	if inv != nil {
-		if s.post != nil {
-			s.post(inv)
-		}
 		inv.Finish()
 	}
 	if s.tally != nil {

@@ -91,7 +91,7 @@ func TestChaosSweepCondor(t *testing.T) {
 			return
 		}
 		subCfg, clCfg := scaledConfigs(opt, sweepOrder[arm])
-		j, _ := submitCell(c, n, subCfg, clCfg, nil, nil)
+		j, _ := submitCell(c, n, subCfg, clCfg, nil)
 		cells[i] = float64(j)
 	})
 	var sum [4]float64
@@ -252,8 +252,8 @@ func TestChaosCellDeterminism(t *testing.T) {
 	opt := Options{Scale: 0.1}
 	subCfg, clCfg := scaledConfigs(opt, core.Ethernet)
 	window := opt.scaleD(SubmitWindow)
-	j1, c1 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, subCfg, clCfg, nil, nil)
-	j2, c2 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, subCfg, clCfg, nil, nil)
+	j1, c1 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, subCfg, clCfg, nil)
+	j2, c2 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, subCfg, clCfg, nil)
 	if j1 != j2 || c1 != c2 {
 		t.Errorf("condor cell diverged: (%d,%d) vs (%d,%d)", j1, c1, j2, c2)
 	}
@@ -289,7 +289,7 @@ func TestChaosInvariantsCleanWithoutChaos(t *testing.T) {
 	rec := &chaos.Recorder{}
 	for _, d := range core.Disciplines {
 		subCfg, clCfg := scaledConfigs(opt, d)
-		submitCell(Options{}.cell("submit", 1, opt.scaleD(SubmitWindow), nil, rec), opt.scaleN(400), subCfg, clCfg, nil, nil)
+		submitCell(Options{}.cell("submit", 1, opt.scaleD(SubmitWindow), nil, rec), opt.scaleN(400), subCfg, clCfg, nil)
 		bufferCell(Options{}.cell("buffer", 1, opt.scaleD(BufferWindow), nil, rec), 25, d, fsbuffer.Config{}, 0)
 	}
 	rcfg := replica.DefaultReaderConfig(core.Ethernet)

@@ -142,7 +142,7 @@ func TestDiffSubmitOrdering(t *testing.T) {
 				rec = &ethRec
 			}
 			opt.Trace = tr
-			j, _ := submitCell(opt.cell("submit", seed, window, nil, rec), n, subCfg, clCfg, nil, nil)
+			j, _ := submitCell(opt.cell("submit", seed, window, nil, rec), n, subCfg, clCfg, nil)
 			checkTrace(t, tr)
 			jobs[d] = float64(j)
 		}
@@ -170,9 +170,9 @@ func TestDiffSubmitOrdering(t *testing.T) {
 					subCfg, clCfg := griddSubmitConfigs(n, window, d)
 					tr := trace.New()
 					var got, want chaos.Recorder
-					j, crashes := submitCell(Options{Backend: BackendGridd, Trace: tr}.cell("submit", seed, window, nil, &got), n, subCfg, clCfg, nil, nil)
+					j, crashes := submitCell(Options{Backend: BackendGridd, Trace: tr}.cell("submit", seed, window, nil, &got), n, subCfg, clCfg, nil)
 					checkTrace(t, tr)
-					simJ, simCrashes := submitCell(Options{}.cell("submit", seed, window, nil, &want), n, subCfg, clCfg, nil, nil)
+					simJ, simCrashes := submitCell(Options{}.cell("submit", seed, window, nil, &want), n, subCfg, clCfg, nil)
 					t.Logf("%s: jobs=%d crashes=%d violations=%d", d, j, crashes, len(got.Violations))
 					if j != simJ || crashes != simCrashes || !slices.Equal(got.Violations, want.Violations) {
 						t.Errorf("%s: gridd cell (jobs %d, crashes %d, violations %v) differs from the sim cell (%d, %d, %v)",

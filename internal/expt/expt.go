@@ -67,14 +67,13 @@ type Options struct {
 	// clock costs no real time at all.
 	Timescale float64
 	// Obs, when non-nil, arms the flight recorder: every cell samples
-	// engine, carrier, and lease observables into the registry on its
-	// backend clock (see obs.go). Sampling is read-only — figures are
+	// engine, carrier, and lease observables into the registry every
+	// 5 s of its backend clock (see obs.go). Figures 2 and 3 are read
+	// from those samples, so their cells sample into a registry of
+	// their own when Obs is nil. Sampling is read-only — figures are
 	// identical with it on or off — and on the sim backend the dump is
 	// a pure function of the seed at any Parallel value.
 	Obs *obs.Registry
-	// ObsInterval is the sampling interval on the backend clock; zero
-	// means DefaultObsInterval.
-	ObsInterval time.Duration
 	// Progress, when non-nil, is called by the sweep runner after each
 	// cell completes, with cells done, cells total, and cumulative
 	// engine events so far (0 unless Obs is armed). Calls arrive in
@@ -165,16 +164,11 @@ const TimelineClients = 400
 // Fig1Sweep is the submitter counts swept in Figure 1 (x-axis 0–500).
 var Fig1Sweep = []int{10, 25, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500}
 
-// timelineEvery is the sampling interval of Figures 2 and 3.
-const timelineEvery = 5 * time.Second
-
 // submitCell is the submit scenario: n submitters against a fresh
 // cluster. It is the one entry point of the scenario: Figures 1 to 3,
-// the ablations and the chaos sweeps are built from it. With a timeline
-// to fill it also samples available FDs and cumulative jobs every
-// timelineEvery; extra, when set, spawns more clients of the same
-// cluster after the submitters.
-func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Config, tl *SubmitTimeline, extra func(e core.Backend, ctx context.Context, cl *condor.Cluster)) (jobs, crashes int64) {
+// the ablations and the chaos sweeps are built from it. extra, when
+// set, spawns more clients of the same cluster after the submitters.
+func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Config, extra func(e core.Backend, ctx context.Context, cl *condor.Cluster)) (jobs, crashes int64) {
 	var cl *condor.Cluster
 	c.run(scenario{
 		substrate: func(e core.Backend, fds newCarrier) chaos.Targets {
@@ -185,20 +179,6 @@ func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Confi
 		checks:  func(inv *chaos.Invariants) { condorChecks(inv, cl, subCfg, c.window) },
 		gauges:  func(sc *obs.Scope) { obsCluster(sc, cl) },
 		clients: func(e core.Backend, ctx context.Context) {
-			if tl != nil {
-				var tick func()
-				tick = func() {
-					// One reading for both series: on gridd, Free is a round
-					// trip, and the clock moves across it.
-					now := e.Elapsed()
-					tl.FDs.Add(now, float64(cl.FDs.Free()))
-					tl.Jobs.Add(now, float64(cl.Schedd.Jobs))
-					if now < c.window {
-						e.Schedule(timelineEvery, tick)
-					}
-				}
-				e.Schedule(0, tick)
-			}
 			for i := 0; i < n; i++ {
 				cfg := subCfg
 				cfg.Trace = c.client(e, subCfg.Discipline.String(), "submitter", i)
@@ -209,11 +189,6 @@ func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Confi
 			}
 			if extra != nil {
 				extra(e, ctx, cl)
-			}
-		},
-		post: func(inv *chaos.Invariants) {
-			if tl != nil {
-				inv.SeriesMonotone(tl.Jobs)
 			}
 		},
 	})
@@ -283,13 +258,13 @@ func Fig1(opt Options) *metrics.SweepTable {
 	s.run(opt, func(arm, p int, c cell) {
 		c.window, c.plan = window, opt.Chaos
 		subCfg, clCfg := scaledConfigs(opt, core.Disciplines[arm])
-		jobs[arm][p], _ = submitCell(c, s.xs[p], subCfg, clCfg, nil, nil)
+		jobs[arm][p], _ = submitCell(c, s.xs[p], subCfg, clCfg, nil)
 	})
 	return s.table(s.armCols("", func(arm, p int) float64 { return float64(jobs[arm][p]) })...)
 }
 
 // SubmitTimeline holds the data of Figures 2 and 3: available FDs and
-// cumulative jobs sampled over the run.
+// cumulative jobs, as the cell's flight recorder sampled them.
 type SubmitTimeline struct {
 	FDs  *metrics.Series // available file descriptors
 	Jobs *metrics.Series // cumulative jobs submitted
@@ -304,19 +279,31 @@ func (tl *SubmitTimeline) Table() *metrics.Table {
 }
 
 // RunSubmitTimeline drives TimelineClients clients of discipline d for
-// TimelineWindow, sampling every 5 seconds. fig names the figure row
-// the run belongs to ("fig2"): it prefixes the cell label of the run's
-// metric series, which keeps a figure and another figure's trace
-// companion on the same seed apart in one registry.
+// TimelineWindow and reads the figure back from the cell's flight
+// recorder: Options.Obs, or a registry of its own when that is nil. fig
+// names the figure row the run belongs to ("fig2"): it prefixes the
+// cell label of the run's metric series, which keeps a figure and
+// another figure's trace companion on the same seed apart in one
+// registry.
 func RunSubmitTimeline(opt Options, fig string, d core.Discipline) *SubmitTimeline {
 	subCfg, clCfg := scaledConfigs(opt, d)
-	tl := &SubmitTimeline{
-		FDs:  metrics.NewSeries("avail-fds"),
-		Jobs: metrics.NewSeries("jobs"),
-	}
 	c := opt.cell(fig+"/"+d.String(), opt.seed(), opt.scaleD(TimelineWindow), opt.Chaos, opt.Check)
-	_, tl.Crashes = submitCell(c, opt.scaleN(TimelineClients), subCfg, clCfg, tl, nil)
-	return tl
+	if c.reg == nil {
+		c.reg = obs.New()
+	}
+	_, crashes := submitCell(c, opt.scaleN(TimelineClients), subCfg, clCfg, nil)
+	return &SubmitTimeline{
+		FDs:     c.recorded(MCarrierFree, "avail-fds"),
+		Jobs:    c.recorded(MJobs, "jobs"),
+		Crashes: crashes,
+	}
+}
+
+// recorded reads the cell's series of family back as a figure column:
+// every tick's point, less the one armObs's finish takes after Run.
+func (c cell) recorded(family, name string) *metrics.Series {
+	pts := c.reg.Points(family, c.label)
+	return &metrics.Series{Name: name, Points: pts[:len(pts)-1]}
 }
 
 // Fig2 reproduces "Figure 2: Timeline of Aloha Submitter".
@@ -524,7 +511,11 @@ func readerCell(c cell, rcfg replica.ReaderConfig) *ReaderTimeline {
 		Transfers: metrics.NewSeries("transfers"),
 		Penalty:   metrics.NewSeries(penaltyName),
 	}
-	// Merge per-reader event logs into cumulative series.
+	// Merge per-reader event logs into cumulative series, one point per
+	// event. Unlike Figures 2 and 3 these are not read from the flight
+	// recorder: several events share an instant (fig6_table.golden has
+	// two rows at t=80 and two at t=90), which no fixed-period sampler
+	// can print.
 	var evs []replica.Event
 	for _, r := range readers {
 		evs = append(evs, r.Events...)

@@ -20,7 +20,7 @@ func TestFig1Shapes(t *testing.T) {
 	window := SubmitWindow
 	// jobsAt runs n submitters of discipline d with paper defaults.
 	jobsAt := func(d core.Discipline, n int) int64 {
-		jobs, _ := submitCell(Options{}.cell("submit", 1, window, nil, nil), n, condor.DefaultSubmitterConfig(d), condor.Config{}, nil, nil)
+		jobs, _ := submitCell(Options{}.cell("submit", 1, window, nil, nil), n, condor.DefaultSubmitterConfig(d), condor.Config{}, nil)
 		return jobs
 	}
 	peak := jobsAt(core.Ethernet, 50)

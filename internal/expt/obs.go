@@ -23,7 +23,8 @@ import (
 // read-only timer — it draws no randomness and changes no workload
 // decision — so an instrumented run produces exactly the figures an
 // uninstrumented one does, and with Options.Obs nil the whole layer
-// costs one pointer check per cell.
+// costs one pointer check per cell (Figures 2 and 3, read from it, arm
+// a registry of their own).
 //
 // Determinism contract: on the sim backend every runCells cell
 // instruments a private registry which is merged into Options.Obs in
@@ -49,6 +50,7 @@ const (
 
 	MCarrierOccupancy = "grid_carrier_occupancy"
 	MCarrierInUse     = "grid_carrier_inuse"
+	MCarrierFree      = "grid_carrier_free"
 	MCarrierQueue     = "grid_carrier_queue_depth"
 	MJobs             = "grid_jobs_total"
 	MCrashes          = "grid_crashes_total"
@@ -66,17 +68,9 @@ const (
 	MNetDeduped = "grid_net_deduped_total"
 )
 
-// DefaultObsInterval is the default sampling interval on the backend
-// clock (virtual time): the same 5s cadence the paper's timeline
-// figures use.
-const DefaultObsInterval = 5 * time.Second
-
-func (o Options) obsInterval() time.Duration {
-	if o.ObsInterval <= 0 {
-		return DefaultObsInterval
-	}
-	return o.ObsInterval
-}
+// sampleEvery is the sampling period on the backend clock: that of
+// Figures 2 and 3, which are read from the recorder, so not a setting.
+const sampleEvery = 5 * time.Second
 
 // engineObserver is the backend surface the engine gauges poll; both
 // sim.RT and *live.Engine satisfy it.
@@ -124,12 +118,11 @@ func armObs(c cell, e core.Backend, inst func(sc *obs.Scope)) func() {
 	if inst != nil {
 		inst(sc)
 	}
-	interval := c.opt.obsInterval()
 	var tick func()
 	tick = func() {
 		sc.Sample()
 		if e.Elapsed() < c.window {
-			e.Schedule(interval, tick)
+			e.Schedule(sampleEvery, tick)
 		}
 	}
 	e.Schedule(0, tick)
@@ -159,6 +152,8 @@ func obsCluster(sc *obs.Scope, cl *condor.Cluster) {
 		})
 	sc.GaugeFunc(MCarrierInUse, "Carrier units in use (FD table).",
 		func() float64 { return float64(fds.InUse()) })
+	sc.GaugeFunc(MCarrierFree, "Carrier units free, what an Ethernet submitter senses (FD table).",
+		func() float64 { return float64(fds.Free()) })
 	sc.GaugeFunc(MCarrierQueue, "Processes queued on the carrier (FD table).",
 		func() float64 { return float64(fds.Carrier().QueueLen()) })
 	sc.CounterFunc(MJobs, "Jobs successfully submitted.",

@@ -55,14 +55,20 @@ func TestObsParallelDumpIdentical(t *testing.T) {
 
 // TestObsDoesNotPerturbFigures asserts the sampler is a read-only
 // observer: the same seed yields the same figure with the recorder
-// armed or not.
+// armed or not. Figures 2 and 3 read a registry of their own when Obs
+// is nil.
 func TestObsDoesNotPerturbFigures(t *testing.T) {
-	opt := Options{Seed: 5, Scale: 0.05, Parallel: 1}
-	plain := Fig1(opt)
-	opt.Obs = obs.New()
-	armed := Fig1(opt)
-	if !reflect.DeepEqual(plain, armed) {
-		t.Fatalf("arming the flight recorder changed Figure 1:\nplain %+v\narmed %+v", plain, armed)
+	for i, fig := range []func(Options) any{
+		func(o Options) any { return Fig1(o) },
+		func(o Options) any { return Fig2(o) },
+		func(o Options) any { return Fig3(o) },
+	} {
+		opt := Options{Seed: 5, Scale: 0.05, Parallel: 1}
+		plain := fig(opt)
+		opt.Obs = obs.New()
+		if armed := fig(opt); !reflect.DeepEqual(plain, armed) {
+			t.Fatalf("arming the flight recorder changed Figure %d:\nplain %+v\narmed %+v", i+1, plain, armed)
+		}
 	}
 }
 

@@ -106,6 +106,7 @@ func newServer(h host, cfg Config) *Server {
 		res:  make(map[string]*resource),
 		reg:  obs.New(),
 	}
+	s.reg.SetSeriesCap(obs.DefaultSeriesCap)
 	s.sc = s.reg.NewScope(h.Elapsed)
 	s.mux = s.routes()
 	h.Lock()

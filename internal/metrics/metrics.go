@@ -126,18 +126,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.Points))
 }
 
-// Monotone reports whether the series never decreases — the defining
-// property of a cumulative series (jobs submitted, files consumed). It
-// requires samples in time order, as Add produces.
-func (s *Series) Monotone() bool {
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].V < s.Points[i-1].V {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether two series are sample-for-sample identical:
 // same name, same length, same (T, V) at every index. Determinism tests
 // use it to assert that identical seeds yield identical runs.

@@ -1,6 +1,6 @@
 // Package obs is the flight recorder: a metrics registry whose
 // instruments — polled counters and gauges, grouped into labeled
-// families — are periodically sampled into bounded time series on the
+// families — are periodically sampled into time series on the
 // *backend clock*, then exported as Prometheus text, JSONL/CSV
 // time-series dumps, or served live over HTTP (see export.go and
 // http.go).
@@ -32,7 +32,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,10 +60,10 @@ func (k Kind) String() string {
 	return "gauge"
 }
 
-// DefaultSeriesCap bounds every sampled series (see metrics.Series
-// SetCap): at most this many retained points per series, with
-// count-driven downsampling past it, so even a million-client run's
-// flight record stays small.
+// DefaultSeriesCap bounds a series sampled with no end, such as the
+// gridd daemon's, sampled on every scrape (see metrics.Series SetCap).
+// New keeps every point: a cell's sampler stops at its window, and a
+// figure read back from it must not be downsampled.
 const DefaultSeriesCap = 4096
 
 // Registry is an ordered collection of instrument families. Create one
@@ -75,9 +77,9 @@ type Registry struct {
 	seriesCap int
 }
 
-// New returns an empty registry with the default series cap.
+// New returns an empty registry whose series keep every point.
 func New() *Registry {
-	return &Registry{byName: make(map[string]*Family), seriesCap: DefaultSeriesCap}
+	return &Registry{byName: make(map[string]*Family)}
 }
 
 // SetSeriesCap bounds every series created from now on to at most n
@@ -100,13 +102,19 @@ type Family struct {
 	byKey      map[string]*Polled
 }
 
-// family finds or creates a family under the registry lock.
+// family finds or creates a family under the registry lock. A name
+// registered again with another help, kind or label keys panics.
 func (r *Registry) family(name, help string, kind Kind, keys []string) *Family {
 	f, ok := r.byName[name]
 	if !ok {
 		f = &Family{name: name, help: help, kind: kind, keys: keys, byKey: make(map[string]*Polled)}
 		r.fams = append(r.fams, f)
 		r.byName[name] = f
+		return f
+	}
+	if f.help != help || f.kind != kind || !slices.Equal(f.keys, keys) {
+		panic(fmt.Sprintf("obs: family %s registered as %s %q {%s}, then as %s %q {%s}",
+			name, f.kind, f.help, strings.Join(f.keys, ","), kind, help, strings.Join(keys, ",")))
 	}
 	return f
 }
@@ -317,6 +325,23 @@ func (r *Registry) CurrentTotal(name string) float64 {
 		sum += c.Value()
 	}
 	return sum
+}
+
+// Points returns a copy of the points sampled by the named family's
+// instrument with label values vals (nil when there is none): how a
+// figure reads back the series its cell recorded.
+func (r *Registry) Points(name string, vals ...string) []metrics.Point {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.byName[name]; ok {
+		if p, ok := f.byKey[labelKey(vals)]; ok {
+			return slices.Clone(p.series.Points)
+		}
+	}
+	return nil
 }
 
 // SeriesCount reports the total number of sampled series (for /healthz).

@@ -162,6 +162,36 @@ func TestGaugeFuncRegisteredTwicePanics(t *testing.T) {
 	t.Fatal("second registration of depth{cell=fig1/Ethernet/n1} did not panic")
 }
 
+// TestFamilyMismatchPanics: registering a family name again with
+// another kind, help text or label keys panics, naming the family, from
+// a scope and from Merge alike.
+func TestFamilyMismatchPanics(t *testing.T) {
+	clk := &fakeClock{}
+	panicked := func(f func()) (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		f()
+		return ""
+	}
+	for i, again := range []func(*Scope){
+		func(s *Scope) { s.GaugeFunc("n_total", "n", nil) },
+		func(s *Scope) { s.CounterFunc("n_total", "another n", nil) },
+		func(s *Scope) { s.CounterFunc("n_total", "n", nil, "server", "xxx") },
+	} {
+		r, o := New(), New()
+		r.NewScope(clk.now, "cell", "a").CounterFunc("n_total", "n", nil)
+		r.NewScope(clk.now, "cell", "b").CounterFunc("n_total", "n", nil) // the same family
+		again(o.NewScope(clk.now, "cell", "c"))
+		for via, f := range map[string]func(){
+			"scope": func() { again(r.NewScope(clk.now, "cell", "c")) },
+			"merge": func() { r.Merge(o) },
+		} {
+			if msg := panicked(f); !strings.HasPrefix(msg, "obs: family n_total registered as counter") {
+				t.Errorf("mismatch %d via %s recovered %q, want a panic naming the family", i, via, msg)
+			}
+		}
+	}
+}
+
 func TestWriteProm(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}

@@ -85,6 +85,82 @@ func TestTimelineIsTheRecordersSeries(t *testing.T) {
 	}
 }
 
+// TestReaderTimelineIsTheTrace: Figures 6 and 7 have one row per
+// instant at which the figure's own process (Aloha, Ethernet) emitted a
+// success or penalty event into the trace, and each row is the
+// cumulative count of each kind at that instant. The tracing companions
+// put the other disciplines in the same file, under other processes.
+func TestReaderTimelineIsTheTrace(t *testing.T) {
+	for _, tc := range []struct{ fig, proc, penalty string }{
+		{"6", "Aloha", "collision"},
+		{"7", "Ethernet", "defer"},
+	} {
+		path := filepath.Join(t.TempDir(), "x.jsonl")
+		code, out, errOut := cli(t, "-fig", tc.fig, "-scale", "0.2", "-trace", path)
+		b, err := os.ReadFile(path)
+		if code != 0 || err != nil {
+			t.Fatalf("-fig %s: code=%d stderr=%q read: %v", tc.fig, code, errOut, err)
+		}
+		type count struct {
+			at        time.Duration
+			done, pen float64
+		}
+		var counts []count // one per instant, cumulative
+		pid := -1
+		var done, pen float64
+		for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+			var rec struct {
+				Proc *struct {
+					PID  int
+					Name string
+				}
+				T   int64
+				K   string
+				PID int
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("%v: %s", err, line)
+			}
+			if rec.Proc != nil && rec.Proc.Name == tc.proc {
+				pid = rec.Proc.PID
+			}
+			if rec.K == "" || rec.PID != pid || rec.K != "success" && rec.K != tc.penalty {
+				continue
+			}
+			if rec.K == "success" {
+				done++
+			} else {
+				pen++
+			}
+			at := time.Duration(rec.T)
+			if n := len(counts); n > 0 && counts[n-1].at == at {
+				counts = counts[:n-1]
+			}
+			counts = append(counts, count{at, done, pen})
+		}
+		var rows int
+		for _, line := range strings.Split(out, "\n") {
+			var t0 string
+			var d, p float64
+			if n, _ := fmt.Sscan(line, &t0, &d, &p); n != 3 {
+				continue
+			}
+			if rows >= len(counts) {
+				t.Fatalf("-fig %s: row %d %q has no instant in the trace", tc.fig, rows, line)
+			}
+			c := counts[rows]
+			if want := fmt.Sprintf("%.0f", c.at.Seconds()); t0 != want || d != c.done || p != c.pen {
+				t.Fatalf("-fig %s: row %d %q; the trace has %v transfers and %v %s events at %v",
+					tc.fig, rows, line, c.done, c.pen, tc.penalty, c.at)
+			}
+			rows++
+		}
+		if rows == 0 || rows != len(counts) {
+			t.Fatalf("-fig %s: %d rows for %d instants in the trace", tc.fig, rows, len(counts))
+		}
+	}
+}
+
 // TestMetricsDumpFormats runs one small figure per dump format and
 // checks each file carries that format's signature.
 func TestMetricsDumpFormats(t *testing.T) {

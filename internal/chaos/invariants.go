@@ -17,11 +17,13 @@ import (
 //     below its carrier threshold for longer than one backoff epoch
 //     (dips happen — in-flight work completes after sensing — but the
 //     discipline must pull free capacity back above the floor);
-//   - progress: virtual time always advances — the run reaches its
-//     horizon instead of deadlocking early, and no client population
-//     burns unbounded events at a standing clock (livelock);
+//   - liveness: the run reaches its horizon instead of deadlocking
+//     early (a run that never quiesces fails in the engine itself, at
+//     its event bound);
 //   - monotonicity: cumulative observables (jobs, transfers, files
 //     consumed) never decrease;
+//   - no-starvation, no-double-alloc, conservation and heal-liveness:
+//     the lease, fencing and partition properties (see their methods);
 //   - determinism: identical seeds yield identical series — asserted
 //     by tests via metrics.Series.Equal on double runs.
 
@@ -74,28 +76,24 @@ func (r *Recorder) Err() error {
 // virtual-time tick. Construct with NewInvariants, register checks,
 // call Start before the run and Finish after Run returns.
 type Invariants struct {
-	eng   core.Backend
-	rec   *Recorder
-	every time.Duration
+	eng core.Backend
+	rec *Recorder
 
 	ticks   []func(now time.Duration)
 	horizon time.Duration // see Horizon; 0 checks nothing
 }
 
-// DefaultSampleEvery is the default invariant sampling cadence.
-const DefaultSampleEvery = time.Second
+// sampleEvery is the checks' sampling tick, in virtual time.
+const sampleEvery = time.Second
 
-// NewInvariants returns a checker sampling every sampleEvery of virtual
-// time ( <= 0 selects DefaultSampleEvery), recording violations into
-// rec (nil allocates a private recorder, readable via Recorder()).
-func NewInvariants(e core.Backend, rec *Recorder, sampleEvery time.Duration) *Invariants {
+// NewInvariants returns a checker sampling every second of virtual
+// time, recording violations into rec (nil allocates a private
+// recorder, readable via Recorder()).
+func NewInvariants(e core.Backend, rec *Recorder) *Invariants {
 	if rec == nil {
 		rec = &Recorder{}
 	}
-	if sampleEvery <= 0 {
-		sampleEvery = DefaultSampleEvery
-	}
-	return &Invariants{eng: e, rec: rec, every: sampleEvery}
+	return &Invariants{eng: e, rec: rec}
 }
 
 // Recorder returns the recorder violations are written to.
@@ -122,7 +120,7 @@ func (inv *Invariants) CarrierFloor(name string, free func() int, floor func() i
 			reported = false
 			return
 		}
-		below += inv.every
+		below += sampleEvery
 		if below > maxBelow && !reported {
 			reported = true
 			inv.violate("carrier-floor", now, "%s: free=%d below floor %d for %v (budget %v)",
@@ -245,22 +243,6 @@ func (inv *Invariants) HealLiveness(name string, value func() float64, healAt, b
 // it — which no retry discipline is ever allowed to do.
 func (inv *Invariants) Horizon(window time.Duration) { inv.horizon = window }
 
-// EventBudget asserts that no sampling interval burns more than
-// maxPerTick scheduling events: a bound on livelock, where virtual time
-// technically advances but the population spins pathologically. Budgets
-// should be generous — Fixed clients legitimately hammer.
-func (inv *Invariants) EventBudget(maxPerTick int64) {
-	last := inv.eng.Events()
-	inv.ticks = append(inv.ticks, func(now time.Duration) {
-		n := inv.eng.Events()
-		if n-last > maxPerTick {
-			inv.violate("event-budget", now, "%d events in one %v tick (budget %d): livelock",
-				n-last, inv.every, maxPerTick)
-		}
-		last = n
-	})
-}
-
 // Start schedules the sampling loop. It must be called before the
 // engine runs (or under the engine token); sampling stops when ctx is
 // canceled, letting the engine quiesce at the end of the window.
@@ -274,9 +256,9 @@ func (inv *Invariants) Start(ctx context.Context) {
 		for _, f := range inv.ticks {
 			f(now)
 		}
-		inv.eng.Schedule(inv.every, tick)
+		inv.eng.Schedule(sampleEvery, tick)
 	}
-	inv.eng.Schedule(inv.every, tick)
+	inv.eng.Schedule(sampleEvery, tick)
 }
 
 // Finish runs Horizon's check. Call it after Engine.Run returns.

@@ -22,7 +22,7 @@ func runFor(t *testing.T, e *sim.Engine, window time.Duration) {
 func TestMonotoneDetectsDecrease(t *testing.T) {
 	e := sim.New(1)
 	rec := &Recorder{}
-	inv := NewInvariants(e.RT(), rec, time.Second)
+	inv := NewInvariants(e.RT(), rec)
 	v := 0.0
 	inv.Monotone("jobs", func() float64 { return v })
 	e.Schedule(1500*time.Millisecond, func() { v = 10 })
@@ -42,7 +42,7 @@ func TestMonotoneDetectsDecrease(t *testing.T) {
 
 func TestMonotonePassesOnIncrease(t *testing.T) {
 	e := sim.New(1)
-	inv := NewInvariants(e.RT(), nil, time.Second)
+	inv := NewInvariants(e.RT(), nil)
 	v := 0.0
 	inv.Monotone("jobs", func() float64 { return v })
 	for i := 1; i <= 4; i++ {
@@ -62,7 +62,7 @@ func TestMonotonePassesOnIncrease(t *testing.T) {
 func TestCarrierFloorFlagsSustainedExcursion(t *testing.T) {
 	e := sim.New(1)
 	rec := &Recorder{}
-	inv := NewInvariants(e.RT(), rec, time.Second)
+	inv := NewInvariants(e.RT(), rec)
 	free := 100
 	inv.CarrierFloor("fds", func() int { return free }, func() int { return 50 }, 5*time.Second)
 	e.Schedule(10*time.Second, func() { free = 10 }) // sustained dip, never recovers
@@ -85,7 +85,7 @@ func TestCarrierFloorFlagsSustainedExcursion(t *testing.T) {
 func TestCarrierFloorToleratesBriefDip(t *testing.T) {
 	e := sim.New(1)
 	rec := &Recorder{}
-	inv := NewInvariants(e.RT(), rec, time.Second)
+	inv := NewInvariants(e.RT(), rec)
 	free := 100
 	inv.CarrierFloor("fds", func() int { return free }, func() int { return 50 }, 5*time.Second)
 	e.Schedule(10*time.Second, func() { free = 10 })
@@ -103,7 +103,7 @@ func TestCarrierFloorToleratesBriefDip(t *testing.T) {
 func TestHorizonFlagsEarlyQuiesce(t *testing.T) {
 	e := sim.New(1)
 	rec := &Recorder{}
-	inv := NewInvariants(e.RT(), rec, time.Second)
+	inv := NewInvariants(e.RT(), rec)
 	inv.Horizon(time.Minute)
 	// No work scheduled beyond 10s: the "run" deadlocks early.
 	runFor(t, e, 10*time.Second)
@@ -113,33 +113,6 @@ func TestHorizonFlagsEarlyQuiesce(t *testing.T) {
 	}
 	if got := rec.Violations[0].Check; got != "liveness" {
 		t.Errorf("check = %q, want liveness", got)
-	}
-}
-
-func TestEventBudgetFlagsLivelock(t *testing.T) {
-	e := sim.New(1)
-	rec := &Recorder{}
-	inv := NewInvariants(e.RT(), rec, time.Second)
-	inv.EventBudget(100)
-	// Spin thousands of zero-advance events inside one tick.
-	var spin func(n int)
-	spin = func(n int) {
-		if n == 0 {
-			return
-		}
-		e.Schedule(0, func() { spin(n - 1) })
-	}
-	e.Schedule(1500*time.Millisecond, func() { spin(1000) })
-	ctx, cancel := context.WithCancel(context.Background())
-	inv.Start(ctx)
-	e.Schedule(5*time.Second, cancel)
-	runFor(t, e, 5*time.Second)
-	inv.Finish()
-	if rec.Ok() {
-		t.Fatal("event spike not flagged as livelock")
-	}
-	if got := rec.Violations[0].Check; got != "event-budget" {
-		t.Errorf("check = %q, want event-budget", got)
 	}
 }
 

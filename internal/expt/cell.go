@@ -99,7 +99,7 @@ func (c cell) run(s scenario) {
 	}
 	var inv *chaos.Invariants
 	if rec != nil {
-		inv = chaos.NewInvariants(e, rec, 0)
+		inv = chaos.NewInvariants(e, rec)
 		s.checks(inv)
 		inv.Start(ctx)
 	}

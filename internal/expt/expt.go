@@ -8,7 +8,6 @@ package expt
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"repro/internal/chaos"
@@ -444,6 +443,10 @@ func RunReaderTimeline(opt Options, fig string, d core.Discipline) *ReaderTimeli
 // entry point of the scenario: Figures 6 and 7, the probe-timeout
 // ablation and the chaos sweeps are built from it.
 func readerCell(c cell, rcfg replica.ReaderConfig) *ReaderTimeline {
+	// The readers always trace, into a tracer of the cell's own, which is
+	// merged into the one the cell was given (if any) after the run.
+	into := c.tr
+	c.tr = trace.New()
 	var servers []*replica.Server
 	var books []*lease.Book
 	readers := make([]*replica.Reader, ReaderClients)
@@ -497,38 +500,34 @@ func readerCell(c cell, rcfg replica.ReaderConfig) *ReaderTimeline {
 		},
 	})
 
-	penaltyName := "collisions"
-	penaltyKind := replica.EvCollision
+	penaltyName, penaltyKind := "collisions", trace.KCollision
 	switch rcfg.Discipline {
 	case core.Ethernet:
-		penaltyName = "deferrals"
-		penaltyKind = replica.EvDeferral
+		penaltyName, penaltyKind = "deferrals", trace.KDefer
 	case core.Reservation:
-		penaltyName = "rejections"
-		penaltyKind = replica.EvRejection
+		penaltyName, penaltyKind = "rejections", trace.KReject
 	}
 	tl := &ReaderTimeline{
 		Transfers: metrics.NewSeries("transfers"),
 		Penalty:   metrics.NewSeries(penaltyName),
 	}
-	// Merge per-reader event logs into cumulative series, one point per
-	// event. Unlike Figures 2 and 3 these are not read from the flight
-	// recorder: several events share an instant (fig6_table.golden has
-	// two rows at t=80 and two at t=90), which no fixed-period sampler
-	// can print.
-	var evs []replica.Event
 	for _, r := range readers {
-		evs = append(evs, r.Events...)
 		tl.TotalCollisions += r.Collisions
 		tl.TotalDeferrals += r.Deferrals
 		tl.TotalRejections += r.Rejections
 		tl.TotalTransfers += r.Done
 	}
-	sortEvents(evs)
+	// The cumulative series are counts of the cell's own trace, one point
+	// per event; only the readers emit these kinds, in time order. Unlike
+	// Figures 2 and 3 they are not read from the flight recorder: several
+	// events share an instant (fig6_table.golden has two rows at t=80 and
+	// two at t=90), which no fixed-period sampler can print. A cell's
+	// tracer must therefore keep every event: a bounded (ring) recorder
+	// would drop rows of these figures.
 	nT, nP := 0, 0
-	for _, ev := range evs {
+	for _, ev := range c.tr.Events() {
 		switch ev.Kind {
-		case replica.EvTransfer:
+		case trace.KSuccess:
 			nT++
 			tl.Transfers.Add(ev.At, float64(nT))
 		case penaltyKind:
@@ -536,12 +535,8 @@ func readerCell(c cell, rcfg replica.ReaderConfig) *ReaderTimeline {
 			tl.Penalty.Add(ev.At, float64(nP))
 		}
 	}
+	into.Merge(c.tr)
 	return tl
-}
-
-// sortEvents orders events by time (stable for equal times).
-func sortEvents(evs []replica.Event) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 }
 
 // Fig6 reproduces "Figure 6: Aloha File Reader".

@@ -83,7 +83,7 @@ func netBufferCell(t *testing.T, opt Options, seed int64, window time.Duration, 
 	ctx, cancel := e.WithTimeout(e.Context(), window)
 	defer cancel()
 	plan.Arm(e, chaos.Targets{Window: window, Buffer: b, Allocator: alloc})
-	inv := chaos.NewInvariants(e, rec, 0)
+	inv := chaos.NewInvariants(e, rec)
 	ten := alloc.Tenure()
 	inv.NoDoubleAlloc("reservation", ten.Outstanding, ten.Capacity)
 	if opt.Backend != BackendLive {
@@ -125,7 +125,7 @@ func netReaderCell(t *testing.T, opt Options, seed int64, window time.Duration, 
 	ctx, cancel := e.WithTimeout(e.Context(), window)
 	defer cancel()
 	plan.Arm(e, chaos.Targets{Window: window, Servers: servers})
-	inv := chaos.NewInvariants(e, rec, 0)
+	inv := chaos.NewInvariants(e, rec)
 	for _, s := range servers {
 		lane := s.Lane()
 		inv.NoDoubleAlloc("lane-"+s.Name, lane.Outstanding, lane.Capacity)

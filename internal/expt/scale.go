@@ -195,7 +195,7 @@ func runScale(c cell, n int) *ScaleCellResult {
 
 	var inv *chaos.Invariants
 	if c.rec != nil {
-		inv = chaos.NewInvariants(e.RT(), c.rec, 0)
+		inv = chaos.NewInvariants(e.RT(), c.rec)
 		inv.Monotone("jobs", func() float64 { return float64(s.jobs) })
 		inv.Monotone("attempts", func() float64 { return float64(s.attempts) })
 		inv.Horizon(s.window)

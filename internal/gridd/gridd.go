@@ -67,13 +67,6 @@ type Server struct {
 	order    []*resource // creation order, for deterministic iteration
 	draining bool
 
-	// reg is the daemon's flight recorder and sc its one scope: every
-	// resource registers its families there when it is created, and
-	// /metrics samples it. Both happen under the host's lock, so the
-	// lock order is host, then registry, everywhere.
-	reg *obs.Registry
-	sc  *obs.Scope
-
 	mux *http.ServeMux // the codec over the operations (http.go)
 }
 
@@ -104,10 +97,7 @@ func newServer(h host, cfg Config) *Server {
 	s := &Server{
 		host: h,
 		res:  make(map[string]*resource),
-		reg:  obs.New(),
 	}
-	s.reg.SetSeriesCap(obs.DefaultSeriesCap)
-	s.sc = s.reg.NewScope(h.Elapsed)
 	s.mux = s.routes()
 	h.Lock()
 	defer h.Unlock()
@@ -245,8 +235,8 @@ type held struct {
 }
 
 // createLocked creates or resizes a resource. Only capacity changes on
-// an existing resource; everything else, its metric families included,
-// is fixed at first creation so re-creates are idempotent.
+// an existing resource; everything else is fixed at first creation so
+// re-creates are idempotent.
 func (s *Server) createLocked(rc ResourceConfig) {
 	if r, ok := s.res[rc.Name]; ok {
 		if rc.Capacity > 0 && rc.Capacity != r.mgr.Capacity() {
@@ -265,12 +255,16 @@ func (s *Server) createLocked(rc ResourceConfig) {
 	r.mgr.SetWire(quietWire{}, rc.Name, !rc.Unfenced)
 	r.mgr.OnRevoke(func(l lease.Lease) { delete(r.leases, l.Epoch()) })
 	r.book.OnRetire(func(b *lease.Reservation) { delete(r.bookings, b.ID()) })
-	r.mgr.Observe(s.sc, rc.Name)
-	r.book.Observe(s.sc, rc.Name)
-	s.sc.CounterFunc("gridd_phantoms_total", "Grants admitted past ground-truth capacity.",
-		func() float64 { return float64(r.phantoms) }, "resource", rc.Name)
 	s.res[rc.Name] = r
 	s.order = append(s.order, r)
+}
+
+// observe registers the resource's metric families with sc.
+func (r *resource) observe(sc *obs.Scope) {
+	r.mgr.Observe(sc, r.cfg.Name)
+	r.book.Observe(sc, r.cfg.Name)
+	sc.CounterFunc("gridd_phantoms_total", "Grants admitted past ground-truth capacity.",
+		func() float64 { return float64(r.phantoms) }, "resource", r.cfg.Name)
 }
 
 // admit enters a fresh lease in the id table and renders it for the

@@ -606,13 +606,17 @@ func TestMetricsAndHealthz(t *testing.T) {
 	if _, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "a", Units: 3}); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return string(body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(body)
+	text := scrape()
 	for _, want := range []string{
 		`grid_lease_capacity_units{resource="fds"} 4`,
 		`grid_lease_units_inuse{resource="fds"} 3`,
@@ -624,6 +628,21 @@ func TestMetricsAndHealthz(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, text)
 		}
+	}
+	// A resource created over the wire after a scrape is in the next one.
+	if strings.Contains(text, `resource="disk"`) {
+		t.Fatalf("/metrics shows disk before it exists:\n%s", text)
+	}
+	if err := c.CreateResource(ctx, gridd.CreateRequest{Name: "disk", Capacity: 5}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	text = scrape()
+	if want := `grid_lease_capacity_units{resource="disk"} 5`; !strings.Contains(text, want) {
+		t.Fatalf("/metrics missing %s after create:\n%s", want, text)
+	}
+	// Nothing happened between these two scrapes, so they agree.
+	if again := scrape(); again != text {
+		t.Fatalf("idle scrapes differ:\n%s\n---\n%s", text, again)
 	}
 	h, err := c.Healthz(ctx)
 	if err != nil || h["status"] != "ok" {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	"repro/internal/lease"
+	"repro/internal/obs"
 )
 
 // Handler returns the daemon's HTTP surface, one codec over the
@@ -127,12 +128,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleMetrics samples every resource's families under the lock, then
-// writes the samples after letting go.
+// handleMetrics registers every resource's families, in creation
+// order, with a registry of the scrape's own and samples them once
+// under the lock, then writes the samples after letting go. The daemon
+// keeps no series between scrapes.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	reg := obs.New()
 	s.host.Lock()
-	s.sc.Sample()
+	sc := reg.NewScope(s.host.Elapsed)
+	for _, r := range s.order {
+		r.observe(sc)
+	}
+	sc.Sample()
 	s.host.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WriteProm(w)
+	_ = reg.WriteProm(w)
 }

@@ -56,13 +56,16 @@ func TestTimerFiresAndCancels(t *testing.T) {
 	e := New(1, ts)
 	var fired, canceled atomic.Int64
 	e.Schedule(time.Second, func() { fired.Add(1) })
-	tm := e.Schedule(time.Second, func() { canceled.Add(1) })
+	// Canceled before Run: Run still arms it, and its callback finds it stopped.
+	e.Schedule(time.Second, func() { canceled.Add(1) }).Cancel()
 	e.Spawn("driver", func(p core.Proc) {
-		tm.Cancel() // before Run arms it for real: still pending
-		// Run drops timers still pending when the last process exits,
+		// Armed and canceled in one step: the callback, due at once,
+		// needs the engine lock, which this process holds until it sleeps.
+		e.Schedule(0, func() { canceled.Add(1) }).Cancel()
+		// Run drains timers still pending when the last process exits,
 		// and real timers resolve no finer than ~1.25ms: keep the
 		// process alive for 5 virtual minutes (30ms real) so the
-		// 1-virtual-second timer is far inside the window.
+		// 1-virtual-second timer fires on its own, far inside the window.
 		p.SleepFor(5 * time.Minute)
 	})
 	if err := e.Run(); err != nil {

@@ -20,62 +20,18 @@ type Point struct {
 }
 
 // Series is an append-only time series with a name used in table output.
-// By default it retains every sample; SetCap bounds its memory so
-// clock-sampled series survive arbitrarily long runs (see Add).
+// It retains every sample.
 type Series struct {
 	Name   string
 	Points []Point
-
-	// cap bounds len(Points); 0 (the default) retains everything.
-	cap int
-	// stride is the current downsampling factor: only every stride-th
-	// Add is recorded once the cap has been hit. Zero means 1.
-	stride int64
-	// tick counts Adds since the stride was last consulted.
-	tick int64
 }
 
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
-// SetCap bounds the series to at most n retained points. When an Add
-// would grow past the cap, the series halves itself in place (keeping
-// every other point) and doubles its sampling stride, so from then on
-// only every stride-th Add is recorded: memory stays O(cap) while the
-// retained points still span the whole run. n <= 0 restores the
-// default unbounded behavior (an already-raised stride is kept).
-// Downsampling is purely count-driven, so identical Add sequences
-// yield identical retained points — the determinism tests rely on it.
-func (s *Series) SetCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.cap = n
-	if s.stride == 0 {
-		s.stride = 1
-	}
-}
-
-// Add appends a sample, downsampling when a cap is set (see SetCap).
+// Add appends a sample.
 func (s *Series) Add(t time.Duration, v float64) {
-	if s.cap > 0 {
-		s.tick++
-		if s.stride > 1 && s.tick%s.stride != 0 {
-			return
-		}
-	}
 	s.Points = append(s.Points, Point{T: t, V: v})
-	if s.cap > 0 && len(s.Points) >= s.cap {
-		half := s.Points[:0]
-		for i := 0; i < len(s.Points); i += 2 {
-			half = append(half, s.Points[i])
-		}
-		s.Points = half
-		if s.stride < 1 {
-			s.stride = 1
-		}
-		s.stride *= 2
-	}
 }
 
 // Len reports the number of samples.

@@ -143,61 +143,19 @@ func TestHistogramReservoirBoundedDeterministic(t *testing.T) {
 	}
 }
 
-// A bounded series must stay within its cap no matter how many samples
-// are added — the flight recorder's guard for million-client runs.
-func TestSeriesCapBounds10MPoints(t *testing.T) {
-	const cap = 4096
-	s := NewSeries("events")
-	s.SetCap(cap)
-	const n = 10_000_000
-	for i := 0; i < n; i++ {
-		s.Add(time.Duration(i)*time.Millisecond, float64(i))
-	}
-	if s.Len() > cap {
-		t.Fatalf("len = %d exceeds cap %d after %d adds", s.Len(), cap, n)
-	}
-	if s.Len() < cap/4 {
-		t.Fatalf("len = %d; downsampling dropped too much (cap %d)", s.Len(), cap)
-	}
-	// Retained points must still be in time order and span the run.
-	for i := 1; i < s.Len(); i++ {
-		if s.Points[i].T <= s.Points[i-1].T {
-			t.Fatalf("points out of order at %d", i)
-		}
-	}
-	if s.Points[0].T != 0 {
-		t.Errorf("first point = %v, want 0", s.Points[0].T)
-	}
-	if last := s.Last().T; last < time.Duration(n/2)*time.Millisecond {
-		t.Errorf("last retained point %v does not span the run", last)
-	}
-}
-
-// Downsampling is count-driven, so two identical Add sequences retain
-// identical points — the parallel-vs-serial merge equality depends on it.
-func TestSeriesCapDeterministic(t *testing.T) {
-	a, b := NewSeries("a"), NewSeries("b")
-	a.SetCap(64)
-	b.SetCap(64)
-	for i := 0; i < 10_000; i++ {
-		a.Add(time.Duration(i)*time.Second, float64(i*i%913))
-		b.Add(time.Duration(i)*time.Second, float64(i*i%913))
-	}
-	if len(a.Points) != len(b.Points) {
-		t.Fatalf("lengths differ: %d vs %d", len(a.Points), len(b.Points))
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatalf("point %d differs: %v vs %v", i, a.Points[i], b.Points[i])
-		}
-	}
-	// Unbounded series keep everything, exactly as before.
+// A series keeps every point it is given, in the order given.
+func TestSeriesKeepsEveryPoint(t *testing.T) {
 	u := NewSeries("u")
 	for i := 0; i < 1000; i++ {
-		u.Add(time.Duration(i), 1)
+		u.Add(time.Duration(i), float64(i))
 	}
 	if u.Len() != 1000 {
-		t.Errorf("unbounded series dropped points: %d", u.Len())
+		t.Fatalf("series dropped points: %d", u.Len())
+	}
+	for i, p := range u.Points {
+		if p != (Point{T: time.Duration(i), V: float64(i)}) {
+			t.Fatalf("point %d = %v", i, p)
+		}
 	}
 }
 

@@ -36,30 +36,6 @@ func TestNilHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEnabledHotPathZeroAlloc: the armed recorder's recurring cost is
-// one Sample per interval, and once its series have reached their cap
-// (downsampling in place) a Sample allocates nothing.
-func TestEnabledHotPathZeroAlloc(t *testing.T) {
-	r := New()
-	r.SetSeriesCap(64)
-	clk := &fakeClock{}
-	sc := r.NewScope(clk.now, "cell", "0")
-	var n int64
-	sc.CounterFunc("c_total", "c", func() float64 { return float64(n) })
-	sc.GaugeFunc("g", "g", func() float64 { return 2 })
-	for i := 0; i < 1024; i++ {
-		clk.t += time.Millisecond
-		sc.Sample()
-	}
-	if a := testing.AllocsPerRun(1000, func() {
-		n++
-		clk.t += time.Millisecond
-		sc.Sample()
-	}); a != 0 {
-		t.Fatalf("armed Scope.Sample at cap: %v allocs/op, want 0", a)
-	}
-}
-
 func BenchmarkScopeSample(b *testing.B) {
 	r := New()
 	clk := &fakeClock{}

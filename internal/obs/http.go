@@ -13,9 +13,9 @@ import (
 
 // Server is the live observability endpoint: /metrics (Prometheus
 // text), /healthz (JSON), and the net/http/pprof handlers under
-// /debug/pprof/. It is only meaningful on the live backend — the
-// simulator has no wall-clock concurrency to observe — and is the
-// embryo of the ROADMAP's gridd daemon.
+// /debug/pprof/, for a gridbench run's registry (-obs-addr). It is only
+// meaningful on a wall-clock backend — the simulator has no wall-clock
+// concurrency to observe. The gridd daemon serves its own /metrics.
 type Server struct {
 	ln    net.Listener
 	srv   *http.Server

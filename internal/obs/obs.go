@@ -60,37 +60,19 @@ func (k Kind) String() string {
 	return "gauge"
 }
 
-// DefaultSeriesCap bounds a series sampled with no end, such as the
-// gridd daemon's, sampled on every scrape (see metrics.Series SetCap).
-// New keeps every point: a cell's sampler stops at its window, and a
-// figure read back from it must not be downsampled.
-const DefaultSeriesCap = 4096
-
 // Registry is an ordered collection of instrument families. Create one
 // with New, carve per-cell Scopes with NewScope, and export with
 // WriteProm / WriteJSONL / WriteCSV. The zero registry is not valid;
 // a nil *Registry is, and disables everything downstream.
 type Registry struct {
-	mu        sync.Mutex
-	fams      []*Family
-	byName    map[string]*Family
-	seriesCap int
+	mu     sync.Mutex
+	fams   []*Family
+	byName map[string]*Family
 }
 
 // New returns an empty registry whose series keep every point.
 func New() *Registry {
 	return &Registry{byName: make(map[string]*Family)}
-}
-
-// SetSeriesCap bounds every series created from now on to at most n
-// retained points (n <= 0 means unbounded). Call before instrumenting.
-func (r *Registry) SetSeriesCap(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.seriesCap = n
-	r.mu.Unlock()
 }
 
 // Family is one named group of instruments sharing label keys.
@@ -174,8 +156,7 @@ func (p *Polled) sample(t time.Duration) {
 }
 
 // mergeFrom folds another registry's instrument of the same identity
-// into p: its points follow p's, and its last sample becomes p's (the
-// per-series cap applies to future samples, not to an explicit merge).
+// into p: its points follow p's, and its last sample becomes p's.
 func (p *Polled) mergeFrom(o *Polled) {
 	p.last.Store(o.last.Load())
 	p.series.Points = append(p.series.Points, o.series.Points...)
@@ -257,9 +238,7 @@ func (s *Scope) polled(kind Kind, name, help string, fn func() float64, kv []str
 	if _, ok := f.byKey[key]; ok {
 		panic("obs: polled instrument " + seriesName(name, keys, vals) + " registered twice")
 	}
-	series := metrics.NewSeries(seriesName(name, keys, vals))
-	series.SetCap(s.r.seriesCap)
-	p := &Polled{fn: fn, vals: vals, series: series}
+	p := &Polled{fn: fn, vals: vals, series: metrics.NewSeries(seriesName(name, keys, vals))}
 	f.children = append(f.children, p)
 	f.byKey[key] = p
 	s.items = append(s.items, p)

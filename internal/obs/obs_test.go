@@ -251,25 +251,6 @@ func TestWriteJSONLAndCSV(t *testing.T) {
 	}
 }
 
-func TestSeriesCapAppliesToSampledSeries(t *testing.T) {
-	r := New()
-	r.SetSeriesCap(64)
-	clk := &fakeClock{}
-	s := r.NewScope(clk.now)
-	i := 0
-	s.CounterFunc("g_total", "g", func() float64 { return float64(i) })
-	for ; i < 100000; i++ {
-		clk.t += time.Millisecond
-		s.Sample()
-	}
-	r.mu.Lock()
-	n := len(r.fams[0].children[0].series.Points)
-	r.mu.Unlock()
-	if n > 64 {
-		t.Fatalf("sampled series grew to %d points, cap 64", n)
-	}
-}
-
 func TestServeEndpoints(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}

@@ -303,25 +303,6 @@ type Reader struct {
 	// Rejections counts reservation requests a full book refused — like
 	// a deferral, the client was diverted without consuming the server.
 	Rejections int64
-	// Events records each occurrence for timeline figures.
-	Events []Event
-}
-
-// EventKind labels reader timeline events.
-type EventKind int
-
-// Reader event kinds, matching the paper's Figure 6/7 legends.
-const (
-	EvTransfer EventKind = iota
-	EvCollision
-	EvDeferral
-	EvRejection
-)
-
-// Event is a timestamped reader event.
-type Event struct {
-	Kind EventKind
-	At   time.Duration
 }
 
 // ReadOnce performs one work unit: fetch the file from any server,
@@ -347,7 +328,6 @@ func (r *Reader) ReadOnce(p core.Proc, ctx context.Context, servers []*Server, c
 						return ctx.Err()
 					}
 					r.Deferrals++
-					r.Events = append(r.Events, Event{Kind: EvDeferral, At: p.Elapsed()})
 					tr.Defer(srv.Name)
 					return core.Deferred(srv.Name)
 				}
@@ -363,12 +343,10 @@ func (r *Reader) ReadOnce(p core.Proc, ctx context.Context, servers []*Server, c
 					return ctx.Err()
 				}
 				r.Collisions++
-				r.Events = append(r.Events, Event{Kind: EvCollision, At: p.Elapsed()})
 				tr.Collision(srv.Name)
 				return core.Collision(srv.Name, derr)
 			}
 			r.Done++
-			r.Events = append(r.Events, Event{Kind: EvTransfer, At: p.Elapsed()})
 			tr.Success()
 			return nil
 		})

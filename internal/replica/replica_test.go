@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func mkServers(e *sim.Engine, cfg Config, blackHoleFirst bool) []*Server {
@@ -196,8 +197,24 @@ func TestProbeCountsOnServers(t *testing.T) {
 	}
 }
 
+// tally counts a traced reader's events by kind, or returns ok false
+// if they are not in time order. Figures 6 and 7 are these counts.
+func tally(tr *trace.Tracer) (n map[trace.Kind]int64, ok bool) {
+	n = map[trace.Kind]int64{}
+	last := time.Duration(-1)
+	for _, ev := range tr.Events() {
+		if ev.At < last {
+			return nil, false
+		}
+		last = ev.At
+		n[ev.Kind]++
+	}
+	return n, true
+}
+
 // Property: a reader loop never records more transfers than the window
-// could physically hold, and events are time-ordered.
+// could physically hold, its trace is time-ordered, and the trace counts
+// each transfer, collision and deferral exactly once.
 func TestQuickReaderEventSanity(t *testing.T) {
 	f := func(seed int64, disc uint8) bool {
 		e := sim.New(seed)
@@ -210,7 +227,10 @@ func TestQuickReaderEventSanity(t *testing.T) {
 		if disc%2 == 0 {
 			d = core.Ethernet
 		}
-		e.Spawn("reader", func(p *sim.Proc) { r.Loop(p, ctx, servers, DefaultReaderConfig(d)) })
+		tr := trace.New()
+		cfg := DefaultReaderConfig(d)
+		cfg.Trace = tr.NewClient(d.String(), "reader-0", e.Elapsed)
+		e.Spawn("reader", func(p *sim.Proc) { r.Loop(p, ctx, servers, cfg) })
 		if err := e.Run(); err != nil {
 			return false
 		}
@@ -218,17 +238,49 @@ func TestQuickReaderEventSanity(t *testing.T) {
 		if r.Done > 31 {
 			return false
 		}
-		last := time.Duration(-1)
-		for _, ev := range r.Events {
-			if ev.At < last {
-				return false
-			}
-			last = ev.At
-		}
-		return true
+		n, ok := tally(tr)
+		return ok && n[trace.KSuccess] == r.Done && n[trace.KCollision] == r.Collisions &&
+			n[trace.KDefer] == r.Deferrals
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Reserving readers outnumbering the one-lane books are refused, and
+// each reader's trace counts every refusal and transfer exactly once.
+func TestReservedReaderTraceCounts(t *testing.T) {
+	e := sim.New(3)
+	servers := mkServers(e, Config{}, true)
+	books := NewBooks(e.RT(), servers)
+	ctx, cancel := e.WithTimeout(e.Context(), 300*time.Second)
+	defer cancel()
+	readers := make([]*Reader, 6)
+	tracers := make([]*trace.Tracer, len(readers))
+	for i := range readers {
+		r, tr := &Reader{}, trace.New()
+		readers[i], tracers[i] = r, tr
+		cfg := DefaultReaderConfig(core.Reservation)
+		cfg.Trace = tr.NewClient(core.Reservation.String(), "reader", e.Elapsed)
+		e.Spawn("reader", func(p *sim.Proc) { r.LoopReserved(p, ctx, servers, books, cfg) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var rejections int64
+	for i, r := range readers {
+		n, ok := tally(tracers[i])
+		if !ok {
+			t.Fatalf("reader %d: trace out of time order", i)
+		}
+		if n[trace.KReject] != r.Rejections || n[trace.KSuccess] != r.Done || n[trace.KCollision] != r.Collisions {
+			t.Fatalf("reader %d: trace counts reject=%d success=%d collision=%d; reader counts %d, %d, %d",
+				i, n[trace.KReject], n[trace.KSuccess], n[trace.KCollision], r.Rejections, r.Done, r.Collisions)
+		}
+		rejections += r.Rejections
+	}
+	if rejections == 0 {
+		t.Fatal("no reserving reader was ever refused")
 	}
 }
 

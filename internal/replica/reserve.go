@@ -99,7 +99,6 @@ func (r *Reader) ReadOnceReserved(p core.Proc, ctx context.Context, servers []*S
 			res, rerr := st.book.Reserve(p, p.Name(), p.Elapsed(), cfg.DataTimeout, 1)
 			if rerr != nil {
 				r.Rejections++
-				r.Events = append(r.Events, Event{Kind: EvRejection, At: p.Elapsed()})
 				tr.Reject(st.srv.Name, core.Rejection(rerr).Shortfall)
 				return rerr
 			}
@@ -118,12 +117,10 @@ func (r *Reader) ReadOnceReserved(p core.Proc, ctx context.Context, servers []*S
 					return ctx.Err()
 				}
 				r.Collisions++
-				r.Events = append(r.Events, Event{Kind: EvCollision, At: p.Elapsed()})
 				tr.Collision(st.srv.Name)
 				return core.Collision(st.srv.Name, derr)
 			}
 			r.Done++
-			r.Events = append(r.Events, Event{Kind: EvTransfer, At: p.Elapsed()})
 			tr.Success()
 			return nil
 		})

@@ -126,7 +126,7 @@ func (c *Channel) Transmit(p core.Proc, ctx context.Context, d time.Duration) er
 // Sense returns a carrier-sense hook for core.Client: defer while the
 // medium is busy.
 func (c *Channel) Sense() func(ctx context.Context) error {
-	return core.ThresholdSense("carrier", func() int {
+	return core.ThresholdSense("carrier", func() int64 {
 		if c.Busy() {
 			return 0
 		}

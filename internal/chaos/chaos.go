@@ -284,10 +284,10 @@ func (s FDSqueeze) arm(a *Armed, t Targets) {
 	}
 	from, to := s.resolve(a, t.Window)
 	fds := t.Cluster.FDs
-	orig := -1
+	orig := int64(-1)
 	a.eng.Schedule(from, func() {
 		orig = fds.Capacity()
-		fds.SetCapacity(int(float64(orig) * s.Factor))
+		fds.SetCapacity(int64(float64(orig) * s.Factor))
 		a.action("chaos/fd-squeeze")
 	})
 	a.eng.Schedule(to, func() {

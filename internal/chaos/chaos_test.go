@@ -134,7 +134,7 @@ func TestFDSqueezeShrinksAndRestores(t *testing.T) {
 		FDSqueeze{Window: Window{Start: 10 * time.Second, Duration: 10 * time.Second}, Factor: 0.25},
 	}}
 	a := p.Arm(e.RT(), Targets{Window: time.Minute, Cluster: cl})
-	var during, after int
+	var during, after int64
 	e.Schedule(15*time.Second, func() { during = cl.FDs.Capacity() })
 	e.Schedule(25*time.Second, func() { after = cl.FDs.Capacity() })
 	if err := e.Run(); err != nil {

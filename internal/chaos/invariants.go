@@ -111,7 +111,7 @@ func (inv *Invariants) violate(check string, now time.Duration, format string, a
 // maxBelow (one backoff epoch). floor is a func so squeezed capacities
 // can lower the effective floor mid-run. One violation is recorded per
 // continuous below-floor excursion that exceeds the budget.
-func (inv *Invariants) CarrierFloor(name string, free func() int, floor func() int, maxBelow time.Duration) {
+func (inv *Invariants) CarrierFloor(name string, free, floor func() int64, maxBelow time.Duration) {
 	var below time.Duration // continuous time spent below the floor
 	reported := false
 	inv.ticks = append(inv.ticks, func(now time.Duration) {

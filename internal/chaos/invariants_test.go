@@ -63,8 +63,8 @@ func TestCarrierFloorFlagsSustainedExcursion(t *testing.T) {
 	e := sim.New(1)
 	rec := &Recorder{}
 	inv := NewInvariants(e.RT(), rec)
-	free := 100
-	inv.CarrierFloor("fds", func() int { return free }, func() int { return 50 }, 5*time.Second)
+	free := int64(100)
+	inv.CarrierFloor("fds", func() int64 { return free }, func() int64 { return 50 }, 5*time.Second)
 	e.Schedule(10*time.Second, func() { free = 10 }) // sustained dip, never recovers
 	ctx, cancel := context.WithCancel(context.Background())
 	inv.Start(ctx)
@@ -86,8 +86,8 @@ func TestCarrierFloorToleratesBriefDip(t *testing.T) {
 	e := sim.New(1)
 	rec := &Recorder{}
 	inv := NewInvariants(e.RT(), rec)
-	free := 100
-	inv.CarrierFloor("fds", func() int { return free }, func() int { return 50 }, 5*time.Second)
+	free := int64(100)
+	inv.CarrierFloor("fds", func() int64 { return free }, func() int64 { return 50 }, 5*time.Second)
 	e.Schedule(10*time.Second, func() { free = 10 })
 	e.Schedule(13*time.Second, func() { free = 80 }) // recovers inside the budget
 	ctx, cancel := context.WithCancel(context.Background())

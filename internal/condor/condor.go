@@ -152,67 +152,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// FDTable is a bounded pool of file descriptors shared by every process
-// on the submit machine. Acquisition never queues: a process that cannot
-// get FDs fails immediately, exactly like open(2) returning EMFILE.
-// Tenure flows through the table's carrier, so holds can be
-// time-bounded (see Config.LeaseQuantum) and per-client fairness is
-// accounted centrally. The carrier is a lease.Manager in process, or a
-// gridd daemon's resource when the backend keeps the table there.
-type FDTable struct {
-	c lease.Carrier
-}
-
-// NewFDTable returns an engine-free table with the given capacity and
-// unlimited tenure, for unit tests and raw accounting.
-func NewFDTable(capacity int) *FDTable {
-	return &FDTable{c: lease.New(nil, "fds", int64(capacity), 0)}
-}
-
-// Carrier returns the carrier the table sits on.
-func (t *FDTable) Carrier() lease.Carrier { return t.c }
-
-// SetCapacity retunes the table size at runtime (an administrator
-// shrinking fs.file-max, or a fault plan squeezing the resource).
-// Shrinking below InUse is allowed: Free goes negative and every new
-// allocation fails until holders release, exactly like the real sysctl.
-func (t *FDTable) SetCapacity(n int) { t.c.SetCapacity(int64(n)) }
-
-// Free reports available descriptors — the observable used by the
-// Ethernet submitter's carrier sense (/proc/sys/fs/file-nr).
-func (t *FDTable) Free() int { return int(t.c.Free()) }
-
-// InUse reports descriptors currently held.
-func (t *FDTable) InUse() int { return int(t.c.InUse()) }
-
-// Capacity reports the table size.
-func (t *FDTable) Capacity() int { return int(t.c.Capacity()) }
-
-// TryAcquire takes n descriptors without a lease, reporting success.
-// Callers of this raw path manage tenure themselves; Lease is the
-// bounded-tenure entry point.
-func (t *FDTable) TryAcquire(n int) bool { return t.c.TryTake(int64(n)) }
-
-// Release returns n descriptors taken with TryAcquire; returning more
-// than were taken panics.
-func (t *FDTable) Release(n int) { t.c.Put(int64(n)) }
-
-// Lease takes n descriptors as a lease held by holder, reporting
-// success. Like TryAcquire it never queues — an EMFILE-style immediate
-// failure — but a grant is tenure-bounded by the table's quantum.
-func (t *FDTable) Lease(p core.Proc, ctx context.Context, holder string, n int) (lease.Lease, bool) {
-	return t.c.TryAcquire(p, ctx, holder, int64(n))
-}
-
-// NoteWant records that holder wants descriptors it could not get
-// (e.g. its carrier sense came back busy); the starvation clock runs
-// until the holder's next grant.
-func (t *FDTable) NoteWant(holder string) { t.c.NoteWant(holder) }
-
-// LongestWait reports the longest want-to-grant wait currently in
-// progress — the no-starvation invariant's observable.
-func (t *FDTable) LongestWait() time.Duration { return t.c.LongestWait() }
-
 // Injection sites consulted by this substrate (see core.Injector).
 const (
 	// InjectConnect covers the client's attempt to reach the schedd:
@@ -266,7 +205,7 @@ var (
 type Schedd struct {
 	eng  core.Backend
 	cfg  Config
-	fds  *FDTable
+	fds  lease.Carrier
 	inj  core.Injector
 	down bool
 
@@ -298,9 +237,16 @@ type Schedd struct {
 
 // Cluster bundles the shared FD table and the schedd.
 type Cluster struct {
-	Eng    core.Backend
-	Cfg    Config
-	FDs    *FDTable
+	Eng core.Backend
+	Cfg Config
+	// FDs is the kernel's table of file descriptors, shared by every
+	// process on the submit machine. Acquisition never queues: a
+	// process that cannot get descriptors fails at once, as open(2)
+	// fails with EMFILE. Free is what the Ethernet submitter senses
+	// (/proc/sys/fs/file-nr). The carrier is a lease.Manager in
+	// process, or a gridd daemon's resource when the backend keeps the
+	// table there.
+	FDs    lease.Carrier
 	Schedd *Schedd
 }
 
@@ -320,7 +266,7 @@ func NewClusterOn(e core.Backend, cfg Config, fds func(capacity int64, quantum t
 	s := &Schedd{
 		eng:   e,
 		cfg:   cfg,
-		fds:   &FDTable{c: fds(int64(cfg.FDCapacity), cfg.LeaseQuantum)},
+		fds:   fds(int64(cfg.FDCapacity), cfg.LeaseQuantum),
 		slots: lease.New(e, "schedd-slots", int64(cfg.ServiceSlots), 0),
 		conns: make(map[int64]context.CancelFunc),
 	}
@@ -335,7 +281,7 @@ func NewClusterOn(e core.Backend, cfg Config, fds func(capacity int64, quantum t
 // disables injection and removes the wire.
 func (c *Cluster) SetInjector(inj core.Injector) {
 	c.Schedd.inj = inj
-	if m, ok := c.FDs.c.(*lease.Manager); ok {
+	if m, ok := c.FDs.(*lease.Manager); ok {
 		m.SetWire(inj, InjectNet, !c.Cfg.Unfenced)
 	}
 }
@@ -349,9 +295,12 @@ func (s *Schedd) Down() bool { return s.down }
 func (s *Schedd) Kill() { s.crash() }
 
 // StartHousekeeping begins the schedd's periodic background work, which
-// transiently needs HousekeepFDs descriptors; starvation crashes the
-// daemon. The loop stops when ctx is canceled, letting the engine
-// quiesce at the end of an experiment window.
+// transiently needs HousekeepFDs descriptors: each tick senses the FD
+// table, and fewer free than that crashes the daemon. The work takes
+// no time, so nothing else can run between taking the descriptors and
+// returning them, and a sense decides what a take would have. The loop
+// stops when ctx is canceled, letting the engine quiesce at the end of
+// an experiment window.
 func (c *Cluster) StartHousekeeping(ctx context.Context) {
 	s := c.Schedd
 	var tick func()
@@ -359,12 +308,8 @@ func (c *Cluster) StartHousekeeping(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		if !s.down {
-			if s.fds.TryAcquire(s.cfg.HousekeepFDs) {
-				s.fds.Release(s.cfg.HousekeepFDs)
-			} else {
-				s.crash()
-			}
+		if !s.down && s.fds.Free() < int64(s.cfg.HousekeepFDs) {
+			s.crash()
 		}
 		s.eng.Schedule(s.cfg.HousekeepInterval, tick)
 	}
@@ -406,7 +351,7 @@ func (s *Schedd) Submit(p core.Proc, ctx context.Context) error {
 		want += int(p.Rand() * float64(s.cfg.ClientFDJitter+1))
 	}
 	first := want / 2
-	l1, ok := s.fds.Lease(p, ctx, p.Name(), first)
+	l1, ok := s.fds.TryAcquire(p, ctx, p.Name(), int64(first))
 	if !ok {
 		if err := p.Sleep(ctx, s.cfg.ConnectFailTime); err != nil {
 			return err
@@ -422,7 +367,7 @@ func (s *Schedd) Submit(p core.Proc, ctx context.Context) error {
 		return s.submitErr(outer, lease.Lease{}, l1)
 	}
 	rest := want - first
-	l2, ok := s.fds.Lease(p, ctx, p.Name(), rest)
+	l2, ok := s.fds.TryAcquire(p, ctx, p.Name(), int64(rest))
 	if !ok {
 		if err := p.Sleep(ctx, s.cfg.ConnectFailTime); err != nil {
 			return s.submitErr(outer, lease.Lease{}, l1)
@@ -559,7 +504,7 @@ func (s *Schedd) serve(p core.Proc, ctx, outer context.Context, renew func(), he
 
 	// The schedd accepts the connection, pinning its own descriptors.
 	// Failure to do so kills the schedd (broadcast jam).
-	l3, ok := s.fds.Lease(p, ctx, "schedd", s.cfg.ScheddFDs)
+	l3, ok := s.fds.TryAcquire(p, ctx, "schedd", int64(s.cfg.ScheddFDs))
 	if !ok {
 		s.crash()
 		if err := p.Sleep(ctx, s.cfg.ConnectFailTime); err != nil {

@@ -12,29 +12,50 @@ import (
 )
 
 func TestFDTable(t *testing.T) {
-	tb := NewFDTable(100)
-	if !tb.TryAcquire(60) || !tb.TryAcquire(40) {
+	e := sim.New(1)
+	tb := NewCluster(e.RT(), Config{FDCapacity: 100}).FDs
+	ctx := e.Context()
+	_, ok1 := tb.TryAcquire(nil, ctx, "a", 60)
+	l, ok2 := tb.TryAcquire(nil, ctx, "b", 40)
+	if !ok1 || !ok2 {
 		t.Fatal("acquire within capacity failed")
 	}
-	if tb.TryAcquire(1) {
+	if _, ok := tb.TryAcquire(nil, ctx, "c", 1); ok {
 		t.Fatal("acquire over capacity succeeded")
 	}
-	if f := tb.Carrier().(*lease.Manager).Rejects; f != 1 {
+	if f := tb.(*lease.Manager).Rejects; f != 1 {
 		t.Fatalf("Failures = %d", f)
 	}
-	tb.Release(40)
+	l.Release()
 	if tb.Free() != 40 {
 		t.Fatalf("Free = %d", tb.Free())
 	}
 }
 
-func TestFDTableUnderflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestHousekeepingCrashRule: a housekeeping tick crashes the schedd iff
+// fewer than HousekeepFDs descriptors are free, and it only senses the
+// table: no grant, refusal or held unit is left on the books.
+func TestHousekeepingCrashRule(t *testing.T) {
+	for _, c := range []struct{ held, crashes int64 }{{49, 0}, {50, 0}, {51, 1}} {
+		e := sim.New(1)
+		cl := NewCluster(e.RT(), Config{FDCapacity: 100, HousekeepFDs: 50, HousekeepInterval: 5 * time.Second})
+		if _, ok := cl.FDs.TryAcquire(nil, e.Context(), "other", c.held); !ok {
+			t.Fatalf("held %d: acquire refused", c.held)
 		}
-	}()
-	NewFDTable(10).Release(1)
+		ctx, cancel := e.WithTimeout(e.Context(), 6*time.Second) // one tick
+		cl.StartHousekeeping(ctx)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		if cl.Schedd.Crashes != c.crashes {
+			t.Errorf("Free %d of 50 needed: %d crashes, want %d", cl.FDs.Free(), cl.Schedd.Crashes, c.crashes)
+		}
+		m := cl.FDs.(*lease.Manager)
+		if m.Acquires != 1 || m.Rejects != 0 || m.InUse() != c.held {
+			t.Errorf("held %d: housekeeping moved the books: grants %d, rejects %d, in use %d", c.held, m.Acquires, m.Rejects, m.InUse())
+		}
+	}
 }
 
 func TestSingleSubmitSucceeds(t *testing.T) {
@@ -65,7 +86,7 @@ func TestSingleSubmitSucceeds(t *testing.T) {
 func TestSubmitFailsWhenFDsExhausted(t *testing.T) {
 	e := sim.New(1)
 	cl := NewCluster(e.RT(), Config{FDCapacity: 100, ClientFDs: 90, ClientFDJitter: -1})
-	cl.FDs.TryAcquire(20) // someone else holds 20
+	cl.FDs.TryAcquire(nil, e.Context(), "other", 20) // someone else holds 20
 	var err error
 	e.Spawn("sub", func(p *sim.Proc) {
 		err = cl.Schedd.Submit(p, e.Context())
@@ -183,8 +204,8 @@ func TestSubmitterLoopCountsJobs(t *testing.T) {
 func TestEthernetSubmitterDefersUnderFDPressure(t *testing.T) {
 	e := sim.New(1)
 	cl := NewCluster(e.RT(), Config{FDCapacity: 2000})
-	cl.FDs.TryAcquire(1500) // free = 500 < threshold 1000
-	e.Schedule(30*time.Second, func() { cl.FDs.Release(1500) })
+	l, _ := cl.FDs.TryAcquire(nil, e.Context(), "other", 1500) // free = 500 < threshold 1000
+	e.Schedule(30*time.Second, l.Release)
 	ctx, cancel := e.WithTimeout(e.Context(), 60*time.Second)
 	defer cancel()
 	defers := 0
@@ -205,7 +226,7 @@ func TestEthernetSubmitterDefersUnderFDPressure(t *testing.T) {
 	if sub.Submitted == 0 {
 		t.Fatal("never submitted after pressure lifted")
 	}
-	if f := cl.FDs.Carrier().(*lease.Manager).Rejects; f != 0 {
+	if f := cl.FDs.(*lease.Manager).Rejects; f != 0 {
 		t.Fatalf("Ethernet client caused %d FD allocation failures", f)
 	}
 }
@@ -241,8 +262,8 @@ func TestQuickNoFDLeak(t *testing.T) {
 }
 
 // TestSubmitAllocs pins the cost of an uncontended submission on the
-// simulator at zero allocations: the FD table's carrier hands lease
-// handles out by value, so neither the seam nor a handle is boxed.
+// simulator at zero allocations: the FD table hands lease handles out
+// by value, so neither the seam nor a handle is boxed.
 func TestSubmitAllocs(t *testing.T) {
 	e := sim.New(1)
 	cl := NewCluster(e.RT(), Config{})

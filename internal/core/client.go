@@ -137,7 +137,7 @@ func (c *Client) Do(ctx context.Context, op Op) error {
 //	end
 //
 // fragment used by the Ethernet job submitter.
-func ThresholdSense(name string, free func() int, threshold int) func(ctx context.Context) error {
+func ThresholdSense(name string, free func() int64, threshold int64) func(ctx context.Context) error {
 	deferred := Deferred(name) // one refusal, returned by every deferral
 	return func(ctx context.Context) error {
 		if free() < threshold {

@@ -192,8 +192,8 @@ func TestBackoffRandMinScaling(t *testing.T) {
 }
 
 func TestThresholdSenseBoundary(t *testing.T) {
-	free := 1000
-	sense := ThresholdSense("fds", func() int { return free }, 1000)
+	free := int64(1000)
+	sense := ThresholdSense("fds", func() int64 { return free }, 1000)
 	if err := sense(context.Background()); err != nil {
 		t.Fatalf("at threshold: %v (>= threshold must pass)", err)
 	}

@@ -363,7 +363,7 @@ func TestClientDisciplines(t *testing.T) {
 	run := func(d core.Discipline) result {
 		var res result
 		runSim(t, 9, func(p *sim.Proc, ctx context.Context) {
-			free := 0
+			free := int64(0)
 			// Resource frees up after 20 seconds.
 			p.Engine().Schedule(20*time.Second, func() { free = 1 })
 			obs := core.ObserverFunc(func(ev core.Event, at time.Time, detail error) {
@@ -378,7 +378,7 @@ func TestClientDisciplines(t *testing.T) {
 				Rt:         p,
 				Discipline: d,
 				Limit:      core.ForOrTimes(time.Minute, 1000),
-				Sense:      core.ThresholdSense("free", func() int { return free }, 1),
+				Sense:      core.ThresholdSense("free", func() int64 { return free }, 1),
 				Observer:   obs,
 			}
 			_ = c.Do(ctx, func(ctx context.Context) error {

@@ -46,9 +46,8 @@ func (o Options) cell(label string, seed int64, window time.Duration, plan *chao
 	return cell{opt: o, seed: seed, window: window, plan: plan, rec: rec, tr: o.Trace, reg: o.Obs, label: label}
 }
 
-// newCarrier makes an FD table's carrier for a capacity and a tenure
-// quantum (0 = unlimited) where the cell's backend keeps it
-// (cell.carrier).
+// newCarrier makes an FD table for a capacity and a tenure quantum
+// (0 = unlimited) where the cell's backend keeps it (cell.carrier).
 type newCarrier = func(capacity int64, quantum time.Duration) lease.Carrier
 
 // scenario is what one kind of universe contains: the hooks cell.run

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fsbuffer"
 	"repro/internal/replica"
+	"repro/internal/sim"
 )
 
 // The chaos sweeps below re-run each scenario under ~20 seeded fault
@@ -311,8 +312,9 @@ func TestChaosInvariantsCleanWithoutChaos(t *testing.T) {
 // shrinking below in-use drives Free negative (carrier sense must see
 // the overload), and restoring recovers exactly.
 func TestFDTableSetCapacity(t *testing.T) {
-	fd := condor.NewFDTable(100)
-	if !fd.TryAcquire(60) {
+	e := sim.New(1)
+	fd := condor.NewCluster(e.RT(), condor.Config{FDCapacity: 100}).FDs
+	if _, ok := fd.TryAcquire(nil, e.Context(), "a", 60); !ok {
 		t.Fatal("acquire failed")
 	}
 	fd.SetCapacity(40)

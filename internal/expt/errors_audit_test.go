@@ -7,15 +7,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fsbuffer"
+	"repro/internal/gridd"
 	"repro/internal/lease"
 )
-
-// cleanChan is an injector that never faults: it exists so a lease wire
-// can be installed (enabling fencing and StaleErr) without disturbing
-// any message.
-type cleanChan struct{}
-
-func (cleanChan) Inject(string) core.Fault { return core.Fault{} }
 
 // TestTypedErrorAudit is the cross-package error-contract audit: every
 // typed error a substrate can hand a client — the reservation denial,
@@ -44,18 +38,20 @@ func TestTypedErrorAudit(t *testing.T) {
 		book := lease.NewBook(e, "book", 10)
 		_, bookErr = book.Reserve(p, "h", 0, time.Second, 25)
 
-		// lease fencing: once a tenure's epoch is retired, the lease
-		// reports the typed staleness a fenced resource would answer
-		// its operations with.
-		m := lease.New(e, "fds", 4, 0)
-		m.SetWire(cleanChan{}, "net", true)
-		l, err := m.Acquire(p, ctx, "a", 1)
+		// gridd fencing: a duplicated release reaches the daemon after
+		// the tenure's epoch is retired, and the client rebuilds the
+		// typed staleness from the daemon's reply.
+		c := inProcess(gridd.NewServerOn(e, gridd.Config{Resources: []gridd.ResourceConfig{{Name: "fds", Capacity: 4}}}))
+		l, err := c.Acquire(ctx, gridd.AcquireRequest{Resource: "fds", Holder: "a", Units: 1})
 		if err != nil {
 			t.Errorf("acquire: %v", err)
 			return
 		}
-		l.Release()
-		staleErr = l.StaleErr()
+		if err := l.Release(ctx); err != nil {
+			t.Errorf("release: %v", err)
+			return
+		}
+		staleErr = l.Release(ctx)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -218,8 +218,8 @@ func condorChecks(inv *chaos.Invariants, cl *condor.Cluster, subCfg condor.Submi
 	if subCfg.Discipline == core.Ethernet {
 		// The floor halves under capacity squeezes: the discipline can
 		// only preserve what the kernel still provides.
-		floor := func() int {
-			f := subCfg.Threshold
+		floor := func() int64 {
+			f := int64(subCfg.Threshold)
 			if c := cl.FDs.Capacity(); f > c {
 				f = c
 			}

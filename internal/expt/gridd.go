@@ -20,7 +20,7 @@ import (
 // live, the same code, but the FD table they contend for lives in a
 // gridd daemon (internal/gridd, cmd/gridd): carrier sense is a GET,
 // acquisition a POST granting a fenced lease, and the watchdog that
-// revokes wedged holders is the daemon's. The table's carrier is a
+// revokes wedged holders is the daemon's. The table is a
 // griddclient.Carrier (cell.carrier).
 //
 // By default each cell runs on the simulator with its own daemon on the

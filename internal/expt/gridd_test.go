@@ -3,13 +3,17 @@ package expt
 import (
 	"context"
 	"errors"
+	"net/http"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/condor"
 	"repro/internal/core"
 	"repro/internal/gridd"
 	"repro/internal/griddclient"
+	"repro/internal/lease"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -72,5 +76,55 @@ func TestTripperPartitionHeals(t *testing.T) {
 	}
 	if after != nil {
 		t.Fatalf("probe after partition healed: %v", after)
+	}
+}
+
+// tripCounter counts the round trips a client makes through it.
+type tripCounter struct {
+	base http.RoundTripper
+	n    int
+}
+
+func (c *tripCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.n++
+	return c.base.RoundTrip(req)
+}
+
+// TestGriddRoundTripsPinned pins what the two periodic readers of the
+// FD table cost on the gridd backend, in round trips to the daemon.
+// One sample of obsCluster's gauges makes 4: occupancy probes Capacity
+// and InUse, then the in-use and free gauges probe once each. One
+// schedd housekeeping tick makes 1: it senses the table with a probe.
+func TestGriddRoundTripsPinned(t *testing.T) {
+	e := sim.New(1)
+	trips := &tripCounter{base: gridd.NewServerOn(e.RT(), gridd.Config{})}
+	client := inProcess(trips)
+	cl := condor.NewClusterOn(e.RT(), condor.Config{}, func(capacity int64, quantum time.Duration) lease.Carrier {
+		car, err := griddclient.NewCarrier(e.RT(), client, "fds", capacity, quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return car
+	})
+	sc := obs.New().NewScope(e.RT().Elapsed)
+	obsCluster(sc, cl)
+	trips.n = 0
+	sc.Sample()
+	if trips.n != 4 {
+		t.Errorf("one obsCluster sample: %d round trips, want 4", trips.n)
+	}
+
+	ctx, cancel := e.WithTimeout(e.Context(), cl.Cfg.HousekeepInterval+time.Second) // one tick
+	defer cancel()
+	cl.StartHousekeeping(ctx)
+	trips.n = 0
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if trips.n != 1 {
+		t.Errorf("one housekeeping tick: %d round trips, want 1", trips.n)
+	}
+	if cl.Schedd.Crashes != 0 {
+		t.Errorf("housekeeping on an idle table crashed the schedd %d times", cl.Schedd.Crashes)
 	}
 }

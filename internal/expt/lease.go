@@ -135,8 +135,8 @@ func leaseCell(c cell, n int, quantum time.Duration) *LeaseCellResult {
 			}
 		},
 	})
-	res.Revokes = cl.FDs.Carrier().Revocations()
-	res.MaxWait = cl.FDs.Carrier().MaxStarvation()
+	res.Revokes = cl.FDs.Revocations()
+	res.MaxWait = cl.FDs.MaxStarvation()
 	res.Jobs = cl.Schedd.Jobs
 	res.Crashes = cl.Schedd.Crashes
 	for i, sub := range subs {

@@ -51,7 +51,6 @@ const (
 	MCarrierOccupancy = "grid_carrier_occupancy"
 	MCarrierInUse     = "grid_carrier_inuse"
 	MCarrierFree      = "grid_carrier_free"
-	MCarrierQueue     = "grid_carrier_queue_depth"
 	MJobs             = "grid_jobs_total"
 	MCrashes          = "grid_crashes_total"
 
@@ -60,9 +59,6 @@ const (
 	MCollisions      = "grid_collisions_total"
 	MCompleted       = "grid_completed_total"
 	MConsumed        = "grid_consumed_total"
-
-	MServerBusy  = "grid_server_busy"
-	MServerQueue = "grid_server_queue_depth"
 
 	MNetDrops   = "grid_net_drops_total"
 	MNetDeduped = "grid_net_deduped_total"
@@ -154,8 +150,6 @@ func obsCluster(sc *obs.Scope, cl *condor.Cluster) {
 		func() float64 { return float64(fds.InUse()) })
 	sc.GaugeFunc(MCarrierFree, "Carrier units free, what an Ethernet submitter senses (FD table).",
 		func() float64 { return float64(fds.Free()) })
-	sc.GaugeFunc(MCarrierQueue, "Processes queued on the carrier (FD table).",
-		func() float64 { return float64(fds.Carrier().QueueLen()) })
 	sc.CounterFunc(MJobs, "Jobs successfully submitted.",
 		func() float64 { return float64(cl.Schedd.Jobs) })
 	sc.CounterFunc(MCrashes, "Schedd crashes.",
@@ -164,7 +158,7 @@ func obsCluster(sc *obs.Scope, cl *condor.Cluster) {
 		func() float64 { return float64(cl.Schedd.NetDrops) })
 	sc.CounterFunc(MNetDeduped, "Duplicate submissions the idempotency keys absorbed.",
 		func() float64 { return float64(cl.Schedd.Deduped) })
-	if m, ok := fds.Carrier().(*lease.Manager); ok { // a daemon exports its own
+	if m, ok := fds.(*lease.Manager); ok { // a daemon exports its own
 		m.Observe(sc, "fds")
 	}
 }
@@ -191,19 +185,10 @@ func obsBuffer(sc *obs.Scope, b *fsbuffer.Buffer) {
 }
 
 // obsServers registers the reader scenario's carrier: each replica
-// server's single service lane, one labeled child per server.
+// server's single service lane, as its own resource (grid_lease_*
+// under resource=<server>: units in use say whether it is busy).
 func obsServers(sc *obs.Scope, servers []*replica.Server) {
 	for _, s := range servers {
-		s := s
-		sc.GaugeFunc(MServerBusy, "Whether the server's service lane is held (1) or free (0).",
-			func() float64 {
-				if s.Busy() {
-					return 1
-				}
-				return 0
-			}, "server", s.Name)
-		sc.GaugeFunc(MServerQueue, "Clients queued on the server's service lane.",
-			func() float64 { return float64(s.QueueLen()) }, "server", s.Name)
 		s.Lane().Observe(sc, s.Name)
 	}
 }

@@ -59,10 +59,6 @@ type Allocator struct {
 	// Grants and Denials count allocator outcomes; NetDrops counts
 	// reservation requests the channel swallowed.
 	Grants, Denials, NetDrops int64
-
-	// unfenced disables epoch fencing on the tenure manager's wire —
-	// the FigNet ablation arm. Default false: fenced.
-	unfenced bool
 }
 
 // NewAllocator wraps buf with a reservation service.
@@ -86,33 +82,27 @@ func (a *Allocator) SetLeaseQuantum(d time.Duration) { a.tenure.SetQuantum(d) }
 
 // SetInjector installs a fault injector consulted at the allocator's
 // hold site, and routes the tenure manager's lease-control messages
-// through it at InjectNet (fenced unless SetUnfenced). A nil injector
-// (the default) disables injection and removes the wire.
+// through it at InjectNet, fenced. A nil injector (the default)
+// disables injection and removes the wire.
 func (a *Allocator) SetInjector(inj core.Injector) {
 	a.inj = inj
-	a.tenure.SetWire(inj, InjectNet, !a.unfenced)
+	a.tenure.SetWire(inj, InjectNet, true)
 }
-
-// SetUnfenced disables epoch fencing on the allocator's lease wire —
-// the ablation arm that shows why fencing matters. Call before
-// SetInjector.
-func (a *Allocator) SetUnfenced(u bool) { a.unfenced = u }
 
 // Reserved reports bytes currently promised to clients.
 func (a *Allocator) Reserved() int64 { return a.tenure.InUse() }
-
-// Revokes reports reservations forcibly reclaimed by the watchdog.
-func (a *Allocator) Revokes() int64 { return a.tenure.Revokes }
 
 // Tenure exposes the underlying lease manager for fairness accounting.
 func (a *Allocator) Tenure() *lease.Manager { return a.tenure }
 
 // Reserve requests size bytes, waiting in the allocator's queue. On
-// success the caller owns the reservation and must End it.
-func (a *Allocator) Reserve(p core.Proc, ctx context.Context, size int64) (*Reservation, error) {
+// success the caller holds the reservation, a lease on size bytes of
+// future buffer space, and must Release it. The lease's context is a
+// child of ctx, canceled if the watchdog revokes the reservation.
+func (a *Allocator) Reserve(p core.Proc, ctx context.Context, size int64) (lease.Lease, error) {
 	res, err := a.reserve(p, ctx, size)
 	if err != nil {
-		return nil, err
+		return lease.Lease{}, err
 	}
 	// Chaos seam: a stuck-holder plan wedges the client right after its
 	// grant — space promised, nothing ever written. Only the caller's
@@ -121,41 +111,41 @@ func (a *Allocator) Reserve(p core.Proc, ctx context.Context, size int64) (*Rese
 		p.Tracer().FaultInjected(InjectHold)
 		_ = p.Hang(res.Ctx())
 		if cerr := ctx.Err(); cerr != nil {
-			res.End()
-			return nil, cerr
+			res.Release()
+			return lease.Lease{}, cerr
 		}
-		return nil, core.Collision("reservation", lease.ErrRevoked)
+		return lease.Lease{}, core.Collision("reservation", lease.ErrRevoked)
 	}
 	return res, nil
 }
 
 // reserve is the admission path: serialize on the allocation service,
 // pay the round trip, then grant tenure on the promised bytes.
-func (a *Allocator) reserve(p core.Proc, ctx context.Context, size int64) (*Reservation, error) {
+func (a *Allocator) reserve(p core.Proc, ctx context.Context, size int64) (lease.Lease, error) {
 	// Chaos seam: the request crosses the channel to the allocation
 	// service before anything else. A drop is indistinguishable from a
 	// slow server — the client pays the round trip and learns nothing.
 	if f := core.InjectAt(a.inj, InjectNet); !f.Zero() {
 		if f.Delay > 0 {
 			if err := p.Sleep(ctx, f.Delay); err != nil {
-				return nil, err
+				return lease.Lease{}, err
 			}
 		}
 		if f.Drop || f.Err != nil {
 			p.Tracer().MsgDrop("reservation")
 			a.NetDrops++
 			if err := p.Sleep(ctx, a.GrantTime); err != nil {
-				return nil, err
+				return lease.Lease{}, err
 			}
-			return nil, core.Collision("net", core.ErrLost)
+			return lease.Lease{}, core.Collision("net", core.ErrLost)
 		}
 	}
 	if err := a.lane.Take(p, ctx, 1); err != nil {
-		return nil, err
+		return lease.Lease{}, err
 	}
 	defer a.lane.Put(1)
 	if err := p.Sleep(ctx, a.GrantTime); err != nil {
-		return nil, err
+		return lease.Lease{}, err
 	}
 	// Grant only space not already promised: reservations must never
 	// overcommit, or they would be no better than optimistic writing.
@@ -164,32 +154,11 @@ func (a *Allocator) reserve(p core.Proc, ctx context.Context, size int64) (*Rese
 	// consumed) from a collision discovered after the fact.
 	if unres := a.buf.Free() - a.Reserved(); unres < size {
 		a.Denials++
-		return nil, fmt.Errorf("%w: %w", ErrReservationDenied, core.Rejected("reservation", size-unres))
+		return lease.Lease{}, fmt.Errorf("%w: %w", ErrReservationDenied, core.Rejected("reservation", size-unres))
 	}
 	a.Grants++
-	return &Reservation{l: a.tenure.Grant(p, ctx, p.Name(), size)}, nil
+	return a.tenure.Grant(p, ctx, p.Name(), size), nil
 }
-
-// Reservation is a granted slice of future buffer space, held as a
-// lease.
-type Reservation struct {
-	l lease.Lease
-}
-
-// Size reports the reserved byte count.
-func (r *Reservation) Size() int64 { return r.l.Units() }
-
-// Ctx returns the reservation's tenure context: canceled if the
-// tenure is revoked. It is a child of the context Reserve was called
-// with, so it is only meaningful while that context lives.
-func (r *Reservation) Ctx() context.Context { return r.l.Ctx() }
-
-// Revoked reports whether the watchdog reclaimed this reservation.
-func (r *Reservation) Revoked() bool { return r.l.Revoked() }
-
-// End releases the reservation (after the write completed or failed).
-// Ending a revoked or already-ended reservation is a no-op.
-func (r *Reservation) End() { r.l.Release() }
 
 // ReservingProducer is the baseline client: reserve worst-case space,
 // then write without fear of ENOSPC.
@@ -225,7 +194,7 @@ func (rp *ReservingProducer) Loop(p core.Proc, ctx context.Context, a *Allocator
 		}
 		seq++
 		name := fmt.Sprintf("r%d-%d", id, seq)
-		var res *Reservation
+		var res lease.Lease
 		err := client.Do(ctx, func(ctx context.Context) error {
 			var rerr error
 			// Output size is unknown before the job runs: reserve the
@@ -246,7 +215,7 @@ func (rp *ReservingProducer) Loop(p core.Proc, ctx context.Context, a *Allocator
 				// space guarantee was gone.
 				rp.Revoked++
 			}
-			res.End()
+			res.Release()
 			if werr == nil {
 				rp.Wrote++
 			} else if ctx.Err() != nil {

@@ -22,8 +22,8 @@ func TestReserveGrantAndEnd(t *testing.T) {
 		if a.Reserved() != 4*MB {
 			t.Errorf("Reserved = %d", a.Reserved())
 		}
-		res.End()
-		res.End() // idempotent
+		res.Release()
+		res.Release() // idempotent
 		if a.Reserved() != 0 {
 			t.Errorf("Reserved after End = %d", a.Reserved())
 		}
@@ -49,7 +49,7 @@ func TestReserveNeverOvercommits(t *testing.T) {
 		if _, err := a.Reserve(p, e.Context(), 6*MB); !errors.Is(err, ErrReservationDenied) {
 			t.Errorf("overcommit allowed: %v", err)
 		}
-		r1.End()
+		r1.Release()
 		if _, err := a.Reserve(p, e.Context(), 6*MB); err != nil {
 			t.Errorf("after release: %v", err)
 		}

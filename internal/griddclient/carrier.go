@@ -42,7 +42,6 @@ type Carrier struct {
 	c       *Client
 	name    string
 	quantum time.Duration // host time; 0 = unlimited tenure
-	raw     []*Lease      // TryTake's grants, in the order taken
 	revokes int64         // the daemon's count, last read
 }
 
@@ -74,7 +73,6 @@ func (car *Carrier) probe() gridd.ProbeReply {
 
 func (car *Carrier) Capacity() int64 { return car.probe().Capacity }
 func (car *Carrier) InUse() int64    { return car.probe().InUse }
-func (car *Carrier) QueueLen() int   { return car.probe().Queue }
 
 // Free is capacity less units in use, negative after a squeeze below
 // what is held, as on a lease.Manager.
@@ -92,45 +90,13 @@ func (car *Carrier) SetCapacity(n int64) {
 	})
 }
 
-// acquire asks the daemon for units at once, for holder.
-func (car *Carrier) acquire(holder string, units int64) (*Lease, error) {
+// TryAcquire leases units for holder without waiting.
+func (car *Carrier) TryAcquire(p lease.Parker, ctx context.Context, holder string, units int64) (lease.Lease, bool) {
 	var l *Lease
 	var err error
 	car.h.Blocking(func() {
 		l, err = car.c.Acquire(context.Background(), gridd.AcquireRequest{Resource: car.name, Holder: holder, Units: units})
 	})
-	return l, err
-}
-
-// TryTake takes raw units. On the daemon they are a lease like any
-// other, so they must come back within a quantum.
-func (car *Carrier) TryTake(units int64) bool {
-	l, err := car.acquire("", units)
-	if err != nil {
-		return false
-	}
-	car.raw = append(car.raw, l)
-	return true
-}
-
-// Put returns the units of the latest TryTake of as many units still
-// out. The carrier counts what it took itself, so a Put of units it
-// did not take panics however the daemon answers; a release the daemon
-// answers stale came after its watchdog took the units back.
-func (car *Carrier) Put(units int64) {
-	for i := len(car.raw) - 1; i >= 0; i-- {
-		if l := car.raw[i]; l.Units == units {
-			car.raw = append(car.raw[:i], car.raw[i+1:]...)
-			car.h.Blocking(func() { _ = l.Release(context.Background()) })
-			return
-		}
-	}
-	panic("griddclient: Put of units no TryTake took")
-}
-
-// TryAcquire leases units for holder without waiting.
-func (car *Carrier) TryAcquire(p lease.Parker, ctx context.Context, holder string, units int64) (lease.Lease, bool) {
-	l, err := car.acquire(holder, units)
 	if err != nil {
 		car.NoteRefusal(holder)
 		return lease.Lease{}, false

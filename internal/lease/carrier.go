@@ -6,22 +6,20 @@ import (
 )
 
 // Carrier is a pool of units whose refusals are immediate, the way
-// open(2) refuses with EMFILE: condor's FD table sits on one. *Manager
-// is the carrier in process; griddclient.Carrier keeps the units in a
-// gridd daemon. Its methods are exactly what the FD table and the
-// submit and lease scenarios call.
+// open(2) refuses with EMFILE: condor's FD table is one. *Manager is
+// the carrier in process; griddclient.Carrier keeps the units in a
+// gridd daemon. Its methods are exactly what the submit and lease
+// scenarios call: it has no verb that parks and none that takes units
+// without a lease, so every take is a TryAcquire that is granted or
+// refused at once.
 type Carrier interface {
 	Capacity() int64
 	InUse() int64
+	// Free is Capacity less InUse, what carrier sense reads; it is
+	// negative after a squeeze below what is held.
 	Free() int64
-	QueueLen() int
 	// SetCapacity resizes the pool (a fault plan's squeeze).
 	SetCapacity(n int64)
-	// TryTake and Put take and return raw units, with no lease.
-	TryTake(units int64) bool
-	// Put returns units a TryTake took; returning units not taken
-	// panics.
-	Put(units int64)
 	TryAcquire(p Parker, ctx context.Context, holder string, units int64) (Lease, bool)
 	NoteWant(holder string)
 	LongestWait() time.Duration

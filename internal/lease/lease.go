@@ -71,8 +71,7 @@ type Parker interface {
 // Manager is a FIFO counting semaphore whose grants are leases. All
 // methods must run under the engine token (from processes or timer
 // callbacks); with a nil engine the manager still works as a plain
-// counter (no parking, no watchdogs), which the condor FD table uses
-// in engine-free unit tests.
+// counter (no parking, no watchdogs).
 type Manager struct {
 	eng      Clock
 	name     string
@@ -103,7 +102,7 @@ type Manager struct {
 	// Stats, readable at any point under the engine token; Observe
 	// exports them.
 	Acquires int64 // granted tenures (leased or raw)
-	Rejects  int64 // TryAcquire/TryTake failures
+	Rejects  int64 // TryAcquire failures
 	Timeouts int64 // waiters abandoned by cancellation
 	Revokes  int64 // tenures forcibly reclaimed by the watchdog
 	// RevokedUnits counts the units those revocations reclaimed: on a
@@ -252,47 +251,27 @@ func (m *Manager) Revocations() int64 { return m.Revokes }
 // admit it.
 func (m *Manager) fits(units int64) bool { return units <= m.capacity-m.inUse }
 
-// TryTake takes units without waiting and without a lease, reporting
-// success. It exists for callers that manage tenure themselves (the
-// condor FD table's raw path); leased callers use TryAcquire.
-func (m *Manager) TryTake(units int64) bool {
-	if m.fits(units) {
-		m.take(units)
-		return true
-	}
-	m.Rejects++
-	return false
-}
-
-// Take is TryTake's waiting twin: it takes units without a lease,
-// parking the process in the same FIFO queue as Acquire until they are
-// free or ctx is canceled (returning the cancellation cause). It mints
-// no lease, epoch or ledger row and emits no trace event; the caller
-// returns the units with Put.
+// Take takes units without a lease, parking the process in the same
+// FIFO queue as Acquire until they are free or ctx is canceled
+// (returning the cancellation cause). It mints no lease, epoch or
+// ledger row and emits no trace event; the caller returns the units
+// with Put.
 func (m *Manager) Take(p Parker, ctx context.Context, units int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if m.fits(units) && m.QueueLen() == 0 {
-		m.take(units)
-		return nil
-	}
-	if _, err := m.wait(p, ctx, units); err != nil {
+		m.inUse += units
+		m.Acquires++
+	} else if _, err := m.wait(p, ctx, units); err != nil {
 		return err
 	}
 	m.outstanding += units
 	return nil
 }
 
-// take books a raw grant.
-func (m *Manager) take(units int64) {
-	m.inUse += units
-	m.outstanding += units
-	m.Acquires++
-}
-
-// Put returns units taken with TryTake or Take. Returning more than was
-// taken panics: that is a simulation bug.
+// Put returns units taken with Take. Returning more than was taken
+// panics: that is a simulation bug.
 func (m *Manager) Put(units int64) {
 	m.outstanding -= units
 	m.release(units)

@@ -171,7 +171,7 @@ func TestTakeAllocs(t *testing.T) {
 		// Ping-pong with b: each run is one Put that grants b, then a
 		// Take that parks until b's Put grants it back, while b's own
 		// Take parks in turn — two parked Takes per run.
-		if !m.TryTake(1) {
+		if m.Take(p, ctx, 1) != nil {
 			t.Error("the unit is not free")
 		}
 		p.Yield() // b parks behind a's unit
@@ -385,13 +385,17 @@ func TestNilEngineIsPlainCounter(t *testing.T) {
 	if m.Quantum() != 0 {
 		t.Fatalf("quantum with nil engine = %v", m.Quantum())
 	}
-	if !m.TryTake(6) || !m.TryTake(4) {
-		t.Fatal("TryTake within capacity failed")
+	ctx := context.Background()
+	l1, ok1 := m.TryAcquire(nil, ctx, "a", 6)
+	l2, ok2 := m.TryAcquire(nil, ctx, "b", 4)
+	if !ok1 || !ok2 {
+		t.Fatal("TryAcquire within capacity failed")
 	}
-	if m.TryTake(1) {
-		t.Fatal("TryTake over capacity succeeded")
+	if _, ok := m.TryAcquire(nil, ctx, "c", 1); ok {
+		t.Fatal("TryAcquire over capacity succeeded")
 	}
-	m.Put(10)
+	l1.Release()
+	l2.Release()
 	if m.InUse() != 0 || m.Acquires != 2 || m.Rejects != 1 {
 		t.Fatalf("inUse=%d acquires=%d rejects=%d", m.InUse(), m.Acquires, m.Rejects)
 	}
@@ -419,9 +423,6 @@ func TestHugeRequestsAreRefusedNotWrapped(t *testing.T) {
 		if _, ok := m.TryAcquire(p, ctx, "a", 1); !ok {
 			t.Fatal("seed acquire refused")
 		}
-		if m.TryTake(huge) {
-			t.Error("TryTake(MaxInt64) admitted beside a unit in use")
-		}
 		if _, ok := m.TryAcquire(p, ctx, "b", huge); ok {
 			t.Error("TryAcquire(MaxInt64) admitted beside a unit in use")
 		}
@@ -429,6 +430,11 @@ func TestHugeRequestsAreRefusedNotWrapped(t *testing.T) {
 		defer cancel()
 		if _, err := m.Acquire(p, wctx, "b", huge); err == nil {
 			t.Error("Acquire(MaxInt64) admitted beside a unit in use")
+		}
+		tctx, tcancel := e.WithTimeout(ctx, time.Second)
+		defer tcancel()
+		if m.Take(p, tctx, huge) == nil {
+			t.Error("Take(MaxInt64) admitted beside a unit in use")
 		}
 		if m.InUse() != 1 || m.Outstanding() != 1 {
 			t.Errorf("books moved: inUse=%d outstanding=%d, want 1 and 1", m.InUse(), m.Outstanding())

@@ -95,22 +95,6 @@ func (m *Manager) Late(units int64) (fenced bool) {
 // Epoch returns the lease's fencing epoch (a stale handle's too).
 func (l Lease) Epoch() uint64 { return l.epoch }
 
-// StaleErr returns the typed fencing rejection a fenced resource gives
-// this lease's operations once its epoch is retired, or nil while the
-// tenure is live (or the manager is not fenced). Substrates surface it
-// to clients whose tenure was revoked out from under them.
-func (l Lease) StaleErr() error {
-	r, ok := l.r.(*record)
-	if !ok {
-		return nil
-	}
-	m := r.m // a record serves one manager for life
-	if !m.Fenced() || l.epoch > m.fence {
-		return nil
-	}
-	return core.Stale(m.name, l.epoch, m.fence)
-}
-
 // grant delivers the grant acknowledgement over the wire. A duplicated
 // grant message is a retransmitted acquire reaching the manager twice:
 // fenced, the epoch dedupes the copy; unfenced, the manager books a

@@ -298,7 +298,9 @@ func (e *Engine) Run() error {
 	}
 	e.pendingDeadlines = nil
 	for _, n := range e.pendingTimers {
-		n.arm()
+		if !n.stopped { // canceled before Run: nothing to arm
+			n.arm()
+		}
 	}
 	e.pendingTimers = nil
 	pending := e.pendingProcs

@@ -56,7 +56,7 @@ func TestTimerFiresAndCancels(t *testing.T) {
 	e := New(1, ts)
 	var fired, canceled atomic.Int64
 	e.Schedule(time.Second, func() { fired.Add(1) })
-	// Canceled before Run: Run still arms it, and its callback finds it stopped.
+	// Canceled before Run: Run does not arm it.
 	e.Schedule(time.Second, func() { canceled.Add(1) }).Cancel()
 	e.Spawn("driver", func(p core.Proc) {
 		// Armed and canceled in one step: the callback, due at once,
@@ -76,6 +76,22 @@ func TestTimerFiresAndCancels(t *testing.T) {
 	}
 	if canceled.Load() != 0 {
 		t.Fatalf("canceled timer fired %d times", canceled.Load())
+	}
+}
+
+// TestTimerCanceledBeforeRunIsNeverArmed: Run arms only the pending
+// timers still live, so a timer canceled before Run starts no
+// wall-clock timer, which would fire and take the engine lock, maybe
+// after Run has returned.
+func TestTimerCanceledBeforeRunIsNeverArmed(t *testing.T) {
+	e := New(1, ts)
+	n := e.Schedule(time.Second, func() { t.Error("canceled timer fired") }).(*timerNode)
+	n.Cancel()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n.t != nil {
+		t.Error("Run armed a timer canceled before it")
 	}
 }
 

@@ -100,10 +100,6 @@ type Server struct {
 	Probes    int64
 	Absorbed  int64
 	NetDrops  int64
-
-	// unfenced disables epoch fencing on the lane's wire — the FigNet
-	// ablation arm. Default false: fenced.
-	unfenced bool
 }
 
 // NewServer creates a replica on engine e.
@@ -117,9 +113,6 @@ func NewServer(e core.Backend, name string, blackHole bool, cfg Config) *Server 
 	}
 }
 
-// Busy reports whether a transfer is in progress on this server.
-func (s *Server) Busy() bool { return s.lane.InUse() > 0 }
-
 // Lane exposes the server's service-lane manager for observability
 // hooks and gauges.
 func (s *Server) Lane() *lease.Manager { return s.lane }
@@ -131,20 +124,12 @@ func (s *Server) SetBlackHole(sick bool) { s.BlackHole = sick }
 
 // SetInjector installs a fault injector consulted on every fetch, and
 // routes the service lane's lease-control messages through it at
-// InjectNet (fenced unless SetUnfenced). A nil injector (the default)
-// disables injection and removes the wire.
+// InjectNet, fenced. A nil injector (the default) disables injection
+// and removes the wire.
 func (s *Server) SetInjector(inj core.Injector) {
 	s.inj = inj
-	s.lane.SetWire(inj, InjectNet, !s.unfenced)
+	s.lane.SetWire(inj, InjectNet, true)
 }
-
-// SetUnfenced disables epoch fencing on the server's lease wire — the
-// ablation arm that shows why fencing matters. Call before
-// SetInjector.
-func (s *Server) SetUnfenced(u bool) { s.unfenced = u }
-
-// QueueLen reports clients waiting for the server.
-func (s *Server) QueueLen() int { return s.lane.QueueLen() }
 
 // fetch serializes on the server's single service lane and simulates
 // moving size bytes. On a black hole the client blocks until its

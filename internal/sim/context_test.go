@@ -125,22 +125,26 @@ func TestResourceSetCapacity(t *testing.T) {
 	e := New(1)
 	r := lease.New(e.RT(), "r", 2, 0)
 	e.Spawn("x", func(p *Proc) {
-		if !r.TryTake(1) || !r.TryTake(1) {
+		ctx := e.Context()
+		l1, ok1 := r.TryAcquire(p, ctx, "x", 1)
+		l2, ok2 := r.TryAcquire(p, ctx, "x", 1)
+		if !ok1 || !ok2 {
 			t.Error("initial capacity not 2")
 		}
 		r.SetCapacity(1) // shrink below inUse: drains as released
-		if r.TryTake(1) {
+		if _, ok := r.TryAcquire(p, ctx, "x", 1); ok {
 			t.Error("acquire beyond shrunk capacity")
 		}
-		r.Put(1)
-		r.Put(1)
-		if !r.TryTake(1) {
+		l1.Release()
+		l2.Release()
+		l3, ok := r.TryAcquire(p, ctx, "x", 1)
+		if !ok {
 			t.Error("acquire after drain failed")
 		}
 		if r.Free() != 0 || r.InUse() != 1 || r.Capacity() != 1 {
 			t.Errorf("state = cap %d inUse %d", r.Capacity(), r.InUse())
 		}
-		r.Put(1)
+		l3.Release()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -83,13 +83,13 @@ var figures = []figure{
 			la := expt.FigLA(opt)
 			return []any{la.Throughput, "# fairness: Jain's index x100, watchdog revocations, starvation excursions, longest unleased wait", la.Fairness}
 		}),
-		goldens: []string{"figla_table -scale 0.1"}},
+		goldens: []string{"figla_table -scale 0.1", "figla_trace_summary -scale 0.1 -trace-summary"}},
 	{name: "res", title: "Reservation Ablation", sub: "admission-booked vs leased Ethernet submitters, fault-free and under res-flap chaos",
 		render: sweepFigure(func(_ *renderer, opt expt.Options) []any {
 			ra := expt.FigRes(opt)
 			return []any{ra.Throughput, "# admission: book rejections (steady/flap), dead windows and lapses under flap, Ethernet flap crashes", ra.Admission}
 		}),
-		goldens: []string{"figres_table -scale 0.1"}},
+		goldens: []string{"figres_table -scale 0.1", "figres_trace_summary -scale 0.1 -trace-summary"}},
 	{name: "net", title: "Unreliable Channel Ablation", sub: "fenced vs unfenced submitters under dup-storm and part-flap channel chaos",
 		render: sweepFigure(func(_ *renderer, opt expt.Options) []any {
 			na := expt.FigNet(opt)
@@ -97,7 +97,7 @@ var figures = []figure{
 				"# integrity: phantom jobs and double-allocations (unfenced arms); fence rejections and deduplicated retries (fenced arms)", na.Integrity,
 				"# channel: submit-path request drops, lease-wire drops/dups, watchdog revocations (fenced arms)", na.Channel}
 		}),
-		goldens: []string{"fignet_table -scale 0.1"}},
+		goldens: []string{"fignet_table -scale 0.1", "fignet_trace_summary -scale 0.1 -trace-summary"}},
 	{name: "abl", title: "Ablations", sub: "backoff randomization, backoff cap, carrier threshold, probe timeout (DESIGN.md §6)",
 		extra: true, backends: []string{expt.BackendSim}, why: "the arms of an ablation share a seed, which only the simulator replays",
 		render: sweepFigure(func(_ *renderer, opt expt.Options) []any {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lease"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestFDTable(t *testing.T) {
@@ -208,17 +209,19 @@ func TestEthernetSubmitterDefersUnderFDPressure(t *testing.T) {
 	e.Schedule(30*time.Second, l.Release)
 	ctx, cancel := e.WithTimeout(e.Context(), 60*time.Second)
 	defer cancel()
-	defers := 0
+	tr := trace.New()
 	cfg := DefaultSubmitterConfig(core.Ethernet)
-	cfg.Observer = core.ObserverFunc(func(ev core.Event, at time.Time, detail error) {
-		if ev == core.EvDefer {
-			defers++
-		}
-	})
+	cfg.Trace = tr.NewClient("Ethernet", "sub", e.Elapsed)
 	var sub Submitter
 	e.Spawn("sub", func(p *sim.Proc) { sub.Loop(p, ctx, cl, cfg) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	defers := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KDefer {
+			defers++
+		}
 	}
 	if defers == 0 {
 		t.Fatal("no deferrals under FD pressure")

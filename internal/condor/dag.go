@@ -167,7 +167,6 @@ func (disp *Dispatcher) Run(p core.Proc, ctx context.Context, cl *Cluster, dag *
 		Discipline: cfg.Submit.Discipline,
 		Limit:      core.For(cfg.Submit.TryLimit),
 		Sense:      core.ThresholdSense("file-nr", cl.FDs.Free, int64(cfg.Submit.Threshold)),
-		Observer:   cfg.Submit.Observer,
 	}
 	for dag.Remaining() > 0 {
 		if err := ctx.Err(); err != nil {

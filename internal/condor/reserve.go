@@ -2,11 +2,9 @@ package condor
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/lease"
-	"repro/internal/trace"
 )
 
 // This file is the submit scenario's fourth-discipline client: instead
@@ -72,33 +70,15 @@ func (s *Schedd) SubmitReserved(p core.Proc, ctx context.Context, claim lease.Le
 	return s.serve(p, ctx, outer, func() {}, claim)
 }
 
-// ResSubmitterConfig shapes one reservation-discipline submitter.
-type ResSubmitterConfig struct {
-	// TryLimit bounds each work unit, as for the other disciplines.
-	TryLimit time.Duration
-	// Window is the tenure booked per submission. It must cover the
-	// worst-case submission (setup, queueing, transfer) or honest
-	// clients are revoked mid-service; the slack past the typical case
-	// is capacity held but unused — reservation's standing overhead.
-	Window time.Duration
-	// ThinkTime separates a successful submission from the next job.
-	ThinkTime time.Duration
-	// Observer receives discipline events.
-	Observer core.Observer
-	// Trace, when non-nil, records this submitter's attempt timeline.
-	Trace *trace.Client
-	// Backoff paces retries after a rejection. Unlike a collision, a
-	// rejection consumed nothing, so the pacing is load-shedding only.
-	Backoff *core.Backoff
-}
-
 // ReserveLoop runs the submitter until ctx is canceled: an endless
 // sequence of jobs, each booked on book before it touches the schedd.
 // Every booking asks for the worst-case descriptor count — output
 // sizes and file counts are unknown before the job runs, the same
 // argument §5 makes against storage reservation — so the book admits
 // strictly fewer clients than optimistic disciplines would attempt.
-func (sub *Submitter) ReserveLoop(p core.Proc, ctx context.Context, cl *Cluster, book *lease.Book, cfg ResSubmitterConfig) {
+// It reads cfg's TryLimit, Window, ThinkTime, Backoff and Trace; a
+// rejection consumed nothing, so Backoff paces retries to shed load.
+func (sub *Submitter) ReserveLoop(p core.Proc, ctx context.Context, cl *Cluster, book *lease.Book, cfg SubmitterConfig) {
 	p.SetTracer(cfg.Trace)
 	// The worst case a submission can pin on the client side.
 	units := int64(cl.Cfg.ClientFDs + cl.Cfg.ClientFDJitter)
@@ -107,7 +87,6 @@ func (sub *Submitter) ReserveLoop(p core.Proc, ctx context.Context, cl *Cluster,
 		Discipline: core.Reservation,
 		Limit:      core.For(cfg.TryLimit),
 		Backoff:    cfg.Backoff,
-		Observer:   cfg.Observer,
 		Trace:      cfg.Trace,
 		Site:       book.Name(),
 		Span:       "submit",

@@ -12,18 +12,23 @@ import (
 // workload: "a large number of clients attempting to submit jobs into a
 // Condor system", each wrapping condor_submit in an ftsh try.
 type SubmitterConfig struct {
-	// Discipline selects Fixed, Aloha, or Ethernet behaviour.
+	// Discipline selects Fixed, Aloha, or Ethernet behaviour, or the
+	// Reservation discipline of ReserveLoop.
 	Discipline core.Discipline
 	// TryLimit bounds each work unit: the paper uses `try for 5 minutes`.
 	TryLimit time.Duration
 	// Threshold is the Ethernet carrier-sense level: defer while free
 	// FDs < Threshold. The paper uses 1000.
 	Threshold int
+	// Window is the tenure a Reservation submitter books per
+	// submission; only that discipline reads it. It must cover the
+	// worst-case submission (setup, queueing, transfer) or honest
+	// clients are revoked mid-service; the slack past the typical case
+	// is capacity held but unused — reservation's standing overhead.
+	Window time.Duration
 	// ThinkTime separates a successful submission from the next job, the
 	// cadence of a Chimera-style DAG dispatcher.
 	ThinkTime time.Duration
-	// Observer receives discipline events.
-	Observer core.Observer
 	// Trace, when non-nil, records this submitter's attempt timeline.
 	Trace *trace.Client
 	// Backoff optionally overrides the paper-default backoff. Sharing
@@ -73,12 +78,11 @@ func (sub *Submitter) Loop(p core.Proc, ctx context.Context, cl *Cluster, cfg Su
 			}
 			return err
 		},
-		Backoff:  cfg.Backoff,
-		Budget:   cfg.Budget,
-		Observer: cfg.Observer,
-		Trace:    cfg.Trace,
-		Site:     "fds",
-		Span:     "submit",
+		Backoff: cfg.Backoff,
+		Budget:  cfg.Budget,
+		Trace:   cfg.Trace,
+		Site:    "fds",
+		Span:    "submit",
 	}
 	for ctx.Err() == nil {
 		// One work unit = one idempotency key: every retry inside the

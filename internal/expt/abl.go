@@ -114,9 +114,10 @@ func ablSubmit(opt Options, fig string, d core.Discipline, arms []string, tune f
 	jobs, crashes := grid[int64](s), grid[int64](s)
 	s.run(opt, func(arm, p int, c cell) {
 		c.window, c.plan = opt.scaleD(SubmitWindow), opt.Chaos
-		subCfg, clCfg := scaledConfigs(opt, d)
-		tune(arm, &subCfg)
-		jobs[arm][p], crashes[arm][p] = submitCell(c, s.xs[p], subCfg, clCfg, nil)
+		a := scaledArm(opt, d)
+		tune(arm, &a.sub)
+		schedd := submitCell(c, s.xs[p], a).cl.Schedd
+		jobs[arm][p], crashes[arm][p] = schedd.Jobs, schedd.Crashes
 	})
 	return s.table(append(
 		s.armCols("", func(arm, p int) float64 { return float64(jobs[arm][p]) }),
@@ -138,7 +139,7 @@ func ablCap(opt Options) *metrics.SweepTable {
 // too low fails to prevent crashes, too high idles the schedd.
 func ablThreshold(opt Options) *metrics.SweepTable {
 	pcts := []int{1, 12, 99}
-	fds := opt.scaleN(condor.DefaultConfig().FDCapacity) // scaledConfigs' table
+	fds := opt.scaleN(condor.DefaultConfig().FDCapacity) // scaledArm's table
 	return ablSubmit(opt, "abl/threshold", core.Ethernet, []string{"1%", "12%", "99%"}, func(arm int, cfg *condor.SubmitterConfig) {
 		cfg.Threshold = pcts[arm] * fds / 100
 	})
@@ -201,10 +202,10 @@ func extDAG(opt Options) *metrics.SweepTable {
 		dcfg.Submit.Threshold = bgCfg.Threshold
 		dag := condor.LayeredDAG(rand.New(rand.NewSource(c.seed)), 3, 5, 2)
 		var disp condor.Dispatcher
-		jobs, _ := submitCell(c, s.xs[p], bgCfg, condor.Config{FDCapacity: opt.scaleN(2048)},
-			func(e core.Backend, ctx context.Context, cl *condor.Cluster) {
+		jobs := submitCell(c, s.xs[p], submitArm{sub: bgCfg, cluster: condor.Config{FDCapacity: opt.scaleN(2048)},
+			extra: func(e core.Backend, ctx context.Context, cl *condor.Cluster) {
 				e.Spawn("dispatcher", func(p core.Proc) { _ = disp.Run(p, ctx, cl, dag, dcfg) })
-			})
+			}}).cl.Schedd.Jobs
 		makespan[arm][p], bgJobs[arm][p] = disp.Makespan, jobs-disp.Submitted
 	})
 	return s.table(append(

@@ -88,12 +88,10 @@ func TestChaosSweepCondor(t *testing.T) {
 			// has a dedicated budget in res_test.go, so only throughput is
 			// measured here.
 			c.rec = nil
-			cells[i] = float64(resCell(c, n).Jobs)
+			cells[i] = float64(submitCell(c, n, resSubmit(c.window, n)).cl.Schedd.Jobs)
 			return
 		}
-		subCfg, clCfg := scaledConfigs(opt, sweepOrder[arm])
-		j, _ := submitCell(c, n, subCfg, clCfg, nil)
-		cells[i] = float64(j)
+		cells[i] = float64(submitCell(c, n, scaledArm(opt, sweepOrder[arm])).cl.Schedd.Jobs)
 	})
 	var sum [4]float64
 	for pi, plan := range plans {
@@ -251,12 +249,11 @@ func TestChaosCellDeterminism(t *testing.T) {
 	}
 
 	opt := Options{Scale: 0.1}
-	subCfg, clCfg := scaledConfigs(opt, core.Ethernet)
 	window := opt.scaleD(SubmitWindow)
-	j1, c1 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, subCfg, clCfg, nil)
-	j2, c2 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, subCfg, clCfg, nil)
-	if j1 != j2 || c1 != c2 {
-		t.Errorf("condor cell diverged: (%d,%d) vs (%d,%d)", j1, c1, j2, c2)
+	s1 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, scaledArm(opt, core.Ethernet)).cl.Schedd
+	s2 := submitCell(Options{}.cell("submit", 7, window, plan(), nil), 40, scaledArm(opt, core.Ethernet)).cl.Schedd
+	if s1.Jobs != s2.Jobs || s1.Crashes != s2.Crashes {
+		t.Errorf("condor cell diverged: (%d,%d) vs (%d,%d)", s1.Jobs, s1.Crashes, s2.Jobs, s2.Crashes)
 	}
 
 	bw := opt.scaleD(BufferWindow)
@@ -289,8 +286,7 @@ func TestChaosInvariantsCleanWithoutChaos(t *testing.T) {
 	opt := Options{Scale: 0.1}
 	rec := &chaos.Recorder{}
 	for _, d := range core.Disciplines {
-		subCfg, clCfg := scaledConfigs(opt, d)
-		submitCell(Options{}.cell("submit", 1, opt.scaleD(SubmitWindow), nil, rec), opt.scaleN(400), subCfg, clCfg, nil)
+		submitCell(Options{}.cell("submit", 1, opt.scaleD(SubmitWindow), nil, rec), opt.scaleN(400), scaledArm(opt, d))
 		bufferCell(Options{}.cell("buffer", 1, opt.scaleD(BufferWindow), nil, rec), 25, d, fsbuffer.Config{}, 0)
 	}
 	rcfg := replica.DefaultReaderConfig(core.Ethernet)
@@ -298,7 +294,7 @@ func TestChaosInvariantsCleanWithoutChaos(t *testing.T) {
 	readerCell(Options{}.cell("reader", 1, rcfg.OuterLimit, nil, rec), rcfg)
 	// The fourth discipline's fault-free universes must be equally clean,
 	// including the admission book's own no-starvation budget.
-	ResCell(Options{}, 1, opt.scaleN(400), opt.scaleD(SubmitWindow), nil, rec)
+	runRes(Options{}, 1, opt.scaleN(400), opt.scaleD(SubmitWindow), nil, rec)
 	bufferCell(Options{}.cell("buffer", 1, opt.scaleD(BufferWindow), nil, rec), 25, core.Reservation, fsbuffer.Config{}, 0)
 	rcfgR := replica.DefaultReaderConfig(core.Reservation)
 	rcfgR.OuterLimit = opt.scaleD(ReaderWindow)

@@ -118,7 +118,7 @@ func checkTrace(t *testing.T, tr *trace.Tracer) {
 // Aloha, Aloha must beat Fixed, and the Ethernet cell must hold the
 // carrier floor (the invariant suite samples free FDs throughout).
 //
-// The gridd arm runs its own cells (griddSubmitConfigs: 12
+// The gridd arm runs its own cells (griddSubmitArm: 12
 // submitters, a 40 s window) with the FD table on a daemon on the cell's
 // engine, every sense, acquire, renew and release a round trip through
 // the daemon's codec. The codec is the only difference from a sim cell,
@@ -135,14 +135,13 @@ func TestDiffSubmitOrdering(t *testing.T) {
 		jobs := map[core.Discipline]float64{}
 		var ethRec chaos.Recorder
 		for _, d := range core.Disciplines {
-			subCfg, clCfg := scaledConfigs(opt, d)
 			tr := trace.New()
 			var rec *chaos.Recorder
 			if d == core.Ethernet {
 				rec = &ethRec
 			}
 			opt.Trace = tr
-			j, _ := submitCell(opt.cell("submit", seed, window, nil, rec), n, subCfg, clCfg, nil)
+			j := submitCell(opt.cell("submit", seed, window, nil, rec), n, scaledArm(opt, d)).cl.Schedd.Jobs
 			checkTrace(t, tr)
 			jobs[d] = float64(j)
 		}
@@ -167,12 +166,13 @@ func TestDiffSubmitOrdering(t *testing.T) {
 			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 				jobs := map[core.Discipline]float64{}
 				for _, d := range core.Disciplines {
-					subCfg, clCfg := griddSubmitConfigs(n, window, d)
+					a := griddSubmitArm(n, window, d)
 					tr := trace.New()
 					var got, want chaos.Recorder
-					j, crashes := submitCell(Options{Backend: BackendGridd, Trace: tr}.cell("submit", seed, window, nil, &got), n, subCfg, clCfg, nil)
+					sd := submitCell(Options{Backend: BackendGridd, Trace: tr}.cell("submit", seed, window, nil, &got), n, a).cl.Schedd
 					checkTrace(t, tr)
-					simJ, simCrashes := submitCell(Options{}.cell("submit", seed, window, nil, &want), n, subCfg, clCfg, nil)
+					simSd := submitCell(Options{}.cell("submit", seed, window, nil, &want), n, a).cl.Schedd
+					j, crashes, simJ, simCrashes := sd.Jobs, sd.Crashes, simSd.Jobs, simSd.Crashes
 					t.Logf("%s: jobs=%d crashes=%d violations=%d", d, j, crashes, len(got.Violations))
 					if j != simJ || crashes != simCrashes || !slices.Equal(got.Violations, want.Violations) {
 						t.Errorf("%s: gridd cell (jobs %d, crashes %d, violations %v) differs from the sim cell (%d, %d, %v)",
@@ -194,21 +194,23 @@ func TestDiffSubmitOrdering(t *testing.T) {
 	})
 }
 
-// griddSubmitConfigs are the gridd submit arm's parameters for n
+// griddSubmitArm is the gridd submit arm's parameters for n
 // submitters of discipline d, all per n: a descriptor table of 6n, an
 // Ethernet threshold of 3n (carrier sense keeps about half the table
 // free), housekeeping that needs n descriptors every 5 virtual seconds
 // and a 10-second restart after a crash. A submission pins 10-17
 // descriptors and the schedd 3 more; the backoff is capped at 3 s, so a
 // deferred client re-senses often in a short window.
-func griddSubmitConfigs(n int, window time.Duration, d core.Discipline) (condor.SubmitterConfig, condor.Config) {
-	return condor.SubmitterConfig{
+func griddSubmitArm(n int, window time.Duration, d core.Discipline) submitArm {
+	return submitArm{
+		sub: condor.SubmitterConfig{
 			Discipline: d,
 			TryLimit:   window,
 			Threshold:  3 * n,
 			ThinkTime:  time.Second,
 			Backoff:    &core.Backoff{Base: time.Second, Cap: 3 * time.Second, Factor: 2, RandMin: 1, RandMax: 2},
-		}, condor.Config{
+		},
+		cluster: condor.Config{
 			FDCapacity:        6 * n,
 			ClientFDs:         10,
 			ClientFDJitter:    7,
@@ -219,7 +221,8 @@ func griddSubmitConfigs(n int, window time.Duration, d core.Discipline) (condor.
 			RestartDelay:      10 * time.Second,
 			HousekeepFDs:      n,
 			HousekeepInterval: 5 * time.Second,
-		}
+		},
+	}
 }
 
 // diffBufferCell is the differential harness's coarse-grained buffer
@@ -357,16 +360,16 @@ func TestDiffReservationRegimes(t *testing.T) {
 		window := 2 * time.Minute
 		const n = 20
 		quantum := leaseQuantum(window)
-		run := func(plan *chaos.Plan) (*ResCellResult, *LeaseCellResult) {
+		run := func(plan *chaos.Plan) (resResult, laResult) {
 			rtr := trace.New()
 			ropt := opt
 			ropt.Trace = rtr
-			rs := ResCell(ropt, seed, n, window, plan, nil)
+			rs := runRes(ropt, seed, n, window, plan, nil)
 			checkTrace(t, rtr)
 			etr := trace.New()
 			eopt := opt
 			eopt.Trace = etr
-			es := LeaseCell(eopt, seed, n, window, quantum, plan, nil)
+			es := runLA(eopt, seed, n, window, quantum, plan, nil)
 			checkTrace(t, etr)
 			return rs, es
 		}
@@ -486,7 +489,7 @@ func TestDiffLeaseNoStarvation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := LeaseCell(opt, seed, 50, window, leaseQuantum(window), plan, nil)
+		res := runLA(opt, seed, 50, window, leaseQuantum(window), plan, nil)
 		t.Logf("jobs=%d revokes=%d starved=%d maxWait=%v jain=%.2f",
 			res.Jobs, res.Revokes, res.Starved, res.MaxWait, res.Jain)
 		if res.Jobs == 0 {
@@ -525,13 +528,13 @@ func TestDiffLeaseNoStarvation(t *testing.T) {
 				}
 				tr := trace.New()
 				var got, want chaos.Recorder
-				res := LeaseCell(Options{Backend: BackendGridd, Trace: tr}, seed, n, window, quantum, plan, &got)
+				res := runLA(Options{Backend: BackendGridd, Trace: tr}, seed, n, window, quantum, plan, &got)
 				checkTrace(t, tr)
-				sim := LeaseCell(Options{}, seed, n, window, quantum, plan, &want)
+				sim := runLA(Options{}, seed, n, window, quantum, plan, &want)
 				t.Logf("jobs=%d revokes=%d starved=%d maxWait=%v jain=%.2f crashes=%d",
 					res.Jobs, res.Revokes, res.Starved, res.MaxWait, res.Jain, res.Crashes)
 				if !reflect.DeepEqual(res, sim) || !slices.Equal(got.Violations, want.Violations) {
-					t.Errorf("gridd cell %+v (violations %v) differs from the sim cell %+v (%v)", *res, got.Violations, *sim, want.Violations)
+					t.Errorf("gridd cell %+v (violations %v) differs from the sim cell %+v (%v)", res, got.Violations, sim, want.Violations)
 				}
 				if res.Jobs == 0 {
 					t.Fatal("leased cell submitted nothing over the wire")

@@ -8,6 +8,7 @@ package expt
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/chaos"
@@ -163,35 +164,126 @@ const TimelineClients = 400
 // Fig1Sweep is the submitter counts swept in Figure 1 (x-axis 0–500).
 var Fig1Sweep = []int{10, 25, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500}
 
-// submitCell is the submit scenario: n submitters against a fresh
-// cluster. It is the one entry point of the scenario: Figures 1 to 3,
-// the ablations and the chaos sweeps are built from it. extra, when
-// set, spawns more clients of the same cluster after the submitters.
-func submitCell(c cell, n int, subCfg condor.SubmitterConfig, clCfg condor.Config, extra func(e core.Backend, ctx context.Context, cl *condor.Cluster)) (jobs, crashes int64) {
-	var cl *condor.Cluster
+// submitArm is one arm of the submit scenario: what a figure sets
+// beyond the population. Every arm runs in the same universe, built by
+// submitCell; the figures differ only in these fields.
+type submitArm struct {
+	// sub configures every submitter. Its discipline decides how they
+	// run: Reservation books on the cell's admission book
+	// (Submitter.ReserveLoop), the others submit directly
+	// (Submitter.Loop).
+	sub condor.SubmitterConfig
+	// cluster configures the condor cluster.
+	cluster condor.Config
+	// process is the trace process the submitters record on; empty
+	// means the discipline's name.
+	process string
+	// checks registers the arm's invariant suite, in violation order,
+	// on the run whose cluster (and book) the substrate has just built;
+	// nil means condorChecks.
+	checks func(inv *chaos.Invariants, r *submitRun)
+	// tally makes the suite's violations the arm's measurement: the
+	// suite always runs, and submitRun.violations counts them by check
+	// before they are forwarded to the cell's recorder, if any.
+	tally bool
+	// extra, when set, spawns more clients of the cluster after the
+	// submitters.
+	extra func(e core.Backend, ctx context.Context, cl *condor.Cluster)
+}
+
+// submitRun is what a submit cell leaves for its figure to read.
+type submitRun struct {
+	cl *condor.Cluster
+	// book is the Reservation discipline's admission book; nil for the
+	// other disciplines.
+	book *lease.Book
+	// subs is each submitter's accounting, in spawn order.
+	subs []condor.Submitter
+	// violations counts the suite's violations by check when the arm
+	// tallies them.
+	violations map[string]int
+}
+
+// perClient is each submitter's submissions, in spawn order.
+func (r *submitRun) perClient() []float64 {
+	per := make([]float64, len(r.subs))
+	for i := range r.subs {
+		per[i] = float64(r.subs[i].Submitted)
+	}
+	return per
+}
+
+// jain is Jain's fairness index over the submitters' submissions.
+func (r *submitRun) jain() float64 { return metrics.JainIndex(r.perClient()) }
+
+// resBookCapacity sizes a Reservation cell's admission book: 10 units
+// per submitter against a worst-case booking of
+// ClientFDs+ClientFDJitter (20) units, so the book admits about half
+// the population concurrently — the same contention regime the
+// Ethernet arms' carrier threshold produces.
+func resBookCapacity(n int) int64 { return int64(10 * n) }
+
+// submitCell is the submit scenario: n submitters of arm a against a
+// fresh cluster. It is the one entry point of the scenario: Figures 1
+// to 3, the la, res and net ablations, the ablations and extension
+// experiments and the chaos sweeps are built from it. Each submitter
+// is a process of its own name (submitter-<i>), as the FD ledger and
+// the admission book key holders by name.
+func submitCell(c cell, n int, a submitArm) *submitRun {
+	r := &submitRun{subs: make([]condor.Submitter, n)}
+	process := a.process
+	if process == "" {
+		process = a.sub.Discipline.String()
+	}
+	checks := a.checks
+	if checks == nil {
+		checks = func(inv *chaos.Invariants, r *submitRun) { condorChecks(inv, r.cl, a.sub, c.window) }
+	}
+	var tally func(v chaos.Violation)
+	if a.tally {
+		r.violations = map[string]int{}
+		tally = func(v chaos.Violation) { r.violations[v.Check]++ }
+	}
 	c.run(scenario{
 		substrate: func(e core.Backend, fds newCarrier) chaos.Targets {
-			cl = condor.NewClusterOn(e, clCfg, fds)
-			return chaos.Targets{Cluster: cl}
+			r.cl = condor.NewClusterOn(e, a.cluster, fds)
+			if a.sub.Discipline == core.Reservation {
+				// The book carves the client share out of the descriptor
+				// budget; the remainder of the table is the schedd's
+				// (connection FDs, housekeeping), so an admitted client can
+				// never crash the daemon by mere arrival — that is the
+				// admission-control bargain.
+				r.book = lease.NewBook(e, "fds", resBookCapacity(n))
+			}
+			return chaos.Targets{Cluster: r.cl}
 		},
-		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
-		checks:  func(inv *chaos.Invariants) { condorChecks(inv, cl, subCfg, c.window) },
-		gauges:  func(sc *obs.Scope) { obsCluster(sc, cl) },
+		daemons: func(ctx context.Context) { r.cl.StartHousekeeping(ctx) },
+		checks:  func(inv *chaos.Invariants) { checks(inv, r) },
+		tally:   tally,
+		gauges: func(sc *obs.Scope) {
+			obsCluster(sc, r.cl)
+			if r.book != nil {
+				obsBook(sc, r.book, "book")
+			}
+		},
 		clients: func(e core.Backend, ctx context.Context) {
-			for i := 0; i < n; i++ {
-				cfg := subCfg
-				cfg.Trace = c.client(e, subCfg.Discipline.String(), "submitter", i)
-				e.Spawn("submitter", func(p core.Proc) {
-					var sub condor.Submitter
-					sub.Loop(p, ctx, cl, cfg)
+			for i := range r.subs {
+				sub, cfg := &r.subs[i], a.sub
+				cfg.Trace = c.client(e, process, "submitter", i)
+				e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
+					if cfg.Discipline == core.Reservation {
+						sub.ReserveLoop(p, ctx, r.cl, r.book, cfg)
+						return
+					}
+					sub.Loop(p, ctx, r.cl, cfg)
 				})
 			}
-			if extra != nil {
-				extra(e, ctx, cl)
+			if a.extra != nil {
+				a.extra(e, ctx, r.cl)
 			}
 		},
 	})
-	return cl.Schedd.Jobs, cl.Schedd.Crashes
+	return r
 }
 
 // invariantWindow bounds how long the carrier floor may stay breached:
@@ -229,17 +321,16 @@ func condorChecks(inv *chaos.Invariants, cl *condor.Cluster, subCfg condor.Submi
 	}
 }
 
-// scaledConfigs returns submitter and cluster configurations whose FD
-// capacity and carrier threshold shrink with opt.Scale, so scaled-down
+// scaledArm returns the paper's submit arm for discipline d, its FD
+// capacity and carrier threshold shrunk with opt.Scale, so scaled-down
 // runs keep the paper's contention regime.
-func scaledConfigs(opt Options, d core.Discipline) (condor.SubmitterConfig, condor.Config) {
-	subCfg := condor.DefaultSubmitterConfig(d)
-	clCfg := condor.Config{}
+func scaledArm(opt Options, d core.Discipline) submitArm {
+	a := submitArm{sub: condor.DefaultSubmitterConfig(d)}
 	if opt.scale() != 1.0 {
-		subCfg.Threshold = opt.scaleN(subCfg.Threshold)
-		clCfg.FDCapacity = opt.scaleN(condor.DefaultConfig().FDCapacity)
+		a.sub.Threshold = opt.scaleN(a.sub.Threshold)
+		a.cluster.FDCapacity = opt.scaleN(condor.DefaultConfig().FDCapacity)
 	}
-	return subCfg, clCfg
+	return a
 }
 
 // fig1Sweep declares Figure 1's cells.
@@ -256,8 +347,7 @@ func Fig1(opt Options) *metrics.SweepTable {
 	jobs := grid[int64](s)
 	s.run(opt, func(arm, p int, c cell) {
 		c.window, c.plan = window, opt.Chaos
-		subCfg, clCfg := scaledConfigs(opt, core.Disciplines[arm])
-		jobs[arm][p], _ = submitCell(c, s.xs[p], subCfg, clCfg, nil)
+		jobs[arm][p] = submitCell(c, s.xs[p], scaledArm(opt, core.Disciplines[arm])).cl.Schedd.Jobs
 	})
 	return s.table(s.armCols("", func(arm, p int) float64 { return float64(jobs[arm][p]) })...)
 }
@@ -285,16 +375,15 @@ func (tl *SubmitTimeline) Table() *metrics.Table {
 // another figure's trace companion on the same seed apart in one
 // registry.
 func RunSubmitTimeline(opt Options, fig string, d core.Discipline) *SubmitTimeline {
-	subCfg, clCfg := scaledConfigs(opt, d)
 	c := opt.cell(fig+"/"+d.String(), opt.seed(), opt.scaleD(TimelineWindow), opt.Chaos, opt.Check)
 	if c.reg == nil {
 		c.reg = obs.New()
 	}
-	_, crashes := submitCell(c, opt.scaleN(TimelineClients), subCfg, clCfg, nil)
+	r := submitCell(c, opt.scaleN(TimelineClients), scaledArm(opt, d))
 	return &SubmitTimeline{
 		FDs:     c.recorded(MCarrierFree, "avail-fds"),
 		Jobs:    c.recorded(MJobs, "jobs"),
-		Crashes: crashes,
+		Crashes: r.cl.Schedd.Crashes,
 	}
 }
 

@@ -1,12 +1,15 @@
 package expt
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/condor"
 	"repro/internal/core"
+	"repro/internal/lease"
 )
 
 // These tests assert the paper's qualitative claims — who wins, by
@@ -20,8 +23,7 @@ func TestFig1Shapes(t *testing.T) {
 	window := SubmitWindow
 	// jobsAt runs n submitters of discipline d with paper defaults.
 	jobsAt := func(d core.Discipline, n int) int64 {
-		jobs, _ := submitCell(Options{}.cell("submit", 1, window, nil, nil), n, condor.DefaultSubmitterConfig(d), condor.Config{}, nil)
-		return jobs
+		return submitCell(Options{}.cell("submit", 1, window, nil, nil), n, submitArm{sub: condor.DefaultSubmitterConfig(d)}).cl.Schedd.Jobs
 	}
 	peak := jobsAt(core.Ethernet, 50)
 	if peak < 500 {
@@ -53,6 +55,33 @@ func TestFig1Shapes(t *testing.T) {
 	eLow := jobsAt(core.Ethernet, 200)
 	if diff := fLow - eLow; diff > eLow/10 || diff < -eLow/10 {
 		t.Errorf("below contention Fixed %d vs Ethernet %d should match", fLow, eLow)
+	}
+}
+
+// TestSubmitCellLedgerRowPerSubmitter: in a Figure 1 cell of every
+// discipline, the FD ledger holds one row per submitter, plus the
+// schedd's. The ledger keys holders by process name, so submitters
+// sharing a name would fold into one row, and the starvation
+// statistics read off the ledger would see one client.
+func TestSubmitCellLedgerRowPerSubmitter(t *testing.T) {
+	opt := Options{Scale: 0.1}
+	const n = 12
+	for _, d := range core.Disciplines {
+		c := opt.cell("fig1", 1, opt.scaleD(SubmitWindow), nil, nil)
+		r := submitCell(c, n, scaledArm(opt, d))
+		var got []string
+		for _, row := range r.cl.FDs.(*lease.Manager).Clients() {
+			got = append(got, row.Holder)
+		}
+		want := []string{"schedd"}
+		for i := 0; i < n; i++ {
+			want = append(want, fmt.Sprintf("submitter-%d", i))
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: FD ledger rows %v, want %v", d, got, want)
+		}
 	}
 }
 

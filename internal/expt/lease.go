@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"context"
-	"fmt"
 	"slices"
 	"time"
 
@@ -10,7 +8,6 @@ import (
 	"repro/internal/condor"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // ---------------------------------------------------------------------
@@ -30,25 +27,6 @@ import (
 // LeaseSweep is the submitter counts swept in the ablation.
 var LeaseSweep = []int{50, 100, 200, 400}
 
-// LeaseCellResult is one ablation cell's accounting.
-type LeaseCellResult struct {
-	// Jobs is total jobs submitted; PerClient the per-submitter split.
-	Jobs      int64
-	PerClient []float64
-	// Jain is Jain's fairness index over PerClient.
-	Jain float64
-	// Revokes counts FD tenures the lease watchdog reclaimed: the
-	// carrier's own count, the daemon's on the gridd backend.
-	Revokes int64
-	// Starved counts no-starvation invariant violations: excursions
-	// where some live client wanted FDs for more than the budget.
-	Starved int
-	// MaxWait is the longest any client went wanting FDs.
-	MaxWait time.Duration
-	// Crashes counts schedd crashes during the run.
-	Crashes int64
-}
-
 // leaseQuantum derives the tenure quantum from the experiment window:
 // a tenth of the window, the same knob at every scale.
 func leaseQuantum(window time.Duration) time.Duration { return window / 10 }
@@ -58,15 +36,6 @@ func leaseQuantum(window time.Duration) time.Duration { return window / 10 }
 // wanting means reclamation is not working.
 func leaseBudget(window time.Duration) time.Duration { return 4 * leaseQuantum(window) }
 
-// LeaseCell runs n Ethernet submitters against a cluster whose FD
-// table grants tenure with the given quantum (0 = the unleased legacy
-// ablation) for the window, optionally under a fault plan. Violations
-// are counted into the result's Starved; when rec is non-nil they are
-// also forwarded to it, so an acceptance suite can demand a clean run.
-func LeaseCell(opt Options, seed int64, n int, window, quantum time.Duration, plan *chaos.Plan, rec *chaos.Recorder) *LeaseCellResult {
-	return leaseCell(opt.cell(fmt.Sprintf("la/%s/n%d", leaseArm(quantum), n), seed, window, plan, rec), n, quantum)
-}
-
 // leaseArm names the two arms of the ablation, in traces and labels.
 func leaseArm(quantum time.Duration) string {
 	if quantum <= 0 {
@@ -75,75 +44,45 @@ func leaseArm(quantum time.Duration) string {
 	return "ethernet-leased"
 }
 
-// leaseCell is the limited-allocation scenario.
-func leaseCell(c cell, n int, quantum time.Duration) *LeaseCellResult {
-	var cl *condor.Cluster
-	subs := make([]*condor.Submitter, n)
-	res := &LeaseCellResult{PerClient: make([]float64, n)}
-	c.run(scenario{
-		substrate: func(e core.Backend, fds newCarrier) chaos.Targets {
-			cl = condor.NewClusterOn(e, condor.Config{
-				// Capacity comfortably fits the live steady-state load (~35%
-				// duty cycle × 18 FDs each ≈ 6n, with the 3s think time below)
-				// but not that load plus a population of wedged holders pinning
-				// 15 FDs each: stuck holders, not honest congestion, are what
-				// exhausts the table.
-				FDCapacity:   12 * n,
-				ServiceSlots: n,
-				LeaseQuantum: quantum,
-			}, fds)
-			return chaos.Targets{Cluster: cl}
+// ablationBackoff is the backoff template of the la, res and net arms:
+// capped at half the tenure quantum, so a deferred or rejected client
+// re-senses within the reclamation cycle instead of sleeping through
+// the grant it was waiting for. The cap is the same in every arm of an
+// ablation, or it would confound the ablation.
+func ablationBackoff(quantum time.Duration) *core.Backoff {
+	return &core.Backoff{Base: time.Second, Cap: quantum / 2, Factor: 2, RandMin: 1, RandMax: 2}
+}
+
+// leaseSubmit is the la arm: n Ethernet submitters for the window
+// against an FD table that grants tenure with the given quantum (0 =
+// the unleased legacy ablation). Its starvation excursions are its
+// measurement, tallied under "no-starvation".
+func leaseSubmit(window time.Duration, n int, quantum time.Duration) submitArm {
+	return submitArm{
+		sub: condor.SubmitterConfig{
+			Discipline: core.Ethernet,
+			// One work unit spans the whole window: a wedged unleased
+			// holder pins its FDs until the run ends, which is exactly
+			// the failure mode under test.
+			TryLimit:  window,
+			Threshold: 4 * n,
+			ThinkTime: 3 * time.Second,
+			Backoff:   ablationBackoff(leaseQuantum(window)),
 		},
-		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
-		checks: func(inv *chaos.Invariants) {
-			inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
-			inv.Horizon(c.window)
-			inv.NoStarvation("fds", cl.FDs.LongestWait, leaseBudget(c.window))
+		// Capacity comfortably fits the live steady-state load (~35%
+		// duty cycle × 18 FDs each ≈ 6n, with the 3s think time above)
+		// but not that load plus a population of wedged holders pinning
+		// 15 FDs each: stuck holders, not honest congestion, are what
+		// exhausts the table.
+		cluster: condor.Config{FDCapacity: 12 * n, ServiceSlots: n, LeaseQuantum: quantum},
+		process: leaseArm(quantum),
+		checks: func(inv *chaos.Invariants, r *submitRun) {
+			inv.Monotone("jobs", func() float64 { return float64(r.cl.Schedd.Jobs) })
+			inv.Horizon(window)
+			inv.NoStarvation("fds", r.cl.FDs.LongestWait, leaseBudget(window))
 		},
-		// Starvation is detected locally even for the ablation cell, whose
-		// violations are the expected result, not an experiment failure.
-		tally: func(v chaos.Violation) {
-			if v.Check == "no-starvation" {
-				res.Starved++
-			}
-		},
-		gauges: func(sc *obs.Scope) { obsCluster(sc, cl) },
-		clients: func(e core.Backend, ctx context.Context) {
-			for i := range subs {
-				sub := &condor.Submitter{}
-				subs[i] = sub
-				cfg := condor.SubmitterConfig{
-					Discipline: core.Ethernet,
-					// One work unit spans the whole window: a wedged unleased
-					// holder pins its FDs until the run ends, which is exactly
-					// the failure mode under test.
-					TryLimit:  c.window,
-					Threshold: 4 * n,
-					ThinkTime: 3 * time.Second,
-					// Cap the backoff at half a quantum in both cells so a
-					// deferred client re-senses within the reclamation cycle
-					// instead of sleeping through the grant it was waiting for;
-					// the cap must not differ between cells or it would
-					// confound the ablation.
-					Backoff: &core.Backoff{Base: time.Second, Cap: leaseQuantum(c.window) / 2, Factor: 2, RandMin: 1, RandMax: 2},
-					Trace:   c.client(e, leaseArm(quantum), "submitter", i),
-				}
-				// Unique process names: the lease ledger keys holders by name.
-				e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
-					sub.Loop(p, ctx, cl, cfg)
-				})
-			}
-		},
-	})
-	res.Revokes = cl.FDs.Revocations()
-	res.MaxWait = cl.FDs.MaxStarvation()
-	res.Jobs = cl.Schedd.Jobs
-	res.Crashes = cl.Schedd.Crashes
-	for i, sub := range subs {
-		res.PerClient[i] = float64(sub.Submitted)
+		tally: true,
 	}
-	res.Jain = metrics.JainIndex(res.PerClient)
-	return res
 }
 
 // LeaseAblation holds the figure's two tables.
@@ -173,7 +112,13 @@ func FigLA(opt Options) *LeaseAblation {
 	s := laSweep(opt)
 	window := opt.ablationWindow()
 	const leased, unleased = 0, 1
-	res := grid[*LeaseCellResult](s)
+	type reading struct {
+		jobs, revokes int64
+		jain          float64
+		starved       int
+		wait          time.Duration
+	}
+	res := grid[reading](s)
 	s.run(opt, func(arm, p int, c cell) {
 		c.window, c.plan = window, opt.Chaos
 		if c.plan == nil {
@@ -183,19 +128,20 @@ func FigLA(opt Options) *LeaseAblation {
 		if arm == unleased {
 			quantum, c.rec = 0, nil
 		}
-		res[arm][p] = leaseCell(c, s.xs[p], quantum)
+		r := submitCell(c, s.xs[p], leaseSubmit(window, s.xs[p], quantum))
+		res[arm][p] = reading{r.cl.Schedd.Jobs, r.cl.FDs.Revocations(), r.jain(), r.violations["no-starvation"], r.cl.FDs.MaxStarvation()}
 	})
 	return &LeaseAblation{
 		Throughput: s.table(
-			col{"leased", func(p int) float64 { return float64(res[leased][p].Jobs) }},
-			col{"unleased", func(p int) float64 { return float64(res[unleased][p].Jobs) }},
+			col{"leased", func(p int) float64 { return float64(res[leased][p].jobs) }},
+			col{"unleased", func(p int) float64 { return float64(res[unleased][p].jobs) }},
 		),
 		Fairness: s.table(
-			col{"jain-leased", func(p int) float64 { return 100 * res[leased][p].Jain }},
-			col{"jain-unleased", func(p int) float64 { return 100 * res[unleased][p].Jain }},
-			col{"revokes", func(p int) float64 { return float64(res[leased][p].Revokes) }},
-			col{"starved", func(p int) float64 { return float64(res[unleased][p].Starved) }},
-			col{"wait-unleased", func(p int) float64 { return res[unleased][p].MaxWait.Seconds() }},
+			col{"jain-leased", func(p int) float64 { return 100 * res[leased][p].jain }},
+			col{"jain-unleased", func(p int) float64 { return 100 * res[unleased][p].jain }},
+			col{"revokes", func(p int) float64 { return float64(res[leased][p].revokes) }},
+			col{"starved", func(p int) float64 { return float64(res[unleased][p].starved) }},
+			col{"wait-unleased", func(p int) float64 { return res[unleased][p].wait.Seconds() }},
 		),
 	}
 }

@@ -1,11 +1,34 @@
 package expt
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 )
+
+// laResult is what the la tests read of one cell.
+type laResult struct {
+	Jobs, Crashes, Revokes int64
+	PerClient              []float64
+	Jain                   float64
+	// Starved counts no-starvation violations; MaxWait is the longest
+	// any client went wanting FDs.
+	Starved int
+	MaxWait time.Duration
+}
+
+// runLA runs one la cell outside the sweep: leaseSubmit's n submitters
+// for the window, on a table of the given tenure quantum.
+func runLA(opt Options, seed int64, n int, window, quantum time.Duration, plan *chaos.Plan, rec *chaos.Recorder) laResult {
+	r := submitCell(opt.cell(fmt.Sprintf("la/%s/n%d", leaseArm(quantum), n), seed, window, plan, rec), n, leaseSubmit(window, n, quantum))
+	return laResult{
+		Jobs: r.cl.Schedd.Jobs, Crashes: r.cl.Schedd.Crashes, Revokes: r.cl.FDs.Revocations(),
+		PerClient: r.perClient(), Jain: r.jain(),
+		Starved: r.violations["no-starvation"], MaxWait: r.cl.FDs.MaxStarvation(),
+	}
+}
 
 // The acceptance criterion of the limited-allocation subsystem: under
 // the stuck-holder fault plan, a leased Ethernet population satisfies
@@ -25,7 +48,7 @@ func TestLeaseNoStarvationUnderStuckHolder(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := &chaos.Recorder{}
-		leased := LeaseCell(Options{}, seed, n, window, quantum, plan, rec)
+		leased := runLA(Options{}, seed, n, window, quantum, plan, rec)
 		if !rec.Ok() {
 			t.Errorf("seed %d: leased cell violated invariants: %v", seed, rec.Err())
 		}
@@ -36,7 +59,7 @@ func TestLeaseNoStarvationUnderStuckHolder(t *testing.T) {
 			t.Errorf("seed %d: watchdog never fired under stuck-holder chaos", seed)
 		}
 
-		unleased := LeaseCell(Options{}, seed, n, window, 0, plan, nil)
+		unleased := runLA(Options{}, seed, n, window, 0, plan, nil)
 		if unleased.Starved == 0 {
 			t.Errorf("seed %d: unleased ablation never starved (maxwait %v, budget %v)",
 				seed, unleased.MaxWait, leaseBudget(window))
@@ -68,8 +91,8 @@ func TestLeaseCellDeterminism(t *testing.T) {
 		return p
 	}
 	window := 120 * time.Second
-	a := LeaseCell(Options{}, 7, 20, window, leaseQuantum(window), plan(), nil)
-	b := LeaseCell(Options{}, 7, 20, window, leaseQuantum(window), plan(), nil)
+	a := runLA(Options{}, 7, 20, window, leaseQuantum(window), plan(), nil)
+	b := runLA(Options{}, 7, 20, window, leaseQuantum(window), plan(), nil)
 	if a.Jobs != b.Jobs || a.Jain != b.Jain || a.Revokes != b.Revokes || a.MaxWait != b.MaxWait {
 		t.Errorf("cells diverged: (%d %.4f %d %v) vs (%d %.4f %d %v)",
 			a.Jobs, a.Jain, a.Revokes, a.MaxWait, b.Jobs, b.Jain, b.Revokes, b.MaxWait)

@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"context"
-	"fmt"
 	"slices"
 	"time"
 
@@ -11,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lease"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // ---------------------------------------------------------------------
@@ -53,37 +50,6 @@ func netQuantum(window time.Duration) time.Duration { return window / 20 }
 // heal-liveness clock starts just past it.
 const netHealFrac = 0.87
 
-// NetCellResult is one channel-ablation cell's accounting.
-type NetCellResult struct {
-	// Jobs is total jobs the schedd booked; Unique the distinct work
-	// units completed (idempotency keys); Phantom the difference —
-	// effects applied more than once per work unit. Fenced cells keep
-	// Phantom at zero.
-	Jobs, Unique, Phantom int64
-	// Deduped counts duplicate submissions the seen-set absorbed;
-	// NetDrops counts submit requests or replies the channel swallowed.
-	Deduped, NetDrops int64
-	// WireDrops, WireDups, Stales are the FD lease wire's tallies:
-	// control messages lost, duplicated, and rejected by the fence.
-	WireDrops, WireDups, Stales int64
-	// Revokes counts FD tenures the watchdog reclaimed — under drops
-	// this is the healing path for leases whose release never arrived.
-	Revokes int64
-	// DoubleAllocs counts double-alloc invariant excursions (lease
-	// units outstanding exceeded capacity); ConsViolations counts
-	// conservation excursions (Jobs diverged from Unique); HealViolations
-	// counts post-heal liveness failures.
-	DoubleAllocs, ConsViolations, HealViolations int
-}
-
-// NetCell runs n Ethernet submitters for the window under a channel
-// fault plan, with the survival mechanisms armed (fenced) or disabled.
-// Violations are tallied into the result; when rec is non-nil they are
-// also forwarded, so an acceptance suite can demand a clean fenced run.
-func NetCell(opt Options, seed int64, n int, window time.Duration, plan *chaos.Plan, fenced bool, rec *chaos.Recorder) *NetCellResult {
-	return netCell(opt.cell(fmt.Sprintf("net/%s/n%d", netArm(fenced), n), seed, window, plan, rec), n, fenced)
-}
-
 // netArm names the two arms of the ablation, in traces and labels.
 func netArm(fenced bool) string {
 	if fenced {
@@ -92,110 +58,71 @@ func netArm(fenced bool) string {
 	return "unfenced"
 }
 
-// netCell is the unreliable-channel scenario.
-func netCell(c cell, n int, fenced bool) *NetCellResult {
-	quantum := netQuantum(c.window)
-	var cl *condor.Cluster
-	var mgr *lease.Manager
-	res := &NetCellResult{}
-	c.run(scenario{
-		// The ablation reads the manager's wire ledger, so its table is
-		// a lease.Manager whatever the backend.
-		substrate: func(e core.Backend, _ newCarrier) chaos.Targets {
-			cl = condor.NewClusterOn(e, condor.Config{
-				// Tighter provisioning than the other ablations: the table fits
-				// only a fraction of the population's peak demand, so admission
-				// genuinely gates progress. That is what makes ledger corruption
-				// observable — once double-frees understate the books, the
-				// manager admits real demand beyond true capacity and the
-				// no-double-allocation invariant has something to catch. The
-				// quantum is short (a twentieth of the window) so leases whose
-				// release the channel swallowed are zombies briefly, not for a
-				// whole reclamation epoch — under drops the watchdog is the
-				// release path, and it must cycle faster than zombies accumulate.
-				// The restart delay is one quantum too: a schedd crashed by
-				// housekeeping starvation mid-partition restarts into a table
-				// the watchdog has already drained, instead of sitting out a
-				// default 30s (a quarter of a short window) and re-crashing
-				// into the same jam.
-				FDCapacity:   6 * n,
-				ServiceSlots: n,
-				LeaseQuantum: quantum,
-				RestartDelay: quantum,
-				Unfenced:     !fenced,
-			}, func(capacity int64, quantum time.Duration) lease.Carrier {
-				mgr = lease.New(e, "fds", capacity, quantum)
-				return mgr
-			})
-			return chaos.Targets{Cluster: cl}
+// netSubmit is the net arm: n Ethernet submitters for the window under
+// the channel fault plan, with the survival mechanisms armed (fenced)
+// or disabled. Its breaches are its measurement, tallied under
+// "double-alloc", "conservation" and "heal-liveness". The FD table is
+// the cell's carrier, a lease.Manager on the backends the row serves
+// (sim and live): the suite reads its wire ledger.
+func netSubmit(window time.Duration, n int, fenced bool, plan *chaos.Plan) submitArm {
+	quantum := netQuantum(window)
+	return submitArm{
+		sub: condor.SubmitterConfig{
+			Discipline: core.Ethernet,
+			// One work unit spans the whole window: a unit abandoned
+			// mid-partition would understate the retry pressure the
+			// budget exists to absorb.
+			// The carrier threshold sits below the (shrunken) capacity so
+			// honest clients still get through; think time is short so
+			// the population keeps real pressure on the table.
+			TryLimit:  window,
+			Threshold: 2 * n,
+			ThinkTime: time.Second,
+			Backoff:   ablationBackoff(quantum),
+			// The retry budget is armed in BOTH arms — it is a
+			// graceful-degradation mechanism, not a correctness one, and
+			// differing retry cadence would confound the ablation.
+			Budget: &core.RetryBudget{Rate: 0.5, Burst: 5},
 		},
-		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
-		checks: func(inv *chaos.Invariants) {
-			inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
-			inv.Horizon(c.window)
+		// Tighter provisioning than the other ablations: the table fits
+		// only a fraction of the population's peak demand, so admission
+		// genuinely gates progress. That is what makes ledger corruption
+		// observable — once double-frees understate the books, the
+		// manager admits real demand beyond true capacity and the
+		// no-double-allocation invariant has something to catch. The
+		// quantum is short (a twentieth of the window) so leases whose
+		// release the channel swallowed are zombies briefly, not for a
+		// whole reclamation epoch — under drops the watchdog is the
+		// release path, and it must cycle faster than zombies accumulate.
+		// The restart delay is one quantum too: a schedd crashed by
+		// housekeeping starvation mid-partition restarts into a table
+		// the watchdog has already drained, instead of sitting out a
+		// default 30s (a quarter of a short window) and re-crashing
+		// into the same jam.
+		cluster: condor.Config{
+			FDCapacity:   6 * n,
+			ServiceSlots: n,
+			LeaseQuantum: quantum,
+			RestartDelay: quantum,
+			Unfenced:     !fenced,
+		},
+		process: netArm(fenced),
+		checks: func(inv *chaos.Invariants, r *submitRun) {
+			mgr := r.cl.FDs.(*lease.Manager)
+			inv.Monotone("jobs", func() float64 { return float64(r.cl.Schedd.Jobs) })
+			inv.Horizon(window)
 			inv.NoDoubleAlloc("fds", mgr.Outstanding, mgr.Capacity)
 			inv.Conservation("submit",
-				func() int64 { return cl.Schedd.Jobs },
-				func() int64 { return cl.Schedd.Unique })
-			if c.plan != nil && c.plan.Name == "part-flap" {
-				healAt := time.Duration(float64(c.window) * netHealFrac)
+				func() int64 { return r.cl.Schedd.Jobs },
+				func() int64 { return r.cl.Schedd.Unique })
+			if plan != nil && plan.Name == "part-flap" {
+				healAt := time.Duration(float64(window) * netHealFrac)
 				inv.HealLiveness("jobs",
-					func() float64 { return float64(cl.Schedd.Jobs) }, healAt, c.window/10)
+					func() float64 { return float64(r.cl.Schedd.Jobs) }, healAt, window/10)
 			}
 		},
-		// Violations are detected locally even for the unfenced cell, whose
-		// breaches are the expected measurement, not an experiment failure.
-		tally: func(v chaos.Violation) {
-			switch v.Check {
-			case "double-alloc":
-				res.DoubleAllocs++
-			case "conservation":
-				res.ConsViolations++
-			case "heal-liveness":
-				res.HealViolations++
-			}
-		},
-		gauges: func(sc *obs.Scope) { obsCluster(sc, cl) },
-		clients: func(e core.Backend, ctx context.Context) {
-			for i := 0; i < n; i++ {
-				sub := &condor.Submitter{}
-				cfg := condor.SubmitterConfig{
-					Discipline: core.Ethernet,
-					// One work unit spans the whole window: a unit abandoned
-					// mid-partition would understate the retry pressure the
-					// budget exists to absorb.
-					// The carrier threshold sits below the (shrunken) capacity so
-					// honest clients still get through; think time is short so
-					// the population keeps real pressure on the table.
-					TryLimit:  c.window,
-					Threshold: 2 * n,
-					ThinkTime: time.Second,
-					// The same capped backoff as the other ablations, so a
-					// deferred client re-senses within the reclamation cycle.
-					Backoff: &core.Backoff{Base: time.Second, Cap: quantum / 2, Factor: 2, RandMin: 1, RandMax: 2},
-					// The retry budget is armed in BOTH cells — it is a
-					// graceful-degradation mechanism, not a correctness one, and
-					// differing retry cadence would confound the ablation.
-					Budget: &core.RetryBudget{Rate: 0.5, Burst: 5},
-					Trace:  c.client(e, netArm(fenced), "submitter", i),
-				}
-				// Unique process names: the lease ledger keys holders by name.
-				e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
-					sub.Loop(p, ctx, cl, cfg)
-				})
-			}
-		},
-	})
-	res.Jobs = cl.Schedd.Jobs
-	res.Unique = cl.Schedd.Unique
-	res.Phantom = cl.Schedd.Jobs - cl.Schedd.Unique
-	res.Deduped = cl.Schedd.Deduped
-	res.NetDrops = cl.Schedd.NetDrops
-	res.WireDrops = mgr.Drops
-	res.WireDups = mgr.Dups
-	res.Stales = mgr.Stales
-	res.Revokes = mgr.Revokes
-	return res
+		tally: true,
+	}
 }
 
 // NetAblation holds the figure's three tables.
@@ -234,7 +161,14 @@ func FigNet(opt Options) *NetAblation {
 	s := netSweep(opt)
 	window := opt.ablationWindow()
 	const fDup, uDup, fPart, uPart = 0, 1, 2, 3
-	res := grid[*NetCellResult](s)
+	// phantom is jobs booked more than once per work unit (Jobs less
+	// Unique); the wire counts are the FD lease wire's ledger.
+	type reading struct {
+		jobs, phantom, deduped, netDrops     int64
+		wireDrops, wireDups, stales, revokes int64
+		dalloc                               int
+	}
+	res := grid[reading](s)
 	s.run(opt, func(arm, p int, c cell) {
 		c.window = window
 		if c.plan = opt.Chaos; c.plan == nil {
@@ -248,30 +182,33 @@ func FigNet(opt Options) *NetAblation {
 		if !fenced {
 			c.rec = nil
 		}
-		res[arm][p] = netCell(c, s.xs[p], fenced)
+		r := submitCell(c, s.xs[p], netSubmit(window, s.xs[p], fenced, c.plan))
+		sd, mgr := r.cl.Schedd, r.cl.FDs.(*lease.Manager)
+		res[arm][p] = reading{sd.Jobs, sd.Jobs - sd.Unique, sd.Deduped, sd.NetDrops,
+			mgr.Drops, mgr.Dups, mgr.Stales, mgr.Revokes, r.violations["double-alloc"]}
 	})
 	return &NetAblation{
 		Throughput: s.table(
-			col{"fenced-dup", func(p int) float64 { return float64(res[fDup][p].Jobs) }},
-			col{"unfenced-dup", func(p int) float64 { return float64(res[uDup][p].Jobs) }},
-			col{"fenced-part", func(p int) float64 { return float64(res[fPart][p].Jobs) }},
-			col{"unfenced-part", func(p int) float64 { return float64(res[uPart][p].Jobs) }},
+			col{"fenced-dup", func(p int) float64 { return float64(res[fDup][p].jobs) }},
+			col{"unfenced-dup", func(p int) float64 { return float64(res[uDup][p].jobs) }},
+			col{"fenced-part", func(p int) float64 { return float64(res[fPart][p].jobs) }},
+			col{"unfenced-part", func(p int) float64 { return float64(res[uPart][p].jobs) }},
 		),
 		Integrity: s.table(
-			col{"phantom-dup", func(p int) float64 { return float64(res[uDup][p].Phantom) }},
-			col{"phantom-part", func(p int) float64 { return float64(res[uPart][p].Phantom) }},
-			col{"dalloc-dup", func(p int) float64 { return float64(res[uDup][p].DoubleAllocs) }},
-			col{"dalloc-part", func(p int) float64 { return float64(res[uPart][p].DoubleAllocs) }},
-			col{"stales-dup", func(p int) float64 { return float64(res[fDup][p].Stales) }},
-			col{"stales-part", func(p int) float64 { return float64(res[fPart][p].Stales) }},
-			col{"deduped-dup", func(p int) float64 { return float64(res[fDup][p].Deduped) }},
+			col{"phantom-dup", func(p int) float64 { return float64(res[uDup][p].phantom) }},
+			col{"phantom-part", func(p int) float64 { return float64(res[uPart][p].phantom) }},
+			col{"dalloc-dup", func(p int) float64 { return float64(res[uDup][p].dalloc) }},
+			col{"dalloc-part", func(p int) float64 { return float64(res[uPart][p].dalloc) }},
+			col{"stales-dup", func(p int) float64 { return float64(res[fDup][p].stales) }},
+			col{"stales-part", func(p int) float64 { return float64(res[fPart][p].stales) }},
+			col{"deduped-dup", func(p int) float64 { return float64(res[fDup][p].deduped) }},
 		),
 		Channel: s.table(
-			col{"req-drops-dup", func(p int) float64 { return float64(res[fDup][p].NetDrops) }},
-			col{"req-drops-part", func(p int) float64 { return float64(res[fPart][p].NetDrops) }},
-			col{"wire-drops-part", func(p int) float64 { return float64(res[fPart][p].WireDrops) }},
-			col{"wire-dups-dup", func(p int) float64 { return float64(res[fDup][p].WireDups) }},
-			col{"revokes-part", func(p int) float64 { return float64(res[fPart][p].Revokes) }},
+			col{"req-drops-dup", func(p int) float64 { return float64(res[fDup][p].netDrops) }},
+			col{"req-drops-part", func(p int) float64 { return float64(res[fPart][p].netDrops) }},
+			col{"wire-drops-part", func(p int) float64 { return float64(res[fPart][p].wireDrops) }},
+			col{"wire-dups-dup", func(p int) float64 { return float64(res[fDup][p].wireDups) }},
+			col{"revokes-part", func(p int) float64 { return float64(res[fPart][p].revokes) }},
 		),
 	}
 }

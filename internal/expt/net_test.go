@@ -8,12 +8,34 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/fsbuffer"
+	"repro/internal/lease"
 	"repro/internal/replica"
 )
 
 // netTestWindow keeps the channel-ablation tests fast while leaving
 // the partition phases long enough to dwarf the retry cadence.
 const netTestWindow = 2 * time.Minute
+
+// netResult is what the net tests read of one cell: the schedd's
+// counts (Phantom is Jobs less Unique), the FD lease wire's ledger and
+// the tallied breaches.
+type netResult struct {
+	Jobs, Unique, Phantom, Deduped, NetDrops int64
+	WireDrops, WireDups, Stales, Revokes     int64
+	DoubleAllocs                             int
+}
+
+// runNet runs one net cell outside the sweep: netSubmit's n submitters
+// for the window under the plan, fenced or not.
+func runNet(opt Options, seed int64, n int, window time.Duration, plan *chaos.Plan, fenced bool, rec *chaos.Recorder) netResult {
+	r := submitCell(opt.cell(fmt.Sprintf("net/%s/n%d", netArm(fenced), n), seed, window, plan, rec), n, netSubmit(window, n, fenced, plan))
+	sd, mgr := r.cl.Schedd, r.cl.FDs.(*lease.Manager)
+	return netResult{
+		Jobs: sd.Jobs, Unique: sd.Unique, Phantom: sd.Jobs - sd.Unique, Deduped: sd.Deduped, NetDrops: sd.NetDrops,
+		WireDrops: mgr.Drops, WireDups: mgr.Dups, Stales: mgr.Stales, Revokes: mgr.Revokes,
+		DoubleAllocs: r.violations["double-alloc"],
+	}
+}
 
 // TestNetCellFencedSafety is the tentpole acceptance: with the
 // survival mechanisms armed, no channel behaviour the presets can
@@ -27,7 +49,7 @@ func TestNetCellFencedSafety(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &chaos.Recorder{}
-			res := NetCell(Options{}, seed, 40, netTestWindow, plan, true, rec)
+			res := runNet(Options{}, seed, 40, netTestWindow, plan, true, rec)
 			if err := rec.Err(); err != nil {
 				t.Errorf("%s seed %d: fenced cell violated invariants: %v", preset, seed, err)
 			}
@@ -53,7 +75,7 @@ func TestNetCellUnfencedBreaks(t *testing.T) {
 	var phantoms, dallocs int
 	for seed := int64(1); seed <= 3; seed++ {
 		plan, _ := chaos.Preset("dup-storm", seed)
-		res := NetCell(Options{}, seed, 40, netTestWindow, plan, false, nil)
+		res := runNet(Options{}, seed, 40, netTestWindow, plan, false, nil)
 		t.Logf("dup-storm seed %d unfenced: jobs=%d phantom=%d dallocs=%d wire(drop=%d dup=%d)",
 			seed, res.Jobs, res.Phantom, res.DoubleAllocs, res.WireDrops, res.WireDups)
 		if res.Phantom > 0 {
@@ -185,7 +207,7 @@ func TestNetNoDoubleAllocAcrossScenarios(t *testing.T) {
 						return plan
 					}
 					rec := &chaos.Recorder{}
-					res := NetCell(be.opt, seed, 40, netTestWindow, mk(), true, nil)
+					res := runNet(be.opt, seed, 40, netTestWindow, mk(), true, nil)
 					if res.DoubleAllocs != 0 {
 						t.Errorf("condor: fenced FD table double-allocated %d time(s)", res.DoubleAllocs)
 					}

@@ -1,17 +1,13 @@
 package expt
 
 import (
-	"context"
-	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/condor"
 	"repro/internal/core"
-	"repro/internal/lease"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // ---------------------------------------------------------------------
@@ -47,121 +43,35 @@ var ResSweep = []int{50, 100, 200, 400}
 // chaos — over 3x the Ethernet arm's revocation quantum.
 func resWindow(window time.Duration) time.Duration { return window / 3 }
 
-// resBookCapacity sizes the admission book: 10 units per submitter
-// against a worst-case booking of ClientFDs+ClientFDJitter (20) units,
-// so the book admits about half the population concurrently — the same
-// contention regime the Ethernet arm's carrier threshold produces.
-func resBookCapacity(n int) int64 { return int64(10 * n) }
-
-// ResCellResult is one reservation cell's accounting.
-type ResCellResult struct {
-	// Jobs is total jobs submitted; PerClient the per-submitter split.
-	Jobs      int64
-	PerClient []float64
-	// Jain is Jain's fairness index over PerClient.
-	Jain float64
-	// Rejects counts bookings the full book refused outright.
-	Rejects int64
-	// Admits counts booked windows that were claimed.
-	Admits int64
-	// Revokes counts claim tenures the watchdog reclaimed at a window
-	// boundary — each one is a dead window that was charged in full.
-	Revokes int64
-	// Lapses counts windows that ended unclaimed.
-	Lapses int64
-	// Crashes counts schedd crashes during the run.
-	Crashes int64
-	// Starved counts no-starvation violations; MaxWait is the longest
-	// any client went wanting a booking.
-	Starved int
-	MaxWait time.Duration
-}
-
-// ResCell runs n reservation submitters against a cluster whose client
-// descriptor share is governed by an admission book, for the window,
-// optionally under a fault plan. Violations are counted into Starved;
-// when rec is non-nil they are also forwarded, so an acceptance suite
-// can demand a clean run.
-func ResCell(opt Options, seed int64, n int, window time.Duration, plan *chaos.Plan, rec *chaos.Recorder) *ResCellResult {
-	return resCell(opt.cell(fmt.Sprintf("res/reservation/n%d", n), seed, window, plan, rec), n)
-}
-
-// resCell is the reservation scenario.
-func resCell(c cell, n int) *ResCellResult {
-	quantum := leaseQuantum(c.window)
-	var cl *condor.Cluster
-	var book *lease.Book
-	subs := make([]*condor.Submitter, n)
-	res := &ResCellResult{PerClient: make([]float64, n)}
-	c.run(scenario{
-		substrate: func(e core.Backend, fds newCarrier) chaos.Targets {
-			cl = condor.NewClusterOn(e, condor.Config{
-				// Same table and service provisioning as the Ethernet arm
-				// (leaseCell), so the only variable is the discipline.
-				FDCapacity:   12 * n,
-				ServiceSlots: n,
-				LeaseQuantum: quantum,
-			}, fds)
-			// The book carves the client share out of the descriptor budget;
-			// the remainder of the table is the schedd's (connection FDs,
-			// housekeeping), so an admitted client can never crash the daemon
-			// by mere arrival — that is the admission-control bargain.
-			book = lease.NewBook(e, "fds", resBookCapacity(n))
-			return chaos.Targets{Cluster: cl}
+// resSubmit is the res arm: n Reservation submitters for the window,
+// booking their descriptors on the cell's admission book, against the
+// same table and service provisioning as the leased Ethernet arm
+// (leaseSubmit), so the only variable is the discipline. Its
+// starvation excursions are its measurement: under the flap plan dead
+// windows starve the book.
+func resSubmit(window time.Duration, n int) submitArm {
+	quantum := leaseQuantum(window)
+	return submitArm{
+		sub: condor.SubmitterConfig{
+			Discipline: core.Reservation,
+			// One work unit spans the whole window, as in the Ethernet
+			// arm.
+			TryLimit:  window,
+			Window:    resWindow(window),
+			ThinkTime: 3 * time.Second,
+			// The same capped backoff template as the Ethernet arm: a
+			// rejected client re-asks within the reclamation cycle.
+			Backoff: ablationBackoff(quantum),
 		},
-		daemons: func(ctx context.Context) { cl.StartHousekeeping(ctx) },
-		checks: func(inv *chaos.Invariants) {
-			inv.Monotone("jobs", func() float64 { return float64(cl.Schedd.Jobs) })
-			inv.Monotone("rejects", func() float64 { return float64(book.Rejects) })
-			inv.Horizon(c.window)
-			inv.NoStarvation("fds", book.Tenure().LongestWait, leaseBudget(c.window))
+		cluster: condor.Config{FDCapacity: 12 * n, ServiceSlots: n, LeaseQuantum: quantum},
+		checks: func(inv *chaos.Invariants, r *submitRun) {
+			inv.Monotone("jobs", func() float64 { return float64(r.cl.Schedd.Jobs) })
+			inv.Monotone("rejects", func() float64 { return float64(r.book.Rejects) })
+			inv.Horizon(window)
+			inv.NoStarvation("fds", r.book.Tenure().LongestWait, leaseBudget(window))
 		},
-		// Starvation is detected locally: under the flap plan the
-		// violations are the measurement (dead windows starve the book),
-		// not an experiment failure.
-		tally: func(v chaos.Violation) {
-			if v.Check == "no-starvation" {
-				res.Starved++
-			}
-		},
-		gauges: func(sc *obs.Scope) {
-			obsCluster(sc, cl)
-			obsBook(sc, book, "book")
-		},
-		clients: func(e core.Backend, ctx context.Context) {
-			for i := range subs {
-				sub := &condor.Submitter{}
-				subs[i] = sub
-				cfg := condor.ResSubmitterConfig{
-					// One work unit spans the whole window, as in the Ethernet
-					// arm.
-					TryLimit:  c.window,
-					Window:    resWindow(c.window),
-					ThinkTime: 3 * time.Second,
-					// The same capped backoff template as the Ethernet arm: a
-					// rejected client re-asks within the reclamation cycle.
-					Backoff: &core.Backoff{Base: time.Second, Cap: quantum / 2, Factor: 2, RandMin: 1, RandMax: 2},
-					Trace:   c.client(e, core.Reservation.String(), "submitter", i),
-				}
-				// Unique process names: the book ledger keys holders by name.
-				e.Spawn(fmt.Sprintf("submitter-%d", i), func(p core.Proc) {
-					sub.ReserveLoop(p, ctx, cl, book, cfg)
-				})
-			}
-		},
-	})
-	res.Jobs = cl.Schedd.Jobs
-	res.Rejects = book.Rejects
-	res.Admits = book.Admits
-	res.Revokes = book.Tenure().Revokes
-	res.Lapses = book.Lapses
-	res.Crashes = cl.Schedd.Crashes
-	res.MaxWait = book.Tenure().MaxStarvation()
-	for i, sub := range subs {
-		res.PerClient[i] = float64(sub.Submitted)
+		tally: true,
 	}
-	res.Jain = metrics.JainIndex(res.PerClient)
-	return res
 }
 
 // ResAblation holds the figure's two tables.
@@ -193,8 +103,10 @@ func FigRes(opt Options) *ResAblation {
 	s := resSweep(opt)
 	window := opt.ablationWindow()
 	const resS, ethS, resF, ethF = 0, 1, 2, 3
-	res := grid[*ResCellResult](s)
-	eth := grid[*LeaseCellResult](s)
+	// The book's readings are the Reservation arms'; the Ethernet arms
+	// have no book.
+	type reading struct{ jobs, crashes, rejects, dead, lapses int64 }
+	res := grid[reading](s)
 	s.run(opt, func(arm, p int, c cell) {
 		c.window = window
 		if arm == resF || arm == ethF {
@@ -203,25 +115,29 @@ func FigRes(opt Options) *ResAblation {
 				c.plan, _ = chaos.Preset("res-flap", c.seed)
 			}
 		}
+		a := leaseSubmit(window, s.xs[p], leaseQuantum(window))
 		if arm == resS || arm == resF {
-			res[arm][p] = resCell(c, s.xs[p])
-		} else {
-			eth[arm][p] = leaseCell(c, s.xs[p], leaseQuantum(window))
+			a = resSubmit(window, s.xs[p])
+		}
+		r := submitCell(c, s.xs[p], a)
+		res[arm][p] = reading{jobs: r.cl.Schedd.Jobs, crashes: r.cl.Schedd.Crashes}
+		if b := r.book; b != nil {
+			res[arm][p].rejects, res[arm][p].dead, res[arm][p].lapses = b.Rejects, b.Tenure().Revokes, b.Lapses
 		}
 	})
 	return &ResAblation{
 		Throughput: s.table(
-			col{"res", func(p int) float64 { return float64(res[resS][p].Jobs) }},
-			col{"ethernet", func(p int) float64 { return float64(eth[ethS][p].Jobs) }},
-			col{"res-flap", func(p int) float64 { return float64(res[resF][p].Jobs) }},
-			col{"eth-flap", func(p int) float64 { return float64(eth[ethF][p].Jobs) }},
+			col{"res", func(p int) float64 { return float64(res[resS][p].jobs) }},
+			col{"ethernet", func(p int) float64 { return float64(res[ethS][p].jobs) }},
+			col{"res-flap", func(p int) float64 { return float64(res[resF][p].jobs) }},
+			col{"eth-flap", func(p int) float64 { return float64(res[ethF][p].jobs) }},
 		),
 		Admission: s.table(
-			col{"rejects", func(p int) float64 { return float64(res[resS][p].Rejects) }},
-			col{"rejects-flap", func(p int) float64 { return float64(res[resF][p].Rejects) }},
-			col{"dead-windows", func(p int) float64 { return float64(res[resF][p].Revokes) }},
-			col{"lapses-flap", func(p int) float64 { return float64(res[resF][p].Lapses) }},
-			col{"eth-crashes-flap", func(p int) float64 { return float64(eth[ethF][p].Crashes) }},
+			col{"rejects", func(p int) float64 { return float64(res[resS][p].rejects) }},
+			col{"rejects-flap", func(p int) float64 { return float64(res[resF][p].rejects) }},
+			col{"dead-windows", func(p int) float64 { return float64(res[resF][p].dead) }},
+			col{"lapses-flap", func(p int) float64 { return float64(res[resF][p].lapses) }},
+			col{"eth-crashes-flap", func(p int) float64 { return float64(res[ethF][p].crashes) }},
 		),
 	}
 }

@@ -1,11 +1,34 @@
 package expt
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 )
+
+// resResult is what the res tests read of one cell: the cluster's
+// counts, and the admission book's.
+type resResult struct {
+	Jobs, Crashes                    int64
+	PerClient                        []float64
+	Jain                             float64
+	Rejects, Admits, Revokes, Lapses int64
+	MaxWait                          time.Duration
+}
+
+// runRes runs one Reservation cell outside the sweep: resSubmit's n
+// submitters for the window.
+func runRes(opt Options, seed int64, n int, window time.Duration, plan *chaos.Plan, rec *chaos.Recorder) resResult {
+	r := submitCell(opt.cell(fmt.Sprintf("res/reservation/n%d", n), seed, window, plan, rec), n, resSubmit(window, n))
+	return resResult{
+		Jobs: r.cl.Schedd.Jobs, Crashes: r.cl.Schedd.Crashes,
+		PerClient: r.perClient(), Jain: r.jain(),
+		Rejects: r.book.Rejects, Admits: r.book.Admits, Revokes: r.book.Tenure().Revokes, Lapses: r.book.Lapses,
+		MaxWait: r.book.Tenure().MaxStarvation(),
+	}
+}
 
 // The acceptance criterion of the reservation subsystem, both regimes:
 // fault-free, an admission-controlled population out-produces the
@@ -23,11 +46,11 @@ func TestResTwoRegimes(t *testing.T) {
 	var resSteady, ethSteady, resFlap, ethFlap int64
 	for _, seed := range []int64{1, 2, 3} {
 		rec := &chaos.Recorder{}
-		rs := ResCell(Options{}, seed, n, window, nil, rec)
+		rs := runRes(Options{}, seed, n, window, nil, rec)
 		if !rec.Ok() {
 			t.Errorf("seed %d: steady reservation cell violated invariants: %v", seed, rec.Err())
 		}
-		es := LeaseCell(Options{}, seed, n, window, quantum, nil, nil)
+		es := runLA(Options{}, seed, n, window, quantum, nil, nil)
 		if rs.Jobs < es.Jobs {
 			t.Errorf("seed %d: steady regime inverted: res=%d < eth=%d", seed, rs.Jobs, es.Jobs)
 		}
@@ -53,8 +76,8 @@ func TestResTwoRegimes(t *testing.T) {
 			}
 			return p
 		}
-		rf := ResCell(Options{}, seed, n, window, plan(), nil)
-		ef := LeaseCell(Options{}, seed, n, window, quantum, plan(), nil)
+		rf := runRes(Options{}, seed, n, window, plan(), nil)
+		ef := runLA(Options{}, seed, n, window, quantum, plan(), nil)
 		if rf.Jobs >= ef.Jobs {
 			t.Errorf("seed %d: collapse regime inverted: res-flap=%d >= eth-flap=%d", seed, rf.Jobs, ef.Jobs)
 		}
@@ -98,8 +121,8 @@ func TestResCellDeterminism(t *testing.T) {
 		return p
 	}
 	window := 120 * time.Second
-	a := ResCell(Options{}, 7, 20, window, plan(), nil)
-	b := ResCell(Options{}, 7, 20, window, plan(), nil)
+	a := runRes(Options{}, 7, 20, window, plan(), nil)
+	b := runRes(Options{}, 7, 20, window, plan(), nil)
 	if a.Jobs != b.Jobs || a.Rejects != b.Rejects || a.Admits != b.Admits ||
 		a.Revokes != b.Revokes || a.Lapses != b.Lapses || a.MaxWait != b.MaxWait {
 		t.Errorf("cells diverged: (%d %d %d %d %d %v) vs (%d %d %d %d %d %v)",

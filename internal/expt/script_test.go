@@ -113,7 +113,8 @@ func TestScriptedMatchesCoreClients(t *testing.T) {
 
 	cfg := condor.DefaultSubmitterConfig(core.Ethernet)
 	cfg.Threshold = 250
-	coreJobs, coreCrashes := submitCell(Options{}.cell("submit", 1, window, nil, nil), n, cfg, condor.Config{FDCapacity: 2048}, nil)
+	schedd := submitCell(Options{}.cell("submit", 1, window, nil, nil), n, submitArm{sub: cfg, cluster: condor.Config{FDCapacity: 2048}}).cl.Schedd
+	coreJobs, coreCrashes := schedd.Jobs, schedd.Crashes
 
 	// The 250-FD margin is deliberately thin; the occasional crash is
 	// seed luck, not a divergence between the two client stacks.

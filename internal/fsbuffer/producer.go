@@ -21,8 +21,6 @@ type ProducerConfig struct {
 	Interval time.Duration
 	// TryLimit bounds the retries for a single file.
 	TryLimit time.Duration
-	// Observer receives discipline events.
-	Observer core.Observer
 	// Trace, when non-nil, records this producer's attempt timeline.
 	Trace *trace.Client
 }
@@ -72,7 +70,6 @@ func (pr *Producer) Loop(p core.Proc, ctx context.Context, b *Buffer, id int, cf
 		Discipline: cfg.Discipline,
 		Limit:      core.For(cfg.TryLimit),
 		Sense:      Sense(b, cfg.MaxFileSize),
-		Observer:   cfg.Observer,
 		Trace:      cfg.Trace,
 		Site:       "disk",
 		Span:       "write",

@@ -181,7 +181,6 @@ func (rp *ReservingProducer) Loop(p core.Proc, ctx context.Context, a *Allocator
 		Rt:         p,
 		Discipline: core.Reservation,
 		Limit:      core.For(cfg.TryLimit),
-		Observer:   cfg.Observer,
 		Trace:      cfg.Trace,
 		Site:       "reservation",
 		Span:       "write",

@@ -84,8 +84,6 @@ type Config struct {
 	// Backoff overrides try's paper-default backoff parameters. The
 	// struct is copied per try.
 	Backoff *core.Backoff
-	// Observer receives core discipline events from every try.
-	Observer core.Observer
 	// Trace, when non-nil, records every try's attempt/backoff timeline
 	// and wraps try/forany/forall constructs in spans named by script
 	// position. Forall branches trace on forked threads of the same
@@ -312,7 +310,7 @@ func (in *Interp) execTry(ctx context.Context, st *ast.TryStmt) error {
 	lim := core.Limit{Duration: st.Limit.Time, Attempts: st.Limit.Attempts}
 	sawSuccess := false
 	ts := in.stats.beginTry(st.Pos())
-	obs := &tryObserver{rt: in.cfg.Runtime, inner: in.cfg.Observer, ts: ts, stats: in.stats}
+	obs := &tryObserver{rt: in.cfg.Runtime, ts: ts, stats: in.stats}
 	cfg := core.TryConfig{Observer: obs, Trace: in.cfg.Trace, Span: in.spanName("try", st.Pos())}
 	switch {
 	case st.Limit.Every > 0:
@@ -368,10 +366,9 @@ func (in *Interp) execTry(ctx context.Context, st *ast.TryStmt) error {
 }
 
 // tryObserver feeds a try's events into Stats (attempt counts, backoff
-// time) and forwards them to any user observer.
+// time).
 type tryObserver struct {
 	rt    core.Runtime
-	inner core.Observer
 	ts    *TryStats
 	stats *Stats
 
@@ -394,9 +391,6 @@ func (o *tryObserver) Observe(ev core.Event, at time.Time, detail error) {
 		o.inBackoff = true
 	}
 	o.stats.mu.Unlock()
-	if o.inner != nil {
-		o.inner.Observe(ev, at, detail)
-	}
 }
 
 // finish closes out a backoff that was cut short by the budget.

@@ -260,8 +260,6 @@ type ReaderConfig struct {
 	DataTimeout time.Duration
 	// ProbeTimeout bounds the flag probe (5 s).
 	ProbeTimeout time.Duration
-	// Observer receives discipline events from the inner data try.
-	Observer core.Observer
 	// Trace, when non-nil, records this reader's attempt timeline.
 	Trace *trace.Client
 }
@@ -298,7 +296,7 @@ func (r *Reader) ReadOnce(p core.Proc, ctx context.Context, servers []*Server, c
 	// attempt events are emitted per server branch below, because the
 	// interesting collisions happen inside forany rounds that ultimately
 	// succeed on another server.
-	outer := core.TryConfig{Observer: cfg.Observer, Trace: tr, Span: "read", Site: "server", SpanOnly: true}
+	outer := core.TryConfig{Trace: tr, Span: "read", Site: "server", SpanOnly: true}
 	return core.Try(ctx, p, core.For(cfg.OuterLimit), outer, func(ctx context.Context) error {
 		_, err := core.Forany(ctx, p, servers, true, func(ctx context.Context, srv *Server) error {
 			if cfg.Discipline == core.Ethernet {

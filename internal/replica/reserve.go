@@ -89,7 +89,7 @@ func (r *Reader) ReadOnceReserved(p core.Proc, ctx context.Context, servers []*S
 	for i := range servers {
 		stations[i] = station{srv: servers[i], book: books[i]}
 	}
-	outer := core.TryConfig{Observer: cfg.Observer, Trace: tr, Span: "read", Site: "server", SpanOnly: true}
+	outer := core.TryConfig{Trace: tr, Span: "read", Site: "server", SpanOnly: true}
 	return core.Try(ctx, p, core.For(cfg.OuterLimit), outer, func(ctx context.Context) error {
 		_, err := core.Forany(ctx, p, stations, true, func(ctx context.Context, st station) error {
 			tr.Attempt()

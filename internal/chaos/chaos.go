@@ -286,7 +286,7 @@ func (s FDSqueeze) arm(a *Armed, t Targets) {
 	fds := t.Cluster.FDs
 	orig := int64(-1)
 	a.eng.Schedule(from, func() {
-		orig = fds.Capacity()
+		orig = fds.Sense().Capacity
 		fds.SetCapacity(int64(float64(orig) * s.Factor))
 		a.action("chaos/fd-squeeze")
 	})

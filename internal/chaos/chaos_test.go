@@ -135,8 +135,8 @@ func TestFDSqueezeShrinksAndRestores(t *testing.T) {
 	}}
 	a := p.Arm(e.RT(), Targets{Window: time.Minute, Cluster: cl})
 	var during, after int64
-	e.Schedule(15*time.Second, func() { during = cl.FDs.Capacity() })
-	e.Schedule(25*time.Second, func() { after = cl.FDs.Capacity() })
+	e.Schedule(15*time.Second, func() { during = cl.FDs.Sense().Capacity })
+	e.Schedule(25*time.Second, func() { after = cl.FDs.Sense().Capacity })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

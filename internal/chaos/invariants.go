@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lease"
 )
 
 // This file is the invariant-checker layer: mechanical assertions of
@@ -108,14 +109,19 @@ func (inv *Invariants) violate(check string, now time.Duration, format string, a
 
 // CarrierFloor asserts the Ethernet safety property: the sensed free
 // capacity must not stay below the carrier floor for longer than
-// maxBelow (one backoff epoch). floor is a func so squeezed capacities
-// can lower the effective floor mid-run. One violation is recorded per
-// continuous below-floor excursion that exceeds the budget.
-func (inv *Invariants) CarrierFloor(name string, free, floor func() int64, maxBelow time.Duration) {
+// maxBelow (one backoff epoch). The floor is half the clients' carrier
+// threshold, or half the capacity when that is lower: it halves under
+// capacity squeezes, since the discipline can only preserve what the
+// kernel still provides. Each tick senses once and judges, and reports,
+// that one reading. One violation is recorded per continuous
+// below-floor excursion that exceeds the budget.
+func (inv *Invariants) CarrierFloor(name string, sense func() lease.Sense, threshold int64, maxBelow time.Duration) {
 	var below time.Duration // continuous time spent below the floor
 	reported := false
 	inv.ticks = append(inv.ticks, func(now time.Duration) {
-		if free() >= floor() {
+		s := sense()
+		free, floor := s.Free(), min(threshold, s.Capacity)/2
+		if free >= floor {
 			below = 0
 			reported = false
 			return
@@ -124,7 +130,7 @@ func (inv *Invariants) CarrierFloor(name string, free, floor func() int64, maxBe
 		if below > maxBelow && !reported {
 			reported = true
 			inv.violate("carrier-floor", now, "%s: free=%d below floor %d for %v (budget %v)",
-				name, free(), floor(), below, maxBelow)
+				name, free, floor, below, maxBelow)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lease"
 	"repro/internal/sim"
 )
 
@@ -64,8 +65,8 @@ func TestCarrierFloorFlagsSustainedExcursion(t *testing.T) {
 	rec := &Recorder{}
 	inv := NewInvariants(e.RT(), rec)
 	free := int64(100)
-	inv.CarrierFloor("fds", func() int64 { return free }, func() int64 { return 50 }, 5*time.Second)
-	e.Schedule(10*time.Second, func() { free = 10 }) // sustained dip, never recovers
+	inv.CarrierFloor("fds", func() lease.Sense { return lease.Sense{Capacity: 200, InUse: 200 - free} }, 100, 5*time.Second) // floor 50
+	e.Schedule(10*time.Second, func() { free = 10 })                                                                         // sustained dip, never recovers
 	ctx, cancel := context.WithCancel(context.Background())
 	inv.Start(ctx)
 	e.Schedule(30*time.Second, cancel)
@@ -87,7 +88,7 @@ func TestCarrierFloorToleratesBriefDip(t *testing.T) {
 	rec := &Recorder{}
 	inv := NewInvariants(e.RT(), rec)
 	free := int64(100)
-	inv.CarrierFloor("fds", func() int64 { return free }, func() int64 { return 50 }, 5*time.Second)
+	inv.CarrierFloor("fds", func() lease.Sense { return lease.Sense{Capacity: 200, InUse: 200 - free} }, 100, 5*time.Second) // floor 50
 	e.Schedule(10*time.Second, func() { free = 10 })
 	e.Schedule(13*time.Second, func() { free = 80 }) // recovers inside the budget
 	ctx, cancel := context.WithCancel(context.Background())
@@ -97,6 +98,29 @@ func TestCarrierFloorToleratesBriefDip(t *testing.T) {
 	inv.Finish()
 	if !rec.Ok() {
 		t.Fatalf("brief dip flagged: %v", rec.Err())
+	}
+}
+
+// TestCarrierFloorHalvesUnderSqueeze: clients sensing against a
+// threshold of 100 keep a floor of 50, but a table squeezed to 40 units
+// can keep only 20 free, and a violation reports the reading it judged.
+func TestCarrierFloorHalvesUnderSqueeze(t *testing.T) {
+	e := sim.New(1)
+	rec := &Recorder{}
+	inv := NewInvariants(e.RT(), rec)
+	s := lease.Sense{Capacity: 40, InUse: 15} // free 25: below 50, above 20
+	inv.CarrierFloor("fds", func() lease.Sense { return s }, 100, 5*time.Second)
+	e.Schedule(10*time.Second, func() { s.InUse = 25 }) // free 15, below 20
+	ctx, cancel := context.WithCancel(context.Background())
+	inv.Start(ctx)
+	e.Schedule(30*time.Second, cancel)
+	runFor(t, e, 30*time.Second)
+	inv.Finish()
+	if n := len(rec.Violations); n != 1 {
+		t.Fatalf("%d violations, want 1: %v", n, rec.Err())
+	}
+	if d := rec.Violations[0].Detail; !strings.HasPrefix(d, "fds: free=15 below floor 20 for ") {
+		t.Errorf("detail = %q, want the judged free=15 and floor 20", d)
 	}
 }
 

@@ -308,7 +308,7 @@ func (c *Cluster) StartHousekeeping(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		if !s.down && s.fds.Free() < int64(s.cfg.HousekeepFDs) {
+		if !s.down && s.fds.Sense().Free() < int64(s.cfg.HousekeepFDs) {
 			s.crash()
 		}
 		s.eng.Schedule(s.cfg.HousekeepInterval, tick)

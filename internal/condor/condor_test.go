@@ -28,8 +28,8 @@ func TestFDTable(t *testing.T) {
 		t.Fatalf("Failures = %d", f)
 	}
 	l.Release()
-	if tb.Free() != 40 {
-		t.Fatalf("Free = %d", tb.Free())
+	if tb.Sense().Free() != 40 {
+		t.Fatalf("Free = %d", tb.Sense().Free())
 	}
 }
 
@@ -50,11 +50,11 @@ func TestHousekeepingCrashRule(t *testing.T) {
 		}
 		cancel()
 		if cl.Schedd.Crashes != c.crashes {
-			t.Errorf("Free %d of 50 needed: %d crashes, want %d", cl.FDs.Free(), cl.Schedd.Crashes, c.crashes)
+			t.Errorf("Free %d of 50 needed: %d crashes, want %d", cl.FDs.Sense().Free(), cl.Schedd.Crashes, c.crashes)
 		}
 		m := cl.FDs.(*lease.Manager)
-		if m.Acquires != 1 || m.Rejects != 0 || m.InUse() != c.held {
-			t.Errorf("held %d: housekeeping moved the books: grants %d, rejects %d, in use %d", c.held, m.Acquires, m.Rejects, m.InUse())
+		if m.Acquires != 1 || m.Rejects != 0 || m.Sense().InUse != c.held {
+			t.Errorf("held %d: housekeeping moved the books: grants %d, rejects %d, in use %d", c.held, m.Acquires, m.Rejects, m.Sense().InUse)
 		}
 	}
 }
@@ -75,8 +75,8 @@ func TestSingleSubmitSucceeds(t *testing.T) {
 	if cl.Schedd.Jobs != 1 {
 		t.Fatalf("Jobs = %d", cl.Schedd.Jobs)
 	}
-	if cl.FDs.InUse() != 0 {
-		t.Fatalf("FDs leaked: %d in use", cl.FDs.InUse())
+	if cl.FDs.Sense().InUse != 0 {
+		t.Fatalf("FDs leaked: %d in use", cl.FDs.Sense().InUse)
 	}
 	// Service time 1.5s ± 20%.
 	if e.Elapsed() < 1200*time.Millisecond || e.Elapsed() > 1800*time.Millisecond {
@@ -132,8 +132,8 @@ func TestScheddCrashOnFDExhaustionResetsClients(t *testing.T) {
 	if cl.Schedd.Crashes != 1 {
 		t.Fatalf("Crashes = %d", cl.Schedd.Crashes)
 	}
-	if cl.FDs.InUse() != 0 {
-		t.Fatalf("FDs leaked after crash: %d", cl.FDs.InUse())
+	if cl.FDs.Sense().InUse != 0 {
+		t.Fatalf("FDs leaked after crash: %d", cl.FDs.Sense().InUse)
 	}
 }
 
@@ -257,7 +257,7 @@ func TestQuickNoFDLeak(t *testing.T) {
 		if err := e.Run(); err != nil {
 			return false
 		}
-		return cl.FDs.InUse() == 0
+		return cl.FDs.Sense().InUse == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

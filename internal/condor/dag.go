@@ -166,7 +166,7 @@ func (disp *Dispatcher) Run(p core.Proc, ctx context.Context, cl *Cluster, dag *
 		Rt:         p,
 		Discipline: cfg.Submit.Discipline,
 		Limit:      core.For(cfg.Submit.TryLimit),
-		Sense:      core.ThresholdSense("file-nr", cl.FDs.Free, int64(cfg.Submit.Threshold)),
+		Sense:      core.ThresholdSense("file-nr", func() int64 { return cl.FDs.Sense().Free() }, int64(cfg.Submit.Threshold)),
 	}
 	for dag.Remaining() > 0 {
 		if err := ctx.Err(); err != nil {

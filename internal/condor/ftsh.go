@@ -19,7 +19,7 @@ func Install(r *proc.MapRunner, cl *Cluster) {
 		return cl.Schedd.Submit(rt.(core.Proc), ctx)
 	})
 	r.Register("cut", func(_ context.Context, _ core.Runtime, cmd *interp.Command) error {
-		fmt.Fprintln(cmd.Stdout, cl.FDs.Free())
+		fmt.Fprintln(cmd.Stdout, cl.FDs.Sense().Free())
 		return nil
 	})
 }

@@ -64,7 +64,7 @@ type Submitter struct {
 // jobs, each wrapped in a try with the configured discipline.
 func (sub *Submitter) Loop(p core.Proc, ctx context.Context, cl *Cluster, cfg SubmitterConfig) {
 	p.SetTracer(cfg.Trace)
-	sense := core.ThresholdSense("file-nr", cl.FDs.Free, int64(cfg.Threshold))
+	sense := core.ThresholdSense("file-nr", func() int64 { return cl.FDs.Sense().Free() }, int64(cfg.Threshold))
 	client := &core.Client{
 		Rt:         p,
 		Discipline: cfg.Discipline,

@@ -314,15 +314,15 @@ func TestFDTableSetCapacity(t *testing.T) {
 		t.Fatal("acquire failed")
 	}
 	fd.SetCapacity(40)
-	if got := fd.Free(); got != -20 {
+	if got := fd.Sense().Free(); got != -20 {
 		t.Errorf("Free after squeeze = %d, want -20", got)
 	}
 	fd.SetCapacity(100)
-	if got := fd.Free(); got != 40 {
+	if got := fd.Sense().Free(); got != 40 {
 		t.Errorf("Free after restore = %d, want 40", got)
 	}
 	fd.SetCapacity(-5)
-	if got := fd.Capacity(); got != 0 {
+	if got := fd.Sense().Capacity; got != 0 {
 		t.Errorf("Capacity clamped = %d, want 0", got)
 	}
 }

@@ -308,16 +308,7 @@ func condorChecks(inv *chaos.Invariants, cl *condor.Cluster, subCfg condor.Submi
 	inv.Monotone("crashes", func() float64 { return float64(cl.Schedd.Crashes) })
 	inv.Horizon(window)
 	if subCfg.Discipline == core.Ethernet {
-		// The floor halves under capacity squeezes: the discipline can
-		// only preserve what the kernel still provides.
-		floor := func() int64 {
-			f := int64(subCfg.Threshold)
-			if c := cl.FDs.Capacity(); f > c {
-				f = c
-			}
-			return f / 2
-		}
-		inv.CarrierFloor("file-nr", cl.FDs.Free, floor, invariantWindow(window))
+		inv.CarrierFloor("file-nr", cl.FDs.Sense, int64(subCfg.Threshold), invariantWindow(window))
 	}
 }
 

@@ -1,15 +1,9 @@
 package expt
 
 import (
-	"context"
-	"fmt"
 	"net/http"
-	"time"
 
-	"repro/internal/chaos"
-	"repro/internal/gridd"
 	"repro/internal/griddclient"
-	"repro/internal/sim"
 )
 
 // ---------------------------------------------------------------------
@@ -82,59 +76,4 @@ func inProcess(tr http.RoundTripper) *griddclient.Client {
 	c := griddclient.New("http://gridd", 1)
 	c.HTTP = &http.Client{Transport: tr}
 	return c
-}
-
-// ---------------------------------------------------------------------
-// Wire chaos: the fenced-vs-unfenced ablation over a lossy codec
-// ---------------------------------------------------------------------
-
-// GriddNetCell runs concurrent clients against a daemon-hosted
-// resource through a fault-injecting RoundTripper that duplicates
-// requests and drops replies — the channel-fault model applied at the
-// HTTP boundary instead of inside the scenario, armed as an ordinary
-// chaos.Plan at griddclient's InjectReq/InjectRep sites. With fencing
-// on, a duplicated release's replay lands stale and the ledger stays
-// exact; unfenced, replays double-free and admit phantom grants. The
-// daemon runs on a simulator engine, its codec wrapped by the tripper,
-// and the clients are the engine's processes: the claim under test is
-// wire-protocol integrity, not parking, so they acquire without waiting
-// and try again shortly when refused. It returns the daemon's final
-// accounting, after the engine ran dry, when every orphaned grant's
-// watchdog had fired.
-func GriddNetCell(seed int64, unfenced bool) gridd.StatsReply {
-	const name = "lanes"
-	e := sim.New(seed)
-	srv := gridd.NewServerOn(e.RT(), gridd.Config{Resources: []gridd.ResourceConfig{{
-		Name: name, Capacity: 4, Quantum: 60 * time.Millisecond, Unfenced: unfenced,
-	}}})
-	faults := chaos.Window{Duration: time.Minute}
-	plan := chaos.Plan{Name: "gridd-net", Seed: seed, Specs: []chaos.Spec{
-		chaos.MsgDup{Window: faults, Site: griddclient.InjectReq, Prob: 0.5},
-		chaos.MsgDrop{Window: faults, Site: griddclient.InjectRep, Prob: 0.15},
-	}}
-	c := inProcess(&griddclient.FaultTripper{Base: srv, Inj: plan.Arm(e.RT(), chaos.Targets{})})
-
-	const clients, opsPer = 6, 12
-	for i := 0; i < clients; i++ {
-		holder := fmt.Sprintf("c%d", i)
-		e.Spawn(holder, func(p *sim.Proc) {
-			for j := 0; j < opsPer; j++ {
-				lease, err := c.Acquire(context.Background(), gridd.AcquireRequest{Resource: name, Holder: holder, Units: 1})
-				if err != nil {
-					p.SleepFor(10 * time.Millisecond)
-					continue
-				}
-				p.SleepFor(time.Duration(1+j%3) * time.Millisecond)
-				// The release itself crosses the lossy channel: this is
-				// where duplication double-frees an unfenced ledger.
-				_ = lease.Release(context.Background())
-				p.SleepFor(time.Millisecond)
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		panic("expt: " + err.Error())
-	}
-	st, _ := srv.Stats(name) // fails only for a resource it does not host
-	return *st
 }

@@ -111,7 +111,7 @@ func netSubmit(window time.Duration, n int, fenced bool, plan *chaos.Plan) submi
 			mgr := r.cl.FDs.(*lease.Manager)
 			inv.Monotone("jobs", func() float64 { return float64(r.cl.Schedd.Jobs) })
 			inv.Horizon(window)
-			inv.NoDoubleAlloc("fds", mgr.Outstanding, mgr.Capacity)
+			inv.NoDoubleAlloc("fds", mgr.Outstanding, func() int64 { return mgr.Sense().Capacity })
 			inv.Conservation("submit",
 				func() int64 { return r.cl.Schedd.Jobs },
 				func() int64 { return r.cl.Schedd.Unique })

@@ -107,7 +107,7 @@ func netBufferCell(t *testing.T, opt Options, seed int64, window time.Duration, 
 	plan.Arm(e, chaos.Targets{Window: window, Buffer: b, Allocator: alloc})
 	inv := chaos.NewInvariants(e, rec)
 	ten := alloc.Tenure()
-	inv.NoDoubleAlloc("reservation", ten.Outstanding, ten.Capacity)
+	inv.NoDoubleAlloc("reservation", ten.Outstanding, func() int64 { return ten.Sense().Capacity })
 	if opt.Backend != BackendLive {
 		// Horizon is a determinism check: on the live backend the run
 		// quiesces within real scheduling jitter of the boundary, which
@@ -150,7 +150,7 @@ func netReaderCell(t *testing.T, opt Options, seed int64, window time.Duration, 
 	inv := chaos.NewInvariants(e, rec)
 	for _, s := range servers {
 		lane := s.Lane()
-		inv.NoDoubleAlloc("lane-"+s.Name, lane.Outstanding, lane.Capacity)
+		inv.NoDoubleAlloc("lane-"+s.Name, lane.Outstanding, func() int64 { return lane.Sense().Capacity })
 	}
 	if opt.Backend != BackendLive {
 		inv.Horizon(window)

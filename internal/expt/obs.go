@@ -135,21 +135,26 @@ func obsBook(sc *obs.Scope, b *lease.Book, resource string) {
 
 // obsCluster registers the submit scenario's carrier: the kernel FD
 // table is the shared medium, so its occupancy is the figure-2-style
-// "carrier occupancy vs time" observable.
+// "carrier occupancy vs time" observable. The occupancy gauge senses
+// the table once per sample and the in-use and free gauges read that
+// sense: Scope.Sample polls a scope's instruments in registration
+// order at one instant, so the three describe one reading, and on the
+// gridd backend a sample is one probe.
 func obsCluster(sc *obs.Scope, cl *condor.Cluster) {
 	fds := cl.FDs
+	var s lease.Sense // this sample's reading
 	sc.GaugeFunc(MCarrierOccupancy, "Fraction of the carrier's units in use (FD table).",
 		func() float64 {
-			c := fds.Capacity()
-			if c == 0 {
+			s = fds.Sense()
+			if s.Capacity == 0 {
 				return 0
 			}
-			return float64(fds.InUse()) / float64(c)
+			return float64(s.InUse) / float64(s.Capacity)
 		})
 	sc.GaugeFunc(MCarrierInUse, "Carrier units in use (FD table).",
-		func() float64 { return float64(fds.InUse()) })
+		func() float64 { return float64(s.InUse) })
 	sc.GaugeFunc(MCarrierFree, "Carrier units free, what an Ethernet submitter senses (FD table).",
-		func() float64 { return float64(fds.Free()) })
+		func() float64 { return float64(s.Free()) })
 	sc.CounterFunc(MJobs, "Jobs successfully submitted.",
 		func() float64 { return float64(cl.Schedd.Jobs) })
 	sc.CounterFunc(MCrashes, "Schedd crashes.",

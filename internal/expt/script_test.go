@@ -97,8 +97,8 @@ func TestScriptedEthernetAvoidsCrashes(t *testing.T) {
 	if eth.Schedd.Jobs <= aloha.Schedd.Jobs {
 		t.Errorf("scripted Ethernet jobs %d not above Aloha %d", eth.Schedd.Jobs, aloha.Schedd.Jobs)
 	}
-	if eth.FDs.InUse() != 0 || aloha.FDs.InUse() != 0 {
-		t.Errorf("FD leaks: eth=%d aloha=%d", eth.FDs.InUse(), aloha.FDs.InUse())
+	if eth.FDs.Sense().InUse != 0 || aloha.FDs.Sense().InUse != 0 {
+		t.Errorf("FD leaks: eth=%d aloha=%d", eth.FDs.Sense().InUse, aloha.FDs.Sense().InUse)
 	}
 }
 

@@ -90,7 +90,7 @@ func (a *Allocator) SetInjector(inj core.Injector) {
 }
 
 // Reserved reports bytes currently promised to clients.
-func (a *Allocator) Reserved() int64 { return a.tenure.InUse() }
+func (a *Allocator) Reserved() int64 { return a.tenure.Sense().InUse }
 
 // Tenure exposes the underlying lease manager for fairness accounting.
 func (a *Allocator) Tenure() *lease.Manager { return a.tenure }

@@ -239,7 +239,7 @@ type held struct {
 // re-creates are idempotent.
 func (s *Server) createLocked(rc ResourceConfig) {
 	if r, ok := s.res[rc.Name]; ok {
-		if rc.Capacity > 0 && rc.Capacity != r.mgr.Capacity() {
+		if rc.Capacity > 0 && rc.Capacity != r.mgr.Sense().Capacity {
 			r.book.SetCapacity(rc.Capacity)
 		}
 		return
@@ -274,7 +274,7 @@ func (r *resource) admit(l lease.Lease, resv *lease.Reservation, quantum time.Du
 	r.leases[l.Epoch()] = held{res: r, l: l, resv: resv}
 	out := r.mgr.Outstanding()
 	r.maxOutstanding = max(r.maxOutstanding, out)
-	if out > r.mgr.Capacity() {
+	if out > r.mgr.Sense().Capacity {
 		r.phantoms++
 	}
 	deadline, _ := l.Deadline()
@@ -417,11 +417,12 @@ func on[Rep any](s *Server, name string, newWork bool, fn func(r *resource) (Rep
 // Probe is carrier sense on the named resource.
 func (s *Server) Probe(name string) (*ProbeReply, *ErrorReply) {
 	return on(s, name, false, func(r *resource) (*ProbeReply, *ErrorReply) {
+		sense := r.mgr.Sense()
 		return &ProbeReply{
 			Resource: r.cfg.Name,
-			Capacity: r.mgr.Capacity(),
-			InUse:    r.mgr.InUse(),
-			Free:     max(r.mgr.Free(), 0),
+			Capacity: sense.Capacity,
+			InUse:    sense.InUse,
+			Free:     max(sense.Free(), 0),
 			Queue:    r.mgr.QueueLen(),
 			Draining: s.draining,
 		}, nil
@@ -432,7 +433,7 @@ func (s *Server) Probe(name string) (*ProbeReply, *ErrorReply) {
 // it is — at least 1: a queue that may not be jumped is busy even when
 // units are free.
 func (r *resource) busy(units int64, msg string) *ErrorReply {
-	return &ErrorReply{Code: CodeBusy, Message: msg, Shortfall: max(units-max(r.mgr.Free(), 0), 1)}
+	return &ErrorReply{Code: CodeBusy, Message: msg, Shortfall: max(units-max(r.mgr.Sense().Free(), 0), 1)}
 }
 
 // Acquire leases units. It is the one operation that can park: a long
@@ -451,7 +452,7 @@ func (s *Server) Acquire(p lease.Parker, ctx context.Context, ar AcquireRequest)
 		if ar.QuantumNS > 0 {
 			quantum = time.Duration(ar.QuantumNS)
 		}
-		if ar.WaitNS <= 0 || ar.Units > r.mgr.Capacity() || p == nil {
+		if ar.WaitNS <= 0 || ar.Units > r.mgr.Sense().Capacity || p == nil {
 			// EMFILE: an immediate verdict. The FIFO queue may not be
 			// jumped, so a non-empty queue is busy even with free units.
 			// An acquire that can never fit gets one too, however long
@@ -650,10 +651,11 @@ func (s *Server) Create(cr CreateRequest) (struct{}, *ErrorReply) {
 func (s *Server) Stats(name string) (*StatsReply, *ErrorReply) {
 	return on(s, name, false, func(r *resource) (*StatsReply, *ErrorReply) {
 		m, now := r.mgr, r.srv.host.Elapsed()
+		sense := m.Sense()
 		st := &StatsReply{
 			Resource:       r.cfg.Name,
-			Capacity:       m.Capacity(),
-			InUse:          m.InUse(),
+			Capacity:       sense.Capacity,
+			InUse:          sense.InUse,
 			Outstanding:    m.Outstanding(),
 			MaxOutstanding: r.maxOutstanding,
 			Phantoms:       r.phantoms,

@@ -63,26 +63,17 @@ func NewCarrier(h Host, c *Client, name string, capacity int64, quantum time.Dur
 	return &Carrier{Ledger: lease.NewLedger(h), h: h, c: c, name: name, quantum: quantum}, nil
 }
 
-// probe is carrier sense over the socket; a failed one reads as an
-// empty carrier (capacity and free units 0).
-func (car *Carrier) probe() gridd.ProbeReply {
+// Sense is carrier sense over the socket, one probe. Its Free is
+// negative after a squeeze, as on a lease.Manager, where the reply's
+// own Free stops at 0. A failed probe reads as an empty carrier.
+func (car *Carrier) Sense() lease.Sense {
 	var pr gridd.ProbeReply
 	car.h.Blocking(func() { pr, _ = car.c.Probe(context.Background(), car.name) })
-	return pr
-}
-
-func (car *Carrier) Capacity() int64 { return car.probe().Capacity }
-func (car *Carrier) InUse() int64    { return car.probe().InUse }
-
-// Free is capacity less units in use, negative after a squeeze below
-// what is held, as on a lease.Manager.
-func (car *Carrier) Free() int64 {
-	pr := car.probe()
-	return pr.Capacity - pr.InUse
+	return lease.Sense{Capacity: pr.Capacity, InUse: pr.InUse}
 }
 
 // SetCapacity resizes the resource. The daemon refuses a capacity
-// below 1, and a failed resize leaves the old capacity, which Capacity
+// below 1, and a failed resize leaves the old capacity, which Sense
 // reports.
 func (car *Carrier) SetCapacity(n int64) {
 	car.h.Blocking(func() {

@@ -148,8 +148,8 @@ func TestCarrierContract(t *testing.T) {
 				t.Error("acquire over capacity granted")
 				return
 			}
-			if f, u := car.Free(), car.InUse(); f != 0 || u != contractCap {
-				t.Errorf("refused acquire moved the books: Free %d, InUse %d", f, u)
+			if s := car.Sense(); s.Free() != 0 || s.InUse != contractCap {
+				t.Errorf("refused acquire moved the books: Free %d, InUse %d", s.Free(), s.InUse)
 				return
 			}
 			l.Release()
@@ -167,14 +167,14 @@ func TestCarrierContract(t *testing.T) {
 				t.Error("second acquire refused")
 				return
 			}
-			if f := car.Free(); f != contractCap-3 {
+			if f := car.Sense().Free(); f != contractCap-3 {
 				t.Errorf("Free with 3 held = %d", f)
 				return
 			}
 			l.Release()
 			l.Release()
-			if f, u := car.Free(), car.InUse(); f != contractCap-1 || u != 1 {
-				t.Errorf("after a release and its duplicate: Free %d, InUse %d; want %d, 1", f, u, contractCap-1)
+			if s := car.Sense(); s.Free() != contractCap-1 || s.InUse != 1 {
+				t.Errorf("after a release and its duplicate: Free %d, InUse %d; want %d, 1", s.Free(), s.InUse, contractCap-1)
 				return
 			}
 			if l.Revoked() {
@@ -210,7 +210,7 @@ func TestCarrierContract(t *testing.T) {
 			// after it, and a quantum before the renewed one.
 			x.lag(contractQuantum / 2)
 			if l.Renew() {
-				if u := car.InUse(); u != 1 {
+				if u := car.Sense().InUse; u != 1 {
 					t.Errorf("renewed lease: in use %d, want 1", u)
 				}
 				l.Release()
@@ -219,7 +219,7 @@ func TestCarrierContract(t *testing.T) {
 			if l.Ctx().Err() == nil || !l.Revoked() {
 				t.Errorf("renew reported the tenure ended: ctx %v, revoked %v; want done, true", l.Ctx().Err(), l.Revoked())
 			}
-			if u := car.InUse(); u != 0 {
+			if u := car.Sense().InUse; u != 0 {
 				t.Errorf("renew reported the tenure ended with %d units still held", u)
 			}
 		}},
@@ -240,9 +240,9 @@ func TestCarrierContract(t *testing.T) {
 				t.Error("renew of a revoked lease succeeded")
 				return
 			}
-			for i := 0; car.Free() != contractCap; i++ {
+			for i := 0; car.Sense().Free() != contractCap; i++ {
 				if i == 100 {
-					t.Errorf("revoked unit never came back: Free %d", car.Free())
+					t.Errorf("revoked unit never came back: Free %d", car.Sense().Free())
 					return
 				}
 				p.SleepFor(contractQuantum / 20)
@@ -271,8 +271,10 @@ func TestCarrierContract(t *testing.T) {
 				return
 			}
 			car.SetCapacity(2)
-			if c, u, f := car.Capacity(), car.InUse(), car.Free(); c != 2 || u != 3 || f != -1 {
-				t.Errorf("squeezed: capacity %d, in use %d, free %d; want 2, 3, -1", c, u, f)
+			// A daemon's probe reply clamps its free units at 0; the
+			// sense is capacity less units in use, as on a manager.
+			if s := car.Sense(); s.Capacity != 2 || s.InUse != 3 || s.Free() != -1 {
+				t.Errorf("squeezed: capacity %d, in use %d, free %d; want 2, 3, -1", s.Capacity, s.InUse, s.Free())
 				return
 			}
 			if _, ok := car.TryAcquire(p, context.Background(), "b", 1); ok {
@@ -280,7 +282,7 @@ func TestCarrierContract(t *testing.T) {
 				return
 			}
 			car.SetCapacity(contractCap)
-			if f := car.Free(); f != 1 {
+			if f := car.Sense().Free(); f != 1 {
 				t.Errorf("restored: free %d, want 1", f)
 			}
 		}},

@@ -91,9 +91,6 @@ func (b *Book) OnRetire(fn func(*Reservation)) { b.onRetire = fn }
 // Name returns the resource's diagnostic name.
 func (b *Book) Name() string { return b.name }
 
-// Capacity returns the book's total units.
-func (b *Book) Capacity() int64 { return b.tenure.capacity }
-
 // SetCapacity resizes the book, which is resizing its tenure manager
 // (see Manager.SetCapacity). Bookings already admitted stand; a
 // shrunken book refuses new windows until they drain.

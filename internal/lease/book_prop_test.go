@@ -201,9 +201,9 @@ func bookPropRun(seed int64, clients, opsPer int) (*bookLedger, string) {
 	if b.Tenure().Acquires != b.Admits {
 		return led, fmt.Sprintf("tenure manager granted %d, book admitted %d", b.Tenure().Acquires, b.Admits)
 	}
-	if b.Tenure().InUse() != 0 || b.Outstanding() != 0 {
+	if b.Tenure().Sense().InUse != 0 || b.Outstanding() != 0 {
 		return led, fmt.Sprintf("quiescence: %d units in use, %d bookings outstanding",
-			b.Tenure().InUse(), b.Outstanding())
+			b.Tenure().Sense().InUse, b.Outstanding())
 	}
 
 	// No-overlap over the final effective occupancy.

@@ -80,8 +80,8 @@ func TestBookRevokeAtWindowBoundary(t *testing.T) {
 	if !revoked {
 		t.Fatalf("holder at the window boundary was not revoked")
 	}
-	if b.tenure.Revokes != 1 || b.tenure.InUse() != 0 {
-		t.Errorf("revokes=%d inUse=%d, want 1 and 0", b.tenure.Revokes, b.tenure.InUse())
+	if b.tenure.Revokes != 1 || b.tenure.Sense().InUse != 0 {
+		t.Errorf("revokes=%d inUse=%d, want 1 and 0", b.tenure.Revokes, b.tenure.Sense().InUse)
 	}
 }
 
@@ -237,7 +237,7 @@ func TestGrantForLegacyQuantumZero(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	if m.InUse() != 0 || m.Revokes != 0 {
-		t.Errorf("inUse=%d revokes=%d, want 0 and 0", m.InUse(), m.Revokes)
+	if m.Sense().InUse != 0 || m.Revokes != 0 {
+		t.Errorf("inUse=%d revokes=%d, want 0 and 0", m.Sense().InUse, m.Revokes)
 	}
 }

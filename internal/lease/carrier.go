@@ -11,13 +11,11 @@ import (
 // gridd daemon. Its methods are exactly what the submit and lease
 // scenarios call: it has no verb that parks and none that takes units
 // without a lease, so every take is a TryAcquire that is granted or
-// refused at once.
+// refused at once. It is read through Sense alone, one snapshot of its
+// counts as one line of file-nr is the kernel's, which a remote carrier
+// answers with one round trip.
 type Carrier interface {
-	Capacity() int64
-	InUse() int64
-	// Free is Capacity less InUse, what carrier sense reads; it is
-	// negative after a squeeze below what is held.
-	Free() int64
+	Sense() Sense
 	// SetCapacity resizes the pool (a fault plan's squeeze).
 	SetCapacity(n int64)
 	TryAcquire(p Parker, ctx context.Context, holder string, units int64) (Lease, bool)
@@ -29,6 +27,16 @@ type Carrier interface {
 }
 
 var _ Carrier = (*Manager)(nil)
+
+// Sense is one reading of a carrier: its capacity and the units held
+// at one instant.
+type Sense struct {
+	Capacity, InUse int64
+}
+
+// Free is Capacity less InUse, what carrier sense reads; it is negative
+// after a squeeze below what is held.
+func (s Sense) Free() int64 { return s.Capacity - s.InUse }
 
 // Tenure is the state behind a Lease handle: a Manager's record, or a
 // grant a remote carrier holds. Epoch names the tenure the state holds

@@ -197,15 +197,9 @@ func (m *Manager) OnRevoke(fn func(Lease)) { m.onRevoke = fn }
 // Name returns the resource's diagnostic name.
 func (m *Manager) Name() string { return m.name }
 
-// Capacity returns the total number of units.
-func (m *Manager) Capacity() int64 { return m.capacity }
-
-// InUse returns the number of units currently held.
-func (m *Manager) InUse() int64 { return m.inUse }
-
-// Free returns the number of unheld units. It can be negative after a
-// capacity shrink; held units drain as leases end.
-func (m *Manager) Free() int64 { return m.capacity - m.inUse }
+// Sense returns the total and the held units. Its Free can be
+// negative after a capacity shrink; held units drain as leases end.
+func (m *Manager) Sense() Sense { return Sense{Capacity: m.capacity, InUse: m.inUse} }
 
 // Quantum returns the tenure quantum (0 = unlimited).
 func (m *Manager) Quantum() time.Duration { return m.quantum }

@@ -43,8 +43,8 @@ func TestUnlimitedTenureIsPlainSemaphore(t *testing.T) {
 	if got != nil {
 		t.Fatal(got)
 	}
-	if m.InUse() != 0 || m.Revokes != 0 {
-		t.Fatalf("inUse=%d revokes=%d", m.InUse(), m.Revokes)
+	if m.Sense().InUse != 0 || m.Revokes != 0 {
+		t.Fatalf("inUse=%d revokes=%d", m.Sense().InUse, m.Revokes)
 	}
 }
 
@@ -79,8 +79,8 @@ func TestWatchdogRevokesStuckHolder(t *testing.T) {
 	if revokedAt != 10*time.Second {
 		t.Fatalf("revoked at %v, want 10s", revokedAt)
 	}
-	if m.InUse() != 0 {
-		t.Fatalf("units not reclaimed: inUse=%d", m.InUse())
+	if m.Sense().InUse != 0 {
+		t.Fatalf("units not reclaimed: inUse=%d", m.Sense().InUse)
 	}
 	if m.Revokes != 1 {
 		t.Fatalf("Revokes=%d", m.Revokes)
@@ -116,8 +116,8 @@ func TestRenewExtendsTenure(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Revokes != 0 || m.InUse() != 0 {
-		t.Fatalf("revokes=%d inUse=%d", m.Revokes, m.InUse())
+	if m.Revokes != 0 || m.Sense().InUse != 0 {
+		t.Fatalf("revokes=%d inUse=%d", m.Revokes, m.Sense().InUse)
 	}
 }
 
@@ -322,8 +322,8 @@ func TestSetCapacityGrowsAndShrinks(t *testing.T) {
 		t.Fatalf("waiter granted at %v, want 10s (the capacity grow)", grantedAt)
 	}
 	m.SetCapacity(-5)
-	if m.Capacity() != 0 {
-		t.Fatalf("negative capacity must clamp to 0, got %d", m.Capacity())
+	if m.Sense().Capacity != 0 {
+		t.Fatalf("negative capacity must clamp to 0, got %d", m.Sense().Capacity)
 	}
 }
 
@@ -396,8 +396,8 @@ func TestNilEngineIsPlainCounter(t *testing.T) {
 	}
 	l1.Release()
 	l2.Release()
-	if m.InUse() != 0 || m.Acquires != 2 || m.Rejects != 1 {
-		t.Fatalf("inUse=%d acquires=%d rejects=%d", m.InUse(), m.Acquires, m.Rejects)
+	if m.Sense().InUse != 0 || m.Acquires != 2 || m.Rejects != 1 {
+		t.Fatalf("inUse=%d acquires=%d rejects=%d", m.Sense().InUse, m.Acquires, m.Rejects)
 	}
 }
 
@@ -436,8 +436,8 @@ func TestHugeRequestsAreRefusedNotWrapped(t *testing.T) {
 		if m.Take(p, tctx, huge) == nil {
 			t.Error("Take(MaxInt64) admitted beside a unit in use")
 		}
-		if m.InUse() != 1 || m.Outstanding() != 1 {
-			t.Errorf("books moved: inUse=%d outstanding=%d, want 1 and 1", m.InUse(), m.Outstanding())
+		if m.Sense().InUse != 1 || m.Outstanding() != 1 {
+			t.Errorf("books moved: inUse=%d outstanding=%d, want 1 and 1", m.Sense().InUse, m.Outstanding())
 		}
 
 		now := p.Elapsed()

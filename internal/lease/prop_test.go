@@ -81,7 +81,7 @@ func leasePropRun(seed int64, clients, opsPer int) (*propLedger, string) {
 				// Mirror Acquire's immediate-grant condition exactly:
 				// anything else parks in the FIFO queue.
 				// Take parks under the same condition, in the same queue.
-				wouldPark := m.InUse()+units > m.Capacity() || m.QueueLen() > 0
+				wouldPark := units > m.Sense().Free() || m.QueueLen() > 0
 				if wouldPark {
 					led.parkOrder = append(led.parkOrder, tag)
 				}
@@ -123,8 +123,8 @@ func leasePropRun(seed int64, clients, opsPer int) (*propLedger, string) {
 		return led, fmt.Sprintf("engine: %v", err)
 	}
 
-	if m.InUse() != 0 || m.Outstanding() != 0 {
-		return led, fmt.Sprintf("conservation: %d units booked, %d outstanding at quiescence", m.InUse(), m.Outstanding())
+	if m.Sense().InUse != 0 || m.Outstanding() != 0 {
+		return led, fmt.Sprintf("conservation: %d units booked, %d outstanding at quiescence", m.Sense().InUse, m.Outstanding())
 	}
 	if led.grants != led.releases+led.revokes {
 		return led, fmt.Sprintf("conservation: %d grants != %d releases + %d revokes",

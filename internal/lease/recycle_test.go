@@ -33,7 +33,7 @@ func TestStaleHandleActsOnEndedLease(t *testing.T) {
 			t.Fatal("the released record was not reused")
 		}
 		deadline, _ := cur.Deadline()
-		inUse, out := m.InUse(), m.Outstanding()
+		inUse, out := m.Sense().InUse, m.Outstanding()
 
 		old.Release()
 		old.Release()
@@ -57,8 +57,8 @@ func TestStaleHandleActsOnEndedLease(t *testing.T) {
 			t.Error("a stale handle has a deadline")
 		}
 
-		if m.InUse() != inUse || m.Outstanding() != out {
-			t.Errorf("inUse %d -> %d, outstanding %d -> %d", inUse, m.InUse(), out, m.Outstanding())
+		if m.Sense().InUse != inUse || m.Outstanding() != out {
+			t.Errorf("inUse %d -> %d, outstanding %d -> %d", inUse, m.Sense().InUse, out, m.Outstanding())
 		}
 		if d, _ := cur.Deadline(); d != deadline {
 			t.Errorf("new tenant's deadline %v -> %v", deadline, d)
@@ -74,8 +74,8 @@ func TestStaleHandleActsOnEndedLease(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.InUse() != 0 || m.Outstanding() != 0 {
-		t.Fatalf("inUse=%d outstanding=%d at the end", m.InUse(), m.Outstanding())
+	if m.Sense().InUse != 0 || m.Outstanding() != 0 {
+		t.Fatalf("inUse=%d outstanding=%d at the end", m.Sense().InUse, m.Outstanding())
 	}
 }
 
@@ -139,8 +139,8 @@ func TestWireHoldsRecordUntilDelivery(t *testing.T) {
 			t.Error("a record the wire still carries was reused")
 		}
 		p.SleepFor(3 * time.Second)
-		if m.InUse() != 1 {
-			t.Errorf("inUse=%d after the delayed release landed, want 1", m.InUse())
+		if m.Sense().InUse != 1 {
+			t.Errorf("inUse=%d after the delayed release landed, want 1", m.Sense().InUse)
 		}
 		cur.Release()
 		next, _ := m.Acquire(p, e.Context(), "c", 1)
@@ -152,8 +152,8 @@ func TestWireHoldsRecordUntilDelivery(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.InUse() != 0 || m.Outstanding() != 0 || m.Stales != 0 {
-		t.Fatalf("inUse=%d outstanding=%d stales=%d", m.InUse(), m.Outstanding(), m.Stales)
+	if m.Sense().InUse != 0 || m.Outstanding() != 0 || m.Stales != 0 {
+		t.Fatalf("inUse=%d outstanding=%d stales=%d", m.Sense().InUse, m.Outstanding(), m.Stales)
 	}
 }
 

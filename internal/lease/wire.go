@@ -46,11 +46,11 @@ func (m *Manager) SetWire(inj core.Injector, site string, fenced bool) {
 func (m *Manager) Fenced() bool { return m.wire != nil && m.wire.fenced }
 
 // Outstanding returns the ground-truth units genuinely in use by live
-// holders. Unlike InUse (the manager's books, which a lossy wire can
+// holders. Unlike Sense().InUse (the manager's books, which a lossy wire can
 // corrupt on the unfenced arm), it is maintained purely by lease
 // lifecycle: +units at grant, -units exactly once when the holder
 // stops (release sent, or watchdog cancellation). The
-// no-double-allocation invariant is Outstanding() <= Capacity().
+// no-double-allocation invariant is Outstanding() <= Sense().Capacity.
 func (m *Manager) Outstanding() int64 { return m.outstanding }
 
 // Fence returns the highest epoch the manager has retired.

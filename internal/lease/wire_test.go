@@ -42,12 +42,12 @@ func TestWireReleaseDropWatchdogReclaims(t *testing.T) {
 		if m.Outstanding() != 0 {
 			t.Errorf("outstanding=%d after holder stopped, want 0", m.Outstanding())
 		}
-		if m.InUse() != 1 {
-			t.Errorf("inUse=%d right after dropped release, want 1 (zombie)", m.InUse())
+		if m.Sense().InUse != 1 {
+			t.Errorf("inUse=%d right after dropped release, want 1 (zombie)", m.Sense().InUse)
 		}
 		p.SleepFor(4 * time.Second) // past the 5s deadline
-		if m.InUse() != 0 {
-			t.Errorf("inUse=%d after watchdog deadline, want 0", m.InUse())
+		if m.Sense().InUse != 0 {
+			t.Errorf("inUse=%d after watchdog deadline, want 0", m.Sense().InUse)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -133,8 +133,8 @@ func TestWireReleaseDupFencing(t *testing.T) {
 					ld.Release()
 					t.Error("fenced: duplicate release freed a unit twice")
 				}
-				if m.Outstanding() > m.Capacity() {
-					t.Errorf("fenced: outstanding %d > capacity %d", m.Outstanding(), m.Capacity())
+				if m.Outstanding() > m.Sense().Capacity {
+					t.Errorf("fenced: outstanding %d > capacity %d", m.Outstanding(), m.Sense().Capacity)
 				}
 				if m.Stales != 1 {
 					t.Errorf("fenced: stales=%d, want 1", m.Stales)
@@ -145,9 +145,9 @@ func TestWireReleaseDupFencing(t *testing.T) {
 					return
 				}
 				defer ld.Release()
-				if m.Outstanding() <= m.Capacity() {
+				if m.Outstanding() <= m.Sense().Capacity {
 					t.Errorf("unfenced: outstanding %d <= capacity %d, double-allocation not reproduced",
-						m.Outstanding(), m.Capacity())
+						m.Outstanding(), m.Sense().Capacity)
 				}
 			}
 		})
@@ -178,8 +178,8 @@ func TestWireDelayedReleaseRacesWatchdog(t *testing.T) {
 			inj.next = core.Fault{Delay: 7 * time.Second} // lands at t=8s, deadline 5s
 			l.Release()
 			p.SleepFor(5 * time.Second) // t=6s: watchdog has reclaimed
-			if m.InUse() != 0 {
-				t.Errorf("fenced=%v: inUse=%d after watchdog reclaim, want 0", fenced, m.InUse())
+			if m.Sense().InUse != 0 {
+				t.Errorf("fenced=%v: inUse=%d after watchdog reclaim, want 0", fenced, m.Sense().InUse)
 			}
 			lb, ok := m.TryAcquire(p, ctx, "b", 1)
 			if !ok {
@@ -189,14 +189,14 @@ func TestWireDelayedReleaseRacesWatchdog(t *testing.T) {
 			defer lb.Release()
 			p.SleepFor(3 * time.Second) // t=9s: the stale delivery has landed, b still inside its tenure
 			if fenced {
-				if m.InUse() != 1 {
-					t.Errorf("fenced: stale delivery changed the books (inUse=%d, want 1)", m.InUse())
+				if m.Sense().InUse != 1 {
+					t.Errorf("fenced: stale delivery changed the books (inUse=%d, want 1)", m.Sense().InUse)
 				}
 				if m.Stales != 1 {
 					t.Errorf("fenced: stales=%d, want 1", m.Stales)
 				}
-			} else if m.InUse() != 0 {
-				t.Errorf("unfenced: stale delivery should have double-freed b's unit (inUse=%d, want 0)", m.InUse())
+			} else if m.Sense().InUse != 0 {
+				t.Errorf("unfenced: stale delivery should have double-freed b's unit (inUse=%d, want 0)", m.Sense().InUse)
 			}
 		})
 		if err := e.Run(); err != nil {
@@ -226,22 +226,22 @@ func TestWireGrantDupSemantics(t *testing.T) {
 			if !fenced {
 				want = 4 // the phantom booking rides along
 			}
-			if m.InUse() != want {
-				t.Errorf("fenced=%v: inUse=%d after duplicated grant, want %d", fenced, m.InUse(), want)
+			if m.Sense().InUse != want {
+				t.Errorf("fenced=%v: inUse=%d after duplicated grant, want %d", fenced, m.Sense().InUse, want)
 			}
 			p.SleepFor(5 * time.Second)
 			l.Renew()                   // stay alive past the phantom's quantum
 			p.SleepFor(2 * time.Second) // t=7s: phantom (t=6s) reclaimed
-			if m.InUse() != 2 {
-				t.Errorf("fenced=%v: inUse=%d after phantom quantum, want 2", fenced, m.InUse())
+			if m.Sense().InUse != 2 {
+				t.Errorf("fenced=%v: inUse=%d after phantom quantum, want 2", fenced, m.Sense().InUse)
 			}
 			l.Release()
 		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if m.InUse() != 0 || m.Outstanding() != 0 {
-			t.Fatalf("fenced=%v: inUse=%d outstanding=%d at end, want 0", fenced, m.InUse(), m.Outstanding())
+		if m.Sense().InUse != 0 || m.Outstanding() != 0 {
+			t.Fatalf("fenced=%v: inUse=%d outstanding=%d at end, want 0", fenced, m.Sense().InUse, m.Outstanding())
 		}
 	}
 }
@@ -271,9 +271,9 @@ func TestWireDelayedRenewThenDelayedRelease(t *testing.T) {
 			inj.next = core.Fault{Delay: 6 * time.Second} // release lands at t=9s
 			l.Release()
 			p.SleepFor(8 * time.Second) // t=11s: both deliveries and the deadline have passed
-			if m.InUse() != 0 {
+			if m.Sense().InUse != 0 {
 				t.Errorf("fenced=%v: inUse=%d after release delivery, want 0 (books leaked)",
-					fenced, m.InUse())
+					fenced, m.Sense().InUse)
 			}
 			if m.Outstanding() != 0 {
 				t.Errorf("fenced=%v: outstanding=%d, want 0", fenced, m.Outstanding())
@@ -303,8 +303,8 @@ func TestWireRemovedRestoresLegacyBehavior(t *testing.T) {
 			return
 		}
 		l.Release()
-		if m.InUse() != 0 {
-			t.Errorf("inUse=%d, want 0", m.InUse())
+		if m.Sense().InUse != 0 {
+			t.Errorf("inUse=%d, want 0", m.Sense().InUse)
 		}
 	})
 	if err := e.Run(); err != nil {

@@ -116,8 +116,8 @@ func TestResourceFIFOUnderContention(t *testing.T) {
 	if served.Load() != 8 {
 		t.Fatalf("served %d, want 8", served.Load())
 	}
-	if r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("inUse=%d queue=%d after run", r.InUse(), r.QueueLen())
+	if r.Sense().InUse != 0 || r.QueueLen() != 0 {
+		t.Fatalf("inUse=%d queue=%d after run", r.Sense().InUse, r.QueueLen())
 	}
 }
 
@@ -374,8 +374,8 @@ func TestShutdownDrainsPendingTimers(t *testing.T) {
 		p.SleepFor(time.Minute)
 		inj.armed = true
 		l.Release() // dropped: the manager never hears the end
-		if m.InUse() != 1 {
-			t.Errorf("inUse = %d right after dropped release, want 1 (zombie)", m.InUse())
+		if m.Sense().InUse != 1 {
+			t.Errorf("inUse = %d right after dropped release, want 1 (zombie)", m.Sense().InUse)
 		}
 		// Exit well before the 10-minute watchdog deadline: the reclaim
 		// timer is still pending when the last process unwinds.
@@ -386,8 +386,8 @@ func TestShutdownDrainsPendingTimers(t *testing.T) {
 	if !fired.Load() {
 		t.Error("pending timer callback was dropped at shutdown, not drained")
 	}
-	if m.InUse() != 0 {
-		t.Errorf("inUse = %d after Run, want 0: the dropped release's watchdog never reclaimed", m.InUse())
+	if m.Sense().InUse != 0 {
+		t.Errorf("inUse = %d after Run, want 0: the dropped release's watchdog never reclaimed", m.Sense().InUse)
 	}
 	if m.Outstanding() != 0 {
 		t.Errorf("outstanding = %d after Run, want 0", m.Outstanding())

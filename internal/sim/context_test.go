@@ -141,8 +141,8 @@ func TestResourceSetCapacity(t *testing.T) {
 		if !ok {
 			t.Error("acquire after drain failed")
 		}
-		if r.Free() != 0 || r.InUse() != 1 || r.Capacity() != 1 {
-			t.Errorf("state = cap %d inUse %d", r.Capacity(), r.InUse())
+		if s := r.Sense(); s.Free() != 0 || s.InUse != 1 || s.Capacity != 1 {
+			t.Errorf("state = cap %d inUse %d", s.Capacity, s.InUse)
 		}
 		l3.Release()
 	})

@@ -1,16 +1,24 @@
 # Development targets. `make ci` is the full gate: formatting, vet,
-# build, race tests, a single-iteration benchmark smoke, and a short
-# fuzz smoke on every fuzz target.
+# build, the darwin and windows builds, race tests, a single-iteration
+# benchmark smoke, and a short fuzz smoke on every fuzz target.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt-check vet test race gridd-race short bench-smoke fuzz-smoke golden profile-figures profile-scale profile-ftsh loc ci
+.PHONY: all build cross fmt-check vet test race gridd-race short bench-smoke fuzz-smoke golden profile-figures profile-scale profile-ftsh loc ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# The platform splits build: the daemon's monitor has a linux and a
+# !linux file (internal/gridd/monitor_*.go), as internal/proc has unix
+# and !unix ones. bench/ is left out of the Windows build: it reads
+# /proc and Rusage by design.
+cross:
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./cmd/... ./internal/... ./examples/...
 
 fmt-check:
 	test -z "$$(gofmt -l .)"
@@ -124,4 +132,4 @@ loc:
 			printf '%7d %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
 		done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
-ci: fmt-check vet build race bench-smoke fuzz-smoke
+ci: fmt-check vet build cross race bench-smoke fuzz-smoke

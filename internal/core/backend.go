@@ -104,7 +104,7 @@ type Alarm interface {
 }
 
 // AlarmOf builds an Alarm over a backend's Schedule, for backends whose
-// timers are heap objects anyway (the live engine, gridd's monitor).
+// timers are heap objects anyway (the live engine).
 func AlarmOf(schedule func(d time.Duration, fn func()) Timer, fn func()) Alarm {
 	return &schedAlarm{schedule: schedule, fn: fn}
 }

@@ -39,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lease"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // ResourceConfig shapes one hosted resource; see CreateRequest for
@@ -113,62 +112,6 @@ type host interface {
 	lease.Clock
 	sync.Locker
 }
-
-// monitor is the daemon's host: one mutex, and the wall clock since
-// construction. It is to the daemon what the engine token is to the
-// simulator. It is also the parker of every HTTP request: a long poll
-// that has to queue gives the lock up until its wait ends.
-type monitor struct {
-	sync.Mutex
-	start time.Time
-}
-
-// Elapsed is the daemon clock: real time since construction.
-func (m *monitor) Elapsed() time.Duration { return time.Since(m.start) }
-
-func (m *monitor) WithCancel(parent context.Context) (context.Context, context.CancelFunc) {
-	return context.WithCancel(parent)
-}
-
-// timer is a monitor timer. Cancel runs under the lock, but by then the
-// callback may already be blocked on that same lock, where Stop cannot
-// recall it; so the callback, once it holds the lock, checks stopped.
-type timer struct {
-	t       *time.Timer
-	stopped bool
-}
-
-func (t *timer) Cancel() {
-	t.stopped = true
-	t.t.Stop()
-}
-
-// Schedule runs fn under the lock d from now unless canceled first.
-func (m *monitor) Schedule(d time.Duration, fn func()) core.Timer {
-	t := &timer{}
-	t.t = time.AfterFunc(d, func() {
-		m.Lock()
-		defer m.Unlock()
-		if !t.stopped {
-			fn()
-		}
-	})
-	return t
-}
-
-// NewAlarm re-arms through Schedule: a wall-clock timer is an
-// allocation whatever holds it.
-func (m *monitor) NewAlarm(fn func()) core.Alarm { return core.AlarmOf(m.Schedule, fn) }
-
-// Hang parks the calling goroutine, lock given up, until ctx ends.
-func (m *monitor) Hang(ctx context.Context) error {
-	m.Unlock()
-	<-ctx.Done()
-	m.Lock()
-	return ctx.Err()
-}
-
-func (*monitor) Tracer() *trace.Client { return nil }
 
 // parked is a long-polling acquire's parker (the monitor, or a
 // simulator process) wrapped in the FIFO bookkeeping: the manager calls

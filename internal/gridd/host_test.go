@@ -9,11 +9,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -38,35 +41,158 @@ func call(t *testing.T, h http.Handler, method, path string, in, out any) int {
 	return rec.Code
 }
 
-// A monitor timer's callback can already be blocked on the lock when
-// Cancel runs under that lock; time.Timer.Stop cannot recall it, so the
-// stopped flag must. (lease.Manager cancels watchdogs this way on every
-// release.)
+// acquire posts a one-unit acquire of "r" for holder, long-polling for
+// wait, to the daemon at base through c, and returns the status and the
+// reply decoded as an ErrorReply.
+func acquire(t *testing.T, c *http.Client, base, holder string, wait time.Duration) (int, ErrorReply) {
+	t.Helper()
+	body, err := json.Marshal(AcquireRequest{Resource: "r", Holder: holder, Units: 1, WaitNS: int64(wait)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Post(base+"/acquire", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er ErrorReply
+	_ = json.NewDecoder(resp.Body).Decode(&er)
+	return resp.StatusCode, er
+}
+
+// Timers that come due while the lock is held, and are canceled under
+// it, never run: the dispatcher is already waiting on the lock when
+// Cancel runs, and Cancel takes them out of the heap it will read.
+// (lease.Manager cancels watchdogs this way on every release.)
 func TestCanceledTimerQueuedOnTheLockDoesNotRun(t *testing.T) {
 	m := &monitor{start: time.Now()}
 	ran := 0
 	m.Lock()
-	var timers []*timer
+	var timers []core.Timer
 	for i := 0; i < 8; i++ {
-		timers = append(timers, m.Schedule(time.Millisecond, func() { ran++ }).(*timer))
+		timers = append(timers, m.Schedule(time.Millisecond, func() { ran++ }))
 	}
-	time.Sleep(10 * time.Millisecond) // the callbacks fire and queue on the lock
-	queued := 0
+	time.Sleep(10 * time.Millisecond) // they come due; the dispatcher queues on the lock
+	if m.wake.Stop() {
+		t.Fatal("the dispatcher had not woken: the test proved nothing")
+	}
 	for _, tm := range timers {
-		if !tm.t.Stop() {
-			queued++
-		}
 		tm.Cancel()
 	}
 	m.Unlock()
-	if queued == 0 {
-		t.Fatal("no callback was queued on the lock: the test proved nothing")
-	}
-	time.Sleep(10 * time.Millisecond) // let them take the lock and find stopped set
+	time.Sleep(10 * time.Millisecond) // let the dispatcher take the lock and find nothing due
 	m.Lock()
 	defer m.Unlock()
 	if ran != 0 {
-		t.Fatalf("%d of %d canceled callbacks ran (%d were queued on the lock)", ran, len(timers), queued)
+		t.Fatalf("%d of %d canceled callbacks ran", ran, len(timers))
+	}
+}
+
+// Monitor timers never fire before their deadline, and fire in
+// (deadline, arm order), the simulator's order: 40 timers due within
+// 5 ms, drawn on a 250 µs grid so that several share a deadline. With
+// the lock held past every deadline, they are all due at once when it
+// is let go; without it, each arming races the dispatcher, and the
+// deadlines under the lead, 0 among them, cross from the runtime
+// timer to the nap at once.
+func TestMonitorTimersFireInOrderNeverEarly(t *testing.T) {
+	const n = 40
+	for _, held := range []bool{true, false} {
+		t.Run(map[bool]string{true: "held", false: "free"}[held], func(t *testing.T) {
+			m := &monitor{start: time.Now()}
+			rng := rand.New(rand.NewPCG(1, 2))
+			type firing struct {
+				i  int
+				at time.Duration
+			}
+			var fired []firing
+			timers := make([]*alarm, n)
+			m.Lock()
+			base := m.Elapsed()
+			for i := range timers {
+				d := time.Duration(rng.IntN(21)) * 250 * time.Microsecond
+				timers[i] = m.NewAlarm(func() { fired = append(fired, firing{i, m.Elapsed()}) }).(*alarm)
+				if held {
+					timers[i].setAt(base + d) // one base: equal draws share a deadline
+				} else {
+					m.Unlock()
+					m.Lock()
+					timers[i].Set(d)
+				}
+			}
+			if held {
+				time.Sleep(7 * time.Millisecond) // every timer comes due
+			}
+			m.Unlock()
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				m.Lock()
+				k := len(fired)
+				m.Unlock()
+				if k == n {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d timers fired", k, n)
+				}
+			}
+			m.Lock()
+			defer m.Unlock()
+			for _, f := range fired {
+				if a := timers[f.i]; f.at < a.at {
+					t.Errorf("timer %d ran at %v, %v before its deadline", f.i, f.at-base, a.at-f.at)
+				}
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(x, y int) bool { return timers[want[x]].at < timers[want[y]].at })
+			for k, f := range fired {
+				if f.i != want[k] {
+					t.Fatalf("firing %d was timer %d; want %d (deadline, then arm order)", k, f.i, want[k])
+				}
+			}
+		})
+	}
+}
+
+// TestMonitorAlarmAllocs is the allocation budget of re-arming a
+// monitor alarm, as a lease record re-arms its watchdog on every grant
+// and renewal: none. The alarm is its own heap node.
+func TestMonitorAlarmAllocs(t *testing.T) {
+	m := &monitor{start: time.Now()}
+	a := m.NewAlarm(func() { t.Error("the alarm fired") })
+	m.Lock()
+	defer m.Unlock()
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Set(time.Hour)
+		a.Stop()
+		a.Set(time.Hour)
+	})
+	a.Stop()
+	m.wake.Stop()
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per Set, Stop and Set: budget 0", allocs)
+	}
+}
+
+// Over a socket, a parked acquire whose wait runs out comes back busy,
+// and no earlier than its wait after it was sent. (No upper bound: that
+// would be a wall-clock band on a shared host.)
+func TestParkedAcquireExpiresNoEarlier(t *testing.T) {
+	hs := httptest.NewServer(NewServer(Config{Resources: []ResourceConfig{{Name: "r", Capacity: 1}}}).Handler())
+	defer hs.Close()
+	if code, er := acquire(t, http.DefaultClient, hs.URL, "a", 0); code != http.StatusOK {
+		t.Fatalf("acquire of the free unit answered %d %+v", code, er)
+	}
+	const wait = 3 * time.Millisecond
+	sent := time.Now()
+	code, er := acquire(t, http.DefaultClient, hs.URL, "b", wait)
+	if took := time.Since(sent); took < wait {
+		t.Fatalf("the parked acquire came back after %v, before its %v wait ran out", took, wait)
+	}
+	if code != http.StatusConflict || er.Code != CodeBusy {
+		t.Fatalf("the parked acquire answered %d %+v; want busy", code, er)
 	}
 }
 
@@ -186,25 +312,10 @@ func TestTablesEmptyAfterEveryKindOfEnd(t *testing.T) {
 func TestLongPollWithoutParkerIsRefusedAtOnce(t *testing.T) {
 	e := sim.New(1)
 	c := &http.Client{Transport: NewServerOn(e.RT(), Config{Resources: []ResourceConfig{{Name: "r", Capacity: 1}}})}
-	acquire := func(holder string, wait time.Duration) (int, ErrorReply) {
-		t.Helper()
-		body, err := json.Marshal(AcquireRequest{Resource: "r", Holder: holder, Units: 1, WaitNS: int64(wait)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := c.Post("http://gridd/acquire", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var er ErrorReply
-		_ = json.NewDecoder(resp.Body).Decode(&er)
-		return resp.StatusCode, er
-	}
-	if code, er := acquire("a", time.Hour); code != http.StatusOK {
+	if code, er := acquire(t, c, "http://gridd", "a", time.Hour); code != http.StatusOK {
 		t.Fatalf("long poll on a free unit answered %d %+v", code, er)
 	}
-	if code, er := acquire("b", time.Hour); code != http.StatusConflict || er.Code != CodeBusy || er.Shortfall != 1 {
+	if code, er := acquire(t, c, "http://gridd", "b", time.Hour); code != http.StatusConflict || er.Code != CodeBusy || er.Shortfall != 1 {
 		t.Fatalf("long poll on a taken unit answered %d %+v; want busy short by 1", code, er)
 	}
 	if e.Elapsed() != 0 {

@@ -12,10 +12,11 @@ all: build
 build:
 	$(GO) build ./...
 
-# The platform splits build: the daemon's monitor has a linux and a
-# !linux file (internal/gridd/monitor_*.go), as internal/proc has unix
-# and !unix ones. bench/ is left out of the Windows build: it reads
-# /proc and Rusage by design.
+# The platform splits build: the wall-clock monitor (the live engine's
+# and the daemon's host) has a linux and a !linux file
+# (internal/live/monitor_*.go), as internal/proc has unix and !unix
+# ones. bench/ is left out of the Windows build: it reads /proc and
+# Rusage by design.
 cross:
 	GOOS=darwin $(GO) build ./...
 	GOOS=windows $(GO) build ./cmd/... ./internal/... ./examples/...
@@ -39,13 +40,14 @@ short:
 race:
 	$(GO) test -race ./...
 
-# The gridd suites alone under the race detector: the daemon, its one
-# client, the daemon's CLI, the one scenario that crosses a real socket
-# (gridbench -gridd-addr), then the differentials and chaos cells that
-# drive the daemon through its codec on the simulator. A subset of race,
-# so not in ci.
+# The gridd suites alone under the race detector: the daemon, the
+# wall-clock monitor it hosts on (internal/live), its one client, the
+# daemon's CLI, the one scenario that crosses a real socket (gridbench
+# -gridd-addr), then the differentials and chaos cells that drive the
+# daemon through its codec on the simulator. A subset of race, so not
+# in ci.
 gridd-race:
-	$(GO) test -race -count=1 ./internal/gridd ./internal/griddclient ./cmd/gridd
+	$(GO) test -race -count=1 ./internal/gridd ./internal/live ./internal/griddclient ./cmd/gridd
 	$(GO) test -race -count=1 ./cmd/gridbench -run TestGriddBackendFigure3
 	$(GO) test -race -count=1 ./internal/expt -run 'TestDiff(SubmitOrdering|LeaseNoStarvation)/gridd|TestGridd|TestTripper'
 

@@ -102,27 +102,3 @@ type Alarm interface {
 	Set(d time.Duration)
 	Stop()
 }
-
-// AlarmOf builds an Alarm over a backend's Schedule, for backends whose
-// timers are heap objects anyway (the live engine).
-func AlarmOf(schedule func(d time.Duration, fn func()) Timer, fn func()) Alarm {
-	return &schedAlarm{schedule: schedule, fn: fn}
-}
-
-type schedAlarm struct {
-	schedule func(d time.Duration, fn func()) Timer
-	fn       func()
-	t        Timer
-}
-
-func (a *schedAlarm) Set(d time.Duration) {
-	a.Stop()
-	a.t = a.schedule(d, a.fn)
-}
-
-func (a *schedAlarm) Stop() {
-	if a.t != nil {
-		a.t.Cancel()
-		a.t = nil
-	}
-}

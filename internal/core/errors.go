@@ -111,9 +111,6 @@ func Rejection(err error) *RejectedError {
 // untyped-failure regime. Substrates wrap it as a collision.
 var ErrLost = errors.New("lost: message dropped by channel")
 
-// IsLost reports whether err is or wraps ErrLost.
-func IsLost(err error) bool { return errors.Is(err, ErrLost) }
-
 // ErrStale marks an operation carrying a fencing epoch that the
 // resource has already moved past: a revoked-then-delayed holder
 // releasing units it no longer owns, or a duplicated grant arriving

@@ -13,9 +13,10 @@
 // core.ErrStale over the wire.
 //
 // The daemon is its operations, one typed call on Server per endpoint
-// (http.go is one codec over them), run on a host: the monitor — one
-// lock and the wall clock — or, in tests, a simulator engine, on which
-// they replay from a seed. Beside them the package owns the tables from
+// (http.go is one codec over them), run on a host: the wall-clock
+// monitor (live.Monitor, the live engine's too) or, in tests, a
+// simulator engine, on which they replay from a seed. Beside them the
+// package owns the tables from
 // wire ids to live leases and bookings, the daemon-only counters, and
 // the one way the daemon ends tenures on its own account: graceful
 // shutdown, which mirrors the live engine's drain — new work is refused
@@ -38,6 +39,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lease"
+	"repro/internal/live"
 	"repro/internal/obs"
 )
 
@@ -71,7 +73,7 @@ type Server struct {
 
 // NewServer builds a server hosting cfg.Resources on the monitor.
 func NewServer(cfg Config) *Server {
-	return newServer(&monitor{start: time.Now()}, cfg)
+	return newServer(monitor{live.NewMonitor()}, cfg)
 }
 
 // NewServerOn builds a server hosting cfg.Resources on clk, a clock

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gridd"
 	"repro/internal/griddclient"
+	"repro/internal/lease"
 )
 
 // newDaemon spins up an in-process daemon hosting rcs and a client
@@ -318,17 +319,17 @@ func TestReserveClaimCancelLapse(t *testing.T) {
 	}
 
 	// Claim converts the booking into a lease fenced at window end.
-	lease, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: rr.BookingID})
+	claimed, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: rr.BookingID})
 	if err != nil {
 		t.Fatalf("claim: %v", err)
 	}
-	if lease.DeadlineNS != rr.EndNS {
-		t.Fatalf("claimed lease deadline %d; want the window's end %d", lease.DeadlineNS, rr.EndNS)
+	if claimed.DeadlineNS != rr.EndNS {
+		t.Fatalf("claimed lease deadline %d; want the window's end %d", claimed.DeadlineNS, rr.EndNS)
 	}
 	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: rr.BookingID}); err == nil {
 		t.Fatalf("double claim succeeded")
 	}
-	if err := lease.Release(ctx); err != nil {
+	if err := claimed.Release(ctx); err != nil {
 		t.Fatalf("release claimed lease: %v", err)
 	}
 
@@ -361,8 +362,8 @@ func TestReserveClaimCancelLapse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("future reserve: %v", err)
 	}
-	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: fut.BookingID}); !errors.Is(err, griddclient.ErrEarly) {
-		t.Fatalf("early claim = %v; want ErrEarly", err)
+	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: fut.BookingID}); !errors.Is(err, lease.ErrNotOpen) {
+		t.Fatalf("early claim = %v; want lease.ErrNotOpen", err)
 	}
 	// ...but it can be forfeited, refunding the window.
 	if err := c.Cancel(ctx, gridd.CancelRequest{Resource: "yyy", BookingID: fut.BookingID}); err != nil {
@@ -370,11 +371,11 @@ func TestReserveClaimCancelLapse(t *testing.T) {
 	}
 	// An id the book issued and has since retired is lapsed, for cancel
 	// and claim alike; an id it never issued is unknown.
-	if err := c.Cancel(ctx, gridd.CancelRequest{Resource: "yyy", BookingID: fut.BookingID}); !errors.Is(err, griddclient.ErrLapsed) {
-		t.Fatalf("cancel of a canceled booking = %v; want ErrLapsed", err)
+	if err := c.Cancel(ctx, gridd.CancelRequest{Resource: "yyy", BookingID: fut.BookingID}); !errors.Is(err, lease.ErrLapsed) {
+		t.Fatalf("cancel of a canceled booking = %v; want lease.ErrLapsed", err)
 	}
-	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: rr.BookingID}); !errors.Is(err, griddclient.ErrLapsed) {
-		t.Fatalf("claim of a released booking = %v; want ErrLapsed", err)
+	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: rr.BookingID}); !errors.Is(err, lease.ErrLapsed) {
+		t.Fatalf("claim of a released booking = %v; want lease.ErrLapsed", err)
 	}
 	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: 999}); !errors.Is(err, griddclient.ErrUnknown) {
 		t.Fatalf("claim of a never-issued booking = %v; want ErrUnknown", err)
@@ -391,8 +392,8 @@ func TestReserveClaimCancelLapse(t *testing.T) {
 		t.Fatalf("short reserve: %v", err)
 	}
 	time.Sleep(100 * time.Millisecond)
-	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: short.BookingID}); !errors.Is(err, griddclient.ErrLapsed) {
-		t.Fatalf("lapsed claim = %v; want ErrLapsed", err)
+	if _, err := c.Claim(ctx, gridd.ClaimRequest{Resource: "yyy", BookingID: short.BookingID}); !errors.Is(err, lease.ErrLapsed) {
+		t.Fatalf("lapsed claim = %v; want lease.ErrLapsed", err)
 	}
 	st, _ := c.Stats(ctx, "yyy")
 	if st.Admits != 3 || st.BookRejects != 1 || st.Lapses != 1 {

@@ -1,8 +1,8 @@
 // Package griddclient is the wire client for the gridd daemon
 // (internal/gridd): plain HTTP/JSON calls that rebuild the repo's
-// typed errors from ErrorReply codes, so errors.Is(err, core.ErrStale)
-// and core.Rejection(err) work across the socket exactly as they do
-// against an in-process substrate.
+// typed errors from ErrorReply codes, so errors.Is(err, core.ErrStale),
+// errors.Is(err, lease.ErrNotOpen) and core.Rejection(err) work across
+// the socket exactly as they do against an in-process substrate.
 //
 // Time: a daemon across a socket runs on the wall clock; a client
 // driving it from a compressed-time live engine must convert virtual
@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gridd"
+	"repro/internal/lease"
 )
 
 // ErrBusy is the immediate-mode verdict: no free units now (the wire
@@ -41,13 +42,6 @@ var ErrBusy = errors.New("gridd: busy")
 // ErrUnavailable marks a retriable outage: the daemon is draining.
 // Matched through *UnavailableError.
 var ErrUnavailable = errors.New("gridd: unavailable")
-
-// ErrLapsed marks a claim that arrived after its booking's window
-// closed.
-var ErrLapsed = errors.New("gridd: booking lapsed")
-
-// ErrEarly marks a claim that arrived before its window opened.
-var ErrEarly = errors.New("gridd: window not open")
 
 // ErrUnknown marks a missing resource, lease, or booking.
 var ErrUnknown = errors.New("gridd: no such entity")
@@ -184,9 +178,9 @@ func wireError(er gridd.ErrorReply, resource string) error {
 	case gridd.CodeDraining:
 		return &UnavailableError{Resource: resource, Reason: "draining"}
 	case gridd.CodeLapsed:
-		return fmt.Errorf("%s: %w", resource, ErrLapsed)
+		return fmt.Errorf("%s: %w", resource, lease.ErrLapsed)
 	case gridd.CodeEarly:
-		return fmt.Errorf("%s: %w", resource, ErrEarly)
+		return fmt.Errorf("%s: %w", resource, lease.ErrNotOpen)
 	case gridd.CodeUnknown:
 		return fmt.Errorf("%s: %w: %s", resource, ErrUnknown, er.Message)
 	default:

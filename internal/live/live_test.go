@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -62,10 +63,10 @@ func TestTimerFiresAndCancels(t *testing.T) {
 		// Armed and canceled in one step: the callback, due at once,
 		// needs the engine lock, which this process holds until it sleeps.
 		e.Schedule(0, func() { canceled.Add(1) }).Cancel()
-		// Run drains timers still pending when the last process exits,
-		// and real timers resolve no finer than ~1.25ms: keep the
-		// process alive for 5 virtual minutes (30ms real) so the
-		// 1-virtual-second timer fires on its own, far inside the window.
+		// Run drains timers still pending when the last process exits:
+		// keep the process alive for 5 virtual minutes (30ms real) so
+		// the 1-virtual-second timer fires on its own, far inside the
+		// window.
 		p.SleepFor(5 * time.Minute)
 	})
 	if err := e.Run(); err != nil {
@@ -79,19 +80,99 @@ func TestTimerFiresAndCancels(t *testing.T) {
 	}
 }
 
-// TestTimerCanceledBeforeRunIsNeverArmed: Run arms only the pending
-// timers still live, so a timer canceled before Run starts no
-// wall-clock timer, which would fire and take the engine lock, maybe
-// after Run has returned.
+// TestTimerCanceledBeforeRunIsNeverArmed: a timer canceled before Run
+// leaves the monitor's heap at once, so Run has nothing of it to arm:
+// it never fires, and nothing of it is pending afterwards.
 func TestTimerCanceledBeforeRunIsNeverArmed(t *testing.T) {
 	e := New(1, ts)
-	n := e.Schedule(time.Second, func() { t.Error("canceled timer fired") }).(*timerNode)
+	n := e.Schedule(time.Second, func() { t.Error("canceled timer fired") })
 	n.Cancel()
+	if k := e.TimerHeapLen(); k != 0 {
+		t.Errorf("%d timers pending after the only one was canceled", k)
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.t != nil {
-		t.Error("Run armed a timer canceled before it")
+	if n.(*alarm).i != -1 {
+		t.Error("a timer canceled before Run is pending after it")
+	}
+}
+
+// TestSameDeadlineFiresInArmOrder: timers due at one instant fire in
+// the order they were armed, the simulator's order, not in whatever
+// order their goroutines win the lock. Armed before Run, twenty timers
+// share one deadline exactly; a process keeps the run open past it, so
+// they fire on the clock, not in the shutdown drain.
+func TestSameDeadlineFiresInArmOrder(t *testing.T) {
+	const n = 20
+	e := New(1, 1)
+	var order []int
+	for i := 0; i < n; i++ {
+		e.Schedule(time.Millisecond, func() { order = append(order, i) })
+	}
+	e.Spawn("keeper", func(p core.Proc) { p.SleepFor(20 * time.Millisecond) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != n {
+		t.Fatalf("%d of %d timers fired", len(order), n)
+	}
+	for k, i := range order {
+		if i != k {
+			t.Fatalf("firing order %v; want arm order", order)
+		}
+	}
+}
+
+// TestTimersNeverEarly: at timescale 1, Sleep, SleepFor, WithTimeout
+// and Schedule never return or fire before their deadline, for 0 and
+// for durations shorter than the dispatcher's lead. (No upper bound:
+// that would be a wall-clock band on a shared host.)
+func TestTimersNeverEarly(t *testing.T) {
+	durations := []time.Duration{0, 50 * time.Microsecond, 300 * time.Microsecond, time.Millisecond, 2 * time.Millisecond}
+	waits := map[string]func(p core.Proc, d time.Duration) error{
+		"Sleep": func(p core.Proc, d time.Duration) error {
+			return p.Sleep(context.Background(), d)
+		},
+		"SleepFor": func(p core.Proc, d time.Duration) error {
+			p.SleepFor(d)
+			return nil
+		},
+		"WithTimeout": func(p core.Proc, d time.Duration) error {
+			ctx, cancel := p.WithTimeout(context.Background(), d)
+			defer cancel()
+			if err := p.Hang(ctx); !errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("Hang returned %v, want context.DeadlineExceeded", err)
+			}
+			return nil
+		},
+		"Schedule": func(p core.Proc, d time.Duration) error {
+			ctx, cancel := p.WithCancel(context.Background())
+			p.Schedule(d, cancel)
+			_ = p.Hang(ctx)
+			return nil
+		},
+	}
+	for name, wait := range waits {
+		t.Run(name, func(t *testing.T) {
+			e := New(1, 1)
+			e.Spawn("waiter", func(p core.Proc) {
+				for rep := 0; rep < 10; rep++ {
+					for _, d := range durations {
+						before := p.Elapsed()
+						if err := wait(p, d); err != nil {
+							t.Errorf("%v: %v", d, err)
+						}
+						if took := p.Elapsed() - before; took < d {
+							t.Errorf("%v: returned after %v, before its deadline", d, took)
+						}
+					}
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -365,6 +446,12 @@ func TestShutdownDrainsPendingTimers(t *testing.T) {
 	m.SetWire(inj, "wire", true)
 	var fired atomic.Bool
 	e.Schedule(time.Hour, func() { fired.Store(true) })
+	// The drain fires in (deadline, arm order): deadlines armed before
+	// Run count from it, so the ties are exact.
+	var drained []int
+	for i, d := range []time.Duration{3, 1, 2, 1, 3, 2} {
+		e.Schedule(d*time.Hour, func() { drained = append(drained, i) })
+	}
 	e.Spawn("holder", func(p core.Proc) {
 		l, err := m.Acquire(p, e.Context(), "holder", 1)
 		if err != nil {
@@ -385,6 +472,9 @@ func TestShutdownDrainsPendingTimers(t *testing.T) {
 	}
 	if !fired.Load() {
 		t.Error("pending timer callback was dropped at shutdown, not drained")
+	}
+	if got, want := fmt.Sprint(drained), "[1 3 2 5 0 4]"; got != want {
+		t.Errorf("the drain fired %s; want %s, (deadline, arm order)", got, want)
 	}
 	if m.Sense().InUse != 0 {
 		t.Errorf("inUse = %d after Run, want 0: the dropped release's watchdog never reclaimed", m.Sense().InUse)
@@ -457,5 +547,40 @@ func TestPreRunDeadlineEndsOnce(t *testing.T) {
 	}
 	if _, ok := own.Deadline(); ok {
 		t.Error("a context canceled before Run was armed by it")
+	}
+}
+
+// TestDeadlineCanceledOffTheLock: a deadline context's cancel func may
+// run on any goroutine, without the engine lock. It ends the context at
+// once, and its alarm leaves the heap at the next sweep, under the lock
+// (run with -race).
+func TestDeadlineCanceledOffTheLock(t *testing.T) {
+	e := New(1, ts)
+	e.Spawn("owner", func(p core.Proc) {
+		var ctxs []context.Context
+		var cancels []context.CancelFunc
+		for i := 0; i < 20; i++ {
+			ctx, cancel := p.WithTimeout(context.Background(), time.Hour)
+			ctxs, cancels = append(ctxs, ctx), append(cancels, cancel)
+		}
+		done := make(chan struct{})
+		go func() {
+			for _, cancel := range cancels {
+				cancel()
+			}
+			close(done)
+		}()
+		e.Blocking(func() { <-done })
+		for i, ctx := range ctxs {
+			if err := ctx.Err(); !errors.Is(err, context.Canceled) {
+				t.Errorf("context %d: Err() = %v, want context.Canceled", i, err)
+			}
+		}
+		if k := e.TimerHeapLen(); k != 0 {
+			t.Errorf("%d timers pending after every deadline was canceled", k)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,6 @@
 //go:build !linux
 
-package gridd
+package live
 
 import "time"
 

@@ -53,62 +53,41 @@ func (p *Proc) Schedule(d time.Duration, fn func()) core.Timer {
 
 // Yield releases the engine lock and lets other goroutines run.
 func (p *Proc) Yield() {
-	p.eng.mu.Unlock()
+	p.eng.Unlock()
 	runtime.Gosched()
-	p.eng.mu.Lock()
+	p.eng.Lock()
 }
 
 // SleepFor pauses for d of virtual time. It cannot be interrupted;
 // prefer Sleep with a context for cancellable waits.
-func (p *Proc) SleepFor(d time.Duration) {
-	rd := p.eng.toReal(d)
-	p.eng.mu.Unlock()
-	if rd > 0 {
-		time.Sleep(rd)
-	} else {
-		runtime.Gosched()
-	}
-	p.eng.mu.Lock()
-}
+func (p *Proc) SleepFor(d time.Duration) { _ = p.Sleep(context.Background(), d) }
 
 // Sleep pauses for d of virtual time or until ctx is canceled,
 // whichever comes first, returning the context's error in the latter
-// case.
+// case. The wake-up is a timer on the engine's monitor, so it fires in
+// (deadline, arm order) with every other timer, never early.
 func (p *Proc) Sleep(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	rd := p.eng.toReal(d)
-	p.eng.mu.Unlock()
+	woke := make(chan struct{})
+	t := p.eng.Schedule(d, func() { close(woke) })
+	p.eng.Unlock()
 	var err error
-	if rd <= 0 {
-		runtime.Gosched()
+	select {
+	case <-woke:
+	case <-ctx.Done():
 		err = ctx.Err()
-	} else {
-		t := time.NewTimer(rd)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-		t.Stop()
 	}
-	p.eng.mu.Lock()
+	p.eng.Lock()
+	t.Cancel()
 	return err
 }
 
 // Hang parks the process until ctx is canceled, then returns the
 // cancellation cause. It models interacting with a "black hole" service
 // that never responds.
-func (p *Proc) Hang(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p.eng.mu.Unlock()
-	<-ctx.Done()
-	p.eng.mu.Lock()
-	return ctx.Err()
-}
+func (p *Proc) Hang(ctx context.Context) error { return p.eng.Hang(ctx) }
 
 // WithTimeout derives a context canceled after d of virtual time.
 func (p *Proc) WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
@@ -141,17 +120,17 @@ func (p *Proc) Parallel(ctx context.Context, limit int, fns []func(ctx context.C
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.mu.Lock()
+			e.Lock()
 			for next < len(fns) {
 				i := next
 				next++
 				errs[i] = fns[i](ctx, child)
 			}
-			e.mu.Unlock()
+			e.Unlock()
 		}()
 	}
-	e.mu.Unlock()
+	e.Unlock()
 	wg.Wait()
-	e.mu.Lock()
+	e.Lock()
 	return errs
 }

@@ -10,11 +10,13 @@
 #   gridbench -fig R -scale 0.1 -chaos P -check -seed S -parallel 1
 #
 # for each row R in 1-7, la, res and net, each preset P the binary
-# lists (chaos.Names()) and each seed S in 1 2 3 4 5 7 42. It prints
-# one line per run that exits non-zero, sorted: row, plan, seed, exit
-# code and the first violation line of the run's stderr (its first line
-# when none is a violation), then a count. Exits 1 if any run failed. To show that a change moves
-# no check, run it on both checkouts and diff the two outputs.
+# lists (chaos.Names()) and each seed S in 1 2 3 4 5 7 42; the build
+# and the row and preset lists come from scripts/lib.sh, which
+# figdiff.sh shares. It prints one line per run that exits non-zero,
+# sorted: row, plan, seed, exit code and the first violation line of
+# the run's stderr (its first line when none is a violation), then a
+# count. Exits 1 if any run failed. To show that a change moves no
+# check, run it on both checkouts and diff the two outputs.
 set -euo pipefail
 
 if [ $# -gt 1 ]; then
@@ -22,22 +24,21 @@ if [ $# -gt 1 ]; then
 	exit 2
 fi
 here=$(cd "$(dirname "$0")" && pwd)
+. "$here/lib.sh"
 src=$(cd "${1:-$here/..}" && pwd)
-rows="1 2 3 4 5 6 7 la res net"
 seeds="1 2 3 4 5 7 42"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-(cd "$src" && go build -o "$work/gridbench" ./cmd/gridbench)
-# An unknown plan is answered with every preset's name (and exit 2).
-plans=$({ "$work/gridbench" -chaos '?' 2>&1 || true; } | sed -n 's/.*(have: \(.*\))$/\1/p' | tr -d ,)
+build_gridbench "$src" "$work/gridbench"
+plans=$(presets_of "$work/gridbench")
 if [ -z "$plans" ]; then
 	echo "checkmatrix: gridbench listed no chaos presets" >&2
 	exit 2
 fi
 
 runs=0
-for row in $rows; do
+for row in $paper_rows; do
 	for plan in $plans; do
 		for seed in $seeds; do
 			runs=$((runs + 1))

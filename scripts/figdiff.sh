@@ -3,14 +3,14 @@
 #
 # Usage: scripts/figdiff.sh OLD_CHECKOUT NEW_CHECKOUT
 #
-# Builds cmd/gridbench in each checkout, then runs every figure row at
-# -parallel 1 for each seed in SEEDS (default "1 7 42"), each backend in
-# BACKENDS (default "sim gridd"; a row that refuses a backend is
-# compared on its refusal) and each of four plans: none,
-# "-chaos mixed -check", "-chaos stuck-holder -check" and
-# "-trace-summary" (which also writes a -trace JSONL file). ROWS
-# (default: every row the old binary lists) narrows the rows. The scale
-# is 0.25 for abl and ext, 0.01 for scale and 0.1 for the rest.
+# Builds cmd/gridbench in each checkout, then runs every row the old
+# binary lists at -parallel 1 for seeds 1, 7 and 42, backends sim and
+# gridd (a row that refuses a backend is compared on its refusal) and
+# each of four plans: none, "-chaos mixed -check",
+# "-chaos stuck-holder -check" and "-trace-summary" (which also writes
+# a -trace JSONL file). The scale is 0.25 for abl and ext, 0.01 for
+# scale and 0.1 for the rest. The build and the row list come from
+# scripts/lib.sh, which checkmatrix.sh shares.
 #
 # Per run it compares stdout (less the wall-clock "# generated in" and
 # "# timing:" lines), stderr, the exit code and the trace file, and it
@@ -28,17 +28,17 @@ fi
 old=$(cd "$1" && pwd)
 new=$(cd "$2" && pwd)
 here=$(cd "$(dirname "$0")" && pwd)
+. "$here/lib.sh"
 work=${FIGDIFF_DIR:-$(mktemp -d)}
-seeds=${SEEDS:-"1 7 42"}
-backends=${BACKENDS:-"sim gridd"}
+seeds="1 7 42"
+backends="sim gridd"
 plans=("" "-chaos mixed -check" "-chaos stuck-holder -check" "-trace-summary")
 
 for side in old new; do
 	mkdir -p "$work/$side/metrics"
-	(cd "${!side}" && go build -o "$work/$side/gridbench" ./cmd/gridbench)
+	build_gridbench "${!side}" "$work/$side/gridbench"
 done
-# An unknown -fig is answered with every row's name (and exit code 2).
-rows=${ROWS:-$({ "$work/old/gridbench" -fig '?' 2>&1 || true; } | awk '/^  /{print $1}')}
+rows=$(rows_of "$work/old/gridbench")
 
 # run SIDE KEY ARGS...: one gridbench run, its outputs under $work/SIDE.
 run() {
